@@ -19,6 +19,6 @@ pub mod unroll;
 pub use activity::{Activity, ActivityKind, VarName};
 pub use cfg::{Cfg, CfgEdge, CfgNode};
 pub use display::{render_constructs, render_flowchart};
-pub use parser::{parse_process, DslError};
+pub use parser::{parse_process, DslError, MAX_NESTING};
 pub use process::{Case, Construct, Link, ModelError, Process, ServiceDecl};
 pub use unroll::{unroll_whiles, Unrolled};

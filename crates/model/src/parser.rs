@@ -27,10 +27,16 @@
 //!
 //! `//` and `#` start line comments. Inside `flow { ... }`, each construct
 //! is one parallel branch, and `link NAME from A to B [when LABEL];`
-//! declares a cross-branch link.
+//! declares a cross-branch link. Constructs nest at most [`MAX_NESTING`]
+//! levels deep, so hostile input is rejected instead of overflowing the
+//! stack of the parser or of any later recursive pass over the tree.
 
 use crate::activity::Activity;
 use crate::process::{Case, Construct, Link, Process, ServiceDecl};
+
+/// The deepest nesting of constructs (`sequence`, `flow`, `switch`,
+/// `while` bodies) a process may have. Deeper input is a [`DslError`].
+pub const MAX_NESTING: usize = 256;
 
 /// Parse error with 1-based line information.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,9 +55,9 @@ impl std::fmt::Display for DslError {
 
 impl std::error::Error for DslError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Num(u32),
     LBrace,
     RBrace,
@@ -62,85 +68,95 @@ enum Tok {
 struct Lexer;
 
 impl Lexer {
-    fn lex(src: &str) -> Result<Vec<(Tok, usize)>, DslError> {
-        let mut out = Vec::new();
-        for (lineno, line) in src.lines().enumerate() {
-            let line_no = lineno + 1;
-            let code = match (line.find("//"), line.find('#')) {
-                (Some(a), Some(b)) => &line[..a.min(b)],
-                (Some(a), None) => &line[..a],
-                (None, Some(b)) => &line[..b],
-                (None, None) => line,
-            };
-            let mut chars = code.char_indices().peekable();
-            while let Some(&(i, c)) = chars.peek() {
-                match c {
-                    ' ' | '\t' | '\r' => {
-                        chars.next();
-                    }
-                    '{' => {
-                        out.push((Tok::LBrace, line_no));
-                        chars.next();
-                    }
-                    '}' => {
-                        out.push((Tok::RBrace, line_no));
-                        chars.next();
-                    }
-                    ';' => {
-                        out.push((Tok::Semi, line_no));
-                        chars.next();
-                    }
-                    ',' => {
-                        out.push((Tok::Comma, line_no));
-                        chars.next();
-                    }
-                    c if c.is_ascii_digit() => {
-                        let mut end = i;
-                        while let Some(&(j, d)) = chars.peek() {
-                            if d.is_ascii_digit() {
-                                end = j + d.len_utf8();
-                                chars.next();
-                            } else {
-                                break;
-                            }
-                        }
-                        let n: u32 = code[i..end].parse().map_err(|_| DslError {
-                            message: format!("bad number '{}'", &code[i..end]),
-                            line: line_no,
-                        })?;
-                        out.push((Tok::Num(n), line_no));
-                    }
-                    c if c.is_ascii_alphabetic() || c == '_' => {
-                        let mut end = i;
-                        while let Some(&(j, d)) = chars.peek() {
-                            if d.is_ascii_alphanumeric() || d == '_' {
-                                end = j + d.len_utf8();
-                                chars.next();
-                            } else {
-                                break;
-                            }
-                        }
-                        out.push((Tok::Ident(code[i..end].to_string()), line_no));
-                    }
-                    other => {
-                        return Err(DslError {
-                            message: format!("unexpected character '{other}'"),
-                            line: line_no,
-                        })
-                    }
+    /// Splits `src` into tokens that borrow their text, each with its
+    /// 1-based line. `//` and `#` comment out the rest of a line.
+    fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>, DslError> {
+        let bytes = src.as_bytes();
+        let mut out = Vec::with_capacity(src.len() / 4);
+        let mut line = 1;
+        let mut i = 0;
+        while i < bytes.len() {
+            let start = i;
+            let tok = match bytes[i] {
+                b'\n' => {
+                    line += 1;
+                    i += 1;
+                    continue;
                 }
-            }
+                b' ' | b'\t' | b'\r' => {
+                    i += 1;
+                    continue;
+                }
+                b'#' => {
+                    i = skip_line(bytes, i);
+                    continue;
+                }
+                b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                    i = skip_line(bytes, i);
+                    continue;
+                }
+                b'{' => {
+                    i += 1;
+                    Tok::LBrace
+                }
+                b'}' => {
+                    i += 1;
+                    Tok::RBrace
+                }
+                b';' => {
+                    i += 1;
+                    Tok::Semi
+                }
+                b',' => {
+                    i += 1;
+                    Tok::Comma
+                }
+                b'0'..=b'9' => {
+                    while i < bytes.len() && bytes[i].is_ascii_digit() {
+                        i += 1;
+                    }
+                    let digits = &src[start..i];
+                    Tok::Num(digits.parse().map_err(|_| DslError {
+                        message: format!("bad number '{digits}'"),
+                        line,
+                    })?)
+                }
+                b if b.is_ascii_alphabetic() || b == b'_' => {
+                    while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
+                    {
+                        i += 1;
+                    }
+                    Tok::Ident(&src[start..i])
+                }
+                _ => {
+                    let other = src[start..].chars().next().expect("not at the end");
+                    return Err(DslError {
+                        message: format!("unexpected character '{other}'"),
+                        line,
+                    });
+                }
+            };
+            out.push((tok, line));
         }
         Ok(out)
     }
 }
 
-struct P {
-    toks: Vec<(Tok, usize)>,
-    pos: usize,
+/// The index of the line break ending the comment that starts at `i`.
+fn skip_line(bytes: &[u8], i: usize) -> usize {
+    bytes[i..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(bytes.len(), |n| i + n)
 }
 
-impl P {
+struct P<'a> {
+    toks: Vec<(Tok<'a>, usize)>,
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> P<'a> {
     fn line(&self) -> usize {
         self.toks
             .get(self.pos)
@@ -155,26 +171,26 @@ impl P {
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.0)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|t| t.0)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.0.clone());
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect_tok(&mut self, t: &Tok, what: &str) -> Result<(), DslError> {
+    fn expect_tok(&mut self, t: Tok<'_>, what: &str) -> Result<(), DslError> {
         match self.next() {
-            Some(got) if got == *t => Ok(()),
+            Some(got) if got == t => Ok(()),
             got => Err(self.err(format!("expected {what}, got {got:?}"))),
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, DslError> {
+    fn ident(&mut self, what: &str) -> Result<&'a str, DslError> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
             got => Err(self.err(format!("expected {what}, got {got:?}"))),
@@ -182,11 +198,10 @@ impl P {
     }
 
     fn keyword(&mut self, kw: &str) -> Result<(), DslError> {
-        let got = self.ident(&format!("keyword '{kw}'"))?;
-        if got == kw {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected keyword '{kw}', got '{got}'")))
+        match self.next() {
+            Some(Tok::Ident(got)) if got == kw => Ok(()),
+            Some(Tok::Ident(got)) => Err(self.err(format!("expected keyword '{kw}', got '{got}'"))),
+            got => Err(self.err(format!("expected keyword '{kw}', got {got:?}"))),
         }
     }
 
@@ -195,10 +210,10 @@ impl P {
     }
 
     fn ident_list(&mut self) -> Result<Vec<String>, DslError> {
-        let mut out = vec![self.ident("identifier")?];
+        let mut out = vec![self.ident("identifier")?.to_string()];
         while matches!(self.peek(), Some(Tok::Comma)) {
             self.next();
-            out.push(self.ident("identifier")?);
+            out.push(self.ident("identifier")?.to_string());
         }
         Ok(out)
     }
@@ -220,12 +235,12 @@ impl P {
 
     fn activity(&mut self) -> Result<Activity, DslError> {
         let kw = self.ident("activity keyword")?;
-        let mut act = match kw.as_str() {
+        let mut act = match kw {
             "receive" => {
                 let name = self.ident("activity name")?;
                 self.keyword("from")?;
                 let from = self.ident("partner name")?;
-                Activity::receive(&name, &from)
+                Activity::receive(name, from)
             }
             "invoke" => {
                 let name = self.ident("activity name")?;
@@ -236,15 +251,15 @@ impl P {
                     Some(Tok::Num(n)) => n,
                     got => return Err(self.err(format!("expected port number, got {got:?}"))),
                 };
-                Activity::invoke(&name, &service, port)
+                Activity::invoke(name, service, port)
             }
             "reply" => {
                 let name = self.ident("activity name")?;
                 self.keyword("to")?;
                 let to = self.ident("partner name")?;
-                Activity::reply(&name, &to)
+                Activity::reply(name, to)
             }
-            "assign" => Activity::assign(&self.ident("activity name")?),
+            "assign" => Activity::assign(self.ident("activity name")?),
             "empty" => Activity::new(
                 self.ident("activity name")?,
                 crate::activity::ActivityKind::Empty,
@@ -252,14 +267,14 @@ impl P {
             other => return Err(self.err(format!("unknown activity keyword '{other}'"))),
         };
         self.var_clauses(&mut act)?;
-        self.expect_tok(&Tok::Semi, "';'")?;
+        self.expect_tok(Tok::Semi, "';'")?;
         Ok(act)
     }
 
     /// Parses a body `{ construct* }` into a single construct (implicit
     /// sequence when more than one).
     fn body(&mut self) -> Result<Construct, DslError> {
-        self.expect_tok(&Tok::LBrace, "'{'")?;
+        self.expect_tok(Tok::LBrace, "'{'")?;
         let mut items = Vec::new();
         while !matches!(self.peek(), Some(Tok::RBrace)) {
             if self.peek().is_none() {
@@ -267,103 +282,129 @@ impl P {
             }
             items.push(self.construct()?);
         }
-        self.expect_tok(&Tok::RBrace, "'}'")?;
+        self.expect_tok(Tok::RBrace, "'}'")?;
         Ok(match items.len() {
             1 => items.pop().expect("len checked"),
             _ => Construct::Sequence(items),
         })
     }
 
+    /// One construct, at most [`MAX_NESTING`] levels deep. Each kind
+    /// parses in its own method, which keeps the stack frame of one
+    /// nesting level small in unoptimized builds too.
     fn construct(&mut self) -> Result<Construct, DslError> {
-        match self.peek() {
-            Some(Tok::Ident(kw)) if kw == "sequence" => {
-                self.next();
-                self.expect_tok(&Tok::LBrace, "'{'")?;
-                let mut items = Vec::new();
-                while !matches!(self.peek(), Some(Tok::RBrace)) {
-                    if self.peek().is_none() {
-                        return Err(self.err("unterminated sequence"));
-                    }
-                    items.push(self.construct()?);
-                }
-                self.expect_tok(&Tok::RBrace, "'}'")?;
-                Ok(Construct::Sequence(items))
-            }
-            Some(Tok::Ident(kw)) if kw == "flow" => {
-                self.next();
-                self.expect_tok(&Tok::LBrace, "'{'")?;
-                let mut branches = Vec::new();
-                let mut links = Vec::new();
-                while !matches!(self.peek(), Some(Tok::RBrace)) {
-                    if self.peek().is_none() {
-                        return Err(self.err("unterminated flow"));
-                    }
-                    if self.peek_ident("link") {
-                        self.next();
-                        let name = self.ident("link name")?;
-                        self.keyword("from")?;
-                        let from = self.ident("source activity")?;
-                        self.keyword("to")?;
-                        let to = self.ident("target activity")?;
-                        let condition = if self.peek_ident("when") {
-                            self.next();
-                            Some(self.ident("condition label")?)
-                        } else {
-                            None
-                        };
-                        self.expect_tok(&Tok::Semi, "';'")?;
-                        links.push(Link {
-                            name,
-                            from,
-                            to,
-                            condition,
-                        });
-                    } else {
-                        branches.push(self.construct()?);
-                    }
-                }
-                self.expect_tok(&Tok::RBrace, "'}'")?;
-                Ok(Construct::Flow { branches, links })
-            }
-            Some(Tok::Ident(kw)) if kw == "switch" => {
-                self.next();
-                let name = self.ident("switch activity name")?;
-                let mut branch = Activity::branch(&name);
-                self.var_clauses(&mut branch)?;
-                self.expect_tok(&Tok::LBrace, "'{'")?;
-                let mut cases = Vec::new();
-                while self.peek_ident("case") {
-                    self.next();
-                    let label = self.ident("case label")?;
-                    let body = self.body()?;
-                    cases.push(Case { label, body });
-                }
-                self.expect_tok(&Tok::RBrace, "'}'")?;
-                Ok(Construct::Switch { branch, cases })
-            }
-            Some(Tok::Ident(kw)) if kw == "while" => {
-                self.next();
-                let name = self.ident("while condition activity name")?;
-                let mut cond = Activity::branch(&name);
-                self.var_clauses(&mut cond)?;
-                let body = self.body()?;
-                Ok(Construct::While {
-                    cond,
-                    body: Box::new(body),
-                })
-            }
-            _ => Ok(Construct::Act(self.activity()?)),
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("constructs nest deeper than {MAX_NESTING} levels")));
         }
+        self.depth += 1;
+        let c = match self.peek() {
+            Some(Tok::Ident("sequence")) => self.sequence(),
+            Some(Tok::Ident("flow")) => self.flow(),
+            Some(Tok::Ident("switch")) => self.switch(),
+            Some(Tok::Ident("while")) => self.while_loop(),
+            _ => self.activity().map(Construct::Act),
+        };
+        self.depth -= 1;
+        c
+    }
+
+    fn sequence(&mut self) -> Result<Construct, DslError> {
+        self.next();
+        self.expect_tok(Tok::LBrace, "'{'")?;
+        let mut items = Vec::new();
+        while !matches!(self.peek(), Some(Tok::RBrace)) {
+            if self.peek().is_none() {
+                return Err(self.err("unterminated sequence"));
+            }
+            items.push(self.construct()?);
+        }
+        self.expect_tok(Tok::RBrace, "'}'")?;
+        Ok(Construct::Sequence(items))
+    }
+
+    fn flow(&mut self) -> Result<Construct, DslError> {
+        self.next();
+        self.expect_tok(Tok::LBrace, "'{'")?;
+        let mut branches = Vec::new();
+        let mut links = Vec::new();
+        while !matches!(self.peek(), Some(Tok::RBrace)) {
+            if self.peek().is_none() {
+                return Err(self.err("unterminated flow"));
+            }
+            if self.peek_ident("link") {
+                links.push(self.link()?);
+            } else {
+                branches.push(self.construct()?);
+            }
+        }
+        self.expect_tok(Tok::RBrace, "'}'")?;
+        Ok(Construct::Flow { branches, links })
+    }
+
+    /// `link NAME from A to B [when LABEL];`
+    fn link(&mut self) -> Result<Link, DslError> {
+        self.next();
+        let name = self.ident("link name")?;
+        self.keyword("from")?;
+        let from = self.ident("source activity")?;
+        self.keyword("to")?;
+        let to = self.ident("target activity")?;
+        let condition = if self.peek_ident("when") {
+            self.next();
+            Some(self.ident("condition label")?.to_string())
+        } else {
+            None
+        };
+        self.expect_tok(Tok::Semi, "';'")?;
+        Ok(Link {
+            name: name.to_string(),
+            from: from.to_string(),
+            to: to.to_string(),
+            condition,
+        })
+    }
+
+    fn switch(&mut self) -> Result<Construct, DslError> {
+        self.next();
+        let name = self.ident("switch activity name")?;
+        let mut branch = Activity::branch(name);
+        self.var_clauses(&mut branch)?;
+        self.expect_tok(Tok::LBrace, "'{'")?;
+        let mut cases = Vec::new();
+        while self.peek_ident("case") {
+            self.next();
+            let label = self.ident("case label")?.to_string();
+            let body = self.body()?;
+            cases.push(Case { label, body });
+        }
+        self.expect_tok(Tok::RBrace, "'}'")?;
+        Ok(Construct::Switch { branch, cases })
+    }
+
+    fn while_loop(&mut self) -> Result<Construct, DslError> {
+        self.next();
+        let name = self.ident("while condition activity name")?;
+        let mut cond = Activity::branch(name);
+        self.var_clauses(&mut cond)?;
+        let body = self.body()?;
+        Ok(Construct::While {
+            cond,
+            body: Box::new(body),
+        })
     }
 }
 
 /// Parses a complete `process NAME { ... }` document.
 pub fn parse_process(src: &str) -> Result<Process, DslError> {
     let toks = Lexer::lex(src)?;
-    let mut p = P { toks, pos: 0 };
+    let mut p = P {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     p.keyword("process")?;
     let name = p.ident("process name")?;
-    p.expect_tok(&Tok::LBrace, "'{'")?;
+    p.expect_tok(Tok::LBrace, "'{'")?;
 
     let mut vars = Vec::new();
     let mut services = Vec::new();
@@ -371,11 +412,11 @@ pub fn parse_process(src: &str) -> Result<Process, DslError> {
         if p.peek_ident("var") {
             p.next();
             vars.extend(p.ident_list()?);
-            p.expect_tok(&Tok::Semi, "';'")?;
+            p.expect_tok(Tok::Semi, "';'")?;
         } else if p.peek_ident("service") {
             p.next();
             let sname = p.ident("service name")?;
-            p.expect_tok(&Tok::LBrace, "'{'")?;
+            p.expect_tok(Tok::LBrace, "'{'")?;
             p.keyword("ports")?;
             let ports = match p.next() {
                 Some(Tok::Num(n)) => n,
@@ -387,9 +428,9 @@ pub fn parse_process(src: &str) -> Result<Process, DslError> {
             } else {
                 false
             };
-            p.expect_tok(&Tok::RBrace, "'}'")?;
+            p.expect_tok(Tok::RBrace, "'}'")?;
             services.push(ServiceDecl {
-                name: sname,
+                name: sname.to_string(),
                 ports,
                 asynchronous,
             });
@@ -399,12 +440,12 @@ pub fn parse_process(src: &str) -> Result<Process, DslError> {
     }
 
     let root = p.construct()?;
-    p.expect_tok(&Tok::RBrace, "'}'")?;
+    p.expect_tok(Tok::RBrace, "'}'")?;
     if p.peek().is_some() {
         return Err(p.err("trailing tokens after process definition"));
     }
     Ok(Process {
-        name,
+        name: name.to_string(),
         vars,
         services,
         root,
@@ -527,6 +568,45 @@ process Demo {
     #[test]
     fn trailing_tokens_rejected() {
         assert!(parse_process("process P { var x; assign a writes x; } extra").is_err());
+    }
+
+    fn nested(depth: usize) -> String {
+        format!(
+            "process P {{ {} empty x; {} }}",
+            "sequence { ".repeat(depth),
+            "} ".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        // The root construct is one level, so MAX_NESTING - 1 wrappers fit.
+        assert!(parse_process(&nested(MAX_NESTING - 1)).is_ok());
+        let err = parse_process(&nested(MAX_NESTING)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // 100,000 open `sequence {` would overflow any thread stack if the
+        // recursion were unbounded; on a 2 MB stack it must be a DslError.
+        let handle = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| parse_process(&nested(100_000)).map(|_| ()))
+            .unwrap();
+        let err = handle
+            .join()
+            .expect("parser must not overflow")
+            .unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+    }
+
+    #[test]
+    fn keyword_errors_name_what_was_found() {
+        let err = parse_process("process P { invoke a at S port 1; }").unwrap_err();
+        assert_eq!(err.message, "expected keyword 'on', got 'at'");
+        let err = parse_process("process P { invoke a ; }").unwrap_err();
+        assert_eq!(err.message, "expected keyword 'on', got Some(Semi)");
     }
 
     #[test]

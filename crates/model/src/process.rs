@@ -4,7 +4,7 @@
 //! the baseline scheduler.
 
 use crate::activity::{Activity, VarName};
-use std::collections::HashSet;
+use dscweaver_graph::fx::{FxHashMap, FxHashSet};
 
 /// A BPEL-style `flow` link: an explicit cross-branch happen-before edge
 /// from activity `from` to activity `to`, optionally guarded by a
@@ -258,15 +258,16 @@ impl Process {
         let activities = self.activities();
 
         // Unique names.
-        let mut seen = HashSet::new();
+        let mut names = FxHashSet::default();
+        names.reserve(activities.len());
         for a in &activities {
-            if !seen.insert(a.name.as_str()) {
+            if !names.insert(a.name.as_str()) {
                 errors.push(ModelError::DuplicateActivity(a.name.clone()));
             }
         }
 
         // Variables declared.
-        let vars: HashSet<&str> = self.vars.iter().map(String::as_str).collect();
+        let vars: FxHashSet<&str> = self.vars.iter().map(String::as_str).collect();
         for a in &activities {
             for v in a.reads.iter().chain(&a.writes) {
                 if !vars.contains(v.as_str()) {
@@ -278,10 +279,15 @@ impl Process {
             }
         }
 
-        // Services declared; ports in range. `Client` is implicit.
+        // Services declared; ports in range. `Client` is implicit. The
+        // first declaration of a name wins, as in [`Process::service`].
+        let mut services: FxHashMap<&str, &ServiceDecl> = FxHashMap::default();
+        for s in &self.services {
+            services.entry(s.name.as_str()).or_insert(s);
+        }
         for a in &activities {
             if let crate::activity::ActivityKind::Invoke { service, port } = &a.kind {
-                match self.service(service) {
+                match services.get(service.as_str()) {
                     None => errors.push(ModelError::UndeclaredService {
                         activity: a.name.clone(),
                         service: service.clone(),
@@ -297,7 +303,7 @@ impl Process {
                 }
             }
             if let crate::activity::ActivityKind::Receive { from } = &a.kind {
-                if from != "Client" && self.service(from).is_none() {
+                if from != "Client" && !services.contains_key(from.as_str()) {
                     errors.push(ModelError::UndeclaredService {
                         activity: a.name.clone(),
                         service: from.clone(),
@@ -307,7 +313,6 @@ impl Process {
         }
 
         // Links resolve; switch cases well-formed.
-        let names: HashSet<&str> = activities.iter().map(|a| a.name.as_str()).collect();
         for l in self.root.links() {
             for endpoint in [&l.from, &l.to] {
                 if !names.contains(endpoint.as_str()) {
@@ -335,7 +340,7 @@ impl Process {
                 if cases.is_empty() {
                     errors.push(ModelError::EmptySwitch(branch.name.clone()));
                 }
-                let mut labels = HashSet::new();
+                let mut labels = FxHashSet::default();
                 for case in cases {
                     if !labels.insert(case.label.as_str()) {
                         errors.push(ModelError::DuplicateCase {

@@ -6,25 +6,45 @@
 //! equivalence the paper's Definition-3 closure abstracts over), yet a
 //! raw content hash files each variant under its own key and recompiles
 //! identical artifacts. This module computes a **canonical form** that is
-//! invariant under those mutations:
+//! invariant under those mutations.
 //!
-//! 1. parse the `.proc` text (the lexer already discards whitespace and
-//!    comments) and validate it, so errors surface with the tenant's own
-//!    names;
-//! 2. **normalize** the construct tree: nested sequences are flattened,
-//!    singleton `sequence`/`flow` wrappers unwrapped, and each activity's
-//!    `reads`/`writes` lists deduplicated;
-//! 3. **alpha-rename** every identifier namespace into first-occurrence
-//!    order over a deterministic depth-first traversal: activities become
-//!    `a0, a1, …`, variables `v0, v1, …` (reads before writes, per
-//!    activity), services and partners `s0, s1, …` (the implicit `Client`
-//!    partner is part of the language and stays verbatim, as do case and
-//!    link-condition labels), links `l0, l1, …` and the process name
-//!    `p0`. Declarations are re-emitted in canonical order, so the
-//!    declaration order of the source text is irrelevant; declared but
-//!    unused variables and unreferenced service declarations carry no
-//!    synchronization content and are dropped;
-//! 4. render the canonical text in one fixed layout and FNV-1a hash it.
+//! [`canonicalize`] parses the `.proc` text (the lexer already discards
+//! whitespace and comments) and validates it, so errors surface with the
+//! tenant's own names. Then **one pass** over the parsed tree normalizes,
+//! renames and renders at once; no normalized or renamed tree is built:
+//!
+//! * **normalize** — nested sequences flatten into their parent,
+//!   singleton `sequence`/`flow` wrappers unwrap (a `flow` with links
+//!   keeps its wrapper even with one branch), and each activity's
+//!   `reads`/`writes` lists drop repeats;
+//! * **rename** — every identifier namespace is numbered in
+//!   first-occurrence order over the depth-first syntax traversal:
+//!   activities `a0, a1, …`, variables `v0, v1, …` (reads before writes,
+//!   per activity), services and partners `s0, s1, …`, links `l0, l1, …`
+//!   and the process `p0`. Activities are numbered by a pre-scan, because
+//!   a link may name an activity further down the tree. The implicit
+//!   `Client` partner is part of the language and keeps its name.
+//!   Declarations are emitted in canonical order, so the declaration order
+//!   of the source text is irrelevant; declared but unused variables and
+//!   unreferenced service declarations carry no synchronization content
+//!   and are dropped;
+//! * **labels** — case and link-condition labels are branch values, not
+//!   names, and stay verbatim (`T`, `F`, `approved`), with one exception:
+//!   a label shaped like a canonical name (`[avslpc]<digits>`, e.g. `a1`)
+//!   would be mistaken for one when responses are rendered back, so those
+//!   labels are renamed `c0, c1, …` in their sorted order (zero-padded to
+//!   one width once there are more than ten). The sorted order of a
+//!   switch's labels fixes its DSCL `domain` order and its default branch
+//!   value; renaming keeps that order among the renamed labels and against
+//!   verbatim labels that start with an upper-case letter or `_`, but not
+//!   against verbatim labels that start with a lower-case letter;
+//! * **render** — the canonical text is written straight from the tree in
+//!   one fixed layout and FNV-1a hashed.
+//!
+//! The canonical [`Process`] is needed only to compile a cache miss or to
+//! re-weave: [`CanonicalForm::process`] parses it from the canonical text,
+//! which is a fixed point of canonicalization. A canonical hit never
+//! builds it.
 //!
 //! Two submissions share a canonical hash **iff** their canonical texts
 //! are equal, i.e. they are alpha-equivalent modulo the normalizations
@@ -32,91 +52,231 @@
 //! texts and never share an entry. The registry uses the canonical hash
 //! as the second-level cache key (the raw-text hash stays in front as a
 //! first-level memo), and the [`Renaming`] travels with each request so
-//! response bodies are rendered back into the tenant's own names.
+//! response bodies are rendered back into the tenant's own names. It holds
+//! one vector of original names per namespace, indexed by the canonical
+//! number, so rendering `a17` back is an index, not a string-keyed lookup.
+//!
+//! Every pass here recurses over the construct tree; the parser bounds
+//! its depth at [`dscweaver_model::MAX_NESTING`].
 
-use dscweaver_model::{parse_process, Case, Construct, Link, Process, ServiceDecl};
-use std::collections::BTreeMap;
+use dscweaver_graph::fx::FxHashMap;
+use dscweaver_model::{
+    parse_process, Activity, ActivityKind, Construct, Link, Process, ServiceDecl,
+};
+use std::sync::OnceLock;
 
-/// The bijective per-namespace identifier maps of one canonicalization,
-/// kept alongside the cached entry so responses can be rendered in the
-/// submitting tenant's original names.
-///
-/// Canonical names are globally unambiguous across namespaces (`a…`
-/// activities, `v…` variables, `s…` services, `l…` links, `p0` the
-/// process), so the inverse direction is a single map.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Renaming {
-    activities: BTreeMap<String, String>,
-    variables: BTreeMap<String, String>,
-    services: BTreeMap<String, String>,
-    links: BTreeMap<String, String>,
-    inverse: BTreeMap<String, String>,
+/// The partner every process may receive from and reply to without
+/// declaring it. It keeps its name in the canonical form.
+const CLIENT: &str = "Client";
+
+/// True for a case or link-condition label that could be taken for a
+/// canonical name: one of the canonical prefixes, then only digits. Such
+/// labels are renamed into the `c` namespace.
+fn is_label_shaped(label: &str) -> bool {
+    match label.as_bytes() {
+        [prefix, digits @ ..] => {
+            b"avslpc".contains(prefix)
+                && !digits.is_empty()
+                && digits.iter().all(u8::is_ascii_digit)
+        }
+        [] => false,
+    }
 }
 
-impl Renaming {
-    fn bind(map: &mut BTreeMap<String, String>, inverse: &mut BTreeMap<String, String>, original: &str, prefix: &str) {
-        if map.contains_key(original) {
-            return;
-        }
-        let canonical = format!("{prefix}{}", map.len());
-        map.insert(original.to_string(), canonical.clone());
-        inverse.insert(canonical, original.to_string());
+/// The digit width of renamed label numbers: wide enough for the largest
+/// index, so that their string order is their numeric order.
+fn label_width(count: usize) -> usize {
+    let mut width = 1;
+    let mut top = count.saturating_sub(1) / 10;
+    while top > 0 {
+        width += 1;
+        top /= 10;
     }
+    width
+}
 
+/// Appends `n` in decimal, zero-padded to `width` digits.
+fn push_number(out: &mut String, n: usize, width: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for _ in digits.len() - at..width {
+        out.push('0');
+    }
+    out.extend(digits[at..].iter().map(|&d| d as char));
+}
+
+/// Appends the canonical name `prefix` + `k`, zero-padded to `width`
+/// digits.
+fn push_name(out: &mut String, prefix: char, k: usize, width: usize) {
+    out.push(prefix);
+    push_number(out, k, width);
+}
+
+fn canonical_name(prefix: char, k: usize) -> Box<str> {
+    let mut name = String::with_capacity(4);
+    push_name(&mut name, prefix, k, 1);
+    name.into_boxed_str()
+}
+
+/// The identifier maps of one canonicalization, kept alongside the cached
+/// entry so responses can be rendered in the submitting tenant's original
+/// names.
+///
+/// Each namespace is one vector of original names, indexed by canonical
+/// number: the original behind `a17` is `activities[17]`. Canonical names
+/// are globally unambiguous across namespaces (`a…` activities, `v…`
+/// variables, `s…` services, `l…` links, `c…` renamed labels, `p0` the
+/// process), so a canonical name decodes without any string-keyed map.
+#[derive(Clone, Debug, Default)]
+pub struct Renaming {
+    process: Box<str>,
+    activities: Vec<Box<str>>,
+    variables: Vec<Box<str>>,
+    services: Vec<Box<str>>,
+    links: Vec<Box<str>>,
+    /// The renamed labels, sorted; `labels[k]` is canonically `c<k>`.
+    labels: Vec<Box<str>>,
+    /// Original activity name → canonical name, built on the first
+    /// [`Renaming::activity`] call (only `/v1/simulate` needs it).
+    activity_index: OnceLock<FxHashMap<Box<str>, Box<str>>>,
+}
+
+impl PartialEq for Renaming {
+    fn eq(&self, other: &Renaming) -> bool {
+        // The lazily built activity index is derived data.
+        self.process == other.process
+            && self.activities == other.activities
+            && self.variables == other.variables
+            && self.services == other.services
+            && self.links == other.links
+            && self.labels == other.labels
+    }
+}
+
+impl Eq for Renaming {}
+
+impl Renaming {
     /// The canonical name of an original activity name (branch guards in
     /// `/v1/simulate` oracles go through this), if the activity exists.
     pub fn activity(&self, original: &str) -> Option<&str> {
-        self.activities.get(original).map(String::as_str)
+        self.activity_index
+            .get_or_init(|| {
+                self.activities
+                    .iter()
+                    .enumerate()
+                    .map(|(k, name)| (name.clone(), canonical_name('a', k)))
+                    .collect()
+            })
+            .get(original)
+            .map(|name| &**name)
+    }
+
+    /// The canonical spelling of a branch value named in a `/v1/simulate`
+    /// oracle. A renamed label maps to its `c<k>` name and any other label
+    /// stays verbatim. A value of the renamed shape that is no label of
+    /// this submission matches none of its cases, so it maps to the empty
+    /// string, which matches no canonical label either.
+    pub fn label(&self, value: &str) -> String {
+        if !is_label_shaped(value) {
+            return value.to_string();
+        }
+        match self.labels.binary_search_by(|l| (**l).cmp(value)) {
+            Ok(k) => {
+                let mut name = String::new();
+                push_name(&mut name, 'c', k, label_width(self.labels.len()));
+                name
+            }
+            Err(_) => String::new(),
+        }
     }
 
     /// The original name behind a canonical identifier, any namespace.
     pub fn original(&self, canonical: &str) -> Option<&str> {
-        self.inverse.get(canonical).map(String::as_str)
+        let (&prefix, digits) = canonical.as_bytes().split_first()?;
+        let names: &[Box<str>] = match prefix {
+            b'a' => &self.activities,
+            b'v' => &self.variables,
+            b's' => &self.services,
+            b'l' => &self.links,
+            b'c' => &self.labels,
+            b'p' if !self.process.is_empty() => std::slice::from_ref(&self.process),
+            _ => return None,
+        };
+        // Labels are numbered at one fixed width; every other name is
+        // plain decimal, without leading zeros.
+        let width_ok = if prefix == b'c' {
+            digits.len() == label_width(names.len())
+        } else {
+            digits.len() == 1 || digits.first() != Some(&b'0')
+        };
+        if digits.is_empty() || !width_ok {
+            return None;
+        }
+        let mut k = 0usize;
+        for &d in digits {
+            if !d.is_ascii_digit() {
+                return None;
+            }
+            k = k.checked_mul(10)?.checked_add(usize::from(d - b'0'))?;
+        }
+        names.get(k).map(|name| &**name)
     }
 
     /// Number of identifiers renamed across all namespaces.
     pub fn len(&self) -> usize {
-        self.inverse.len()
+        usize::from(!self.process.is_empty())
+            + self.activities.len()
+            + self.variables.len()
+            + self.services.len()
+            + self.links.len()
+            + self.labels.len()
     }
 
     /// True when no identifiers were renamed (never the case for a valid
     /// process, which has at least a name).
     pub fn is_empty(&self) -> bool {
-        self.inverse.is_empty()
+        self.len() == 0
     }
 
     /// Renders `text` back into original names: every maximal identifier
     /// token (`[A-Za-z_][A-Za-z0-9_]*`) that is a canonical name of this
     /// renaming is replaced by its original. Canonical names are shaped
-    /// `[avslp]<digits>`, which no DSCL/DSL keyword matches, so the
-    /// substitution is exact on any text rendered from canonical-named
-    /// artifacts (minimal-set DSCL, schedule events, …).
+    /// `[avslpc]<digits>`, which no DSCL/DSL keyword matches, and no
+    /// verbatim label has that shape, so the substitution is exact on any
+    /// text rendered from canonical-named artifacts (minimal-set DSCL,
+    /// schedule events, …).
     pub fn render_original(&self, text: &str) -> String {
-        let mut out = String::with_capacity(text.len());
         let bytes = text.as_bytes();
+        // Original names are usually longer than canonical ones.
+        let mut out = String::with_capacity(2 * text.len());
+        let mut copied = 0;
         let mut i = 0;
         while i < bytes.len() {
-            let c = bytes[i] as char;
-            if c.is_ascii_alphabetic() || c == '_' {
-                let start = i;
-                while i < bytes.len() {
-                    let d = bytes[i] as char;
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let token = &text[start..i];
-                match self.inverse.get(token) {
-                    Some(original) => out.push_str(original),
-                    None => out.push_str(token),
-                }
-            } else {
-                out.push(c);
-                i += c.len_utf8();
+            if !(bytes[i].is_ascii_alphabetic() || bytes[i] == b'_') {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            i += 1;
+            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                i += 1;
+            }
+            if let Some(original) = self.original(&text[start..i]) {
+                out.push_str(&text[copied..start]);
+                out.push_str(original);
+                copied = i;
             }
         }
+        out.push_str(&text[copied..]);
         out
     }
 }
@@ -128,280 +288,309 @@ pub struct CanonicalForm {
     pub hash: u64,
     /// The canonical rendering (fixed layout, canonical names).
     pub text: String,
-    /// The normalized, canonically renamed process, ready to compile.
-    pub process: Process,
     /// The per-namespace identifier maps back to the tenant's names.
     pub renaming: Renaming,
 }
 
-/// Flattens nested sequences, unwraps singleton `sequence`/`flow`
-/// wrappers (a `flow` with links keeps its wrapper even when it has one
-/// branch) and deduplicates `reads`/`writes` lists — pure structural
-/// normalization, no renaming.
-fn normalize(c: &Construct) -> Construct {
+impl CanonicalForm {
+    /// The normalized, canonically renamed process, ready to compile. It
+    /// is parsed from [`CanonicalForm::text`], so only the callers that
+    /// compile or re-weave pay for building it.
+    pub fn process(&self) -> Result<Process, String> {
+        parse_process(&self.text).map_err(|e| format!("canonical text does not reparse: {e}"))
+    }
+}
+
+/// First-occurrence numbering of one identifier namespace.
+#[derive(Default)]
+struct Interner<'p> {
+    index: FxHashMap<&'p str, usize>,
+    names: Vec<&'p str>,
+}
+
+impl<'p> Interner<'p> {
+    fn intern(&mut self, name: &'p str) -> usize {
+        let next = self.names.len();
+        let names = &mut self.names;
+        *self.index.entry(name).or_insert_with(|| {
+            names.push(name);
+            next
+        })
+    }
+
+    fn into_originals(self) -> Vec<Box<str>> {
+        self.names.into_iter().map(Box::from).collect()
+    }
+}
+
+/// The state of the one canonicalizing pass over a parsed process.
+struct Canon<'p> {
+    /// Activity names in depth-first syntax order, which is the order the
+    /// render meets them: `activities[k]` is `a<k>`.
+    activities: Vec<&'p str>,
+    /// How many activities the render has named so far.
+    named: usize,
+    /// Activity name → number for link endpoints, which may lie further
+    /// down the tree. Built only for processes with links.
+    endpoints: FxHashMap<&'p str, usize>,
+    has_links: bool,
+    variables: Interner<'p>,
+    services: Interner<'p>,
+    links: Interner<'p>,
+    /// Label-shaped labels, sorted and deduplicated after the pre-scan.
+    labels: Vec<&'p str>,
+    label_width: usize,
+    /// Per variable number, the last `reads`/`writes` list that emitted
+    /// it, so repeats in one list are dropped in linear time.
+    var_seen_in: Vec<usize>,
+    lists: usize,
+    client_invoked: bool,
+    /// The rendering of the root construct.
+    out: String,
+}
+
+/// How many items `c` contributes when flattened into an enclosing
+/// sequence, counted only up to 2.
+fn flat_len(c: &Construct) -> usize {
     match c {
-        Construct::Act(a) => {
-            let mut a = a.clone();
-            dedupe(&mut a.reads);
-            dedupe(&mut a.writes);
-            Construct::Act(a)
-        }
         Construct::Sequence(items) => {
-            let mut flat = Vec::new();
-            flatten_into(items, &mut flat);
-            match flat.len() {
-                1 => flat.pop().expect("len checked"),
-                _ => Construct::Sequence(flat),
-            }
-        }
-        Construct::Flow { branches, links } => {
-            let branches: Vec<Construct> = branches.iter().map(normalize).collect();
-            if branches.len() == 1 && links.is_empty() {
-                return branches.into_iter().next().expect("len checked");
-            }
-            Construct::Flow {
-                branches,
-                links: links.clone(),
-            }
-        }
-        Construct::Switch { branch, cases } => {
-            let mut branch = branch.clone();
-            dedupe(&mut branch.reads);
-            dedupe(&mut branch.writes);
-            Construct::Switch {
-                branch,
-                cases: cases
-                    .iter()
-                    .map(|c| Case {
-                        label: c.label.clone(),
-                        body: normalize(&c.body),
-                    })
-                    .collect(),
-            }
-        }
-        Construct::While { cond, body } => {
-            let mut cond = cond.clone();
-            dedupe(&mut cond.reads);
-            dedupe(&mut cond.writes);
-            Construct::While {
-                cond,
-                body: Box::new(normalize(body)),
-            }
-        }
-    }
-}
-
-fn flatten_into(items: &[Construct], out: &mut Vec<Construct>) {
-    for item in items {
-        match normalize(item) {
-            Construct::Sequence(inner) => out.extend(inner),
-            other => out.push(other),
-        }
-    }
-}
-
-fn dedupe(vars: &mut Vec<String>) {
-    let mut seen = std::collections::HashSet::new();
-    vars.retain(|v| seen.insert(v.clone()));
-}
-
-/// First pass over the normalized tree: bind activities, variables and
-/// services at first occurrence, in depth-first traversal order.
-fn bind_names(c: &Construct, r: &mut Renaming) {
-    let bind_activity = |r: &mut Renaming, a: &dscweaver_model::Activity| {
-        Renaming::bind(&mut r.activities, &mut r.inverse, &a.name, "a");
-        for v in a.reads.iter().chain(&a.writes) {
-            Renaming::bind(&mut r.variables, &mut r.inverse, v, "v");
-        }
-        if let Some(partner) = a.kind.partner() {
-            if partner != "Client" {
-                Renaming::bind(&mut r.services, &mut r.inverse, partner, "s");
-            }
-        }
-    };
-    match c {
-        Construct::Act(a) => bind_activity(r, a),
-        Construct::Sequence(items) => items.iter().for_each(|i| bind_names(i, r)),
-        Construct::Flow { branches, links } => {
-            branches.iter().for_each(|b| bind_names(b, r));
-            for l in links {
-                Renaming::bind(&mut r.links, &mut r.inverse, &l.name, "l");
-            }
-        }
-        Construct::Switch { branch, cases } => {
-            bind_activity(r, branch);
-            cases.iter().for_each(|c| bind_names(&c.body, r));
-        }
-        Construct::While { cond, body } => {
-            bind_activity(r, cond);
-            bind_names(body, r);
-        }
-    }
-}
-
-/// Second pass: rewrite the tree with canonical names (link endpoints can
-/// reference activities anywhere, so this runs after all binds).
-fn rename(c: &Construct, r: &Renaming) -> Construct {
-    let map_activity = |a: &dscweaver_model::Activity| {
-        let mut a = a.clone();
-        a.name = r.activities[&a.name].clone();
-        for v in a.reads.iter_mut().chain(a.writes.iter_mut()) {
-            *v = r.variables[v.as_str()].clone();
-        }
-        match &mut a.kind {
-            dscweaver_model::ActivityKind::Receive { from } if from != "Client" => {
-                *from = r.services[from.as_str()].clone();
-            }
-            dscweaver_model::ActivityKind::Invoke { service, .. } => {
-                *service = r.services[service.as_str()].clone();
-            }
-            dscweaver_model::ActivityKind::Reply { to } if to != "Client" => {
-                *to = r.services[to.as_str()].clone();
-            }
-            _ => {}
-        }
-        a
-    };
-    match c {
-        Construct::Act(a) => Construct::Act(map_activity(a)),
-        Construct::Sequence(items) => {
-            Construct::Sequence(items.iter().map(|i| rename(i, r)).collect())
-        }
-        Construct::Flow { branches, links } => Construct::Flow {
-            branches: branches.iter().map(|b| rename(b, r)).collect(),
-            links: links
-                .iter()
-                .map(|l| Link {
-                    name: r.links[&l.name].clone(),
-                    from: r.activities.get(&l.from).cloned().unwrap_or_else(|| l.from.clone()),
-                    to: r.activities.get(&l.to).cloned().unwrap_or_else(|| l.to.clone()),
-                    condition: l.condition.clone(),
-                })
-                .collect(),
-        },
-        Construct::Switch { branch, cases } => Construct::Switch {
-            branch: map_activity(branch),
-            cases: cases
-                .iter()
-                .map(|c| Case {
-                    label: c.label.clone(),
-                    body: rename(&c.body, r),
-                })
-                .collect(),
-        },
-        Construct::While { cond, body } => Construct::While {
-            cond: map_activity(cond),
-            body: Box::new(rename(body, r)),
-        },
-    }
-}
-
-fn render_activity(a: &dscweaver_model::Activity, out: &mut String) {
-    use dscweaver_model::ActivityKind::*;
-    match &a.kind {
-        Receive { from } => {
-            out.push_str("receive ");
-            out.push_str(&a.name);
-            out.push_str(" from ");
-            out.push_str(from);
-        }
-        Invoke { service, port } => {
-            out.push_str("invoke ");
-            out.push_str(&a.name);
-            out.push_str(" on ");
-            out.push_str(service);
-            out.push_str(&format!(" port {port}"));
-        }
-        Reply { to } => {
-            out.push_str("reply ");
-            out.push_str(&a.name);
-            out.push_str(" to ");
-            out.push_str(to);
-        }
-        Assign => {
-            out.push_str("assign ");
-            out.push_str(&a.name);
-        }
-        Branch => {
-            // Rendered by the switch/while wrapper, never as a leaf.
-            out.push_str("switch ");
-            out.push_str(&a.name);
-        }
-        Empty => {
-            out.push_str("empty ");
-            out.push_str(&a.name);
-        }
-    }
-    render_clauses(a, out);
-}
-
-fn render_clauses(a: &dscweaver_model::Activity, out: &mut String) {
-    if !a.reads.is_empty() {
-        out.push_str(" reads ");
-        out.push_str(&a.reads.join(","));
-    }
-    if !a.writes.is_empty() {
-        out.push_str(" writes ");
-        out.push_str(&a.writes.join(","));
-    }
-}
-
-fn render_construct(c: &Construct, out: &mut String) {
-    match c {
-        Construct::Act(a) => {
-            render_activity(a, out);
-            out.push(';');
-        }
-        Construct::Sequence(items) => {
-            out.push_str("sequence{");
-            for i in items {
-                render_construct(i, out);
-            }
-            out.push('}');
-        }
-        Construct::Flow { branches, links } => {
-            out.push_str("flow{");
-            for b in branches {
-                render_construct(b, out);
-            }
-            for l in links {
-                out.push_str("link ");
-                out.push_str(&l.name);
-                out.push_str(" from ");
-                out.push_str(&l.from);
-                out.push_str(" to ");
-                out.push_str(&l.to);
-                if let Some(cond) = &l.condition {
-                    out.push_str(" when ");
-                    out.push_str(cond);
+            let mut n = 0;
+            for item in items {
+                n += flat_len(item);
+                if n >= 2 {
+                    break;
                 }
-                out.push(';');
             }
-            out.push('}');
+            n
         }
-        Construct::Switch { branch, cases } => {
-            out.push_str("switch ");
-            out.push_str(&branch.name);
-            render_clauses(branch, out);
-            out.push('{');
-            for case in cases {
-                out.push_str("case ");
-                out.push_str(&case.label);
-                out.push('{');
-                render_construct(&case.body, out);
-                out.push('}');
+        Construct::Flow { branches, links } if branches.len() == 1 && links.is_empty() => {
+            flat_len(&branches[0])
+        }
+        _ => 1,
+    }
+}
+
+impl<'p> Canon<'p> {
+    /// Numbers every activity in depth-first syntax order (the order the
+    /// render visits them) and collects the label-shaped labels.
+    fn prescan(&mut self, c: &'p Construct) {
+        match c {
+            Construct::Act(a) => self.activities.push(&a.name),
+            Construct::Sequence(items) => items.iter().for_each(|i| self.prescan(i)),
+            Construct::Flow { branches, links } => {
+                branches.iter().for_each(|b| self.prescan(b));
+                self.has_links |= !links.is_empty();
+                for cond in links.iter().filter_map(|l| l.condition.as_deref()) {
+                    self.note_label(cond);
+                }
             }
-            out.push('}');
-        }
-        Construct::While { cond, body } => {
-            out.push_str("while ");
-            out.push_str(&cond.name);
-            render_clauses(cond, out);
-            out.push('{');
-            render_construct(body, out);
-            out.push('}');
+            Construct::Switch { branch, cases } => {
+                self.activities.push(&branch.name);
+                for case in cases {
+                    self.note_label(&case.label);
+                    self.prescan(&case.body);
+                }
+            }
+            Construct::While { cond, body } => {
+                self.activities.push(&cond.name);
+                self.prescan(body);
+            }
         }
     }
+
+    fn note_label(&mut self, label: &'p str) {
+        if is_label_shaped(label) {
+            self.labels.push(label);
+        }
+    }
+
+    fn construct(&mut self, c: &'p Construct) {
+        match c {
+            Construct::Act(a) => {
+                self.activity(a);
+                self.out.push(';');
+            }
+            Construct::Sequence(_) if flat_len(c) == 1 => self.flattened(c),
+            Construct::Sequence(_) => {
+                self.out.push_str("sequence{");
+                self.flattened(c);
+                self.out.push('}');
+            }
+            Construct::Flow { branches, links } if branches.len() == 1 && links.is_empty() => {
+                self.construct(&branches[0])
+            }
+            Construct::Flow { branches, links } => {
+                self.out.push_str("flow{");
+                branches.iter().for_each(|b| self.construct(b));
+                links.iter().for_each(|l| self.link(l));
+                self.out.push('}');
+            }
+            Construct::Switch { branch, cases } => {
+                self.out.push_str("switch ");
+                self.activity_name(&branch.name);
+                self.clauses(branch);
+                self.out.push('{');
+                for case in cases {
+                    self.out.push_str("case ");
+                    self.label(&case.label);
+                    self.out.push('{');
+                    self.construct(&case.body);
+                    self.out.push('}');
+                }
+                self.out.push('}');
+            }
+            Construct::While { cond, body } => {
+                self.out.push_str("while ");
+                self.activity_name(&cond.name);
+                self.clauses(cond);
+                self.out.push('{');
+                self.construct(body);
+                self.out.push('}');
+            }
+        }
+    }
+
+    /// Renders the items `c` contributes to an enclosing sequence.
+    fn flattened(&mut self, c: &'p Construct) {
+        match c {
+            Construct::Sequence(items) => items.iter().for_each(|i| self.flattened(i)),
+            Construct::Flow { branches, links } if branches.len() == 1 && links.is_empty() => {
+                self.flattened(&branches[0])
+            }
+            other => self.construct(other),
+        }
+    }
+
+    /// Names the next activity of the depth-first order.
+    fn activity_name(&mut self, name: &str) {
+        debug_assert_eq!(
+            self.activities[self.named], name,
+            "render left the pre-scan order"
+        );
+        push_name(&mut self.out, 'a', self.named, 1);
+        self.named += 1;
+    }
+
+    fn endpoint(&mut self, name: &str) {
+        push_name(&mut self.out, 'a', self.endpoints[name], 1);
+    }
+
+    fn partner(&mut self, partner: &'p str) {
+        if partner == CLIENT {
+            self.out.push_str(CLIENT);
+        } else {
+            let k = self.services.intern(partner);
+            push_name(&mut self.out, 's', k, 1);
+        }
+    }
+
+    fn activity(&mut self, a: &'p Activity) {
+        match &a.kind {
+            ActivityKind::Receive { from } => {
+                self.out.push_str("receive ");
+                self.activity_name(&a.name);
+                self.out.push_str(" from ");
+                self.partner(from);
+            }
+            ActivityKind::Invoke { service, port } => {
+                self.out.push_str("invoke ");
+                self.activity_name(&a.name);
+                self.out.push_str(" on ");
+                self.partner(service);
+                self.client_invoked |= service == CLIENT;
+                self.out.push_str(" port ");
+                push_number(&mut self.out, *port as usize, 1);
+            }
+            ActivityKind::Reply { to } => {
+                self.out.push_str("reply ");
+                self.activity_name(&a.name);
+                self.out.push_str(" to ");
+                self.partner(to);
+            }
+            ActivityKind::Assign => {
+                self.out.push_str("assign ");
+                self.activity_name(&a.name);
+            }
+            ActivityKind::Branch => {
+                // Rendered by the switch/while wrapper, never as a leaf.
+                self.out.push_str("switch ");
+                self.activity_name(&a.name);
+            }
+            ActivityKind::Empty => {
+                self.out.push_str("empty ");
+                self.activity_name(&a.name);
+            }
+        }
+        self.clauses(a);
+    }
+
+    fn clauses(&mut self, a: &'p Activity) {
+        self.var_list(" reads ", &a.reads);
+        self.var_list(" writes ", &a.writes);
+    }
+
+    /// One `reads`/`writes` clause, repeats dropped.
+    fn var_list(&mut self, keyword: &str, vars: &'p [String]) {
+        if vars.is_empty() {
+            return;
+        }
+        self.lists += 1;
+        self.out.push_str(keyword);
+        let mut first = true;
+        for v in vars {
+            let k = self.variables.intern(v);
+            if k == self.var_seen_in.len() {
+                self.var_seen_in.push(0);
+            }
+            if self.var_seen_in[k] == self.lists {
+                continue;
+            }
+            self.var_seen_in[k] = self.lists;
+            if !first {
+                self.out.push(',');
+            }
+            first = false;
+            push_name(&mut self.out, 'v', k, 1);
+        }
+    }
+
+    fn label(&mut self, label: &str) {
+        if is_label_shaped(label) {
+            let k = self
+                .labels
+                .binary_search(&label)
+                .expect("pre-scan collected every label");
+            push_name(&mut self.out, 'c', k, self.label_width);
+        } else {
+            self.out.push_str(label);
+        }
+    }
+
+    fn link(&mut self, l: &'p Link) {
+        self.out.push_str("link ");
+        let k = self.links.intern(&l.name);
+        push_name(&mut self.out, 'l', k, 1);
+        self.out.push_str(" from ");
+        self.endpoint(&l.from);
+        self.out.push_str(" to ");
+        self.endpoint(&l.to);
+        if let Some(cond) = &l.condition {
+            self.out.push_str(" when ");
+            self.label(cond);
+        }
+        self.out.push(';');
+    }
+}
+
+fn push_service_decl(text: &mut String, decl: &ServiceDecl, name: impl FnOnce(&mut String)) {
+    text.push_str("service ");
+    name(text);
+    text.push_str("{ports ");
+    push_number(text, decl.ports as usize, 1);
+    if decl.asynchronous {
+        text.push_str(" async");
+    }
+    text.push('}');
 }
 
 /// Computes the canonical form of submitted `.proc` text. Parse and
@@ -417,64 +606,90 @@ pub fn canonicalize(text: &str) -> Result<CanonicalForm, String> {
 }
 
 /// Canonicalizes an already parsed and validated process.
+///
+/// # Panics
+///
+/// If a link names an activity the process does not have, which
+/// [`Process::validate`] reports.
 pub fn canonicalize_process(process: &Process) -> CanonicalForm {
-    let root = normalize(&process.root);
-    let mut renaming = Renaming::default();
-    renaming
-        .inverse
-        .insert("p0".to_string(), process.name.clone());
-    bind_names(&root, &mut renaming);
-    let root = rename(&root, &renaming);
+    let mut canon = Canon {
+        activities: Vec::new(),
+        named: 0,
+        endpoints: FxHashMap::default(),
+        has_links: false,
+        variables: Interner::default(),
+        services: Interner::default(),
+        links: Interner::default(),
+        labels: Vec::new(),
+        label_width: 1,
+        var_seen_in: Vec::new(),
+        lists: 0,
+        client_invoked: false,
+        out: String::with_capacity(1024),
+    };
+    canon.prescan(&process.root);
+    if canon.has_links {
+        canon.endpoints = canon
+            .activities
+            .iter()
+            .enumerate()
+            .map(|(k, &a)| (a, k))
+            .collect();
+    }
+    canon.labels.sort_unstable();
+    canon.labels.dedup();
+    canon.label_width = label_width(canon.labels.len());
+    canon.construct(&process.root);
 
     // Declarations in canonical (first-occurrence) order: the used
-    // variables are exactly v0..vN, referenced service declarations keep
-    // their ports/async shape under their canonical names. Unused
-    // variables and unreferenced service declarations are dropped.
-    let vars: Vec<String> = (0..renaming.variables.len()).map(|i| format!("v{i}")).collect();
-    let mut services: Vec<ServiceDecl> = Vec::new();
-    for (original, canonical) in &renaming.services {
-        if let Some(decl) = process.service(original) {
-            services.push(ServiceDecl {
-                name: canonical.clone(),
-                ports: decl.ports,
-                asynchronous: decl.asynchronous,
-            });
-        }
-    }
-    services.sort_by(|a, b| {
-        let ix = |name: &str| name[1..].parse::<usize>().unwrap_or(usize::MAX);
-        ix(&a.name).cmp(&ix(&b.name))
-    });
-
-    let mut text = String::new();
+    // variables are exactly v0..vN, and referenced service declarations
+    // keep their ports/async shape under their canonical names (the first
+    // declaration of a name counts, as in validation). Unused variables
+    // and unreferenced service declarations are dropped.
+    let mut text = String::with_capacity(canon.out.len() + 32);
     text.push_str("process p0{");
-    if !vars.is_empty() {
+    let vars = canon.variables.names.len();
+    if vars > 0 {
         text.push_str("var ");
-        text.push_str(&vars.join(","));
+        for k in 0..vars {
+            if k > 0 {
+                text.push(',');
+            }
+            push_name(&mut text, 'v', k, 1);
+        }
         text.push(';');
     }
-    for s in &services {
-        text.push_str("service ");
-        text.push_str(&s.name);
-        text.push_str(&format!("{{ports {}", s.ports));
-        if s.asynchronous {
-            text.push_str(" async");
+    if !canon.services.names.is_empty() || canon.client_invoked {
+        let mut decls: FxHashMap<&str, &ServiceDecl> = FxHashMap::default();
+        for decl in &process.services {
+            decls.entry(decl.name.as_str()).or_insert(decl);
         }
-        text.push('}');
+        for (k, name) in canon.services.names.iter().enumerate() {
+            if let Some(decl) = decls.get(name) {
+                push_service_decl(&mut text, decl, |t| push_name(t, 's', k, 1));
+            }
+        }
+        // An invoke on `Client` needs it declared as a service, and the
+        // name stays verbatim.
+        if let Some(decl) = decls.get(CLIENT).filter(|_| canon.client_invoked) {
+            push_service_decl(&mut text, decl, |t| t.push_str(CLIENT));
+        }
     }
-    render_construct(&root, &mut text);
+    text.push_str(&canon.out);
     text.push('}');
 
-    let canonical = Process {
-        name: "p0".to_string(),
-        vars,
-        services,
-        root,
+    let renaming = Renaming {
+        process: process.name.as_str().into(),
+        activities: canon.activities.into_iter().map(Box::from).collect(),
+        variables: canon.variables.into_originals(),
+        services: canon.services.into_originals(),
+        links: canon.links.into_originals(),
+        labels: canon.labels.into_iter().map(Box::from).collect(),
+        activity_index: OnceLock::new(),
     };
     CanonicalForm {
         hash: crate::registry::content_hash(&text),
         text,
-        process: canonical,
         renaming,
     }
 }
@@ -487,7 +702,9 @@ mod tests {
 
     #[test]
     fn whitespace_comments_and_decl_order_do_not_change_the_hash() {
-        let spaced = BASE.replace('\n', "\n\n  ").replace("var po, au;", "var au , po ; # reordered");
+        let spaced = BASE
+            .replace('\n', "\n\n  ")
+            .replace("var po, au;", "var au , po ; # reordered");
         let a = canonicalize(BASE).unwrap();
         let b = canonicalize(&spaced).unwrap();
         assert_eq!(a.text, b.text);
@@ -533,12 +750,14 @@ mod tests {
         let again = canonicalize(&a.text).unwrap();
         assert_eq!(a.text, again.text, "canonicalization must be idempotent");
         assert_eq!(a.hash, again.hash);
-        assert!(a.process.validate().is_empty(), "{:?}", a.process.validate());
+        let process = a.process().unwrap();
+        assert!(process.validate().is_empty(), "{:?}", process.validate());
     }
 
     #[test]
     fn unused_declarations_are_dropped() {
-        let noisy = BASE.replace("var po, au;", "var po, au, unused_v;")
+        let noisy = BASE
+            .replace("var po, au;", "var po, au, unused_v;")
             .replace(
                 "service Credit { ports 2 async }",
                 "service Credit { ports 2 async }\n service Ghost { ports 9 }",
@@ -563,11 +782,88 @@ mod tests {
         let a = canonicalize(BASE).unwrap();
         let rendered = a.renaming.render_original("a0.end < a1.start; v0, s0");
         assert_eq!(rendered, "rec_po.end < inv_po.start; po, Credit");
+        // Out-of-range and non-canonical spellings stay verbatim.
+        assert_eq!(
+            a.renaming.render_original("a99 a01 p1 c0 x_a0"),
+            "a99 a01 p1 c0 x_a0"
+        );
     }
 
     #[test]
     fn errors_carry_original_names() {
         let err = canonicalize("process P { var x; assign a writes y; }").unwrap_err();
         assert!(err.contains("'y'"), "{err}");
+    }
+
+    #[test]
+    fn links_may_name_activities_further_down() {
+        let a = canonicalize(
+            "process P { var x; sequence { flow { assign a writes x; link l from a to z; } assign z reads x; } }",
+        )
+        .unwrap();
+        assert!(a.text.contains("link l0 from a0 to a1;"), "{}", a.text);
+        assert_eq!(a.renaming.original("a1"), Some("z"));
+    }
+
+    #[test]
+    fn repeated_reads_and_writes_are_dropped_per_list() {
+        let a =
+            canonicalize("process P { var x, y; assign a reads x, y, x writes x, x; }").unwrap();
+        assert!(
+            a.text.ends_with("assign a0 reads v0,v1 writes v0;}"),
+            "{}",
+            a.text
+        );
+    }
+
+    #[test]
+    fn label_shaped_labels_are_renamed_in_sorted_order() {
+        let a = canonicalize(
+            "process P { var x; switch g reads x { case v0 { assign m writes x; } case T { assign n writes x; } case a1 { assign o writes x; } } }",
+        )
+        .unwrap();
+        // Sorted: a1 < v0, so a1 is c0 and v0 is c1; T stays verbatim.
+        assert!(
+            a.text.contains("case c1{") && a.text.contains("case c0{"),
+            "{}",
+            a.text
+        );
+        assert!(a.text.contains("case T{"), "{}", a.text);
+        assert_eq!(a.renaming.original("c0"), Some("a1"));
+        assert_eq!(a.renaming.label("v0"), "c1");
+        assert_eq!(a.renaming.label("T"), "T");
+        assert_eq!(a.renaming.label("c1"), "", "not a label of this process");
+        assert_eq!(
+            a.renaming.render_original("domain a0 { c0, c1, T }"),
+            "domain g { a1, v0, T }"
+        );
+        assert_eq!(canonicalize(&a.text).unwrap().text, a.text);
+    }
+
+    #[test]
+    fn many_renamed_labels_keep_their_order_and_fixed_point() {
+        let cases: String = (0..12)
+            .map(|i| format!("case a{i} {{ assign m{i} writes x; }}"))
+            .collect();
+        let text = format!("process P {{ var x; switch g reads x {{ {cases} }} }}");
+        let a = canonicalize(&text).unwrap();
+        // a0 < a1 < a10 < a11 < a2 < ... as strings; padded names keep it.
+        assert_eq!(a.renaming.original("c02"), Some("a10"));
+        assert_eq!(a.renaming.original("c2"), None);
+        assert_eq!(a.renaming.label("a2"), "c04");
+        assert_eq!(canonicalize(&a.text).unwrap().text, a.text);
+    }
+
+    #[test]
+    fn invoking_the_client_keeps_its_declaration() {
+        let a = canonicalize(
+            "process P { service Client { ports 1 } sequence { receive r from Client; invoke i on Client port 1; } }",
+        )
+        .unwrap();
+        assert_eq!(
+            a.text,
+            "process p0{service Client{ports 1}sequence{receive a0 from Client;invoke a1 on Client port 1;}}"
+        );
+        assert_eq!(canonicalize(&a.text).unwrap().text, a.text);
     }
 }

@@ -101,7 +101,7 @@ impl ProcessEntry {
     /// extract the canonical revision's data/control dependency set —
     /// what a re-weave revision needs before it reaches a session.
     pub fn build_dependencies(text: &str) -> Result<DependencySet, String> {
-        Ok(extract(&canonicalize(text)?.process))
+        Ok(extract(&canonicalize(text)?.process()?))
     }
 
     /// Compiles the full entry from submitted process text: canonicalize
@@ -111,14 +111,16 @@ impl ProcessEntry {
         Self::build_canonical(&canonicalize(text)?, threads)
     }
 
-    /// Compiles the full entry from an already-computed canonical form.
-    /// Runs under a `serve.compile` span.
+    /// Compiles the full entry from an already-computed canonical form,
+    /// parsing the canonical process tree from its text. Runs under a
+    /// `serve.compile` span.
     pub fn build_canonical(form: &CanonicalForm, threads: usize) -> Result<ProcessEntry, String> {
         let hash = form.hash;
         let _span = obs::span_with("serve.compile", || format!("hash={hash:016x}"));
         let _phase = crate::trace::phase("serve.compile");
         let t0 = std::time::Instant::now();
-        let dependencies = extract(&form.process);
+        let process = form.process()?;
+        let dependencies = extract(&process);
         let mut session = Weaver {
             threads,
             ..Weaver::new()
@@ -134,7 +136,7 @@ impl ProcessEntry {
         obs::histogram("serve.compile").observe(t0.elapsed().as_nanos() as u64);
         Ok(ProcessEntry {
             hash,
-            process: form.process.clone(),
+            process,
             dependencies,
             output,
             fingerprint: report.fingerprint,
@@ -285,7 +287,7 @@ struct RawMemo {
 /// text are deterministic. Failed compiles (parse errors, conflicts) are
 /// not cached.
 pub struct Registry {
-    raw: Mutex<LruCache<u64, Arc<RawMemo>>>,
+    raw: Mutex<LruCache<u64, RawMemo>>,
     inner: Mutex<LruCache<u64, Arc<ProcessEntry>>>,
     threads: usize,
     max_in_flight: u64,
@@ -370,7 +372,7 @@ impl Registry {
             let _span = obs::span_with("serve.lookup", || format!("raw={raw_hash:016x}"));
             let _phase = crate::trace::phase("serve.lookup");
             let mut raw = self.raw.lock().expect("raw memo lock poisoned");
-            if let Some(memo) = raw.get(&raw_hash).cloned() {
+            if let Some(memo) = raw.get(&raw_hash) {
                 // Lock order is always raw → inner.
                 let mut cache = self.inner.lock().expect("registry lock poisoned");
                 if let Some(entry) = cache.get(&memo.canonical_hash) {
@@ -388,38 +390,39 @@ impl Registry {
             }
         }
         let form = canonicalize(text)?;
-        let renaming = Arc::new(form.renaming.clone());
-        {
+        let cached = {
             let mut cache = self.inner.lock().expect("registry lock poisoned");
-            if let Some(entry) = cache.get(&form.hash) {
-                let entry = entry.clone();
-                drop(cache);
+            cache.get(&form.hash).cloned()
+        };
+        let (entry, status) = match cached {
+            Some(entry) => {
                 self.canonical_hits.fetch_add(1, Ordering::Relaxed);
                 obs::counter_add("serve.canonical_hits", 1);
-                self.memoize_raw(raw_hash, form.hash, &renaming);
-                return Ok(Lookup {
-                    entry,
-                    renaming,
-                    status: LookupStatus::Canonical,
-                });
+                (entry, LookupStatus::Canonical)
             }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::counter_add("serve.cache_misses", 1);
-        let entry = Arc::new(ProcessEntry::build_canonical(&form, self.threads)?);
-        let mut cache = self.inner.lock().expect("registry lock poisoned");
-        let before = cache.evictions();
-        cache.insert(form.hash, entry.clone());
-        let evicted = cache.evictions() - before;
-        drop(cache);
-        if evicted > 0 {
-            obs::counter_add("serve.evictions", evicted);
-        }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                obs::counter_add("serve.cache_misses", 1);
+                let entry = Arc::new(ProcessEntry::build_canonical(&form, self.threads)?);
+                let mut cache = self.inner.lock().expect("registry lock poisoned");
+                let before = cache.evictions();
+                cache.insert(form.hash, entry.clone());
+                let evicted = cache.evictions() - before;
+                drop(cache);
+                if evicted > 0 {
+                    obs::counter_add("serve.evictions", evicted);
+                }
+                (entry, LookupStatus::Miss)
+            }
+        };
+        // The renaming moves into the memo's `Arc`; the canonical text is
+        // not kept.
+        let renaming = Arc::new(form.renaming);
         self.memoize_raw(raw_hash, form.hash, &renaming);
         Ok(Lookup {
             entry,
             renaming,
-            status: LookupStatus::Miss,
+            status,
         })
     }
 
@@ -427,10 +430,10 @@ impl Registry {
         let mut raw = self.raw.lock().expect("raw memo lock poisoned");
         raw.insert(
             raw_hash,
-            Arc::new(RawMemo {
+            RawMemo {
                 canonical_hash,
                 renaming: renaming.clone(),
-            }),
+            },
         );
     }
 

@@ -421,13 +421,15 @@ fn handle_inner(reg: &Registry, req: &Request) -> Response {
             Ok(found) => {
                 let entry = &found.entry;
                 let renaming = &found.renaming;
-                // Oracle picks arrive in the tenant's guard names; the
-                // cached artifacts run in canonical names.
+                // Oracle picks arrive in the tenant's guard and label
+                // names; the cached artifacts run in canonical names. A
+                // guard that names no activity of the submission steers
+                // nothing, so it is dropped rather than left to alias a
+                // canonical name.
                 let picks: Vec<(String, String)> = branches
                     .iter()
-                    .map(|(g, v)| {
-                        let canonical = renaming.activity(g).unwrap_or(g.as_str());
-                        (canonical.to_string(), v.clone())
+                    .filter_map(|(g, v)| {
+                        Some((renaming.activity(g)?.to_string(), renaming.label(v)))
                     })
                     .collect();
                 let schedule = timed_run(|| entry.simulate(&picks, reg.threads()));
@@ -476,7 +478,10 @@ fn handle_inner(reg: &Registry, req: &Request) -> Response {
                 Ok(form) => form,
                 Err(e) => return Response::error(400, &e),
             };
-            let revised = crate::registry::extract(&revised_form.process);
+            let revised = match revised_form.process() {
+                Ok(process) => crate::registry::extract(&process),
+                Err(e) => return Response::error(400, &e),
+            };
             match timed_run(|| entry.reweave(&revised)) {
                 Ok(report) => {
                     let (path, reason) = match &report.path {

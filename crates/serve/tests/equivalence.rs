@@ -265,3 +265,74 @@ fn daemon_reweave_fingerprint_matches_single_owner_weave() {
     assert_eq!(daemon_report.fingerprint, owner_report.fingerprint);
     assert_eq!(daemon_report.path, owner_report.path);
 }
+
+#[test]
+fn labels_shaped_like_canonical_names_render_back_verbatim() {
+    // Case labels `a1` and `v0` look like canonical names; render-back
+    // used to rewrite them into the tenant's activity and variable names.
+    let text = "process P { var x, y; sequence { assign init writes x; switch g reads x { case a1 { assign m writes y; } case v0 { assign n writes y; } } assign j reads y; } }";
+    let reg = Registry::new(8, 1);
+    let weave = handle(&reg, &Request::Weave { text: text.into() });
+    assert_eq!(weave.status, 200, "{}", weave.body);
+    assert!(weave.body.contains("domain g { a1, v0 }"), "{}", weave.body);
+    assert!(
+        weave.body.contains("[g=a1]") && weave.body.contains("[g=v0]"),
+        "{}",
+        weave.body
+    );
+    assert!(!weave.body.contains("domain g { g, x }"), "{}", weave.body);
+
+    // Oracle values go through the renaming too: `g:v0` steers into the
+    // `v0` case, whatever canonical label it runs under.
+    let simulate = |pick: &str| {
+        let resp = handle(
+            &reg,
+            &Request::Simulate {
+                text: text.into(),
+                branches: vec![("g".into(), pick.into())],
+            },
+        );
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        resp.body
+    };
+    let starts = |body: &str, activity: &str| {
+        body.contains(&format!("\"kind\":\"Start\",\"activity\":\"{activity}\""))
+    };
+    let v0 = simulate("v0");
+    assert!(starts(&v0, "n") && !starts(&v0, "m"), "{v0}");
+    let a1 = simulate("a1");
+    assert!(starts(&a1, "m") && !starts(&a1, "n"), "{a1}");
+    // A canonical label name the tenant never used steers into no case.
+    let c0 = simulate("c0");
+    assert!(!starts(&c0, "m") && !starts(&c0, "n"), "{c0}");
+
+    // Plain labels keep their hash: T/F processes canonicalize as before.
+    let plain = dscweaver_serve::canonicalize(&proc_text(0)).unwrap();
+    assert!(
+        plain.text.contains("case T{") && plain.text.contains("case F{"),
+        "{}",
+        plain.text
+    );
+    assert_eq!(
+        weave.body,
+        oneshot(&Request::Weave { text: text.into() }, 1).body
+    );
+}
+
+#[test]
+fn hostile_nesting_is_a_400_not_a_crash() {
+    // About 1.1 MB, well under the body limit: unbounded recursion on it
+    // would overflow the request thread's stack and abort the daemon.
+    let text = format!(
+        "process P {{ {} empty x; {} }}",
+        "sequence { ".repeat(100_000),
+        "} ".repeat(100_000)
+    );
+    let worker = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || handle(&Registry::new(4, 1), &Request::Weave { text }))
+        .unwrap();
+    let resp = worker.join().expect("request thread must not overflow");
+    assert_eq!(resp.status, 400);
+    assert!(resp.body.contains("nest deeper"), "{}", resp.body);
+}
