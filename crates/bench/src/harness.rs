@@ -1,15 +1,6 @@
-//! A minimal benchmarking harness.
-//!
-//! The build has no network access, so Criterion is unavailable; the
-//! `benches/*.rs` targets (all `harness = false`) use this instead. It
-//! keeps the parts the experiments actually need — named benchmarks,
-//! sample counts, name filtering from the command line, and robust
-//! (median) timing — and nothing else.
-//!
-//! Environment knobs:
-//! * `DSCWEAVER_BENCH_SAMPLES` — override every benchmark's sample count.
-//! * a positional CLI argument — substring filter on benchmark names
-//!   (`cargo bench --bench scaling_minimize -- layered`).
+//! Timing helpers shared by the `repro bench-json` suites: sampled
+//! wall-time with an untimed warm-up, medians, histogram percentiles and
+//! the per-phase JSON breakdown.
 
 use dscweaver_obs as obs;
 use std::time::{Duration, Instant};
@@ -43,15 +34,6 @@ pub fn phases_json(snapshot: &obs::TraceSnapshot, indent: &str) -> String {
     }
     out.push_str(&format!("{indent}}}"));
     out
-}
-
-/// Times `iters` invocations of `f`, returning the total wall time.
-pub fn time_iters<T>(iters: usize, mut f: impl FnMut() -> T) -> Duration {
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
-    }
-    start.elapsed()
 }
 
 /// Runs `f` `samples` times (after one untimed warm-up call) and returns
@@ -96,75 +78,6 @@ pub fn median(sorted: &[Duration]) -> Duration {
     }
 }
 
-/// Formats a duration with a unit that keeps 3-4 significant digits.
-pub fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 10_000 {
-        format!("{ns} ns")
-    } else if ns < 10_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 10_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
-    }
-}
-
-/// The harness: collects CLI filter + env overrides, runs benchmarks,
-/// prints one line per benchmark.
-pub struct Harness {
-    filter: Option<String>,
-    sample_override: Option<usize>,
-    ran: usize,
-}
-
-impl Harness {
-    /// Builds a harness from `std::env::args` (skipping flags cargo
-    /// passes, e.g. `--bench`) and `DSCWEAVER_BENCH_SAMPLES`.
-    pub fn from_env() -> Harness {
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with('-'));
-        let sample_override = std::env::var("DSCWEAVER_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        Harness {
-            filter,
-            sample_override,
-            ran: 0,
-        }
-    }
-
-    /// Runs one benchmark unless filtered out; prints median-of-samples.
-    pub fn bench<T>(&mut self, name: &str, samples: usize, f: impl FnMut() -> T) {
-        if let Some(flt) = &self.filter {
-            if !name.contains(flt.as_str()) {
-                return;
-            }
-        }
-        let samples = self.sample_override.unwrap_or(samples);
-        let times = sample(samples, f);
-        println!(
-            "{name:<48} median {:>12}   (min {}, max {}, n={})",
-            fmt_duration(median(&times)),
-            fmt_duration(times[0]),
-            fmt_duration(*times.last().unwrap()),
-            times.len(),
-        );
-        self.ran += 1;
-    }
-
-    /// Prints a trailing summary; call last in `main`.
-    pub fn finish(self) {
-        if self.ran == 0 {
-            println!(
-                "no benchmarks matched filter {:?}",
-                self.filter.as_deref().unwrap_or("")
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,13 +105,5 @@ mod tests {
         assert!(p50 > 0.0 && p50 <= p99, "{p50} {p99}");
         assert!(p99 <= 0.1, "{p99}");
         assert_eq!(percentiles_ms(&[]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(Duration::from_nanos(500)), "500 ns");
-        assert!(fmt_duration(Duration::from_micros(50)).ends_with("µs"));
-        assert!(fmt_duration(Duration::from_millis(50)).ends_with("ms"));
-        assert!(fmt_duration(Duration::from_secs(50)).ends_with(" s"));
     }
 }

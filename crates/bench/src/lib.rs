@@ -2,7 +2,8 @@
 //!
 //! Experiment harness: structured regeneration of every table and figure
 //! in the paper plus the extended (Ext-A..D) evaluations, shared between
-//! the `repro` binary and the wall-time benches (see [`harness`]).
+//! the `repro` binary's experiments and its `bench-json` suites (timing
+//! helpers in [`harness`]).
 
 #![warn(missing_docs)]
 

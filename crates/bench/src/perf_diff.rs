@@ -6,7 +6,10 @@
 //! of objects (`cases`, `passes`, `fleets`, `factored`, ...) are keyed by
 //! their workload-describing fields — strings, booleans and
 //! integer-valued counts — so a row is matched to its counterpart even
-//! when the arrays are reordered or grow. Within a matched row, every
+//! when the arrays are reordered or grow. Only key fields that both
+//! artifacts carry in a section count, so dropping or adding a column
+//! keeps rows matched; rows whose identity is not unique on either side
+//! are reported unmatched, never paired by guess. Within a matched row, every
 //! numeric `*_ms` / `*_us` field plus every entry of a nested `"phases"`
 //! object is compared as a new/old ratio. Timings below a configurable
 //! noise floor are skipped (micro-cases jitter wildly and would drown
@@ -20,7 +23,7 @@
 //! `repro perf-diff baseline.json fresh.json`.
 
 use dscweaver_obs::json::{parse, Json};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Tuning knobs for a diff run.
 #[derive(Clone, Copy, Debug)]
@@ -111,24 +114,51 @@ fn unit_to_ms(name: &str) -> f64 {
     }
 }
 
-/// The stable identity of one row: every string/bool field plus every
-/// integer-valued number that is not run-dependent, in key order.
-fn row_key(row: &Json) -> String {
+/// The workload-describing fields of one row: every string/bool field
+/// plus every integer-valued number that is not run-dependent, in key
+/// order.
+fn key_fields(row: &Json) -> Vec<(&str, String)> {
     let Json::Obj(pairs) = row else {
-        return String::new();
+        return Vec::new();
     };
-    let mut parts: Vec<String> = Vec::new();
-    for (k, v) in pairs {
-        match v {
-            Json::Str(s) => parts.push(format!("{k}={s}")),
-            Json::Bool(b) => parts.push(format!("{k}={b}")),
+    pairs
+        .iter()
+        .filter_map(|(k, v)| match v {
+            Json::Str(s) => Some((k.as_str(), s.clone())),
+            Json::Bool(b) => Some((k.as_str(), b.to_string())),
             Json::Num(n) if n.fract() == 0.0 && !is_run_dependent(k) => {
-                parts.push(format!("{k}={n}"));
+                Some((k.as_str(), n.to_string()))
             }
-            _ => {}
-        }
+            _ => None,
+        })
+        .collect()
+}
+
+/// Names of the key fields any row of a section carries.
+fn key_names<'a>(rows: &[&'a Json]) -> BTreeSet<&'a str> {
+    rows.iter()
+        .flat_map(|r| key_fields(r).into_iter().map(|(k, _)| k))
+        .collect()
+}
+
+/// The identity of one row: its key fields restricted to `names`.
+fn row_key(row: &Json, names: &BTreeSet<&str>) -> String {
+    key_fields(row)
+        .into_iter()
+        .filter(|(k, _)| names.contains(k))
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Rows keyed by identity; an identity shared by several rows maps to
+/// all of them, so the caller can refuse to pair it.
+fn by_key<'a>(rows: &[&'a Json], names: &BTreeSet<&str>) -> BTreeMap<String, Vec<&'a Json>> {
+    let mut out: BTreeMap<String, Vec<&Json>> = BTreeMap::new();
+    for r in rows {
+        out.entry(row_key(r, names)).or_default().push(*r);
     }
-    parts.join(" ")
+    out
 }
 
 /// Timing fields of one row, flattened: direct `*_ms`/`*_us` numbers
@@ -204,17 +234,27 @@ pub fn diff(old_text: &str, new_text: &str, opts: &DiffOpts) -> Result<DiffRepor
 
     for (section, old_rows) in old_sections {
         let Some(new_rows) = new_sections.remove(&section) else {
+            let names = key_names(&old_rows);
             for r in &old_rows {
-                report.only_old.push((section.clone(), row_key(r)));
+                report.only_old.push((section.clone(), row_key(r, &names)));
             }
             continue;
         };
-        let mut new_by_key: BTreeMap<String, &Json> =
-            new_rows.iter().map(|r| (row_key(r), *r)).collect();
-        for old_row in old_rows {
-            let key = row_key(old_row);
-            let Some(new_row) = new_by_key.remove(&key) else {
-                report.only_old.push((section.clone(), key));
+        let names: BTreeSet<&str> = key_names(&old_rows)
+            .intersection(&key_names(&new_rows))
+            .copied()
+            .collect();
+        let mut new_by_key = by_key(&new_rows, &names);
+        for (key, old_group) in by_key(&old_rows, &names) {
+            let new_group = new_by_key.remove(&key).unwrap_or_default();
+            let (&[old_row], &[new_row]) = (old_group.as_slice(), new_group.as_slice()) else {
+                // Missing on one side, or not unique: report, never guess.
+                for _ in &old_group {
+                    report.only_old.push((section.clone(), key.clone()));
+                }
+                for _ in &new_group {
+                    report.only_new.push((section.clone(), key.clone()));
+                }
                 continue;
             };
             let old_t = timings(old_row);
@@ -248,13 +288,16 @@ pub fn diff(old_text: &str, new_text: &str, opts: &DiffOpts) -> Result<DiffRepor
                     .push((section.clone(), key.clone(), field, "new-only"));
             }
         }
-        for key in new_by_key.into_keys() {
-            report.only_new.push((section.clone(), key));
+        for (key, rows) in new_by_key {
+            for _ in rows {
+                report.only_new.push((section.clone(), key.clone()));
+            }
         }
     }
     for (section, rows) in new_sections {
-        for r in rows {
-            report.only_new.push((section.clone(), row_key(r)));
+        let names = key_names(&rows);
+        for r in &rows {
+            report.only_new.push((section.clone(), row_key(r, &names)));
         }
     }
     Ok(report)
@@ -415,6 +458,46 @@ mod tests {
         assert!(regs[0].row.contains("name=a"));
         assert_eq!(r.only_new, vec![("cases".to_string(), "name=c".to_string())]);
         assert!(r.only_old.is_empty());
+    }
+
+    #[test]
+    fn dropped_integer_column_still_matches_and_flags_the_regression() {
+        // The column is part of the old row's identity but absent from the
+        // new one: the rows must still pair on the shared key fields.
+        let old = artifact(
+            "BENCH_t",
+            r#"{"name": "x", "prepared_runs": 16, "new_seq_ms": 1.0}"#,
+        );
+        let new = artifact("BENCH_t", r#"{"name": "x", "new_seq_ms": 9.0}"#);
+        let r = diff(&old, &new, &DiffOpts::default()).unwrap();
+        assert!(r.only_old.is_empty() && r.only_new.is_empty(), "{r:?}");
+        let regs = r.regressions();
+        assert_eq!(regs.len(), 1);
+        assert_eq!(regs[0].field, "new_seq_ms");
+        assert!(render(&r, &DiffOpts::default()).contains("FAIL"));
+    }
+
+    #[test]
+    fn duplicate_identities_are_reported_not_paired() {
+        // Once `n` is gone from the new side, the two old rows share the
+        // identity `name=x`: neither may be paired with the new row.
+        let old = artifact(
+            "BENCH_t",
+            r#"{"name": "x", "n": 1, "run_ms": 1.0},
+{"name": "x", "n": 2, "run_ms": 50.0},
+{"name": "y", "n": 3, "run_ms": 1.0}"#,
+        );
+        let new = artifact(
+            "BENCH_t",
+            r#"{"name": "x", "run_ms": 1.0},
+{"name": "y", "run_ms": 1.0}"#,
+        );
+        let r = diff(&old, &new, &DiffOpts::default()).unwrap();
+        let x = ("cases".to_string(), "name=x".to_string());
+        assert_eq!(r.only_old, vec![x.clone(), x.clone()]);
+        assert_eq!(r.only_new, vec![x]);
+        assert_eq!(r.fields.len(), 1);
+        assert_eq!(r.fields[0].row, "name=y");
     }
 
     #[test]

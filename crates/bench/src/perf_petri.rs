@@ -1,30 +1,24 @@
-//! Old-vs-new Petri validation comparison: the legacy full-rescan
-//! simulator versus the wavefront worklist (sequential and with the
-//! assignment fan-out on the worker pool), rendered as the
+//! Petri validation timings — the wavefront validator sequential and
+//! with the assignment fan-out on the worker pool — rendered as the
 //! machine-readable `BENCH_petri.json` artifact written by
 //! `repro bench-json --suite petri`.
 //!
-//! Two further sections measure the prepared engine: the amortized
-//! per-run constant of replaying assignments through one reused
-//! [`PreparedNet`] session versus a fresh wavefront build per run, and
-//! the factored enumeration on guard-independent workloads (per-group
-//! additive assignment counts versus the full multiplicative product).
+//! A second section measures the factored enumeration on
+//! guard-independent workloads (per-group additive assignment counts
+//! versus the full multiplicative product, `factor: false`).
 //!
-//! Reports are canonicalized and asserted identical across all engines
-//! and thread counts before any timing is taken.
+//! Reports are canonicalized and asserted identical across thread counts
+//! before any timing is taken; the equivalence suites pin them to the
+//! rescan oracle.
 
 use crate::harness::{black_box, median, percentiles_ms, phases_json, sample, BenchOpts};
 use dscweaver_core::{ExecConditions, Weaver};
 use dscweaver_obs as obs;
 use dscweaver_dscl::ConstraintSet;
-use dscweaver_petri::{
-    assignment_chooser, lower, run_to_quiescence_wavefront, validate, AssignmentFailure,
-    FactorPolicy, PreparedNet, ValidateOptions, ValidationReport,
-};
+use dscweaver_petri::{validate, AssignmentFailure, ValidateOptions, ValidationReport};
 use dscweaver_workloads::{
     dense_conditional, disjoint_conditional, DenseConditionalParams, DisjointConditionalParams,
 };
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// One comparison input for the validation bench.
@@ -140,17 +134,10 @@ struct CaseReport {
     n_activities: usize,
     assignments: usize,
     failures: usize,
-    baseline_ms: f64,
     new_seq_ms: f64,
     new_par_ms: f64,
     p50_ms: f64,
     p99_ms: f64,
-    speedup_seq: f64,
-    speedup_par: f64,
-    prepared_runs: usize,
-    fresh_run_ms: f64,
-    prepared_run_ms: f64,
-    prepared_speedup: f64,
     phases: String,
 }
 
@@ -210,16 +197,10 @@ fn canon(r: &ValidationReport) -> (
 pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let (smoke, threads) = (opts.smoke, opts.threads);
     let samples_new = if smoke { 1 } else { 5 };
-    let samples_base = if smoke { 1 } else { 3 };
     let mut reports: Vec<CaseReport> = Vec::new();
     let mut suite_trace = obs::TraceSnapshot::default();
     for case in petri_cases(smoke) {
         let (cs, exec) = case.prepare();
-        let base_opts = ValidateOptions {
-            threads: 1,
-            rescan_baseline: true,
-            ..Default::default()
-        };
         let seq_opts = ValidateOptions {
             threads: 1,
             ..Default::default()
@@ -229,15 +210,10 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             ..Default::default()
         };
 
-        let r_base = validate(&cs, &exec, &base_opts);
         let r_seq = validate(&cs, &exec, &seq_opts);
         let r_par = validate(&cs, &exec, &par_opts);
-        assert_eq!(canon(&r_base), canon(&r_seq), "case {}", case.name);
-        assert_eq!(canon(&r_base), canon(&r_par), "case {}", case.name);
+        assert_eq!(canon(&r_seq), canon(&r_par), "case {}", case.name);
 
-        let t_base = median(&sample(samples_base, || {
-            black_box(validate(&cs, &exec, &base_opts))
-        }));
         let t_seq = median(&sample(samples_new, || {
             black_box(validate(&cs, &exec, &seq_opts))
         }));
@@ -249,78 +225,15 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         // samples, for the per-phase breakdown and the suite trace.
         let (_, case_trace) = obs::record_with(|| black_box(validate(&cs, &exec, &par_opts)));
 
-        // Amortized prepared-engine constant: the first K assignments
-        // replayed through one reused `NetSession` versus a fresh
-        // wavefront build (consumer/distinct tables + scratch marking)
-        // per run. Results are asserted identical before timing.
-        let lowered = lower(&cs, &exec);
-        let guards: Vec<(&String, &Vec<String>)> = cs
-            .domains
-            .iter()
-            .filter(|(_, dom)| !dom.is_empty())
-            .collect();
-        let space = guards
-            .iter()
-            .fold(1usize, |acc, (_, dom)| acc.saturating_mul(dom.len()));
-        let k = space.min(16);
-        let assignments: Vec<HashMap<String, String>> = (0..k)
-            .map(|i| {
-                let mut rest = i;
-                guards
-                    .iter()
-                    .map(|(g, dom)| {
-                        let d = rest % dom.len();
-                        rest /= dom.len();
-                        (format!("finish({g})"), dom[d].clone())
-                    })
-                    .collect()
-            })
-            .collect();
-        let prep = PreparedNet::new(&lowered.net);
-        {
-            let mut session = prep.session();
-            for a in &assignments {
-                let fresh =
-                    run_to_quiescence_wavefront(&lowered.net, assignment_chooser(a), 1_000_000);
-                let reused = session.run(assignment_chooser(a), 1_000_000);
-                assert_eq!(fresh.trace, reused.trace, "case {}", case.name);
-                assert_eq!(fresh.final_marking, reused.final_marking, "case {}", case.name);
-                assert_eq!(fresh.diverged, reused.diverged, "case {}", case.name);
-            }
-        }
-        let t_fresh = median(&sample(samples_new, || {
-            for a in &assignments {
-                black_box(run_to_quiescence_wavefront(
-                    &lowered.net,
-                    assignment_chooser(a),
-                    1_000_000,
-                ));
-            }
-        }));
-        let t_prep = median(&sample(samples_new, || {
-            let prep = PreparedNet::new(&lowered.net);
-            let mut session = prep.session();
-            for a in &assignments {
-                black_box(session.run(assignment_chooser(a), 1_000_000));
-            }
-        }));
-
         reports.push(CaseReport {
             name: case.name,
             n_activities: cs.activities.len(),
-            assignments: r_base.assignments_checked,
-            failures: r_base.failures.len(),
-            baseline_ms: ms(t_base),
+            assignments: r_seq.assignments_checked,
+            failures: r_seq.failures.len(),
             new_seq_ms: ms(t_seq),
             new_par_ms: ms(t_par),
             p50_ms,
             p99_ms,
-            speedup_seq: t_base.as_secs_f64() / t_seq.as_secs_f64().max(1e-12),
-            speedup_par: t_base.as_secs_f64() / t_par.as_secs_f64().max(1e-12),
-            prepared_runs: k,
-            fresh_run_ms: ms(t_fresh) / k.max(1) as f64,
-            prepared_run_ms: ms(t_prep) / k.max(1) as f64,
-            prepared_speedup: t_fresh.as_secs_f64() / t_prep.as_secs_f64().max(1e-12),
             phases: phases_json(&case_trace, "      "),
         });
         suite_trace.merge(case_trace);
@@ -332,12 +245,11 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         let out = Weaver::new().run(&ds).expect("acyclic workload");
         let full_opts = ValidateOptions {
             threads,
-            factor: FactorPolicy::Off,
+            factor: false,
             ..Default::default()
         };
         let fact_opts = ValidateOptions {
             threads,
-            factor: FactorPolicy::On,
             ..Default::default()
         };
         let r_full = validate(&out.minimal, &out.exec, &full_opts);
@@ -377,7 +289,7 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"artifact\": \"BENCH_petri\",\n");
-    out.push_str("  \"description\": \"per-assignment validation: legacy full-rescan simulator vs the wavefront worklist (seq and with the assignment fan-out on the worker pool), plus the amortized prepared-session replay constant and the factored enumeration on guard-independent workloads; reports canonicalized and asserted identical before timing\",\n");
+    out.push_str("  \"description\": \"per-assignment validation on the wavefront worklist (seq and with the assignment fan-out on the worker pool), plus the factored enumeration on guard-independent workloads; reports canonicalized and asserted identical across thread counts before timing\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str("  \"cases\": [\n");
@@ -387,38 +299,10 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         out.push_str(&format!("      \"n_activities\": {},\n", r.n_activities));
         out.push_str(&format!("      \"assignments\": {},\n", r.assignments));
         out.push_str(&format!("      \"failures\": {},\n", r.failures));
-        out.push_str(&format!(
-            "      \"baseline_ms\": {},\n",
-            json_f(r.baseline_ms)
-        ));
         out.push_str(&format!("      \"new_seq_ms\": {},\n", json_f(r.new_seq_ms)));
         out.push_str(&format!("      \"new_par_ms\": {},\n", json_f(r.new_par_ms)));
         out.push_str(&format!("      \"p50_ms\": {},\n", json_f(r.p50_ms)));
         out.push_str(&format!("      \"p99_ms\": {},\n", json_f(r.p99_ms)));
-        out.push_str(&format!(
-            "      \"speedup_seq\": {},\n",
-            json_f(r.speedup_seq)
-        ));
-        out.push_str(&format!(
-            "      \"speedup_par\": {},\n",
-            json_f(r.speedup_par)
-        ));
-        out.push_str(&format!(
-            "      \"prepared_runs\": {},\n",
-            r.prepared_runs
-        ));
-        out.push_str(&format!(
-            "      \"fresh_run_ms\": {},\n",
-            json_f(r.fresh_run_ms)
-        ));
-        out.push_str(&format!(
-            "      \"prepared_run_ms\": {},\n",
-            json_f(r.prepared_run_ms)
-        ));
-        out.push_str(&format!(
-            "      \"prepared_speedup\": {},\n",
-            json_f(r.prepared_speedup)
-        ));
         out.push_str(&format!("      \"phases\": {}\n", r.phases));
         out.push_str(if i + 1 == reports.len() { "    }\n" } else { "    },\n" });
     }

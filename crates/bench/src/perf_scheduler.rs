@@ -10,15 +10,17 @@
 //! optimization).
 //!
 //! A further section measures the prepared session: K oracle variants
-//! replayed through one [`PreparedSchedule`] (indexes derived once)
-//! versus a fresh `simulate` — which rebuilds the prereq/dependency
-//! indexes — per run.
+//! replayed through one [`ScheduleTables`] (indexes derived once) versus
+//! a fresh `simulate` — which rebuilds the prereq/dependency indexes —
+//! per run.
 
 use crate::harness::{black_box, median, percentiles_ms, phases_json, sample, BenchOpts};
 use dscweaver_core::{merge, translate_services, ExecConditions};
 use dscweaver_dscl::ConstraintSet;
 use dscweaver_obs as obs;
-use dscweaver_scheduler::{simulate, simulate_rescan_baseline, PreparedSchedule, SimConfig};
+use dscweaver_scheduler::{
+    simulate, simulate_rescan_baseline, PreparedSchedule, ScheduleTables, SimConfig,
+};
 use dscweaver_workloads::{
     dense_conditional, fork_join, layered, DenseConditionalParams, LayeredParams,
 };
@@ -202,7 +204,7 @@ pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
 
         // Amortized prepared-session constant: K oracle variants (bit
         // patterns over up to three guard domains; identical configs on
-        // guard-free workloads) replayed through one `PreparedSchedule`
+        // guard-free workloads) replayed through one `ScheduleTables`
         // versus a fresh `simulate` — which re-derives the
         // prereq/dependency indexes — per run. Traces are asserted
         // identical before timing.
@@ -225,7 +227,8 @@ pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
                 cfg
             })
             .collect();
-        let session = PreparedSchedule::new(&asc, &exec);
+        let tables = ScheduleTables::derive(&asc, &exec);
+        let session = PreparedSchedule::with_tables(&asc, &exec, &tables);
         for cfg in &oracles {
             let fresh = simulate(&asc, &exec, cfg);
             let replay = session.run(cfg);
@@ -242,7 +245,8 @@ pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             }
         }));
         let t_session_runs = median(&sample(samples_new, || {
-            let session = PreparedSchedule::new(&asc, &exec);
+            let tables = ScheduleTables::derive(&asc, &exec);
+            let session = PreparedSchedule::with_tables(&asc, &exec, &tables);
             for cfg in &oracles {
                 black_box(session.run(cfg));
             }

@@ -98,8 +98,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// How closures are compared (Definitions 4–5). Ordered from most to
 /// least conservative; all three agree on the paper's Purchasing process
-/// result *except* Strict, which keeps three extra edges (see the
-/// `ablation_minimize` bench).
+/// result *except* Strict, which keeps three extra edges (see
+/// `repro ext_b`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EquivalenceMode {
     /// Annotation-exact comparison (Definition 3's "the same ...

@@ -19,8 +19,8 @@
 //!    and that every terminal marking is final.
 
 use crate::lower::{lower, LoweredNet};
-use crate::prepared::{guard_groups, PreparedNet, WavefrontTables};
-use crate::reach::{assignment_chooser, explore, explore_with, run_to_quiescence, Reachability};
+use crate::prepared::{guard_groups, Scratch, Tables};
+use crate::reach::{assignment_chooser, explore_with, Reachability};
 use dscweaver_core::ExecConditions;
 use dscweaver_dscl::{ConstraintSet, SyncGraph};
 use dscweaver_graph::{effective_threads, find_cycle, par_ranges};
@@ -46,7 +46,7 @@ pub struct CompiledValidation {
 #[derive(Debug)]
 struct CompiledNet {
     lowered: LoweredNet,
-    tables: WavefrontTables,
+    tables: Tables,
     /// Disjoint-footprint guard groups (computed when there is more than
     /// one guard; otherwise empty and never consulted).
     groups: Vec<Vec<String>>,
@@ -74,10 +74,10 @@ impl CompiledValidation {
         let lower_span = obs::span("petri.lower");
         let lowered = lower(cs, exec);
         drop(lower_span);
-        // Compile the wavefront tables once; every assignment run below
-        // reuses them through a per-worker session.
+        // Compile the wavefront tables once; every assignment run reuses
+        // them with one scratch state per pool worker.
         let prepare_span = obs::span("petri.prepare");
-        let tables = WavefrontTables::derive(&lowered.net);
+        let tables = Tables::derive(&lowered.net);
         drop(prepare_span);
         let groups = if cs.domains.len() > 1 {
             guard_groups(&lowered, cs)
@@ -147,44 +147,17 @@ pub struct ValidateOptions {
     /// sequential path; the report is bit-identical either way (failures
     /// merge in assignment-lexicographic window order).
     pub threads: usize,
-    /// Run each assignment on the legacy full-rescan simulator instead of
-    /// the wavefront worklist. Results are identical; the flag exists so
-    /// `BENCH_petri.json` and the equivalence tests can measure the old
-    /// engine through the same entry point.
-    pub rescan_baseline: bool,
-    /// When to enumerate independent guard groups separately (see
-    /// [`guard_groups`] and [`FactorPolicy`]): each group's assignment
-    /// sub-space is checked with the other guards pinned to their first
-    /// domain value, turning the multiplicative product of domain sizes
-    /// into a sum over groups. The ok/not-ok verdict is unchanged
-    /// (disjoint footprints cannot interact), but `assignments_checked`
-    /// shrinks and failures report the pinned values for out-of-group
-    /// guards. [`ValidationReport::factored`] records whether the split
-    /// actually happened.
-    pub factor: FactorPolicy,
-}
-
-/// Policy for splitting branch-assignment enumeration into independent
-/// guard groups ([`ValidateOptions::factor`]).
-///
-/// Factoring never changes the verdict — groups with disjoint downstream
-/// place-footprints cannot influence a common place — so the only reason
-/// to disable it is byte-stable comparison against the full
-/// multiplicative enumeration (equivalence tests, benchmarks).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum FactorPolicy {
-    /// Factor whenever [`guard_groups`] finds more than one group — the
-    /// default. (With a single group the factored plan covers every
-    /// guard, which is exactly the unfactored enumeration, so `Auto` and
-    /// `On` behave identically; the variant exists to document intent.)
-    #[default]
-    Auto,
-    /// Same runtime behaviour as `Auto`; spelled out for callers that
-    /// specifically request the factored path.
-    On,
-    /// Never factor: always enumerate the full multiplicative assignment
-    /// space, keeping reports byte-stable against the classic path.
-    Off,
+    /// Enumerate independent guard groups separately (default `true`; see
+    /// [`guard_groups`]): each group's assignment sub-space is checked
+    /// with the other guards pinned to their first domain value, turning
+    /// the multiplicative product of domain sizes into a sum over groups.
+    /// The ok/not-ok verdict is unchanged (disjoint footprints cannot
+    /// interact), but `assignments_checked` shrinks and failures report
+    /// the pinned values for out-of-group guards.
+    /// [`ValidationReport::factored`] records whether the split actually
+    /// happened. `false` always enumerates the full multiplicative space,
+    /// keeping reports byte-stable against the unfactored enumeration.
+    pub factor: bool,
 }
 
 impl Default for ValidateOptions {
@@ -194,8 +167,7 @@ impl Default for ValidateOptions {
             max_steps: 1_000_000,
             explore_states: 0,
             threads: 0,
-            rescan_baseline: false,
-            factor: FactorPolicy::Auto,
+            factor: true,
         }
     }
 }
@@ -233,7 +205,7 @@ pub struct ValidationReport {
     /// when validation stopped at a structural conflict.
     pub guard_groups: usize,
     /// Whether the enumeration actually ran factored (more than one
-    /// independent group under a non-`Off` [`FactorPolicy`]) — the
+    /// independent group with [`ValidateOptions::factor`] set) — the
     /// recorded auto-enable decision.
     pub factored: bool,
     /// The full multiplicative assignment space (product of domain
@@ -279,7 +251,6 @@ fn run_compiled(
     opts: &ValidateOptions,
 ) -> ValidationReport {
     let lowered = &compiled.lowered;
-    let prep = PreparedNet::with_tables(&lowered.net, &compiled.tables);
 
     // Layer 2: per-assignment simulation.
     let guards: Vec<(&String, &Vec<String>)> = domains.iter().map(|(g, d)| (g, d)).collect();
@@ -293,11 +264,11 @@ fn run_compiled(
     // vary, every other guard pinned to its first domain value. The
     // unfactored path is one plan over all guards — decoding a linear
     // index over it is exactly the original mixed-radix little-endian
-    // odometer. Unless the policy is `Off`, one plan per
+    // odometer. With `factor` set, one plan per
     // disjoint-footprint group: sub-spaces sum instead of multiplying,
     // and the verdict is unchanged because disjoint groups cannot
     // influence a common place.
-    let plans: Vec<Vec<usize>> = if opts.factor != FactorPolicy::Off && guards.len() > 1 {
+    let plans: Vec<Vec<usize>> = if opts.factor && guards.len() > 1 {
         let pos: HashMap<&str, usize> = guards
             .iter()
             .enumerate()
@@ -320,13 +291,9 @@ fn run_compiled(
     // over the plan's guards, so any contiguous window of indices is an
     // independent work unit. Window results concatenate back in
     // assignment-lexicographic order, making the failure list
-    // bit-identical for any thread count. The wavefront path runs inside
-    // the caller's session (one scratch marking per pool worker); the
-    // rescan baseline stays a fresh per-run simulation.
-    let run_one = |plan: &[usize],
-                   i: usize,
-                   session: Option<&mut crate::prepared::NetSession>|
-     -> Option<AssignmentFailure> {
+    // bit-identical for any thread count. Each run reuses the caller's
+    // scratch state (one per pool worker).
+    let run_one = |plan: &[usize], i: usize, scratch: &mut Scratch| -> Option<AssignmentFailure> {
         let mut idx = vec![0usize; guards.len()];
         let mut rest = i;
         for &g in plan {
@@ -339,12 +306,12 @@ fn run_compiled(
             .zip(&idx)
             .map(|((g, dom), &i)| (format!("finish({g})"), dom[i].clone()))
             .collect();
-        let run = match session {
-            Some(s) => s.run(assignment_chooser(&assignment), opts.max_steps),
-            None => {
-                run_to_quiescence(&lowered.net, assignment_chooser(&assignment), opts.max_steps)
-            }
-        };
+        let run = scratch.run(
+            &lowered.net,
+            &compiled.tables,
+            assignment_chooser(&assignment),
+            opts.max_steps,
+        );
         if run.diverged || !lowered.is_final(&run.final_marking) {
             Some(AssignmentFailure {
                 assignment: guards
@@ -384,14 +351,9 @@ fn run_compiled(
         }
         failures.extend(
             par_ranges(threads, plan_to_check, &|r| {
-                if opts.rescan_baseline {
-                    r.filter_map(|i| run_one(plan, i, None))
-                        .collect::<Vec<AssignmentFailure>>()
-                } else {
-                    let mut session = prep.session();
-                    r.filter_map(|i| run_one(plan, i, Some(&mut session)))
-                        .collect()
-                }
+                let mut scratch = Scratch::default();
+                r.filter_map(|i| run_one(plan, i, &mut scratch))
+                    .collect::<Vec<AssignmentFailure>>()
             })
             .into_iter()
             .flatten(),
@@ -403,11 +365,7 @@ fn run_compiled(
     // Layer 3: optional interleaving exploration.
     let exploration = if opts.explore_states > 0 {
         let _span = obs::span("petri.explore");
-        Some(if opts.rescan_baseline {
-            explore(&lowered.net, opts.explore_states)
-        } else {
-            explore_with(&lowered.net, opts.explore_states, opts.threads)
-        })
+        Some(explore_with(&lowered.net, opts.explore_states, opts.threads))
     } else {
         None
     };
@@ -435,11 +393,6 @@ fn run_compiled(
 /// Convenience: lower + validate with defaults.
 pub fn validate_default(cs: &ConstraintSet, exec: &ExecConditions) -> ValidationReport {
     validate(cs, exec, &ValidateOptions::default())
-}
-
-/// Re-export of the lowered form for callers that want the net itself.
-pub fn lower_net(cs: &ConstraintSet, exec: &ExecConditions) -> LoweredNet {
-    lower(cs, exec)
 }
 
 #[cfg(test)]
@@ -516,7 +469,7 @@ mod tests {
         for opts in [
             ValidateOptions::default(),
             ValidateOptions {
-                factor: FactorPolicy::Off,
+                factor: false,
                 explore_states: 5_000,
                 ..Default::default()
             },

@@ -7,14 +7,16 @@
 //! and the layered validation pipeline (structural conflicts →
 //! per-assignment simulation → optional interleaving exploration).
 //!
-//! Two engines run the per-assignment simulations: the legacy full-rescan
-//! loop ([`run_to_quiescence`]) and the wavefront worklist
-//! ([`run_to_quiescence_wavefront`]), pinned bit-identical by property
-//! tests. For replaying one net many times, [`PreparedNet`] compiles the
-//! wavefront's derived tables once and [`NetSession`] reuses scratch
-//! state across runs; [`guard_groups`] factors independent guards so
-//! [`validate`] can enumerate additive sub-spaces instead of the full
-//! multiplicative product (see [`ValidateOptions::factor`]).
+//! Validation has one compile → run path: [`CompiledValidation::compile`]
+//! checks conflicts, lowers the net and derives the wavefront's tables
+//! once, and [`CompiledValidation::run`] replays every branch assignment
+//! on the wavefront worklist with one reusable scratch state per pool
+//! worker; [`validate`] is the two in a row. [`guard_groups`] factors
+//! independent guards so the run can enumerate additive sub-spaces
+//! instead of the full multiplicative product (see
+//! [`ValidateOptions::factor`]). The simple full-rescan simulator
+//! ([`run_to_quiescence`]) and sequential exploration ([`explore`]) are
+//! the oracles the property tests pin the production engines to.
 //!
 //! ```
 //! use dscweaver_core::ExecConditions;
@@ -50,17 +52,17 @@ pub mod analysis;
 pub mod invariants;
 pub mod lower;
 pub mod net;
-pub mod prepared;
+mod prepared;
 pub mod reach;
 
 pub use analysis::{
-    validate, validate_default, AssignmentFailure, CompiledValidation, FactorPolicy,
-    ValidateOptions, ValidationReport,
+    validate, validate_default, AssignmentFailure, CompiledValidation, ValidateOptions,
+    ValidationReport,
 };
 pub use invariants::{check_invariants, place_invariants, PlaceInvariant};
 pub use lower::{lower, ActivityNodes, LoweredNet, SKIP};
 pub use net::{ArcIn, ArcOut, Color, ColorFilter, Marking, Mode, Net, PlaceId, TransitionId};
-pub use prepared::{guard_groups, NetSession, PreparedNet, WavefrontTables};
+pub use prepared::guard_groups;
 pub use reach::{
     assignment_chooser, explore, explore_with, run_to_quiescence, run_to_quiescence_wavefront,
     Reachability, Run,

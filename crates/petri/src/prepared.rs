@@ -1,18 +1,17 @@
-//! Prepared (pre-compiled) nets: the wavefront simulator's derived tables
-//! hoisted out of the per-run loop, plus guard-independence analysis over
-//! the lowered net's place footprints.
+//! The wavefront simulator's compile and run halves, plus
+//! guard-independence analysis over the lowered net's place footprints.
 //!
-//! [`run_to_quiescence_wavefront`](crate::run_to_quiescence_wavefront)
-//! derives two tables from the net before every run — the place →
+//! [`Tables`] holds what the wavefront derives from a net — the place →
 //! consuming-transitions index and the per-mode distinct-input-places
-//! flags — and allocates a fresh working marking. Validation replays the
-//! *same* net once per branch assignment (monitoring-style replay), so a
-//! [`PreparedNet`] computes the tables once and a [`NetSession`] carries
-//! one reusable scratch marking / decided-mode map / dirty worklist per
-//! pool worker across runs. The session's [`NetSession::run`] is the
-//! wavefront loop verbatim, so traces and final markings are bit-identical
-//! to the unprepared path — which the `prepared_engines_equivalence`
-//! property tests pin.
+//! flags — and [`Scratch`] one worker's reusable marking, decided-mode map
+//! and dirty worklist. Validation replays the *same* net once per branch
+//! assignment, so [`CompiledValidation`](crate::CompiledValidation) owns
+//! one `Tables` and each pool worker one `Scratch`;
+//! [`run_to_quiescence_wavefront`](crate::run_to_quiescence_wavefront)
+//! derives both for a single run. [`Scratch::run`] is the only wavefront
+//! loop, pinned trace for trace to the
+//! [`run_to_quiescence`](crate::run_to_quiescence) oracle by the
+//! `par_equivalence` property tests.
 //!
 //! [`guard_groups`] adds the independence analysis on top: the forward
 //! place-closure reachable from each guard's `finish` outputs is the set
@@ -27,15 +26,9 @@ use dscweaver_dscl::ConstraintSet;
 use dscweaver_graph::BitSet;
 use std::collections::{BTreeSet, HashMap};
 
-/// The wavefront simulator's derived tables, owned and lifetime-free —
-/// the cacheable "compile half" of a [`PreparedNet`].
-///
-/// Splitting the tables from the net reference lets a long-lived registry
-/// (the serve daemon's warm-artifact cache) store them next to the owned
-/// net and rebuild a borrowing [`PreparedNet`] per request with
-/// [`PreparedNet::with_tables`] at zero derivation cost.
-#[derive(Clone, Debug)]
-pub struct WavefrontTables {
+/// The wavefront simulator's derived tables for one net.
+#[derive(Debug)]
+pub(crate) struct Tables {
     /// `consumers[p]` = transitions with an input arc on place `p` in any
     /// mode, ascending.
     consumers: Vec<Vec<u32>>,
@@ -44,9 +37,9 @@ pub struct WavefrontTables {
     distinct: Vec<Vec<bool>>,
 }
 
-impl WavefrontTables {
+impl Tables {
     /// Derives the consumer and distinct-input-place tables from a net.
-    pub fn derive(net: &Net) -> Self {
+    pub(crate) fn derive(net: &Net) -> Self {
         let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); net.places.len()];
         let mut distinct: Vec<Vec<bool>> = Vec::with_capacity(net.transitions.len());
         for (ti, tr) in net.transitions.iter().enumerate() {
@@ -66,85 +59,35 @@ impl WavefrontTables {
                 consumers[p as usize].push(ti as u32);
             }
         }
-        WavefrontTables {
+        Tables {
             consumers,
             distinct,
         }
     }
 }
 
-/// A net with the wavefront simulator's derived tables computed once.
-///
-/// Borrows the net immutably, so one `PreparedNet` can be shared across
-/// worker threads, each holding its own [`NetSession`]. The tables are
-/// either derived on the spot ([`PreparedNet::new`]) or borrowed from a
-/// cached [`WavefrontTables`] ([`PreparedNet::with_tables`]); behaviour
-/// is identical.
-#[derive(Debug)]
-pub struct PreparedNet<'n> {
-    net: &'n Net,
-    tables: std::borrow::Cow<'n, WavefrontTables>,
-}
-
-impl<'n> PreparedNet<'n> {
-    /// Derives the consumer and distinct-input-place tables.
-    pub fn new(net: &'n Net) -> Self {
-        PreparedNet {
-            net,
-            tables: std::borrow::Cow::Owned(WavefrontTables::derive(net)),
-        }
-    }
-
-    /// Wraps a net and its pre-derived tables without re-deriving. The
-    /// tables must come from [`WavefrontTables::derive`] on this same net.
-    pub fn with_tables(net: &'n Net, tables: &'n WavefrontTables) -> Self {
-        PreparedNet {
-            net,
-            tables: std::borrow::Cow::Borrowed(tables),
-        }
-    }
-
-    /// The underlying net.
-    pub fn net(&self) -> &'n Net {
-        self.net
-    }
-
-    /// A fresh session (scratch marking + worklist) over this prepared net.
-    pub fn session(&self) -> NetSession<'_, 'n> {
-        NetSession {
-            prep: self,
-            marking: self.net.initial.clone(),
-            decided: HashMap::new(),
-            dirty: BTreeSet::new(),
-        }
-    }
-}
-
-/// Reusable per-worker simulation state over a [`PreparedNet`].
-///
-/// Each [`run`](NetSession::run) resets the scratch marking to the net's
-/// initial marking and replays the wavefront loop; the marking, the
-/// decided-mode map and the dirty worklist are recycled across runs so the
-/// per-run cost is the simulation itself, not re-deriving tables or
-/// reallocating state.
-#[derive(Debug)]
-pub struct NetSession<'p, 'n> {
-    prep: &'p PreparedNet<'n>,
+/// One worker's reusable simulation state: each [`run`](Scratch::run)
+/// resets it, so the marking, the decided-mode map and the dirty worklist
+/// are recycled across runs instead of reallocated.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
     marking: Marking,
     decided: HashMap<TransitionId, usize>,
     dirty: BTreeSet<u32>,
 }
 
-impl NetSession<'_, '_> {
-    /// Runs the net to quiescence — semantics (and output, bit for bit)
-    /// of [`run_to_quiescence_wavefront`](crate::run_to_quiescence_wavefront),
-    /// minus the per-call table derivation.
-    pub fn run(
+impl Scratch {
+    /// Runs `net` to quiescence from its initial marking — the wavefront
+    /// loop documented on
+    /// [`run_to_quiescence_wavefront`](crate::run_to_quiescence_wavefront).
+    /// `tables` must come from [`Tables::derive`] on this same net.
+    pub(crate) fn run(
         &mut self,
+        net: &Net,
+        tables: &Tables,
         mut choose_mode: impl FnMut(&Net, TransitionId, &[usize]) -> usize,
         max_steps: usize,
     ) -> Run {
-        let net = self.prep.net;
         self.marking.clone_from(&net.initial);
         self.decided.clear();
         self.dirty.clear();
@@ -166,7 +109,7 @@ impl NetSession<'_, '_> {
                 let tid = TransitionId(t);
                 let enabled: Vec<usize> = (0..net.transitions[t as usize].modes.len())
                     .filter(|&mi| {
-                        first_binding(net, &self.marking, tid, mi, self.prep.tables.distinct[t as usize][mi])
+                        first_binding(net, &self.marking, tid, mi, tables.distinct[t as usize][mi])
                             .is_some()
                     })
                     .collect();
@@ -188,7 +131,7 @@ impl NetSession<'_, '_> {
                     }
                 };
                 let binding =
-                    first_binding(net, &self.marking, tid, mode, self.prep.tables.distinct[t as usize][mode])
+                    first_binding(net, &self.marking, tid, mode, tables.distinct[t as usize][mode])
                         .expect("chosen mode is enabled");
                 net.fire_in_place(&mut self.marking, tid, mode, &binding);
                 trace.push((tid, net.transitions[t as usize].modes[mode].label.clone()));
@@ -198,7 +141,7 @@ impl NetSession<'_, '_> {
                 // enabledness. The fired transition itself stays dirty —
                 // the next sweep re-checks it, as the rescan would.
                 for arc in &net.transitions[t as usize].modes[mode].outputs {
-                    for &c in &self.prep.tables.consumers[arc.place.0 as usize] {
+                    for &c in &tables.consumers[arc.place.0 as usize] {
                         self.dirty.insert(c);
                     }
                 }
@@ -334,7 +277,7 @@ pub fn guard_groups(lowered: &LoweredNet, cs: &ConstraintSet) -> Vec<Vec<String>
 mod tests {
     use super::*;
     use crate::lower::lower;
-    use crate::reach::{assignment_chooser, run_to_quiescence_wavefront};
+    use crate::reach::{assignment_chooser, run_to_quiescence};
     use dscweaver_core::ExecConditions;
     use dscweaver_dscl::{Condition, Origin, Relation, StateRef};
     use std::collections::HashMap;
@@ -417,26 +360,29 @@ mod tests {
 
     #[test]
     fn session_replays_wavefront_bit_identically() {
+        // One scratch reused across runs must replay the rescan oracle.
         let cs = two_islands();
         let exec = ExecConditions::derive(&cs);
         let lowered = lower(&cs, &exec);
-        let prep = PreparedNet::new(&lowered.net);
-        let mut session = prep.session();
+        let tables = Tables::derive(&lowered.net);
+        let mut scratch = Scratch::default();
         for (v1, v2) in [("T", "T"), ("T", "F"), ("F", "T"), ("F", "F"), ("T", "T")] {
             let assignment: HashMap<String, String> = [
                 ("finish(g1)".to_string(), v1.to_string()),
                 ("finish(g2)".to_string(), v2.to_string()),
             ]
             .into();
-            let fresh = run_to_quiescence_wavefront(
+            let oracle =
+                run_to_quiescence(&lowered.net, assignment_chooser(&assignment), 1_000_000);
+            let reused = scratch.run(
                 &lowered.net,
+                &tables,
                 assignment_chooser(&assignment),
                 1_000_000,
             );
-            let reused = session.run(assignment_chooser(&assignment), 1_000_000);
-            assert_eq!(fresh.trace, reused.trace);
-            assert_eq!(fresh.final_marking, reused.final_marking);
-            assert_eq!(fresh.diverged, reused.diverged);
+            assert_eq!(oracle.trace, reused.trace);
+            assert_eq!(oracle.final_marking, reused.final_marking);
+            assert_eq!(oracle.diverged, reused.diverged);
         }
     }
 }

@@ -2,14 +2,15 @@
 //! and a deterministic maximal-step simulator for the conflict-free nets
 //! the DSCL lowering produces.
 //!
-//! Both analyses come in two flavors sharing one result type: the original
-//! full-rescan/FIFO implementations ([`run_to_quiescence`], [`explore`])
-//! and the optimized ones ([`run_to_quiescence_wavefront`],
-//! [`explore_with`]) — a dirty-transition worklist that skips the `O(T)`
-//! sweep rescans, and a frontier-layered BFS whose per-marking expansion
-//! fans out on the shared [`dscweaver_graph::par`] pool. Each pair is
-//! pinned bit-identical (trace for trace, marking for marking) by the
-//! `par_equivalence` property tests.
+//! Both analyses come in two flavors sharing one result type: the simple
+//! full-rescan/FIFO implementations ([`run_to_quiescence`], [`explore`]),
+//! kept as the oracles, and the production ones
+//! ([`run_to_quiescence_wavefront`], [`explore_with`]) — a
+//! dirty-transition worklist that skips the `O(T)` sweep rescans, and a
+//! frontier-layered BFS whose per-marking expansion fans out on the shared
+//! [`dscweaver_graph::par`] pool. Each pair is pinned bit-identical (trace
+//! for trace, marking for marking) by the `par_equivalence` property
+//! tests.
 
 use crate::net::{Color, Marking, Net, TransitionId};
 use dscweaver_graph::par_map;
@@ -34,6 +35,8 @@ pub struct Reachability {
 
 /// Explores the reachability graph breadth-first up to `max_states`
 /// distinct markings.
+///
+/// The sequential oracle for [`explore_with`], which validation runs.
 pub fn explore(net: &Net, max_states: usize) -> Reachability {
     let mut seen: HashSet<Marking> = HashSet::new();
     let mut queue: VecDeque<Marking> = VecDeque::new();
@@ -176,6 +179,9 @@ pub struct Run {
 /// For the conflict-free nets the DSCL lowering produces, the final
 /// marking is independent of firing order once modes are fixed
 /// (confluence), which the tests exercise.
+///
+/// The full-rescan oracle for [`run_to_quiescence_wavefront`], which
+/// validation runs.
 pub fn run_to_quiescence(
     net: &Net,
     mut choose_mode: impl FnMut(&Net, TransitionId, &[usize]) -> usize,
@@ -285,20 +291,16 @@ pub(crate) fn first_binding(
 /// drop the per-probe and per-firing whole-marking clones the legacy
 /// engine pays.
 ///
-/// This is a convenience wrapper that compiles the net's derived tables
-/// and runs once; callers replaying one net many times (validation's
-/// per-assignment loop) should build a
-/// [`PreparedNet`](crate::PreparedNet) and reuse a
-/// [`NetSession`](crate::NetSession) instead, which skips the per-call
-/// table derivation and state allocation.
+/// This one-shot call derives the net's tables and runs once; validation
+/// keeps the tables in its [`CompiledValidation`](crate::CompiledValidation)
+/// and one scratch state per pool worker, so repeated runs skip both.
 pub fn run_to_quiescence_wavefront(
     net: &Net,
     choose_mode: impl FnMut(&Net, TransitionId, &[usize]) -> usize,
     max_steps: usize,
 ) -> Run {
-    crate::prepared::PreparedNet::new(net)
-        .session()
-        .run(choose_mode, max_steps)
+    let tables = crate::prepared::Tables::derive(net);
+    crate::prepared::Scratch::default().run(net, &tables, choose_mode, max_steps)
 }
 
 /// Picks the mode whose label matches the assignment, for branch
@@ -316,11 +318,6 @@ pub fn assignment_chooser<'a>(
         }
         enabled[0]
     }
-}
-
-/// The colors used by bindings/tests.
-pub fn unit_binding(n: usize) -> Vec<Color> {
-    vec![Color::unit(); n]
 }
 
 #[cfg(test)]

@@ -274,15 +274,15 @@ fn wake_all(list: Option<&Vec<usize>>, dirty: &mut BTreeSet<usize>, tainted: &mu
     }
 }
 
-/// The owned, lifetime-free compile half of a [`PreparedSchedule`]: the
-/// prereq buckets, exclusive-partner lists and agenda wake-lists, all
-/// keyed by **activity index** (position in the constraint set's sorted
+/// The owned, lifetime-free compile half of the scheduler: the prereq
+/// buckets, exclusive-partner lists and agenda wake-lists, all keyed by
+/// **activity index** (position in the constraint set's sorted
 /// `activities`) instead of borrowed `&str` keys.
 ///
 /// Because nothing here borrows the constraint set, a long-lived registry
 /// (the serve daemon's warm-artifact cache) can store one `ScheduleTables`
 /// per cached process next to its owned `ConstraintSet`/`ExecConditions`
-/// and rebuild a borrowing [`PreparedSchedule`] per request with
+/// and wrap them in a [`PreparedSchedule`] per request with
 /// [`PreparedSchedule::with_tables`] at zero derivation cost.
 #[derive(Clone, Debug)]
 pub struct ScheduleTables {
@@ -365,50 +365,33 @@ impl ScheduleTables {
     }
 }
 
-/// A constraint set compiled for repeated simulation: the prereq indexes,
-/// exclusive-partner sets and agenda wake-lists
-/// (`dep_state`/`dep_guard`/`excl_ix`) derived once (see
-/// [`ScheduleTables`]) and reused across runs with different branch
+/// The run half of the scheduler: a constraint set with its
+/// [`ScheduleTables`], replayed across runs with different branch
 /// oracles, durations, worker limits and thread counts — the
 /// monitoring-replay workload, where one ASC is simulated many times.
 ///
-/// [`simulate`] is exactly `PreparedSchedule::new(cs, exec).run(config)`,
-/// so every session run is bit-identical to the fresh-build path by
+/// [`simulate`] is exactly `ScheduleTables::derive` +
+/// [`PreparedSchedule::with_tables`] + [`PreparedSchedule::run`], so a
+/// replay over cached tables is bit-identical to the one-shot path by
 /// construction (and pinned by the `prepared_engines_equivalence`
-/// property tests); preparing once just amortizes the index derivation.
+/// property tests).
 #[derive(Debug)]
 pub struct PreparedSchedule<'a> {
     cs: &'a ConstraintSet,
     exec: &'a ExecConditions,
-    tables: std::borrow::Cow<'a, ScheduleTables>,
+    tables: &'a ScheduleTables,
     acts: Vec<&'a str>,
     act_ix: HashMap<&'a str, usize>,
 }
 
 impl<'a> PreparedSchedule<'a> {
-    /// Derives the static indexes (prereq buckets, exclusive partners,
-    /// agenda wake-lists) from `cs`/`exec`.
-    pub fn new(cs: &'a ConstraintSet, exec: &'a ExecConditions) -> Self {
-        let tables = ScheduleTables::derive(cs, exec);
-        Self::assemble(cs, exec, std::borrow::Cow::Owned(tables))
-    }
-
-    /// Wraps `cs`/`exec` and pre-derived tables without re-deriving. The
-    /// tables must come from [`ScheduleTables::derive`] on this same
-    /// `cs`/`exec` pair; runs are then bit-identical to the
-    /// [`PreparedSchedule::new`] path.
+    /// Wraps `cs`/`exec` and their tables without re-deriving. The tables
+    /// must come from [`ScheduleTables::derive`] on this same `cs`/`exec`
+    /// pair.
     pub fn with_tables(
         cs: &'a ConstraintSet,
         exec: &'a ExecConditions,
         tables: &'a ScheduleTables,
-    ) -> Self {
-        Self::assemble(cs, exec, std::borrow::Cow::Borrowed(tables))
-    }
-
-    fn assemble(
-        cs: &'a ConstraintSet,
-        exec: &'a ExecConditions,
-        tables: std::borrow::Cow<'a, ScheduleTables>,
     ) -> Self {
         let acts: Vec<&str> = cs.activities.iter().map(String::as_str).collect();
         let act_ix: HashMap<&str, usize> = acts.iter().enumerate().map(|(i, a)| (*a, i)).collect();
@@ -421,18 +404,13 @@ impl<'a> PreparedSchedule<'a> {
         }
     }
 
-    /// The underlying constraint set.
-    pub fn constraint_set(&self) -> &'a ConstraintSet {
-        self.cs
-    }
-
     /// One simulation run over the prepared indexes — the wavefront event
     /// loop of [`simulate`], minus the per-call index derivation.
     pub fn run(&self, config: &SimConfig) -> Schedule {
         let _span = obs::span("scheduler.run");
         let cs = self.cs;
         let exec = self.exec;
-        let tables: &ScheduleTables = self.tables.as_ref();
+        let tables = self.tables;
         let start_prereqs = tables.start_prereqs.as_slice();
         let finish_prereqs = tables.finish_prereqs.as_slice();
         let acts = &self.acts;
@@ -666,11 +644,12 @@ impl<'a> PreparedSchedule<'a> {
 /// order, which makes the trace bit-identical to the rescan baseline and
 /// independent of the thread count — only `constraint_checks` shrinks.
 ///
-/// Convenience wrapper: derives the static indexes and runs once. Callers
-/// replaying one constraint set under many configurations should build a
-/// [`PreparedSchedule`] and call [`PreparedSchedule::run`] repeatedly.
+/// The one-shot composition: derives the static indexes and runs once.
+/// Callers replaying one constraint set under many configurations keep a
+/// [`ScheduleTables`] and call [`PreparedSchedule::run`] repeatedly.
 pub fn simulate(cs: &ConstraintSet, exec: &ExecConditions, config: &SimConfig) -> Schedule {
-    PreparedSchedule::new(cs, exec).run(config)
+    let tables = ScheduleTables::derive(cs, exec);
+    PreparedSchedule::with_tables(cs, exec, &tables).run(config)
 }
 
 /// The original engine: every commit pass linearly rescans all activities.
@@ -1224,8 +1203,8 @@ mod tests {
     #[test]
     fn detached_tables_run_is_bit_identical() {
         // The serve registry path: derive ScheduleTables once, store them
-        // detached from any borrow, and rebuild a PreparedSchedule per
-        // request. Runs must match the owning path exactly.
+        // detached from any borrow, and wrap them in a PreparedSchedule per
+        // request. Runs must match a fresh one-shot simulate exactly.
         let mut cs = ConstraintSet::new("detached");
         for a in ["g", "x", "y", "j", "p", "q"] {
             cs.add_activity(a);
@@ -1258,7 +1237,7 @@ mod tests {
                 cfg.oracle.insert("g".into(), value.into());
                 cfg.durations.set("p", 3);
                 cfg.threads = threads;
-                let owned = PreparedSchedule::new(&cs, &exec).run(&cfg);
+                let owned = simulate(&cs, &exec, &cfg);
                 let detached = PreparedSchedule::with_tables(&cs, &exec, &tables).run(&cfg);
                 assert_eq!(
                     format!("{:?}", detached.trace),

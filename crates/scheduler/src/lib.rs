@@ -6,21 +6,21 @@
 //! * [`engine`] — a discrete-event simulator executing constraint sets in
 //!   virtual time, with dead-path elimination, Exclusive runtime checking
 //!   (§4.2) and a constraint-check counter (the "maintenance cost" the
-//!   optimization reduces); [`PreparedSchedule`] compiles one constraint
-//!   set's indexes for repeated simulation under different branch oracles
-//!   (monitoring replay);
+//!   optimization reduces). One compile → run path: [`ScheduleTables`]
+//!   derives one constraint set's indexes once and
+//!   [`PreparedSchedule::run`] replays them under different branch oracles
+//!   (monitoring replay); [`simulate`] is the two in a row, and
+//!   [`simulate_rescan_baseline`] is the oracle the wavefront is pinned to;
 //! * [`constructs`] — the sequencing-construct baseline: Figure-2-style
 //!   process structure converted to (over-specified) constraints, run on
 //!   the same engine;
-//! * [`threaded`] — a real concurrent executor (scoped `std::thread`s +
-//!   a `std::sync` monitor) honoring the same constraints;
 //! * [`trace`] — traces, metrics and post-hoc verification of *any*
 //!   constraint set against a trace (the optimizer's correctness oracle).
 //!
 //! ```
 //! use dscweaver_core::ExecConditions;
 //! use dscweaver_dscl::{ConstraintSet, Origin, Relation, StateRef};
-//! use dscweaver_scheduler::{engine::PreparedSchedule, simulate, SimConfig};
+//! use dscweaver_scheduler::{simulate, PreparedSchedule, ScheduleTables, SimConfig};
 //!
 //! // a → b → c in series, unit durations.
 //! let mut cs = ConstraintSet::new("chain");
@@ -32,10 +32,11 @@
 //!
 //! let exec = ExecConditions::derive(&cs);
 //! let config = SimConfig::default();
-//! // One-shot entry point and the prepared session agree bit for bit.
+//! // The one-shot entry point and a replay over cached tables agree bit
+//! // for bit.
 //! let fresh = simulate(&cs, &exec, &config);
-//! let session = PreparedSchedule::new(&cs, &exec);
-//! let replay = session.run(&config);
+//! let tables = ScheduleTables::derive(&cs, &exec);
+//! let replay = PreparedSchedule::with_tables(&cs, &exec, &tables).run(&config);
 //! assert!(fresh.completed());
 //! assert_eq!(format!("{:?}", replay.trace), format!("{:?}", fresh.trace));
 //! assert_eq!(fresh.trace.makespan(), 3);
@@ -47,7 +48,6 @@ pub mod conformance;
 pub mod constructs;
 pub mod engine;
 pub mod monitor;
-pub mod threaded;
 pub mod trace;
 
 pub use conformance::{check_all_conformance, check_conformance, occurrence_point};
@@ -60,5 +60,4 @@ pub use engine::{
     simulate, simulate_rescan_baseline, DurationModel, PreparedSchedule, Schedule, ScheduleTables,
     SimConfig,
 };
-pub use threaded::{execute_threaded, ThreadedRun};
 pub use trace::{EventKind, Time, Trace, TraceEvent, Violation};

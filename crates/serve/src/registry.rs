@@ -158,7 +158,7 @@ impl ProcessEntry {
 
     /// Simulates the minimal set on the cached scheduler indexes, under a
     /// branch oracle in **canonical** guard names. Bit-identical to a
-    /// fresh `PreparedSchedule::new(..).run(..)`.
+    /// fresh `scheduler::simulate`.
     pub fn simulate(&self, branches: &[(String, String)], threads: usize) -> Schedule {
         let mut sim = SimConfig {
             threads,

@@ -359,7 +359,6 @@ pub fn service_mesh(n_services: usize, seed: u64) -> DependencySet {
 mod tests {
     use super::*;
     use dscweaver_core::{EquivalenceMode, ExecConditions, Weaver};
-    use dscweaver_petri::FactorPolicy;
 
     #[test]
     fn layered_is_deterministic_and_connected() {
@@ -452,7 +451,7 @@ mod tests {
             &out.minimal,
             &out.exec,
             &dscweaver_petri::ValidateOptions {
-                factor: FactorPolicy::Off,
+                factor: false,
                 ..Default::default()
             },
         );
@@ -464,10 +463,7 @@ mod tests {
         let factored = dscweaver_petri::validate(
             &out.minimal,
             &out.exec,
-            &dscweaver_petri::ValidateOptions {
-                factor: FactorPolicy::On,
-                ..Default::default()
-            },
+            &dscweaver_petri::ValidateOptions::default(),
         );
         assert!(factored.ok(), "failures: {:?}", factored.failures);
         assert_eq!(factored.guard_groups, 2);

@@ -1,143 +1,87 @@
 //! Property tests pinning the parallel Petri validation paths
-//! bit-identical to their sequential counterparts, on seeded workloads:
+//! bit-identical to their oracles, on seeded workloads:
 //!
 //! * `validate` with `threads ∈ {1, 2, auto}` must produce the same report
-//!   as the sequential legacy-rescan reference, with failures in
-//!   assignment-lexicographic order;
+//!   as the test-side reference enumeration over the `run_to_quiescence`
+//!   oracle, with failures in assignment-lexicographic order;
 //! * `explore_with` must reproduce `explore` exactly (seen-insertion
 //!   order, truncation, terminal markings, fired set, peak tokens);
 //! * `run_to_quiescence_wavefront` must replay `run_to_quiescence`'s
 //!   firing sequence exactly.
 
-use dscweaver_core::Weaver;
-use dscweaver_dscl::{Condition, ConstraintSet, Relation, StateRef};
+mod common;
+
+use common::{ghost_guards, reference, Reference};
+use dscweaver_core::{ExecConditions, Weaver};
+use dscweaver_dscl::ConstraintSet;
 use dscweaver_petri::{
     assignment_chooser, explore, explore_with, lower, run_to_quiescence,
-    run_to_quiescence_wavefront, validate, AssignmentFailure, FactorPolicy, ValidateOptions,
-    ValidationReport,
+    run_to_quiescence_wavefront, validate, Net, ValidateOptions,
 };
 use dscweaver_prng::Rng;
 use dscweaver_workloads::{dense_conditional, fork_join, DenseConditionalParams};
 use std::collections::HashMap;
 
-/// Canonical, order-stable view of a failure (the raw assignment is a
-/// HashMap whose Debug order is unstable).
-fn canon_failure(f: &AssignmentFailure) -> (Vec<(String, String)>, Vec<String>, String, bool) {
-    let mut a: Vec<(String, String)> = f
-        .assignment
-        .iter()
-        .map(|(k, v)| (k.clone(), v.clone()))
-        .collect();
-    a.sort();
-    (a, f.stuck.clone(), f.marking.clone(), f.diverged)
-}
-
-#[allow(clippy::type_complexity)]
-fn canon_report(
-    r: &ValidationReport,
-) -> (
-    Option<Vec<String>>,
-    usize,
-    bool,
-    Vec<(Vec<(String, String)>, Vec<String>, String, bool)>,
-) {
-    (
-        r.conflict_cycle.clone(),
-        r.assignments_checked,
-        r.assignments_truncated,
-        r.failures.iter().map(canon_failure).collect(),
-    )
+/// The three 5-guard `dense_conditional` nets the report-level tests use.
+fn dense5() -> Vec<(u64, ConstraintSet, ExecConditions)> {
+    [3u64, 17, 91]
+        .into_iter()
+        .map(|seed| {
+            let ds = dense_conditional(&DenseConditionalParams {
+                guards: 5,
+                chain_len: 3,
+                redundant: 16,
+                seed,
+            });
+            let out = Weaver::new().run(&ds).unwrap();
+            (seed, out.minimal, out.exec)
+        })
+        .collect()
 }
 
 #[test]
 fn validate_report_is_thread_invariant_on_clean_workloads() {
-    for seed in [3u64, 17, 91] {
-        let ds = dense_conditional(&DenseConditionalParams {
-            guards: 5,
-            chain_len: 3,
-            redundant: 16,
-            seed,
-        });
-        let out = Weaver::new().run(&ds).unwrap();
-        let reference = validate(
-            &out.minimal,
-            &out.exec,
-            &ValidateOptions {
-                threads: 1,
-                rescan_baseline: true,
-                ..Default::default()
-            },
-        );
-        assert!(reference.ok(), "seed {seed}: {:?}", reference.failures);
-        assert_eq!(reference.assignments_checked, 32);
+    for (seed, cs, exec) in dense5() {
+        let reference = reference(&cs, &exec, 4096);
+        assert!(reference.failures.is_empty(), "seed {seed}: {:?}", reference.failures);
+        assert_eq!(reference.checked, 32);
         for threads in [1usize, 2, 0] {
             let par = validate(
-                &out.minimal,
-                &out.exec,
-                &ValidateOptions {
-                    threads,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(
-                canon_report(&par),
-                canon_report(&reference),
-                "seed {seed} threads {threads}"
-            );
-        }
-    }
-}
-
-/// Three "ghost" guards (domains declared, control places never fed) make
-/// every branch assignment fail — 8 failures whose merge order across
-/// windows must be exactly assignment-lexicographic for any thread count.
-#[test]
-fn failure_merge_order_is_lexicographic_and_thread_invariant() {
-    let mut cs = ConstraintSet::new("ghosts");
-    for k in 0..3 {
-        cs.add_activity(format!("b{k}"));
-        cs.add_domain(format!("g{k}"), vec!["T".into(), "F".into()]);
-        cs.relations.push(Relation::before_if(
-            StateRef::finish(&format!("g{k}")),
-            StateRef::start(&format!("b{k}")),
-            Condition::new(format!("g{k}"), "T"),
-            dscweaver_dscl::Origin::Control,
-        ));
-    }
-    let exec = dscweaver_core::ExecConditions::derive(&cs);
-    let reference = validate(
-        &cs,
-        &exec,
-        &ValidateOptions {
-            threads: 1,
-            rescan_baseline: true,
-            // Pin the full 2^3 enumeration: the three ghost guards are
-            // provably independent, so auto-factoring would shrink it.
-            factor: FactorPolicy::Off,
-            ..Default::default()
-        },
-    );
-    assert!(!reference.ok());
-    assert_eq!(reference.assignments_checked, 8);
-    assert_eq!(reference.failures.len(), 8, "every assignment deadlocks");
-    for threads in [1usize, 2, 0] {
-        for rescan in [false, true] {
-            let got = validate(
                 &cs,
                 &exec,
                 &ValidateOptions {
                     threads,
-                    rescan_baseline: rescan,
-                    factor: FactorPolicy::Off,
                     ..Default::default()
                 },
             );
-            assert_eq!(
-                canon_report(&got),
-                canon_report(&reference),
-                "threads {threads} rescan {rescan}"
-            );
+            assert_eq!(Reference::of(&par), reference, "seed {seed} threads {threads}");
         }
+    }
+}
+
+/// Three ghost guards make every branch assignment fail — 8 failures
+/// whose merge order across windows must be exactly
+/// assignment-lexicographic for any thread count.
+#[test]
+fn failure_merge_order_is_lexicographic_and_thread_invariant() {
+    let cs = ghost_guards();
+    let exec = ExecConditions::derive(&cs);
+    let reference = reference(&cs, &exec, 4096);
+    assert_eq!(reference.checked, 8);
+    assert_eq!(reference.failures.len(), 8, "every assignment deadlocks");
+    for threads in [1usize, 2, 0] {
+        let got = validate(
+            &cs,
+            &exec,
+            &ValidateOptions {
+                threads,
+                // Pin the full 2^3 enumeration: the three ghost guards are
+                // provably independent, so factoring would shrink it.
+                factor: false,
+                ..Default::default()
+            },
+        );
+        assert_eq!(Reference::of(&got), reference, "threads {threads}");
     }
 }
 
@@ -174,6 +118,15 @@ fn explore_with_matches_sequential_explore() {
     }
 }
 
+/// Asserts the wavefront replays the rescan oracle's run exactly.
+fn assert_replays_oracle(net: &Net, assignment: &HashMap<String, String>, what: &str) {
+    let a = run_to_quiescence(net, assignment_chooser(assignment), 1_000_000);
+    let b = run_to_quiescence_wavefront(net, assignment_chooser(assignment), 1_000_000);
+    assert_eq!(a.diverged, b.diverged, "{what}");
+    assert_eq!(a.trace, b.trace, "firing sequence diverged ({what})");
+    assert_eq!(a.final_marking, b.final_marking, "{what}");
+}
+
 #[test]
 fn wavefront_quiescence_replays_rescan_firing_sequence() {
     let mut rng = Rng::seed_from_u64(77);
@@ -194,11 +147,30 @@ fn wavefront_quiescence_replays_rescan_firing_sequence() {
                     (format!("finish(g_{k})"), v.to_string())
                 })
                 .collect();
-            let a = run_to_quiescence(&net, assignment_chooser(&assignment), 1_000_000);
-            let b = run_to_quiescence_wavefront(&net, assignment_chooser(&assignment), 1_000_000);
-            assert_eq!(a.diverged, b.diverged);
-            assert_eq!(a.trace, b.trace, "firing sequence diverged (seed {seed})");
-            assert_eq!(a.final_marking, b.final_marking);
+            assert_replays_oracle(&net, &assignment, &format!("seed {seed}"));
+        }
+    }
+    // Every branch assignment of the nets the report-level tests validate:
+    // 32 per 5-guard dense net, 8 (all failing) for the ghost guards.
+    let ghosts = ghost_guards();
+    let ghost_exec = ExecConditions::derive(&ghosts);
+    let nets = dense5()
+        .into_iter()
+        .map(|(seed, cs, exec)| (format!("dense seed {seed}"), cs, exec))
+        .chain([("ghosts".to_string(), ghosts, ghost_exec)]);
+    for (what, cs, exec) in nets {
+        let net = lower(&cs, &exec).net;
+        let guards: Vec<&String> = cs.domains.keys().collect();
+        for bits in 0u32..1 << guards.len() {
+            let assignment: HashMap<String, String> = guards
+                .iter()
+                .enumerate()
+                .map(|(k, g)| {
+                    let v = if bits & (1 << k) != 0 { "F" } else { "T" };
+                    (format!("finish({g})"), v.to_string())
+                })
+                .collect();
+            assert_replays_oracle(&net, &assignment, &format!("{what} bits {bits:b}"));
         }
     }
 }

@@ -17,5 +17,5 @@ pub mod parse;
 pub mod write;
 
 pub use doc::{Element, Node};
-pub use parse::{parse, ParseError};
+pub use parse::{parse, ParseError, MAX_NESTING};
 pub use write::{to_string, to_string_pretty};

@@ -2,9 +2,14 @@
 //! generated BPEL: elements, attributes, character data, comments, CDATA,
 //! XML declarations and the five predefined entities plus numeric character
 //! references. No DTDs, namespaces-as-syntax, or processing instructions
-//! beyond skipping `<?...?>`.
+//! beyond skipping `<?...?>`. Elements nest at most [`MAX_NESTING`] deep,
+//! so hostile input is an error instead of a stack overflow.
 
 use crate::doc::{Element, Node};
+
+/// Deepest element nesting [`parse`] accepts (the root is level 1);
+/// deeper documents are a [`ParseError`].
+pub const MAX_NESTING: usize = 256;
 
 /// Parse error with 1-based line/column of the offending byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,6 +33,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Elements currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -160,7 +167,18 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// One element, at most [`MAX_NESTING`] levels deep.
     fn element(&mut self) -> Result<Element, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("elements nest deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let el = self.element_body();
+        self.depth -= 1;
+        el
+    }
+
+    fn element_body(&mut self) -> Result<Element, ParseError> {
         self.expect("<")?;
         let name = self.name()?;
         let mut el = Element::new(name);
@@ -269,6 +287,7 @@ pub fn parse(src: &str) -> Result<Element, ParseError> {
     let mut p = Parser {
         src: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     if p.starts_with("<?") {
@@ -387,6 +406,32 @@ mod tests {
     fn whitespace_only_text_dropped() {
         let e = parse("<a>\n  <b/>\n</a>").unwrap();
         assert_eq!(e.children.len(), 1);
+    }
+
+    fn nested(depth: usize) -> String {
+        format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        assert!(parse(&nested(MAX_NESTING)).is_ok());
+        let err = parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // 100,000 open `<a>` would overflow any thread stack if the
+        // recursion were unbounded; on a 2 MB stack it must be an error.
+        let handle = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| parse(&nested(100_000)).map(|_| ()))
+            .unwrap();
+        let err = handle
+            .join()
+            .expect("parser must not overflow")
+            .unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
     }
 
     #[test]

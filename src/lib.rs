@@ -25,7 +25,7 @@
 //! | [`core`] | `dscweaver-core` | categorization, merge (§4.2), translation (§4.3), minimization (§4.4) |
 //! | [`obs`] | `dscweaver-obs` | zero-dependency tracing/metrics: phase spans, worker lanes, Chrome-trace export |
 //! | [`petri`] | `dscweaver-petri` | colored Petri nets, validation (§4.1) |
-//! | [`scheduler`] | `dscweaver-scheduler` | dataflow DES engine, constructs baseline, threaded executor |
+//! | [`scheduler`] | `dscweaver-scheduler` | dataflow DES engine, constructs baseline |
 //! | [`serve`] | `dscweaver-serve` | multi-tenant weaver daemon (`dscw serve`), warm prepared-artifact cache |
 //! | [`bpel`] | `dscweaver-bpel` | BPEL generation, parsing, structure recovery |
 //! | [`workloads`] | `dscweaver-workloads` | the Purchasing & Deployment processes, synthetic generators |

@@ -22,7 +22,7 @@ use dscweaver_dscl::ConstraintSet;
 use dscweaver_obs as obs;
 use dscweaver_model::Process;
 use dscweaver_petri::{validate, ValidateOptions, ValidationReport};
-use dscweaver_scheduler::{simulate, PreparedSchedule, Schedule, SimConfig};
+use dscweaver_scheduler::{simulate, Schedule, SimConfig};
 use dscweaver_wscl::{derive_service_dependencies, Conversation, ServiceBinding, WsclError};
 
 /// Inputs for the vertical pipeline.
@@ -197,10 +197,8 @@ pub fn weave(input: &VerticalInput<'_>) -> Result<VerticalOutput, VerticalError>
     if sim.threads == 0 {
         sim.threads = input.weaver.threads;
     }
-    // Execution goes through the prepared session (same trace as a fresh
-    // `simulate`, indexes derived once and reusable for replays).
     let schedule = timed("weave.schedule", || {
-        PreparedSchedule::new(&weaver_out.minimal, &weaver_out.exec).run(&sim)
+        simulate(&weaver_out.minimal, &weaver_out.exec, &sim)
     });
     // Correctness contract: the trace produced under the MINIMAL set must
     // satisfy the FULL merged SC, projected to internal activities (the
@@ -254,7 +252,7 @@ pub fn weave_dependencies(
     if sim.threads == 0 {
         sim.threads = weaver.threads;
     }
-    let schedule = PreparedSchedule::new(&weaver_out.minimal, &weaver_out.exec).run(&sim);
+    let schedule = simulate(&weaver_out.minimal, &weaver_out.exec, &sim);
     let violations = {
         let _span = obs::span("weave.verify");
         schedule.trace.verify(&weaver_out.asc)

@@ -205,36 +205,3 @@ fn dscl_round_trip_all_stages() {
         }
     }
 }
-
-/// The threaded executor's traces satisfy the full ASC too (real
-/// concurrency, nondeterministic interleavings).
-#[test]
-fn threaded_agrees() {
-    let mut rng = Rng::seed_from_u64(0xA008);
-    for case in 0..16 {
-        let ds = layered(&LayeredParams {
-            width: 3,
-            depth: 3,
-            density: 0.5,
-            redundant: 4,
-            guards: 1,
-            seed: rng.next_u64(),
-        });
-        let out = Weaver::new().run(&ds).unwrap();
-        let oracle: std::collections::BTreeMap<String, String> = out
-            .asc
-            .domains
-            .keys()
-            .map(|g| (g.clone(), "T".to_string()))
-            .collect();
-        let run = dscweaver::scheduler::execute_threaded(
-            &out.minimal,
-            &out.exec,
-            &oracle,
-            std::time::Duration::from_secs(10),
-        );
-        assert!(run.stuck.is_empty(), "case {case}: stuck: {:?}", run.stuck);
-        let violations = run.trace.verify(&out.asc);
-        assert!(violations.is_empty(), "case {case}: {violations:?}");
-    }
-}

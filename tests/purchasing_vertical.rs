@@ -154,27 +154,6 @@ fn minimal_set_monitoring_cost_vs_unoptimized() {
 }
 
 #[test]
-fn threaded_execution_of_minimal_set() {
-    let ds = purchasing_dependencies();
-    let out = Weaver::new().run(&ds).unwrap();
-    for branch in ["T", "F"] {
-        let oracle: BTreeMap<String, String> =
-            [("if_au".to_string(), branch.to_string())].into();
-        for _ in 0..10 {
-            let run = dscweaver::scheduler::execute_threaded(
-                &out.minimal,
-                &out.exec,
-                &oracle,
-                std::time::Duration::from_secs(10),
-            );
-            assert!(run.stuck.is_empty(), "stuck: {:?}", run.stuck);
-            let violations = run.trace.verify(&out.asc);
-            assert!(violations.is_empty(), "branch {branch}: {violations:?}");
-        }
-    }
-}
-
-#[test]
 fn petri_validation_of_all_stages() {
     let ds = purchasing_dependencies();
     let out = Weaver::new().run(&ds).unwrap();
