@@ -18,8 +18,8 @@
 //!    reachability up to a state limit, checking safety (1-boundedness)
 //!    and that every terminal marking is final.
 
-use crate::lower::{lower, LoweredNet};
-use crate::prepared::{guard_groups, Scratch, Tables};
+use crate::lower::{try_lower, LoweredNet, ModeLimit};
+use crate::prepared::{groups, Scratch, Tables};
 use crate::reach::{assignment_chooser, explore_with, Reachability};
 use dscweaver_core::ExecConditions;
 use dscweaver_dscl::{ConstraintSet, SyncGraph};
@@ -29,7 +29,7 @@ use std::collections::HashMap;
 
 /// The cacheable compile half of validation: everything derivable from
 /// the constraint set alone — conflict check, lowered net, wavefront
-/// tables, guard-independence groups, and the domain table the
+/// kernel, guard-independence groups, and the domain table the
 /// enumeration walks. Owns all of it (no borrowed lifetimes), so a
 /// long-running daemon can keep one per cached process and replay
 /// [`CompiledValidation::run`] per request; [`validate`] is exactly
@@ -37,7 +37,9 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct CompiledValidation {
     conflict_cycle: Option<Vec<String>>,
-    /// `None` when a structural conflict stops validation before lowering.
+    mode_limit: Option<ModeLimit>,
+    /// `None` when a structural conflict or the mode limit stops
+    /// validation before there is a net.
     net: Option<CompiledNet>,
     /// `(guard, domain values)` in `cs.domains` (sorted) order.
     domains: Vec<(String, Vec<String>)>,
@@ -54,38 +56,45 @@ struct CompiledNet {
 
 impl CompiledValidation {
     /// Compiles the validation artifacts for a desugared, service-free
-    /// constraint set: structural conflict check, then (if conflict-free)
-    /// the lowered net, its wavefront tables, and the guard groups.
+    /// constraint set: structural conflict check, then (if conflict-free
+    /// and within [`MAX_MODES`](crate::lower::MAX_MODES)) the lowered
+    /// net, its integer kernel, and the guard groups.
     pub fn compile(cs: &ConstraintSet, exec: &ExecConditions) -> Self {
+        let stopped = |conflict_cycle, mode_limit| CompiledValidation {
+            conflict_cycle,
+            mode_limit,
+            net: None,
+            domains: Vec::new(),
+        };
         let sg = SyncGraph::build(cs);
         if let Some(cycle) = find_cycle(&sg.graph) {
             obs::instant("petri.conflict_cycle");
-            return CompiledValidation {
-                conflict_cycle: Some(
-                    cycle
-                        .iter()
-                        .map(|&n| sg.graph.weight(n).label())
-                        .collect(),
-                ),
-                net: None,
-                domains: Vec::new(),
-            };
+            let cycle = cycle.iter().map(|&n| sg.graph.weight(n).label()).collect();
+            return stopped(Some(cycle), None);
         }
         let lower_span = obs::span("petri.lower");
-        let lowered = lower(cs, exec);
+        let lowered = try_lower(cs, exec);
         drop(lower_span);
-        // Compile the wavefront tables once; every assignment run reuses
-        // them with one scratch state per pool worker.
+        let lowered = match lowered {
+            Ok(lowered) => lowered,
+            Err(limit) => {
+                obs::instant("petri.mode_limit");
+                return stopped(None, Some(limit));
+            }
+        };
+        // Compile the wavefront kernel once; every assignment run reuses
+        // it with one scratch state per pool worker.
         let prepare_span = obs::span("petri.prepare");
         let tables = Tables::derive(&lowered.net);
         drop(prepare_span);
         let groups = if cs.domains.len() > 1 {
-            guard_groups(&lowered, cs)
+            groups(&lowered, &tables, cs)
         } else {
             Vec::new()
         };
         CompiledValidation {
             conflict_cycle: None,
+            mode_limit: None,
             net: Some(CompiledNet {
                 lowered,
                 tables,
@@ -104,7 +113,8 @@ impl CompiledValidation {
         self.conflict_cycle.as_deref()
     }
 
-    /// The lowered net (absent when a conflict stopped compilation).
+    /// The lowered net (absent when a conflict or the mode limit stopped
+    /// compilation).
     pub fn lowered(&self) -> Option<&LoweredNet> {
         self.net.as_ref().map(|c| &c.lowered)
     }
@@ -113,9 +123,11 @@ impl CompiledValidation {
     /// exploration — against the compiled artifacts. Bit-identical to
     /// [`validate`] with the same options.
     pub fn run(&self, opts: &ValidateOptions) -> ValidationReport {
-        if let Some(cycle) = &self.conflict_cycle {
-            return ValidationReport {
-                conflict_cycle: Some(cycle.clone()),
+        match &self.net {
+            Some(compiled) => run_compiled(compiled, &self.domains, opts),
+            None => ValidationReport {
+                conflict_cycle: self.conflict_cycle.clone(),
+                mode_limit: self.mode_limit.clone(),
                 assignments_checked: 0,
                 assignments_truncated: false,
                 failures: Vec::new(),
@@ -123,10 +135,8 @@ impl CompiledValidation {
                 guard_groups: 0,
                 factored: false,
                 assignment_space: 0,
-            };
+            },
         }
-        let compiled = self.net.as_ref().expect("conflict-free compile has a net");
-        run_compiled(compiled, &self.domains, opts)
     }
 }
 
@@ -148,9 +158,10 @@ pub struct ValidateOptions {
     /// merge in assignment-lexicographic window order).
     pub threads: usize,
     /// Enumerate independent guard groups separately (default `true`; see
-    /// [`guard_groups`]): each group's assignment sub-space is checked
-    /// with the other guards pinned to their first domain value, turning
-    /// the multiplicative product of domain sizes into a sum over groups.
+    /// [`guard_groups`](crate::guard_groups)): each group's assignment
+    /// sub-space is checked with the other guards pinned to their first
+    /// domain value, turning the multiplicative product of domain sizes
+    /// into a sum over groups.
     /// The ok/not-ok verdict is unchanged (disjoint footprints cannot
     /// interact), but `assignments_checked` shrinks and failures report
     /// the pinned values for out-of-group guards.
@@ -191,6 +202,10 @@ pub struct AssignmentFailure {
 pub struct ValidationReport {
     /// A structural conflict cycle, if any (validation stops there).
     pub conflict_cycle: Option<Vec<String>>,
+    /// The activity whose guard combinations exceed
+    /// [`MAX_MODES`](crate::lower::MAX_MODES), if any (validation stops
+    /// there, before lowering enumerates them).
+    pub mode_limit: Option<ModeLimit>,
     /// Branch assignments simulated.
     pub assignments_checked: usize,
     /// True if the assignment space was larger than the cap.
@@ -218,6 +233,7 @@ impl ValidationReport {
     /// Overall verdict.
     pub fn ok(&self) -> bool {
         self.conflict_cycle.is_none()
+            && self.mode_limit.is_none()
             && self.failures.is_empty()
             && self
                 .exploration
@@ -306,13 +322,18 @@ fn run_compiled(
             .zip(&idx)
             .map(|((g, dom), &i)| (format!("finish({g})"), dom[i].clone()))
             .collect();
-        let run = scratch.run(
+        let diverged = scratch.run(
             &lowered.net,
             &compiled.tables,
             assignment_chooser(&assignment),
             opts.max_steps,
         );
-        if run.diverged || !lowered.is_final(&run.final_marking) {
+        // `LoweredNet::is_final` on the dense counts: every activity done
+        // and nothing else marked.
+        let is_final = scratch.total() == lowered.activities.len() as u64
+            && lowered.activities.values().all(|n| scratch.place_total(n.done) == 1);
+        if diverged || !is_final {
+            let marking = scratch.marking(&compiled.tables);
             Some(AssignmentFailure {
                 assignment: guards
                     .iter()
@@ -320,12 +341,12 @@ fn run_compiled(
                     .map(|((g, dom), &i)| ((*g).clone(), dom[i].clone()))
                     .collect(),
                 stuck: lowered
-                    .unfinished(&run.final_marking)
+                    .unfinished(&marking)
                     .into_iter()
                     .map(String::from)
                     .collect(),
-                marking: lowered.net.render_marking(&run.final_marking),
-                diverged: run.diverged,
+                marking: lowered.net.render_marking(&marking),
+                diverged,
             })
         } else {
             None
@@ -380,6 +401,7 @@ fn run_compiled(
     obs::gauge_set("petri.assignment_space", space as f64);
     ValidationReport {
         conflict_cycle: None,
+        mode_limit: None,
         assignments_checked: checked,
         assignments_truncated: truncated,
         failures,
@@ -496,6 +518,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `k` nested binary guards `g0 … g{k-1}` (each runs only when the
+    /// previous one chose `T`) and an activity `d` under the innermost.
+    fn nested_guards(k: usize) -> ConstraintSet {
+        let mut cs = ConstraintSet::new("nested");
+        cs.add_activity("d");
+        for i in 0..k {
+            let g = format!("g{i}");
+            cs.add_activity(&g);
+            cs.add_domain(&g, vec!["T".into(), "F".into()]);
+            let next = if i + 1 < k { format!("g{}", i + 1) } else { "d".into() };
+            cs.push(Relation::before_if(
+                StateRef::finish(&g),
+                StateRef::start(&next),
+                Condition::new(&g, "T"),
+                Origin::Control,
+            ));
+        }
+        cs
+    }
+
+    #[test]
+    fn nested_guards_past_the_mode_limit_stop_compilation() {
+        // d listens on every guard: 3^7 = 2187 modes lower, 3^8 = 6561
+        // exceed MAX_MODES and stop compilation before enumerating them.
+        let ok = nested_guards(7);
+        assert!(validate_default(&ok, &exec_of(&ok)).ok());
+        let deep = nested_guards(8);
+        let report = validate_default(&deep, &exec_of(&deep));
+        assert!(!report.ok());
+        let limit = report.mode_limit.expect("the mode limit stops compilation");
+        assert_eq!((limit.activity.as_str(), limit.modes), ("d", 6561));
+        assert_eq!(report.assignments_checked, 0);
+        assert!(report.conflict_cycle.is_none());
+        let compiled = CompiledValidation::compile(&deep, &exec_of(&deep));
+        assert!(compiled.lowered().is_none());
+        // Far past the limit the count saturates instead of overflowing.
+        let hostile = nested_guards(64);
+        let limit = validate_default(&hostile, &exec_of(&hostile)).mode_limit.unwrap();
+        assert_eq!(limit.modes, usize::MAX);
     }
 
     #[test]

@@ -8,10 +8,15 @@
 //! per-assignment simulation → optional interleaving exploration).
 //!
 //! Validation has one compile → run path: [`CompiledValidation::compile`]
-//! checks conflicts, lowers the net and derives the wavefront's tables
-//! once, and [`CompiledValidation::run`] replays every branch assignment
-//! on the wavefront worklist with one reusable scratch state per pool
-//! worker; [`validate`] is the two in a row. [`guard_groups`] factors
+//! checks conflicts, lowers the net and compiles it once into an integer
+//! kernel (colors interned to ids in byte order, flat offset arrays for
+//! modes, arcs and consumers), and [`CompiledValidation::run`] replays
+//! every branch assignment on the kernel's wavefront worklist with one
+//! reusable scratch state per pool worker, checking finality on the dense
+//! token counts; [`validate`] is the two in a row. An activity whose guard
+//! combinations would need more than [`lower::MAX_MODES`] firing modes
+//! stops compilation, as a conflict cycle does
+//! ([`ValidationReport::mode_limit`]). [`guard_groups`] factors
 //! independent guards so the run can enumerate additive sub-spaces
 //! instead of the full multiplicative product (see
 //! [`ValidateOptions::factor`]). The simple full-rescan simulator
@@ -60,7 +65,7 @@ pub use analysis::{
     ValidationReport,
 };
 pub use invariants::{check_invariants, place_invariants, PlaceInvariant};
-pub use lower::{lower, ActivityNodes, LoweredNet, SKIP};
+pub use lower::{lower, try_lower, ActivityNodes, LoweredNet, ModeLimit, MAX_MODES, SKIP};
 pub use net::{ArcIn, ArcOut, Color, ColorFilter, Marking, Mode, Net, PlaceId, TransitionId};
 pub use prepared::guard_groups;
 pub use reach::{

@@ -36,7 +36,7 @@
 use crate::net::{ArcIn, ArcOut, Color, ColorFilter, Mode, Net, PlaceId, TransitionId};
 use dscweaver_core::ExecConditions;
 use dscweaver_dscl::{ActivityState, ConstraintSet, Relation};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Where the pieces of a lowered activity live.
 #[derive(Clone, Debug)]
@@ -92,56 +92,84 @@ impl LoweredNet {
 /// The pseudo branch value a skipped guard broadcasts.
 pub const SKIP: &str = "skip";
 
-/// Lowers a desugared, service-free constraint set. Panics (debug) on
-/// HappenTogether sugar; Exclusive relations contribute nothing (they are
-/// runtime-checked by the scheduler, §4.2).
+/// The most firing modes [`lower`] enumerates for one activity. An
+/// activity listening on guards `g₁…gₖ` gets `∏ (|dom(gᵢ)| + 1)` `start`
+/// and `skip` modes together, so deeply nested branches grow it
+/// exponentially; past this bound lowering stops instead.
+pub const MAX_MODES: usize = 4096;
+
+/// An activity whose guard combinations need more than [`MAX_MODES`]
+/// firing modes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ModeLimit {
+    /// The activity.
+    pub activity: String,
+    /// Its mode count (saturating).
+    pub modes: usize,
+}
+
+/// Lowers a desugared, service-free constraint set. Panics on an
+/// activity past [`MAX_MODES`] (see [`try_lower`]) and (debug) on
+/// HappenTogether sugar; Exclusive relations contribute nothing (they
+/// are runtime-checked by the scheduler, §4.2).
 pub fn lower(cs: &ConstraintSet, exec: &ExecConditions) -> LoweredNet {
+    try_lower(cs, exec).unwrap_or_else(|l| panic!("{} needs {} modes", l.activity, l.modes))
+}
+
+/// [`lower`], or the first activity (in name order) whose mode count
+/// exceeds [`MAX_MODES`] — counted before any mode is enumerated.
+pub fn try_lower(cs: &ConstraintSet, exec: &ExecConditions) -> Result<LoweredNet, ModeLimit> {
     let mut net = Net::default();
     let mut activities: BTreeMap<String, ActivityNodes> = BTreeMap::new();
+    let index: HashMap<&str, usize> = cs
+        .activities
+        .iter()
+        .enumerate()
+        .map(|(i, a)| (a.as_str(), i))
+        .collect();
 
     // Pass 1: per-activity places.
-    struct Slots {
-        todo: PlaceId,
-        run: PlaceId,
-        done: PlaceId,
-    }
-    let mut slots: BTreeMap<String, Slots> = BTreeMap::new();
-    for a in &cs.activities {
-        let todo = net.add_place(format!("todo({a})"));
-        let run = net.add_place(format!("run({a})"));
-        let done = net.add_place(format!("done({a})"));
-        net.initial.add(todo, Color::unit());
-        slots.insert(a.clone(), Slots { todo, run, done });
-    }
+    let slots: Vec<[PlaceId; 3]> = cs
+        .activities
+        .iter()
+        .map(|a| {
+            let todo = net.add_place(format!("todo({a})"));
+            net.initial.add(todo, Color::unit());
+            [todo, net.add_place(format!("run({a})")), net.add_place(format!("done({a})"))]
+        })
+        .collect();
 
-    // Pass 2: constraint buffer places, grouped by producing/consuming
-    // transition kind. `Start` and `Run` states attach to the start
-    // transition (the state is reached at/while starting); `Finish` to the
-    // finish transition.
-    #[derive(Clone, Copy, PartialEq)]
-    enum End {
-        AtStart,
-        AtFinish,
+    /// How one activity is wired to the others.
+    #[derive(Default)]
+    struct Wiring {
+        /// Constraint buffers consumed (`ins`) and produced (`outs`) by
+        /// `start` (`[0]`) and by `finish` (`[1]`).
+        ins: [Vec<PlaceId>; 2],
+        outs: [Vec<PlaceId>; 2],
+        /// Control broadcast places this activity *feeds* (it is a guard).
+        broadcasts: Vec<PlaceId>,
+        /// Control places this activity *listens on*, by guard.
+        listens: Vec<(String, PlaceId)>,
     }
-    let end_of = |s: ActivityState| match s {
-        ActivityState::Start | ActivityState::Run => End::AtStart,
-        ActivityState::Finish => End::AtFinish,
-    };
-    // (place, producer activity, producer end, consumer activity, consumer end)
-    let mut buffers: Vec<(PlaceId, String, End, String, End)> = Vec::new();
+    let mut wiring: Vec<Wiring> = cs.activities.iter().map(|_| Wiring::default()).collect();
+
+    // Pass 2: constraint buffer places, wired to the producing and
+    // consuming transitions in one pass. `Start` and `Run` states attach
+    // to the start transition (the state is reached at/while starting);
+    // `Finish` to the finish transition.
+    let end = |s: ActivityState| matches!(s, ActivityState::Finish) as usize;
     let mut constraint_places = Vec::new();
     for r in &cs.relations {
         match r {
             Relation::HappenBefore { from, to, .. } => {
                 let p = net.add_place(format!("c({from}->{to})"));
                 constraint_places.push((p, r.to_string()));
-                buffers.push((
-                    p,
-                    from.activity.clone(),
-                    end_of(from.state),
-                    to.activity.clone(),
-                    end_of(to.state),
-                ));
+                if let Some(&i) = index.get(from.activity.as_str()) {
+                    wiring[i].outs[end(from.state)].push(p);
+                }
+                if let Some(&i) = index.get(to.activity.as_str()) {
+                    wiring[i].ins[end(to.state)].push(p);
+                }
             }
             Relation::HappenTogether { .. } => {
                 debug_assert!(false, "desugar before lowering");
@@ -151,58 +179,38 @@ pub fn lower(cs: &ConstraintSet, exec: &ExecConditions) -> LoweredNet {
     }
 
     // Pass 3: control broadcast places. guards(b) = guard activities in
-    // exec(b)'s terms.
-    let mut ctl: BTreeMap<(String, String), PlaceId> = BTreeMap::new(); // (guard, dependent)
-    let mut guards_of: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for b in &cs.activities {
+    // exec(b)'s terms; b's modes are counted before pass 4 enumerates them.
+    for (b, wb) in cs.activities.iter().zip(0..) {
         let dnf = exec.of(b);
-        let mut gs: BTreeSet<String> = BTreeSet::new();
+        let mut gs: BTreeSet<&str> = BTreeSet::new();
         for term in dnf.terms() {
             for c in term {
-                gs.insert(c.on.clone());
+                gs.insert(&c.on);
             }
         }
-        for g in &gs {
-            let p = net.add_place(format!("ctl({g}->{b})"));
-            ctl.insert((g.clone(), b.clone()), p);
+        let modes = gs
+            .iter()
+            .map(|g| cs.domains.get(*g).map_or(0, Vec::len) + 1)
+            .fold(1usize, usize::saturating_mul);
+        if modes > MAX_MODES {
+            return Err(ModeLimit {
+                activity: b.clone(),
+                modes,
+            });
         }
-        guards_of.insert(b.clone(), gs.into_iter().collect());
+        for g in gs {
+            let p = net.add_place(format!("ctl({g}->{b})"));
+            if let Some(&i) = index.get(g) {
+                wiring[i].broadcasts.push(p);
+            }
+            wiring[wb].listens.push((g.to_string(), p));
+        }
     }
 
     // Pass 4: transitions.
-    for a in &cs.activities {
-        let s = &slots[a];
-        let incoming: Vec<PlaceId> = buffers
-            .iter()
-            .filter(|(_, _, _, cons, end)| cons == a && *end == End::AtStart)
-            .map(|(p, ..)| *p)
-            .collect();
-        let incoming_finish: Vec<PlaceId> = buffers
-            .iter()
-            .filter(|(_, _, _, cons, end)| cons == a && *end == End::AtFinish)
-            .map(|(p, ..)| *p)
-            .collect();
-        let out_start: Vec<PlaceId> = buffers
-            .iter()
-            .filter(|(_, prod, end, ..)| prod == a && *end == End::AtStart)
-            .map(|(p, ..)| *p)
-            .collect();
-        let out_finish: Vec<PlaceId> = buffers
-            .iter()
-            .filter(|(_, prod, end, ..)| prod == a && *end == End::AtFinish)
-            .map(|(p, ..)| *p)
-            .collect();
-        // Control broadcast places this activity *feeds* (it is a guard).
-        let broadcasts: Vec<PlaceId> = ctl
-            .iter()
-            .filter(|((g, _), _)| g == a)
-            .map(|(_, &p)| p)
-            .collect();
-        // Control places this activity *listens on*.
-        let listens: Vec<(String, PlaceId)> = guards_of[a]
-            .iter()
-            .map(|g| (g.clone(), ctl[&(g.clone(), a.clone())]))
-            .collect();
+    for ((a, w), &[todo, run, done]) in cs.activities.iter().zip(&wiring).zip(&slots) {
+        let ([incoming, incoming_finish], [out_start, out_finish]) = (&w.ins, &w.outs);
+        let (broadcasts, listens) = (&w.broadcasts, &w.listens);
 
         // Enumerate guard-value assignments over the listened guards
         // (domain ∪ {skip}).
@@ -240,36 +248,40 @@ pub fn lower(cs: &ConstraintSet, exec: &ExecConditions) -> LoweredNet {
             })
         };
 
-        let base_start_inputs = |assign: Option<&[String]>| -> Vec<ArcIn> {
+        let base_start_inputs = |assign: &[String]| -> Vec<ArcIn> {
             let mut inputs = vec![ArcIn {
-                place: s.todo,
+                place: todo,
                 filter: ColorFilter::Any,
             }];
-            for p in &incoming {
+            for p in incoming {
                 inputs.push(ArcIn {
                     place: *p,
                     filter: ColorFilter::Any,
                 });
             }
-            if let Some(assign) = assign {
-                for ((_, p), v) in listens.iter().zip(assign) {
-                    inputs.push(ArcIn {
-                        place: *p,
-                        filter: ColorFilter::Eq(Color::of(v)),
-                    });
-                }
+            for ((_, p), v) in listens.iter().zip(assign) {
+                inputs.push(ArcIn {
+                    place: *p,
+                    filter: ColorFilter::Eq(Color::of(v)),
+                });
             }
             inputs
         };
 
         // start(a): one mode per satisfying assignment (a single
         // unconstrained mode when unconditional).
-        let start_modes: Vec<Mode> = if listens.is_empty() {
-            vec![Mode {
-                label: "start".into(),
-                inputs: base_start_inputs(None),
+        let mut start_modes: Vec<Mode> = assignments
+            .iter()
+            .filter(|a| listens.is_empty() || satisfied(a))
+            .map(|assign| Mode {
+                label: if listens.is_empty() {
+                    "start".into()
+                } else {
+                    format!("start[{}]", assign.join(","))
+                },
+                inputs: base_start_inputs(assign),
                 outputs: vec![ArcOut {
-                    place: s.run,
+                    place: run,
                     color: Color::unit(),
                 }]
                 .into_iter()
@@ -278,27 +290,10 @@ pub fn lower(cs: &ConstraintSet, exec: &ExecConditions) -> LoweredNet {
                     color: Color::of("done"),
                 }))
                 .collect(),
-            }]
-        } else {
-            assignments
-                .iter()
-                .filter(|a| satisfied(a))
-                .map(|assign| Mode {
-                    label: format!("start[{}]", assign.join(",")),
-                    inputs: base_start_inputs(Some(assign)),
-                    outputs: vec![ArcOut {
-                        place: s.run,
-                        color: Color::unit(),
-                    }]
-                    .into_iter()
-                    .chain(out_start.iter().map(|&p| ArcOut {
-                        place: p,
-                        color: Color::of("done"),
-                    }))
-                    .collect(),
-                })
-                .collect()
-        };
+            })
+            .collect();
+        // A filtered collect over-allocates; a cached net keeps exact sizes.
+        start_modes.shrink_to_fit();
         let start = net.add_transition(format!("start({a})"), start_modes);
 
         // finish(a): one mode per branch value for guards, else one mode.
@@ -312,7 +307,7 @@ pub fn lower(cs: &ConstraintSet, exec: &ExecConditions) -> LoweredNet {
             .map(|v| Mode {
                 label: v.clone(),
                 inputs: vec![ArcIn {
-                    place: s.run,
+                    place: run,
                     filter: ColorFilter::Any,
                 }]
                 .into_iter()
@@ -322,7 +317,7 @@ pub fn lower(cs: &ConstraintSet, exec: &ExecConditions) -> LoweredNet {
                 }))
                 .collect(),
                 outputs: std::iter::once(ArcOut {
-                    place: s.done,
+                    place: done,
                     color: Color::of("done"),
                 })
                 .chain(out_finish.iter().map(|&p| ArcOut {
@@ -344,12 +339,12 @@ pub fn lower(cs: &ConstraintSet, exec: &ExecConditions) -> LoweredNet {
         let skip = if listens.is_empty() {
             None
         } else {
-            let skip_modes: Vec<Mode> = assignments
+            let mut skip_modes: Vec<Mode> = assignments
                 .iter()
                 .filter(|a| !satisfied(a))
                 .map(|assign| Mode {
                     label: format!("skip[{}]", assign.join(",")),
-                    inputs: base_start_inputs(Some(assign))
+                    inputs: base_start_inputs(assign)
                         .into_iter()
                         .chain(incoming_finish.iter().map(|&p| ArcIn {
                             place: p,
@@ -357,7 +352,7 @@ pub fn lower(cs: &ConstraintSet, exec: &ExecConditions) -> LoweredNet {
                         }))
                         .collect(),
                     outputs: std::iter::once(ArcOut {
-                        place: s.done,
+                        place: done,
                         color: Color::of(SKIP),
                     })
                     .chain(
@@ -376,15 +371,16 @@ pub fn lower(cs: &ConstraintSet, exec: &ExecConditions) -> LoweredNet {
                     .collect(),
                 })
                 .collect();
+            skip_modes.shrink_to_fit();
             Some(net.add_transition(format!("skip({a})"), skip_modes))
         };
 
         activities.insert(
             a.clone(),
             ActivityNodes {
-                todo: s.todo,
-                run: s.run,
-                done: s.done,
+                todo,
+                run,
+                done,
                 start,
                 finish,
                 skip,
@@ -392,11 +388,11 @@ pub fn lower(cs: &ConstraintSet, exec: &ExecConditions) -> LoweredNet {
         );
     }
 
-    LoweredNet {
+    Ok(LoweredNet {
         net,
         activities,
         constraint_places,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -194,15 +194,6 @@ impl Marking {
     pub fn marked_places(&self) -> impl Iterator<Item = PlaceId> + '_ {
         self.tokens.keys().copied()
     }
-
-    /// The smallest color in `place` accepted by `filter`, without
-    /// allocating the full color list.
-    pub fn first_accepting(&self, place: PlaceId, filter: &ColorFilter) -> Option<&Color> {
-        self.tokens
-            .get(&place)?
-            .keys()
-            .find(|c| filter.accepts(c))
-    }
 }
 
 impl Net {

@@ -6,13 +6,14 @@
 //! full-rescan/FIFO implementations ([`run_to_quiescence`], [`explore`]),
 //! kept as the oracles, and the production ones
 //! ([`run_to_quiescence_wavefront`], [`explore_with`]) — a
-//! dirty-transition worklist that skips the `O(T)` sweep rescans, and a
+//! dirty-transition worklist over an integer kernel of the net that
+//! skips the `O(T)` sweep rescans, and a
 //! frontier-layered BFS whose per-marking expansion fans out on the shared
 //! [`dscweaver_graph::par`] pool. Each pair is pinned bit-identical (trace
 //! for trace, marking for marking) by the `par_equivalence` property
 //! tests.
 
-use crate::net::{Color, Marking, Net, TransitionId};
+use crate::net::{Marking, Net, TransitionId};
 use dscweaver_graph::par_map;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -237,42 +238,8 @@ pub fn run_to_quiescence(
     }
 }
 
-/// The lexicographically smallest enabled binding of one mode, or `None`
-/// if the mode is disabled — equivalent to `enabled_bindings(..)[0]`
-/// (bindings are emitted sorted), but clone-free on the common case.
-///
-/// When a mode's input arcs hit pairwise-distinct places, the arcs cannot
-/// compete for tokens: the mode is enabled iff every arc's place holds an
-/// accepting color, and the sorted-first binding is the per-arc minimum
-/// accepting color (lexicographic order over the binding vector is
-/// arc-major, and the per-arc choices are independent). Modes with two
-/// arcs on one place fall back to the backtracking enumeration.
-pub(crate) fn first_binding(
-    net: &Net,
-    m: &Marking,
-    t: TransitionId,
-    mode_idx: usize,
-    distinct_places: bool,
-) -> Option<Vec<Color>> {
-    if distinct_places {
-        net.transitions[t.0 as usize].modes[mode_idx]
-            .inputs
-            .iter()
-            .map(|arc| m.first_accepting(arc.place, &arc.filter).cloned())
-            .collect()
-    } else {
-        let mut bindings = net.enabled_bindings(m, t, mode_idx);
-        if bindings.is_empty() {
-            None
-        } else {
-            Some(bindings.remove(0))
-        }
-    }
-}
-
-/// [`run_to_quiescence`] without the `O(T)` sweep rescans: a sorted
-/// dirty-transition worklist, with clone-free enabledness probes and
-/// in-place firing.
+/// [`run_to_quiescence`] without the `O(T)` sweep rescans: a
+/// dirty-transition worklist over an integer kernel of the net.
 ///
 /// The rescan loop re-checks every transition each sweep, but a transition
 /// found disabled can only become enabled again when a later firing adds
@@ -286,13 +253,18 @@ pub(crate) fn first_binding(
 /// firing sequence *exactly* — same trace, same sticky mode decisions,
 /// same divergence cutoff — which the `par_equivalence` property tests
 /// pin. On the lowered nets, where each firing enables O(out-degree)
-/// transitions, this turns quadratic sweeps into near-linear work; the
-/// `first_binding` fast path and [`Net::fire_in_place`] additionally
-/// drop the per-probe and per-firing whole-marking clones the legacy
-/// engine pays.
+/// transitions, this turns quadratic sweeps into near-linear work.
 ///
-/// This one-shot call derives the net's tables and runs once; validation
-/// keeps the tables in its [`CompiledValidation`](crate::CompiledValidation)
+/// The kernel runs on interned color ids and a dense per-place marking:
+/// a mode's binding is one allocation-free depth-first search that finds
+/// `enabled_bindings(..)[0]` (the lexicographically first binding,
+/// because id order is color order) without cloning the marking or any
+/// color, and a firing is recorded as a `(transition, mode)` pair. Only
+/// this wrapper turns the pairs into mode labels and the final counts
+/// into a [`Marking`].
+///
+/// This one-shot call compiles the kernel and runs once; validation
+/// keeps the kernel in its [`CompiledValidation`](crate::CompiledValidation)
 /// and one scratch state per pool worker, so repeated runs skip both.
 pub fn run_to_quiescence_wavefront(
     net: &Net,
@@ -300,7 +272,9 @@ pub fn run_to_quiescence_wavefront(
     max_steps: usize,
 ) -> Run {
     let tables = crate::prepared::Tables::derive(net);
-    crate::prepared::Scratch::default().run(net, &tables, choose_mode, max_steps)
+    let mut scratch = crate::prepared::Scratch::default();
+    let diverged = scratch.run(net, &tables, choose_mode, max_steps);
+    scratch.to_run(net, &tables, diverged)
 }
 
 /// Picks the mode whose label matches the assignment, for branch
@@ -429,52 +403,6 @@ mod tests {
         net.initial.add(p, Color::unit());
         let run = run_to_quiescence(&net, |_, _, e| e[0], 50);
         assert!(run.diverged);
-    }
-
-    #[test]
-    fn first_binding_fast_path_matches_backtracking() {
-        // Two distinct input places with several accepting colors each:
-        // the fast path must return enabled_bindings()[0] (lexicographic
-        // minimum) exactly.
-        let mut net = Net::default();
-        let p = net.add_place("p");
-        let q = net.add_place("q");
-        let out = net.add_place("out");
-        let t = net.add_transition(
-            "t",
-            vec![Mode {
-                label: "go".into(),
-                inputs: vec![
-                    ArcIn {
-                        place: p,
-                        filter: ColorFilter::OneOf(vec![Color::of("T"), Color::of("skip")]),
-                    },
-                    ArcIn {
-                        place: q,
-                        filter: ColorFilter::Any,
-                    },
-                ],
-                outputs: vec![ArcOut {
-                    place: out,
-                    color: Color::unit(),
-                }],
-            }],
-        );
-        net.initial.add(p, Color::of("skip"));
-        net.initial.add(p, Color::of("T"));
-        net.initial.add(p, Color::of("F"));
-        net.initial.add(q, Color::of("b"));
-        net.initial.add(q, Color::of("a"));
-        let slow = net.enabled_bindings(&net.initial, t, 0);
-        let fast = first_binding(&net, &net.initial, t, 0, true);
-        assert_eq!(fast.as_ref(), slow.first());
-        assert_eq!(fast, Some(vec![Color::of("T"), Color::of("a")]));
-        // Disabled case: filter accepts nothing present.
-        let mut empty = net.initial.clone();
-        empty.remove(q, &Color::of("a"));
-        empty.remove(q, &Color::of("b"));
-        assert_eq!(first_binding(&net, &empty, t, 0, true), None);
-        assert!(net.enabled_bindings(&empty, t, 0).is_empty());
     }
 
     #[test]

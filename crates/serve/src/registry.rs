@@ -36,7 +36,7 @@ use dscweaver_petri::{CompiledValidation, ValidateOptions, ValidationReport};
 use dscweaver_scheduler::{PreparedSchedule, Schedule, ScheduleTables, SimConfig};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -176,7 +176,12 @@ impl ProcessEntry {
     /// allows. Results are always identical to a fresh weave of the
     /// revision.
     pub fn reweave(&self, ds: &DependencySet) -> Result<ReweaveReport, String> {
-        let mut session = self.session.lock().expect("session lock poisoned");
+        // A panic mid-weave may have left the session half updated: refuse
+        // to build on it rather than answer from a corrupt state.
+        let mut session = self
+            .session
+            .lock()
+            .map_err(|_| "the re-weave session was lost to an earlier internal error".to_string())?;
         session.weave(ds).map_err(|e| format!("weave error: {e}"))
     }
 
@@ -287,6 +292,9 @@ struct RawMemo {
 /// text are deterministic. Failed compiles (parse errors, conflicts) are
 /// not cached.
 pub struct Registry {
+    // The cache locks recover from poisoning: each critical section is a
+    // single LRU get or insert, so a panic elsewhere in a request cannot
+    // leave a cache half-updated.
     raw: Mutex<LruCache<u64, RawMemo>>,
     inner: Mutex<LruCache<u64, Arc<ProcessEntry>>>,
     threads: usize,
@@ -360,7 +368,7 @@ impl Registry {
     /// Looks up an already-cached entry by **canonical** hash without
     /// building (this is what `/v1/reweave?base=` resolves).
     pub fn get(&self, hash: u64) -> Option<Arc<ProcessEntry>> {
-        let mut cache = self.inner.lock().expect("registry lock poisoned");
+        let mut cache = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         cache.get(&hash).cloned()
     }
 
@@ -371,10 +379,10 @@ impl Registry {
         {
             let _span = obs::span_with("serve.lookup", || format!("raw={raw_hash:016x}"));
             let _phase = crate::trace::phase("serve.lookup");
-            let mut raw = self.raw.lock().expect("raw memo lock poisoned");
+            let mut raw = self.raw.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(memo) = raw.get(&raw_hash) {
                 // Lock order is always raw → inner.
-                let mut cache = self.inner.lock().expect("registry lock poisoned");
+                let mut cache = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
                 if let Some(entry) = cache.get(&memo.canonical_hash) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     obs::counter_add("serve.cache_hits", 1);
@@ -391,7 +399,7 @@ impl Registry {
         }
         let form = canonicalize(text)?;
         let cached = {
-            let mut cache = self.inner.lock().expect("registry lock poisoned");
+            let mut cache = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             cache.get(&form.hash).cloned()
         };
         let (entry, status) = match cached {
@@ -404,7 +412,7 @@ impl Registry {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 obs::counter_add("serve.cache_misses", 1);
                 let entry = Arc::new(ProcessEntry::build_canonical(&form, self.threads)?);
-                let mut cache = self.inner.lock().expect("registry lock poisoned");
+                let mut cache = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
                 let before = cache.evictions();
                 cache.insert(form.hash, entry.clone());
                 let evicted = cache.evictions() - before;
@@ -427,7 +435,7 @@ impl Registry {
     }
 
     fn memoize_raw(&self, raw_hash: u64, canonical_hash: u64, renaming: &Arc<Renaming>) {
-        let mut raw = self.raw.lock().expect("raw memo lock poisoned");
+        let mut raw = self.raw.lock().unwrap_or_else(PoisonError::into_inner);
         raw.insert(
             raw_hash,
             RawMemo {
@@ -467,7 +475,7 @@ impl Registry {
 
     /// A consistent snapshot of the cache counters.
     pub fn stats(&self) -> RegistryStats {
-        let cache = self.inner.lock().expect("registry lock poisoned");
+        let cache = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         RegistryStats {
             entries: cache.len(),
             capacity: cache.capacity(),
@@ -491,7 +499,7 @@ impl Registry {
     pub fn stats_since(&self, since: Option<u64>) -> Result<(u64, RegistryStats), String> {
         let now = self.stats();
         let seq = self.stats_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut ring = self.stats_ring.lock().expect("stats ring poisoned");
+        let mut ring = self.stats_ring.lock().unwrap_or_else(PoisonError::into_inner);
         let out = match since {
             None => now,
             Some(s) => {
@@ -518,6 +526,31 @@ mod tests {
     use super::*;
 
     const PROC: &str = "process P {\n var x;\n sequence { assign a writes x; assign b reads x; }\n}";
+
+    #[test]
+    fn lookups_survive_a_panic_that_poisoned_the_caches() {
+        let reg = Registry::new(4, 1);
+        let warm = reg.lookup_or_build(PROC).unwrap().entry.hash;
+        std::thread::scope(|scope| {
+            let raw = scope.spawn(|| {
+                let _held = reg.raw.lock().unwrap();
+                panic!("poison the raw memo");
+            });
+            assert!(raw.join().is_err());
+            let inner = scope.spawn(|| {
+                let _held = reg.inner.lock().unwrap();
+                panic!("poison the canonical cache");
+            });
+            assert!(inner.join().is_err());
+        });
+        assert!(reg.inner.is_poisoned() && reg.raw.is_poisoned());
+        let hit = reg.lookup_or_build(PROC).unwrap();
+        assert_eq!((hit.status, hit.entry.hash), (LookupStatus::Hit, warm));
+        let other = "process Q {\n var y;\n sequence { assign c writes y; assign d reads y; assign e reads y; }\n}";
+        assert_eq!(reg.lookup_or_build(other).unwrap().status, LookupStatus::Miss);
+        assert!(reg.get(warm).is_some());
+        assert_eq!(reg.stats().misses, 2);
+    }
 
     #[test]
     fn lookup_compiles_then_hits() {

@@ -15,6 +15,7 @@ use crate::http::{HttpError, HttpRequest};
 use crate::registry::{LookupStatus, ProcessEntry, Registry};
 use crate::trace::{self, RequestTrace};
 use dscweaver_obs as obs;
+use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
 /// A typed daemon request.
@@ -340,6 +341,10 @@ fn timed_run<T>(f: impl FnOnce() -> T) -> T {
 /// per-endpoint `serve.latency.*` histogram; and when the registry's
 /// tracer is active, the request's span tree is tail-sampled into the
 /// `/v1/traces` ring (kept if slow or on the 1-in-N grid).
+///
+/// A panic while serving is caught here: the request gets a `500`, the
+/// `serve.panics` counter goes up, its trace is kept regardless of the
+/// sampling rules, and the daemon goes on serving.
 pub fn handle(reg: &Registry, req: &Request) -> Response {
     let tracer = reg.tracer();
     let (seq, trace_id) = tracer.next_id();
@@ -364,7 +369,17 @@ pub fn handle(reg: &Registry, req: &Request) -> Response {
     }
     let start_ns = tracer.now_ns();
     let t0 = Instant::now();
-    let mut response = handle_inner(reg, req);
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| handle_inner(reg, req)));
+    let panicked = outcome.is_err();
+    let mut response = outcome.unwrap_or_else(|payload| {
+        obs::counter_add("serve.panics", 1);
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("unknown panic");
+        Response::error(500, &format!("internal error: {what}"))
+    });
     let dur_ns = t0.elapsed().as_nanos() as u64;
     let phases = if collecting {
         trace::end_collect().unwrap_or_default()
@@ -377,7 +392,12 @@ pub fn handle(reg: &Registry, req: &Request) -> Response {
         reg.note_served();
     }
     if collecting {
-        if let Some(kept) = tracer.keep(seq, dur_ns) {
+        let kept = if panicked && tracer.config().capacity > 0 {
+            Some("panic")
+        } else {
+            tracer.keep(seq, dur_ns)
+        };
+        if let Some(kept) = kept {
             tracer.push(RequestTrace {
                 trace_id,
                 endpoint: req.endpoint(),
@@ -395,6 +415,10 @@ pub fn handle(reg: &Registry, req: &Request) -> Response {
 
 fn handle_inner(reg: &Registry, req: &Request) -> Response {
     let _span = obs::span_with("serve.run", || format!("{req:?}"));
+    #[cfg(test)]
+    if matches!(req, Request::Weave { text } if text == tests::PANIC_PROBE) {
+        panic!("panic probe");
+    }
     match req {
         Request::Weave { text } => match reg.lookup_or_build(text) {
             Ok(found) => served(found.status, weave_body(&found.entry, &found.renaming)),
@@ -572,6 +596,40 @@ mod tests {
         assert_eq!(warm.cache, CacheStatus::Hit);
         assert_eq!(cold.body, warm.body, "cold and warm bodies must be identical");
         assert_eq!(cold.body, oneshot(&req, 1).body);
+    }
+
+    /// A weave body that makes `handle_inner` panic (test builds only).
+    pub(crate) const PANIC_PROBE: &str = "process Panic { panic probe }";
+
+    #[test]
+    fn a_panicking_request_is_a_500_and_the_daemon_keeps_serving() {
+        use crate::client::Client;
+        use crate::server::{ServeConfig, Server};
+        let server = Server::start(&ServeConfig {
+            threads: 1,
+            // Tracing on, but no request is slow enough to keep and none
+            // is sampled: only the panic's trace is kept.
+            trace_slow_ms: 3_600_000,
+            trace_sample: 0,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let panics = || obs::metrics_snapshot().counters.get("serve.panics").copied().unwrap_or(0);
+        let before = panics();
+        let mut client = Client::connect(server.addr());
+        let failed = client.post("/v1/weave", PANIC_PROBE).unwrap();
+        assert_eq!(failed.status, 500);
+        assert!(failed.body.contains("internal error: panic probe"), "{}", failed.body);
+        assert!(panics() > before);
+        // The next request, on the same connection, is served.
+        let woven = client.post("/v1/weave", PROC).unwrap();
+        assert_eq!(woven.status, 200, "{}", woven.body);
+        assert_eq!(woven.body, oneshot(&Request::Weave { text: PROC.into() }, 1).body);
+        let tracer = server.registry().tracer();
+        assert_eq!(tracer.len(), 1, "only the panicking request is kept");
+        assert!(tracer.to_chrome_json().contains("kept=panic"));
+        assert_eq!(server.registry().stats().in_flight, 0);
+        server.shutdown();
     }
 
     #[test]

@@ -90,7 +90,8 @@ pub struct RequestTrace {
     pub dur_ns: u64,
     /// HTTP status of the response.
     pub status: u16,
-    /// Why the tail kept it: `"slow"` or `"sampled"`.
+    /// Why the tail kept it: `"slow"`, `"sampled"`, or `"panic"` (a
+    /// request that panicked is always kept).
     pub kept: &'static str,
     /// Phase spans, request-relative.
     pub phases: Vec<PhaseRecord>,

@@ -336,3 +336,22 @@ fn hostile_nesting_is_a_400_not_a_crash() {
     assert_eq!(resp.status, 400);
     assert!(resp.body.contains("nest deeper"), "{}", resp.body);
 }
+
+#[test]
+fn hostile_guard_nesting_is_refused_promptly() {
+    // 20 nested switches put the innermost activity under 20 guards:
+    // lowering it for validation would enumerate 3^20 firing modes.
+    let mut body = "assign d writes x;".to_string();
+    for i in (0..20).rev() {
+        body = format!("switch s{i} reads x {{ case T {{ {body} }} case F {{ empty e{i}; }} }}");
+    }
+    let text = format!("process P {{ var x; sequence {{ assign w writes x; {body} }} }}");
+    let started = std::time::Instant::now();
+    let validated = oneshot(&Request::Validate { text: text.clone() }, 1);
+    let woven = oneshot(&Request::Weave { text }, 1);
+    assert!(started.elapsed() < std::time::Duration::from_secs(20));
+    assert_eq!(validated.status, 200, "{}", validated.body);
+    assert!(validated.body.contains("\"ok\":false"), "{}", validated.body);
+    assert!(validated.body.contains("\"assignments_checked\":0"), "{}", validated.body);
+    assert_eq!(woven.status, 200, "{}", woven.body);
+}

@@ -7,7 +7,8 @@
 //! * `explore_with` must reproduce `explore` exactly (seen-insertion
 //!   order, truncation, terminal markings, fired set, peak tokens);
 //! * `run_to_quiescence_wavefront` must replay `run_to_quiescence`'s
-//!   firing sequence exactly.
+//!   firing sequence exactly, on lowered nets and on seeded raw colored
+//!   nets.
 
 mod common;
 
@@ -16,7 +17,8 @@ use dscweaver_core::{ExecConditions, Weaver};
 use dscweaver_dscl::ConstraintSet;
 use dscweaver_petri::{
     assignment_chooser, explore, explore_with, lower, run_to_quiescence,
-    run_to_quiescence_wavefront, validate, Net, ValidateOptions,
+    run_to_quiescence_wavefront, validate, ArcIn, ArcOut, Color, ColorFilter, Mode, Net, PlaceId,
+    ValidateOptions,
 };
 use dscweaver_prng::Rng;
 use dscweaver_workloads::{dense_conditional, fork_join, DenseConditionalParams};
@@ -172,5 +174,71 @@ fn wavefront_quiescence_replays_rescan_firing_sequence() {
                 .collect();
             assert_replays_oracle(&net, &assignment, &format!("{what} bits {bits:b}"));
         }
+    }
+}
+
+/// A small random colored net: multi-mode transitions, input places
+/// shared between arcs and transitions, `Any`/`Eq`/`OneOf` filters, and
+/// colors whose byte order differs from their first use ("•" sorts after
+/// every ASCII color).
+fn random_net(rng: &mut Rng) -> Net {
+    const COLORS: [&str; 6] = ["•", "skip", "T", "F", "done", "a"];
+    let color = |rng: &mut Rng| Color::of(COLORS[rng.random_range(COLORS.len())]);
+    let mut net = Net::default();
+    let places = 2 + rng.random_range(5);
+    for p in 0..places {
+        net.add_place(format!("p{p}"));
+    }
+    for t in 0..1 + rng.random_range(6) {
+        let modes = (0..1 + rng.random_range(3))
+            .map(|m| Mode {
+                label: format!("m{m}"),
+                inputs: (0..1 + rng.random_range(3))
+                    .map(|_| ArcIn {
+                        place: PlaceId(rng.random_range(places) as u32),
+                        filter: match rng.random_range(3) {
+                            0 => ColorFilter::Any,
+                            1 => ColorFilter::Eq(color(rng)),
+                            _ => ColorFilter::OneOf((0..1 + rng.random_range(3)).map(|_| color(rng)).collect()),
+                        },
+                    })
+                    .collect(),
+                outputs: (0..rng.random_range(3))
+                    .map(|_| ArcOut {
+                        place: PlaceId(rng.random_range(places) as u32),
+                        color: color(rng),
+                    })
+                    .collect(),
+            })
+            .collect();
+        net.add_transition(format!("t{t}"), modes);
+    }
+    for _ in 0..rng.random_range(10) {
+        let p = PlaceId(rng.random_range(places) as u32);
+        net.initial.add(p, color(rng));
+    }
+    net
+}
+
+#[test]
+fn wavefront_replays_rescan_on_random_colored_nets() {
+    let mut rng = Rng::seed_from_u64(0x5eed);
+    for case in 0..1000 {
+        let net = random_net(&mut rng);
+        let max_steps = [3usize, 25, 200][case % 3];
+        // A stateful chooser: the engines must consult it at the same
+        // points in the same order to pick the same modes.
+        let chooser = || {
+            let mut calls = 0usize;
+            move |_: &Net, _, enabled: &[usize]| {
+                calls += 1;
+                enabled[calls % enabled.len()]
+            }
+        };
+        let a = run_to_quiescence(&net, chooser(), max_steps);
+        let b = run_to_quiescence_wavefront(&net, chooser(), max_steps);
+        assert_eq!(a.trace, b.trace, "case {case}: {net:?}");
+        assert_eq!(a.final_marking, b.final_marking, "case {case}");
+        assert_eq!(a.diverged, b.diverged, "case {case}");
     }
 }
