@@ -14,6 +14,7 @@ use dscweaver_core::{
     merge, minimize_generic_baseline, minimize_generic_with, translate_services, EdgeOrder,
     EquivalenceMode, ExecConditions, MinimizeOptions,
 };
+use dscweaver_dscl::sync_graph::SyncGraph;
 use dscweaver_dscl::ConstraintSet;
 use dscweaver_obs as obs;
 use dscweaver_workloads::{fork_join, layered, purchasing_dependencies, LayeredParams};
@@ -155,6 +156,7 @@ struct CaseReport {
     closure_seq_ms: f64,
     closure_par_ms: f64,
     closure_speedup: f64,
+    closure_floor_ms: f64,
     pool_dnfs: usize,
     pool_terms: usize,
     implies_hit_rate: f64,
@@ -257,6 +259,12 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         });
         let closure_seq_ms = phase_ms(&seq_trace, "minimize.closure");
         let closure_par_ms = phase_ms(&case_trace, "minimize.closure");
+        // The closure layer's floor: plain bitset reachability of the
+        // same sync graph, no annotations.
+        let sync = SyncGraph::build(&asc);
+        let t_floor = median(&sample(samples_new, || {
+            black_box(dscweaver_graph::transitive_closure(&sync.graph))
+        }));
 
         let kept_n = res_new.kept();
         reports.push(CaseReport {
@@ -282,6 +290,7 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             closure_seq_ms,
             closure_par_ms,
             closure_speedup: closure_seq_ms / closure_par_ms.max(1e-9),
+            closure_floor_ms: ms(t_floor),
             pool_dnfs: res_new.stats.pool_dnfs,
             pool_terms: res_new.stats.pool_terms,
             implies_hit_rate: res_new.stats.implies_hit_rate(),
@@ -341,6 +350,10 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         out.push_str(&format!(
             "      \"closure_speedup\": {},\n",
             json_f(r.closure_speedup)
+        ));
+        out.push_str(&format!(
+            "      \"closure_floor_ms\": {},\n",
+            json_f(r.closure_floor_ms)
         ));
         out.push_str(&format!("      \"pool_dnfs\": {},\n", r.pool_dnfs));
         out.push_str(&format!("      \"pool_terms\": {},\n", r.pool_terms));

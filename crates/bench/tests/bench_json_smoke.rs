@@ -30,6 +30,7 @@ fn bench_json_smoke_runs_and_renders() {
         "\"closure_seq_ms\":",
         "\"closure_par_ms\":",
         "\"closure_speedup\":",
+        "\"closure_floor_ms\":",
         "\"constraints_in\":",
         "\"redundancy\":",
         "\"pool_dnfs\":",

@@ -39,19 +39,21 @@
 //!
 //! [`minimize_generic_with`] is an optimized engine built on three ideas:
 //!
-//! 1. **Interning** — every annotation DNF is hash-consed into a
-//!    [`DnfPool`], so closure rows are vectors of `u32` ids, row equality
-//!    is id-vector equality, and unions/compositions/implications are
-//!    memoized by id pair.
-//! 2. **Bitset prefilters** — two dense unconditional reachability
-//!    skeletons are maintained over the live edges (one for all edges,
-//!    one for unconditional edges only). A candidate with no alternate
-//!    2+-step path is rejected without touching annotated rows; a
-//!    candidate with a same-guard (or unguarded) alternate that reaches
-//!    its head unconditionally is accepted likewise. On fully
-//!    unconditional inputs every candidate is decided here, so the
-//!    generic engine matches [`minimize_unconditional_fast`] within a
-//!    small constant.
+//! 1. **Bitset rows, interned annotations** — a closure row
+//!    ([`IRow`]) keeps its `ALWAYS` targets as an unconditional
+//!    reachability bitset and every reached target as a second bitset;
+//!    only the few conditional annotations are hash-consed into a
+//!    [`DnfPool`] as `(target, id)` pairs. Row equality is bitset plus
+//!    id-vector equality, `ALWAYS` entries compare as bitset differences,
+//!    and unions/compositions/implications are memoized by id pair.
+//! 2. **Bitset prefilters** — the rows' own bitsets answer reachability
+//!    over the live edges (all edges, or unconditional edges only). A
+//!    candidate with no alternate 2+-step path is rejected without
+//!    touching annotations; a candidate with a same-guard (or unguarded)
+//!    alternate that reaches its head unconditionally is accepted
+//!    likewise. On fully unconditional inputs every candidate is decided
+//!    here, so the generic engine matches [`minimize_unconditional_fast`]
+//!    within a small constant.
 //! 3. **Scoped-thread parallelism** — candidates the prefilters leave
 //!    undecided are screened concurrently (their tentative tail row is
 //!    composed on worker threads against a read-only snapshot, invalidated
@@ -87,7 +89,7 @@ use dscweaver_dscl::sync_graph::{SyncGraph, SyncNode};
 use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, SyncEdge};
 use dscweaver_graph::annotated::{Dnf, Row};
 use dscweaver_graph::iclosure::{
-    compose_interned_row, interned_closure, irow_get, IRow, RowScratch,
+    compose_interned_row, interned_closure, AdjEdge, IRow, RowScratch,
 };
 use dscweaver_graph::{
     effective_threads, find_cycle, par_map, topo_sort, BitSet, DiGraph, DnfId, DnfPool, EdgeId,
@@ -313,18 +315,21 @@ pub fn minimize_generic(
     minimize_generic_with(cs, exec, mode, order, &MinimizeOptions::default())
 }
 
-// `IRow` (the interned closure row) and `irow_get` now live in
-// `dscweaver_graph::iclosure`, next to the level-parallel builder that
-// produces them.
+/// A row composed on a worker thread: the unconditional targets plus the
+/// structural annotations of the conditional ones, not yet interned.
+type StructRow = (BitSet, Vec<(u32, Dnf<Condition>)>);
 
 /// Interns a structurally composed row.
-fn intern_row(pool: &mut DnfPool<Condition>, srow: Vec<(u32, Dnf<Condition>)>) -> IRow {
-    srow.into_iter().map(|(t, d)| (t, pool.intern(&d))).collect()
+fn intern_row(pool: &mut DnfPool<Condition>, (uncond, srow): StructRow) -> IRow {
+    let cond = srow.into_iter().map(|(t, d)| (t, pool.intern(&d))).collect();
+    IRow::from_parts(uncond, cond)
 }
 
 /// Structural row composition against a read-only snapshot — safe to run
 /// on worker threads (resolves interned successor rows through `&DnfPool`,
 /// never interns). `fresh` overrides `irows` for already-recomputed nodes.
+/// Mirrors the interned sweep: unconditional targets by bitset unions,
+/// annotations only for the targets outside them.
 fn compose_structural(
     g: &DiGraph<SyncNode, SyncEdge>,
     n: NodeId,
@@ -333,24 +338,37 @@ fn compose_structural(
     pool: &DnfPool<Condition>,
     irows: &[IRow],
     fresh: &HashMap<usize, IRow>,
-) -> Vec<(u32, Dnf<Condition>)> {
-    let mut acc: BTreeMap<u32, Dnf<Condition>> = BTreeMap::new();
-    for e in g.out_edges(n) {
-        if e == skip || removed.contains(&e) {
-            continue;
-        }
-        let (_, m) = g.endpoints(e);
-        let guard = &g.edge_weight(e).cond;
-        acc.entry(m.index() as u32)
-            .or_insert_with(Dnf::empty)
-            .insert(guard.clone().map(|c| vec![c]).unwrap_or_default());
-        let mrow: &IRow = fresh.get(&m.index()).unwrap_or(&irows[m.index()]);
-        for &(t, did) in mrow {
-            pool.dnf(did)
-                .compose_into(guard.as_ref(), acc.entry(t).or_insert_with(Dnf::empty));
+) -> StructRow {
+    let row_of = |m: NodeId| fresh.get(&m.index()).unwrap_or(&irows[m.index()]);
+    let live: Vec<(NodeId, &Option<Condition>)> = g
+        .out_edges(n)
+        .filter(|&e| e != skip && !removed.contains(&e))
+        .map(|e| (g.endpoints(e).1, &g.edge_weight(e).cond))
+        .collect();
+    let mut uncond = BitSet::new(g.node_bound());
+    for &(m, guard) in &live {
+        if guard.is_none() {
+            uncond.insert(m.index());
+            uncond.union_with(row_of(m).uncond());
         }
     }
-    acc.into_iter().collect()
+    let mut acc: BTreeMap<u32, Dnf<Condition>> = BTreeMap::new();
+    for (m, guard) in live {
+        let mrow = row_of(m);
+        if let Some(c) = guard {
+            let heads = std::iter::once(m.index()).filter(|&t| !uncond.contains(t));
+            for t in heads.chain(mrow.uncond().iter_difference(&uncond)) {
+                acc.entry(t as u32).or_insert_with(Dnf::empty).insert(vec![c.clone()]);
+            }
+        }
+        for &(t, did) in mrow.cond() {
+            if !uncond.contains(t as usize) {
+                pool.dnf(did)
+                    .compose_into(guard.as_ref(), acc.entry(t).or_insert_with(Dnf::empty));
+            }
+        }
+    }
+    (uncond, acc.into_iter().collect())
 }
 
 /// Sorts removal candidates according to `order`.
@@ -415,13 +433,6 @@ pub(crate) struct Engine<'a> {
     edge_term: Vec<Option<TermId>>,
     /// Dense per-row accumulator reused across recompositions.
     scratch: RowScratch,
-    /// Reachability over all live edges / over unconditional live edges.
-    /// Crate-visible so the re-weave session can persist both skeletons in
-    /// its memo and patch only the rows a delta update changed (a bitset
-    /// row is exactly the support of the interned row, so an unchanged
-    /// row pins an unchanged skeleton row).
-    pub(crate) closure: Vec<BitSet>,
-    pub(crate) uncond: Vec<BitSet>,
     pub(crate) removed: HashSet<EdgeId>,
     topo_pos: Vec<usize>,
     /// Longest-path distance to a sink on the original graph — strictly
@@ -444,11 +455,6 @@ pub(crate) struct Engine<'a> {
     /// *initial* closure (what the next delta update expects) without
     /// cloning the whole row table up front.
     pub(crate) row_undo: Option<HashMap<usize, IRow>>,
-    /// Copy-on-write log of pre-greedy bitset skeleton rows, mirroring
-    /// `row_undo`: the first slow-path repair that touches a node stashes
-    /// its `(closure, uncond)` pair here, so the re-weave session can
-    /// store skeletons matching the restored initial rows.
-    pub(crate) skeleton_undo: Option<HashMap<usize, (BitSet, BitSet)>>,
 }
 
 /// How one greedy step was decided — recorded by the re-weave session so
@@ -511,7 +517,7 @@ impl<'a> Engine<'a> {
         obs::counter_add("minimize.closure.pool_misses", cstats.pool_misses);
         obs::counter_add("minimize.closure.minted_dnfs", cstats.minted as u64);
 
-        Engine::assemble(g, cs, mode, threads, pool_cache_limit, topo, pool, exec_ids, irows, None)
+        Engine::assemble(g, cs, mode, threads, pool_cache_limit, topo, pool, exec_ids, irows)
     }
 
     /// Builds an engine around an externally supplied interned closure —
@@ -530,19 +536,13 @@ impl<'a> Engine<'a> {
         topo: &[NodeId],
         mut pool: DnfPool<Condition>,
         irows: Vec<IRow>,
-        skeletons: Option<(Vec<BitSet>, Vec<BitSet>, Vec<usize>)>,
     ) -> Engine<'a> {
         let exec_ids = intern_exec(g, exec, &mut pool);
-        Engine::assemble(
-            g, cs, mode, threads, pool_cache_limit, topo, pool, exec_ids, irows, skeletons,
-        )
+        Engine::assemble(g, cs, mode, threads, pool_cache_limit, topo, pool, exec_ids, irows)
     }
 
-    /// Shared back half of construction: derived tables and the bitset
-    /// skeleton pass over an already-built closure. When `skeletons` is
-    /// supplied (previous run's skeletons plus the node indices whose
-    /// rows changed), only the dirty rows are rebuilt — every clean row's
-    /// skeleton is pinned by its unchanged interned row.
+    /// Shared back half of construction: the derived tables over an
+    /// already-built closure.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         g: &'a DiGraph<SyncNode, SyncEdge>,
@@ -554,7 +554,6 @@ impl<'a> Engine<'a> {
         mut pool: DnfPool<Condition>,
         exec_ids: Vec<DnfId>,
         irows: Vec<IRow>,
-        skeletons: Option<(Vec<BitSet>, Vec<BitSet>, Vec<usize>)>,
     ) -> Engine<'a> {
         let bound = g.node_bound();
         let mut topo_pos = vec![usize::MAX; bound];
@@ -583,15 +582,7 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let (closure, uncond, dirty) = match skeletons {
-            Some((c, u, dirty)) => (c, u, Some(dirty)),
-            None => (
-                vec![BitSet::new(bound); bound],
-                vec![BitSet::new(bound); bound],
-                None,
-            ),
-        };
-        let mut eng = Engine {
+        Engine {
             g,
             cs,
             mode,
@@ -602,8 +593,6 @@ impl<'a> Engine<'a> {
             edge_gdnf,
             edge_term,
             scratch: RowScratch::new(bound),
-            closure,
-            uncond,
             removed: HashSet::new(),
             topo_pos,
             level,
@@ -613,31 +602,7 @@ impl<'a> Engine<'a> {
             dirty_rows: HashSet::new(),
             dirty_tails: HashSet::new(),
             row_undo: None,
-            skeleton_undo: None,
-        };
-        match dirty {
-            // One reverse-topological pass derives both bitset skeletons
-            // (cheap unions — never the closure bottleneck).
-            None => {
-                for &n in topo.iter().rev() {
-                    eng.rebuild_bitset_row(n);
-                }
-            }
-            // Incremental: rebuild only the changed rows, deepest first,
-            // so each rebuild reads already-current successor skeletons.
-            Some(dirty) => {
-                let mut is_dirty = vec![false; bound];
-                for &i in &dirty {
-                    is_dirty[i] = true;
-                }
-                for &n in topo.iter().rev() {
-                    if is_dirty[n.index()] {
-                        eng.rebuild_bitset_row(n);
-                    }
-                }
-            }
         }
-        eng
     }
 
     /// Recomputes the interned row of `n`, excluding `skip` and all
@@ -658,45 +623,19 @@ impl<'a> Engine<'a> {
             &self.removed,
         );
         let (edge_gdnf, edge_term) = (&self.edge_gdnf, &self.edge_term);
-        let adj = g.out_edges(n).filter_map(|e| {
-            if Some(e) == skip || removed.contains(&e) {
-                return None;
-            }
-            let (_, m) = g.endpoints(e);
-            Some((
-                m.index() as u32,
-                edge_gdnf[e.index()],
-                edge_term[e.index()],
-            ))
-        });
-        compose_interned_row(pool, scratch, adj, |m| {
+        let adj: Vec<AdjEdge> = g
+            .out_edges(n)
+            .filter(|&e| Some(e) != skip && !removed.contains(&e))
+            .map(|e| {
+                let (_, m) = g.endpoints(e);
+                (m.0, edge_gdnf[e.index()], edge_term[e.index()])
+            })
+            .collect();
+        compose_interned_row(pool, scratch, &adj, |m| {
             fresh
                 .get(&(m as usize))
                 .unwrap_or(&irows[m as usize])
         })
-    }
-
-    /// Rebuilds `closure[n]` and `uncond[n]` from the live out-edges.
-    /// Successor rows must already be current (reverse-topological order).
-    fn rebuild_bitset_row(&mut self, n: NodeId) {
-        let g = self.g;
-        let bound = g.node_bound();
-        let mut row = BitSet::new(bound);
-        let mut urow = BitSet::new(bound);
-        for e in g.out_edges(n) {
-            if self.removed.contains(&e) {
-                continue;
-            }
-            let (_, m) = g.endpoints(e);
-            row.insert(m.index());
-            row.union_with(&self.closure[m.index()]);
-            if g.edge_weight(e).cond.is_none() {
-                urow.insert(m.index());
-                urow.union_with(&self.uncond[m.index()]);
-            }
-        }
-        self.closure[n.index()] = row;
-        self.uncond[n.index()] = urow;
     }
 
     /// Memoized `ctx ∧ old ⟹ new` over interned formulas. The memo is an
@@ -736,20 +675,26 @@ impl<'a> Engine<'a> {
 
     /// Definition 4/5: is node `ni`'s current row covered by `new`?
     fn covered(&mut self, ni: usize, new: &IRow) -> bool {
+        let old = &self.irows[ni];
         match self.mode {
-            EquivalenceMode::Strict => self.irows[ni] == *new,
-            EquivalenceMode::Reachability => {
-                let old_len = self.irows[ni].len();
-                (0..old_len).all(|k| {
-                    let t = self.irows[ni][k].0;
-                    irow_get(new, t).is_some()
-                })
-            }
+            EquivalenceMode::Strict => old == new,
+            EquivalenceMode::Reachability => old.reach().is_subset(new.reach()),
             EquivalenceMode::ExecutionAware => {
-                let old_len = self.irows[ni].len();
-                for k in 0..old_len {
-                    let (t, old_id) = self.irows[ni][k];
-                    let new_id = irow_get(new, t).unwrap_or(DnfPool::<Condition>::EMPTY);
+                // Only the targets that lost `ALWAYS` or carry a
+                // conditional id can differ; every other `ALWAYS` entry
+                // is kept. Ascending target order, like a full row scan.
+                let always = DnfPool::<Condition>::ALWAYS;
+                let mut lost = old.uncond().iter_difference(new.uncond()).peekable();
+                let mut maybe_changed: Vec<(u32, DnfId)> = Vec::new();
+                for &(t, old_id) in old.cond() {
+                    while let Some(l) = lost.next_if(|&l| l < t as usize) {
+                        maybe_changed.push((l as u32, always));
+                    }
+                    maybe_changed.push((t, old_id));
+                }
+                maybe_changed.extend(lost.map(|l| (l as u32, always)));
+                for (t, old_id) in maybe_changed {
+                    let new_id = new.get(t).unwrap_or(DnfPool::<Condition>::EMPTY);
                     if old_id == new_id {
                         continue;
                     }
@@ -759,71 +704,6 @@ impl<'a> Engine<'a> {
                     }
                 }
                 true
-            }
-        }
-    }
-
-    /// Difference-driven reachability repair after accepting the removal
-    /// of `cand = u → v`. Deleting an edge only *loses* paths, and every
-    /// path lost from an affected ancestor ran through the candidate, so
-    /// its lost targets all lie in `{v} ∪ closure[v]` — the candidate
-    /// head's cone, whose own rows the removal cannot touch (`v` is no
-    /// ancestor of `u` on a DAG). Only those columns are rechecked against
-    /// the already-repaired successor rows (`affected` is ordered
-    /// successors-first); every other bit is provably unchanged. The
-    /// unconditional skeleton can only shrink when the removed edge itself
-    /// was unconditional.
-    fn repair_bitsets_after_removal(&mut self, affected: &[NodeId], v: NodeId, cand_uncond: bool) {
-        let g = self.g;
-        let vi = v.index();
-        // Copy-on-write for the re-weave session: stash each affected
-        // node's pre-repair skeleton pair once (mirrors `row_undo`).
-        {
-            let (undo, closure, uncond) = (&mut self.skeleton_undo, &self.closure, &self.uncond);
-            if let Some(undo) = undo.as_mut() {
-                for &n in affected {
-                    let ni = n.index();
-                    undo.entry(ni)
-                        .or_insert_with(|| (closure[ni].clone(), uncond[ni].clone()));
-                }
-            }
-        }
-        let mut maybe_lost: Vec<usize> = self.closure[vi].iter().collect();
-        maybe_lost.push(vi);
-        let mut maybe_lost_u: Vec<usize> = Vec::new();
-        if cand_uncond {
-            maybe_lost_u = self.uncond[vi].iter().collect();
-            maybe_lost_u.push(vi);
-        }
-        for &n in affected {
-            let ni = n.index();
-            for &t in &maybe_lost {
-                if !self.closure[ni].contains(t) {
-                    continue;
-                }
-                let still = g.out_edges(n).any(|e| {
-                    !self.removed.contains(&e) && {
-                        let (_, w) = g.endpoints(e);
-                        w.index() == t || self.closure[w.index()].contains(t)
-                    }
-                });
-                if !still {
-                    self.closure[ni].remove(t);
-                }
-            }
-            for &t in &maybe_lost_u {
-                if !self.uncond[ni].contains(t) {
-                    continue;
-                }
-                let still = g.out_edges(n).any(|e| {
-                    !self.removed.contains(&e) && g.edge_weight(e).cond.is_none() && {
-                        let (_, w) = g.endpoints(e);
-                        w.index() == t || self.uncond[w.index()].contains(t)
-                    }
-                });
-                if !still {
-                    self.uncond[ni].remove(t);
-                }
             }
         }
     }
@@ -845,7 +725,7 @@ impl<'a> Engine<'a> {
                 continue;
             }
             let (_, w) = g.endpoints(oe);
-            if w == v || self.uncond[w.index()].contains(v.index()) {
+            if w == v || self.irows[w.index()].uncond().contains(v.index()) {
                 return true;
             }
         }
@@ -861,7 +741,7 @@ impl<'a> Engine<'a> {
         g.out_edges(u).any(|oe| {
             oe != cand && !self.removed.contains(&oe) && {
                 let (_, w) = g.endpoints(oe);
-                w == v || self.closure[w.index()].contains(v.index())
+                w == v || self.irows[w.index()].reach().contains(v.index())
             }
         })
     }
@@ -975,7 +855,7 @@ impl<'a> Engine<'a> {
 
     /// One greedy step: decide `cand` and mutate state on acceptance.
     /// `pre` is an optional screening row (structural, snapshot-composed).
-    fn try_remove(&mut self, cand: EdgeId, pre: Option<Vec<(u32, Dnf<Condition>)>>) -> bool {
+    fn try_remove(&mut self, cand: EdgeId, pre: Option<StructRow>) -> bool {
         self.try_remove_classified(cand, pre).removed()
     }
 
@@ -985,7 +865,7 @@ impl<'a> Engine<'a> {
     pub(crate) fn try_remove_classified(
         &mut self,
         cand: EdgeId,
-        pre: Option<Vec<(u32, Dnf<Condition>)>>,
+        pre: Option<StructRow>,
     ) -> Decision {
         let g = self.g;
         let (u, v) = g.endpoints(cand);
@@ -1007,7 +887,8 @@ impl<'a> Engine<'a> {
                     // v is lost from u's row entirely; salvageable only if
                     // the annotation was vacuous under the execution
                     // context (e.g. a dead branch combination).
-                    let old_v = irow_get(&self.irows[ui], v.index() as u32)
+                    let old_v = self.irows[ui]
+                        .get(v.0)
                         .expect("candidate edge target must be in tail row");
                     let ctx = self.pool.and(self.exec_ids[ui], self.exec_ids[v.index()]);
                     if !self.implies(ctx, old_v, DnfPool::<Condition>::EMPTY) {
@@ -1037,41 +918,24 @@ impl<'a> Engine<'a> {
         let fresh = self.recompute_rows(&affected, u, cand, new_u);
         for &n in &affected {
             let ni = n.index();
-            if fresh[&ni] == self.irows[ni] {
-                continue;
-            }
-            // Borrow dance: `covered` needs `&mut self`, so take the new
-            // row out of the map for the call.
-            let new_row = &fresh[&ni];
-            let ok = {
-                let row = new_row.clone();
-                self.covered(ni, &row)
-            };
-            if !ok {
+            if fresh[&ni] != self.irows[ni] && !self.covered(ni, &fresh[&ni]) {
                 return Decision::RejectSlow;
             }
         }
 
-        // Commit: swap rows in, then repair both reachability skeletons
-        // for the affected cone (successors first — the affected list is
-        // already in that order), rechecking only the columns the removal
-        // can have lost.
-        let cand_uncond = g.edge_weight(cand).cond.is_none();
+        // Commit: swap the recomputed rows (bitsets included) in.
         self.removed.insert(cand);
         self.dirty_tails.insert(ui);
         for (ni, row) in fresh {
-            if self.irows[ni] != row {
-                self.dirty_rows.insert(ni);
-                if let Some(undo) = &mut self.row_undo {
-                    if !undo.contains_key(&ni) {
-                        let old = std::mem::take(&mut self.irows[ni]);
-                        undo.insert(ni, old);
-                    }
-                }
+            if self.irows[ni] == row {
+                continue;
             }
-            self.irows[ni] = row;
+            self.dirty_rows.insert(ni);
+            let old = std::mem::replace(&mut self.irows[ni], row);
+            if let Some(undo) = &mut self.row_undo {
+                undo.entry(ni).or_insert(old);
+            }
         }
-        self.repair_bitsets_after_removal(&affected, v, cand_uncond);
         Decision::AcceptSlow
     }
 }
@@ -1117,7 +981,7 @@ pub fn minimize_generic_with(
         // a read-only snapshot. Results are advisory — the apply phase
         // re-runs the prefilters and drops any row whose dependency cone
         // an earlier acceptance dirtied.
-        let mut pre: HashMap<usize, Vec<(u32, Dnf<Condition>)>> = HashMap::new();
+        let mut pre: HashMap<usize, StructRow> = HashMap::new();
         if threads > 1 && end - k > 1 {
             let undecided: Vec<(usize, EdgeId)> = (k..end)
                 .map(|i| (i, candidates[i].0))

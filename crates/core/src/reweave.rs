@@ -26,8 +26,8 @@
 //! status), the *initial* rows of `u` and its live out-neighbors (rows
 //! mutate only through rare slow-path commits, which are tracked), the
 //! interned execution conditions, and the guard domains. The bitset
-//! prefilters are functions of the same inputs (the reachability
-//! skeletons are exactly the supports of the interned rows). A recorded
+//! prefilters are functions of the same inputs (they read the rows' own
+//! reachability bitsets). A recorded
 //! row-level verdict (`AcceptRowUnchanged` / `RejectNotCovered`) is
 //! therefore replayed only when:
 //!
@@ -56,8 +56,8 @@ use crate::translate::TranslationReport;
 use dscweaver_dscl::sync_graph::{SyncEdge, SyncGraph, SyncNode};
 use dscweaver_dscl::{Condition, ConstraintSet, Origin};
 use dscweaver_graph::{
-    find_cycle, interned_closure, interned_closure_delta, BitSet, DiGraph, DnfId, DnfPool,
-    FxHashMap, IRow, NodeId,
+    find_cycle, interned_closure, interned_closure_delta, DiGraph, DnfId, DnfPool, FxHashMap,
+    IRow, NodeId,
 };
 use dscweaver_graph::topo_sort;
 use dscweaver_obs as obs;
@@ -85,10 +85,6 @@ struct WeaveMemo {
     levels: Vec<usize>,
     /// Interned execution condition per node.
     exec_ids: Vec<DnfId>,
-    /// Reachability bitset skeleton per node — the support of `rows0`.
-    closure: Vec<BitSet>,
-    /// Unconditional-reachability skeleton per node.
-    uncond: Vec<BitSet>,
     /// Per-candidate decisions of the last run, in candidate order.
     records: Vec<(CandKey, Decision)>,
     /// Nodes whose rows a slow-path commit touched in the last run.
@@ -145,7 +141,9 @@ pub struct ReweaveReport {
     pub candidates_reused: usize,
     /// Order-sensitive fingerprint of the session state after this weave
     /// (initial rows, pool size, kept set). Bit-stable across thread
-    /// counts; tests pin this.
+    /// counts and equal for a fresh weave and a re-weave of the same
+    /// input; the value itself is a per-build digest with no meaning
+    /// across builds of the library.
     pub fingerprint: u64,
 }
 
@@ -183,13 +181,18 @@ fn fnv(h: &mut u64, x: u64) {
     *h = h.wrapping_mul(FNV_PRIME);
 }
 
-/// Fingerprint over the bit-stable session artifacts.
+/// Fingerprint over the bit-stable session artifacts. A row hashes as
+/// its `uncond` words then its conditional entries (`reach` is derived
+/// from the two).
 fn fingerprint(memo: &WeaveMemo, removed_rels: &[usize]) -> u64 {
     let mut h = FNV_OFFSET;
     fnv(&mut h, memo.rows0.len() as u64);
     for row in &memo.rows0 {
-        fnv(&mut h, row.len() as u64);
-        for &(t, d) in row {
+        for &w in row.uncond().words() {
+            fnv(&mut h, w);
+        }
+        fnv(&mut h, row.cond().len() as u64);
+        for &(t, d) in row.cond() {
             fnv(&mut h, (t as u64) << 32 | d.0 as u64);
         }
     }
@@ -409,9 +412,9 @@ impl WeaveSession {
             &topo,
             pool,
             irows,
-            None,
         );
-        let (removed_rels, memo) = Self::screen_all(eng, g, &sg, weaver, levels, None, report);
+        let (removed_rels, memo) =
+            Self::screen_all(eng, g, &sg, weaver, levels, out_sigs(g), None, report);
 
         Self::finish(ds, sc, exec, asc, translation, &sg, memo, removed_rels, report)
     }
@@ -459,8 +462,6 @@ impl WeaveSession {
             mut rows0,
             levels,
             exec_ids: old_exec_ids,
-            closure,
-            uncond,
             records,
             slow_touched,
             out_sigs: _,
@@ -495,8 +496,6 @@ impl WeaveSession {
         obs::counter_add("reweave.rows_recomputed", dstats.recomputed as u64);
 
         let topo = topo_sort(g).expect("cycle-free graph must sort");
-        // The bitset skeletons are supports of the rows: only changed
-        // rows need their skeleton rows rebuilt.
         let engine_span = obs::span("reweave.engine");
         let eng = Engine::with_closure(
             g,
@@ -508,11 +507,6 @@ impl WeaveSession {
             &topo,
             pool,
             rows0,
-            Some((
-                closure,
-                uncond,
-                changed_rows.iter().map(|&n| n as usize).collect(),
-            )),
         );
         drop(engine_span);
         // Execution conditions are structural formulas interned into the
@@ -544,7 +538,7 @@ impl WeaveSession {
             mode: weaver.mode,
         };
         let (removed_rels, memo) =
-            Self::screen_all(eng, g, &sg, weaver, levels, Some(replay), report);
+            Self::screen_all(eng, g, &sg, weaver, levels, sigs2, Some(replay), report);
         obs::counter_add("reweave.candidates_rescreened", report.candidates_rescreened as u64);
         obs::counter_add("reweave.candidates_reused", report.candidates_reused as u64);
 
@@ -554,18 +548,20 @@ impl WeaveSession {
 
     /// The recording greedy loop, shared by both paths: decide every
     /// candidate (replaying where the context allows), then dismantle the
-    /// engine into the next memo.
+    /// engine into the next memo. `sigs` are the out-edge signatures of
+    /// `g`, computed once by the caller.
+    #[allow(clippy::too_many_arguments)]
     fn screen_all(
         mut eng: Engine<'_>,
         g: &DiGraph<SyncNode, SyncEdge>,
         sg: &SyncGraph,
         weaver: &Weaver,
         levels: Vec<usize>,
+        sigs: Vec<OutSig>,
         mut replay: Option<ReplayCtx>,
         report: &mut ReweaveReport,
     ) -> (Vec<usize>, WeaveMemo) {
         eng.row_undo = Some(HashMap::new());
-        eng.skeleton_undo = Some(HashMap::new());
         let candidates = order_candidates(g, sg, &weaver.order);
         report.candidates_total = candidates.len();
         let screen_span =
@@ -588,31 +584,20 @@ impl WeaveSession {
         }
         drop(screen_span);
 
-        // Dismantle: undo slow-path row and skeleton swaps so the memo
-        // keeps the pre-greedy closure (the delta update's expected
-        // input) with skeletons that match it.
+        // Dismantle: undo slow-path row swaps so the memo keeps the
+        // pre-greedy closure (the delta update's expected input).
         let Engine {
             pool,
             irows,
             exec_ids,
-            closure,
-            uncond,
             dirty_rows,
             row_undo,
-            skeleton_undo,
             ..
         } = eng;
         let mut rows0 = irows;
         if let Some(undo) = row_undo {
             for (ni, old) in undo {
                 rows0[ni] = old;
-            }
-        }
-        let (mut closure, mut uncond) = (closure, uncond);
-        if let Some(undo) = skeleton_undo {
-            for (ni, (c, u)) in undo {
-                closure[ni] = c;
-                uncond[ni] = u;
             }
         }
         let mut slow_touched: Vec<u32> = dirty_rows.iter().map(|&i| i as u32).collect();
@@ -622,11 +607,9 @@ impl WeaveSession {
             rows0,
             levels,
             exec_ids,
-            closure,
-            uncond,
             records,
             slow_touched,
-            out_sigs: out_sigs(g),
+            out_sigs: sigs,
         };
         (removed_rels, memo)
     }

@@ -107,19 +107,36 @@ impl BitSet {
 
     /// Iterates over set bit indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.blocks.iter().enumerate().flat_map(|(i, &block)| {
-            let mut b = block;
-            std::iter::from_fn(move || {
-                if b == 0 {
-                    None
-                } else {
-                    let tz = b.trailing_zeros() as usize;
-                    b &= b - 1;
-                    Some(i * BITS + tz)
-                }
-            })
-        })
+        set_bits(self.blocks.iter().copied())
     }
+
+    /// Iterates over the indices set in `self` but not in `other`, in
+    /// ascending order (a non-destructive `self - other`).
+    pub fn iter_difference<'a>(&'a self, other: &'a BitSet) -> impl Iterator<Item = usize> + 'a {
+        assert_eq!(self.len, other.len, "capacity mismatch");
+        set_bits(self.blocks.iter().zip(&other.blocks).map(|(a, b)| a & !b))
+    }
+
+    /// The backing `u64` blocks, lowest indices first.
+    pub fn words(&self) -> &[u64] {
+        &self.blocks
+    }
+}
+
+/// Set bit indices of a block sequence, ascending.
+fn set_bits(blocks: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    blocks.enumerate().flat_map(|(i, block)| {
+        let mut b = block;
+        std::iter::from_fn(move || {
+            if b == 0 {
+                None
+            } else {
+                let tz = b.trailing_zeros() as usize;
+                b &= b - 1;
+                Some(i * BITS + tz)
+            }
+        })
+    })
 }
 
 impl std::fmt::Debug for BitSet {
@@ -196,6 +213,8 @@ mod tests {
         b.insert(2);
         assert!(a.is_subset(&b));
         assert!(!b.is_subset(&a));
+        assert_eq!(b.iter_difference(&a).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(b.count(), 3, "iter_difference leaves both operands intact");
         b.difference_with(&a);
         assert_eq!(b.iter().collect::<Vec<_>>(), vec![2]);
     }

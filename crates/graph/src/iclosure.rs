@@ -5,11 +5,19 @@
 //! and leaves interning to the caller — every annotation is materialized,
 //! cloned through `BTreeMap` accumulators, and hashed again when the
 //! minimizer pools it. This module builds the same closure **directly in
-//! interned form**: rows are sorted `(target, DnfId)` vectors from the
-//! start, every union/compose goes through the pool's memo tables, and
-//! the per-row accumulator is a dense scratch array instead of an ordered
-//! map. On top of that, the DAG is swept level by level (longest path to
-//! a sink), and wide levels fan out to the [`crate::par`] worker pool:
+//! interned form**, split by annotation kind.
+//!
+//! Nearly every closure entry is `ALWAYS`: a target is reached
+//! unconditionally iff some path to it carries no guard (a
+//! [`Dnf`](crate::annotated::Dnf) is monotone and never merges
+//! complementary guards). So an [`IRow`] keeps those targets as a bitset
+//! (`uncond`), built by word-wise unions over the unconditional
+//! out-edges, and interns only the remaining conditional annotations as
+//! a sorted `(target, DnfId)` list (`cond`). The sweep composes
+//! annotations only for targets outside `uncond`; the per-row
+//! accumulator is a dense scratch array instead of an ordered map. On
+//! top of that, the DAG is swept level by level (longest path to a
+//! sink), and wide levels fan out to the [`crate::par`] worker pool:
 //! a node's row only reads rows of strictly smaller levels, so levels
 //! are natural barriers.
 //!
@@ -23,14 +31,11 @@
 //! sequential path.
 //!
 //! Cyclic inputs: [`interned_closure`] mirrors `annotated_closure` and
-//! returns the [`CycleError`] untouched (the optimizer treats cycles as
-//! specification conflicts), while [`interned_closure_condensed`] falls
-//! back to the shared SCC condensation ([`crate::closure::condense`]) and
-//! a per-component least fixpoint, exactly like
-//! [`crate::annotated::annotated_closure_condensed`].
+//! returns the [`CycleError`] untouched — the optimizer treats cycles as
+//! specification conflicts, so they never reach the closure.
 //!
 //! ```
-//! use dscweaver_graph::{interned_closure, irow_get, DiGraph, DnfPool};
+//! use dscweaver_graph::{interned_closure, DiGraph, DnfId, DnfPool};
 //!
 //! // The paper's running example: a1 → a2 →_T a3 → a4.
 //! let mut g: DiGraph<(), Option<(u32, bool)>> = DiGraph::new();
@@ -46,31 +51,97 @@
 //! let (rows, stats) = interned_closure(&g, &|_, w: &Option<(u32, bool)>| *w, &mut pool, 1)
 //!     .expect("acyclic");
 //! // a1+ = {a2, a3(T@a2), a4(T@a2)}: a2 unconditionally, the rest guarded.
-//! assert_eq!(rows[a1.index()].len(), 3);
-//! let a2_id = irow_get(&rows[a1.index()], a2.0).unwrap();
-//! assert!(pool.dnf(a2_id).is_always());
-//! let a4_id = irow_get(&rows[a1.index()], a4.0).unwrap();
+//! let row = &rows[a1.index()];
+//! assert_eq!(row.reach().count(), 3);
+//! assert!(row.uncond().contains(a2.index()));
+//! assert_eq!(row.get(a2.0), Some(DnfId::ALWAYS));
+//! let a4_id = row.get(a4.0).unwrap();
 //! assert_eq!(pool.dnf(a4_id).terms(), &[vec![(a2.0, true)]]);
 //! assert_eq!(stats.rows, 4);
 //! ```
 
 use crate::annotated::GuardFn;
-use crate::closure::condense;
+use crate::bitset::BitSet;
 use crate::digraph::DiGraph;
 use crate::intern::{DnfId, DnfPool, SnapshotOps, TermId};
 use crate::par::par_ranges;
 use crate::topo::{topo_sort, CycleError};
 use dscweaver_obs as obs;
 
-/// An interned closure row: `(target node index, annotation id)` sorted by
-/// target. With all rows drawn from one pool, row equality is bitwise.
-pub type IRow = Vec<(u32, DnfId)>;
+/// An interned closure row: the targets reached with annotation
+/// `ALWAYS` (through at least one all-unconditional path) as a bitset,
+/// and every other target with its interned annotation id. With all rows
+/// drawn from one pool, row equality is bitwise.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct IRow {
+    uncond: BitSet,
+    /// `uncond` plus the targets of `cond`.
+    reach: BitSet,
+    /// Sorted by target, disjoint from `uncond`, never `ALWAYS`/`EMPTY`.
+    cond: Vec<(u32, DnfId)>,
+}
 
-/// The annotation with which `t` is reached in an interned row.
-pub fn irow_get(row: &IRow, t: u32) -> Option<DnfId> {
-    row.binary_search_by_key(&t, |&(k, _)| k)
-        .ok()
-        .map(|i| row[i].1)
+impl IRow {
+    /// The row reaching nothing, for node indices `< bound`.
+    pub fn empty(bound: usize) -> IRow {
+        IRow::from_parts(BitSet::new(bound), Vec::new())
+    }
+
+    /// A row from its `ALWAYS` targets and its conditional entries, which
+    /// must be sorted by target, lie outside `uncond`, and carry neither
+    /// the `ALWAYS` nor the `EMPTY` id.
+    pub fn from_parts(uncond: BitSet, cond: Vec<(u32, DnfId)>) -> IRow {
+        let mut reach = uncond.clone();
+        for w in cond.windows(2) {
+            assert!(w[0].0 < w[1].0, "conditional entries must be sorted");
+        }
+        for &(t, d) in &cond {
+            assert!(!reach.contains(t as usize), "target {t} is also unconditional");
+            assert!(d != DnfId::ALWAYS && d != DnfId::EMPTY, "target {t} is not conditional");
+            reach.insert(t as usize);
+        }
+        IRow { uncond, reach, cond }
+    }
+
+    /// The targets reached with annotation `ALWAYS`.
+    pub fn uncond(&self) -> &BitSet {
+        &self.uncond
+    }
+
+    /// Every reached target, under any annotation.
+    pub fn reach(&self) -> &BitSet {
+        &self.reach
+    }
+
+    /// The conditionally reached targets with their annotation ids,
+    /// sorted by target.
+    pub fn cond(&self) -> &[(u32, DnfId)] {
+        &self.cond
+    }
+
+    /// The annotation with which `t` is reached, if reachable.
+    pub fn get(&self, t: u32) -> Option<DnfId> {
+        if self.uncond.contains(t as usize) {
+            return Some(DnfId::ALWAYS);
+        }
+        self.cond
+            .binary_search_by_key(&t, |&(k, _)| k)
+            .ok()
+            .map(|i| self.cond[i].1)
+    }
+
+    /// Every `(target, annotation id)` entry in ascending target order,
+    /// `ALWAYS` entries included.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, DnfId)> + '_ {
+        let mut cond = self.cond.iter();
+        self.reach.iter().map(move |t| {
+            if self.uncond.contains(t) {
+                (t as u32, DnfId::ALWAYS)
+            } else {
+                *cond.next().expect("reach is uncond plus the cond targets")
+            }
+        })
+    }
 }
 
 /// Build telemetry returned by the interned closure engines.
@@ -78,8 +149,7 @@ pub fn irow_get(row: &IRow, t: u32) -> Option<DnfId> {
 pub struct ClosureStats {
     /// Rows composed (live nodes swept).
     pub rows: usize,
-    /// Topological levels the sweep was batched into (0 for the
-    /// condensed fallback, which runs per-component instead).
+    /// Topological levels the sweep was batched into.
     pub levels: usize,
     /// Distinct DNFs the build added to the pool.
     pub minted: usize,
@@ -173,11 +243,11 @@ impl RowScratch {
         }
     }
 
-    /// Harvests the accumulated row (sorted by target) and resets the
+    /// Harvests the accumulated entries (sorted by target) and resets the
     /// touched slots for reuse.
-    fn harvest(&mut self) -> IRow {
+    fn harvest(&mut self) -> Vec<(u32, DnfId)> {
         self.touched.sort_unstable();
-        let row: IRow = self
+        let cond: Vec<(u32, DnfId)> = self
             .touched
             .iter()
             .map(|&t| (t, DnfId(self.acc[t as usize])))
@@ -186,15 +256,18 @@ impl RowScratch {
             self.acc[t as usize] = NONE;
         }
         self.touched.clear();
-        row
+        cond
     }
 }
 
-/// Per-edge view the sweep composes from: `(target index, direct-edge
+/// One out-edge as the sweep composes it: `(target index, direct-edge
 /// annotation id, guard term id if conditional)`. The direct id and the
 /// term are interned up front on the main thread, so the hot loop never
 /// hashes a guard value.
-type Adj = Vec<Vec<(u32, DnfId, Option<TermId>)>>;
+pub type AdjEdge = (u32, DnfId, Option<TermId>);
+
+/// Per-node out-edge views.
+type Adj = Vec<Vec<AdjEdge>>;
 
 /// Pre-interns every edge guard (deterministic node/edge order) and
 /// builds the per-node adjacency view.
@@ -223,21 +296,44 @@ fn build_adj<N, E, G: Ord + Clone + std::hash::Hash>(
 
 /// Composes one row from an adjacency view:
 /// `row(n) = ⋃_{n →g m} ({m: g} ∪ g ⊗ row_of(m))`.
+///
+/// The unconditional part is pure bitset work: `uncond(n)` is the union
+/// of `{m} ∪ uncond(m)` over the unconditional edges. Annotations are
+/// composed only for targets outside it — an unconditional edge passes
+/// on `m`'s conditional entries, a conditional edge guards everything `m`
+/// reaches (`compose(ALWAYS, g)` is the edge's own `{{g}}` id).
 fn compose_row_ops<'r, G, O: IdOps<G>>(
     ops: &mut O,
     scratch: &mut RowScratch,
-    adj: impl IntoIterator<Item = (u32, DnfId, Option<TermId>)>,
+    adj: &[AdjEdge],
     row_of: impl Fn(u32) -> &'r IRow,
 ) -> IRow {
     debug_assert!(scratch.touched.is_empty());
-    for (m, direct, t) in adj {
-        scratch.upsert(ops, m, direct);
-        for &(tt, did) in row_of(m) {
-            let composed = ops.compose(did, t);
-            scratch.upsert(ops, tt, composed);
+    let mut uncond = BitSet::new(scratch.acc.len());
+    for &(m, _, t) in adj {
+        if t.is_none() {
+            uncond.insert(m as usize);
+            uncond.union_with(&row_of(m).uncond);
         }
     }
-    scratch.harvest()
+    for &(m, direct, t) in adj {
+        let mrow = row_of(m);
+        if t.is_some() {
+            if !uncond.contains(m as usize) {
+                scratch.upsert(ops, m, direct);
+            }
+            for tt in mrow.uncond.iter_difference(&uncond) {
+                scratch.upsert(ops, tt as u32, direct);
+            }
+        }
+        for &(tt, did) in &mrow.cond {
+            if !uncond.contains(tt as usize) {
+                let composed = ops.compose(did, t);
+                scratch.upsert(ops, tt, composed);
+            }
+        }
+    }
+    IRow::from_parts(uncond, scratch.harvest())
 }
 
 /// Composes one interned row against an owning pool — the sequential
@@ -245,15 +341,14 @@ fn compose_row_ops<'r, G, O: IdOps<G>>(
 /// (which feeds it a filtered adjacency and an overlay `row_of`).
 ///
 /// `row_of(m)` must already be the finished row of `m`.
-pub fn compose_interned_row<'r, G, A, F>(
+pub fn compose_interned_row<'r, G, F>(
     pool: &mut DnfPool<G>,
     scratch: &mut RowScratch,
-    adj: A,
+    adj: &[AdjEdge],
     row_of: F,
 ) -> IRow
 where
     G: Ord + Clone + std::hash::Hash,
-    A: IntoIterator<Item = (u32, DnfId, Option<TermId>)>,
     F: Fn(u32) -> &'r IRow,
 {
     let mut ops = MainOps { pool };
@@ -268,8 +363,7 @@ where
 /// pool's id numbering matches the sequential sweep.
 ///
 /// Returns the cycle error untouched for cyclic inputs, mirroring
-/// [`crate::annotated::annotated_closure`]; use
-/// [`interned_closure_condensed`] for the SCC fallback.
+/// [`crate::annotated::annotated_closure`].
 pub fn interned_closure<N: Sync, E: Sync, G>(
     g: &DiGraph<N, E>,
     guard_of: &(impl GuardFn<E, G> + Sync),
@@ -322,7 +416,8 @@ where
         nodes.sort_unstable();
     }
 
-    let mut rows: Vec<IRow> = vec![Vec::new(); bound];
+    // Unset until composed; only tombstone slots stay unset.
+    let mut rows: Vec<Option<IRow>> = vec![None; bound];
     let mut stats = ClosureStats {
         rows: order.len(),
         levels: levels.len(),
@@ -337,7 +432,7 @@ where
             &adj,
             nodes,
             pool,
-            &rows,
+            &|m| rows[m as usize].as_ref().expect("successor rows sit on lower levels"),
             &mut scratch,
             threads,
             bound,
@@ -345,28 +440,32 @@ where
             &mut stats.pool_misses,
         );
         for (&n, row) in nodes.iter().zip(out) {
-            rows[n as usize] = row;
+            rows[n as usize] = Some(row);
         }
     }
 
     stats.minted = pool.dnf_count() - dnfs_before;
     stats.pool_hits += pool.ops_hits() - hits_before;
     stats.pool_misses += pool.ops_misses() - misses_before;
+    let rows = rows
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|| IRow::empty(bound)))
+        .collect();
     (rows, stats)
 }
 
 /// Composes the new rows of one same-level batch (`nodes` sorted
-/// ascending) against the finished `rows`, fanning out to the worker pool
-/// when the batch is wide. Rows are returned in `nodes` order rather than
+/// ascending) against the finished rows `row_of`, fanning out to the
+/// worker pool when the batch is wide. Rows are returned in `nodes` order rather than
 /// written in place — callers decide how to install them. The worker
 /// deltas are merged in deterministic window order, so pool numbering is
 /// identical for every thread count.
 #[allow(clippy::too_many_arguments)]
-fn compose_level_batch<G>(
+fn compose_level_batch<'r, G>(
     adj: &Adj,
     nodes: &[u32],
     pool: &mut DnfPool<G>,
-    rows: &[IRow],
+    row_of: &(impl Fn(u32) -> &'r IRow + Sync),
     scratch: &mut RowScratch,
     threads: usize,
     bound: usize,
@@ -382,12 +481,7 @@ where
             let mut ops = SnapshotOps::new(pool_snap);
             let mut scratch = RowScratch::new(bound);
             let wrows: Vec<IRow> = r
-                .map(|i| {
-                    let n = nodes[i] as usize;
-                    compose_row_ops(&mut ops, &mut scratch, adj[n].iter().copied(), |m| {
-                        &rows[m as usize]
-                    })
-                })
+                .map(|i| compose_row_ops(&mut ops, &mut scratch, &adj[nodes[i] as usize], row_of))
                 .collect();
             (wrows, ops.into_parts())
         });
@@ -399,8 +493,11 @@ where
             *worker_hits += parts.hits();
             *worker_misses += parts.misses();
             let remap = pool.absorb(parts);
-            for wrow in wrows {
-                out.push(wrow.into_iter().map(|(t, d)| (t, remap.fix(d))).collect());
+            for mut wrow in wrows {
+                for (_, d) in &mut wrow.cond {
+                    *d = remap.fix(*d);
+                }
+                out.push(wrow);
             }
         }
         out
@@ -408,11 +505,7 @@ where
         let mut ops = MainOps { pool: &mut *pool };
         nodes
             .iter()
-            .map(|&n| {
-                compose_row_ops(&mut ops, scratch, adj[n as usize].iter().copied(), |m| {
-                    &rows[m as usize]
-                })
-            })
+            .map(|&n| compose_row_ops(&mut ops, scratch, &adj[n as usize], row_of))
             .collect()
     }
 }
@@ -516,7 +609,7 @@ where
             &adj,
             &nodes,
             pool,
-            rows,
+            &|m| &rows[m as usize],
             &mut scratch,
             threads,
             bound,
@@ -546,82 +639,6 @@ where
     Some((changed_all, stats))
 }
 
-/// [`interned_closure`] with the shared SCC-condensation fallback instead
-/// of a `CycleError`: cyclic components are solved by a per-component
-/// least fixpoint over the same interned composition (sequential — the
-/// condensed path is a diagnostic route, not a hot one). On acyclic
-/// inputs this is exactly the level sweep.
-pub fn interned_closure_condensed<N: Sync, E: Sync, G>(
-    g: &DiGraph<N, E>,
-    guard_of: &(impl GuardFn<E, G> + Sync),
-    pool: &mut DnfPool<G>,
-    threads: usize,
-) -> (Vec<IRow>, ClosureStats)
-where
-    G: Ord + Clone + std::hash::Hash + Send + Sync,
-{
-    if let Ok(out) = interned_closure(g, guard_of, pool, threads) {
-        return out;
-    }
-    let bound = g.node_bound();
-    let dnfs_before = pool.dnf_count();
-    let hits_before = pool.ops_hits();
-    let misses_before = pool.ops_misses();
-    let adj = build_adj(g, guard_of, pool);
-    let cond = condense(g);
-
-    let mut rows: Vec<IRow> = vec![Vec::new(); bound];
-    let mut scratch = RowScratch::new(bound);
-    let mut ops = MainOps { pool };
-    let mut rows_composed = 0usize;
-    for (c, members) in cond.comps.iter().enumerate() {
-        if !cond.cyclic[c] {
-            let n = members[0].index();
-            let row = {
-                let rows_snap: &[IRow] = &rows;
-                compose_row_ops(&mut ops, &mut scratch, adj[n].iter().copied(), |m| {
-                    &rows_snap[m as usize]
-                })
-            };
-            rows[n] = row;
-            rows_composed += 1;
-            continue;
-        }
-        // Monotone fixpoint on the finite lattice of minimal guard-set
-        // antichains: coverage only grows, so iteration terminates.
-        loop {
-            let mut changed = false;
-            for &n in members {
-                let ni = n.index();
-                let row = {
-                    let rows_snap: &[IRow] = &rows;
-                    compose_row_ops(&mut ops, &mut scratch, adj[ni].iter().copied(), |m| {
-                        &rows_snap[m as usize]
-                    })
-                };
-                rows_composed += 1;
-                if row != rows[ni] {
-                    rows[ni] = row;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
-    let pool = ops.pool;
-    let stats = ClosureStats {
-        rows: rows_composed,
-        levels: 0,
-        minted: pool.dnf_count() - dnfs_before,
-        pool_hits: pool.ops_hits() - hits_before,
-        pool_misses: pool.ops_misses() - misses_before,
-    };
-    (rows, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,7 +654,7 @@ mod tests {
     /// Resolves interned rows to structural `(target, Dnf)` pairs.
     fn resolve(pool: &DnfPool<G>, rows: &[IRow]) -> Vec<Vec<(u32, Dnf<G>)>> {
         rows.iter()
-            .map(|r| r.iter().map(|&(t, d)| (t, pool.dnf(d).clone())).collect())
+            .map(|r| r.iter().map(|(t, d)| (t, pool.dnf(d).clone())).collect())
             .collect()
     }
 
@@ -665,7 +682,7 @@ mod tests {
                 srow.iter().map(|(t, d)| (t.0, d.clone())).collect();
             let got: Vec<(u32, Dnf<G>)> = rows[ni]
                 .iter()
-                .map(|&(t, d)| (t, pool.dnf(d).clone()))
+                .map(|(t, d)| (t, pool.dnf(d).clone()))
                 .collect();
             assert_eq!(got, expect, "row {ni}");
         }
@@ -682,29 +699,6 @@ mod tests {
         g.add_edge(b, a, None);
         let mut pool = DnfPool::new();
         assert!(interned_closure(&g, &guard_of(), &mut pool, 1).is_err());
-    }
-
-    #[test]
-    fn condensed_fallback_solves_cycles() {
-        // a ⇄ b (cyclic), both reaching c.
-        let mut g: DiGraph<(), Option<G>> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        g.add_edge(a, b, None);
-        g.add_edge(b, a, None);
-        g.add_edge(b, c, Some((b.0, true)));
-        let mut pool = DnfPool::new();
-        let (rows, _) = interned_closure_condensed(&g, &guard_of(), &mut pool, 1);
-        // a reaches itself (through the cycle), b, and c (guarded).
-        assert!(irow_get(&rows[a.index()], a.0).is_some());
-        assert!(pool
-            .dnf(irow_get(&rows[a.index()], b.0).unwrap())
-            .is_always());
-        assert_eq!(
-            pool.dnf(irow_get(&rows[a.index()], c.0).unwrap()).terms(),
-            &[vec![(b.0, true)]]
-        );
     }
 
     /// Delta vs from-scratch on the edited graph: structurally equal rows.
@@ -735,7 +729,8 @@ mod tests {
         assert_eq!(changed, vec![a.0]);
         assert_eq!(stats.recomputed, 1);
         assert_eq!(stats.levels_touched, 1);
-        assert!(pool.dnf(irow_get(&rows[a.index()], d.0).unwrap()).is_always());
+        assert_eq!(rows[a.index()].get(d.0), Some(DnfId::ALWAYS));
+        assert!(rows[a.index()].uncond().contains(d.index()));
         assert_delta_matches_fresh(&g2, &pool, &rows);
     }
 

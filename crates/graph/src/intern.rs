@@ -29,6 +29,13 @@ pub struct TermId(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct DnfId(pub u32);
 
+impl DnfId {
+    /// The id of [`Dnf::empty`] in every pool.
+    pub const EMPTY: DnfId = DnfId(0);
+    /// The id of [`Dnf::always`] in every pool.
+    pub const ALWAYS: DnfId = DnfId(1);
+}
+
 /// The hash-consing pool. `EMPTY` and `ALWAYS` are pre-interned so the
 /// two ubiquitous constants never hit the hash maps.
 #[derive(Clone, Debug)]
@@ -58,9 +65,9 @@ impl<G: Ord + Clone + std::hash::Hash> Default for DnfPool<G> {
 
 impl<G: Ord + Clone + std::hash::Hash> DnfPool<G> {
     /// The id of [`Dnf::empty`] in every pool.
-    pub const EMPTY: DnfId = DnfId(0);
+    pub const EMPTY: DnfId = DnfId::EMPTY;
     /// The id of [`Dnf::always`] in every pool.
-    pub const ALWAYS: DnfId = DnfId(1);
+    pub const ALWAYS: DnfId = DnfId::ALWAYS;
 
     /// A pool with `EMPTY` and `ALWAYS` pre-interned.
     pub fn new() -> Self {

@@ -23,8 +23,10 @@
 //! * [`dom`] — dominators/post-dominators for control-dependence extraction.
 //! * [`matching`] — Hopcroft–Karp and exact maximum antichains (peak
 //!   concurrency of a schedule).
-//! * [`iclosure`] — Definition 3 built **directly in interned form**,
-//!   level-parallel on the [`par`] pool (the minimizer's closure engine).
+//! * [`iclosure`] — Definition 3 built **directly in interned form**:
+//!   unconditional reachability as bitsets, only the conditional
+//!   annotations interned, level-parallel on the [`par`] pool (the
+//!   minimizer's closure engine).
 //! * [`lru`] — a bounded least-recently-used map capping the minimizer's
 //!   `implies` memo (graceful hit-rate degradation past the limit).
 //! * [`fx`] — the fast multiply-rotate hasher behind every memo table.
@@ -53,8 +55,8 @@ pub use annotated::{
 };
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use iclosure::{
-    compose_interned_row, interned_closure, interned_closure_condensed, interned_closure_delta,
-    irow_get, ClosureStats, DeltaClosureStats, IRow, RowScratch,
+    compose_interned_row, interned_closure, interned_closure_delta, AdjEdge, ClosureStats,
+    DeltaClosureStats, IRow, RowScratch,
 };
 pub use intern::{DnfId, DnfPool, FrozenDnfPool, PoolRemap, SnapshotOps, SnapshotParts, TermId};
 pub use lru::LruCache;

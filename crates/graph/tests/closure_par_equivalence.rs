@@ -1,13 +1,15 @@
 //! Equivalence of the interned closure engine (`iclosure`) against the
 //! structural `annotated_closure` reference: row-for-row identical
-//! results across thread counts {1, 2, 4, 8} and graph shapes (layered,
-//! fork-join, dense-conditional, cyclic via the shared SCC condensation),
-//! with bitwise-stable pool numbering at every thread count.
+//! results across thread counts {1, 2, 4, 8} and DAG shapes (layered,
+//! fork-join, dense-conditional), with bitwise-stable pool numbering at
+//! every thread count, the `ALWAYS`-as-bits row invariant, and delta
+//! updates equal to fresh builds. Cyclic inputs are refused by the
+//! interned engine and solved by the structural SCC condensation.
 
 use dscweaver_graph::annotated::Dnf;
 use dscweaver_graph::{
-    annotated_closure, annotated_closure_condensed, interned_closure,
-    interned_closure_condensed, AnnotatedClosure, DiGraph, DnfPool, IRow, NodeId,
+    annotated_closure, annotated_closure_condensed, interned_closure, interned_closure_delta,
+    topo_sort, transitive_closure, AnnotatedClosure, DiGraph, DnfId, DnfPool, IRow, NodeId,
 };
 use dscweaver_prng::Rng;
 
@@ -117,7 +119,7 @@ fn assert_rows_match(g: &G, rows: &[IRow], pool: &DnfPool<u8>, ann: &AnnotatedCl
             ann.row(n).iter().map(|(t, d)| (t.index(), d.clone())).collect();
         let got: Vec<(usize, Dnf<u8>)> = rows[n.index()]
             .iter()
-            .map(|&(t, id)| (t as usize, pool.dnf(id).clone()))
+            .map(|(t, id)| (t as usize, pool.dnf(id).clone()))
             .collect();
         assert_eq!(got, want, "{ctx}: node {n:?}");
     }
@@ -164,7 +166,7 @@ fn rows_and_pool_numbering_identical_across_thread_counts() {
                 assert_eq!(pool_t.term_count(), pool1.term_count(), "{shape}/{seed}/t{threads}");
                 // Same ids resolve to the same formulas in both pools.
                 for row in &rows_t {
-                    for &(_, id) in row {
+                    for (_, id) in row.iter() {
                         assert_eq!(pool_t.dnf(id), pool1.dnf(id), "{shape}/{seed}/t{threads}");
                     }
                 }
@@ -173,9 +175,10 @@ fn rows_and_pool_numbering_identical_across_thread_counts() {
     }
 }
 
-/// Cyclic inputs: both DAG-only builders report the cycle, and the two
-/// condensed fallbacks (structural and interned, which share one
-/// `condense` entry point) agree row-for-row at every thread count.
+/// Cyclic inputs: both DAG-only builders report the cycle, and the
+/// structural condensed fallback reaches exactly what plain reachability
+/// (the bitset `transitive_closure`, which shares the condensation)
+/// reaches.
 #[test]
 fn cyclic_inputs_agree_through_the_shared_condensation() {
     for seed in [7u64, 19, 0xC1C] {
@@ -187,24 +190,18 @@ fn cyclic_inputs_agree_through_the_shared_condensation() {
             assert!(interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool, 4).is_err());
         }
         let ann = annotated_closure_condensed(&g, &|_, w: &Option<u8>| *w);
-        let mut baseline: Option<Vec<IRow>> = None;
-        for threads in THREADS {
-            let mut pool: DnfPool<u8> = DnfPool::new();
-            let (rows, stats) =
-                interned_closure_condensed(&g, &|_, w: &Option<u8>| *w, &mut pool, threads);
-            assert_rows_match(&g, &rows, &pool, &ann, &format!("cyclic/{seed}/t{threads}"));
-            assert!(stats.rows > 0, "cyclic/{seed}/t{threads}");
-            match &baseline {
-                None => baseline = Some(rows),
-                Some(b) => assert_eq!(&rows, b, "cyclic/{seed}/t{threads}: rows diverge"),
-            }
+        let plain = transitive_closure(&g);
+        for n in g.node_ids() {
+            let got: Vec<usize> = ann.row(n).iter().map(|(t, _)| t.index()).collect();
+            let want: Vec<usize> = plain.row(n).iter().collect();
+            assert_eq!(got, want, "cyclic/{seed}: node {n:?}");
         }
     }
 }
 
 /// Regression for the shared-condensation bugfix: a graph mixing a cyclic
-/// component with a guarded DAG tail gets the same closure from both
-/// condensed builders — reachability into and out of the cycle included.
+/// component with a guarded DAG tail closes correctly through the
+/// condensed builder — reachability into and out of the cycle included.
 #[test]
 fn mixed_cycle_and_dag_tail_close_identically() {
     let mut g: G = DiGraph::new();
@@ -221,9 +218,6 @@ fn mixed_cycle_and_dag_tail_close_identically() {
     g.add_edge(d, e, None);
 
     let ann = annotated_closure_condensed(&g, &|_, w: &Option<u8>| *w);
-    let mut pool: DnfPool<u8> = DnfPool::new();
-    let (rows, _) = interned_closure_condensed(&g, &|_, w: &Option<u8>| *w, &mut pool, 2);
-    assert_rows_match(&g, &rows, &pool, &ann, "mixed");
 
     // Members of the cycle reach themselves unconditionally...
     for n in [a, b] {
@@ -241,4 +235,146 @@ fn mixed_cycle_and_dag_tail_close_identically() {
     let mut want = Dnf::empty();
     want.insert(vec![1u8]);
     assert_eq!(a_to_e, want, "a → e must require the bridge guard");
+}
+
+/// The row invariant: a target's `uncond` bit is set iff its structural
+/// annotation is `ALWAYS`, `cond` never holds the `ALWAYS` or `EMPTY` id,
+/// and `reach` is exactly `uncond` plus the `cond` targets.
+#[test]
+fn rows_keep_always_as_bits_and_only_conditional_ids_interned() {
+    for seed in [5u64, 31, 0xA11] {
+        for (shape, g) in dag_shapes(seed) {
+            let ann = annotated_closure(&g, &|_, w: &Option<u8>| *w).unwrap();
+            for threads in THREADS {
+                let ctx = format!("{shape}/{seed}/t{threads}");
+                let mut pool: DnfPool<u8> = DnfPool::new();
+                let (rows, _) =
+                    interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool, threads).unwrap();
+                for n in g.node_ids() {
+                    let row = &rows[n.index()];
+                    for t in g.node_ids() {
+                        let always = ann.row(n).get(t).is_some_and(Dnf::is_always);
+                        let bit = row.uncond().contains(t.index());
+                        assert_eq!(bit, always, "{ctx}: {n:?} → {t:?}");
+                    }
+                    for &(_, id) in row.cond() {
+                        assert!(id != DnfId::ALWAYS && id != DnfId::EMPTY, "{ctx}: {n:?}");
+                    }
+                    let mut reach = row.uncond().clone();
+                    for &(t, _) in row.cond() {
+                        assert!(!row.uncond().contains(t as usize), "{ctx}: {n:?} lists {t} twice");
+                        reach.insert(t as usize);
+                    }
+                    assert_eq!(&reach, row.reach(), "{ctx}: {n:?}");
+                }
+            }
+        }
+    }
+}
+
+/// Longest-path-to-sink level of every node.
+fn levels(g: &G) -> Vec<usize> {
+    let mut level = vec![0usize; g.node_bound()];
+    for &n in topo_sort(g).unwrap().iter().rev() {
+        level[n.index()] = g.successors(n).map(|m| level[m.index()] + 1).max().unwrap_or(0);
+    }
+    level
+}
+
+/// Delta rows equal a fresh build's: bitsets bitwise, conditional
+/// annotations structurally (the two pools number differently).
+fn assert_same_closure(
+    rows: &[IRow],
+    pool: &DnfPool<u8>,
+    fresh: &[IRow],
+    fresh_pool: &DnfPool<u8>,
+    ctx: &str,
+) {
+    for (n, (a, b)) in rows.iter().zip(fresh).enumerate() {
+        assert_eq!(a.uncond(), b.uncond(), "{ctx}: node {n} uncond");
+        assert_eq!(a.reach(), b.reach(), "{ctx}: node {n} reach");
+        let resolve = |r: &IRow, p: &DnfPool<u8>| -> Vec<(u32, Dnf<u8>)> {
+            r.cond().iter().map(|&(t, d)| (t, p.dnf(d).clone())).collect()
+        };
+        assert_eq!(resolve(a, pool), resolve(b, fresh_pool), "{ctx}: node {n} cond");
+    }
+}
+
+/// Seeded edit bursts through `interned_closure_delta`: guard flips
+/// (conditional ↔ unconditional, in place) and insert/delete of
+/// unconditional shortcuts, which turn entries `ALWAYS` ↔ conditional.
+/// Every edit keeps the level function, so the delta must apply, and
+/// after every edit the updated rows equal a fresh build.
+#[test]
+fn delta_matches_fresh_across_always_conditional_flips() {
+    for seed in [13u64, 57, 0xF11] {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut g = layered(&mut rng, 10, 6, 3);
+        let level = levels(&g);
+        let mut pool: DnfPool<u8> = DnfPool::new();
+        let (mut rows, _) = interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool, 1).unwrap();
+        let nodes: Vec<NodeId> = g.node_ids().collect();
+        let mut shortcuts = Vec::new();
+        let (mut to_always, mut to_cond) = (0usize, 0usize);
+        for step in 0..40 {
+            let tail = match rng.random_range(3) {
+                // Guard flip on a random edge.
+                0 => {
+                    let edges: Vec<_> = g.edge_ids().collect();
+                    let e = edges[rng.random_range(edges.len())];
+                    let w = g.edge_weight_mut(e);
+                    *w = match *w {
+                        Some(_) => None,
+                        None => Some(rng.random_range(3) as u8),
+                    };
+                    g.endpoints(e).0
+                }
+                // Unconditional shortcut two or more levels down: the
+                // tail's level is unchanged by inserting or deleting it.
+                1 => {
+                    let u = nodes[rng.random_range(nodes.len())];
+                    let below: Vec<NodeId> = nodes
+                        .iter()
+                        .copied()
+                        .filter(|w| level[w.index()] + 1 < level[u.index()])
+                        .collect();
+                    let Some(&w) = rng.choose(&below) else { continue };
+                    shortcuts.push(g.add_edge(u, w, None));
+                    u
+                }
+                _ => {
+                    if shortcuts.is_empty() {
+                        continue;
+                    }
+                    let e = shortcuts.swap_remove(rng.random_range(shortcuts.len()));
+                    let u = g.endpoints(e).0;
+                    g.remove_edge(e);
+                    u
+                }
+            };
+            let before = rows[tail.index()].uncond().clone();
+            let threads = THREADS[step % THREADS.len()];
+            interned_closure_delta(
+                &g,
+                &|_, w: &Option<u8>| *w,
+                &mut pool,
+                threads,
+                &mut rows,
+                &level,
+                &[tail.0],
+            )
+            .expect("level-stable edit");
+            let after = &rows[tail.index()];
+            to_always += after.uncond().iter_difference(&before).count();
+            to_cond += before
+                .iter_difference(after.uncond())
+                .filter(|&t| after.reach().contains(t))
+                .count();
+            let mut fresh_pool: DnfPool<u8> = DnfPool::new();
+            let (fresh, _) =
+                interned_closure(&g, &|_, w: &Option<u8>| *w, &mut fresh_pool, 1).unwrap();
+            assert_same_closure(&rows, &pool, &fresh, &fresh_pool, &format!("{seed}/step{step}"));
+        }
+        assert!(to_always > 0 && to_cond > 0, "seed {seed}: {to_always} / {to_cond} flips");
+    }
 }
