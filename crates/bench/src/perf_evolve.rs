@@ -1,19 +1,17 @@
-//! Fresh-weave vs delta-reweave comparison under edit bursts: the
-//! machine-readable `BENCH_evolve.json` artifact written by
-//! `repro bench-json --suite evolve`.
+//! Session re-weave vs its floor under edit bursts: the machine-readable
+//! `BENCH_evolve.json` artifact written by `repro bench-json --suite
+//! evolve`.
 //!
 //! Each row applies one level-stable edit burst (shortcut cooperation
 //! inserts/deletes, see `dscweaver_workloads::evolve`) to a layered
 //! process, then times (a) a from-scratch `Weaver::run` of the edited
-//! revision and (b) a `WeaveSession::weave` of the same revision on a
-//! session that already holds the previous revision's state. The session
-//! output is asserted identical to the fresh weave — and the re-weave
-//! asserted to actually take the delta path — before anything is timed.
-//! The headline claim the artifact backs: delta cost is proportional to
-//! the burst size, not the process size.
+//! revision — the floor — and (b) a `WeaveSession::weave` of the same
+//! revision on a session that already holds the base revision, which is
+//! that weave plus the ASC diff. The session output is asserted identical
+//! to the fresh weave before anything is timed.
 
 use crate::harness::{black_box, median, percentiles_ms, phases_json, sample, BenchOpts};
-use dscweaver_core::{DependencySet, ReweavePath, ReweaveReport, Weaver, WeaverOutput};
+use dscweaver_core::{DependencySet, Weaver, WeaverOutput};
 use dscweaver_obs as obs;
 use dscweaver_prng::Rng;
 use dscweaver_workloads::{edit_burst, layered, EditProfile, LayeredParams};
@@ -84,11 +82,9 @@ struct BurstReport {
     asc_constraints: usize,
     edits: Vec<String>,
     fresh_ms: f64,
-    delta_ms: f64,
-    delta_p50_ms: f64,
-    delta_p99_ms: f64,
-    speedup: f64,
-    rep: ReweaveReport,
+    reweave_ms: f64,
+    reweave_p50_ms: f64,
+    reweave_p99_ms: f64,
     phases: String,
 }
 
@@ -107,12 +103,12 @@ fn rendered(out: &WeaverOutput) -> (Vec<String>, Vec<String>) {
 }
 
 /// Runs the evolve suite and renders `BENCH_evolve.json` plus the merged
-/// trace of one instrumented delta re-weave per burst (the timed samples
-/// stay untraced so the recorder cannot skew them).
+/// trace of one instrumented re-weave per burst (the timed samples stay
+/// untraced so the recorder cannot skew them).
 pub fn bench_evolve_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let (smoke, threads) = (opts.smoke, opts.threads);
     let samples_fresh = if smoke { 1 } else { 5 };
-    let samples_delta = if smoke { 1 } else { 7 };
+    let samples_reweave = if smoke { 1 } else { 7 };
     let mut reports: Vec<BurstReport> = Vec::new();
     let mut suite_trace = obs::TraceSnapshot::default();
     for case in evolve_cases(smoke) {
@@ -132,55 +128,47 @@ pub fn bench_evolve_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             let mut rng = Rng::seed_from_u64(case.params.seed.wrapping_mul(1000) + burst as u64);
             let edits = edit_burst(&mut rev, &mut rng, burst, EditProfile::LevelStable);
 
-            // Correctness gate before any timing: the delta path must
-            // engage and agree with a from-scratch weave.
+            // Correctness gate before any timing: the re-weave must agree
+            // with a from-scratch weave.
             let fresh_out = weaver.run(&rev).expect("edited revision weaves");
             let mut probe = warm.clone();
-            let rep = probe.weave(&rev).expect("delta weave");
-            assert_eq!(
-                rep.path,
-                ReweavePath::Delta,
-                "{}/burst {burst}: level-stable burst left the delta path: {:?}",
-                case.name,
-                rep.diff
-            );
+            probe.weave(&rev).expect("re-weave");
             assert_eq!(
                 rendered(probe.output().expect("session output")),
                 rendered(&fresh_out),
-                "{}/burst {burst}: delta output differs from fresh",
+                "{}/burst {burst}: re-weave output differs from fresh",
                 case.name
             );
 
-            // Interleave fresh and delta samples so background machine
-            // load hits both sides alike and the reported ratio stays
-            // honest even when absolute timings drift between runs. The
-            // session is cloned outside the timer: the measurement is the
-            // re-weave, not the state snapshot.
+            // Interleave fresh and re-weave samples so background machine
+            // load hits both sides alike. The session is cloned outside
+            // the timer: the measurement is the re-weave, not the state
+            // snapshot.
             let mut fresh_samples = Vec::with_capacity(samples_fresh);
-            let mut delta_samples = Vec::with_capacity(samples_delta);
-            for i in 0..samples_fresh.max(samples_delta) {
+            let mut reweave_samples = Vec::with_capacity(samples_reweave);
+            for i in 0..samples_fresh.max(samples_reweave) {
                 if i < samples_fresh {
                     fresh_samples.push(sample(1, || {
                         black_box(weaver.run(&rev).expect("fresh weave"))
                     })[0]);
                 }
-                if i < samples_delta {
+                if i < samples_reweave {
                     let mut s = warm.clone();
                     let t0 = Instant::now();
-                    black_box(s.weave(&rev).expect("delta weave"));
-                    delta_samples.push(t0.elapsed());
+                    black_box(s.weave(&rev).expect("re-weave"));
+                    reweave_samples.push(t0.elapsed());
                 }
             }
             fresh_samples.sort();
             let t_fresh = median(&fresh_samples);
-            delta_samples.sort();
-            let t_delta = median(&delta_samples);
-            let (delta_p50_ms, delta_p99_ms) = percentiles_ms(&delta_samples);
+            reweave_samples.sort();
+            let t_reweave = median(&reweave_samples);
+            let (reweave_p50_ms, reweave_p99_ms) = percentiles_ms(&reweave_samples);
 
-            // One traced delta re-weave for the phase breakdown.
+            // One traced re-weave for the phase breakdown.
             let (_, case_trace) = obs::record_with(|| {
                 let mut s = warm.clone();
-                black_box(s.weave(&rev).expect("delta weave"))
+                black_box(s.weave(&rev).expect("re-weave"))
             });
 
             let asc_constraints = fresh_out.asc.constraint_count();
@@ -191,11 +179,9 @@ pub fn bench_evolve_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
                 asc_constraints,
                 edits,
                 fresh_ms: ms(t_fresh),
-                delta_ms: ms(t_delta),
-                delta_p50_ms,
-                delta_p99_ms,
-                speedup: t_fresh.as_secs_f64() / t_delta.as_secs_f64().max(1e-12),
-                rep,
+                reweave_ms: ms(t_reweave),
+                reweave_p50_ms,
+                reweave_p99_ms,
                 phases: phases_json(&case_trace, "      "),
             });
             suite_trace.merge(case_trace);
@@ -205,7 +191,7 @@ pub fn bench_evolve_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"artifact\": \"BENCH_evolve\",\n");
-    out.push_str("  \"description\": \"fresh Weaver::run vs WeaveSession delta re-weave per edit-burst size; outputs verified identical and the delta path verified engaged before timing\",\n");
+    out.push_str("  \"description\": \"WeaveSession re-weave vs its floor, a fresh Weaver::run of the same revision, per edit-burst size; outputs verified identical before timing\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str("  \"cases\": [\n");
@@ -220,34 +206,14 @@ pub fn bench_evolve_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         ));
         out.push_str(&format!("      \"edits\": {},\n", r.edits.len()));
         out.push_str(&format!("      \"fresh_ms\": {},\n", json_f(r.fresh_ms)));
-        out.push_str(&format!("      \"delta_ms\": {},\n", json_f(r.delta_ms)));
+        out.push_str(&format!("      \"reweave_ms\": {},\n", json_f(r.reweave_ms)));
         out.push_str(&format!(
-            "      \"delta_p50_ms\": {},\n",
-            json_f(r.delta_p50_ms)
+            "      \"reweave_p50_ms\": {},\n",
+            json_f(r.reweave_p50_ms)
         ));
         out.push_str(&format!(
-            "      \"delta_p99_ms\": {},\n",
-            json_f(r.delta_p99_ms)
-        ));
-        out.push_str(&format!("      \"speedup\": {},\n", json_f(r.speedup)));
-        out.push_str("      \"path\": \"delta\",\n");
-        out.push_str(&format!(
-            "      \"rows_recomputed\": {},\n",
-            r.rep.rows_recomputed
-        ));
-        out.push_str(&format!("      \"rows_changed\": {},\n", r.rep.rows_changed));
-        out.push_str(&format!("      \"delta_levels\": {},\n", r.rep.delta_levels));
-        out.push_str(&format!(
-            "      \"candidates_total\": {},\n",
-            r.rep.candidates_total
-        ));
-        out.push_str(&format!(
-            "      \"candidates_rescreened\": {},\n",
-            r.rep.candidates_rescreened
-        ));
-        out.push_str(&format!(
-            "      \"candidates_reused\": {},\n",
-            r.rep.candidates_reused
+            "      \"reweave_p99_ms\": {},\n",
+            json_f(r.reweave_p99_ms)
         ));
         out.push_str(&format!("      \"phases\": {}\n", r.phases));
         out.push_str(if i + 1 == reports.len() { "    }\n" } else { "    },\n" });

@@ -1,8 +1,8 @@
 //! Tier-1 smoke run of the `repro bench-json --suite evolve` measurement
 //! path: weaves the small case, applies level-stable edit bursts, runs
-//! the session re-weave against a fresh weave (equivalence and
-//! delta-path engagement asserted inside `bench_evolve_json`), and
-//! checks the rendered artifact is well-formed. Timings in this mode are
+//! the session re-weave against a fresh weave (equivalence asserted
+//! inside `bench_evolve_json`), and checks the rendered artifact is
+//! well-formed. Timings in this mode are
 //! meaningless (debug build, one sample) and are not asserted on.
 
 use dscweaver_bench::harness::BenchOpts;
@@ -29,22 +29,14 @@ fn bench_json_evolve_smoke_runs_and_renders() {
         "\"asc_constraints\":",
         "\"edits\":",
         "\"fresh_ms\":",
-        "\"delta_ms\":",
-        "\"speedup\":",
-        "\"path\":",
-        "\"rows_recomputed\":",
-        "\"rows_changed\":",
-        "\"delta_levels\":",
-        "\"candidates_total\":",
-        "\"candidates_rescreened\":",
-        "\"candidates_reused\":",
+        "\"reweave_ms\":",
+        "\"reweave_p50_ms\":",
+        "\"reweave_p99_ms\":",
         "\"phases\":",
     ] {
         assert_eq!(json.matches(field).count(), rows, "field {field}");
     }
-    // Every row took the delta path (asserted before timing, reflected
-    // in the artifact), and the traced re-weave recorded its spans.
-    assert_eq!(json.matches("\"path\": \"delta\"").count(), rows);
+    // The traced re-weave recorded its spans.
     assert!(!trace.is_empty());
     assert!(trace.phase_totals_ms().contains_key("reweave"), "{:?}", trace.phase_totals_ms());
     // Balanced braces/brackets — cheap well-formedness check without a

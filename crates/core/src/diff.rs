@@ -11,9 +11,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The difference between two constraint sets: HappenBefore relations
 /// compared structurally (endpoints, condition; provenance ignored), plus
 /// Exclusive pairs, annotation-only edge changes, and guard-domain edits.
-/// The extra axes let the re-weave session classify an edit as
-/// closure-relevant (the synchronization graph changed) versus
-/// screen-only (only dynamic checking or guard semantics changed).
+/// The extra axes separate edits that change the synchronization graph
+/// from those that change only dynamic checking or guard semantics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ConstraintDiff {
     /// Relations only in the new set (rendered).
@@ -175,7 +174,7 @@ fn domain_diff(old: &ConstraintSet, new: &ConstraintSet) -> Vec<String> {
 
 /// Computes the diff `old → new`.
 pub fn diff_constraint_sets(old: &ConstraintSet, new: &ConstraintSet) -> ConstraintDiff {
-    // Fast path for the incremental re-weave session: an edit burst leaves
+    // Fast path for a session re-weave: an edit burst leaves
     // the relation lists positionally identical outside a small window, so
     // trim the common prefix and suffix (plain `PartialEq`, no ordering
     // structure) and diff only the window against the full sets. Falls

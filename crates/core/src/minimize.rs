@@ -372,7 +372,7 @@ fn compose_structural(
 }
 
 /// Sorts removal candidates according to `order`.
-pub(crate) fn order_candidates(
+fn order_candidates(
     g: &DiGraph<SyncNode, SyncEdge>,
     sg: &SyncGraph,
     order: &EdgeOrder,
@@ -407,24 +407,18 @@ fn intern_exec(
     exec_ids
 }
 
-/// All mutable state of the optimized greedy loop. Crate-visible so the
-/// re-weave session ([`crate::reweave`]) can drive the same engine over a
-/// delta-updated closure.
-pub(crate) struct Engine<'a> {
-    pub(crate) g: &'a DiGraph<SyncNode, SyncEdge>,
+/// All mutable state of the optimized greedy loop.
+struct Engine<'a> {
+    g: &'a DiGraph<SyncNode, SyncEdge>,
     cs: &'a ConstraintSet,
     mode: EquivalenceMode,
-    /// Worker threads for screening/recomputation. The re-weave session
-    /// pins this to 1 after construction: the slow path's parallel branch
-    /// interns only final rows (not intermediates), which is
-    /// result-identical but numbers the pool differently per thread
-    /// count, and the session fingerprints its pool.
-    pub(crate) threads: usize,
-    pub(crate) pool: DnfPool<Condition>,
+    /// Worker threads for screening/recomputation.
+    threads: usize,
+    pool: DnfPool<Condition>,
     /// Interned annotated-closure rows, by node index.
-    pub(crate) irows: Vec<IRow>,
+    irows: Vec<IRow>,
     /// Interned execution condition per node (services: always).
-    pub(crate) exec_ids: Vec<DnfId>,
+    exec_ids: Vec<DnfId>,
     /// Direct-edge annotation id per edge index (`ALWAYS` when
     /// unconditional) — interned once so the greedy loop's row
     /// recompositions never hash a guard value.
@@ -433,7 +427,7 @@ pub(crate) struct Engine<'a> {
     edge_term: Vec<Option<TermId>>,
     /// Dense per-row accumulator reused across recompositions.
     scratch: RowScratch,
-    pub(crate) removed: HashSet<EdgeId>,
+    removed: HashSet<EdgeId>,
     topo_pos: Vec<usize>,
     /// Longest-path distance to a sink on the original graph — strictly
     /// decreasing along every edge, so it stays a valid schedule under
@@ -447,44 +441,8 @@ pub(crate) struct Engine<'a> {
     imp_misses: u64,
     /// Nodes whose rows changed / lost an out-edge since the last
     /// screening snapshot — invalidates precomputed screening rows.
-    pub(crate) dirty_rows: HashSet<usize>,
-    pub(crate) dirty_tails: HashSet<usize>,
-    /// Copy-on-write log of pre-greedy rows: when set, the first slow-path
-    /// commit that overwrites a row stashes the original here. The
-    /// re-weave session restores these afterwards so its memo keeps the
-    /// *initial* closure (what the next delta update expects) without
-    /// cloning the whole row table up front.
-    pub(crate) row_undo: Option<HashMap<usize, IRow>>,
-}
-
-/// How one greedy step was decided — recorded by the re-weave session so
-/// a later run can replay verdicts whose inputs provably did not change.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Decision {
-    /// Accepted by the same-guard prefilter (tail row provably unchanged).
-    AcceptPrefilter,
-    /// Rejected without composing a row: no alternate path (and, under
-    /// execution-aware mode, the lost annotation was not vacuous).
-    RejectCheap,
-    /// Accepted because the recomposed tail row came out identical.
-    AcceptRowUnchanged,
-    /// Rejected because the recomposed tail row is not covered.
-    RejectNotCovered,
-    /// Accepted through the slow path (ancestor rows recomputed and
-    /// swapped in).
-    AcceptSlow,
-    /// Rejected during the slow path's ancestor coverage recheck.
-    RejectSlow,
-}
-
-impl Decision {
-    /// Did this verdict remove the candidate?
-    pub(crate) fn removed(self) -> bool {
-        matches!(
-            self,
-            Decision::AcceptPrefilter | Decision::AcceptRowUnchanged | Decision::AcceptSlow
-        )
-    }
+    dirty_rows: HashSet<usize>,
+    dirty_tails: HashSet<usize>,
 }
 
 /// Minimum same-level batch size before ancestor recomputation fans out to
@@ -492,7 +450,7 @@ impl Decision {
 const PAR_BATCH_MIN: usize = 8;
 
 impl<'a> Engine<'a> {
-    pub(crate) fn new(
+    fn new(
         g: &'a DiGraph<SyncNode, SyncEdge>,
         cs: &'a ConstraintSet,
         exec: &ExecConditions,
@@ -517,44 +475,6 @@ impl<'a> Engine<'a> {
         obs::counter_add("minimize.closure.pool_misses", cstats.pool_misses);
         obs::counter_add("minimize.closure.minted_dnfs", cstats.minted as u64);
 
-        Engine::assemble(g, cs, mode, threads, pool_cache_limit, topo, pool, exec_ids, irows)
-    }
-
-    /// Builds an engine around an externally supplied interned closure —
-    /// the re-weave path, where `pool` and `irows` come from a previous
-    /// run's memo, delta-updated in place. Execution conditions are
-    /// interned into the supplied pool (pure hits unless they changed,
-    /// and the session detects changes by comparing the resulting ids).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_closure(
-        g: &'a DiGraph<SyncNode, SyncEdge>,
-        cs: &'a ConstraintSet,
-        exec: &ExecConditions,
-        mode: EquivalenceMode,
-        threads: usize,
-        pool_cache_limit: usize,
-        topo: &[NodeId],
-        mut pool: DnfPool<Condition>,
-        irows: Vec<IRow>,
-    ) -> Engine<'a> {
-        let exec_ids = intern_exec(g, exec, &mut pool);
-        Engine::assemble(g, cs, mode, threads, pool_cache_limit, topo, pool, exec_ids, irows)
-    }
-
-    /// Shared back half of construction: the derived tables over an
-    /// already-built closure.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        g: &'a DiGraph<SyncNode, SyncEdge>,
-        cs: &'a ConstraintSet,
-        mode: EquivalenceMode,
-        threads: usize,
-        pool_cache_limit: usize,
-        topo: &[NodeId],
-        mut pool: DnfPool<Condition>,
-        exec_ids: Vec<DnfId>,
-        irows: Vec<IRow>,
-    ) -> Engine<'a> {
         let bound = g.node_bound();
         let mut topo_pos = vec![usize::MAX; bound];
         for (i, &n) in topo.iter().enumerate() {
@@ -601,7 +521,6 @@ impl<'a> Engine<'a> {
             imp_misses: 0,
             dirty_rows: HashSet::new(),
             dirty_tails: HashSet::new(),
-            row_undo: None,
         }
     }
 
@@ -663,7 +582,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Telemetry snapshot for [`MinimizeResult::stats`].
-    pub(crate) fn stats(&self) -> MinimizeStats {
+    fn stats(&self) -> MinimizeStats {
         MinimizeStats {
             pool_dnfs: self.pool.dnf_count(),
             pool_terms: self.pool.term_count(),
@@ -713,7 +632,7 @@ impl<'a> Engine<'a> {
     /// through unconditional edges, replays every annotation the candidate
     /// contributed — the row of `u` (hence the whole closure) is provably
     /// unchanged, so the removal is pure redundancy.
-    pub(crate) fn prefilter_accept(&self, cand: EdgeId, u: NodeId, v: NodeId) -> bool {
+    fn prefilter_accept(&self, cand: EdgeId, u: NodeId, v: NodeId) -> bool {
         let g = self.g;
         let guard_c = &g.edge_weight(cand).cond;
         for oe in g.out_edges(u) {
@@ -736,7 +655,7 @@ impl<'a> Engine<'a> {
     /// out of `u`'s row entirely. (On a DAG no path from a sibling head
     /// can route back through the candidate edge, so the closure queried
     /// *with* the candidate still answers this exactly.)
-    pub(crate) fn has_alternate_path(&self, cand: EdgeId, u: NodeId, v: NodeId) -> bool {
+    fn has_alternate_path(&self, cand: EdgeId, u: NodeId, v: NodeId) -> bool {
         let g = self.g;
         g.out_edges(u).any(|oe| {
             oe != cand && !self.removed.contains(&oe) && {
@@ -856,17 +775,6 @@ impl<'a> Engine<'a> {
     /// One greedy step: decide `cand` and mutate state on acceptance.
     /// `pre` is an optional screening row (structural, snapshot-composed).
     fn try_remove(&mut self, cand: EdgeId, pre: Option<StructRow>) -> bool {
-        self.try_remove_classified(cand, pre).removed()
-    }
-
-    /// [`Engine::try_remove`] with the decision class exposed — the
-    /// re-weave session records these to know which verdicts it may
-    /// replay on the next run.
-    pub(crate) fn try_remove_classified(
-        &mut self,
-        cand: EdgeId,
-        pre: Option<StructRow>,
-    ) -> Decision {
         let g = self.g;
         let (u, v) = g.endpoints(cand);
         let ui = u.index();
@@ -875,14 +783,12 @@ impl<'a> Engine<'a> {
             // Row of u provably unchanged — no closure maintenance needed.
             self.removed.insert(cand);
             self.dirty_tails.insert(ui);
-            return Decision::AcceptPrefilter;
+            return true;
         }
 
         if !self.has_alternate_path(cand, u, v) {
             match self.mode {
-                EquivalenceMode::Strict | EquivalenceMode::Reachability => {
-                    return Decision::RejectCheap
-                }
+                EquivalenceMode::Strict | EquivalenceMode::Reachability => return false,
                 EquivalenceMode::ExecutionAware => {
                     // v is lost from u's row entirely; salvageable only if
                     // the annotation was vacuous under the execution
@@ -892,7 +798,7 @@ impl<'a> Engine<'a> {
                         .expect("candidate edge target must be in tail row");
                     let ctx = self.pool.and(self.exec_ids[ui], self.exec_ids[v.index()]);
                     if !self.implies(ctx, old_v, DnfPool::<Condition>::EMPTY) {
-                        return Decision::RejectCheap;
+                        return false;
                     }
                 }
             }
@@ -906,10 +812,10 @@ impl<'a> Engine<'a> {
         if new_u == self.irows[ui] {
             self.removed.insert(cand);
             self.dirty_tails.insert(ui);
-            return Decision::AcceptRowUnchanged;
+            return true;
         }
         if !self.covered(ui, &new_u) {
-            return Decision::RejectNotCovered;
+            return false;
         }
 
         // Slow path (rare): u's row weakened but stays covered — every
@@ -919,7 +825,7 @@ impl<'a> Engine<'a> {
         for &n in &affected {
             let ni = n.index();
             if fresh[&ni] != self.irows[ni] && !self.covered(ni, &fresh[&ni]) {
-                return Decision::RejectSlow;
+                return false;
             }
         }
 
@@ -931,12 +837,9 @@ impl<'a> Engine<'a> {
                 continue;
             }
             self.dirty_rows.insert(ni);
-            let old = std::mem::replace(&mut self.irows[ni], row);
-            if let Some(undo) = &mut self.row_undo {
-                undo.entry(ni).or_insert(old);
-            }
+            self.irows[ni] = row;
         }
-        Decision::AcceptSlow
+        true
     }
 }
 

@@ -14,7 +14,9 @@ use crate::minimize::{
 };
 use crate::translate::{translate_services, TranslationReport};
 use dscweaver_dscl::{ConstraintError, ConstraintSet, Origin, Relation};
+use dscweaver_graph::FxHasher;
 use dscweaver_obs as obs;
+use std::hash::{Hash, Hasher};
 
 /// Pipeline configuration.
 #[derive(Clone, Debug, Default)]
@@ -83,15 +85,16 @@ impl Weaver {
         Weaver::default()
     }
 
-    /// The specification front half of [`Weaver::run`] — merge,
-    /// validation, desugaring, execution conditions, service translation.
-    /// Shared with the re-weave session ([`crate::reweave`]), which diffs
-    /// the resulting ASC against its previous one before minimizing.
-    pub(crate) fn prepare(
-        &self,
-        ds: &DependencySet,
-    ) -> Result<(ConstraintSet, ExecConditions, ConstraintSet, TranslationReport), WeaverError>
-    {
+    /// Opens a re-weave session around this configuration: each
+    /// [`crate::reweave::WeaveSession::weave`] call runs the full pipeline
+    /// and diffs the result against the session's previous weave.
+    pub fn session(&self) -> crate::reweave::WeaveSession {
+        crate::reweave::WeaveSession::new(self.clone())
+    }
+
+    /// Runs the full specification-and-optimization pipeline.
+    pub fn run(&self, ds: &DependencySet) -> Result<WeaverOutput, WeaverError> {
+        let _span = obs::span("weaver.run");
         let merge_span = obs::span_with("weaver.merge", || {
             format!("dependencies={}", ds.deps.len())
         });
@@ -110,20 +113,6 @@ impl Weaver {
             let _span = obs::span("weaver.translate");
             translate_services(&sc)
         };
-        Ok((sc, exec, asc, translation))
-    }
-
-    /// Opens a re-weave session around this configuration: the first
-    /// [`crate::reweave::WeaveSession::weave`] call runs the full
-    /// pipeline, subsequent calls re-weave incrementally.
-    pub fn session(&self) -> crate::reweave::WeaveSession {
-        crate::reweave::WeaveSession::new(self.clone())
-    }
-
-    /// Runs the full specification-and-optimization pipeline.
-    pub fn run(&self, ds: &DependencySet) -> Result<WeaverOutput, WeaverError> {
-        let _span = obs::span("weaver.run");
-        let (sc, exec, asc, translation) = self.prepare(ds)?;
         let MinimizeResult {
             minimal, removed, ..
         } = minimize_with(
@@ -150,6 +139,17 @@ impl Weaver {
 }
 
 impl WeaverOutput {
+    /// A deterministic digest of the ASC relations and the removed
+    /// relations, which together fix the minimal set. Equal for equal
+    /// weaves at any thread count; the value is a per-build digest with
+    /// no meaning across builds of the library.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.asc.relations.hash(&mut h);
+        self.removed.hash(&mut h);
+        h.finish()
+    }
+
     /// Total constraints removed relative to the original merged set —
     /// the headline number of Table 2 ("23 constraints removed").
     pub fn total_removed(&self) -> usize {

@@ -187,7 +187,7 @@ impl RowScratch {
 }
 
 /// Id-level DNF operations a row composition needs. Implemented by the
-/// owning-pool path (sequential) and the frozen-snapshot path (workers).
+/// owning-pool path (sequential) and the read-only snapshot path (workers).
 trait IdOps<G> {
     fn compose(&mut self, a: DnfId, t: Option<TermId>) -> DnfId;
     fn union(&mut self, a: DnfId, b: DnfId) -> DnfId;
@@ -454,10 +454,9 @@ where
     (rows, stats)
 }
 
-/// Composes the new rows of one same-level batch (`nodes` sorted
-/// ascending) against the finished rows `row_of`, fanning out to the
-/// worker pool when the batch is wide. Rows are returned in `nodes` order rather than
-/// written in place — callers decide how to install them. The worker
+/// Composes the rows of one same-level batch (`nodes` sorted ascending)
+/// against the finished rows `row_of`, fanning out to the worker pool
+/// when the batch is wide. Rows are returned in `nodes` order. The worker
 /// deltas are merged in deterministic window order, so pool numbering is
 /// identical for every thread count.
 #[allow(clippy::too_many_arguments)]
@@ -508,135 +507,6 @@ where
             .map(|&n| compose_row_ops(&mut ops, scratch, &adj[n as usize], row_of))
             .collect()
     }
-}
-
-/// Telemetry from one [`interned_closure_delta`] update.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DeltaClosureStats {
-    /// Rows the wavefront recomposed (whether or not they changed).
-    pub recomputed: usize,
-    /// Rows whose content actually changed.
-    pub changed: usize,
-    /// Distinct levels the wavefront visited.
-    pub levels_touched: usize,
-    /// Distinct DNFs the update added to the pool.
-    pub minted: usize,
-    /// Memo hits across the update's union/compose operations.
-    pub pool_hits: u64,
-    /// Memo misses (structural computations).
-    pub pool_misses: u64,
-}
-
-/// In-place delta update of a previously built interned closure.
-///
-/// `rows` and `level` come from a prior [`interned_closure`] sweep of a
-/// *previous version* of the graph (with `level[n]` the longest-path-to-
-/// sink level of node `n`); `changed_tails` must list every node whose
-/// out-edge set — heads, guards, or multiplicities — differs between the
-/// two versions. The update recomposes only the change-propagation cone:
-/// the changed tails first, then, level by ascending level, any
-/// predecessor of a node whose row *actually* changed. A node whose
-/// recomposed row is unchanged stops the propagation, so the cost is
-/// proportional to the real impact of the diff, not to the graph size.
-///
-/// Returns `None` — leaving `rows` untouched — when the delta cannot be
-/// applied soundly: the node bound changed, a changed tail is out of
-/// bounds, or any changed tail's recomputed level differs from the
-/// recorded one. The level check doubles as the acyclicity proof: only
-/// edits at the changed tails can alter the level function, so if every
-/// changed tail keeps its recorded level, every edge of the edited graph
-/// still strictly decreases `level` — the graph is a DAG with the *same*
-/// level function, and a cycle-creating insert always raises its tail's
-/// level, tripping the fallback. Callers rebuild from scratch on `None`.
-///
-/// On success returns the ascending list of nodes whose rows changed,
-/// plus stats. Given the same inputs the update is bit-identical for
-/// every thread count, including the pool's id numbering.
-pub fn interned_closure_delta<N: Sync, E: Sync, G>(
-    g: &DiGraph<N, E>,
-    guard_of: &(impl GuardFn<E, G> + Sync),
-    pool: &mut DnfPool<G>,
-    threads: usize,
-    rows: &mut [IRow],
-    level: &[usize],
-    changed_tails: &[u32],
-) -> Option<(Vec<u32>, DeltaClosureStats)>
-where
-    G: Ord + Clone + std::hash::Hash + Send + Sync,
-{
-    let bound = g.node_bound();
-    if bound != level.len() || bound != rows.len() {
-        return None;
-    }
-    let dnfs_before = pool.dnf_count();
-    let hits_before = pool.ops_hits();
-    let misses_before = pool.ops_misses();
-    let adj = build_adj(g, guard_of, pool);
-
-    // Pointwise level validation on the edited tails — the whole
-    // fallback test, per the invariant above.
-    for &u in changed_tails {
-        let ui = u as usize;
-        if ui >= bound {
-            return None;
-        }
-        let l = adj[ui]
-            .iter()
-            .map(|&(m, _, _)| level[m as usize] + 1)
-            .max()
-            .unwrap_or(0);
-        if l != level[ui] {
-            return None;
-        }
-    }
-
-    // Ascending-level wavefront. A recomposed row only reads strictly
-    // smaller levels, all final by the time its level is drained; a
-    // changed row enqueues its predecessors, which sit on strictly
-    // higher levels, so every node is recomposed at most once.
-    let mut pending: std::collections::BTreeMap<usize, std::collections::BTreeSet<u32>> =
-        std::collections::BTreeMap::new();
-    for &u in changed_tails {
-        pending.entry(level[u as usize]).or_default().insert(u);
-    }
-    let mut stats = DeltaClosureStats::default();
-    let mut changed_all: Vec<u32> = Vec::new();
-    let mut scratch = RowScratch::new(bound);
-    while let Some((&lvl, _)) = pending.iter().next() {
-        let nodes: Vec<u32> = pending.remove(&lvl).expect("peeked key").into_iter().collect();
-        stats.levels_touched += 1;
-        let out = compose_level_batch(
-            &adj,
-            &nodes,
-            pool,
-            &|m| &rows[m as usize],
-            &mut scratch,
-            threads,
-            bound,
-            &mut stats.pool_hits,
-            &mut stats.pool_misses,
-        );
-        for (&n, row) in nodes.iter().zip(out) {
-            stats.recomputed += 1;
-            let ni = n as usize;
-            if rows[ni] == row {
-                continue;
-            }
-            rows[ni] = row;
-            changed_all.push(n);
-            for e in g.in_edges(crate::digraph::NodeId(n)) {
-                let (p, _) = g.endpoints(e);
-                debug_assert!(level[p.index()] > lvl);
-                pending.entry(level[p.index()]).or_default().insert(p.0);
-            }
-        }
-    }
-    changed_all.sort_unstable();
-    stats.changed = changed_all.len();
-    stats.minted = pool.dnf_count() - dnfs_before;
-    stats.pool_hits += pool.ops_hits() - hits_before;
-    stats.pool_misses += pool.ops_misses() - misses_before;
-    Some((changed_all, stats))
 }
 
 #[cfg(test)]
@@ -699,187 +569,6 @@ mod tests {
         g.add_edge(b, a, None);
         let mut pool = DnfPool::new();
         assert!(interned_closure(&g, &guard_of(), &mut pool, 1).is_err());
-    }
-
-    /// Delta vs from-scratch on the edited graph: structurally equal rows.
-    fn assert_delta_matches_fresh(
-        g: &DiGraph<(), Option<G>>,
-        pool: &DnfPool<G>,
-        rows: &[IRow],
-    ) {
-        let mut fresh_pool = DnfPool::new();
-        let (fresh, _) = interned_closure(g, &guard_of(), &mut fresh_pool, 1).unwrap();
-        assert_eq!(resolve(pool, rows), resolve(&fresh_pool, &fresh));
-    }
-
-    #[test]
-    fn delta_insert_recomputes_cone_only() {
-        let g = diamond();
-        let mut pool = DnfPool::new();
-        let (mut rows, _) = interned_closure(&g, &guard_of(), &mut pool, 1).unwrap();
-        let levels: Vec<usize> = vec![2, 1, 1, 0];
-        let mut g2 = g.clone();
-        let (a, d) = (crate::digraph::NodeId(0), crate::digraph::NodeId(3));
-        g2.add_edge(a, d, None); // shortcut a → d; level(a) stays 2
-        let (changed, stats) =
-            interned_closure_delta(&g2, &guard_of(), &mut pool, 1, &mut rows, &levels, &[a.0])
-                .expect("level-stable edit");
-        // Only a's row is in the cone, and it does change (d's annotation
-        // goes from {T@a}∪{F@a} to always).
-        assert_eq!(changed, vec![a.0]);
-        assert_eq!(stats.recomputed, 1);
-        assert_eq!(stats.levels_touched, 1);
-        assert_eq!(rows[a.index()].get(d.0), Some(DnfId::ALWAYS));
-        assert!(rows[a.index()].uncond().contains(d.index()));
-        assert_delta_matches_fresh(&g2, &pool, &rows);
-    }
-
-    #[test]
-    fn delta_delete_matches_fresh() {
-        // Build WITH the shortcut, then delete it.
-        let mut g = diamond();
-        let (a, d) = (crate::digraph::NodeId(0), crate::digraph::NodeId(3));
-        let shortcut = g.add_edge(a, d, None);
-        let mut pool = DnfPool::new();
-        let (mut rows, _) = interned_closure(&g, &guard_of(), &mut pool, 1).unwrap();
-        let levels: Vec<usize> = vec![2, 1, 1, 0];
-        let mut g2 = g.clone();
-        g2.remove_edge(shortcut);
-        let (changed, _) =
-            interned_closure_delta(&g2, &guard_of(), &mut pool, 1, &mut rows, &levels, &[a.0])
-                .expect("level-stable edit");
-        assert_eq!(changed, vec![a.0]);
-        assert_delta_matches_fresh(&g2, &pool, &rows);
-    }
-
-    #[test]
-    fn delta_unchanged_row_stops_propagation() {
-        // chain s → a → b; duplicate edge a → b inserted: a's row is
-        // unchanged (b was already reached unconditionally), so s is
-        // never recomposed.
-        let mut g: DiGraph<(), Option<G>> = DiGraph::new();
-        let s = g.add_node(());
-        let a = g.add_node(());
-        let b = g.add_node(());
-        g.add_edge(s, a, None);
-        g.add_edge(a, b, None);
-        let mut pool = DnfPool::new();
-        let (mut rows, _) = interned_closure(&g, &guard_of(), &mut pool, 1).unwrap();
-        let levels = vec![2usize, 1, 0];
-        let mut g2 = g.clone();
-        g2.add_edge(a, b, None);
-        let (changed, stats) =
-            interned_closure_delta(&g2, &guard_of(), &mut pool, 1, &mut rows, &levels, &[a.0])
-                .expect("level-stable edit");
-        assert!(changed.is_empty());
-        assert_eq!(stats.recomputed, 1, "only the changed tail itself");
-        assert_delta_matches_fresh(&g2, &pool, &rows);
-    }
-
-    #[test]
-    fn delta_rejects_level_perturbation_and_cycles() {
-        let g = diamond();
-        let mut pool = DnfPool::new();
-        let (mut rows, _) = interned_closure(&g, &guard_of(), &mut pool, 1).unwrap();
-        let rows_before = rows.clone();
-        let levels: Vec<usize> = vec![2, 1, 1, 0];
-        let (a, b, d) = (
-            crate::digraph::NodeId(0),
-            crate::digraph::NodeId(1),
-            crate::digraph::NodeId(3),
-        );
-        // Cycle: d → a raises d's level.
-        let mut cyc = g.clone();
-        cyc.add_edge(d, a, None);
-        assert!(interned_closure_delta(
-            &cyc,
-            &guard_of(),
-            &mut pool,
-            1,
-            &mut rows,
-            &levels,
-            &[d.0]
-        )
-        .is_none());
-        // Still acyclic but level-perturbing: b → c stretches b's level.
-        let mut stretch = g.clone();
-        stretch.add_edge(b, crate::digraph::NodeId(2), None);
-        assert!(interned_closure_delta(
-            &stretch,
-            &guard_of(),
-            &mut pool,
-            1,
-            &mut rows,
-            &levels,
-            &[b.0]
-        )
-        .is_none());
-        assert_eq!(rows, rows_before, "failed delta must not touch rows");
-    }
-
-    #[test]
-    fn delta_identical_across_thread_counts() {
-        // Three layers so the delta wavefront hits a wide (>= PAR_LEVEL_MIN)
-        // batch: 12 sources → 12 mids → sink; editing one mid's out-edge
-        // dirties every source.
-        let mut g: DiGraph<(), Option<G>> = DiGraph::new();
-        let sink = g.add_node(());
-        let mids: Vec<_> = (0..12).map(|_| g.add_node(())).collect();
-        let srcs: Vec<_> = (0..12).map(|_| g.add_node(())).collect();
-        // Every mid → sink edge guarded on a distinct variable, so each
-        // source's sink annotation is a 12-term antichain that the guard
-        // flip below genuinely changes.
-        let mut mid_edges = Vec::new();
-        for &m in &mids {
-            mid_edges.push(g.add_edge(m, sink, Some((m.0, true))));
-        }
-        for &s in &srcs {
-            for &m in &mids {
-                g.add_edge(s, m, None);
-            }
-        }
-        let mut base_pool = DnfPool::new();
-        let (base_rows, _) = interned_closure(&g, &guard_of(), &mut base_pool, 1).unwrap();
-        let mut levels = vec![0usize; g.node_bound()];
-        for &m in &mids {
-            levels[m.index()] = 1;
-        }
-        for &s in &srcs {
-            levels[s.index()] = 2;
-        }
-        // Edit: flip mid 0's guard (delete + re-add).
-        let mut g2 = g.clone();
-        g2.remove_edge(mid_edges[0]);
-        g2.add_edge(mids[0], sink, Some((mids[0].0, false)));
-
-        let mut reference: Option<(Vec<IRow>, DnfPool<G>, Vec<u32>)> = None;
-        for threads in [1usize, 2, 4, 8] {
-            let mut pool = base_pool.clone();
-            let mut rows = base_rows.clone();
-            let (changed, _) = interned_closure_delta(
-                &g2,
-                &guard_of(),
-                &mut pool,
-                threads,
-                &mut rows,
-                &levels,
-                &[mids[0].0],
-            )
-            .expect("level-stable edit");
-            // Cone: the edited mid plus every source.
-            assert_eq!(changed.len(), 1 + srcs.len(), "threads={threads}");
-            match &reference {
-                None => {
-                    assert_delta_matches_fresh(&g2, &pool, &rows);
-                    reference = Some((rows, pool, changed));
-                }
-                Some((rrows, rpool, rchanged)) => {
-                    assert_eq!(&rows, rrows, "threads={threads}");
-                    assert_eq!(pool.dnf_count(), rpool.dnf_count(), "threads={threads}");
-                    assert_eq!(&changed, rchanged, "threads={threads}");
-                }
-            }
-        }
     }
 
     #[test]

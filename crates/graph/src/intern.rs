@@ -17,7 +17,6 @@
 
 use crate::annotated::{Dnf, GuardSet};
 use crate::fx::FxHashMap;
-use std::sync::Arc;
 
 /// Id of an interned guard-set (conjunction term).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -317,15 +316,6 @@ impl<G: Ord + Clone + std::hash::Hash> DnfPool<G> {
         id
     }
 
-    /// Consumes the pool into an immutable, `Arc`-shared snapshot that any
-    /// number of threads can read concurrently. Every id interned so far
-    /// stays valid (and resolves to the same formula) in the snapshot.
-    pub fn freeze(self) -> FrozenDnfPool<G> {
-        FrozenDnfPool {
-            pool: Arc::new(self),
-        }
-    }
-
     /// Merges the provisional mints and memo discoveries of one
     /// [`SnapshotOps`] overlay back into this pool, in discovery order.
     ///
@@ -338,7 +328,7 @@ impl<G: Ord + Clone + std::hash::Hash> DnfPool<G> {
     ///
     /// The overlay must have been built against a pool whose first
     /// `parts.base()` ids agree with this one — in the common case, this
-    /// very pool, or a snapshot of it.
+    /// very pool, or a clone of it.
     pub fn absorb(&mut self, parts: SnapshotParts<G>) -> PoolRemap {
         let remap = PoolRemap {
             base: parts.base,
@@ -354,81 +344,7 @@ impl<G: Ord + Clone + std::hash::Hash> DnfPool<G> {
     }
 }
 
-/// An immutable, reference-counted snapshot of a [`DnfPool`], safe to
-/// share across request/worker threads (`Clone` is an `Arc` bump).
-///
-/// This is the first-class form of the snapshot pattern the level-parallel
-/// closure proved out: readers resolve ids, probe memos, and look up
-/// formulas with no locking, because nothing can mutate the pool anymore.
-/// Threads that need to *create* formulas layer a [`SnapshotOps`] overlay
-/// on top and later [`DnfPool::absorb`] it into a mutable pool.
-///
-/// ```
-/// use dscweaver_graph::{Dnf, DnfPool};
-///
-/// let mut pool: DnfPool<u32> = DnfPool::new();
-/// let id = pool.intern(&Dnf::term(vec![1, 2]));
-/// let frozen = pool.freeze();
-/// let reader = frozen.clone(); // hand this to another thread
-/// assert_eq!(reader.dnf(id), &Dnf::term(vec![1, 2]));
-/// assert_eq!(reader.lookup(&Dnf::term(vec![1, 2])), Some(id));
-/// ```
-#[derive(Clone, Debug)]
-pub struct FrozenDnfPool<G> {
-    pool: Arc<DnfPool<G>>,
-}
-
-impl<G: Ord + Clone + std::hash::Hash> FrozenDnfPool<G> {
-    /// The read-only pool behind the snapshot.
-    pub fn as_pool(&self) -> &DnfPool<G> {
-        &self.pool
-    }
-
-    /// Number of distinct DNFs interned at freeze time.
-    pub fn dnf_count(&self) -> usize {
-        self.pool.dnf_count()
-    }
-
-    /// Number of distinct guard-set terms interned at freeze time.
-    pub fn term_count(&self) -> usize {
-        self.pool.term_count()
-    }
-
-    /// The structural DNF behind an id.
-    pub fn dnf(&self, id: DnfId) -> &Dnf<G> {
-        self.pool.dnf(id)
-    }
-
-    /// The guard-set behind a term id.
-    pub fn term(&self, id: TermId) -> &GuardSet<G> {
-        self.pool.term(id)
-    }
-
-    /// Read-only lookup of an already-interned DNF.
-    pub fn lookup(&self, d: &Dnf<G>) -> Option<DnfId> {
-        self.pool.lookup(d)
-    }
-
-    /// Read-only lookup of an already-interned guard-set.
-    pub fn lookup_term(&self, gs: &GuardSet<G>) -> Option<TermId> {
-        self.pool.lookup_term(gs)
-    }
-
-    /// A fresh mutable pool with identical contents and numbering —
-    /// the escape hatch for paths that must intern (e.g. an incremental
-    /// re-weave seeded from a frozen cache entry).
-    pub fn thaw(&self) -> DnfPool<G> {
-        (*self.pool).clone()
-    }
-
-    /// A write overlay for one worker/request thread: reads hit this
-    /// snapshot, new formulas get provisional ids. See [`SnapshotOps`].
-    pub fn overlay(&self) -> SnapshotOps<'_, G> {
-        SnapshotOps::new(&self.pool)
-    }
-}
-
-/// A thread-local write overlay over a read-only pool (or pool snapshot).
+/// A thread-local write overlay over a read-only pool.
 ///
 /// Reads (`resolve`, memo probes) go to the underlying pool without
 /// synchronization; formulas the pool lacks are *minted* with provisional
@@ -437,9 +353,9 @@ impl<G: Ord + Clone + std::hash::Hash> FrozenDnfPool<G> {
 /// of a mutable pool later calls [`DnfPool::absorb`] on
 /// [`SnapshotOps::into_parts`] to merge the overlay deterministically —
 /// absorbing overlays in a fixed order yields the same pool numbering as
-/// a fully sequential run, which is what lets the closure engines (and
-/// the serve registry) share one pool across threads while staying
-/// bit-identical at any thread count.
+/// a fully sequential run, which is what lets the closure engine share
+/// one pool across threads while staying bit-identical at any thread
+/// count.
 pub struct SnapshotOps<'p, G> {
     pool: &'p DnfPool<G>,
     base: u32,
@@ -700,10 +616,10 @@ mod tests {
         );
     }
 
-    /// The frozen-snapshot satellite regression: driving the same
-    /// operations through a single-owner pool and through a
-    /// `SnapshotOps` overlay (absorbed in discovery order) must produce
-    /// bit-identical pool numbering — ids, counts, and resolutions.
+    /// Driving the same operations through a single-owner pool and
+    /// through a `SnapshotOps` overlay (absorbed in discovery order) must
+    /// produce bit-identical pool numbering — ids, counts, and
+    /// resolutions. The level-parallel closure relies on this.
     #[test]
     fn snapshot_overlay_numbering_matches_single_owner() {
         // Single-owner reference path.
@@ -717,22 +633,20 @@ mod tests {
         own_results.push(own.union(own_results[0], own_results[1]));
 
         // Snapshot path: same seeds, then the same ops through an
-        // overlay over a frozen snapshot, absorbed back into a thawed
-        // mutable pool.
+        // overlay over the read-only pool, absorbed into a clone of it.
         let mut base: DnfPool<u32> = DnfPool::new();
         let sa = base.intern(&Dnf::term(vec![1]));
         let sb = base.intern(&Dnf::term(vec![2]));
         let st7 = base.intern_term(&vec![7]);
         assert_eq!((sa, sb, st7), (seed_a, seed_b, t7));
-        let frozen = base.freeze();
-        let mut ops = frozen.overlay();
+        let mut merged = base.clone();
+        let mut ops = SnapshotOps::new(&base);
         let mut snap_results = Vec::new();
         snap_results.push(ops.union(sa, sb));
         snap_results.push(ops.compose(sa, Some(st7)));
         snap_results.push(ops.union(snap_results[0], snap_results[1]));
         assert!(ops.misses() >= 3, "all three ops are fresh");
         let parts = ops.into_parts();
-        let mut merged = frozen.thaw();
         let remap = merged.absorb(parts);
         let snap_fixed: Vec<DnfId> = snap_results.iter().map(|&d| remap.fix(d)).collect();
 
@@ -750,33 +664,6 @@ mod tests {
         assert_eq!(merged.compose_term(sa, st7), own_results[1]);
         assert_eq!(merged.dnf_count(), before);
         assert_eq!(merged.ops_hits(), h0 + 2);
-    }
-
-    /// Concurrent readers of one frozen snapshot resolve identical
-    /// formulas — the read-mostly sharing contract the serve registry
-    /// relies on.
-    #[test]
-    fn frozen_pool_shared_across_threads() {
-        let mut pool: DnfPool<u32> = DnfPool::new();
-        let ids: Vec<DnfId> = (0..16u32).map(|i| pool.intern(&Dnf::term(vec![i]))).collect();
-        let frozen = pool.freeze();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let reader = frozen.clone();
-                let ids = ids.clone();
-                std::thread::spawn(move || {
-                    ids.iter()
-                        .map(|&id| reader.dnf(id).clone())
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            let got = h.join().expect("reader thread");
-            for (i, d) in got.iter().enumerate() {
-                assert_eq!(d, &Dnf::term(vec![i as u32]));
-            }
-        }
     }
 
     #[test]

@@ -55,10 +55,9 @@ pub use annotated::{
 };
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use iclosure::{
-    compose_interned_row, interned_closure, interned_closure_delta, AdjEdge, ClosureStats,
-    DeltaClosureStats, IRow, RowScratch,
+    compose_interned_row, interned_closure, AdjEdge, ClosureStats, IRow, RowScratch,
 };
-pub use intern::{DnfId, DnfPool, FrozenDnfPool, PoolRemap, SnapshotOps, SnapshotParts, TermId};
+pub use intern::{DnfId, DnfPool, PoolRemap, SnapshotOps, SnapshotParts, TermId};
 pub use lru::LruCache;
 pub use bitset::BitSet;
 pub use closure::{condense, transitive_closure, Closure, Condensation};

@@ -6,12 +6,10 @@
 //! **warm prepared-artifact cache**.
 //!
 //! Each distinct submitted process is compiled once into a
-//! [`registry::ProcessEntry`]: the woven [`dscweaver_core::WeaverOutput`],
-//! a frozen hash-consing pool snapshot
-//! ([`dscweaver_graph::FrozenDnfPool`]), the Petri-net validation compile
-//! half ([`dscweaver_petri::CompiledValidation`]), the scheduler's derived
-//! indexes ([`dscweaver_scheduler::ScheduleTables`]) and a live re-weave
-//! session. "Distinct" means distinct **canonical form** ([`canon`]):
+//! [`registry::ProcessEntry`]: the woven [`dscweaver_core::WeaverOutput`]
+//! and its fingerprint, the Petri-net validation compile half
+//! ([`dscweaver_petri::CompiledValidation`]) and the scheduler's derived
+//! indexes ([`dscweaver_scheduler::ScheduleTables`]). "Distinct" means distinct **canonical form** ([`canon`]):
 //! submissions are alpha-renamed into first-occurrence order, their
 //! declarations sorted and whitespace/comments stripped before hashing,
 //! so textual variants of one process share a single entry (the raw-text

@@ -13,11 +13,10 @@
 //! `X-Cache: canonical` at the transport.
 //!
 //! An entry is everything the compile half of the pipeline produces,
-//! cached in run-many form: the woven [`WeaverOutput`], the frozen
-//! hash-consing pool snapshot ([`FrozenDnfPool`]), the Petri-net
-//! validation compile half ([`CompiledValidation`]), the scheduler's
-//! derived indexes ([`ScheduleTables`]) and a live [`WeaveSession`] for
-//! incremental re-weaves — all in canonical names; responses are rendered
+//! cached in run-many form: the woven [`WeaverOutput`] and its
+//! fingerprint, the Petri-net validation compile half
+//! ([`CompiledValidation`]) and the scheduler's derived indexes
+//! ([`ScheduleTables`]) — all in canonical names; responses are rendered
 //! back into each tenant's names through the request's [`Renaming`].
 //! Warm requests skip every compile stage and go straight to the run
 //! halves, which are pinned bit-identical to the fresh-build paths by the
@@ -25,11 +24,8 @@
 
 use crate::canon::{canonicalize, CanonicalForm, Renaming};
 use crate::trace::{TraceConfig, Tracer};
-use dscweaver_core::{
-    DependencySet, ReweaveReport, WeaveSession, Weaver, WeaverOutput,
-};
-use dscweaver_dscl::Condition;
-use dscweaver_graph::{lru::LruCache, FrozenDnfPool};
+use dscweaver_core::{DependencySet, Weaver, WeaverOutput};
+use dscweaver_graph::lru::LruCache;
 use dscweaver_model::Process;
 use dscweaver_obs as obs;
 use dscweaver_petri::{CompiledValidation, ValidateOptions, ValidationReport};
@@ -43,8 +39,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over the raw bytes of the submitted process text — the
 /// first-level (raw memo) cache key, and, applied to canonical text, the
-/// second-level key. The same 64-bit FNV family the re-weave session
-/// fingerprints use.
+/// second-level key.
 ///
 /// ```
 /// use dscweaver_serve::registry::content_hash;
@@ -73,13 +68,18 @@ pub struct ProcessEntry {
     /// The full optimization output (SC, ASC, minimal set, exec
     /// conditions), in canonical names.
     pub output: WeaverOutput,
-    /// The session fingerprint of the weave (bit-stable across thread
-    /// counts; identical for the daemon and one-shot paths).
+    /// [`WeaverOutput::fingerprint`] of the weave.
     pub fingerprint: u64,
     compiled: CompiledValidation,
     tables: ScheduleTables,
-    pool: FrozenDnfPool<Condition>,
-    session: Mutex<WeaveSession>,
+}
+
+/// The weave configuration every serve request runs with.
+pub(crate) fn weaver(threads: usize) -> Weaver {
+    Weaver {
+        threads,
+        ..Weaver::new()
+    }
 }
 
 /// Extracts the data/control dependency set of a process the way every
@@ -99,7 +99,7 @@ impl ProcessEntry {
     /// The specification front half alone: canonicalize the process text
     /// (parse + validate, with errors in the tenant's names), then
     /// extract the canonical revision's data/control dependency set —
-    /// what a re-weave revision needs before it reaches a session.
+    /// what `/v1/reweave` weaves.
     pub fn build_dependencies(text: &str) -> Result<DependencySet, String> {
         Ok(extract(&canonicalize(text)?.process()?))
     }
@@ -121,16 +121,10 @@ impl ProcessEntry {
         let t0 = std::time::Instant::now();
         let process = form.process()?;
         let dependencies = extract(&process);
-        let mut session = Weaver {
-            threads,
-            ..Weaver::new()
-        }
-        .session();
-        let report = session
-            .weave(&dependencies)
+        let output = weaver(threads)
+            .run(&dependencies)
             .map_err(|e| format!("weave error: {e}"))?;
-        let output = session.output().expect("successful weave has output").clone();
-        let pool = session.frozen_pool().expect("successful weave has a pool");
+        let fingerprint = output.fingerprint();
         let compiled = CompiledValidation::compile(&output.minimal, &output.exec);
         let tables = ScheduleTables::derive(&output.minimal, &output.exec);
         obs::histogram("serve.compile").observe(t0.elapsed().as_nanos() as u64);
@@ -139,11 +133,9 @@ impl ProcessEntry {
             process,
             dependencies,
             output,
-            fingerprint: report.fingerprint,
+            fingerprint,
             compiled,
             tables,
-            pool,
-            session: Mutex::new(session),
         })
     }
 
@@ -169,27 +161,6 @@ impl ProcessEntry {
         }
         PreparedSchedule::with_tables(&self.output.minimal, &self.output.exec, &self.tables)
             .run(&sim)
-    }
-
-    /// Advances this entry's live re-weave session to a new dependency
-    /// revision, paying the incremental (delta) cost when the diff
-    /// allows. Results are always identical to a fresh weave of the
-    /// revision.
-    pub fn reweave(&self, ds: &DependencySet) -> Result<ReweaveReport, String> {
-        // A panic mid-weave may have left the session half updated: refuse
-        // to build on it rather than answer from a corrupt state.
-        let mut session = self
-            .session
-            .lock()
-            .map_err(|_| "the re-weave session was lost to an earlier internal error".to_string())?;
-        session.weave(ds).map_err(|e| format!("weave error: {e}"))
-    }
-
-    /// The frozen hash-consing pool snapshot of the weave — shareable
-    /// across threads, with pool numbering identical to the single-owner
-    /// path.
-    pub fn pool(&self) -> &FrozenDnfPool<Condition> {
-        &self.pool
     }
 }
 
@@ -608,7 +579,6 @@ mod tests {
             again.entry.output.minimal.to_dscl(),
             first.entry.output.minimal.to_dscl()
         );
-        assert_eq!(again.entry.pool().dnf_count(), first.entry.pool().dnf_count());
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub enum Request {
         /// Branch oracle picks, `guard → value`.
         branches: Vec<(String, String)>,
     },
-    /// `POST /v1/reweave?base=HASH` — advance the cached re-weave session
-    /// of the `base` process to the submitted revision.
+    /// `POST /v1/reweave?base=HASH` — weave the submitted revision of the
+    /// cached `base` process and report its fingerprint.
     Reweave {
         /// The revised `.proc` process text.
         text: String,
@@ -488,16 +488,14 @@ fn handle_inner(reg: &Registry, req: &Request) -> Response {
             Err(e) => Response::error(400, &e),
         },
         Request::Reweave { text, base } => {
-            let Some(entry) = reg.get(*base) else {
+            if reg.get(*base).is_none() {
                 return Response::error(
                     400,
                     &format!("unknown base {base:016x} (weave it first, or it was evicted)"),
                 );
-            };
-            // The base entry holds canonical artifacts, so the revision
-            // must be canonicalized too — the delta path then compares
-            // like with like, and renamed-but-equivalent revisions
-            // diff empty.
+            }
+            // The revision is reported under its canonical hash, like the
+            // `hash` of a weave response.
             let revised_form = match crate::canon::canonicalize(text) {
                 Ok(form) => form,
                 Err(e) => return Response::error(400, &e),
@@ -506,35 +504,20 @@ fn handle_inner(reg: &Registry, req: &Request) -> Response {
                 Ok(process) => crate::registry::extract(&process),
                 Err(e) => return Response::error(400, &e),
             };
-            match timed_run(|| entry.reweave(&revised)) {
-                Ok(report) => {
-                    let (path, reason) = match &report.path {
-                        dscweaver_core::ReweavePath::Initial => ("initial", String::new()),
-                        dscweaver_core::ReweavePath::Delta => ("delta", String::new()),
-                        dscweaver_core::ReweavePath::Fallback(r) => ("fallback", r.clone()),
-                    };
-                    let body = format!(
-                        "{{\"hash\":\"{:016x}\",\"base\":\"{:016x}\",\"path\":\"{}\",\"reason\":{},\"rows_recomputed\":{},\"rows_changed\":{},\"candidates_total\":{},\"candidates_rescreened\":{},\"candidates_reused\":{},\"fingerprint\":\"{:016x}\"}}",
+            match timed_run(|| crate::registry::weaver(reg.threads()).run(&revised)) {
+                Ok(out) => Response {
+                    status: 200,
+                    cache: CacheStatus::Hit,
+                    body: format!(
+                        "{{\"hash\":\"{:016x}\",\"base\":\"{:016x}\",\"fingerprint\":\"{:016x}\"}}",
                         revised_form.hash,
                         base,
-                        path,
-                        json_str(&reason),
-                        report.rows_recomputed,
-                        report.rows_changed,
-                        report.candidates_total,
-                        report.candidates_rescreened,
-                        report.candidates_reused,
-                        report.fingerprint,
-                    );
-                    Response {
-                        status: 200,
-                        cache: CacheStatus::Hit,
-                        body,
-                        trace_id: 0,
-                        content_type: CONTENT_TYPE_JSON,
-                    }
-                }
-                Err(e) => Response::error(400, &e),
+                        out.fingerprint(),
+                    ),
+                    trace_id: 0,
+                    content_type: CONTENT_TYPE_JSON,
+                },
+                Err(e) => Response::error(400, &format!("weave error: {e}")),
             }
         }
         Request::Stats { since } => match reg.stats_since(*since) {
@@ -689,7 +672,11 @@ mod tests {
             },
         );
         assert_eq!(ok.status, 200, "{}", ok.body);
-        assert!(ok.body.contains("\"path\":\"delta\""), "{}", ok.body);
+        assert!(
+            ok.body.contains(&format!("\"fingerprint\":\"{:016x}\"", entry.fingerprint)),
+            "{}",
+            ok.body
+        );
     }
 
     #[test]

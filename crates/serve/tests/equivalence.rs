@@ -237,12 +237,23 @@ fn textual_variants_share_artifacts_and_match_their_own_oneshot() {
     server.shutdown();
 }
 
+/// The body of `POST /v1/reweave?base=…` for `text`.
+fn reweave_body(reg: &Registry, base: u64, text: &str) -> String {
+    let resp = handle(
+        reg,
+        &Request::Reweave {
+            text: text.to_string(),
+            base,
+        },
+    );
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    resp.body
+}
+
 #[test]
 fn daemon_reweave_fingerprint_matches_single_owner_weave() {
-    // The frozen-pool satellite at the serve level: a re-weave served by
-    // the daemon's cached session must land on the same session
-    // fingerprint (which hashes the pool numbering) as a single-owner
-    // session fed the same revisions.
+    // A re-weave served by the daemon must report the same fingerprint as
+    // a single-owner session fed the same revisions.
     let base = proc_text(0);
     let revised = base.replace(
         "assign j0 reads v0;",
@@ -250,20 +261,39 @@ fn daemon_reweave_fingerprint_matches_single_owner_weave() {
     );
     assert_ne!(base, revised);
 
-    // Daemon path.
     let reg = Registry::new(8, 2);
     let entry = reg.lookup_or_build(&base).unwrap().entry;
-    let ds = dscweaver_serve::ProcessEntry::build_dependencies(&revised).unwrap();
-    let daemon_report = entry.reweave(&ds).unwrap();
+    let daemon = reweave_body(&reg, entry.hash, &revised);
 
-    // Single-owner path.
     let mut session = dscweaver_core::Weaver::new().session();
     let ds0 = dscweaver_serve::ProcessEntry::build_dependencies(&base).unwrap();
-    session.weave(&ds0).unwrap();
-    let owner_report = session.weave(&ds).unwrap();
+    let ds = dscweaver_serve::ProcessEntry::build_dependencies(&revised).unwrap();
+    assert_eq!(session.weave(&ds0).unwrap().fingerprint, entry.fingerprint);
+    let owner = session.weave(&ds).unwrap();
+    assert_eq!(owner.path, dscweaver_core::ReweavePath::Delta);
+    assert!(
+        daemon.contains(&format!("\"fingerprint\":\"{:016x}\"", owner.fingerprint)),
+        "{daemon}"
+    );
+}
 
-    assert_eq!(daemon_report.fingerprint, owner_report.fingerprint);
-    assert_eq!(daemon_report.path, owner_report.path);
+#[test]
+fn reweave_body_does_not_depend_on_earlier_reweaves() {
+    // Re-weaving revision C from base A answers the same whether or not
+    // revision B was re-woven from A first.
+    let a = proc_text(1);
+    let b = a.replace("assign j1 reads v1;", "assign j1 reads v1;\n  assign k1 reads v1;");
+    let c = a.replace("assign tail0 reads v1;", "assign tail0 reads s1;");
+    assert!(a != b && a != c);
+
+    let fresh = Registry::new(8, 1);
+    let base = fresh.lookup_or_build(&a).unwrap().entry.hash;
+    let direct = reweave_body(&fresh, base, &c);
+
+    let advanced = Registry::new(8, 1);
+    assert_eq!(advanced.lookup_or_build(&a).unwrap().entry.hash, base);
+    reweave_body(&advanced, base, &b);
+    assert_eq!(reweave_body(&advanced, base, &c), direct);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Edit-burst workloads for the incremental re-weave experiments: apply
+//! Edit-burst workloads for the re-weave experiments: apply
 //! a burst of small random edits to a dependency set, the way an analyst
 //! evolves a live process specification.
 //!
@@ -7,12 +7,13 @@
 //! * [`EditProfile::LevelStable`] — inserts and deletes *shortcut*
 //!   cooperation dependencies (a direct `x → z` alongside an existing
 //!   `x → y → z` data chain). Such edits provably never change a node's
-//!   longest-path-to-sink level, so they stay on the session's delta
-//!   path — this is the profile the `evolve` benchmark suite times.
+//!   longest-path-to-sink level and never create a cycle, so every
+//!   revision weaves — this is the profile the `evolve` benchmark suite
+//!   and the `weave_offline` benchmark workload time.
 //! * [`EditProfile::Mixed`] — adds guard flips (exercising the
 //!   execution-condition machinery) and unconstrained random inserts,
-//!   which may perturb levels or create cycles — exercising the
-//!   fallback and error paths. Used by the equivalence property tests.
+//!   which may perturb levels or create cycles — exercising the error
+//!   paths. Used by the equivalence property tests.
 //!
 //! All edits are deterministic in the supplied RNG.
 
@@ -154,7 +155,7 @@ fn flip_guard(ds: &mut DependencySet, rng: &mut Rng) -> Option<String> {
 
 /// Inserts a cooperation dependency between two arbitrary distinct
 /// activities — may perturb levels or even introduce a cycle, which is
-/// exactly what the fallback/error property tests want to provoke.
+/// exactly what the error-path property tests want to provoke.
 fn insert_random(ds: &mut DependencySet, rng: &mut Rng) -> Option<String> {
     let acts: Vec<&String> = ds.activities.iter().collect();
     if acts.len() < 2 {

@@ -5,20 +5,17 @@
 //! With dependencies as first-class citizens, evolution is a set edit:
 //! push or retain dependencies, re-weave, and the scheme — including its
 //! BPEL realization — follows. This example walks the Purchasing process
-//! through three revisions using the incremental [`ReweaveSession`]: the
-//! session diffs each revision against the previous one and pays only
-//! for what the edit reaches, while a from-scratch weave of every
-//! revision is timed alongside for comparison (the outputs are
-//! identical by construction — the session falls back to a full rebuild
-//! whenever the edit is too disruptive to apply incrementally).
+//! through three revisions with a [`WeaveSession`], which weaves each
+//! revision and reports its diff against the previous one. A plain
+//! [`Weaver::run`] of every revision is timed alongside; the session's
+//! output equals it, since the session runs the same weave.
 //!
 //! ```sh
 //! cargo run --example evolving_process
 //! ```
 
-use dscweaver::core::{Dependency, Weaver};
+use dscweaver::core::{Dependency, WeaveSession, Weaver};
 use dscweaver::scheduler::{simulate, SimConfig};
-use dscweaver::vertical::ReweaveSession;
 use dscweaver::workloads::{purchasing_dependencies, purchasing_process};
 use std::time::Instant;
 
@@ -40,7 +37,7 @@ fn summarize(label: &str, out: &dscweaver::core::WeaverOutput) {
 /// Weaves one revision through the session (timed) and from scratch
 /// (timed), prints the comparison, and returns the fresh output.
 fn reweave(
-    session: &mut ReweaveSession,
+    session: &mut WeaveSession,
     label: &str,
     ds: &dscweaver::core::DependencySet,
 ) -> dscweaver::core::WeaverOutput {
@@ -50,13 +47,16 @@ fn reweave(
     let fresh_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t0 = Instant::now();
-    let rep = session.reweave(ds).expect("session weaves");
-    let delta_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let rep = session.weave(ds).expect("session weaves");
+    let session_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     summarize(label, &fresh);
     println!(
-        "  {:<32} fresh {fresh_ms:.2} ms | session {delta_ms:.2} ms | path {:?} | rows recomputed {} | verdicts reused {}/{}",
-        "", rep.path, rep.rows_recomputed, rep.candidates_reused, rep.candidates_total
+        "  {:<32} fresh {fresh_ms:.2} ms | session {session_ms:.2} ms | path {:?} | diff +{} -{}",
+        "",
+        rep.path,
+        rep.diff.added.len(),
+        rep.diff.removed.len()
     );
 
     // The session's scheme is always identical to the fresh weave's.
@@ -71,7 +71,7 @@ fn reweave(
 
 fn main() {
     let process = purchasing_process();
-    let mut session = ReweaveSession::new(&Weaver::new());
+    let mut session = Weaver::new().session();
 
     // Revision 1: the paper's Table 1.
     let v1 = purchasing_dependencies();
@@ -118,13 +118,14 @@ fn main() {
     // session's last good revision (v3) intact and re-weavable:
     let mut bad = v3.clone();
     bad.push(Dependency::cooperation("replyClient_oi", "invShip_po"));
-    match session.reweave(&bad) {
+    match session.weave(&bad) {
         Err(e) => println!("\nbad revision rejected:\n  {e}"),
         Ok(_) => unreachable!("cycle expected"),
     }
-    let rep = session.reweave(&v3).expect("session state survived the bad edit");
+    let rep = session.weave(&v3).expect("session state survived the bad edit");
     println!(
-        "after rejection, v3 re-weaves via {:?} ({} rows recomputed)",
-        rep.path, rep.rows_recomputed
+        "after rejection, v3 re-weaves via {:?} (diff empty: {})",
+        rep.path,
+        rep.diff.is_empty()
     );
 }

@@ -63,11 +63,11 @@ pub mod vertical;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::core::{
-        Dependency, DependencySet, EdgeOrder, EquivalenceMode, ExecConditions, Weaver,
-        WeaverOutput,
+        Dependency, DependencySet, EdgeOrder, EquivalenceMode, ExecConditions, WeaveSession,
+        Weaver, WeaverOutput,
     };
     pub use crate::dscl::{ActivityState, Condition, ConstraintSet, Origin, Relation, StateRef};
     pub use crate::model::{parse_process, Activity, Construct, Process};
     pub use crate::scheduler::{simulate, SimConfig};
-    pub use crate::vertical::{weave, ReweaveSession, VerticalOutput};
+    pub use crate::vertical::{weave, VerticalOutput};
 }

@@ -16,8 +16,7 @@
 //!    is verified against the *full* merged constraint set, which is the
 //!    optimizer's correctness contract; BPEL code is generated.
 
-use dscweaver_core::{ReweaveReport, Weaver, WeaverError, WeaverOutput};
-pub use dscweaver_core::{ReweavePath, WeaveSession};
+use dscweaver_core::{Weaver, WeaverError, WeaverOutput};
 use dscweaver_dscl::ConstraintSet;
 use dscweaver_obs as obs;
 use dscweaver_model::Process;
@@ -269,41 +268,6 @@ pub fn weave_dependencies(
         conformance: Vec::new(),
         bpel,
     })
-}
-
-/// An incremental re-weave session over the vertical's optimization half
-/// (§4.4 under evolution): weave a dependency set once, then feed edited
-/// revisions and pay only for what the edit reaches. Wraps
-/// [`dscweaver_core::WeaveSession`]; results are always identical to a
-/// fresh [`Weaver::run`], and the report says which path (initial /
-/// delta / fallback) produced them and what it recomputed.
-pub struct ReweaveSession {
-    inner: WeaveSession,
-}
-
-impl ReweaveSession {
-    /// Opens a session around the given pipeline configuration.
-    pub fn new(weaver: &Weaver) -> ReweaveSession {
-        ReweaveSession {
-            inner: weaver.session(),
-        }
-    }
-
-    /// Weaves the given revision, incrementally when the diff against the
-    /// previous revision allows (see [`dscweaver_core::ReweaveReport`]).
-    pub fn reweave(
-        &mut self,
-        ds: &dscweaver_core::DependencySet,
-    ) -> Result<ReweaveReport, VerticalError> {
-        timed("weave.reweave", || self.inner.weave(ds)).map_err(VerticalError::Weaver)
-    }
-
-    /// The optimization artifacts of the last successful weave. Failed
-    /// revisions (validation errors, cycles) leave the previous output —
-    /// and the incremental state — intact.
-    pub fn output(&self) -> Option<&WeaverOutput> {
-        self.inner.output()
-    }
 }
 
 /// Configuration for [`monitor_replay`]: fan one executed vertical out
