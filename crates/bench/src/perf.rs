@@ -1,13 +1,11 @@
-//! Old-vs-new minimizer comparison: shared case definitions for the
-//! `scaling_minimize` / `ablation_minimize` benches and the
-//! machine-readable `BENCH_minimize.json` artifact written by
-//! `repro bench-json`.
+//! Minimizer timing: shared case definitions and the machine-readable
+//! `BENCH_minimize.json` artifact written by `repro bench-json`.
 //!
-//! The comparison pits [`dscweaver_core::minimize_generic_with`] (interned
-//! annotations, bitset prefilters, scoped worker threads — this repo's
-//! optimized engine) against [`dscweaver_core::minimize_generic_baseline`]
-//! (the sequential structural reference) on identical prepared inputs, and
-//! asserts the minimal sets agree before reporting any timing.
+//! Each case times [`dscweaver_core::minimize_generic_with`] (interned
+//! annotations, bitset prefilters — this repo's optimized engine) after
+//! checking once that its minimal set equals the one
+//! [`dscweaver_core::minimize_generic_baseline`] (the structural
+//! reference) computes on the same prepared input.
 
 use crate::harness::{black_box, median, percentiles_ms, phases_json, sample, BenchOpts};
 use dscweaver_core::{
@@ -146,16 +144,10 @@ struct CaseReport {
     redundancy: f64,
     mode: String,
     order: String,
-    baseline_ms: f64,
     new_seq_ms: f64,
-    new_par_ms: f64,
     p50_ms: f64,
     p99_ms: f64,
-    speedup_seq: f64,
-    speedup_par: f64,
     closure_seq_ms: f64,
-    closure_par_ms: f64,
-    closure_speedup: f64,
     closure_floor_ms: f64,
     pool_dnfs: usize,
     pool_terms: usize,
@@ -179,21 +171,21 @@ fn json_f(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Runs the comparison suite and renders `BENCH_minimize.json` plus the
+/// Runs the minimize suite and renders `BENCH_minimize.json` plus the
 /// merged trace of the per-case instrumented runs (one optimized-engine
 /// run per case recorded through `dscweaver-obs`; the timed samples stay
 /// untraced so the recorder cannot skew them).
 ///
 /// `opts.smoke` restricts to the small cases with one sample each — it
 /// exists so the tier-1 test suite can exercise the whole measurement
-/// path (prepare → both engines → agreement check → JSON rendering) in
+/// path (prepare → agreement check → timing → JSON rendering) in
 /// seconds; its timings are not meaningful.
 pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let (smoke, threads) = (opts.smoke, opts.threads);
-    let samples_new = if smoke { 1 } else { 5 };
-    let samples_base = if smoke { 1 } else { 3 };
+    let samples = if smoke { 1 } else { 5 };
     let mut reports: Vec<CaseReport> = Vec::new();
     let mut suite_trace = obs::TraceSnapshot::default();
+    let opts = MinimizeOptions::default();
     for case in minimize_cases(smoke) {
         let (asc, exec) = case.prepare();
         if smoke && asc.constraint_count() > 500 {
@@ -202,22 +194,13 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             // inputs.
             continue;
         }
-        let big = asc.constraint_count() > 2_000;
-        // The baseline is minutes-slow on the n=2000 case — one sample.
-        let sb = if big { 1 } else { samples_base };
 
-        let seq = MinimizeOptions {
-            threads: 1,
-            ..Default::default()
-        };
-        let par = MinimizeOptions {
-            threads,
-            ..Default::default()
-        };
+        // The structural baseline runs once, as the equality check; it is
+        // not timed (one sample takes ~90 s at n=2003).
         let res_base =
             minimize_generic_baseline(&asc, &exec, case.mode, &case.order).expect("acyclic");
         let res_new =
-            minimize_generic_with(&asc, &exec, case.mode, &case.order, &par).expect("acyclic");
+            minimize_generic_with(&asc, &exec, case.mode, &case.order, &opts).expect("acyclic");
         let kept = |r: &dscweaver_core::MinimizeResult| {
             let mut v: Vec<String> = r.minimal.happen_befores().map(|x| x.to_string()).collect();
             v.sort();
@@ -230,39 +213,24 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             case.name
         );
 
-        let t_base = median(&sample(sb, || {
-            black_box(minimize_generic_baseline(&asc, &exec, case.mode, &case.order).unwrap())
-        }));
-        let t_seq = median(&sample(samples_new, || {
+        let seq_samples = sample(samples, || {
             black_box(
-                minimize_generic_with(&asc, &exec, case.mode, &case.order, &seq).unwrap(),
-            )
-        }));
-        let par_samples = sample(samples_new, || {
-            black_box(
-                minimize_generic_with(&asc, &exec, case.mode, &case.order, &par).unwrap(),
+                minimize_generic_with(&asc, &exec, case.mode, &case.order, &opts).unwrap(),
             )
         });
-        let t_par = median(&par_samples);
-        let (p50_ms, p99_ms) = percentiles_ms(&par_samples);
+        let t_seq = median(&seq_samples);
+        let (p50_ms, p99_ms) = percentiles_ms(&seq_samples);
 
-        // Traced runs of the optimized engine, outside the timed samples:
-        // one at threads=1 (the sequential interned-closure path) and one
-        // at the suite thread count (the level-parallel path). The phase
-        // totals give the closure-build comparison; the parallel trace
-        // also backs the per-case phase breakdown and the suite trace.
-        let (_, seq_trace) = obs::record_with(|| {
-            black_box(minimize_generic_with(&asc, &exec, case.mode, &case.order, &seq).unwrap())
-        });
+        // One traced run outside the timed samples backs the closure
+        // time, the per-case phase breakdown and the suite trace.
         let (_, case_trace) = obs::record_with(|| {
-            black_box(minimize_generic_with(&asc, &exec, case.mode, &case.order, &par).unwrap())
+            black_box(minimize_generic_with(&asc, &exec, case.mode, &case.order, &opts).unwrap())
         });
-        let closure_seq_ms = phase_ms(&seq_trace, "minimize.closure");
-        let closure_par_ms = phase_ms(&case_trace, "minimize.closure");
+        let closure_seq_ms = phase_ms(&case_trace, "minimize.closure");
         // The closure layer's floor: plain bitset reachability of the
         // same sync graph, no annotations.
         let sync = SyncGraph::build(&asc);
-        let t_floor = median(&sample(samples_new, || {
+        let t_floor = median(&sample(samples, || {
             black_box(dscweaver_graph::transitive_closure(&sync.graph))
         }));
 
@@ -280,16 +248,10 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
                 EdgeOrder::ReverseGiven => "reverse_given".into(),
                 EdgeOrder::ByDimension(_) => "by_dimension".into(),
             },
-            baseline_ms: ms(t_base),
             new_seq_ms: ms(t_seq),
-            new_par_ms: ms(t_par),
             p50_ms,
             p99_ms,
-            speedup_seq: t_base.as_secs_f64() / t_seq.as_secs_f64().max(1e-12),
-            speedup_par: t_base.as_secs_f64() / t_par.as_secs_f64().max(1e-12),
             closure_seq_ms,
-            closure_par_ms,
-            closure_speedup: closure_seq_ms / closure_par_ms.max(1e-9),
             closure_floor_ms: ms(t_floor),
             pool_dnfs: res_new.stats.pool_dnfs,
             pool_terms: res_new.stats.pool_terms,
@@ -303,7 +265,7 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"artifact\": \"BENCH_minimize\",\n");
-    out.push_str("  \"description\": \"minimize_generic (interned + bitset-prefiltered + parallel) vs the sequential structural baseline on identical inputs; minimal sets verified equal before timing\",\n");
+    out.push_str("  \"description\": \"minimize_generic (interned + bitset-prefiltered, one thread) per case, with its minimal set verified equal to the structural baseline's before timing; closure_seq_ms is the traced closure build and closure_floor_ms plain bitset reachability of the same graph\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str("  \"cases\": [\n");
@@ -323,33 +285,12 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         ));
         out.push_str(&format!("      \"mode\": \"{}\",\n", r.mode));
         out.push_str(&format!("      \"order\": \"{}\",\n", r.order));
-        out.push_str(&format!(
-            "      \"baseline_ms\": {},\n",
-            json_f(r.baseline_ms)
-        ));
         out.push_str(&format!("      \"new_seq_ms\": {},\n", json_f(r.new_seq_ms)));
-        out.push_str(&format!("      \"new_par_ms\": {},\n", json_f(r.new_par_ms)));
         out.push_str(&format!("      \"p50_ms\": {},\n", json_f(r.p50_ms)));
         out.push_str(&format!("      \"p99_ms\": {},\n", json_f(r.p99_ms)));
         out.push_str(&format!(
-            "      \"speedup_seq\": {},\n",
-            json_f(r.speedup_seq)
-        ));
-        out.push_str(&format!(
-            "      \"speedup_par\": {},\n",
-            json_f(r.speedup_par)
-        ));
-        out.push_str(&format!(
             "      \"closure_seq_ms\": {},\n",
             json_f(r.closure_seq_ms)
-        ));
-        out.push_str(&format!(
-            "      \"closure_par_ms\": {},\n",
-            json_f(r.closure_par_ms)
-        ));
-        out.push_str(&format!(
-            "      \"closure_speedup\": {},\n",
-            json_f(r.closure_speedup)
         ));
         out.push_str(&format!(
             "      \"closure_floor_ms\": {},\n",

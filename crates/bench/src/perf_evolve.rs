@@ -113,10 +113,7 @@ pub fn bench_evolve_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let mut suite_trace = obs::TraceSnapshot::default();
     for case in evolve_cases(smoke) {
         let base = layered(&case.params);
-        let weaver = Weaver {
-            threads,
-            ..Weaver::default()
-        };
+        let weaver = Weaver::new();
         // One session holding the base revision, re-cloned per timed
         // sample so every measurement starts from identical state.
         let mut warm = weaver.session();

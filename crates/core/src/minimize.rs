@@ -37,7 +37,7 @@
 //!
 //! ## Implementation
 //!
-//! [`minimize_generic_with`] is an optimized engine built on three ideas:
+//! [`minimize_generic_with`] is an optimized engine built on two ideas:
 //!
 //! 1. **Bitset rows, interned annotations** — a closure row
 //!    ([`IRow`]) keeps its `ALWAYS` targets as an unconditional
@@ -54,14 +54,12 @@
 //!    likewise. On fully unconditional inputs every candidate is decided
 //!    here, so the generic engine matches [`minimize_unconditional_fast`]
 //!    within a small constant.
-//! 3. **Scoped-thread parallelism** — candidates the prefilters leave
-//!    undecided are screened concurrently (their tentative tail row is
-//!    composed on worker threads against a read-only snapshot, invalidated
-//!    if an earlier acceptance dirtied their dependency cone), and the
-//!    slow path's affected-ancestor recomputation runs in
-//!    reverse-topological level batches across a `std::thread::scope`
-//!    pool. The result is pinned edge-for-edge equal to the sequential
-//!    reference implementation, kept as [`minimize_generic_baseline`].
+//!
+//! Candidates the prefilters leave undecided recompose their tail row
+//! and, only if that row weakened, every live ancestor's row, in
+//! reverse-topological order on one thread. The result is pinned
+//! edge-for-edge equal to the structural reference implementation, kept
+//! as [`minimize_generic_baseline`].
 //!
 //! ```
 //! use dscweaver_core::minimize::{minimize, EdgeOrder, EquivalenceMode};
@@ -92,11 +90,10 @@ use dscweaver_graph::iclosure::{
     compose_interned_row, interned_closure, AdjEdge, IRow, RowScratch,
 };
 use dscweaver_graph::{
-    effective_threads, find_cycle, par_map, topo_sort, BitSet, DiGraph, DnfId, DnfPool, EdgeId,
-    LruCache, NodeId, TermId,
+    find_cycle, topo_sort, DiGraph, DnfId, DnfPool, EdgeId, LruCache, NodeId, TermId,
 };
 use dscweaver_obs as obs;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// How closures are compared (Definitions 4–5). Ordered from most to
 /// least conservative; all three agree on the paper's Purchasing process
@@ -153,9 +150,8 @@ impl Default for EdgeOrder {
 /// Tuning knobs for the optimized minimizer.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MinimizeOptions {
-    /// Worker threads for candidate screening and ancestor recomputation.
-    /// `0` (the default) picks from available parallelism; `1` forces the
-    /// fully sequential engine. The result is identical either way.
+    /// Ignored: the minimizer runs on one thread. Kept only so existing
+    /// struct literals that set it still compile.
     pub threads: usize,
     /// Capacity of the `implies` memo: at most this many verdicts stay
     /// cached, with least-recently-used eviction past the bound
@@ -181,15 +177,6 @@ impl Default for MinimizeOptions {
 /// Far beyond anything the paper-scale workloads produce, so eviction is
 /// effectively off unless a caller dials it down.
 pub const DEFAULT_POOL_CACHE_LIMIT: usize = 1 << 20;
-
-impl MinimizeOptions {
-    /// The effective thread count (resolving `0` to the machine's
-    /// available parallelism, capped at 8 — the row work saturates well
-    /// before that).
-    pub fn effective_threads(&self) -> usize {
-        effective_threads(self.threads, 8)
-    }
-}
 
 /// Why minimization refused to run.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -315,62 +302,6 @@ pub fn minimize_generic(
     minimize_generic_with(cs, exec, mode, order, &MinimizeOptions::default())
 }
 
-/// A row composed on a worker thread: the unconditional targets plus the
-/// structural annotations of the conditional ones, not yet interned.
-type StructRow = (BitSet, Vec<(u32, Dnf<Condition>)>);
-
-/// Interns a structurally composed row.
-fn intern_row(pool: &mut DnfPool<Condition>, (uncond, srow): StructRow) -> IRow {
-    let cond = srow.into_iter().map(|(t, d)| (t, pool.intern(&d))).collect();
-    IRow::from_parts(uncond, cond)
-}
-
-/// Structural row composition against a read-only snapshot — safe to run
-/// on worker threads (resolves interned successor rows through `&DnfPool`,
-/// never interns). `fresh` overrides `irows` for already-recomputed nodes.
-/// Mirrors the interned sweep: unconditional targets by bitset unions,
-/// annotations only for the targets outside them.
-fn compose_structural(
-    g: &DiGraph<SyncNode, SyncEdge>,
-    n: NodeId,
-    skip: EdgeId,
-    removed: &HashSet<EdgeId>,
-    pool: &DnfPool<Condition>,
-    irows: &[IRow],
-    fresh: &HashMap<usize, IRow>,
-) -> StructRow {
-    let row_of = |m: NodeId| fresh.get(&m.index()).unwrap_or(&irows[m.index()]);
-    let live: Vec<(NodeId, &Option<Condition>)> = g
-        .out_edges(n)
-        .filter(|&e| e != skip && !removed.contains(&e))
-        .map(|e| (g.endpoints(e).1, &g.edge_weight(e).cond))
-        .collect();
-    let mut uncond = BitSet::new(g.node_bound());
-    for &(m, guard) in &live {
-        if guard.is_none() {
-            uncond.insert(m.index());
-            uncond.union_with(row_of(m).uncond());
-        }
-    }
-    let mut acc: BTreeMap<u32, Dnf<Condition>> = BTreeMap::new();
-    for (m, guard) in live {
-        let mrow = row_of(m);
-        if let Some(c) = guard {
-            let heads = std::iter::once(m.index()).filter(|&t| !uncond.contains(t));
-            for t in heads.chain(mrow.uncond().iter_difference(&uncond)) {
-                acc.entry(t as u32).or_insert_with(Dnf::empty).insert(vec![c.clone()]);
-            }
-        }
-        for &(t, did) in mrow.cond() {
-            if !uncond.contains(t as usize) {
-                pool.dnf(did)
-                    .compose_into(guard.as_ref(), acc.entry(t).or_insert_with(Dnf::empty));
-            }
-        }
-    }
-    (uncond, acc.into_iter().collect())
-}
-
 /// Sorts removal candidates according to `order`.
 fn order_candidates(
     g: &DiGraph<SyncNode, SyncEdge>,
@@ -412,8 +343,6 @@ struct Engine<'a> {
     g: &'a DiGraph<SyncNode, SyncEdge>,
     cs: &'a ConstraintSet,
     mode: EquivalenceMode,
-    /// Worker threads for screening/recomputation.
-    threads: usize,
     pool: DnfPool<Condition>,
     /// Interned annotated-closure rows, by node index.
     irows: Vec<IRow>,
@@ -429,25 +358,13 @@ struct Engine<'a> {
     scratch: RowScratch,
     removed: HashSet<EdgeId>,
     topo_pos: Vec<usize>,
-    /// Longest-path distance to a sink on the original graph — strictly
-    /// decreasing along every edge, so it stays a valid schedule under
-    /// edge deletion. Nodes sharing a level never depend on each other.
-    level: Vec<usize>,
     /// Memoized `context ∧ old ⟹ new` verdicts, keyed by interned ids
     /// (domains are fixed per run, so the verdict is too). Bounded to
     /// [`MinimizeOptions::pool_cache_limit`] entries with LRU eviction.
     imp_cache: LruCache<(DnfId, DnfId, DnfId), bool>,
     imp_hits: u64,
     imp_misses: u64,
-    /// Nodes whose rows changed / lost an out-edge since the last
-    /// screening snapshot — invalidates precomputed screening rows.
-    dirty_rows: HashSet<usize>,
-    dirty_tails: HashSet<usize>,
 }
-
-/// Minimum same-level batch size before ancestor recomputation fans out to
-/// worker threads — below this the scope setup costs more than the rows.
-const PAR_BATCH_MIN: usize = 8;
 
 impl<'a> Engine<'a> {
     fn new(
@@ -455,7 +372,6 @@ impl<'a> Engine<'a> {
         cs: &'a ConstraintSet,
         exec: &ExecConditions,
         mode: EquivalenceMode,
-        threads: usize,
         pool_cache_limit: usize,
         topo: &[NodeId],
     ) -> Engine<'a> {
@@ -463,12 +379,10 @@ impl<'a> Engine<'a> {
         let exec_ids = intern_exec(g, exec, &mut pool);
 
         // The initial annotated closure, built directly in interned form
-        // and level-parallel on the worker pool (bit-identical for every
-        // thread count — see `dscweaver_graph::iclosure`).
+        // (see `dscweaver_graph::iclosure`).
         let lvl_span = obs::span("minimize.closure.levels");
-        let (irows, cstats) =
-            interned_closure(g, &|_, w: &SyncEdge| w.cond.clone(), &mut pool, threads)
-                .expect("cycle-free graph must close");
+        let (irows, cstats) = interned_closure(g, &|_, w: &SyncEdge| w.cond.clone(), &mut pool)
+            .expect("cycle-free graph must close");
         drop(lvl_span);
         obs::counter_add("minimize.closure.rows_composed", cstats.rows as u64);
         obs::counter_add("minimize.closure.pool_hits", cstats.pool_hits);
@@ -479,15 +393,6 @@ impl<'a> Engine<'a> {
         let mut topo_pos = vec![usize::MAX; bound];
         for (i, &n) in topo.iter().enumerate() {
             topo_pos[n.index()] = i;
-        }
-        let mut level = vec![0usize; bound];
-        for &n in topo.iter().rev() {
-            let l = g
-                .successors(n)
-                .map(|m| level[m.index()] + 1)
-                .max()
-                .unwrap_or(0);
-            level[n.index()] = l;
         }
 
         // Per-edge guard tables for the greedy loop's recompositions
@@ -506,7 +411,6 @@ impl<'a> Engine<'a> {
             g,
             cs,
             mode,
-            threads,
             pool,
             irows,
             exec_ids,
@@ -515,12 +419,9 @@ impl<'a> Engine<'a> {
             scratch: RowScratch::new(bound),
             removed: HashSet::new(),
             topo_pos,
-            level,
             imp_cache: LruCache::new(pool_cache_limit),
             imp_hits: 0,
             imp_misses: 0,
-            dirty_rows: HashSet::new(),
-            dirty_tails: HashSet::new(),
         }
     }
 
@@ -665,37 +566,6 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// True if the prefilters cannot decide `cand` against the current
-    /// state — i.e. screening should precompute its tentative tail row.
-    fn screen_undecided(&self, cand: EdgeId) -> bool {
-        let (u, v) = self.g.endpoints(cand);
-        if self.prefilter_accept(cand, u, v) {
-            return false;
-        }
-        if !self.has_alternate_path(cand, u, v) {
-            // Strict/Reachability reject outright; ExecutionAware still
-            // needs the row when the lost target was never live.
-            return self.mode == EquivalenceMode::ExecutionAware;
-        }
-        true
-    }
-
-    /// True if a screening row precomputed at the window snapshot is still
-    /// valid: the tail kept all its edges and no successor row changed.
-    fn precomp_valid(&self, cand: EdgeId) -> bool {
-        let g = self.g;
-        let (u, _) = g.endpoints(cand);
-        if self.dirty_tails.contains(&u.index()) {
-            return false;
-        }
-        g.out_edges(u).all(|oe| {
-            oe == cand || self.removed.contains(&oe) || {
-                let (_, m) = g.endpoints(oe);
-                !self.dirty_rows.contains(&m.index())
-            }
-        })
-    }
-
     /// Live-edge ancestors of `u` (inclusive), sorted so successors come
     /// before predecessors (descending topological position).
     fn affected_ancestors(&self, u: NodeId) -> Vec<NodeId> {
@@ -722,8 +592,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Recomputes the rows of every affected ancestor with `cand` gone,
-    /// fanning same-level batches out to worker threads. `new_u` is the
-    /// already-computed row of the candidate's tail.
+    /// successors first. `new_u` is the already-computed row of the
+    /// candidate's tail.
     fn recompute_rows(
         &mut self,
         affected: &[NodeId],
@@ -733,48 +603,15 @@ impl<'a> Engine<'a> {
     ) -> HashMap<usize, IRow> {
         let mut fresh: HashMap<usize, IRow> = HashMap::new();
         fresh.insert(u.index(), new_u);
-        let rest: Vec<NodeId> = affected.iter().copied().filter(|&n| n != u).collect();
-        if self.threads > 1 && rest.len() >= PAR_BATCH_MIN {
-            // Level batches, nearest-to-sinks first: a node's successors
-            // always sit on strictly smaller levels, so each batch only
-            // reads rows finished in earlier batches (or untouched ones).
-            let mut by_level: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-            for &n in &rest {
-                by_level.entry(self.level[n.index()]).or_default().push(n);
-            }
-            for (_, batch) in by_level {
-                if batch.len() >= 2 {
-                    let (g, pool, irows, removed, fr) =
-                        (self.g, &self.pool, &self.irows, &self.removed, &fresh);
-                    let rows = par_map(self.threads, &batch, &|&n: &NodeId| {
-                        (
-                            n.index(),
-                            compose_structural(g, n, cand, removed, pool, irows, fr),
-                        )
-                    });
-                    for (ni, srow) in rows {
-                        let ir = intern_row(&mut self.pool, srow);
-                        fresh.insert(ni, ir);
-                    }
-                } else {
-                    for &n in &batch {
-                        let r = self.compose_interned(n, Some(cand), &fresh);
-                        fresh.insert(n.index(), r);
-                    }
-                }
-            }
-        } else {
-            for &n in &rest {
-                let r = self.compose_interned(n, Some(cand), &fresh);
-                fresh.insert(n.index(), r);
-            }
+        for &n in affected.iter().filter(|&&n| n != u) {
+            let r = self.compose_interned(n, Some(cand), &fresh);
+            fresh.insert(n.index(), r);
         }
         fresh
     }
 
     /// One greedy step: decide `cand` and mutate state on acceptance.
-    /// `pre` is an optional screening row (structural, snapshot-composed).
-    fn try_remove(&mut self, cand: EdgeId, pre: Option<StructRow>) -> bool {
+    fn try_remove(&mut self, cand: EdgeId) -> bool {
         let g = self.g;
         let (u, v) = g.endpoints(cand);
         let ui = u.index();
@@ -782,7 +619,6 @@ impl<'a> Engine<'a> {
         if self.prefilter_accept(cand, u, v) {
             // Row of u provably unchanged — no closure maintenance needed.
             self.removed.insert(cand);
-            self.dirty_tails.insert(ui);
             return true;
         }
 
@@ -805,13 +641,9 @@ impl<'a> Engine<'a> {
         }
 
         // General path: the full recomposed row of u.
-        let new_u: IRow = match pre {
-            Some(srow) => intern_row(&mut self.pool, srow),
-            None => self.compose_interned(u, Some(cand), &HashMap::new()),
-        };
+        let new_u = self.compose_interned(u, Some(cand), &HashMap::new());
         if new_u == self.irows[ui] {
             self.removed.insert(cand);
-            self.dirty_tails.insert(ui);
             return true;
         }
         if !self.covered(ui, &new_u) {
@@ -831,12 +663,7 @@ impl<'a> Engine<'a> {
 
         // Commit: swap the recomputed rows (bitsets included) in.
         self.removed.insert(cand);
-        self.dirty_tails.insert(ui);
         for (ni, row) in fresh {
-            if self.irows[ni] == row {
-                continue;
-            }
-            self.dirty_rows.insert(ni);
             self.irows[ni] = row;
         }
         true
@@ -844,8 +671,8 @@ impl<'a> Engine<'a> {
 }
 
 /// The generic §4.4 greedy algorithm with explicit [`MinimizeOptions`] —
-/// the optimized engine (interned annotations, bitset prefilters, scoped
-/// worker threads). Produces edge-for-edge the same minimal set as
+/// the optimized engine (interned annotations, bitset prefilters).
+/// Produces edge-for-edge the same minimal set as
 /// [`minimize_generic_baseline`].
 pub fn minimize_generic_with(
     cs: &ConstraintSet,
@@ -855,7 +682,7 @@ pub fn minimize_generic_with(
     opts: &MinimizeOptions,
 ) -> Result<MinimizeResult, MinimizeError> {
     let _span = obs::span_with("minimize.generic", || {
-        format!("relations={} threads={}", cs.relations.len(), opts.effective_threads())
+        format!("relations={}", cs.relations.len())
     });
     let sg = SyncGraph::build(cs);
     let g = &sg.graph;
@@ -866,53 +693,18 @@ pub fn minimize_generic_with(
     }
     let topo = topo_sort(g).expect("cycle-free graph must sort");
     let candidates = order_candidates(g, &sg, order);
-    let threads = opts.effective_threads();
     let closure_span = obs::span("minimize.closure");
-    let mut eng = Engine::new(g, cs, exec, mode, threads, opts.pool_cache_limit, &topo);
+    let mut eng = Engine::new(g, cs, exec, mode, opts.pool_cache_limit, &topo);
     drop(closure_span);
 
     let greedy_span = obs::span_with("minimize.greedy", || format!("candidates={}", candidates.len()));
     let mut removed_rels: Vec<usize> = Vec::new();
-    let mut checked = 0usize;
-    let window = if threads > 1 { (threads * 4).max(8) } else { 1 };
-    let mut k = 0usize;
-    while k < candidates.len() {
-        let end = (k + window).min(candidates.len());
-
-        // Screening phase: compose the tentative tail row of every
-        // prefilter-undecided candidate in the window concurrently against
-        // a read-only snapshot. Results are advisory — the apply phase
-        // re-runs the prefilters and drops any row whose dependency cone
-        // an earlier acceptance dirtied.
-        let mut pre: HashMap<usize, StructRow> = HashMap::new();
-        if threads > 1 && end - k > 1 {
-            let undecided: Vec<(usize, EdgeId)> = (k..end)
-                .map(|i| (i, candidates[i].0))
-                .filter(|&(_, e)| eng.screen_undecided(e))
-                .collect();
-            if undecided.len() >= 2 {
-                let (g, pool, irows, removed) = (eng.g, &eng.pool, &eng.irows, &eng.removed);
-                let none: HashMap<usize, IRow> = HashMap::new();
-                let rows = par_map(threads, &undecided, &|&(i, e): &(usize, EdgeId)| {
-                    let (u, _) = g.endpoints(e);
-                    (i, compose_structural(g, u, e, removed, pool, irows, &none))
-                });
-                pre.extend(rows);
-            }
+    for &(cand, rel_idx) in &candidates {
+        if eng.try_remove(cand) {
+            removed_rels.push(rel_idx);
         }
-
-        eng.dirty_rows.clear();
-        eng.dirty_tails.clear();
-        for i in k..end {
-            let (cand, rel_idx) = candidates[i];
-            checked += 1;
-            let precomp = pre.remove(&i).filter(|_| eng.precomp_valid(cand));
-            if eng.try_remove(cand, precomp) {
-                removed_rels.push(rel_idx);
-            }
-        }
-        k = end;
     }
+    let checked = candidates.len();
     drop(greedy_span);
 
     let removed_set: HashSet<usize> = removed_rels.iter().copied().collect();
@@ -938,7 +730,7 @@ pub fn minimize_generic_with(
 }
 
 /// The sequential reference implementation of the §4.4 greedy algorithm —
-/// structural rows, no interning, no prefilters, no threads. Kept for the
+/// structural rows, no interning, no prefilters. Kept for the
 /// equivalence property tests and as the before-side of the `ext_a`
 /// benchmarks; [`minimize_generic_with`] must match it edge for edge.
 pub fn minimize_generic_baseline(
@@ -1562,7 +1354,7 @@ mod tests {
             EquivalenceMode::Reachability,
         ] {
             for order in [EdgeOrder::Given, EdgeOrder::ReverseGiven, EdgeOrder::default()] {
-                for threads in [1usize, 4] {
+                for threads in [1usize, 8] {
                     let opts = MinimizeOptions {
                         threads,
                         ..Default::default()
@@ -1622,16 +1414,6 @@ mod tests {
         );
         let res = run(&cs, EquivalenceMode::ExecutionAware);
         assert_eq!(res.kept(), 1);
-    }
-
-    #[test]
-    fn options_thread_resolution() {
-        let three = MinimizeOptions {
-            threads: 3,
-            ..Default::default()
-        };
-        assert_eq!(three.effective_threads(), 3);
-        assert!(MinimizeOptions::default().effective_threads() >= 1);
     }
 
     #[test]

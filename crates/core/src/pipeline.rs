@@ -9,9 +9,7 @@
 use crate::dependency::DependencySet;
 use crate::exec::ExecConditions;
 use crate::merge::merge;
-use crate::minimize::{
-    minimize_with, EdgeOrder, EquivalenceMode, MinimizeError, MinimizeOptions, MinimizeResult,
-};
+use crate::minimize::{minimize, EdgeOrder, EquivalenceMode, MinimizeError, MinimizeResult};
 use crate::translate::{translate_services, TranslationReport};
 use dscweaver_dscl::{ConstraintError, ConstraintSet, Origin, Relation};
 use dscweaver_graph::FxHasher;
@@ -25,8 +23,8 @@ pub struct Weaver {
     pub mode: EquivalenceMode,
     /// Removal-candidate ordering.
     pub order: EdgeOrder,
-    /// Minimizer worker threads (`0` = auto, `1` = sequential). Thread
-    /// count never changes the result, only the wall time.
+    /// Ignored: the weave runs on one thread. Kept only so existing
+    /// struct literals that set it still compile.
     pub threads: usize,
 }
 
@@ -115,17 +113,7 @@ impl Weaver {
         };
         let MinimizeResult {
             minimal, removed, ..
-        } = minimize_with(
-            &asc,
-            &exec,
-            self.mode,
-            &self.order,
-            &MinimizeOptions {
-                threads: self.threads,
-                ..Default::default()
-            },
-        )
-        .map_err(WeaverError::Conflict)?;
+        } = minimize(&asc, &exec, self.mode, &self.order).map_err(WeaverError::Conflict)?;
         Ok(WeaverOutput {
             dependencies: ds.clone(),
             sc,
@@ -141,8 +129,8 @@ impl Weaver {
 impl WeaverOutput {
     /// A deterministic digest of the ASC relations and the removed
     /// relations, which together fix the minimal set. Equal for equal
-    /// weaves at any thread count; the value is a per-build digest with
-    /// no meaning across builds of the library.
+    /// weaves; the value is a per-build digest with no meaning across
+    /// builds of the library.
     pub fn fingerprint(&self) -> u64 {
         let mut h = FxHasher::default();
         self.asc.relations.hash(&mut h);

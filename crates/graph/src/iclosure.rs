@@ -1,4 +1,4 @@
-//! Interned, level-parallel condition-annotated closure (Definition 3).
+//! Interned condition-annotated closure (Definition 3).
 //!
 //! [`crate::annotated::annotated_closure`] builds structural
 //! [`Dnf`](crate::annotated::Dnf) rows
@@ -15,20 +15,10 @@
 //! out-edges, and interns only the remaining conditional annotations as
 //! a sorted `(target, DnfId)` list (`cond`). The sweep composes
 //! annotations only for targets outside `uncond`; the per-row
-//! accumulator is a dense scratch array instead of an ordered map. On
-//! top of that, the DAG is swept level by level (longest path to a
-//! sink), and wide levels fan out to the [`crate::par`] worker pool:
-//! a node's row only reads rows of strictly smaller levels, so levels
-//! are natural barriers.
-//!
-//! Workers never lock the pool. Each worker runs against a read-only
-//! snapshot ([`DnfPool::peek_compose`] / [`DnfPool::peek_union`] /
-//! [`DnfPool::lookup`]) and *mints* formulas the snapshot lacks into a
-//! thread-local delta pool with provisional ids. The main thread merges
-//! the deltas window by window in [`crate::par::par_ranges`] order, which
-//! makes the global id numbering — and therefore every produced row,
-//! bit for bit — identical for every thread count, including the fully
-//! sequential path.
+//! accumulator is a dense scratch array instead of an ordered map. The
+//! DAG is swept level by level (longest path to a sink), ascending node
+//! index within a level: a node's row only reads rows of strictly smaller
+//! levels, and the fixed order fixes the pool's id numbering.
 //!
 //! Cyclic inputs: [`interned_closure`] mirrors `annotated_closure` and
 //! returns the [`CycleError`] untouched — the optimizer treats cycles as
@@ -48,7 +38,7 @@
 //! g.add_edge(a3, a4, None);
 //!
 //! let mut pool = DnfPool::new();
-//! let (rows, stats) = interned_closure(&g, &|_, w: &Option<(u32, bool)>| *w, &mut pool, 1)
+//! let (rows, stats) = interned_closure(&g, &|_, w: &Option<(u32, bool)>| *w, &mut pool)
 //!     .expect("acyclic");
 //! // a1+ = {a2, a3(T@a2), a4(T@a2)}: a2 unconditionally, the rest guarded.
 //! let row = &rows[a1.index()];
@@ -63,8 +53,7 @@
 use crate::annotated::GuardFn;
 use crate::bitset::BitSet;
 use crate::digraph::DiGraph;
-use crate::intern::{DnfId, DnfPool, SnapshotOps, TermId};
-use crate::par::par_ranges;
+use crate::intern::{DnfId, DnfPool, TermId};
 use crate::topo::{topo_sort, CycleError};
 use dscweaver_obs as obs;
 
@@ -153,24 +142,19 @@ pub struct ClosureStats {
     pub levels: usize,
     /// Distinct DNFs the build added to the pool.
     pub minted: usize,
-    /// Memo hits across all union/compose operations, worker-local
-    /// probes included.
+    /// Memo hits across all union/compose operations.
     pub pool_hits: u64,
-    /// Memo misses (structural computations), worker-local included.
+    /// Memo misses (structural computations).
     pub pool_misses: u64,
 }
 
 /// Sentinel for "target untouched" in the dense accumulator.
 const NONE: u32 = u32::MAX;
 
-/// Minimum level width before the sweep fans out to worker threads —
-/// below this the scope setup costs more than the rows.
-const PAR_LEVEL_MIN: usize = 8;
-
 /// Reusable dense accumulator for composing one row: `acc[t]` holds the
 /// running annotation id of target `t` (or an internal sentinel), and
-/// `touched` remembers which slots to harvest and reset. Allocate once
-/// per thread, reuse for every row.
+/// `touched` remembers which slots to harvest and reset. Allocate once,
+/// reuse for every row.
 pub struct RowScratch {
     acc: Vec<u32>,
     touched: Vec<u32>,
@@ -184,62 +168,19 @@ impl RowScratch {
             touched: Vec::new(),
         }
     }
-}
 
-/// Id-level DNF operations a row composition needs. Implemented by the
-/// owning-pool path (sequential) and the read-only snapshot path (workers).
-trait IdOps<G> {
-    fn compose(&mut self, a: DnfId, t: Option<TermId>) -> DnfId;
-    fn union(&mut self, a: DnfId, b: DnfId) -> DnfId;
-}
-
-struct MainOps<'p, G> {
-    pool: &'p mut DnfPool<G>,
-}
-
-impl<G: Ord + Clone + std::hash::Hash> IdOps<G> for MainOps<'_, G> {
-    #[inline]
-    fn compose(&mut self, a: DnfId, t: Option<TermId>) -> DnfId {
-        match t {
-            None => a,
-            Some(t) => self.pool.compose_term(a, t),
-        }
-    }
-
-    #[inline]
-    fn union(&mut self, a: DnfId, b: DnfId) -> DnfId {
-        self.pool.union(a, b)
-    }
-}
-
-/// Worker-side ops against a read-only pool snapshot — now the
-/// first-class [`SnapshotOps`] overlay from [`crate::intern`]: formulas
-/// the snapshot lacks are minted with provisional ids `>= base`, and the
-/// main thread re-interns them in discovery order
-/// ([`DnfPool::absorb`]), which keeps the global numbering identical to
-/// the sequential sweep.
-impl<G: Ord + Clone + std::hash::Hash> IdOps<G> for SnapshotOps<'_, G> {
-    #[inline]
-    fn compose(&mut self, a: DnfId, t: Option<TermId>) -> DnfId {
-        SnapshotOps::compose(self, a, t)
-    }
-
-    #[inline]
-    fn union(&mut self, a: DnfId, b: DnfId) -> DnfId {
-        SnapshotOps::union(self, a, b)
-    }
-}
-
-impl RowScratch {
     /// `acc[t] ∪= d` with a dense slot per target.
     #[inline]
-    fn upsert<G, O: IdOps<G>>(&mut self, ops: &mut O, t: u32, d: DnfId) {
+    fn upsert<G>(&mut self, pool: &mut DnfPool<G>, t: u32, d: DnfId)
+    where
+        G: Ord + Clone + std::hash::Hash,
+    {
         let slot = &mut self.acc[t as usize];
         if *slot == NONE {
             *slot = d.0;
             self.touched.push(t);
         } else if *slot != d.0 {
-            *slot = ops.union(DnfId(*slot), d).0;
+            *slot = pool.union(DnfId(*slot), d).0;
         }
     }
 
@@ -262,8 +203,8 @@ impl RowScratch {
 
 /// One out-edge as the sweep composes it: `(target index, direct-edge
 /// annotation id, guard term id if conditional)`. The direct id and the
-/// term are interned up front on the main thread, so the hot loop never
-/// hashes a guard value.
+/// term are interned up front, so the hot loop never hashes a guard
+/// value.
 pub type AdjEdge = (u32, DnfId, Option<TermId>);
 
 /// Per-node out-edge views.
@@ -294,51 +235,16 @@ fn build_adj<N, E, G: Ord + Clone + std::hash::Hash>(
     adj
 }
 
-/// Composes one row from an adjacency view:
-/// `row(n) = ⋃_{n →g m} ({m: g} ∪ g ⊗ row_of(m))`.
+/// Composes one interned row from an adjacency view:
+/// `row(n) = ⋃_{n →g m} ({m: g} ∪ g ⊗ row_of(m))`. Shared with the
+/// minimizer's greedy recomputation, which feeds it a filtered adjacency
+/// and an overlay `row_of`.
 ///
 /// The unconditional part is pure bitset work: `uncond(n)` is the union
 /// of `{m} ∪ uncond(m)` over the unconditional edges. Annotations are
 /// composed only for targets outside it — an unconditional edge passes
 /// on `m`'s conditional entries, a conditional edge guards everything `m`
 /// reaches (`compose(ALWAYS, g)` is the edge's own `{{g}}` id).
-fn compose_row_ops<'r, G, O: IdOps<G>>(
-    ops: &mut O,
-    scratch: &mut RowScratch,
-    adj: &[AdjEdge],
-    row_of: impl Fn(u32) -> &'r IRow,
-) -> IRow {
-    debug_assert!(scratch.touched.is_empty());
-    let mut uncond = BitSet::new(scratch.acc.len());
-    for &(m, _, t) in adj {
-        if t.is_none() {
-            uncond.insert(m as usize);
-            uncond.union_with(&row_of(m).uncond);
-        }
-    }
-    for &(m, direct, t) in adj {
-        let mrow = row_of(m);
-        if t.is_some() {
-            if !uncond.contains(m as usize) {
-                scratch.upsert(ops, m, direct);
-            }
-            for tt in mrow.uncond.iter_difference(&uncond) {
-                scratch.upsert(ops, tt as u32, direct);
-            }
-        }
-        for &(tt, did) in &mrow.cond {
-            if !uncond.contains(tt as usize) {
-                let composed = ops.compose(did, t);
-                scratch.upsert(ops, tt, composed);
-            }
-        }
-    }
-    IRow::from_parts(uncond, scratch.harvest())
-}
-
-/// Composes one interned row against an owning pool — the sequential
-/// building block, shared with the minimizer's greedy recomputation
-/// (which feeds it a filtered adjacency and an overlay `row_of`).
 ///
 /// `row_of(m)` must already be the finished row of `m`.
 pub fn compose_interned_row<'r, G, F>(
@@ -351,44 +257,52 @@ where
     G: Ord + Clone + std::hash::Hash,
     F: Fn(u32) -> &'r IRow,
 {
-    let mut ops = MainOps { pool };
-    compose_row_ops(&mut ops, scratch, adj, row_of)
+    debug_assert!(scratch.touched.is_empty());
+    let mut uncond = BitSet::new(scratch.acc.len());
+    for &(m, _, t) in adj {
+        if t.is_none() {
+            uncond.insert(m as usize);
+            uncond.union_with(&row_of(m).uncond);
+        }
+    }
+    for &(m, direct, t) in adj {
+        let mrow = row_of(m);
+        if t.is_some() {
+            if !uncond.contains(m as usize) {
+                scratch.upsert(pool, m, direct);
+            }
+            for tt in mrow.uncond.iter_difference(&uncond) {
+                scratch.upsert(pool, tt as u32, direct);
+            }
+        }
+        for &(tt, did) in &mrow.cond {
+            if !uncond.contains(tt as usize) {
+                let composed = match t {
+                    None => did,
+                    Some(t) => pool.compose_term(did, t),
+                };
+                scratch.upsert(pool, tt, composed);
+            }
+        }
+    }
+    IRow::from_parts(uncond, scratch.harvest())
 }
 
 /// Computes the condition-annotated closure of a **DAG** directly in
-/// interned form, level-parallel over `threads` workers (`<= 1` is fully
-/// sequential). Rows are indexed by node index (tombstone slots hold
-/// empty rows) and are **bit-identical for every thread count** — the
-/// worker deltas are merged in deterministic window order, so even the
-/// pool's id numbering matches the sequential sweep.
+/// interned form. Rows are indexed by node index (tombstone slots hold
+/// empty rows).
 ///
 /// Returns the cycle error untouched for cyclic inputs, mirroring
 /// [`crate::annotated::annotated_closure`].
-pub fn interned_closure<N: Sync, E: Sync, G>(
+pub fn interned_closure<N, E, G>(
     g: &DiGraph<N, E>,
-    guard_of: &(impl GuardFn<E, G> + Sync),
+    guard_of: &impl GuardFn<E, G>,
     pool: &mut DnfPool<G>,
-    threads: usize,
 ) -> Result<(Vec<IRow>, ClosureStats), CycleError>
 where
-    G: Ord + Clone + std::hash::Hash + Send + Sync,
+    G: Ord + Clone + std::hash::Hash,
 {
     let order = topo_sort(g)?;
-    Ok(closure_by_levels(g, guard_of, pool, threads, &order))
-}
-
-/// The DAG sweep: group nodes by longest-path-to-sink level, process
-/// levels ascending, fan wide levels out to the pool.
-fn closure_by_levels<N: Sync, E: Sync, G>(
-    g: &DiGraph<N, E>,
-    guard_of: &(impl GuardFn<E, G> + Sync),
-    pool: &mut DnfPool<G>,
-    threads: usize,
-    order: &[crate::digraph::NodeId],
-) -> (Vec<IRow>, ClosureStats)
-where
-    G: Ord + Clone + std::hash::Hash + Send + Sync,
-{
     let bound = g.node_bound();
     let dnfs_before = pool.dnf_count();
     let hits_before = pool.ops_hits();
@@ -409,7 +323,7 @@ where
         max_level = max_level.max(l);
     }
     let mut levels: Vec<Vec<u32>> = vec![Vec::new(); max_level + 1];
-    for &n in order {
+    for &n in &order {
         levels[level[n.index()]].push(n.0);
     }
     for nodes in &mut levels {
@@ -418,95 +332,31 @@ where
 
     // Unset until composed; only tombstone slots stay unset.
     let mut rows: Vec<Option<IRow>> = vec![None; bound];
-    let mut stats = ClosureStats {
-        rows: order.len(),
-        levels: levels.len(),
-        ..ClosureStats::default()
-    };
     let mut scratch = RowScratch::new(bound);
     for (li, nodes) in levels.iter().enumerate() {
         let _span = obs::span_with("closure.level", || {
             format!("level={li} nodes={}", nodes.len())
         });
-        let out = compose_level_batch(
-            &adj,
-            nodes,
-            pool,
-            &|m| rows[m as usize].as_ref().expect("successor rows sit on lower levels"),
-            &mut scratch,
-            threads,
-            bound,
-            &mut stats.pool_hits,
-            &mut stats.pool_misses,
-        );
-        for (&n, row) in nodes.iter().zip(out) {
+        for &n in nodes {
+            let row = compose_interned_row(pool, &mut scratch, &adj[n as usize], |m| {
+                rows[m as usize].as_ref().expect("successor rows sit on lower levels")
+            });
             rows[n as usize] = Some(row);
         }
     }
 
-    stats.minted = pool.dnf_count() - dnfs_before;
-    stats.pool_hits += pool.ops_hits() - hits_before;
-    stats.pool_misses += pool.ops_misses() - misses_before;
+    let stats = ClosureStats {
+        rows: order.len(),
+        levels: levels.len(),
+        minted: pool.dnf_count() - dnfs_before,
+        pool_hits: pool.ops_hits() - hits_before,
+        pool_misses: pool.ops_misses() - misses_before,
+    };
     let rows = rows
         .into_iter()
         .map(|r| r.unwrap_or_else(|| IRow::empty(bound)))
         .collect();
-    (rows, stats)
-}
-
-/// Composes the rows of one same-level batch (`nodes` sorted ascending)
-/// against the finished rows `row_of`, fanning out to the worker pool
-/// when the batch is wide. Rows are returned in `nodes` order. The worker
-/// deltas are merged in deterministic window order, so pool numbering is
-/// identical for every thread count.
-#[allow(clippy::too_many_arguments)]
-fn compose_level_batch<'r, G>(
-    adj: &Adj,
-    nodes: &[u32],
-    pool: &mut DnfPool<G>,
-    row_of: &(impl Fn(u32) -> &'r IRow + Sync),
-    scratch: &mut RowScratch,
-    threads: usize,
-    bound: usize,
-    worker_hits: &mut u64,
-    worker_misses: &mut u64,
-) -> Vec<IRow>
-where
-    G: Ord + Clone + std::hash::Hash + Send + Sync,
-{
-    if threads > 1 && nodes.len() >= PAR_LEVEL_MIN {
-        let pool_snap: &DnfPool<G> = &*pool;
-        let results = par_ranges(threads, nodes.len(), &|r| {
-            let mut ops = SnapshotOps::new(pool_snap);
-            let mut scratch = RowScratch::new(bound);
-            let wrows: Vec<IRow> = r
-                .map(|i| compose_row_ops(&mut ops, &mut scratch, &adj[nodes[i] as usize], row_of))
-                .collect();
-            (wrows, ops.into_parts())
-        });
-        // Deterministic merge: windows in order, each worker's mints
-        // re-interned in discovery order (first occurrence wins), so
-        // the numbering equals the sequential sweep's.
-        let mut out: Vec<IRow> = Vec::with_capacity(nodes.len());
-        for (wrows, parts) in results {
-            *worker_hits += parts.hits();
-            *worker_misses += parts.misses();
-            let remap = pool.absorb(parts);
-            for mut wrow in wrows {
-                for (_, d) in &mut wrow.cond {
-                    *d = remap.fix(*d);
-                }
-                out.push(wrow);
-            }
-        }
-        out
-    } else {
-        let mut ops = MainOps { pool: &mut *pool };
-        nodes
-            .iter()
-            .map(|&n| compose_row_ops(&mut ops, scratch, &adj[n as usize], row_of))
-            .collect()
-    }
+    Ok((rows, stats))
 }
 
 #[cfg(test)]
@@ -517,15 +367,8 @@ mod tests {
 
     type G = (u32, bool);
 
-    fn guard_of() -> impl Fn(EdgeId, &Option<G>) -> Option<G> + Sync {
+    fn guard_of() -> impl Fn(EdgeId, &Option<G>) -> Option<G> {
         |_, w: &Option<G>| *w
-    }
-
-    /// Resolves interned rows to structural `(target, Dnf)` pairs.
-    fn resolve(pool: &DnfPool<G>, rows: &[IRow]) -> Vec<Vec<(u32, Dnf<G>)>> {
-        rows.iter()
-            .map(|r| r.iter().map(|(t, d)| (t, pool.dnf(d).clone())).collect())
-            .collect()
     }
 
     fn diamond() -> DiGraph<(), Option<G>> {
@@ -545,7 +388,7 @@ mod tests {
     fn matches_structural_closure() {
         let g = diamond();
         let mut pool = DnfPool::new();
-        let (rows, stats) = interned_closure(&g, &guard_of(), &mut pool, 1).unwrap();
+        let (rows, stats) = interned_closure(&g, &guard_of(), &mut pool).unwrap();
         let structural = annotated_closure(&g, &guard_of()).unwrap();
         for (ni, srow) in structural.rows().iter().enumerate() {
             let expect: Vec<(u32, Dnf<G>)> =
@@ -568,29 +411,6 @@ mod tests {
         g.add_edge(a, b, None);
         g.add_edge(b, a, None);
         let mut pool = DnfPool::new();
-        assert!(interned_closure(&g, &guard_of(), &mut pool, 1).is_err());
-    }
-
-    #[test]
-    fn rows_identical_across_thread_counts() {
-        // Wide fork-join so the parallel path actually engages.
-        let mut g: DiGraph<(), Option<G>> = DiGraph::new();
-        let src = g.add_node(());
-        let sink = g.add_node(());
-        for i in 0..40u32 {
-            let mid = g.add_node(());
-            let guard = (i % 3 == 0).then_some((src.0, i % 2 == 0));
-            g.add_edge(src, mid, guard);
-            g.add_edge(mid, sink, None);
-        }
-        let mut pool1 = DnfPool::new();
-        let (rows1, _) = interned_closure(&g, &guard_of(), &mut pool1, 1).unwrap();
-        for threads in [2usize, 4, 8] {
-            let mut pool_t = DnfPool::new();
-            let (rows_t, _) = interned_closure(&g, &guard_of(), &mut pool_t, threads).unwrap();
-            assert_eq!(rows_t, rows1, "threads={threads}");
-            assert_eq!(pool_t.dnf_count(), pool1.dnf_count(), "threads={threads}");
-            assert_eq!(resolve(&pool_t, &rows_t), resolve(&pool1, &rows1));
-        }
+        assert!(interned_closure(&g, &guard_of(), &mut pool).is_err());
     }
 }

@@ -10,10 +10,9 @@
 //! * downstream semantic caches (e.g. the minimizer's implication cache)
 //!   can key on `(DnfId, DnfId)` pairs instead of whole formulas.
 //!
-//! The pool keeps the structural [`Dnf`] of every interned id, so holders
-//! of a shared `&DnfPool` (worker threads) can resolve ids back to
-//! formulas without synchronization; only interning new values needs
-//! `&mut`.
+//! The pool keeps the structural [`Dnf`] of every interned id, so ids
+//! resolve back to formulas through `&self`; only interning new values
+//! needs `&mut`.
 
 use crate::annotated::{Dnf, GuardSet};
 use crate::fx::FxHashMap;
@@ -41,9 +40,8 @@ impl DnfId {
 pub struct DnfPool<G> {
     terms: Vec<GuardSet<G>>,
     term_ids: FxHashMap<GuardSet<G>, TermId>,
-    /// Canonical term-id vector per DNF (sorted by id — deterministic,
-    /// therefore a valid hash-cons key).
-    dnf_keys: Vec<Vec<TermId>>,
+    /// DNF ids keyed by their canonical term-id vector (sorted by id —
+    /// deterministic, therefore a valid hash-cons key).
     dnf_ids: FxHashMap<Vec<TermId>, DnfId>,
     /// Structural form per DNF, for `&self` resolution.
     dnf_structs: Vec<Dnf<G>>,
@@ -73,7 +71,6 @@ impl<G: Ord + Clone + std::hash::Hash> DnfPool<G> {
         let mut pool = DnfPool {
             terms: Vec::new(),
             term_ids: FxHashMap::default(),
-            dnf_keys: Vec::new(),
             dnf_ids: FxHashMap::default(),
             dnf_structs: Vec::new(),
             union_memo: FxHashMap::default(),
@@ -126,70 +123,14 @@ impl<G: Ord + Clone + std::hash::Hash> DnfPool<G> {
             return id;
         }
         let id = DnfId(self.dnf_structs.len() as u32);
-        self.dnf_keys.push(key.clone());
         self.dnf_ids.insert(key, id);
         self.dnf_structs.push(d.clone());
         id
     }
 
-    /// The structural DNF behind an id — `&self`, so shareable across
-    /// read-only borrowers.
+    /// The structural DNF behind an id.
     pub fn dnf(&self, id: DnfId) -> &Dnf<G> {
         &self.dnf_structs[id.0 as usize]
-    }
-
-    /// Read-only lookup of an already-interned guard-set. Returns `None`
-    /// (without mutating the pool) when the term was never interned.
-    pub fn lookup_term(&self, gs: &GuardSet<G>) -> Option<TermId> {
-        self.term_ids.get(gs).copied()
-    }
-
-    /// Read-only lookup of an already-interned DNF. Worker threads use
-    /// this to dedupe freshly computed rows against the shared pool
-    /// before minting thread-local ids.
-    pub fn lookup(&self, d: &Dnf<G>) -> Option<DnfId> {
-        let mut key = Vec::with_capacity(d.terms().len());
-        for t in d.terms() {
-            key.push(self.lookup_term(t)?);
-        }
-        key.sort_unstable();
-        self.dnf_ids.get(&key).copied()
-    }
-
-    /// Read-only probe of the compose memo (`&self`, worker-safe).
-    /// Identity/absorption short-circuits are applied; `None` means the
-    /// pair was never computed on the owning thread.
-    pub fn peek_compose(&self, a: DnfId, t: TermId) -> Option<DnfId> {
-        if a == Self::EMPTY {
-            return Some(Self::EMPTY);
-        }
-        self.compose_memo.get(&(a, t)).copied()
-    }
-
-    /// Read-only probe of the union memo (`&self`, worker-safe).
-    pub fn peek_union(&self, a: DnfId, b: DnfId) -> Option<DnfId> {
-        if a == b || b == Self::EMPTY {
-            return Some(a);
-        }
-        if a == Self::EMPTY {
-            return Some(b);
-        }
-        if a == Self::ALWAYS || b == Self::ALWAYS {
-            return Some(Self::ALWAYS);
-        }
-        self.union_memo.get(&(a.min(b), a.max(b))).copied()
-    }
-
-    /// Records a compose result discovered off-pool (e.g. by a worker's
-    /// thread-local delta pool) so later sequential calls hit the memo.
-    /// The ids must all be valid in this pool.
-    pub fn note_compose(&mut self, a: DnfId, t: TermId, r: DnfId) {
-        self.compose_memo.insert((a, t), r);
-    }
-
-    /// Records a union result discovered off-pool; see [`Self::note_compose`].
-    pub fn note_union(&mut self, a: DnfId, b: DnfId, r: DnfId) {
-        self.union_memo.insert((a.min(b), a.max(b)), r);
     }
 
     /// Memo hits across `union`/`and`/`compose` since construction
@@ -315,229 +256,6 @@ impl<G: Ord + Clone + std::hash::Hash> DnfPool<G> {
         self.compose_memo.insert(key, id);
         id
     }
-
-    /// Merges the provisional mints and memo discoveries of one
-    /// [`SnapshotOps`] overlay back into this pool, in discovery order.
-    ///
-    /// Re-interning in discovery order (first occurrence wins) is what
-    /// makes the level-parallel closure's pool numbering bit-identical to
-    /// the sequential sweep: callers absorb worker overlays in a fixed
-    /// window order, so the id each minted formula receives is independent
-    /// of thread scheduling. The returned [`PoolRemap`] translates the
-    /// overlay's provisional ids (`>= base`) to their final pool ids.
-    ///
-    /// The overlay must have been built against a pool whose first
-    /// `parts.base()` ids agree with this one — in the common case, this
-    /// very pool, or a clone of it.
-    pub fn absorb(&mut self, parts: SnapshotParts<G>) -> PoolRemap {
-        let remap = PoolRemap {
-            base: parts.base,
-            map: parts.minted.iter().map(|d| self.intern(d)).collect(),
-        };
-        for (a, t, r) in parts.new_compose {
-            self.note_compose(remap.fix(DnfId(a)), TermId(t), remap.fix(DnfId(r)));
-        }
-        for (a, b, r) in parts.new_union {
-            self.note_union(remap.fix(DnfId(a)), remap.fix(DnfId(b)), remap.fix(DnfId(r)));
-        }
-        remap
-    }
-}
-
-/// A thread-local write overlay over a read-only pool.
-///
-/// Reads (`resolve`, memo probes) go to the underlying pool without
-/// synchronization; formulas the pool lacks are *minted* with provisional
-/// ids `>= base` (where `base` is the pool's `dnf_count()` at overlay
-/// creation) and recorded together with every memo discovery. The owner
-/// of a mutable pool later calls [`DnfPool::absorb`] on
-/// [`SnapshotOps::into_parts`] to merge the overlay deterministically —
-/// absorbing overlays in a fixed order yields the same pool numbering as
-/// a fully sequential run, which is what lets the closure engine share
-/// one pool across threads while staying bit-identical at any thread
-/// count.
-pub struct SnapshotOps<'p, G> {
-    pool: &'p DnfPool<G>,
-    base: u32,
-    minted: Vec<Dnf<G>>,
-    minted_ids: FxHashMap<Dnf<G>, u32>,
-    compose_local: FxHashMap<(u32, u32), u32>,
-    union_local: FxHashMap<(u32, u32), u32>,
-    new_compose: Vec<(u32, u32, u32)>,
-    new_union: Vec<(u32, u32, u32)>,
-    hits: u64,
-    misses: u64,
-}
-
-/// What one [`SnapshotOps`] overlay hands back for the deterministic
-/// merge: the minted formulas in discovery order plus the memo entries
-/// discovered while composing, ready for [`DnfPool::absorb`].
-pub struct SnapshotParts<G> {
-    base: u32,
-    minted: Vec<Dnf<G>>,
-    new_compose: Vec<(u32, u32, u32)>,
-    new_union: Vec<(u32, u32, u32)>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<G> SnapshotParts<G> {
-    /// The pool size the overlay was created at — provisional ids start
-    /// here.
-    pub fn base(&self) -> u32 {
-        self.base
-    }
-
-    /// Memo hits observed by the overlay (pool probes and local).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Structural computations the overlay had to perform.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
-/// Translates an overlay's provisional ids to final pool ids after
-/// [`DnfPool::absorb`]. Ids below the overlay base pass through.
-pub struct PoolRemap {
-    base: u32,
-    map: Vec<DnfId>,
-}
-
-impl PoolRemap {
-    /// Final pool id for `id` (identity below the overlay base).
-    pub fn fix(&self, id: DnfId) -> DnfId {
-        if id.0 >= self.base {
-            self.map[(id.0 - self.base) as usize]
-        } else {
-            id
-        }
-    }
-}
-
-impl<'p, G: Ord + Clone + std::hash::Hash> SnapshotOps<'p, G> {
-    /// An overlay over `pool` with provisional ids starting at the pool's
-    /// current `dnf_count()`.
-    pub fn new(pool: &'p DnfPool<G>) -> Self {
-        SnapshotOps {
-            pool,
-            base: pool.dnf_count() as u32,
-            minted: Vec::new(),
-            minted_ids: FxHashMap::default(),
-            compose_local: FxHashMap::default(),
-            union_local: FxHashMap::default(),
-            new_compose: Vec::new(),
-            new_union: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// First provisional id this overlay mints.
-    pub fn base(&self) -> u32 {
-        self.base
-    }
-
-    /// The structural DNF behind a pool id or a provisional id minted by
-    /// this overlay.
-    pub fn resolve(&self, id: DnfId) -> &Dnf<G> {
-        if id.0 >= self.base {
-            &self.minted[(id.0 - self.base) as usize]
-        } else {
-            self.pool.dnf(id)
-        }
-    }
-
-    /// Local intern: dedupe against the shared pool first, then against
-    /// formulas already minted on this overlay.
-    pub fn mint(&mut self, d: Dnf<G>) -> DnfId {
-        if let Some(id) = self.pool.lookup(&d) {
-            return id;
-        }
-        if let Some(&id) = self.minted_ids.get(&d) {
-            return DnfId(id);
-        }
-        let id = self.base + self.minted.len() as u32;
-        self.minted_ids.insert(d.clone(), id);
-        self.minted.push(d);
-        DnfId(id)
-    }
-
-    /// Overlay analogue of [`DnfPool::compose_term`] (with `None` as the
-    /// identity). `a` must be a pool id, not a provisional one — closure
-    /// compositions always read finished (global) rows.
-    pub fn compose(&mut self, a: DnfId, t: Option<TermId>) -> DnfId {
-        let Some(t) = t else { return a };
-        debug_assert!(a.0 < self.base);
-        if let Some(r) = self.pool.peek_compose(a, t) {
-            self.hits += 1;
-            return r;
-        }
-        if let Some(&r) = self.compose_local.get(&(a.0, t.0)) {
-            self.hits += 1;
-            return DnfId(r);
-        }
-        self.misses += 1;
-        let out = {
-            let g = &self.pool.term(t)[0];
-            let mut out = Dnf::empty();
-            self.resolve(a).compose_into(Some(g), &mut out);
-            out
-        };
-        let r = self.mint(out);
-        self.compose_local.insert((a.0, t.0), r.0);
-        self.new_compose.push((a.0, t.0, r.0));
-        r
-    }
-
-    /// Overlay analogue of [`DnfPool::union`]; either operand may be
-    /// provisional.
-    pub fn union(&mut self, a: DnfId, b: DnfId) -> DnfId {
-        if a.0 < self.base && b.0 < self.base {
-            if let Some(r) = self.pool.peek_union(a, b) {
-                self.hits += 1;
-                return r;
-            }
-        } else if a == b {
-            return a;
-        }
-        let key = (a.0.min(b.0), a.0.max(b.0));
-        if let Some(&r) = self.union_local.get(&key) {
-            self.hits += 1;
-            return DnfId(r);
-        }
-        self.misses += 1;
-        let mut out = self.resolve(a).clone();
-        out.union_with(self.resolve(b));
-        let r = self.mint(out);
-        self.union_local.insert(key, r.0);
-        self.new_union.push((key.0, key.1, r.0));
-        r
-    }
-
-    /// Memo hits so far (pool probes and overlay-local).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Structural computations so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Finishes the overlay for [`DnfPool::absorb`].
-    pub fn into_parts(self) -> SnapshotParts<G> {
-        SnapshotParts {
-            base: self.base,
-            minted: self.minted,
-            new_compose: self.new_compose,
-            new_union: self.new_union,
-            hits: self.hits,
-            misses: self.misses,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -614,56 +332,6 @@ mod tests {
             pool.compose(DnfPool::<u32>::EMPTY, Some(&7)),
             DnfPool::<u32>::EMPTY
         );
-    }
-
-    /// Driving the same operations through a single-owner pool and
-    /// through a `SnapshotOps` overlay (absorbed in discovery order) must
-    /// produce bit-identical pool numbering — ids, counts, and
-    /// resolutions. The level-parallel closure relies on this.
-    #[test]
-    fn snapshot_overlay_numbering_matches_single_owner() {
-        // Single-owner reference path.
-        let mut own: DnfPool<u32> = DnfPool::new();
-        let seed_a = own.intern(&Dnf::term(vec![1]));
-        let seed_b = own.intern(&Dnf::term(vec![2]));
-        let t7 = own.intern_term(&vec![7]);
-        let mut own_results = Vec::new();
-        own_results.push(own.union(seed_a, seed_b));
-        own_results.push(own.compose_term(seed_a, t7));
-        own_results.push(own.union(own_results[0], own_results[1]));
-
-        // Snapshot path: same seeds, then the same ops through an
-        // overlay over the read-only pool, absorbed into a clone of it.
-        let mut base: DnfPool<u32> = DnfPool::new();
-        let sa = base.intern(&Dnf::term(vec![1]));
-        let sb = base.intern(&Dnf::term(vec![2]));
-        let st7 = base.intern_term(&vec![7]);
-        assert_eq!((sa, sb, st7), (seed_a, seed_b, t7));
-        let mut merged = base.clone();
-        let mut ops = SnapshotOps::new(&base);
-        let mut snap_results = Vec::new();
-        snap_results.push(ops.union(sa, sb));
-        snap_results.push(ops.compose(sa, Some(st7)));
-        snap_results.push(ops.union(snap_results[0], snap_results[1]));
-        assert!(ops.misses() >= 3, "all three ops are fresh");
-        let parts = ops.into_parts();
-        let remap = merged.absorb(parts);
-        let snap_fixed: Vec<DnfId> = snap_results.iter().map(|&d| remap.fix(d)).collect();
-
-        assert_eq!(snap_fixed, own_results, "id numbering must match");
-        assert_eq!(merged.dnf_count(), own.dnf_count());
-        assert_eq!(merged.term_count(), own.term_count());
-        for id in 0..own.dnf_count() as u32 {
-            assert_eq!(merged.dnf(DnfId(id)), own.dnf(DnfId(id)), "dnf {id}");
-        }
-        // Absorb also carried the memos: re-running the ops on the merged
-        // pool is all hits, no new ids.
-        let before = merged.dnf_count();
-        let h0 = merged.ops_hits();
-        assert_eq!(merged.union(sa, sb), own_results[0]);
-        assert_eq!(merged.compose_term(sa, st7), own_results[1]);
-        assert_eq!(merged.dnf_count(), before);
-        assert_eq!(merged.ops_hits(), h0 + 2);
     }
 
     #[test]

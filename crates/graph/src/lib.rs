@@ -25,8 +25,7 @@
 //!   concurrency of a schedule).
 //! * [`iclosure`] — Definition 3 built **directly in interned form**:
 //!   unconditional reachability as bitsets, only the conditional
-//!   annotations interned, level-parallel on the [`par`] pool (the
-//!   minimizer's closure engine).
+//!   annotations interned (the minimizer's closure engine).
 //! * [`lru`] — a bounded least-recently-used map capping the minimizer's
 //!   `implies` memo (graceful hit-rate degradation past the limit).
 //! * [`fx`] — the fast multiply-rotate hasher behind every memo table.
@@ -57,7 +56,7 @@ pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use iclosure::{
     compose_interned_row, interned_closure, AdjEdge, ClosureStats, IRow, RowScratch,
 };
-pub use intern::{DnfId, DnfPool, PoolRemap, SnapshotOps, SnapshotParts, TermId};
+pub use intern::{DnfId, DnfPool, TermId};
 pub use lru::LruCache;
 pub use bitset::BitSet;
 pub use closure::{condense, transitive_closure, Closure, Condensation};

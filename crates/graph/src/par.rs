@@ -1,10 +1,9 @@
 //! Shared scoped-thread worker pool.
 //!
-//! Three phases of the pipeline are embarrassingly parallel behind a
-//! deterministic merge: §4.4 minimization (candidate screening and
-//! level-batched ancestor recomputation), Petri-net validation (one
-//! independent maximal-step run per branch assignment) and the DES
-//! scheduler's per-wavefront readiness evaluation. All of them share this
+//! Two phases of the pipeline are embarrassingly parallel behind a
+//! deterministic merge: Petri-net validation (one independent
+//! maximal-step run per branch assignment) and the DES scheduler's
+//! per-wavefront readiness evaluation. Both share this
 //! module: chunked fork/join maps over [`std::thread::scope`], with a
 //! `threads: usize` knob following one convention everywhere — `0` picks
 //! the machine's available parallelism, `1` forces the fully sequential

@@ -1,8 +1,7 @@
 //! Equivalence of the interned closure engine (`iclosure`) against the
 //! structural `annotated_closure` reference: row-for-row identical
-//! results across thread counts {1, 2, 4, 8} and DAG shapes (layered,
-//! fork-join, dense-conditional), with bitwise-stable pool numbering at
-//! every thread count, and the `ALWAYS`-as-bits row invariant. Cyclic
+//! results across DAG shapes (layered, fork-join, dense-conditional) and
+//! the `ALWAYS`-as-bits row invariant. Cyclic
 //! inputs are refused by the interned engine and solved by the structural
 //! SCC condensation.
 
@@ -15,8 +14,6 @@ use dscweaver_prng::Rng;
 
 type G = DiGraph<(), Option<u8>>;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-
 fn guard(rng: &mut Rng, guards: u8, p: f64) -> Option<u8> {
     if rng.random_bool(p) {
         Some(rng.random_range(guards as usize) as u8)
@@ -25,8 +22,7 @@ fn guard(rng: &mut Rng, guards: u8, p: f64) -> Option<u8> {
     }
 }
 
-/// Wide layered DAG (layers larger than the engine's parallel threshold)
-/// with skip edges two layers down.
+/// Wide layered DAG with skip edges two layers down.
 fn layered(rng: &mut Rng, width: usize, depth: usize, guards: u8) -> G {
     let mut g = DiGraph::new();
     let layers: Vec<Vec<NodeId>> = (0..depth)
@@ -125,52 +121,18 @@ fn assert_rows_match(g: &G, rows: &[IRow], pool: &DnfPool<u8>, ann: &AnnotatedCl
     }
 }
 
-/// At every thread count, the interned closure resolves to exactly the
-/// structural `annotated_closure` rows.
+/// The interned closure resolves to exactly the structural
+/// `annotated_closure` rows.
 #[test]
 fn interned_rows_match_structural_reference_on_every_shape() {
     for seed in [11u64, 47, 0xD5C] {
         for (shape, g) in dag_shapes(seed) {
             let ann = annotated_closure(&g, &|_, w: &Option<u8>| *w).unwrap();
-            for threads in THREADS {
-                let mut pool: DnfPool<u8> = DnfPool::new();
-                let (rows, stats) =
-                    interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool, threads).unwrap();
-                assert_rows_match(&g, &rows, &pool, &ann, &format!("{shape}/{seed}/t{threads}"));
-                assert_eq!(stats.rows, g.node_count(), "{shape}/{seed}/t{threads}");
-                assert!(stats.levels > 0, "{shape}/{seed}/t{threads}");
-            }
-        }
-    }
-}
-
-/// Bitwise determinism: the rows AND the pool numbering are identical at
-/// every thread count — not merely structurally equivalent.
-#[test]
-fn rows_and_pool_numbering_identical_across_thread_counts() {
-    for seed in [3u64, 29, 0xBEEF] {
-        for (shape, g) in dag_shapes(seed) {
-            let mut pool1: DnfPool<u8> = DnfPool::new();
-            let (rows1, _) =
-                interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool1, 1).unwrap();
-            for threads in [2usize, 4, 8] {
-                let mut pool_t: DnfPool<u8> = DnfPool::new();
-                let (rows_t, _) =
-                    interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool_t, threads).unwrap();
-                assert_eq!(rows_t, rows1, "{shape}/{seed}/t{threads}: rows diverge");
-                assert_eq!(
-                    pool_t.dnf_count(),
-                    pool1.dnf_count(),
-                    "{shape}/{seed}/t{threads}: pool size diverges"
-                );
-                assert_eq!(pool_t.term_count(), pool1.term_count(), "{shape}/{seed}/t{threads}");
-                // Same ids resolve to the same formulas in both pools.
-                for row in &rows_t {
-                    for (_, id) in row.iter() {
-                        assert_eq!(pool_t.dnf(id), pool1.dnf(id), "{shape}/{seed}/t{threads}");
-                    }
-                }
-            }
+            let mut pool: DnfPool<u8> = DnfPool::new();
+            let (rows, stats) = interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool).unwrap();
+            assert_rows_match(&g, &rows, &pool, &ann, &format!("{shape}/{seed}"));
+            assert_eq!(stats.rows, g.node_count(), "{shape}/{seed}");
+            assert!(stats.levels > 0, "{shape}/{seed}");
         }
     }
 }
@@ -187,7 +149,7 @@ fn cyclic_inputs_agree_through_the_shared_condensation() {
         assert!(annotated_closure(&g, &|_, w: &Option<u8>| *w).is_err());
         {
             let mut pool: DnfPool<u8> = DnfPool::new();
-            assert!(interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool, 4).is_err());
+            assert!(interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool).is_err());
         }
         let ann = annotated_closure_condensed(&g, &|_, w: &Option<u8>| *w);
         let plain = transitive_closure(&g);
@@ -245,28 +207,25 @@ fn rows_keep_always_as_bits_and_only_conditional_ids_interned() {
     for seed in [5u64, 31, 0xA11] {
         for (shape, g) in dag_shapes(seed) {
             let ann = annotated_closure(&g, &|_, w: &Option<u8>| *w).unwrap();
-            for threads in THREADS {
-                let ctx = format!("{shape}/{seed}/t{threads}");
-                let mut pool: DnfPool<u8> = DnfPool::new();
-                let (rows, _) =
-                    interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool, threads).unwrap();
-                for n in g.node_ids() {
-                    let row = &rows[n.index()];
-                    for t in g.node_ids() {
-                        let always = ann.row(n).get(t).is_some_and(Dnf::is_always);
-                        let bit = row.uncond().contains(t.index());
-                        assert_eq!(bit, always, "{ctx}: {n:?} → {t:?}");
-                    }
-                    for &(_, id) in row.cond() {
-                        assert!(id != DnfId::ALWAYS && id != DnfId::EMPTY, "{ctx}: {n:?}");
-                    }
-                    let mut reach = row.uncond().clone();
-                    for &(t, _) in row.cond() {
-                        assert!(!row.uncond().contains(t as usize), "{ctx}: {n:?} lists {t} twice");
-                        reach.insert(t as usize);
-                    }
-                    assert_eq!(&reach, row.reach(), "{ctx}: {n:?}");
+            let ctx = format!("{shape}/{seed}");
+            let mut pool: DnfPool<u8> = DnfPool::new();
+            let (rows, _) = interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool).unwrap();
+            for n in g.node_ids() {
+                let row = &rows[n.index()];
+                for t in g.node_ids() {
+                    let always = ann.row(n).get(t).is_some_and(Dnf::is_always);
+                    let bit = row.uncond().contains(t.index());
+                    assert_eq!(bit, always, "{ctx}: {n:?} → {t:?}");
                 }
+                for &(_, id) in row.cond() {
+                    assert!(id != DnfId::ALWAYS && id != DnfId::EMPTY, "{ctx}: {n:?}");
+                }
+                let mut reach = row.uncond().clone();
+                for &(t, _) in row.cond() {
+                    assert!(!row.uncond().contains(t as usize), "{ctx}: {n:?} lists {t} twice");
+                    reach.insert(t as usize);
+                }
+                assert_eq!(&reach, row.reach(), "{ctx}: {n:?}");
             }
         }
     }

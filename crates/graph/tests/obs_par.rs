@@ -1,7 +1,8 @@
 //! Recorder properties of the `par` worker pool: every worker window
 //! becomes a balanced span on its slot's stable `worker-N` lane, the
 //! recorded coverage reconstructs the input exactly, and recording never
-//! changes the computed results.
+//! changes the computed results. The sequential interned closure keeps
+//! its per-level spans on the main lane.
 
 use dscweaver_graph::{interned_closure, par_map, par_ranges, DiGraph, DnfPool};
 use dscweaver_obs as obs;
@@ -108,17 +109,12 @@ fn par_ranges_windows_tile_the_range_on_stable_worker_lanes() {
     }
 }
 
-/// The level-parallel interned-closure build records one balanced
-/// `closure.level` span per topological level on the main lane, and each
-/// fanned-out level's `par.range.window` spans land on worker lanes and
-/// tile the level — which only works because the pool workers flush
-/// their thread-local buffers (`obs::flush_thread`) before the scope's
-/// join point, so a snapshot taken right after the build sees them.
+/// The interned-closure build records one balanced `closure.level` span
+/// per topological level on the main lane, whose node counts re-add to
+/// the whole graph, and spawns no worker lane.
 #[test]
-fn interned_closure_levels_record_balanced_parallel_lanes() {
+fn interned_closure_records_one_level_span_per_level_on_main() {
     let _serial = obs::test_lock();
-    // Wide layered DAG: every layer is past the engine's parallel
-    // threshold (8 nodes), so every non-sink level fans out.
     let (width, depth) = (12usize, 4usize);
     let mut g: DiGraph<(), Option<u8>> = DiGraph::new();
     let layers: Vec<Vec<_>> = (0..depth)
@@ -133,20 +129,15 @@ fn interned_closure_levels_record_balanced_parallel_lanes() {
             }
         }
     }
-    let threads = 4usize;
     let mut plain_pool: DnfPool<u8> = DnfPool::new();
-    let (plain_rows, _) =
-        interned_closure(&g, &|_, w: &Option<u8>| *w, &mut plain_pool, threads).unwrap();
+    let (plain_rows, _) = interned_closure(&g, &|_, w: &Option<u8>| *w, &mut plain_pool).unwrap();
 
     let mut pool: DnfPool<u8> = DnfPool::new();
-    let ((rows, _), snap) = obs::record_with(|| {
-        interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool, threads).unwrap()
-    });
+    let ((rows, _), snap) =
+        obs::record_with(|| interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool).unwrap());
     assert_eq!(rows, plain_rows, "recording changed the rows");
 
     let spans = balanced_spans(&snap);
-    // One `closure.level` span per level, on the main lane, whose node
-    // counts re-add to the whole graph.
     let levels: Vec<&(u32, String, String)> =
         spans.iter().filter(|(_, n, _)| n == "closure.level").collect();
     assert_eq!(levels.len(), depth, "one span per topological level");
@@ -157,27 +148,9 @@ fn interned_closure_levels_record_balanced_parallel_lanes() {
         swept += nodes;
     }
     assert_eq!(swept, width * depth, "levels must sweep every node");
-    // Each fanned-out level contributes `threads` windows on worker
-    // lanes; together they tile each level's width exactly.
-    let windows: Vec<(usize, usize)> = spans
-        .iter()
-        .filter(|(_, name, _)| name == "par.range.window")
-        .map(|(lane, _, detail)| {
-            assert!(
-                snap.lane_name(*lane).starts_with("worker-"),
-                "window span on lane {:?}",
-                snap.lane_name(*lane)
-            );
-            let (s, e) = detail.split_once("..").unwrap();
-            (s.parse().unwrap(), e.parse().unwrap())
-        })
-        .collect();
-    assert_eq!(windows.len(), depth * threads, "windows per fanned-out level");
-    for &(s, e) in &windows {
-        assert!(s < e && e <= width, "window {s}..{e} exceeds the level");
+    for (lane, name, _) in &spans {
+        assert_eq!(snap.lane_name(*lane), "main", "{name} left the main lane");
     }
-    let covered: usize = windows.iter().map(|&(s, e)| e - s).sum();
-    assert_eq!(covered, width * depth, "windows must tile every level");
 }
 
 /// Worker lanes are interned per slot: two sequential scopes reuse the

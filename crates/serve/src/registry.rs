@@ -74,14 +74,6 @@ pub struct ProcessEntry {
     tables: ScheduleTables,
 }
 
-/// The weave configuration every serve request runs with.
-pub(crate) fn weaver(threads: usize) -> Weaver {
-    Weaver {
-        threads,
-        ..Weaver::new()
-    }
-}
-
 /// Extracts the data/control dependency set of a process the way every
 /// serve request does.
 pub(crate) fn extract(process: &Process) -> DependencySet {
@@ -104,24 +96,19 @@ impl ProcessEntry {
         Ok(extract(&canonicalize(text)?.process()?))
     }
 
-    /// Compiles the full entry from submitted process text: canonicalize
-    /// → dependency extraction → weave → validation/scheduler compile
-    /// halves.
-    pub fn build(text: &str, threads: usize) -> Result<ProcessEntry, String> {
-        Self::build_canonical(&canonicalize(text)?, threads)
-    }
-
-    /// Compiles the full entry from an already-computed canonical form,
-    /// parsing the canonical process tree from its text. Runs under a
-    /// `serve.compile` span.
-    pub fn build_canonical(form: &CanonicalForm, threads: usize) -> Result<ProcessEntry, String> {
+    /// Compiles the full entry from a canonical form: parse the canonical
+    /// process tree from its text → dependency extraction → weave →
+    /// validation/scheduler compile halves. Runs under a `serve.compile`
+    /// span. The weave runs on one thread, so `_threads` is ignored; it
+    /// stays for the callers that pass it.
+    pub fn build_canonical(form: &CanonicalForm, _threads: usize) -> Result<ProcessEntry, String> {
         let hash = form.hash;
         let _span = obs::span_with("serve.compile", || format!("hash={hash:016x}"));
         let _phase = crate::trace::phase("serve.compile");
         let t0 = std::time::Instant::now();
         let process = form.process()?;
         let dependencies = extract(&process);
-        let output = weaver(threads)
+        let output = Weaver::new()
             .run(&dependencies)
             .map_err(|e| format!("weave error: {e}"))?;
         let fingerprint = output.fingerprint();
@@ -284,8 +271,8 @@ pub struct Registry {
 impl Registry {
     /// A registry evicting beyond `capacity` canonical entries (the raw
     /// memo holds [`RAW_MEMO_PER_ENTRY`]× as many text variants),
-    /// compiling and running with the given worker-thread count (`0` =
-    /// auto). Back-pressure is off (no in-flight ceiling) and request
+    /// validating and simulating with the given worker-thread count (`0`
+    /// = auto; the weave itself runs on one thread). Back-pressure is off (no in-flight ceiling) and request
     /// tracing is disabled; the daemon opts in via
     /// [`Registry::with_max_in_flight`] and [`Registry::with_trace_config`].
     pub fn new(capacity: usize, threads: usize) -> Registry {

@@ -287,10 +287,11 @@ fn serve_ready(conn: &mut Conn, registry: &Registry, config: &ServeConfig) -> bo
     // Drain the socket. WouldBlock = no more data now; Ok(0) = peer
     // closed its half — serve what is buffered, then close.
     let mut chunk = [0u8; 16 * 1024];
+    let mut peer_closed = false;
     loop {
         match conn.stream.read(&mut chunk) {
             Ok(0) => {
-                conn.close = true;
+                peer_closed = true;
                 break;
             }
             Ok(n) => {
@@ -308,8 +309,9 @@ fn serve_ready(conn: &mut Conn, registry: &Registry, config: &ServeConfig) -> bo
     }
 
     // Serve buffered requests in arrival order, bounded per tick.
+    let depth = config.pipeline_depth.max(1);
     let mut served_now = 0usize;
-    while served_now < config.pipeline_depth.max(1) && !conn.close {
+    while served_now < depth && !conn.close {
         let parsed = {
             let _span = obs::span("serve.parse");
             parse_buffered(&conn.buf, config.max_body)
@@ -345,6 +347,12 @@ fn serve_ready(conn: &mut Conn, registry: &Registry, config: &ServeConfig) -> bo
     if served_now > 0 {
         conn.last_active = Instant::now();
         progress = true;
+    }
+    // Nothing more will arrive after the peer's half-close: once the
+    // buffer holds no further complete request, close. (Past the depth
+    // bound the rest waits for the next tick, which sees EOF again.)
+    if peer_closed && served_now < depth {
+        conn.close = true;
     }
 
     // Flush as much output as the socket accepts; leftovers stay for the
@@ -391,4 +399,43 @@ fn push_response(conn: &mut Conn, response: &Response) {
         !conn.close,
     );
     conn.out.extend_from_slice(&rendered);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::Shutdown;
+
+    /// A client that writes a whole request and half-closes before the
+    /// server's first read still gets its response: the drain sees the
+    /// request and the EOF together, and the buffered request is served
+    /// before the connection closes.
+    #[test]
+    fn request_followed_by_half_close_is_served() {
+        let registry = Registry::new(1, 1);
+        let config = ServeConfig::default();
+        for connection in ["close", "keep-alive"] {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            let request = format!("GET /healthz HTTP/1.1\r\nconnection: {connection}\r\n\r\n");
+            client.write_all(request.as_bytes()).unwrap();
+            client.shutdown(Shutdown::Write).unwrap();
+            // Let the request and the FIN land in the server's receive
+            // queue, so the first drain reads both.
+            std::thread::sleep(Duration::from_millis(20));
+            stream.set_nonblocking(true).unwrap();
+            let mut conn = Conn::new(stream);
+            for _ in 0..100 {
+                if conn.dead {
+                    break;
+                }
+                serve_ready(&mut conn, &registry, &config);
+            }
+            assert!(conn.dead, "{connection}: the connection must close after EOF");
+            let mut reply = String::new();
+            client.read_to_string(&mut reply).unwrap();
+            assert!(reply.starts_with("HTTP/1.1 200"), "{connection}: got {reply:?}");
+        }
+    }
 }

@@ -13,6 +13,7 @@
 use crate::canon::Renaming;
 use crate::http::{HttpError, HttpRequest};
 use crate::registry::{LookupStatus, ProcessEntry, Registry};
+use dscweaver_core::Weaver;
 use crate::trace::{self, RequestTrace};
 use dscweaver_obs as obs;
 use std::panic::{self, AssertUnwindSafe};
@@ -504,7 +505,7 @@ fn handle_inner(reg: &Registry, req: &Request) -> Response {
                 Ok(process) => crate::registry::extract(&process),
                 Err(e) => return Response::error(400, &e),
             };
-            match timed_run(|| crate::registry::weaver(reg.threads()).run(&revised)) {
+            match timed_run(|| Weaver::new().run(&revised)) {
                 Ok(out) => Response {
                     status: 200,
                     cache: CacheStatus::Hit,

@@ -2,9 +2,8 @@
 //! (inserts, deletes, guard flips) on every workload shape, a
 //! `WeaveSession` fed revision after revision must be **bit-identical** to
 //! a from-scratch `Weaver::run` of each revision — same kept edges, same
-//! removed constraints, same errors — at every thread count in
-//! {1, 2, 4, 8}, and its fingerprints must be identical across thread
-//! counts.
+//! removed constraints, same errors — with the ignored `threads` field
+//! at 1 and 8, and its fingerprints must not depend on that field.
 
 use dscweaver_core::{
     Dependency, DependencySet, ReweavePath, Weaver, WeaverOutput,
@@ -27,7 +26,7 @@ fn rendered(out: &WeaverOutput) -> (Vec<String>, Vec<String>) {
 }
 
 /// Builds the revision sequence once (deterministic in `seed`), then runs
-/// it through a session per thread count, pinning every revision against
+/// it through a session per `threads` setting, pinning every revision against
 /// a fresh weave and the fingerprints against each other.
 fn check_shape(base: DependencySet, seed: u64, bursts: &[usize], profile: EditProfile) {
     let mut revisions = vec![base.clone()];
@@ -40,7 +39,7 @@ fn check_shape(base: DependencySet, seed: u64, bursts: &[usize], profile: EditPr
 
     let mut fingerprints: Option<Vec<Option<u64>>> = None;
     let mut delta_seen = false;
-    for threads in [1usize, 2, 4, 8] {
+    for threads in [1usize, 8] {
         let weaver = Weaver {
             threads,
             ..Weaver::default()
@@ -80,7 +79,7 @@ fn check_shape(base: DependencySet, seed: u64, bursts: &[usize], profile: EditPr
             None => fingerprints = Some(fps),
             Some(prev) => assert_eq!(
                 prev, &fps,
-                "threads={threads}: fingerprints must be bit-identical across thread counts"
+                "threads={threads}: the ignored threads field changed a fingerprint"
             ),
         }
     }

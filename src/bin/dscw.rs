@@ -23,7 +23,8 @@
 //! every pipeline phase and worker lane to a Chrome trace-event file
 //! (load it in Perfetto / `chrome://tracing`); `--profile` prints a
 //! per-phase wall-time summary to stderr. `--threads <n>` sets the
-//! worker-thread count for minimization, validation and execution.
+//! worker-thread count for validation, execution and the monitor; the
+//! weave itself runs on one thread.
 
 use dscweaver::core::{Dependency, DependencyKind, Endpoint, Weaver};
 use dscweaver::obs;
@@ -351,7 +352,10 @@ fn run() -> Result<(), String> {
         conversations.push((conv, binding));
     }
 
-    let mut sim = SimConfig::default();
+    let mut sim = SimConfig {
+        threads: args.threads,
+        ..SimConfig::default()
+    };
     for (g, v) in &args.branches {
         sim.oracle.insert(g.clone(), v.clone());
     }
@@ -366,10 +370,7 @@ fn run() -> Result<(), String> {
         process: &process,
         conversations: &conversations,
         cooperation: &cooperation,
-        weaver: Weaver {
-            threads: args.threads,
-            ..Weaver::new()
-        },
+        weaver: Weaver::new(),
         sim,
     })
     .map_err(|e| e.to_string())?;

@@ -34,7 +34,8 @@ pub struct VerticalInput<'a> {
     pub cooperation: &'a [dscweaver_core::Dependency],
     /// Pipeline configuration.
     pub weaver: Weaver,
-    /// Simulation configuration for the execution stage.
+    /// Simulation configuration for the execution stage. Its `threads`
+    /// knob also drives validation.
     pub sim: SimConfig,
 }
 
@@ -179,25 +180,20 @@ pub fn weave(input: &VerticalInput<'_>) -> Result<VerticalOutput, VerticalError>
     };
     let weaver_out =
         timed("weave.optimize", || input.weaver.run(&ds)).map_err(VerticalError::Weaver)?;
-    // The Weaver's thread knob drives the minimizer (including the
-    // level-parallel interned closure build), validation and (unless the
-    // sim config sets its own) the scheduler's guard-evaluation batches.
+    // The weave runs on one thread; the sim config's thread knob drives
+    // validation's assignment fan-out and the scheduler's guard batches.
     let validation = timed("weave.validate", || {
         validate(
             &weaver_out.minimal,
             &weaver_out.exec,
             &ValidateOptions {
-                threads: input.weaver.threads,
+                threads: input.sim.threads,
                 ..Default::default()
             },
         )
     });
-    let mut sim = input.sim.clone();
-    if sim.threads == 0 {
-        sim.threads = input.weaver.threads;
-    }
     let schedule = timed("weave.schedule", || {
-        simulate(&weaver_out.minimal, &weaver_out.exec, &sim)
+        simulate(&weaver_out.minimal, &weaver_out.exec, &input.sim)
     });
     // Correctness contract: the trace produced under the MINIMAL set must
     // satisfy the FULL merged SC, projected to internal activities (the
@@ -243,15 +239,11 @@ pub fn weave_dependencies(
         &weaver_out.minimal,
         &weaver_out.exec,
         &ValidateOptions {
-            threads: weaver.threads,
+            threads: sim.threads,
             ..Default::default()
         },
     );
-    let mut sim = sim.clone();
-    if sim.threads == 0 {
-        sim.threads = weaver.threads;
-    }
-    let schedule = simulate(&weaver_out.minimal, &weaver_out.exec, &sim);
+    let schedule = simulate(&weaver_out.minimal, &weaver_out.exec, sim);
     let violations = {
         let _span = obs::span("weave.verify");
         schedule.trace.verify(&weaver_out.asc)
