@@ -3,6 +3,11 @@
 //! machine-readable `BENCH_petri.json` artifact written by
 //! `repro bench-json --suite petri`.
 //!
+//! Each case also times the compile half alone (`compile_ms`:
+//! `CompiledValidation::compile`, kernel emit and drop included) against
+//! its floor (`compile_floor_ms`: one pass that allocates and writes as
+//! many `u32`s as the compiled kernel's flat arrays hold, `kernel_words`).
+//!
 //! A second section measures the factored enumeration on
 //! guard-independent workloads (per-group additive assignment counts
 //! versus the full multiplicative product, `factor: false`).
@@ -15,7 +20,9 @@ use crate::harness::{black_box, median, percentiles_ms, phases_json, sample, Ben
 use dscweaver_core::{ExecConditions, Weaver};
 use dscweaver_obs as obs;
 use dscweaver_dscl::ConstraintSet;
-use dscweaver_petri::{validate, AssignmentFailure, ValidateOptions, ValidationReport};
+use dscweaver_petri::{
+    validate, AssignmentFailure, CompiledValidation, ValidateOptions, ValidationReport,
+};
 use dscweaver_workloads::{
     dense_conditional, disjoint_conditional, DenseConditionalParams, DisjointConditionalParams,
 };
@@ -138,6 +145,9 @@ struct CaseReport {
     new_par_ms: f64,
     p50_ms: f64,
     p99_ms: f64,
+    kernel_words: usize,
+    compile_ms: f64,
+    compile_floor_ms: f64,
     phases: String,
 }
 
@@ -197,6 +207,7 @@ fn canon(r: &ValidationReport) -> (
 pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let (smoke, threads) = (opts.smoke, opts.threads);
     let samples_new = if smoke { 1 } else { 5 };
+    let samples_compile = if smoke { 1 } else { 21 };
     let mut reports: Vec<CaseReport> = Vec::new();
     let mut suite_trace = obs::TraceSnapshot::default();
     for case in petri_cases(smoke) {
@@ -221,6 +232,16 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         let t_par = median(&par_samples);
         let (p50_ms, p99_ms) = percentiles_ms(&par_samples);
 
+        // The compile half alone, against its floor: one pass writing as
+        // many `u32`s as the emitted kernel holds.
+        let compile_samples = sample(samples_compile, || {
+            black_box(CompiledValidation::compile(&cs, &exec))
+        });
+        let kernel_words = CompiledValidation::compile(&cs, &exec).kernel_words();
+        let floor_samples = sample(samples_compile, || {
+            black_box((0..kernel_words as u32).collect::<Vec<u32>>())
+        });
+
         // One traced run of the parallel validator, outside the timed
         // samples, for the per-phase breakdown and the suite trace.
         let (_, case_trace) = obs::record_with(|| black_box(validate(&cs, &exec, &par_opts)));
@@ -234,6 +255,9 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             new_par_ms: ms(t_par),
             p50_ms,
             p99_ms,
+            kernel_words,
+            compile_ms: ms(median(&compile_samples)),
+            compile_floor_ms: ms(median(&floor_samples)),
             phases: phases_json(&case_trace, "      "),
         });
         suite_trace.merge(case_trace);
@@ -303,6 +327,11 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         out.push_str(&format!("      \"new_par_ms\": {},\n", json_f(r.new_par_ms)));
         out.push_str(&format!("      \"p50_ms\": {},\n", json_f(r.p50_ms)));
         out.push_str(&format!("      \"p99_ms\": {},\n", json_f(r.p99_ms)));
+        // The compile half is sub-millisecond and its floor
+        // sub-microsecond: both carry 0.1 µs resolution.
+        out.push_str(&format!("      \"kernel_words\": {},\n", r.kernel_words));
+        out.push_str(&format!("      \"compile_ms\": {:.4},\n", r.compile_ms));
+        out.push_str(&format!("      \"compile_floor_ms\": {:.4},\n", r.compile_floor_ms));
         out.push_str(&format!("      \"phases\": {}\n", r.phases));
         out.push_str(if i + 1 == reports.len() { "    }\n" } else { "    },\n" });
     }

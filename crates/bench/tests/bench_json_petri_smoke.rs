@@ -29,9 +29,24 @@ fn bench_petri_json_smoke_runs_and_renders() {
         "\"failures\":",
         "\"new_seq_ms\":",
         "\"new_par_ms\":",
+        "\"kernel_words\":",
+        "\"compile_ms\":",
+        "\"compile_floor_ms\":",
         "\"phases\":",
     ] {
         assert_eq!(json.matches(field).count(), cases, "field {field}");
+    }
+    // The compile half sits at or above its floor in every case.
+    let values = |field: &str| -> Vec<f64> {
+        json.split(field)
+            .skip(1)
+            .map(|rest| rest.split(',').next().unwrap().trim().parse().unwrap())
+            .collect()
+    };
+    let (compile, floor) = (values("\"compile_ms\":"), values("\"compile_floor_ms\":"));
+    assert_eq!(compile.len(), cases);
+    for (c, f) in compile.iter().zip(&floor) {
+        assert!(f <= c, "floor {f} ms above compile {c} ms");
     }
     // The per-phase breakdown covers the validator's span taxonomy, and
     // the suite trace carries the merged instrumented runs.

@@ -23,6 +23,7 @@
 use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation};
 use dscweaver_graph::annotated::Dnf;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::LazyLock;
 
 /// Per-activity execution conditions, derived from control dependencies.
 ///
@@ -106,15 +107,18 @@ impl ExecConditions {
 
     /// The execution condition of `activity` (*always* if unknown).
     pub fn of(&self, activity: &str) -> Dnf<Condition> {
-        self.map
-            .get(activity)
-            .cloned()
-            .unwrap_or_else(Dnf::always)
+        self.dnf(activity).clone()
+    }
+
+    /// [`ExecConditions::of`], borrowed instead of cloned.
+    pub fn dnf(&self, activity: &str) -> &Dnf<Condition> {
+        static ALWAYS: LazyLock<Dnf<Condition>> = LazyLock::new(Dnf::always);
+        self.map.get(activity).unwrap_or(&ALWAYS)
     }
 
     /// True if `activity` executes unconditionally.
     pub fn is_unconditional(&self, activity: &str) -> bool {
-        self.of(activity).is_always()
+        self.dnf(activity).is_always()
     }
 }
 

@@ -331,7 +331,7 @@ fn intern_exec(
     let mut exec_ids = vec![DnfPool::<Condition>::ALWAYS; g.node_bound()];
     for n in g.node_ids() {
         exec_ids[n.index()] = match g.weight(n) {
-            SyncNode::State(s) => pool.intern(&exec.of(&s.activity)),
+            SyncNode::State(s) => pool.intern(exec.dnf(&s.activity)),
             SyncNode::Service(_) => DnfPool::<Condition>::ALWAYS,
         };
     }
@@ -760,11 +760,10 @@ pub fn minimize_generic_baseline(
             .into_rows();
 
     // Execution condition of a node (service nodes: always).
-    let exec_of = |n: NodeId| -> Dnf<Condition> {
-        match g.weight(n) {
-            SyncNode::State(s) => exec.of(&s.activity),
-            SyncNode::Service(_) => Dnf::always(),
-        }
+    let always = Dnf::always();
+    let exec_of = |n: NodeId| match g.weight(n) {
+        SyncNode::State(s) => exec.dnf(&s.activity),
+        SyncNode::Service(_) => &always,
     };
 
     let candidates = order_candidates(g, &sg, order);
@@ -793,7 +792,7 @@ pub fn minimize_generic_baseline(
             removed_rels.push(rel_idx);
             continue;
         }
-        if !row_covered(&rows[u.index()], &new_u, mode, &exec_of(u), &exec_of, cs) {
+        if !row_covered(&rows[u.index()], &new_u, mode, exec_of(u), &exec_of, cs) {
             continue; // load-bearing edge
         }
 
@@ -833,7 +832,7 @@ pub fn minimize_generic_baseline(
 
         // Definition 4/5 check on every affected row.
         let ok = new_rows.iter().all(|(n, new_row)| {
-            row_covered(&rows[n.index()], new_row, mode, &exec_of(*n), &exec_of, cs)
+            row_covered(&rows[n.index()], new_row, mode, exec_of(*n), &exec_of, cs)
         });
 
         if ok {
@@ -963,12 +962,12 @@ fn compose_without(
 /// Is `old`'s row covered by `new` under `mode`? (`new` ⊆ `old` pointwise
 /// holds by construction — removal only loses paths — so this is the whole
 /// equivalence check.)
-fn row_covered(
+fn row_covered<'e>(
     old: &Row<Condition>,
     new: &Row<Condition>,
     mode: EquivalenceMode,
     src_exec: &Dnf<Condition>,
-    exec_of: &dyn Fn(NodeId) -> Dnf<Condition>,
+    exec_of: &dyn Fn(NodeId) -> &'e Dnf<Condition>,
     cs: &ConstraintSet,
 ) -> bool {
     match mode {
@@ -976,7 +975,7 @@ fn row_covered(
         EquivalenceMode::ExecutionAware => old.iter().all(|(t, old_dnf)| {
             let empty = Dnf::empty();
             let new_dnf = new.get(t).unwrap_or(&empty);
-            let ctx = dnf_and(src_exec, &exec_of(t));
+            let ctx = dnf_and(src_exec, exec_of(t));
             implies_under(&ctx, old_dnf, new_dnf, &cs.domains)
         }),
         EquivalenceMode::Reachability => old.iter().all(|(t, _)| new.reaches(t)),

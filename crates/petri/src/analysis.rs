@@ -18,20 +18,22 @@
 //!    reachability up to a state limit, checking safety (1-boundedness)
 //!    and that every terminal marking is final.
 
-use crate::lower::{try_lower, LoweredNet, ModeLimit};
-use crate::prepared::{groups, Scratch, Tables};
-use crate::reach::{assignment_chooser, explore_with, Reachability};
+use crate::lower::ModeLimit;
+use crate::net::{render_marking, PlaceId};
+use crate::prepared::{groups, Csr, Names, Scratch, Tables};
+use crate::reach::{explore_with, Reachability};
 use dscweaver_core::ExecConditions;
-use dscweaver_dscl::{ConstraintSet, SyncGraph};
-use dscweaver_graph::{effective_threads, find_cycle, par_ranges};
+use dscweaver_dscl::{ConstraintSet, Relation, StateRef, SyncGraph};
+use dscweaver_graph::{effective_threads, find_cycle, par_ranges, FxHashMap};
 use dscweaver_obs as obs;
 use std::collections::HashMap;
 
 /// The cacheable compile half of validation: everything derivable from
-/// the constraint set alone — conflict check, lowered net, wavefront
-/// kernel, guard-independence groups, and the domain table the
-/// enumeration walks. Owns all of it (no borrowed lifetimes), so a
-/// long-running daemon can keep one per cached process and replay
+/// the constraint set alone — conflict check, the integer kernel of the
+/// lowered net with the compact index of the names behind its numbers
+/// (activities, guards and their domains, buffer endpoints), and the
+/// guard-independence groups. Owns all of it (no borrowed lifetimes), so
+/// a long-running daemon can keep one per cached process and replay
 /// [`CompiledValidation::run`] per request; [`validate`] is exactly
 /// `compile` + `run`, and the reports are bit-identical.
 #[derive(Debug)]
@@ -39,56 +41,52 @@ pub struct CompiledValidation {
     conflict_cycle: Option<Vec<String>>,
     mode_limit: Option<ModeLimit>,
     /// `None` when a structural conflict or the mode limit stops
-    /// validation before there is a net.
+    /// validation before there is a kernel.
     net: Option<CompiledNet>,
-    /// `(guard, domain values)` in `cs.domains` (sorted) order.
-    domains: Vec<(String, Vec<String>)>,
 }
 
 #[derive(Debug)]
 struct CompiledNet {
-    lowered: LoweredNet,
     tables: Tables,
-    /// Disjoint-footprint guard groups (computed when there is more than
-    /// one guard; otherwise empty and never consulted).
-    groups: Vec<Vec<String>>,
+    names: Names,
+    /// Disjoint-footprint guard groups as indices into `names.guards`
+    /// (computed when there is more than one guard; otherwise empty and
+    /// never consulted).
+    groups: Vec<Vec<usize>>,
 }
 
 impl CompiledValidation {
     /// Compiles the validation artifacts for a desugared, service-free
     /// constraint set: structural conflict check, then (if conflict-free
     /// and within [`MAX_MODES`](crate::lower::MAX_MODES)) the lowered
-    /// net, its integer kernel, and the guard groups.
+    /// net's integer kernel, emitted straight from the constraint set,
+    /// and the guard groups.
     pub fn compile(cs: &ConstraintSet, exec: &ExecConditions) -> Self {
         let stopped = |conflict_cycle, mode_limit| CompiledValidation {
             conflict_cycle,
             mode_limit,
             net: None,
-            domains: Vec::new(),
         };
-        let sg = SyncGraph::build(cs);
-        if let Some(cycle) = find_cycle(&sg.graph) {
-            obs::instant("petri.conflict_cycle");
-            let cycle = cycle.iter().map(|&n| sg.graph.weight(n).label()).collect();
-            return stopped(Some(cycle), None);
+        if !acyclic(cs) {
+            let sg = SyncGraph::build(cs);
+            if let Some(cycle) = find_cycle(&sg.graph) {
+                obs::instant("petri.conflict_cycle");
+                let cycle = cycle.iter().map(|&n| sg.graph.weight(n).label()).collect();
+                return stopped(Some(cycle), None);
+            }
         }
         let lower_span = obs::span("petri.lower");
-        let lowered = try_lower(cs, exec);
+        let emitted = Tables::emit(cs, exec);
         drop(lower_span);
-        let lowered = match lowered {
-            Ok(lowered) => lowered,
+        let (tables, names) = match emitted {
+            Ok(emitted) => emitted,
             Err(limit) => {
                 obs::instant("petri.mode_limit");
                 return stopped(None, Some(limit));
             }
         };
-        // Compile the wavefront kernel once; every assignment run reuses
-        // it with one scratch state per pool worker.
-        let prepare_span = obs::span("petri.prepare");
-        let tables = Tables::derive(&lowered.net);
-        drop(prepare_span);
-        let groups = if cs.domains.len() > 1 {
-            groups(&lowered, &tables, cs)
+        let groups = if names.guards.len() > 1 {
+            groups(&tables, &names.guards)
         } else {
             Vec::new()
         };
@@ -96,15 +94,10 @@ impl CompiledValidation {
             conflict_cycle: None,
             mode_limit: None,
             net: Some(CompiledNet {
-                lowered,
                 tables,
+                names,
                 groups,
             }),
-            domains: cs
-                .domains
-                .iter()
-                .map(|(g, d)| (g.clone(), d.clone()))
-                .collect(),
         }
     }
 
@@ -113,10 +106,11 @@ impl CompiledValidation {
         self.conflict_cycle.as_deref()
     }
 
-    /// The lowered net (absent when a conflict or the mode limit stopped
-    /// compilation).
-    pub fn lowered(&self) -> Option<&LoweredNet> {
-        self.net.as_ref().map(|c| &c.lowered)
+    /// The size of the compiled kernel: `u32` words in its flat arrays,
+    /// an arc or a token entry counting as two (`0` when a conflict or
+    /// the mode limit stopped compilation).
+    pub fn kernel_words(&self) -> usize {
+        self.net.as_ref().map_or(0, |c| c.tables.words())
     }
 
     /// Runs the run half — assignment enumeration and optional
@@ -124,7 +118,7 @@ impl CompiledValidation {
     /// [`validate`] with the same options.
     pub fn run(&self, opts: &ValidateOptions) -> ValidationReport {
         match &self.net {
-            Some(compiled) => run_compiled(compiled, &self.domains, opts),
+            Some(compiled) => run_compiled(compiled, opts),
             None => ValidationReport {
                 conflict_cycle: self.conflict_cycle.clone(),
                 mode_limit: self.mode_limit.clone(),
@@ -138,6 +132,56 @@ impl CompiledValidation {
             },
         }
     }
+}
+
+/// Whether [`SyncGraph::build`]`(cs)` is acyclic, decided on integer ids
+/// without building it: activity `i`'s states are nodes `3i..3i + 3`
+/// chained by lifecycle edges, each service one node after them, and
+/// every `HappenBefore` between declared endpoints an edge. Kahn's
+/// algorithm drains the graph iff it has no cycle (self-loops included),
+/// so only a conflicting set pays for the labeled graph that names the
+/// cycle.
+fn acyclic(cs: &ConstraintSet) -> bool {
+    let names = cs.activities.iter().map(|a| (a.as_str(), 3));
+    let names = names.chain(cs.services.iter().map(|s| (s.as_str(), 1)));
+    let mut node: FxHashMap<&str, (u32, bool)> = FxHashMap::default();
+    let mut nodes = 0;
+    for (name, states) in names {
+        // An activity shadows a service of the same name, as in `resolve`.
+        node.entry(name).or_insert((nodes, states == 3));
+        nodes += states;
+    }
+    let mut edges: Vec<(u32, u32)> = (0..cs.activities.len() as u32)
+        .flat_map(|i| [(3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2)])
+        .collect();
+    let resolve = |s: &StateRef| {
+        let &(first, activity) = node.get(s.activity.as_str())?;
+        Some(if activity { first + s.state as u32 } else { first })
+    };
+    for r in &cs.relations {
+        if let Relation::HappenBefore { from, to, .. } = r {
+            if let (Some(f), Some(t)) = (resolve(from), resolve(to)) {
+                edges.push((f, t));
+            }
+        }
+    }
+    let succ = Csr::grouped(nodes as usize, &edges);
+    let mut indegree = vec![0u32; nodes as usize];
+    for &(_, t) in &edges {
+        indegree[t as usize] += 1;
+    }
+    let mut ready: Vec<u32> = (0..nodes).filter(|&v| indegree[v as usize] == 0).collect();
+    let mut drained = 0;
+    while let Some(v) = ready.pop() {
+        drained += 1;
+        for &w in succ.row(v as usize) {
+            indegree[w as usize] -= 1;
+            if indegree[w as usize] == 0 {
+                ready.push(w);
+            }
+        }
+    }
+    drained == nodes
 }
 
 /// Validation options.
@@ -261,18 +305,14 @@ pub fn validate(
 
 /// The run half over compiled artifacts: assignment enumeration (layer 2)
 /// and optional interleaving exploration (layer 3).
-fn run_compiled(
-    compiled: &CompiledNet,
-    domains: &[(String, Vec<String>)],
-    opts: &ValidateOptions,
-) -> ValidationReport {
-    let lowered = &compiled.lowered;
+fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions) -> ValidationReport {
+    let names = &compiled.names;
 
     // Layer 2: per-assignment simulation.
-    let guards: Vec<(&String, &Vec<String>)> = domains.iter().map(|(g, d)| (g, d)).collect();
+    let guards = &names.guards;
     let space: usize = guards
         .iter()
-        .map(|(_, d)| d.len().max(1))
+        .map(|g| g.domain.len().max(1))
         .try_fold(1usize, |a, n| a.checked_mul(n))
         .unwrap_or(usize::MAX);
 
@@ -285,20 +325,7 @@ fn run_compiled(
     // and the verdict is unchanged because disjoint groups cannot
     // influence a common place.
     let plans: Vec<Vec<usize>> = if opts.factor && guards.len() > 1 {
-        let pos: HashMap<&str, usize> = guards
-            .iter()
-            .enumerate()
-            .map(|(i, (g, _))| (g.as_str(), i))
-            .collect();
-        compiled
-            .groups
-            .iter()
-            .map(|group| {
-                let mut ix: Vec<usize> = group.iter().map(|g| pos[g.as_str()]).collect();
-                ix.sort_unstable();
-                ix
-            })
-            .collect()
+        compiled.groups.clone()
     } else {
         vec![(0..guards.len()).collect()]
     };
@@ -313,39 +340,44 @@ fn run_compiled(
         let mut idx = vec![0usize; guards.len()];
         let mut rest = i;
         for &g in plan {
-            let len = guards[g].1.len().max(1);
+            let len = guards[g].domain.len().max(1);
             idx[g] = rest % len;
             rest /= len;
         }
-        let assignment: HashMap<String, String> = guards
+        // Each guard's `finish` prefers the mode labeled with its value;
+        // guards are sorted like the activities, so their `finish`
+        // transitions ascend.
+        let prefer: Vec<(u32, usize)> = guards
             .iter()
             .zip(&idx)
-            .map(|((g, dom), &i)| (format!("finish({g})"), dom[i].clone()))
+            .filter_map(|(g, &v)| Some((g.finish?, g.mode(v))))
             .collect();
-        let diverged = scratch.run(
-            &lowered.net,
-            &compiled.tables,
-            assignment_chooser(&assignment),
-            opts.max_steps,
-        );
-        // `LoweredNet::is_final` on the dense counts: every activity done
-        // and nothing else marked.
-        let is_final = scratch.total() == lowered.activities.len() as u64
-            && lowered.activities.values().all(|n| scratch.place_total(n.done) == 1);
+        let chooser = |t: usize, enabled: &[usize]| {
+            let preferred = prefer.binary_search_by_key(&(t as u32), |&(t, _)| t);
+            match preferred.map(|k| prefer[k].1) {
+                Ok(mi) if enabled.contains(&mi) => mi,
+                _ => enabled[0],
+            }
+        };
+        let diverged = scratch.run(&compiled.tables, chooser, opts.max_steps);
+        // Final: every activity done (or skipped) and nothing else marked.
+        let done = |a: usize| scratch.place_total(PlaceId(3 * a as u32 + 2));
+        let activities = names.activities();
+        let is_final = scratch.total() == activities.len() as u64
+            && (0..activities.len()).all(|a| done(a) == 1);
         if diverged || !is_final {
             let marking = scratch.marking(&compiled.tables);
             Some(AssignmentFailure {
                 assignment: guards
                     .iter()
                     .zip(&idx)
-                    .map(|((g, dom), &i)| ((*g).clone(), dom[i].clone()))
+                    .map(|(g, &i)| (g.name.clone(), g.domain[i].clone()))
                     .collect(),
-                stuck: lowered
-                    .unfinished(&marking)
-                    .into_iter()
-                    .map(String::from)
+                stuck: (0..activities.len())
+                    .filter(|&a| done(a) == 0)
+                    .map(|a| activities[a].clone())
                     .collect(),
-                marking: lowered.net.render_marking(&marking),
+                marking: render_marking(&marking, |p| names.place_name(p)),
                 diverged,
             })
         } else {
@@ -362,7 +394,7 @@ fn run_compiled(
     for plan in &plans {
         let plan_space: usize = plan
             .iter()
-            .map(|&g| guards[g].1.len().max(1))
+            .map(|&g| guards[g].domain.len().max(1))
             .try_fold(1usize, |a, n| a.checked_mul(n))
             .unwrap_or(usize::MAX);
         // max_assignments is a total budget across plans.
@@ -386,7 +418,8 @@ fn run_compiled(
     // Layer 3: optional interleaving exploration.
     let exploration = if opts.explore_states > 0 {
         let _span = obs::span("petri.explore");
-        Some(explore_with(&lowered.net, opts.explore_states, opts.threads))
+        let net = names.to_net(&compiled.tables);
+        Some(explore_with(&net, opts.explore_states, opts.threads))
     } else {
         None
     };
@@ -420,6 +453,7 @@ pub fn validate_default(cs: &ConstraintSet, exec: &ExecConditions) -> Validation
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepared::tests::nested_guards;
     use dscweaver_dscl::{Condition, Origin, Relation, StateRef};
 
     fn exec_of(cs: &ConstraintSet) -> ExecConditions {
@@ -520,26 +554,6 @@ mod tests {
         }
     }
 
-    /// `k` nested binary guards `g0 … g{k-1}` (each runs only when the
-    /// previous one chose `T`) and an activity `d` under the innermost.
-    fn nested_guards(k: usize) -> ConstraintSet {
-        let mut cs = ConstraintSet::new("nested");
-        cs.add_activity("d");
-        for i in 0..k {
-            let g = format!("g{i}");
-            cs.add_activity(&g);
-            cs.add_domain(&g, vec!["T".into(), "F".into()]);
-            let next = if i + 1 < k { format!("g{}", i + 1) } else { "d".into() };
-            cs.push(Relation::before_if(
-                StateRef::finish(&g),
-                StateRef::start(&next),
-                Condition::new(&g, "T"),
-                Origin::Control,
-            ));
-        }
-        cs
-    }
-
     #[test]
     fn nested_guards_past_the_mode_limit_stop_compilation() {
         // d listens on every guard: 3^7 = 2187 modes lower, 3^8 = 6561
@@ -554,11 +568,53 @@ mod tests {
         assert_eq!(report.assignments_checked, 0);
         assert!(report.conflict_cycle.is_none());
         let compiled = CompiledValidation::compile(&deep, &exec_of(&deep));
-        assert!(compiled.lowered().is_none());
+        assert_eq!(compiled.kernel_words(), 0);
+        let replayed = compiled.run(&ValidateOptions::default());
+        assert_eq!(replayed.mode_limit, Some(limit));
+        assert_eq!(replayed.assignments_checked, 0);
         // Far past the limit the count saturates instead of overflowing.
         let hostile = nested_guards(64);
         let limit = validate_default(&hostile, &exec_of(&hostile)).mode_limit.unwrap();
         assert_eq!(limit.modes, usize::MAX);
+    }
+
+    #[test]
+    fn acyclic_agrees_with_find_cycle_on_the_sync_graph() {
+        // Seeded small sets: lifecycle cycles (F(a) → S(a)), self-loops,
+        // services (one shadowed by an activity) and undeclared endpoints.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as usize
+        };
+        let names = ["a", "b", "c", "d", "svc", "nobody"];
+        let (mut cyclic, mut acyclic_sets) = (0, 0);
+        for _ in 0..3000 {
+            let mut cs = ConstraintSet::new("random");
+            for a in &names[..1 + next(4)] {
+                cs.add_activity(*a);
+            }
+            cs.add_service("svc");
+            if next(4) == 0 {
+                cs.add_service("a");
+            }
+            for _ in 0..next(7) {
+                let state = |k: usize| [StateRef::start, StateRef::run, StateRef::finish][k];
+                let from = state(next(3))(names[next(6)]);
+                let to = state(next(3))(names[next(6)]);
+                cs.relations.push(Relation::before(from, to, Origin::Data));
+            }
+            let want = find_cycle(&SyncGraph::build(&cs).graph).is_none();
+            assert_eq!(acyclic(&cs), want, "{:?}", cs.relations);
+            if want {
+                acyclic_sets += 1;
+            } else {
+                cyclic += 1;
+            }
+        }
+        assert!(cyclic > 300 && acyclic_sets > 300, "{cyclic} cyclic, {acyclic_sets} acyclic");
     }
 
     #[test]

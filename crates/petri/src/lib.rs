@@ -8,18 +8,25 @@
 //! per-assignment simulation → optional interleaving exploration).
 //!
 //! Validation has one compile → run path: [`CompiledValidation::compile`]
-//! checks conflicts, lowers the net and compiles it once into an integer
-//! kernel (colors interned to ids in byte order, flat offset arrays for
-//! modes, arcs and consumers), and [`CompiledValidation::run`] replays
-//! every branch assignment on the kernel's wavefront worklist with one
-//! reusable scratch state per pool worker, checking finality on the dense
-//! token counts; [`validate`] is the two in a row. An activity whose guard
-//! combinations would need more than [`lower::MAX_MODES`] firing modes
-//! stops compilation, as a conflict cycle does
-//! ([`ValidationReport::mode_limit`]). [`guard_groups`] factors
-//! independent guards so the run can enumerate additive sub-spaces
-//! instead of the full multiplicative product (see
-//! [`ValidateOptions::factor`]). The simple full-rescan simulator
+//! checks conflicts and emits the lowered net's integer kernel straight
+//! from the constraint set (colors as ids in byte order, flat offset
+//! arrays for modes, arcs and consumers) with a compact index of the
+//! names behind its numbers — no string net is built; and
+//! [`CompiledValidation::run`] replays every branch assignment on the
+//! kernel's wavefront worklist with one reusable scratch state per pool
+//! worker, checking finality on the dense token counts and naming places
+//! only for a failing assignment; [`validate`] is the two in a row. An
+//! activity whose guard combinations would need more than
+//! [`lower::MAX_MODES`] firing modes stops compilation, as a conflict
+//! cycle does ([`ValidationReport::mode_limit`]). [`guard_groups`]
+//! factors independent guards so the run can enumerate additive
+//! sub-spaces instead of the full multiplicative product (see
+//! [`ValidateOptions::factor`]).
+//!
+//! The string lowering ([`lower()`], [`LoweredNet`]) stays as the oracle
+//! and as the source of DOT renderings, invariants and statistics: the
+//! emitted kernel is pinned field for field to the kernel interned from
+//! `lower`'s net, and the simple full-rescan simulator
 //! ([`run_to_quiescence`]) and sequential exploration ([`explore`]) are
 //! the oracles the property tests pin the production engines to.
 //!

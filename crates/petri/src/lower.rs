@@ -2,6 +2,11 @@
 //! synchronization scheme described in DSCL can be mapped to Petri Nets
 //! for validation").
 //!
+//! [`lower`] builds the named net: the oracle validation is pinned to
+//! and the source of DOT renderings, invariants and statistics.
+//! Validation itself never builds it — it emits the same net's integer
+//! kernel straight from the constraint set, with the numbering below.
+//!
 //! ## Structure per internal activity `a`
 //!
 //! * places `todo(a)` (one initial token), `run(a)`, `done(a)`;
@@ -181,7 +186,7 @@ pub fn try_lower(cs: &ConstraintSet, exec: &ExecConditions) -> Result<LoweredNet
     // Pass 3: control broadcast places. guards(b) = guard activities in
     // exec(b)'s terms; b's modes are counted before pass 4 enumerates them.
     for (b, wb) in cs.activities.iter().zip(0..) {
-        let dnf = exec.of(b);
+        let dnf = exec.dnf(b);
         let mut gs: BTreeSet<&str> = BTreeSet::new();
         for term in dnf.terms() {
             for c in term {
@@ -235,7 +240,7 @@ pub fn try_lower(cs: &ConstraintSet, exec: &ExecConditions) -> Result<LoweredNet
                 })
                 .collect::<Vec<_>>();
         }
-        let exec_dnf = exec.of(a);
+        let exec_dnf = exec.dnf(a);
         let satisfied = |assign: &[String]| -> bool {
             exec_dnf.terms().iter().any(|term| {
                 term.iter().all(|c| {

@@ -315,17 +315,22 @@ impl Net {
 
     /// Renders a marking with place names for diagnostics.
     pub fn render_marking(&self, m: &Marking) -> String {
-        let mut parts = Vec::new();
-        for p in m.marked_places() {
-            let colors: Vec<String> = m
-                .colors(p)
-                .iter()
-                .map(|c| format!("{}×{}", m.count(p, c), c))
-                .collect();
-            parts.push(format!("{}[{}]", self.place_name(p), colors.join(",")));
-        }
-        parts.join(" ")
+        render_marking(m, |p| self.place_name(p).to_string())
     }
+}
+
+/// [`Net::render_marking`] with the place names supplied by `name`.
+pub(crate) fn render_marking(m: &Marking, name: impl Fn(PlaceId) -> String) -> String {
+    let mut parts = Vec::new();
+    for p in m.marked_places() {
+        let colors: Vec<String> = m
+            .colors(p)
+            .iter()
+            .map(|c| format!("{}×{}", m.count(p, c), c))
+            .collect();
+        parts.push(format!("{}[{}]", name(p), colors.join(",")));
+    }
+    parts.join(" ")
 }
 
 #[cfg(test)]

@@ -1,24 +1,34 @@
 //! The wavefront simulator's compile and run halves, plus
-//! guard-independence analysis over the lowered net's place footprints.
+//! guard-independence analysis over the kernel's place footprints.
 //!
-//! [`Tables`] compiles a net into an integer kernel: every color is
-//! interned to a dense `u32` id in ascending [`Color`] order (so id order
-//! is byte order), color filters become `Any | Eq(id) | OneOf(ids)`, and
-//! modes, arcs and the place → consuming-transitions index are flat
-//! offset (CSR) arrays. [`Scratch`] is one worker's reusable run state:
-//! a per-place `(color id, count)` marking reset from the compiled
-//! initial marking, the sticky mode decisions, a word-bitset dirty
-//! worklist and the enabled-mode, binding and trace buffers — after the
-//! first run, a run allocates nothing.
+//! [`Tables`] is the integer kernel: every color is a dense `u32` id in
+//! ascending [`Color`] order (so id order is byte order), color filters
+//! are `Any | Eq(id) | OneOf(ids)`, and modes, arcs and the place →
+//! consuming-transitions index are flat offset (CSR) arrays. It comes
+//! from one of two compilers. [`Tables::emit`] writes the kernel of a
+//! constraint set's lowering straight from `cs.activities`,
+//! `cs.relations` and the listened guards' domains — the numbering of
+//! [`try_lower`](crate::try_lower) without its string net — and returns
+//! [`Names`], the compact index that names places, transitions and modes
+//! on the rare paths that print them. [`Tables::derive`] interns a
+//! caller-supplied [`Net`]; `emit` is pinned to `derive` over the lowered
+//! net field for field.
 //!
-//! Validation replays the *same* net once per branch assignment, so
-//! [`CompiledValidation`](crate::CompiledValidation) owns one `Tables` and
-//! each pool worker one `Scratch`, and checks finality on the dense
-//! counts; [`run_to_quiescence_wavefront`](crate::run_to_quiescence_wavefront)
-//! derives both for a single run and converts the `(transition, mode)`
-//! trace and the marking back to the public [`Run`]. [`Scratch::run`] is
-//! the only wavefront loop, pinned trace for trace to the
-//! [`run_to_quiescence`](crate::run_to_quiescence) oracle by the
+//! [`Scratch`] is one worker's reusable run state: a per-place
+//! `(color id, count)` marking reset from the compiled initial marking,
+//! the sticky mode decisions, a word-bitset dirty worklist and the
+//! enabled-mode, binding and trace buffers — after the first run, a run
+//! allocates nothing. Its mode chooser sees transition and mode indices
+//! only.
+//!
+//! Validation replays the *same* kernel once per branch assignment, so
+//! [`CompiledValidation`](crate::CompiledValidation) owns one emitted
+//! `Tables` with its `Names` and each pool worker one `Scratch`;
+//! [`run_to_quiescence_wavefront`](crate::run_to_quiescence_wavefront)
+//! derives the tables of a raw net for a single run and converts the
+//! `(transition, mode)` trace and the marking back to the public [`Run`].
+//! [`Scratch::run`] is the only wavefront loop, pinned trace for trace to
+//! the [`run_to_quiescence`](crate::run_to_quiescence) oracle by the
 //! `par_equivalence` property tests.
 //!
 //! [`guard_groups`] adds the independence analysis on top: the forward
@@ -27,18 +37,41 @@
 //! with disjoint closures cannot interact, so validation may enumerate
 //! each group's assignments separately (multiplicative → additive).
 
-use crate::lower::LoweredNet;
-use crate::net::{Color, ColorFilter, Marking, Net, PlaceId, TransitionId};
+use crate::lower::{ModeLimit, MAX_MODES, SKIP};
+use crate::net::{ArcIn, ArcOut, Color, ColorFilter, Marking, Mode, Net, PlaceId, TransitionId};
 use crate::reach::Run;
-use dscweaver_dscl::ConstraintSet;
-use dscweaver_graph::BitSet;
+use dscweaver_core::ExecConditions;
+use dscweaver_dscl::{ActivityState, ConstraintSet, Relation};
+use dscweaver_graph::FxHashMap;
 use std::collections::{BTreeMap, HashMap};
 
 /// Rows of `T` in one flat array: row `i` is `items[at[i]..at[i + 1]]`.
 #[derive(Debug)]
-struct Csr<T> {
+#[cfg_attr(test, derive(PartialEq))]
+pub(crate) struct Csr<T> {
     at: Vec<u32>,
     items: Vec<T>,
+}
+
+impl Csr<u32> {
+    /// `rows` rows, row `r` holding the items of the `(r, item)` pairs in
+    /// their order in `pairs` — a counting sort.
+    pub(crate) fn grouped(rows: usize, pairs: &[(u32, u32)]) -> Self {
+        let mut at = vec![0; rows + 1];
+        for &(r, _) in pairs {
+            at[r as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            at[r + 1] += at[r];
+        }
+        let mut items = vec![0; pairs.len()];
+        let mut next = at.clone();
+        for &(r, item) in pairs {
+            items[next[r as usize] as usize] = item;
+            next[r as usize] += 1;
+        }
+        Csr { at, items }
+    }
 }
 
 impl<T> Csr<T> {
@@ -54,7 +87,7 @@ impl<T> Csr<T> {
         self.at.push(self.items.len() as u32);
     }
 
-    fn row(&self, i: usize) -> &[T] {
+    pub(crate) fn row(&self, i: usize) -> &[T] {
         &self.items[self.at[i] as usize..self.at[i + 1] as usize]
     }
 
@@ -63,10 +96,16 @@ impl<T> Csr<T> {
         self.at.shrink_to_fit();
         self.items.shrink_to_fit();
     }
+
+    /// `u32` words in the arrays, counting an item as `words_per_item`.
+    fn words(&self, words_per_item: usize) -> usize {
+        self.at.len() + words_per_item * self.items.len()
+    }
 }
 
 /// An input arc's color filter over interned color ids.
 #[derive(Clone, Copy, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 enum Filter {
     Any,
     Eq(u32),
@@ -77,6 +116,7 @@ enum Filter {
 /// A net compiled to the wavefront's integer kernel. Modes are numbered
 /// globally, transition by transition.
 #[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct Tables {
     /// Every color of the net, ascending; a color's id is its index.
     colors: Vec<Color>,
@@ -94,7 +134,47 @@ pub(crate) struct Tables {
     initial: Csr<(u32, u32)>,
 }
 
+/// The unit color's text ([`Color::unit`]).
+const UNIT: &str = "•";
+
+/// Where a constraint buffer or control place attaches to an activity in
+/// [`Tables::emit`]; the order is the order the wires are consumed in.
+const IN_START: u32 = 0;
+const IN_FINISH: u32 = 1;
+const OUT_START: u32 = 2;
+const OUT_FINISH: u32 = 3;
+const BROADCAST: u32 = 4;
+
+/// Provisional color ids in first-use order, over borrowed names.
+#[derive(Default)]
+struct Palette<'a> {
+    names: Vec<&'a str>,
+    ids: FxHashMap<&'a str, u32>,
+}
+
+impl<'a> Palette<'a> {
+    fn id(&mut self, name: &'a str) -> u32 {
+        let next = self.names.len() as u32;
+        *self.ids.entry(name).or_insert_with(|| {
+            self.names.push(name);
+            next
+        })
+    }
+}
+
 impl Tables {
+    fn empty() -> Self {
+        Tables {
+            colors: Vec::new(),
+            first_mode: vec![0],
+            ins: Csr::new(),
+            one_of: Csr::new(),
+            outs: Csr::new(),
+            consumers: Csr::new(),
+            initial: Csr::new(),
+        }
+    }
+
     /// Compiles `net` into the kernel's tables.
     pub(crate) fn derive(net: &Net) -> Self {
         // Colors get provisional ids in first-use order here, and are
@@ -104,15 +184,7 @@ impl Tables {
             let next = provisional.len() as u32;
             *provisional.entry(c).or_insert(next)
         };
-        let mut t = Tables {
-            first_mode: vec![0],
-            ins: Csr::new(),
-            one_of: Csr::new(),
-            outs: Csr::new(),
-            consumers: Csr::new(),
-            initial: Csr::new(),
-            colors: Vec::new(),
-        };
+        let mut t = Tables::empty();
         let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); net.places.len()];
         for (ti, tr) in net.transitions.iter().enumerate() {
             for mode in &tr.modes {
@@ -153,24 +225,314 @@ impl Tables {
         for (r, &i) in provisional.values().enumerate() {
             rank[i as usize] = r as u32;
         }
-        for (_, filter) in &mut t.ins.items {
+        t.renumber(&rank);
+        t.colors = provisional.into_keys().cloned().collect();
+        t.shrink_to_fit();
+        t
+    }
+
+    /// Emits the kernel `Tables::derive(&lower(cs, exec).net)` compiles,
+    /// without building the string net, plus the [`Names`] behind its
+    /// numbers — or the first activity past [`MAX_MODES`], counted before
+    /// any mode is enumerated, exactly as [`try_lower`](crate::try_lower)
+    /// reports it.
+    ///
+    /// The numbering is `try_lower`'s: activity `i`'s `todo`, `run` and
+    /// `done` are places `3i`, `3i + 1`, `3i + 2`; the constraint buffers
+    /// follow in relation order, then the `ctl(g→b)` places listener by
+    /// listener, guards sorted. Each activity's transitions are `start`,
+    /// `finish` and, when it listens on a guard, `skip`; `start` and
+    /// `skip` modes walk the listened guards' `domain + [skip]` values
+    /// with the first guard slowest. Colors get provisional ids on first
+    /// lookup and their final ids by byte-order rank among the colors an
+    /// arc or the initial marking actually uses.
+    pub(crate) fn emit<'a>(
+        cs: &'a ConstraintSet,
+        exec: &'a ExecConditions,
+    ) -> Result<(Tables, Names), ModeLimit> {
+        let acts: Vec<&str> = cs.activities.iter().map(String::as_str).collect();
+        let index: FxHashMap<&str, u32> = acts.iter().zip(0..).map(|(&a, i)| (a, i)).collect();
+        let index = |name: &str| index.get(name).copied();
+        let n = acts.len() as u32;
+        let mut names = Names {
+            activities: cs.activities.iter().cloned().collect(),
+            ..Names::default()
+        };
+        // `(5 · activity + attachment, place)` per wire.
+        let mut wires: Vec<(u32, u32)> = Vec::new();
+        let mut place = 3 * n;
+
+        // Constraint buffers, in relation order.
+        let end = |s| matches!(s, ActivityState::Finish) as u32;
+        for r in &cs.relations {
+            match r {
+                Relation::HappenBefore { from, to, .. } => {
+                    let (f, t) = (index(&from.activity), index(&to.activity));
+                    if let Some(i) = f {
+                        wires.push((5 * i + OUT_START + end(from.state), place));
+                    }
+                    if let Some(i) = t {
+                        wires.push((5 * i + IN_START + end(to.state), place));
+                    }
+                    let ends = [
+                        (names.id(&from.activity, f), from.state),
+                        (names.id(&to.activity, t), to.state),
+                    ];
+                    names.buffers.push(ends);
+                    place += 1;
+                }
+                Relation::HappenTogether { .. } => debug_assert!(false, "desugar before lowering"),
+                Relation::Exclusive { .. } => {}
+            }
+        }
+
+        // Control places, listener by listener. Every mode count is
+        // checked here, before any mode is enumerated.
+        let ctl0 = place;
+        // Activity `b` listens on controls `listeners[b]..listeners[b + 1]`.
+        let mut listeners: Vec<usize> = vec![0];
+        // Per control place, its guard and the guard's domain.
+        let mut listened: Vec<(&str, &[String])> = Vec::new();
+        let mut gs: Vec<&str> = Vec::new();
+        for (b, a) in acts.iter().enumerate() {
+            gs.clear();
+            gs.extend(exec.dnf(a).terms().iter().flatten().map(|c| c.on.as_str()));
+            gs.sort_unstable();
+            gs.dedup();
+            let modes = gs
+                .iter()
+                .map(|g| cs.domains.get(*g).map_or(0, Vec::len) + 1)
+                .fold(1usize, usize::saturating_mul);
+            if modes > MAX_MODES {
+                return Err(ModeLimit {
+                    activity: a.to_string(),
+                    modes,
+                });
+            }
+            for &g in &gs {
+                let i = index(g);
+                if let Some(i) = i {
+                    wires.push((5 * i + BROADCAST, place));
+                }
+                let guard = names.id(g, i);
+                names.controls.push((guard, b as u32));
+                listened.push((g, cs.domains.get(g).map_or(&[], Vec::as_slice)));
+                place += 1;
+            }
+            listeners.push(listened.len());
+        }
+
+        // Row `5i + k` holds activity `i`'s `k` places, ascending.
+        let wiring = Csr::grouped(5 * acts.len(), &wires);
+
+        // Transitions, activity by activity.
+        let mut pal = Palette::default();
+        let (unit, done, skip) = (pal.id(UNIT), pal.id("done"), pal.id(SKIP));
+        let mut t = Tables::empty();
+        let mut finish_of: Vec<u32> = Vec::with_capacity(acts.len());
+        // Per listened guard, `(offset, len)` of its value ids in `values`.
+        let (mut radix, mut values) = (Vec::new(), Vec::new());
+        // The execution condition's terms as `conds[term_at[k]..term_at[k + 1]]`,
+        // each condition a `(listened guard, value id)` pair.
+        let (mut term_at, mut conds) = (Vec::new(), Vec::new());
+        let (mut digits, mut sat, mut fin) = (Vec::new(), Vec::new(), Vec::new());
+        // Guards in name order, walked alongside the activities.
+        let mut own_domains = cs.domains.iter().peekable();
+        for (i, a) in acts.iter().enumerate() {
+            let (todo, run, done_p) = (3 * i as u32, 3 * i as u32 + 1, 3 * i as u32 + 2);
+            let wired = |k: u32| wiring.row(5 * i + k as usize).iter().copied();
+            while own_domains.next_if(|(g, _)| g.as_str() < *a).is_some() {}
+            let own_domain = own_domains.next_if(|(g, _)| g == a).map(|(_, d)| d);
+            let ls = listeners[i]..listeners[i + 1];
+            let guards = &listened[ls.clone()];
+            radix.clear();
+            values.clear();
+            for &(_, dom) in guards {
+                radix.push((values.len(), dom.len() + 1));
+                values.extend(dom.iter().map(|v| pal.id(v)));
+                values.push(skip);
+            }
+            term_at.clear();
+            conds.clear();
+            if !guards.is_empty() {
+                term_at.push(0);
+                for term in exec.dnf(a).terms() {
+                    for c in term {
+                        let j = guards.partition_point(|&(g, _)| g < c.on.as_str());
+                        conds.push((j, pal.id(&c.value)));
+                    }
+                    term_at.push(conds.len());
+                }
+            }
+            let satisfied = |digits: &[usize]| {
+                term_at.windows(2).any(|w| {
+                    let value = |j: usize| values[radix[j].0 + digits[j]];
+                    conds[w[0]..w[1]].iter().all(|&(j, v)| value(j) == v)
+                })
+            };
+            // Input arcs `start` and `skip` share: `todo`, the start-side
+            // buffers, then one `Eq` arc per listened guard.
+            let start_ins = |digits: &[usize], ins: &mut Vec<(u32, Filter)>| {
+                ins.push((todo, Filter::Any));
+                ins.extend(wired(IN_START).map(|p| (p, Filter::Any)));
+                for (j, &(at, _)) in radix.iter().enumerate() {
+                    let ctl = ctl0 + (ls.start + j) as u32;
+                    ins.push((ctl, Filter::Eq(values[at + digits[j]])));
+                }
+            };
+            let assignments: usize = radix.iter().map(|r| r.1).product();
+            let advance = |digits: &mut Vec<usize>| {
+                for j in (0..digits.len()).rev() {
+                    digits[j] += 1;
+                    if digits[j] < radix[j].1 {
+                        return;
+                    }
+                    digits[j] = 0;
+                }
+            };
+
+            // start(a): one mode per satisfying assignment (the single
+            // assignment of no guards when unconditional).
+            digits.clear();
+            digits.resize(radix.len(), 0);
+            sat.clear();
+            for _ in 0..assignments {
+                let ok = guards.is_empty() || satisfied(&digits);
+                sat.push(ok);
+                if ok {
+                    start_ins(&digits, &mut t.ins.items);
+                    t.ins.end_row();
+                    t.outs.items.push((run, unit));
+                    t.outs.items.extend(wired(OUT_START).map(|p| (p, done)));
+                    t.outs.end_row();
+                }
+                advance(&mut digits);
+            }
+            t.first_mode.push(t.ins.at.len() as u32 - 1);
+
+            // finish(a): one mode per branch value for guards, else one.
+            finish_of.push(t.first_mode.len() as u32 - 1);
+            fin.clear();
+            match own_domain {
+                Some(dom) => fin.extend(dom.iter().map(|v| pal.id(v))),
+                None => fin.push(done),
+            }
+            for &v in &fin {
+                t.ins.items.push((run, Filter::Any));
+                t.ins.items.extend(wired(IN_FINISH).map(|p| (p, Filter::Any)));
+                t.ins.end_row();
+                t.outs.items.push((done_p, done));
+                let outs = wired(OUT_FINISH).chain(wired(BROADCAST));
+                t.outs.items.extend(outs.map(|p| (p, v)));
+                t.outs.end_row();
+            }
+            t.first_mode.push(t.ins.at.len() as u32 - 1);
+
+            // skip(a): one mode per falsifying assignment.
+            if !guards.is_empty() {
+                digits.iter_mut().for_each(|d| *d = 0);
+                for &ok in &sat {
+                    if !ok {
+                        start_ins(&digits, &mut t.ins.items);
+                        t.ins.items.extend(wired(IN_FINISH).map(|p| (p, Filter::Any)));
+                        t.ins.end_row();
+                        t.outs.items.push((done_p, skip));
+                        let outs = wired(OUT_START).chain(wired(OUT_FINISH)).chain(wired(BROADCAST));
+                        t.outs.items.extend(outs.map(|p| (p, skip)));
+                        t.outs.end_row();
+                    }
+                    advance(&mut digits);
+                }
+                t.first_mode.push(t.ins.at.len() as u32 - 1);
+            }
+        }
+
+        // Per place, the transitions consuming from it, ascending.
+        let places = place as usize;
+        let mut last = vec![u32::MAX; places];
+        let mut consumed: Vec<(u32, u32)> = Vec::with_capacity(t.ins.items.len());
+        for tr in 0..t.first_mode.len() - 1 {
+            for m in t.modes(tr) {
+                for &(p, _) in t.ins.row(m) {
+                    if std::mem::replace(&mut last[p as usize], tr as u32) != tr as u32 {
+                        consumed.push((p, tr as u32));
+                    }
+                }
+            }
+        }
+        t.consumers = Csr::grouped(places, &consumed);
+        for p in 0..places as u32 {
+            if p < 3 * n && p % 3 == 0 {
+                t.initial.items.push((unit, 1));
+            }
+            t.initial.end_row();
+        }
+
+        // Rank the used colors in byte order.
+        let mut used = vec![false; pal.names.len()];
+        let eq = t.ins.items.iter().filter_map(|&(_, f)| match f {
+            Filter::Eq(c) => Some(c),
+            _ => None,
+        });
+        let produced = t.outs.items.iter().map(|&(_, c)| c);
+        for c in eq.chain(produced).chain(t.initial.items.iter().map(|&(c, _)| c)) {
+            used[c as usize] = true;
+        }
+        let mut order: Vec<u32> = (0..pal.names.len() as u32).filter(|&c| used[c as usize]).collect();
+        order.sort_unstable_by_key(|&c| pal.names[c as usize]);
+        let mut rank = vec![0; pal.names.len()];
+        for (r, &c) in order.iter().enumerate() {
+            rank[c as usize] = r as u32;
+        }
+        t.renumber(&rank);
+        t.colors = order.iter().map(|&c| Color::of(pal.names[c as usize])).collect();
+        t.shrink_to_fit();
+
+        names.guards = cs
+            .domains
+            .iter()
+            .map(|(g, d)| Guard {
+                name: g.clone(),
+                domain: d.clone(),
+                finish: index(g).map(|i| finish_of[i as usize]),
+            })
+            .collect();
+        Ok((t, names))
+    }
+
+    /// Rewrites every color id `c` to `rank[c]`.
+    fn renumber(&mut self, rank: &[u32]) {
+        for (_, filter) in &mut self.ins.items {
             if let Filter::Eq(c) = filter {
                 *c = rank[*c as usize];
             }
         }
-        let ids = t.one_of.items.iter_mut();
-        let ids = ids.chain(t.outs.items.iter_mut().map(|(_, c)| c));
-        for c in ids.chain(t.initial.items.iter_mut().map(|(c, _)| c)) {
+        let ids = self.one_of.items.iter_mut();
+        let ids = ids.chain(self.outs.items.iter_mut().map(|(_, c)| c));
+        for c in ids.chain(self.initial.items.iter_mut().map(|(c, _)| c)) {
             *c = rank[*c as usize];
         }
-        t.colors = provisional.into_keys().cloned().collect();
-        t.first_mode.shrink_to_fit();
-        t.ins.shrink_to_fit();
-        t.one_of.shrink_to_fit();
-        t.outs.shrink_to_fit();
-        t.consumers.shrink_to_fit();
-        t.initial.shrink_to_fit();
-        t
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.colors.shrink_to_fit();
+        self.first_mode.shrink_to_fit();
+        self.ins.shrink_to_fit();
+        self.one_of.shrink_to_fit();
+        self.outs.shrink_to_fit();
+        self.consumers.shrink_to_fit();
+        self.initial.shrink_to_fit();
+    }
+
+    /// `u32` words in the flat arrays, an arc or a token entry counting
+    /// as two.
+    pub(crate) fn words(&self) -> usize {
+        self.first_mode.len()
+            + self.ins.words(2)
+            + self.one_of.words(1)
+            + self.outs.words(2)
+            + self.consumers.words(1)
+            + self.initial.words(2)
     }
 
     fn accepts(&self, filter: Filter, color: u32) -> bool {
@@ -184,6 +546,163 @@ impl Tables {
     /// The global modes of transition `t`.
     fn modes(&self, t: usize) -> std::ops::Range<usize> {
         self.first_mode[t] as usize..self.first_mode[t + 1] as usize
+    }
+
+    /// Places in the kernel.
+    fn places(&self) -> usize {
+        self.consumers.at.len() - 1
+    }
+}
+
+/// A guard of the compiled constraint set.
+#[derive(Debug)]
+pub(crate) struct Guard {
+    /// The guard's name.
+    pub(crate) name: String,
+    /// Its branch values, in declaration order.
+    pub(crate) domain: Vec<String>,
+    /// Its `finish` transition, when the guard is an activity.
+    pub(crate) finish: Option<u32>,
+}
+
+impl Guard {
+    /// The `finish` mode the lowering labels with value `domain[v]`.
+    pub(crate) fn mode(&self, v: usize) -> usize {
+        self.domain.iter().position(|d| *d == self.domain[v]).unwrap_or(v)
+    }
+}
+
+/// The names behind an emitted kernel's numbers, materialized only on the
+/// rare paths: a failing run's stuck list and rendered marking, and the
+/// [`Net`] interleaving exploration walks.
+#[derive(Debug, Default)]
+pub(crate) struct Names {
+    /// `cs.activities`, sorted: activity `i` owns places `3i` (`todo`),
+    /// `3i + 1` (`run`) and `3i + 2` (`done`). Name ids below
+    /// `activities.len()` are activity indices.
+    activities: Vec<String>,
+    /// Names of buffer endpoints and listened guards that are not
+    /// activities; name id `activities.len() + k` is `others[k]`.
+    others: Vec<String>,
+    /// Per constraint buffer, its relation's endpoints.
+    buffers: Vec<[(u32, ActivityState); 2]>,
+    /// Per control place, its guard's name id and listening activity.
+    controls: Vec<(u32, u32)>,
+    /// The guards, in `cs.domains` (sorted) order.
+    pub(crate) guards: Vec<Guard>,
+}
+
+impl Names {
+    /// The name id of `name`, whose activity index is `activity`.
+    fn id(&mut self, name: &str, activity: Option<u32>) -> u32 {
+        if let Some(i) = activity {
+            return i;
+        }
+        let k = match self.others.iter().position(|o| o == name) {
+            Some(k) => k,
+            None => {
+                self.others.push(name.to_string());
+                self.others.len() - 1
+            }
+        };
+        (self.activities.len() + k) as u32
+    }
+
+    fn name(&self, id: u32) -> &str {
+        let id = id as usize;
+        match self.activities.get(id) {
+            Some(a) => a,
+            None => &self.others[id - self.activities.len()],
+        }
+    }
+
+    /// The activities, sorted; activity `i`'s `done` place is `3i + 2`.
+    pub(crate) fn activities(&self) -> &[String] {
+        &self.activities
+    }
+
+    /// Place `p`'s name in the lowered net.
+    pub(crate) fn place_name(&self, p: PlaceId) -> String {
+        let p = p.0 as usize;
+        let n = self.activities.len();
+        if p < 3 * n {
+            let kind = ["todo", "run", "done"][p % 3];
+            return format!("{kind}({})", self.activities[p / 3]);
+        }
+        match self.buffers.get(p - 3 * n) {
+            Some(&[(f, fs), (t, ts)]) => format!("c({fs}({})->{ts}({}))", self.name(f), self.name(t)),
+            None => {
+                let (g, b) = self.controls[p - 3 * n - self.buffers.len()];
+                format!("ctl({}->{})", self.name(g), self.activities[b as usize])
+            }
+        }
+    }
+
+    /// The lowered net `tables` was emitted from, names and labels
+    /// included.
+    pub(crate) fn to_net(&self, tables: &Tables) -> Net {
+        let mut net = Net::default();
+        for p in 0..tables.places() {
+            net.add_place(self.place_name(PlaceId(p as u32)));
+        }
+        let color = |c: u32| tables.colors[c as usize].clone();
+        let mut t = 0;
+        for (i, a) in self.activities.iter().enumerate() {
+            let listens = self.controls.iter().any(|&(_, b)| b as usize == i);
+            let domain = self
+                .guards
+                .binary_search_by(|g| g.name.as_str().cmp(a))
+                .map(|k| &self.guards[k].domain);
+            let kinds: &[&str] = if listens { &["start", "finish", "skip"] } else { &["start", "finish"] };
+            for &kind in kinds {
+                let modes = tables.modes(t).enumerate().map(|(mi, m)| {
+                    let inputs: Vec<ArcIn> = tables
+                        .ins
+                        .row(m)
+                        .iter()
+                        .map(|&(p, f)| ArcIn {
+                            place: PlaceId(p),
+                            filter: match f {
+                                Filter::Any => ColorFilter::Any,
+                                Filter::Eq(c) => ColorFilter::Eq(color(c)),
+                                Filter::OneOf(_) => unreachable!("the lowering has no OneOf filters"),
+                            },
+                        })
+                        .collect();
+                    let assignment = || {
+                        let values = inputs.iter().filter_map(|arc| match &arc.filter {
+                            ColorFilter::Eq(c) => Some(c.0.as_str()),
+                            _ => None,
+                        });
+                        values.collect::<Vec<_>>().join(",")
+                    };
+                    let label = match kind {
+                        "start" if !listens => "start".to_string(),
+                        "finish" => domain.map_or("done".to_string(), |d| d[mi].clone()),
+                        _ => format!("{kind}[{}]", assignment()),
+                    };
+                    let outputs = tables.outs.row(m).iter().map(|&(p, c)| ArcOut {
+                        place: PlaceId(p),
+                        color: color(c),
+                    });
+                    Mode {
+                        label,
+                        inputs,
+                        outputs: outputs.collect(),
+                    }
+                });
+                net.add_transition(format!("{kind}({a})"), modes.collect());
+                t += 1;
+            }
+        }
+        for p in 0..tables.places() {
+            for &(c, count) in tables.initial.row(p) {
+                for _ in 0..count {
+                    net.initial.add(PlaceId(p as u32), color(c));
+                }
+            }
+        }
+        net
     }
 }
 
@@ -212,16 +731,16 @@ pub(crate) struct Scratch {
 }
 
 impl Scratch {
-    /// Runs `net` to quiescence from its initial marking — the wavefront
-    /// loop documented on
+    /// Runs the kernel to quiescence from its initial marking — the
+    /// wavefront loop documented on
     /// [`run_to_quiescence_wavefront`](crate::run_to_quiescence_wavefront)
-    /// — and returns whether the step budget ran out. `tables` must come
-    /// from [`Tables::derive`] on this same net.
+    /// — and returns whether the step budget ran out. `choose_mode`
+    /// receives a transition with several enabled modes and their
+    /// transition-local indices, and picks one.
     pub(crate) fn run(
         &mut self,
-        net: &Net,
         tables: &Tables,
-        mut choose_mode: impl FnMut(&Net, TransitionId, &[usize]) -> usize,
+        mut choose_mode: impl FnMut(usize, &[usize]) -> usize,
         max_steps: usize,
     ) -> bool {
         self.reset(tables);
@@ -253,7 +772,7 @@ impl Scratch {
                         let mi = if self.enabled.len() == 1 {
                             self.enabled[0]
                         } else {
-                            choose_mode(net, TransitionId(t as u32), &self.enabled)
+                            choose_mode(t, &self.enabled)
                         };
                         self.decided[t] = mi as u32;
                         mi
@@ -418,89 +937,210 @@ impl Scratch {
 /// Groups are returned ordered by their first guard in `cs.domains`
 /// iteration order (sorted — `domains` is a `BTreeMap`), with the guards
 /// inside each group in the same order: the output is deterministic.
-pub fn guard_groups(lowered: &LoweredNet, cs: &ConstraintSet) -> Vec<Vec<String>> {
-    groups(lowered, &Tables::derive(&lowered.net), cs)
+///
+/// Panics, like [`lower`](crate::lower()), on an activity past
+/// [`MAX_MODES`].
+pub fn guard_groups(cs: &ConstraintSet, exec: &ExecConditions) -> Vec<Vec<String>> {
+    let (tables, names) = Tables::emit(cs, exec)
+        .unwrap_or_else(|l| panic!("{} needs {} modes", l.activity, l.modes));
+    let name = |i: usize| names.guards[i].name.clone();
+    let groups = groups(&tables, &names.guards);
+    groups.into_iter().map(|g| g.into_iter().map(name).collect()).collect()
 }
 
-/// [`guard_groups`] over the net's already compiled `tables`.
-pub(crate) fn groups(lowered: &LoweredNet, tables: &Tables, cs: &ConstraintSet) -> Vec<Vec<String>> {
-    let guards: Vec<&String> = cs.domains.keys().collect();
-    if guards.is_empty() {
-        return Vec::new();
-    }
-    let footprints: Vec<BitSet> = guards
-        .iter()
-        .map(|g| {
-            // Forward closure: every output place of a transition that
-            // consumes from the footprint joins it.
-            let mut fp = BitSet::new(lowered.net.places.len());
-            let mut todo: Vec<u32> = Vec::new();
-            let produce = |t: usize, fp: &mut BitSet, todo: &mut Vec<u32>| {
-                for m in tables.modes(t) {
-                    for &(p, _) in tables.outs.row(m) {
-                        if !fp.contains(p as usize) {
-                            fp.insert(p as usize);
-                            todo.push(p);
-                        }
-                    }
-                }
-            };
-            if let Some(nodes) = lowered.activities.get(g.as_str()) {
-                produce(nodes.finish.0 as usize, &mut fp, &mut todo);
-            }
-            while let Some(p) = todo.pop() {
-                for &t in tables.consumers.row(p as usize) {
-                    produce(t as usize, &mut fp, &mut todo);
-                }
-            }
-            fp
-        })
-        .collect();
-
-    // Union-find over guards; overlapping footprints merge.
+/// [`guard_groups`] over an emitted kernel, as indices into `guards`.
+///
+/// One forward search per guard, in order, over places not yet claimed:
+/// a search claims the unclaimed places it reaches, and at a place an
+/// earlier guard claimed it merges with that guard instead of going on —
+/// everything downstream of a claimed place lies in the claimer's group's
+/// footprints already. Every place is expanded once, and two guards end
+/// up merged exactly when a chain of footprint overlaps links them.
+pub(crate) fn groups(tables: &Tables, guards: &[Guard]) -> Vec<Vec<usize>> {
     let mut parent: Vec<usize> = (0..guards.len()).collect();
-    fn find(parent: &mut Vec<usize>, mut i: usize) -> usize {
+    fn find(parent: &mut [usize], mut i: usize) -> usize {
         while parent[i] != i {
             parent[i] = parent[parent[i]];
             i = parent[i];
         }
         i
     }
-    for i in 0..guards.len() {
-        for j in (i + 1)..guards.len() {
-            if footprints[i].intersects(&footprints[j]) {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    let (lo, hi) = (ri.min(rj), ri.max(rj));
-                    parent[hi] = lo;
+    let mut owner = vec![usize::MAX; tables.places()];
+    let mut todo: Vec<u32> = Vec::new();
+    for (i, g) in guards.iter().enumerate() {
+        let mut produce = |t: usize, todo: &mut Vec<u32>| {
+            for m in tables.modes(t) {
+                for &(p, _) in tables.outs.row(m) {
+                    match owner[p as usize] {
+                        usize::MAX => {
+                            owner[p as usize] = i;
+                            todo.push(p);
+                        }
+                        j if j != i => {
+                            let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+                            parent[ri.max(rj)] = ri.min(rj);
+                        }
+                        _ => {}
+                    }
                 }
+            }
+        };
+        if let Some(finish) = g.finish {
+            produce(finish as usize, &mut todo);
+        }
+        while let Some(p) = todo.pop() {
+            for &t in tables.consumers.row(p as usize) {
+                produce(t as usize, &mut todo);
             }
         }
     }
 
     // Collect groups keyed by root, emitted in first-member order.
-    let mut groups: Vec<Vec<String>> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut root_to_group: HashMap<usize, usize> = HashMap::new();
-    for (i, g) in guards.iter().enumerate() {
+    for i in 0..guards.len() {
         let r = find(&mut parent, i);
         let gi = *root_to_group.entry(r).or_insert_with(|| {
             groups.push(Vec::new());
             groups.len() - 1
         });
-        groups[gi].push((*g).clone());
+        groups[gi].push(i);
     }
     groups
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::lower::lower;
-    use crate::net::{ArcIn, ArcOut, Mode};
+    use crate::lower::{lower, try_lower};
     use crate::reach::{assignment_chooser, run_to_quiescence};
-    use dscweaver_core::ExecConditions;
-    use dscweaver_dscl::{Condition, Origin, Relation, StateRef};
-    use std::collections::HashMap;
+    use dscweaver_core::Weaver;
+    use dscweaver_dscl::{Condition, Origin, StateRef};
+    use dscweaver_workloads::{
+        dense_conditional, disjoint_conditional, layered, purchasing_dependencies,
+        DenseConditionalParams, DisjointConditionalParams, LayeredParams,
+    };
+
+    /// `k` nested binary guards `g0 … g{k-1}` (each runs only when the
+    /// previous one chose `T`) and an activity `d` under the innermost.
+    pub(crate) fn nested_guards(k: usize) -> ConstraintSet {
+        let mut cs = ConstraintSet::new("nested");
+        cs.add_activity("d");
+        for i in 0..k {
+            let g = format!("g{i}");
+            cs.add_activity(&g);
+            cs.add_domain(&g, vec!["T".into(), "F".into()]);
+            let next = if i + 1 < k { format!("g{}", i + 1) } else { "d".into() };
+            cs.push(Relation::before_if(
+                StateRef::finish(&g),
+                StateRef::start(&next),
+                Condition::new(&g, "T"),
+                Origin::Control,
+            ));
+        }
+        cs
+    }
+
+    /// Asserts `emit` writes the kernel `derive` compiles from the lowered
+    /// net, field for field, and that its names rebuild that net.
+    fn assert_emits_the_oracle(cs: &ConstraintSet, exec: &ExecConditions, what: &str) {
+        let lowered = lower(cs, exec);
+        let (emitted, names) = Tables::emit(cs, exec).unwrap();
+        assert!(emitted == Tables::derive(&lowered.net), "{what}: kernel differs");
+        let rebuilt = names.to_net(&emitted);
+        assert_eq!(format!("{rebuilt:?}"), format!("{:?}", lowered.net), "{what}: names differ");
+        for g in &names.guards {
+            let finish = lowered.activities.get(&g.name).map(|a| a.finish.0);
+            assert_eq!(g.finish, finish, "{what}: finish of {}", g.name);
+        }
+    }
+
+    #[test]
+    fn emitted_kernel_equals_the_derived_oracle_on_seeded_workloads() {
+        let mut sets = vec![("purchasing".to_string(), purchasing_dependencies())];
+        for seed in [3, 42] {
+            let params = LayeredParams {
+                width: 5,
+                depth: 8,
+                density: 0.3,
+                redundant: 30,
+                guards: 3,
+                seed,
+            };
+            sets.push((format!("layered seed {seed}"), layered(&params)));
+            let params = DenseConditionalParams {
+                guards: 5,
+                chain_len: 3,
+                redundant: 16,
+                seed,
+            };
+            sets.push((format!("dense_conditional seed {seed}"), dense_conditional(&params)));
+            let params = DisjointConditionalParams {
+                groups: 2,
+                guards_per_group: 3,
+                chain_len: 2,
+                redundant: 6,
+                seed,
+            };
+            sets.push((format!("disjoint_conditional seed {seed}"), disjoint_conditional(&params)));
+        }
+        for (what, ds) in sets {
+            let out = Weaver::new().run(&ds).unwrap();
+            assert_emits_the_oracle(&out.minimal, &out.exec, &format!("{what} minimal"));
+            assert_emits_the_oracle(&out.sc, &out.exec, &format!("{what} sc"));
+        }
+    }
+
+    #[test]
+    fn emitted_kernel_equals_the_derived_oracle_on_edge_cases() {
+        // `x` listens on a ghost guard (a domain with no activity); `quiet`
+        // is a guard nobody listens on and whose values reach no arc;
+        // relations name undeclared activities; `Exclusive` lowers to
+        // nothing.
+        let mut cs = ConstraintSet::new("edges");
+        for a in ["g", "quiet", "x", "y"] {
+            cs.add_activity(a);
+        }
+        cs.add_domain("g", vec!["T".into(), "F".into(), "M".into()]);
+        cs.add_domain("ghost", vec!["on".into(), "off".into()]);
+        cs.add_domain("quiet", vec!["never1".into(), "never2".into()]);
+        let control = |g: &str, v: &str, to: &str| {
+            let cond = Condition::new(g, v);
+            Relation::before_if(StateRef::finish(g), StateRef::start(to), cond, Origin::Control)
+        };
+        cs.relations.push(control("g", "T", "x"));
+        cs.relations.push(control("ghost", "on", "x"));
+        cs.relations.push(control("g", "M", "y"));
+        cs.push(Relation::before(StateRef::start("x"), StateRef::finish("y"), Origin::Data));
+        cs.push(Relation::before(StateRef::finish("nobody"), StateRef::start("y"), Origin::Data));
+        cs.push(Relation::before(StateRef::run("y"), StateRef::finish("elsewhere"), Origin::Data));
+        cs.push(Relation::Exclusive {
+            a: StateRef::run("x"),
+            b: StateRef::run("y"),
+            origin: Origin::Cooperation,
+        });
+        let exec = ExecConditions::derive(&cs);
+        assert_emits_the_oracle(&cs, &exec, "edge cases");
+        let (tables, _) = Tables::emit(&cs, &exec).unwrap();
+        assert!(!tables.colors.contains(&Color::of("never1")));
+        assert!(tables.colors.contains(&Color::of("on")));
+
+        let nested = nested_guards(7);
+        let exec = ExecConditions::derive(&nested);
+        assert_emits_the_oracle(&nested, &exec, "nested_guards(7)");
+        let (tables, _) = Tables::emit(&nested, &exec).unwrap();
+        assert_eq!(tables.modes(0).len() + tables.modes(2).len(), 2187, "start(d) + skip(d)");
+    }
+
+    #[test]
+    fn emit_stops_at_the_mode_limit_like_try_lower() {
+        for k in [8, 64] {
+            let cs = nested_guards(k);
+            let exec = ExecConditions::derive(&cs);
+            let want = try_lower(&cs, &exec).unwrap_err();
+            assert_eq!(Tables::emit(&cs, &exec).unwrap_err(), want, "nested_guards({k})");
+        }
+    }
 
     /// Two independent guarded diamonds (g1 → x1/y1 → j1, g2 → x2/y2 → j2)
     /// sharing no places, plus one unguarded straggler.
@@ -543,8 +1183,7 @@ mod tests {
     fn disjoint_diamonds_form_two_groups() {
         let cs = two_islands();
         let exec = ExecConditions::derive(&cs);
-        let lowered = lower(&cs, &exec);
-        let groups = guard_groups(&lowered, &cs);
+        let groups = guard_groups(&cs, &exec);
         assert_eq!(groups, vec![vec!["g1".to_string()], vec!["g2".to_string()]]);
     }
 
@@ -562,8 +1201,7 @@ mod tests {
             ));
         }
         let exec = ExecConditions::derive(&cs);
-        let lowered = lower(&cs, &exec);
-        let groups = guard_groups(&lowered, &cs);
+        let groups = guard_groups(&cs, &exec);
         assert_eq!(groups, vec![vec!["g1".to_string(), "g2".to_string()]]);
     }
 
@@ -573,9 +1211,99 @@ mod tests {
         cs.add_activity("a");
         cs.add_domain("ghost", vec!["T".into(), "F".into()]);
         let exec = ExecConditions::derive(&cs);
-        let lowered = lower(&cs, &exec);
-        let groups = guard_groups(&lowered, &cs);
+        let groups = guard_groups(&cs, &exec);
         assert_eq!(groups, vec![vec!["ghost".to_string()]]);
+    }
+
+    /// The groups of guards whose footprints (each computed whole) chain
+    /// together by pairwise overlap, in first-member order.
+    fn pairwise_groups(tables: &Tables, guards: &[Guard]) -> Vec<Vec<usize>> {
+        let footprints: Vec<Vec<bool>> = guards
+            .iter()
+            .map(|g| {
+                let mut fp = vec![false; tables.places()];
+                let mut fired: Vec<usize> = g.finish.iter().map(|&t| t as usize).collect();
+                while let Some(t) = fired.pop() {
+                    for m in tables.modes(t) {
+                        for &(p, _) in tables.outs.row(m) {
+                            if !std::mem::replace(&mut fp[p as usize], true) {
+                                fired.extend(tables.consumers.row(p as usize).iter().map(|&u| u as usize));
+                            }
+                        }
+                    }
+                }
+                fp
+            })
+            .collect();
+        let mut label: Vec<usize> = (0..guards.len()).collect();
+        let overlap = |i: usize, j: usize| footprints[i].iter().zip(&footprints[j]).any(|(a, b)| *a && *b);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for i in 0..guards.len() {
+                for j in 0..guards.len() {
+                    if label[j] > label[i] && overlap(i, j) {
+                        label[j] = label[i];
+                        changed = true;
+                    }
+                }
+            }
+        }
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for i in 0..guards.len() {
+            match groups.iter_mut().find(|g| label[g[0]] == label[i]) {
+                Some(g) => g.push(i),
+                None => groups.push(vec![i]),
+            }
+        }
+        groups
+    }
+
+    #[test]
+    fn claimed_place_search_groups_like_pairwise_overlap() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as u32
+        };
+        let mut merged = 0;
+        for _ in 0..2000 {
+            // A random net: 14 places, 10 transitions of 1–2 modes with
+            // 1–2 input and 0–2 output arcs; 5 guards, some without a
+            // `finish`.
+            let mut net = Net::default();
+            for p in 0..14 {
+                net.add_place(format!("p{p}"));
+            }
+            for t in 0..10 {
+                let modes = (0..1 + next(2))
+                    .map(|_| Mode {
+                        label: "m".into(),
+                        inputs: (0..1 + next(2))
+                            .map(|_| ArcIn { place: PlaceId(next(14)), filter: ColorFilter::Any })
+                            .collect(),
+                        outputs: (0..next(3))
+                            .map(|_| ArcOut { place: PlaceId(next(14)), color: Color::unit() })
+                            .collect(),
+                    })
+                    .collect();
+                net.add_transition(format!("t{t}"), modes);
+            }
+            let tables = Tables::derive(&net);
+            let guards: Vec<Guard> = (0..5)
+                .map(|g| Guard {
+                    name: format!("g{g}"),
+                    domain: vec!["T".into()],
+                    finish: (next(5) > 0).then(|| next(10)),
+                })
+                .collect();
+            let want = pairwise_groups(&tables, &guards);
+            assert_eq!(groups(&tables, &guards), want);
+            merged += (want.len() < 5) as usize;
+        }
+        assert!(merged > 500, "only {merged} nets merged guards");
     }
 
     /// The kernel's binding of mode `mi` of `t` in the net's initial
@@ -681,12 +1409,9 @@ mod tests {
             .into();
             let oracle =
                 run_to_quiescence(&lowered.net, assignment_chooser(&assignment), 1_000_000);
-            let diverged = scratch.run(
-                &lowered.net,
-                &tables,
-                assignment_chooser(&assignment),
-                1_000_000,
-            );
+            let mut chooser = assignment_chooser(&assignment);
+            let chooser = |t: usize, e: &[usize]| chooser(&lowered.net, TransitionId(t as u32), e);
+            let diverged = scratch.run(&tables, chooser, 1_000_000);
             let reused = scratch.to_run(&lowered.net, &tables, diverged);
             assert_eq!(oracle.trace, reused.trace);
             assert_eq!(oracle.final_marking, reused.final_marking);

@@ -181,8 +181,9 @@ pub struct Run {
 /// marking is independent of firing order once modes are fixed
 /// (confluence), which the tests exercise.
 ///
-/// The full-rescan oracle for [`run_to_quiescence_wavefront`], which
-/// validation runs.
+/// The full-rescan oracle for the wavefront loop behind
+/// [`run_to_quiescence_wavefront`], which validation runs on its emitted
+/// kernel.
 pub fn run_to_quiescence(
     net: &Net,
     mut choose_mode: impl FnMut(&Net, TransitionId, &[usize]) -> usize,
@@ -263,17 +264,20 @@ pub fn run_to_quiescence(
 /// this wrapper turns the pairs into mode labels and the final counts
 /// into a [`Marking`].
 ///
-/// This one-shot call compiles the kernel and runs once; validation
-/// keeps the kernel in its [`CompiledValidation`](crate::CompiledValidation)
-/// and one scratch state per pool worker, so repeated runs skip both.
+/// This one-shot call is for caller-supplied nets: it interns `net` into
+/// the kernel and runs once. Validation never builds a net — its
+/// [`CompiledValidation`](crate::CompiledValidation) emits the kernel
+/// straight from the constraint set, keeps it, and runs it with one
+/// scratch state per pool worker and a chooser over mode indices.
 pub fn run_to_quiescence_wavefront(
     net: &Net,
-    choose_mode: impl FnMut(&Net, TransitionId, &[usize]) -> usize,
+    mut choose_mode: impl FnMut(&Net, TransitionId, &[usize]) -> usize,
     max_steps: usize,
 ) -> Run {
     let tables = crate::prepared::Tables::derive(net);
     let mut scratch = crate::prepared::Scratch::default();
-    let diverged = scratch.run(net, &tables, choose_mode, max_steps);
+    let chooser = |t: usize, enabled: &[usize]| choose_mode(net, TransitionId(t as u32), enabled);
+    let diverged = scratch.run(&tables, chooser, max_steps);
     scratch.to_run(net, &tables, diverged)
 }
 

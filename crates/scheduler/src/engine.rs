@@ -168,7 +168,7 @@ fn prereq_satisfied(
 
 /// Exec decision: Some(true/false) once all mentioned guards resolved.
 fn exec_decided(a: &str, exec: &ExecConditions, outcome: &HashMap<&str, GuardOutcome>) -> Option<bool> {
-    let dnf = exec.of(a);
+    let dnf = exec.dnf(a);
     if dnf.is_always() {
         return Some(true);
     }
@@ -346,7 +346,7 @@ impl ScheduleTables {
                     dep_guard.entry(c.on.clone()).or_default().push(i);
                 }
             }
-            let dnf = exec.of(a);
+            let dnf = exec.dnf(a);
             if !dnf.is_always() {
                 for t in dnf.terms() {
                     for c in t {

@@ -11,7 +11,7 @@ mod common;
 use common::{reference, Reference};
 use dscweaver_core::{merge, translate_services, ExecConditions, Weaver};
 use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, StateRef};
-use dscweaver_petri::{guard_groups, lower, validate, ValidateOptions};
+use dscweaver_petri::{explore, guard_groups, lower, validate, ValidateOptions};
 use dscweaver_scheduler::{simulate, PreparedSchedule, Schedule, ScheduleTables, SimConfig};
 use dscweaver_workloads::{
     dense_conditional, disjoint_conditional, DenseConditionalParams, DisjointConditionalParams,
@@ -79,6 +79,81 @@ fn validate_sessions_are_thread_and_window_invariant() {
     }
 }
 
+/// A set whose every assignment deadlocks with tokens in every kind of
+/// place: `g` finishes (`done(g)`) and feeds `x`'s buffer and control
+/// place, `x` waits forever on a ghost guard's control place (`todo(x)`,
+/// `c(F(g)->S(x))`, `ctl(g->x)`), and `y` starts but waits for `S(x)`
+/// (`run(y)`).
+fn stuck_everywhere() -> ConstraintSet {
+    let mut cs = ConstraintSet::new("stuck_everywhere");
+    for a in ["g", "x", "y"] {
+        cs.add_activity(a);
+    }
+    cs.add_domain("g", vec!["T".into(), "F".into()]);
+    cs.add_domain("ghost", vec!["T".into(), "F".into()]);
+    for g in ["g", "ghost"] {
+        cs.relations.push(Relation::before_if(
+            StateRef::finish(g),
+            StateRef::start("x"),
+            Condition::new(g, "T"),
+            Origin::Control,
+        ));
+    }
+    cs.push(Relation::before(StateRef::start("x"), StateRef::finish("y"), Origin::Data));
+    cs
+}
+
+/// Failures name their stuck activities and render their markings from
+/// the compiled name index exactly as the reference does from the
+/// lowered net.
+#[test]
+fn failure_names_match_the_reference_in_every_place_kind() {
+    let cs = stuck_everywhere();
+    let exec = ExecConditions::derive(&cs);
+    let got = validate(&cs, &exec, &ValidateOptions { factor: false, ..Default::default() });
+    let reference = reference(&cs, &exec, 4096);
+    assert_eq!(Reference::of(&got), reference);
+    assert_eq!(reference.failures.len(), 4, "every assignment deadlocks");
+    for (_, stuck, marking, _) in &reference.failures {
+        assert_eq!(stuck, &["x".to_string(), "y".to_string()]);
+        for place in ["todo(x)[", "run(y)[", "done(g)[", "c(F(g)->S(x))[", "ctl(g->x)["] {
+            assert!(marking.contains(place), "{place} missing from {marking}");
+        }
+    }
+}
+
+/// `explore_states > 0` explores the net the compiled name index rebuilds,
+/// with the same result as exploring the lowered net.
+#[test]
+fn compiled_exploration_matches_explore_on_the_lowered_net() {
+    let ds = dense_conditional(&DenseConditionalParams {
+        guards: 3,
+        chain_len: 2,
+        redundant: 6,
+        seed: 5,
+    });
+    let out = Weaver::new().run(&ds).unwrap();
+    let stuck = stuck_everywhere();
+    let stuck_exec = ExecConditions::derive(&stuck);
+    for (cs, exec) in [(&out.minimal, &out.exec), (&stuck, &stuck_exec)] {
+        let net = lower(cs, exec).net;
+        for max_states in [40usize, 20_000] {
+            let opts = ValidateOptions { explore_states: max_states, ..Default::default() };
+            let got = validate(cs, exec, &opts).exploration.unwrap();
+            let want = explore(&net, max_states);
+            assert_eq!(got.states, want.states, "states (budget {max_states})");
+            assert_eq!(got.truncated, want.truncated);
+            assert_eq!(got.terminal, want.terminal, "terminal markings in order");
+            assert_eq!(got.max_place_tokens, want.max_place_tokens);
+            let mut gf: Vec<_> = got.fired.iter().copied().collect();
+            let mut wf: Vec<_> = want.fired.iter().copied().collect();
+            gf.sort();
+            wf.sort();
+            assert_eq!(gf, wf);
+        }
+    }
+}
+
 /// Factored validation on a guard-independent workload: same verdict as
 /// the full enumeration, strictly fewer assignments, and thread-invariant.
 #[test]
@@ -91,8 +166,7 @@ fn factored_validation_agrees_with_full_enumeration() {
         seed: 5,
     });
     let out = Weaver::new().run(&ds).unwrap();
-    let lowered = lower(&out.minimal, &out.exec);
-    let groups = guard_groups(&lowered, &out.minimal);
+    let groups = guard_groups(&out.minimal, &out.exec);
     assert_eq!(groups.len(), 2, "two provably disjoint islands: {groups:?}");
     assert!(groups.iter().all(|g| g.len() == 3));
 
