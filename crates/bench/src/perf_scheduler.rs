@@ -1,13 +1,13 @@
 //! Old-vs-new DES scheduler comparison: the legacy per-tick linear rescan
-//! versus the dependency-counting wavefront (sequential and with the
-//! guard-evaluation batches on the worker pool), rendered as the
-//! machine-readable `BENCH_scheduler.json` artifact written by
-//! `repro bench-json --suite scheduler`.
+//! versus the dependency-counting wavefront on its integer kernel,
+//! rendered as the machine-readable `BENCH_scheduler.json` artifact
+//! written by `repro bench-json --suite scheduler`.
 //!
-//! Traces are asserted byte-identical across engines and thread counts
-//! before any timing is taken; the constraint-check counters of both
-//! engines are reported (the wavefront's are strictly lower — that is the
-//! optimization).
+//! Traces are asserted byte-identical across engines before any timing is
+//! taken; the constraint-check counters of both engines are reported (the
+//! wavefront's are strictly lower — that is the optimization), and the
+//! wavefront's time is also given per trace event, the floor a run cannot
+//! go below.
 //!
 //! A further section measures the prepared session: K oracle variants
 //! replayed through one [`ScheduleTables`] (indexes derived once) versus
@@ -122,13 +122,13 @@ struct CaseReport {
     constraints: usize,
     checks_rescan: u64,
     checks_wavefront: u64,
+    events: usize,
     baseline_ms: f64,
     new_seq_ms: f64,
-    new_par_ms: f64,
+    ns_per_event: f64,
     p50_ms: f64,
     p99_ms: f64,
     speedup_seq: f64,
-    speedup_par: f64,
     replay_runs: usize,
     fresh_replays_ms: f64,
     session_replays_ms: f64,
@@ -145,15 +145,16 @@ fn json_f(v: f64) -> String {
 }
 
 /// Runs the scheduler comparison suite and renders `BENCH_scheduler.json`
-/// plus the merged trace of the per-case instrumented runs (one parallel
+/// plus the merged trace of the per-case instrumented runs (one
 /// `simulate` per case recorded through `dscweaver-obs`; the timed
-/// samples stay untraced so the recorder cannot skew them).
+/// samples stay untraced so the recorder cannot skew them). The scheduler
+/// runs on one thread, so `opts.threads` does not apply.
 ///
 /// `opts.smoke` restricts to the small cases with one sample each so the
 /// tier-1 test suite can exercise the full measurement path in seconds;
 /// its timings are not meaningful.
 pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
-    let (smoke, threads) = (opts.smoke, opts.threads);
+    let smoke = opts.smoke;
     let samples_new = if smoke { 1 } else { 5 };
     let samples_base = if smoke { 1 } else { 3 };
     let mut reports: Vec<CaseReport> = Vec::new();
@@ -161,27 +162,12 @@ pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     for case in scheduler_cases(smoke) {
         let (asc, exec) = case.prepare();
         let config = SimConfig::default();
-        let seq_cfg = SimConfig {
-            threads: 1,
-            ..Default::default()
-        };
-        let par_cfg = SimConfig {
-            threads,
-            ..Default::default()
-        };
 
         let s_base = simulate_rescan_baseline(&asc, &exec, &config);
-        let s_seq = simulate(&asc, &exec, &seq_cfg);
-        let s_par = simulate(&asc, &exec, &par_cfg);
+        let s_seq = simulate(&asc, &exec, &config);
         assert!(s_base.completed(), "case {}: stuck", case.name);
         let key = |s: &dscweaver_scheduler::Schedule| format!("{:?} {:?}", s.trace, s.stuck);
         assert_eq!(key(&s_base), key(&s_seq), "case {}", case.name);
-        assert_eq!(key(&s_base), key(&s_par), "case {}", case.name);
-        assert_eq!(
-            s_seq.constraint_checks, s_par.constraint_checks,
-            "case {}: checks not thread-invariant",
-            case.name
-        );
         assert!(
             s_seq.constraint_checks <= s_base.constraint_checks,
             "case {}: agenda spent more checks",
@@ -191,16 +177,14 @@ pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         let t_base = median(&sample(samples_base, || {
             black_box(simulate_rescan_baseline(&asc, &exec, &config))
         }));
-        let t_seq = median(&sample(samples_new, || {
-            black_box(simulate(&asc, &exec, &seq_cfg))
-        }));
-        let par_samples = sample(samples_new, || black_box(simulate(&asc, &exec, &par_cfg)));
-        let t_par = median(&par_samples);
-        let (p50_ms, p99_ms) = percentiles_ms(&par_samples);
+        let seq_samples = sample(samples_new, || black_box(simulate(&asc, &exec, &config)));
+        let t_seq = median(&seq_samples);
+        let (p50_ms, p99_ms) = percentiles_ms(&seq_samples);
+        let events = s_seq.trace.events.len();
 
-        // One traced run of the parallel engine, outside the timed
-        // samples, for the per-phase breakdown and the suite trace.
-        let (_, case_trace) = obs::record_with(|| black_box(simulate(&asc, &exec, &par_cfg)));
+        // One traced run, outside the timed samples, for the per-phase
+        // breakdown and the suite trace.
+        let (_, case_trace) = obs::record_with(|| black_box(simulate(&asc, &exec, &config)));
 
         // Amortized prepared-session constant: K oracle variants (bit
         // patterns over up to three guard domains; identical configs on
@@ -216,10 +200,7 @@ pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             .collect();
         let oracles: Vec<SimConfig> = (0..8u32)
             .map(|bits| {
-                let mut cfg = SimConfig {
-                    threads: 1,
-                    ..Default::default()
-                };
+                let mut cfg = SimConfig::default();
                 for (k, (g, dom)) in doms.iter().enumerate() {
                     let d = if bits & (1 << k) != 0 { 1 % dom.len() } else { 0 };
                     cfg.oracle.insert((*g).clone(), dom[d].clone());
@@ -239,6 +220,8 @@ pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
                 case.name
             );
         }
+        // The run alone, over the cached tables, per trace event.
+        let t_run = median(&sample(samples_new, || black_box(session.run(&config))));
         let t_fresh_runs = median(&sample(samples_new, || {
             for cfg in &oracles {
                 black_box(simulate(&asc, &exec, cfg));
@@ -258,13 +241,13 @@ pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             constraints: asc.constraint_count(),
             checks_rescan: s_base.constraint_checks,
             checks_wavefront: s_seq.constraint_checks,
+            events,
             baseline_ms: ms(t_base),
             new_seq_ms: ms(t_seq),
-            new_par_ms: ms(t_par),
+            ns_per_event: t_run.as_nanos() as f64 / events.max(1) as f64,
             p50_ms,
             p99_ms,
             speedup_seq: t_base.as_secs_f64() / t_seq.as_secs_f64().max(1e-12),
-            speedup_par: t_base.as_secs_f64() / t_par.as_secs_f64().max(1e-12),
             replay_runs: oracles.len(),
             fresh_replays_ms: ms(t_fresh_runs),
             session_replays_ms: ms(t_session_runs),
@@ -277,9 +260,8 @@ pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"artifact\": \"BENCH_scheduler\",\n");
-    out.push_str("  \"description\": \"DES execution of the full ASC: legacy per-tick linear rescan vs the dependency-counting wavefront (seq and with guard-evaluation batches on the worker pool), plus the amortized prepared-session replay constant across oracle variants; traces asserted byte-identical before timing\",\n");
+    out.push_str("  \"description\": \"DES execution of the full ASC: legacy per-tick linear rescan vs the dependency-counting wavefront on its integer kernel (one thread), with its time per trace event, plus the amortized prepared-session replay constant across oracle variants; traces asserted byte-identical before timing\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str("  \"cases\": [\n");
     for (i, r) in reports.iter().enumerate() {
         out.push_str("    {\n");
@@ -294,21 +276,18 @@ pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             "      \"checks_wavefront\": {},\n",
             r.checks_wavefront
         ));
+        out.push_str(&format!("      \"events\": {},\n", r.events));
         out.push_str(&format!(
             "      \"baseline_ms\": {},\n",
             json_f(r.baseline_ms)
         ));
         out.push_str(&format!("      \"new_seq_ms\": {},\n", json_f(r.new_seq_ms)));
-        out.push_str(&format!("      \"new_par_ms\": {},\n", json_f(r.new_par_ms)));
+        out.push_str(&format!("      \"ns_per_event\": {:.1},\n", r.ns_per_event));
         out.push_str(&format!("      \"p50_ms\": {},\n", json_f(r.p50_ms)));
         out.push_str(&format!("      \"p99_ms\": {},\n", json_f(r.p99_ms)));
         out.push_str(&format!(
             "      \"speedup_seq\": {},\n",
             json_f(r.speedup_seq)
-        ));
-        out.push_str(&format!(
-            "      \"speedup_par\": {},\n",
-            json_f(r.speedup_par)
         ));
         out.push_str(&format!("      \"replay_runs\": {},\n", r.replay_runs));
         out.push_str(&format!(

@@ -21,6 +21,8 @@ fn bench_scheduler_json_smoke_runs_and_renders() {
     assert!(json.contains("\"smoke\": true"));
     assert!(json.contains("\"name\": \"dense_g4_l3\""));
     assert!(json.contains("\"checks_wavefront\""));
+    // The guard-evaluation fan-out is gone, and so are its columns.
+    assert!(!json.contains("_par"), "{json}");
     // Every emitted case has the full field set, exactly once per case.
     let cases = json.matches("\"name\":").count();
     assert!(cases >= 2, "expected at least two smoke cases, got {cases}");
@@ -29,11 +31,11 @@ fn bench_scheduler_json_smoke_runs_and_renders() {
         "\"constraints\":",
         "\"checks_rescan\":",
         "\"checks_wavefront\":",
+        "\"events\":",
         "\"baseline_ms\":",
         "\"new_seq_ms\":",
-        "\"new_par_ms\":",
+        "\"ns_per_event\":",
         "\"speedup_seq\":",
-        "\"speedup_par\":",
         "\"replay_runs\":",
         "\"fresh_replays_ms\":",
         "\"session_replays_ms\":",

@@ -686,12 +686,14 @@ pub fn minimize_generic_with(
     });
     let sg = SyncGraph::build(cs);
     let g = &sg.graph;
-    if let Some(cycle) = find_cycle(g) {
+    // `topo_sort` fails exactly on a cycle; only then is the cycle
+    // itself needed, for the conflict report.
+    let Ok(topo) = topo_sort(g) else {
+        let cycle = find_cycle(g).expect("a graph that does not sort has a cycle");
         return Err(MinimizeError::Conflict {
             cycle: cycle.iter().map(|&n| g.weight(n).label()).collect(),
         });
-    }
-    let topo = topo_sort(g).expect("cycle-free graph must sort");
+    };
     let candidates = order_candidates(g, &sg, order);
     let closure_span = obs::span("minimize.closure");
     let mut eng = Engine::new(g, cs, exec, mode, opts.pool_cache_limit, &topo);

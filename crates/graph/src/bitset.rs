@@ -117,6 +117,20 @@ impl BitSet {
         set_bits(self.blocks.iter().zip(&other.blocks).map(|(a, b)| a & !b))
     }
 
+    /// The smallest set index `>= from`, if any — a scan that may resume
+    /// while the set changes between calls.
+    pub fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / BITS;
+        let mut bits = *self.blocks.get(w)? & (!0u64 << (from % BITS));
+        loop {
+            if bits != 0 {
+                return Some(w * BITS + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            bits = *self.blocks.get(w)?;
+        }
+    }
+
     /// The backing `u64` blocks, lowest indices first.
     pub fn words(&self) -> &[u64] {
         &self.blocks
@@ -176,6 +190,17 @@ mod tests {
         s.remove(64);
         assert!(!s.contains(64));
         assert_eq!(s.count(), 3);
+    }
+
+    #[test]
+    fn next_from_scans_across_blocks() {
+        let mut s = BitSet::new(200);
+        for i in [3, 64, 130] {
+            s.insert(i);
+        }
+        let got: Vec<Option<usize>> = [0, 3, 4, 64, 65, 131, 200].map(|f| s.next_from(f)).to_vec();
+        assert_eq!(got, [Some(3), Some(3), Some(64), Some(64), Some(130), None, None]);
+        assert_eq!(BitSet::new(0).next_from(0), None);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! the monitored edge count.
 
 use crate::digraph::{DiGraph, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Error returned when an operation requires a DAG but the graph is cyclic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,33 +24,28 @@ impl std::fmt::Display for CycleError {
 
 impl std::error::Error for CycleError {}
 
-/// Kahn topological sort. Fails with a node on a cycle if the graph is not
-/// a DAG.
+/// Kahn topological sort, always taking the smallest ready id next (a
+/// min-heap, so O((V + E) log V)). Fails with a node on a cycle — the
+/// first unsorted node in id order — if the graph is not a DAG.
 pub fn topo_sort<N, E>(g: &DiGraph<N, E>) -> Result<Vec<NodeId>, CycleError> {
     let mut indeg: Vec<usize> = vec![0; g.node_bound()];
     for n in g.node_ids() {
         indeg[n.index()] = g.in_degree(n);
     }
-    let mut ready: Vec<NodeId> = g.node_ids().filter(|n| indeg[n.index()] == 0).collect();
-    // Process in ascending id order for deterministic output.
-    ready.sort();
-    ready.reverse();
+    let mut ready: BinaryHeap<Reverse<NodeId>> = g
+        .node_ids()
+        .filter(|n| indeg[n.index()] == 0)
+        .map(Reverse)
+        .collect();
     let mut order = Vec::with_capacity(g.node_count());
-    while let Some(n) = ready.pop() {
+    while let Some(Reverse(n)) = ready.pop() {
         order.push(n);
-        let mut newly = Vec::new();
         for m in g.successors(n) {
             indeg[m.index()] -= 1;
             if indeg[m.index()] == 0 {
-                newly.push(m);
+                ready.push(Reverse(m));
             }
         }
-        newly.sort();
-        newly.reverse();
-        // Keep `ready` behaving like a min-id stack: merge sorted runs.
-        ready.extend(newly);
-        ready.sort();
-        ready.reverse();
     }
     if order.len() != g.node_count() {
         let on_cycle = g
@@ -125,6 +122,90 @@ pub fn critical_path<N, E>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The earlier Kahn sort, which re-sorts its whole ready list after
+    /// every pop: the reference the heap order is pinned to.
+    fn resort_reference<N, E>(g: &DiGraph<N, E>) -> Result<Vec<NodeId>, CycleError> {
+        let mut indeg: Vec<usize> = vec![0; g.node_bound()];
+        for n in g.node_ids() {
+            indeg[n.index()] = g.in_degree(n);
+        }
+        let mut ready: Vec<NodeId> = g.node_ids().filter(|n| indeg[n.index()] == 0).collect();
+        // Process in ascending id order for deterministic output.
+        ready.sort();
+        ready.reverse();
+        let mut order = Vec::with_capacity(g.node_count());
+        while let Some(n) = ready.pop() {
+            order.push(n);
+            let mut newly = Vec::new();
+            for m in g.successors(n) {
+                indeg[m.index()] -= 1;
+                if indeg[m.index()] == 0 {
+                    newly.push(m);
+                }
+            }
+            newly.sort();
+            newly.reverse();
+            // Keep `ready` behaving like a min-id stack: merge sorted runs.
+            ready.extend(newly);
+            ready.sort();
+            ready.reverse();
+        }
+        if order.len() != g.node_count() {
+            let on_cycle = g
+                .node_ids()
+                .find(|n| indeg[n.index()] > 0)
+                .expect("missing node must have positive in-degree");
+            return Err(CycleError { on_cycle });
+        }
+        Ok(order)
+    }
+
+    /// A seeded random graph on `n` nodes: forward edges only (a DAG)
+    /// unless `back` adds edges against the id order, with parallel edges
+    /// and a few tombstoned nodes.
+    fn seeded(seed: u64, n: usize, back: usize) -> DiGraph<(), ()> {
+        let mut rng = dscweaver_prng::Rng::seed_from_u64(seed);
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
+        for _ in 0..2 * n {
+            let (a, b) = (rng.random_range(n), rng.random_range(n));
+            if a < b {
+                g.add_edge(ids[a], ids[b], ());
+            }
+        }
+        for _ in 0..back {
+            let (a, b) = (rng.random_range(n), rng.random_range(n));
+            if a > b {
+                g.add_edge(ids[a], ids[b], ());
+            }
+        }
+        for _ in 0..n / 10 {
+            let k = rng.random_range(n);
+            if g.contains_node(ids[k]) {
+                g.remove_node(ids[k]);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn heap_order_matches_the_resort_reference() {
+        let mut cycles = 0;
+        for seed in 0..200u64 {
+            let n = 1 + (seed as usize * 7) % 60;
+            let dag = seeded(seed, n, 0);
+            let got = topo_sort(&dag);
+            assert!(got.is_ok(), "seed {seed}");
+            assert_eq!(got, resort_reference(&dag), "seed {seed}");
+            // Cyclic inputs report the same node on a cycle.
+            let cyclic = seeded(seed, n, 1 + n / 2);
+            let got = topo_sort(&cyclic);
+            cycles += usize::from(got.is_err());
+            assert_eq!(got, resort_reference(&cyclic), "seed {seed}");
+        }
+        assert!(cycles > 60, "only {cycles} cyclic inputs");
+    }
 
     fn diamond() -> (DiGraph<(), ()>, [NodeId; 4]) {
         let mut g = DiGraph::new();

@@ -5,17 +5,19 @@
 //! dead-path elimination for conditional regions and dynamic checking of
 //! Exclusive constraints (§4.2).
 //!
-//! Two engines share the event loop skeleton and produce identical traces:
+//! Two engines produce identical traces:
 //!
-//! * [`simulate`] — the wavefront engine. Per-tick readiness is driven by a
-//!   dependency-counting agenda (only activities whose watched states or
-//!   guards changed are re-evaluated), and each agenda sweep's pure
-//!   guard-evaluation batch runs on the shared worker pool
-//!   (`dscweaver_graph::par_map`). The trace is bit-identical for any
-//!   `SimConfig::threads` value.
-//! * [`simulate_rescan_baseline`] — the original engine: every commit pass
-//!   linearly rescans all activities. Kept as the measured baseline for
-//!   `BENCH_scheduler.json` and the equivalence property tests.
+//! * [`simulate`] — the wavefront engine, on an integer kernel.
+//!   [`ScheduleTables::derive`] numbers activities by their sorted
+//!   position and states as `3i + s`, and interns every condition value;
+//!   [`PreparedSchedule::run`] keeps its state in `Vec`s and bitsets and
+//!   drives readiness with a dependency-counting agenda (only activities
+//!   whose watched states or guards changed are re-evaluated). The run is
+//!   sequential: `SimConfig::threads` is ignored.
+//! * [`simulate_rescan_baseline`] — the original string-keyed engine:
+//!   every commit pass linearly rescans all activities. Kept as the
+//!   measured baseline for `BENCH_scheduler.json` and as the oracle of the
+//!   equivalence property tests.
 //!
 //! The engines agree on the trace and on `stuck`; they intentionally differ
 //! on `constraint_checks` — the agenda is the point: unchanged activities
@@ -25,13 +27,10 @@
 use crate::trace::{EventKind, Time, Trace, TraceEvent};
 use dscweaver_core::ExecConditions;
 use dscweaver_dscl::{ActivityState, Condition, ConstraintSet, Relation, StateRef};
-use dscweaver_graph::{effective_threads, par_map};
+use dscweaver_graph::BitSet;
 use dscweaver_obs as obs;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
-
-/// Below this agenda size a parallel evaluation batch costs more than it
-/// saves; sweeps smaller than this are evaluated inline.
-const PAR_EVAL_MIN: usize = 8;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
 /// Activity durations in virtual time units.
 #[derive(Clone, Debug)]
@@ -65,7 +64,7 @@ impl DurationModel {
 
     /// The duration of `activity`.
     pub fn of(&self, activity: &str) -> Time {
-        if activity.starts_with("__sync") {
+        if is_coordinator(activity) {
             return 0;
         }
         self.per_activity
@@ -73,6 +72,11 @@ impl DurationModel {
             .copied()
             .unwrap_or(self.default)
     }
+}
+
+/// The zero-duration coordinators that HappenTogether desugaring adds.
+fn is_coordinator(activity: &str) -> bool {
+    activity.starts_with("__sync")
 }
 
 /// Simulation configuration.
@@ -87,9 +91,9 @@ pub struct SimConfig {
     /// (`None` = unbounded). Skips and zero-duration coordinators do not
     /// occupy a worker.
     pub workers: Option<usize>,
-    /// Worker threads for the guard-evaluation batches of the wavefront
-    /// engine: `0` = auto (one per core, capped at 8), `1` = sequential.
-    /// The schedule is bit-identical regardless.
+    /// Ignored: the scheduler runs on the calling thread. Kept for the
+    /// callers that carry one thread knob into validation and scheduling
+    /// alike.
     pub threads: usize,
 }
 
@@ -124,6 +128,611 @@ impl Schedule {
     pub fn completed(&self) -> bool {
         self.stuck.is_empty()
     }
+}
+
+/// Guard outcome: not decided yet.
+const UNDECIDED: u32 = u32::MAX;
+/// Guard outcome: the guard was skipped (dead path).
+const SKIPPED: u32 = u32::MAX - 1;
+/// A produced value that no condition names: it decides the guard but
+/// matches nothing.
+const UNMATCHED: u32 = u32::MAX - 2;
+
+/// One HappenBefore prerequisite of the kernel: the producer state
+/// (`3i + s`; a producer that is not an activity gets the ghost index
+/// `n`, which never resolves) and the optional `(guard, value id)`
+/// condition (a guard that is not an activity is the ghost `n` too, which
+/// never decides).
+#[derive(Clone, Copy, Debug)]
+struct Pre {
+    state: u32,
+    cond: Option<(u32, u32)>,
+}
+
+/// Compressed rows: row `r` is `items[off[r]..off[r + 1]]`.
+#[derive(Clone, Debug)]
+struct Csr<T> {
+    off: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// Builds `rows` rows from `(row, item)` pairs already sorted by row;
+    /// items keep their order within a row.
+    fn from_sorted(rows: usize, pairs: &[(u32, T)]) -> Csr<T> {
+        assert!(u32::try_from(pairs.len()).is_ok(), "row table past u32 offsets");
+        let mut off = vec![0u32; rows + 1];
+        for &(r, _) in pairs {
+            off[r as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            off[r + 1] += off[r];
+        }
+        Csr {
+            off,
+            items: pairs.iter().map(|&(_, x)| x).collect(),
+        }
+    }
+
+    fn row(&self, r: usize) -> &[T] {
+        &self.items[self.off[r] as usize..self.off[r + 1] as usize]
+    }
+}
+
+/// Builds a wake-list table: rows deduplicated and ascending.
+fn wake_rows(rows: usize, mut pairs: Vec<(u32, u32)>) -> Csr<u32> {
+    pairs.sort_unstable();
+    pairs.dedup();
+    Csr::from_sorted(rows, &pairs)
+}
+
+fn state_index(s: ActivityState) -> u32 {
+    match s {
+        ActivityState::Start => 0,
+        ActivityState::Run => 1,
+        ActivityState::Finish => 2,
+    }
+}
+
+/// The owned, lifetime-free compile half of the scheduler: the integer
+/// kernel one constraint set runs on. Activities are numbered by their
+/// position in the set's sorted `activities` and states as `3i + s`
+/// (`S`, `R`, `F`); condition values are interned to ids in byte order.
+/// It holds the start- and finish-side prerequisite rows, the per-state
+/// and per-guard agenda wake lists, the Exclusive partners, and each
+/// activity's execution DNF over `(guard, value id)` pairs — all flat
+/// rows, none keyed by a string.
+///
+/// Because nothing here borrows the constraint set, a long-lived registry
+/// (the serve daemon's warm-artifact cache) can store one `ScheduleTables`
+/// per cached process next to its owned `ConstraintSet`/`ExecConditions`
+/// and wrap them in a [`PreparedSchedule`] per request with
+/// [`PreparedSchedule::with_tables`] at zero derivation cost.
+#[derive(Clone, Debug)]
+pub struct ScheduleTables {
+    /// Prerequisites by activity, relations order within a row.
+    start: Csr<Pre>,
+    finish: Csr<Pre>,
+    /// Agenda wake lists: who watches state `3i + s`, and who mentions
+    /// guard `i` in a prerequisite condition or its execution DNF.
+    state_wake: Csr<u32>,
+    guard_wake: Csr<u32>,
+    /// Exclusive partners by activity.
+    excl: Csr<u32>,
+    /// Execution DNFs: activity `i`'s terms are `exec_off[i]..exec_off[i + 1]`
+    /// in `terms`, each a conjunction of `(guard, value id)`. *Always* is
+    /// the one empty term; a DNF with no terms never executes.
+    exec_off: Vec<u32>,
+    terms: Csr<(u32, u32)>,
+    /// The interned condition values, sorted; a value's id is its index.
+    values: Vec<String>,
+    /// The value id each activity produces when no oracle overrides it:
+    /// its domain's first value, or `"done"` (a domain-less activity, or
+    /// an empty domain).
+    produced: Vec<u32>,
+    /// The activity index of each `cs.domains` entry, in the map's order
+    /// (`n` for a domain that names no activity).
+    domain_ix: Vec<u32>,
+    /// The zero-duration desugaring coordinators.
+    coordinators: Vec<u32>,
+}
+
+impl ScheduleTables {
+    /// Derives the integer kernel from `cs`/`exec`. Deterministic:
+    /// activities are walked in sorted order and relations in declaration
+    /// order.
+    pub fn derive(cs: &ConstraintSet, exec: &ExecConditions) -> Self {
+        let _span = obs::span_with("scheduler.prepare", || {
+            format!("activities={} relations={}", cs.activities.len(), cs.relations.len())
+        });
+        let acts: Vec<&str> = cs.activities.iter().map(String::as_str).collect();
+        let n = acts.len();
+        // State ids `3i + s`, ghost included, stay below the sentinels.
+        assert!(3 * (n + 1) < UNMATCHED as usize, "too many activities for u32 state ids");
+        let act_ix: HashMap<&str, u32> = (0..).zip(&acts).map(|(i, a)| (*a, i)).collect();
+        let ix = |a: &str| act_ix.get(a).map_or(n as u32, |&i| i);
+        let dnfs: Vec<_> = acts.iter().map(|a| exec.dnf(a).terms()).collect();
+
+        let mut values: Vec<&str> = Vec::new();
+        for r in &cs.relations {
+            if let Relation::HappenBefore { cond: Some(c), .. } = r {
+                values.push(&c.value);
+            }
+        }
+        for dnf in &dnfs {
+            values.extend(dnf.iter().flatten().map(|c| c.value.as_str()));
+        }
+        values.sort_unstable();
+        values.dedup();
+        let value_id = |v: &str| values.binary_search(&v).map_or(UNMATCHED, |k| k as u32);
+        let cond = |c: &Condition| (ix(&c.on), value_id(&c.value));
+
+        let mut start: Vec<(u32, Pre)> = Vec::new();
+        let mut finish: Vec<(u32, Pre)> = Vec::new();
+        for r in &cs.relations {
+            if let Relation::HappenBefore { from, to, cond: c, .. } = r {
+                let i = ix(&to.activity);
+                if i as usize == n {
+                    continue;
+                }
+                let p = Pre {
+                    state: 3 * ix(&from.activity) + state_index(from.state),
+                    cond: c.as_ref().map(cond),
+                };
+                match to.state {
+                    ActivityState::Start | ActivityState::Run => start.push((i, p)),
+                    ActivityState::Finish => finish.push((i, p)),
+                }
+            }
+        }
+        start.sort_by_key(|&(i, _)| i);
+        finish.sort_by_key(|&(i, _)| i);
+
+        let mut excl: Vec<(u32, u32)> = Vec::new();
+        for (x, y) in cs.exclusives() {
+            let (i, j) = (ix(&x.activity), ix(&y.activity));
+            if (i as usize) < n && (j as usize) < n {
+                excl.push((i, j));
+                excl.push((j, i));
+            }
+        }
+        excl.sort_by_key(|&(i, _)| i);
+
+        let mut exec_off: Vec<u32> = vec![0];
+        let mut terms: Vec<(u32, (u32, u32))> = Vec::new();
+        for dnf in &dnfs {
+            let first = exec_off[exec_off.len() - 1];
+            for (k, term) in (first..).zip(*dnf) {
+                terms.extend(term.iter().map(|c| (k, cond(c))));
+            }
+            exec_off.push(first + dnf.len() as u32);
+        }
+        let terms = Csr::from_sorted(exec_off[n] as usize, &terms);
+
+        let mut state_wake: Vec<(u32, u32)> = Vec::new();
+        let mut guard_wake: Vec<(u32, u32)> = Vec::new();
+        for &(i, p) in start.iter().chain(&finish) {
+            if (p.state as usize) < 3 * n {
+                state_wake.push((p.state, i));
+            }
+            if let Some((g, _)) = p.cond {
+                if (g as usize) < n {
+                    guard_wake.push((g, i));
+                }
+            }
+        }
+        for i in 0..n {
+            let (lo, hi) = (exec_off[i] as usize, exec_off[i + 1] as usize);
+            for t in lo..hi {
+                for &(g, _) in terms.row(t) {
+                    if (g as usize) < n {
+                        guard_wake.push((g, i as u32));
+                    }
+                }
+            }
+        }
+
+        let done = value_id("done");
+        let mut produced = vec![done; n];
+        let mut domain_ix = Vec::with_capacity(cs.domains.len());
+        for (g, dom) in &cs.domains {
+            let i = ix(g);
+            if (i as usize) < n {
+                produced[i as usize] = dom.first().map_or(done, |v| value_id(v));
+            }
+            domain_ix.push(i);
+        }
+        let coordinators = (0..n as u32).filter(|&i| is_coordinator(acts[i as usize])).collect();
+
+        ScheduleTables {
+            start: Csr::from_sorted(n, &start),
+            finish: Csr::from_sorted(n, &finish),
+            state_wake: wake_rows(3 * n, state_wake),
+            guard_wake: wake_rows(n, guard_wake),
+            excl: Csr::from_sorted(n, &excl),
+            exec_off,
+            terms,
+            values: values.into_iter().map(String::from).collect(),
+            produced,
+            domain_ix,
+            coordinators,
+        }
+    }
+
+    /// The id of condition value `v`, or [`UNMATCHED`] if no condition
+    /// names it.
+    fn value_id(&self, v: &str) -> u32 {
+        self.values
+            .binary_search_by(|x| x.as_str().cmp(v))
+            .map_or(UNMATCHED, |k| k as u32)
+    }
+}
+
+/// The run half of the scheduler: a constraint set with its
+/// [`ScheduleTables`], replayed across runs with different branch
+/// oracles, durations and worker limits — the monitoring-replay workload,
+/// where one ASC is simulated many times.
+///
+/// [`simulate`] is exactly `ScheduleTables::derive` +
+/// [`PreparedSchedule::with_tables`] + [`PreparedSchedule::run`], so a
+/// replay over cached tables is bit-identical to the one-shot path by
+/// construction (and pinned by the `prepared_engines_equivalence`
+/// property tests).
+#[derive(Debug)]
+pub struct PreparedSchedule<'a> {
+    cs: &'a ConstraintSet,
+    tables: &'a ScheduleTables,
+    acts: Vec<&'a str>,
+}
+
+impl<'a> PreparedSchedule<'a> {
+    /// Wraps `cs` and its tables without re-deriving. The tables must come
+    /// from [`ScheduleTables::derive`] on this same `cs`/`exec` pair (the
+    /// execution DNFs are already compiled into them).
+    pub fn with_tables(
+        cs: &'a ConstraintSet,
+        _exec: &'a ExecConditions,
+        tables: &'a ScheduleTables,
+    ) -> Self {
+        let acts: Vec<&str> = cs.activities.iter().map(String::as_str).collect();
+        assert!(
+            tables.produced.len() == acts.len() && tables.domain_ix.len() == cs.domains.len(),
+            "schedule tables derived from another constraint set"
+        );
+        PreparedSchedule { cs, tables, acts }
+    }
+
+    /// One simulation run over the prepared kernel — the wavefront event
+    /// loop of [`simulate`], minus the per-call derivation.
+    pub fn run(&self, config: &SimConfig) -> Schedule {
+        let _span = obs::span("scheduler.run");
+        let mut run = Run::new(self, config);
+        run.drive(config.workers);
+        let stuck: Vec<String> = (0..self.acts.len())
+            .filter(|&i| run.flags[i] & DONE == 0)
+            .map(|i| self.acts[i].to_string())
+            .collect();
+        obs::counter_add("scheduler.constraint_checks", run.checks);
+        obs::counter_add("scheduler.stuck_activities", stuck.len() as u64);
+        obs::gauge_set("scheduler.makespan", run.trace.makespan() as f64);
+        Schedule {
+            trace: run.trace,
+            constraint_checks: run.checks,
+            stuck,
+        }
+    }
+}
+
+/// Per-activity run flags.
+const STARTED: u8 = 1;
+const RUNNING: u8 = 2;
+/// Finished or skipped.
+const DONE: u8 = 4;
+/// Natural finish reached, deferred by a finish-side prerequisite.
+const BLOCKED: u8 = 8;
+
+/// What one agenda visit would do.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Act {
+    /// Cannot act under the current state.
+    None,
+    /// Deferred finish is now satisfiable.
+    Unblock,
+    /// Start prereqs hold and the execution condition is true.
+    Start,
+    /// Execution condition is false and the skip's prereqs hold.
+    Skip,
+}
+
+/// The mutable state of one run. Index `n` (one past the last activity)
+/// is the ghost that unknown producers and guards map to: its states never
+/// resolve and its outcome never decides.
+struct Run<'r> {
+    t: &'r ScheduleTables,
+    acts: &'r [&'r str],
+    /// Per activity: produced value id and its trace text (guards only).
+    produced: Vec<u32>,
+    text: Vec<Option<&'r str>>,
+    duration: Vec<Time>,
+    /// Per state `3i + s`, ghost included.
+    resolved: Vec<bool>,
+    /// Per activity, ghost included: `UNDECIDED`, `SKIPPED` or a value id.
+    outcome: Vec<u32>,
+    flags: Vec<u8>,
+    running: usize,
+    done: usize,
+    /// The agenda: activities whose readiness may have changed.
+    dirty: BitSet,
+    /// Startable activities that found no free worker; re-armed by the
+    /// next finish.
+    worker_blocked: BitSet,
+    /// Scheduled natural finishes `(time, seq, activity)`, min first.
+    finishes: BinaryHeap<Reverse<(Time, u64, u32)>>,
+    trace: Trace,
+    seq: u64,
+    now: Time,
+    checks: u64,
+}
+
+impl<'r> Run<'r> {
+    /// Resolves the oracle and the durations into per-activity arrays.
+    fn new(p: &'r PreparedSchedule<'_>, config: &'r SimConfig) -> Run<'r> {
+        let t = p.tables;
+        let acts = p.acts.as_slice();
+        let n = acts.len();
+        let find = |a: &str| acts.binary_search(&a).ok();
+
+        let mut produced = t.produced.clone();
+        let mut text: Vec<Option<&str>> = vec![None; n];
+        for ((_, dom), &i) in p.cs.domains.iter().zip(&t.domain_ix) {
+            if (i as usize) < n {
+                text[i as usize] = Some(dom.first().map_or("done", String::as_str));
+            }
+        }
+        for (g, v) in &config.oracle {
+            if let Some(i) = find(g).filter(|&i| text[i].is_some()) {
+                text[i] = Some(v);
+                produced[i] = t.value_id(v);
+            }
+        }
+
+        let durations = &config.durations;
+        let mut duration = vec![durations.default; n];
+        for (a, &d) in &durations.per_activity {
+            if let Some(i) = find(a) {
+                duration[i] = d;
+            }
+        }
+        for &i in &t.coordinators {
+            duration[i as usize] = 0;
+        }
+
+        Run {
+            t,
+            acts,
+            produced,
+            text,
+            duration,
+            resolved: vec![false; 3 * (n + 1)],
+            outcome: vec![UNDECIDED; n + 1],
+            flags: vec![0; n],
+            running: 0,
+            done: 0,
+            dirty: (0..n).collect(),
+            worker_blocked: BitSet::new(n),
+            finishes: BinaryHeap::new(),
+            trace: Trace::default(),
+            seq: 0,
+            now: 0,
+            checks: 0,
+        }
+    }
+
+    /// The event loop: sweep the agenda until nothing can act at `now`,
+    /// then advance to the next natural finish.
+    fn drive(&mut self, workers: Option<usize>) {
+        let t = self.t;
+        let n = self.acts.len();
+        loop {
+            while !self.dirty.is_empty() {
+                let mut progressed = false;
+                let mut pos = 0usize;
+                // Monotone sweep: agenda insertions behind `pos` wait for
+                // the next sweep, mirroring the rescan engine's pass order.
+                while let Some(i) = self.dirty.next_from(pos) {
+                    pos = i + 1;
+                    self.dirty.remove(i);
+                    match self.eval(i) {
+                        Act::None => {}
+                        Act::Unblock => {
+                            self.flags[i] &= !BLOCKED;
+                            self.finish(i);
+                            progressed = true;
+                        }
+                        Act::Start => {
+                            // Exclusive: defer while a partner is running;
+                            // the partner's finish re-arms us.
+                            let partners = t.excl.row(i);
+                            if partners.iter().any(|&j| self.flags[j as usize] & RUNNING != 0) {
+                                continue;
+                            }
+                            // Worker limit: zero-duration activities (the
+                            // desugaring coordinators) pass through freely.
+                            if workers.is_some_and(|k| self.duration[i] > 0 && self.running >= k) {
+                                self.worker_blocked.insert(i);
+                                continue;
+                            }
+                            self.start(i);
+                            progressed = true;
+                        }
+                        Act::Skip => {
+                            self.skip(i);
+                            progressed = true;
+                        }
+                    }
+                }
+                if !progressed {
+                    break;
+                }
+            }
+
+            if self.done == n {
+                break;
+            }
+            let Some(Reverse((time, _, i))) = self.finishes.pop() else {
+                break; // deadlock: nothing running, nothing ready
+            };
+            let i = i as usize;
+            self.now = self.now.max(time);
+            // Finish-side prerequisites may defer the completion.
+            if self.holds(t.finish.row(i)) {
+                self.finish(i);
+            } else {
+                self.flags[i] |= BLOCKED;
+            }
+        }
+    }
+
+    /// Whether every prerequisite in `pres` holds; one check per
+    /// prerequisite tested, stopping at the first that fails.
+    fn holds(&mut self, pres: &[Pre]) -> bool {
+        for p in pres {
+            self.checks += 1;
+            let ok = match p.cond {
+                None => self.resolved[p.state as usize],
+                Some((g, v)) => match self.outcome[g as usize] {
+                    UNDECIDED => false, // guard undecided: must wait
+                    o if o == v => self.resolved[p.state as usize],
+                    // Guard mismatched or skipped: the constraint is waived.
+                    _ => true,
+                },
+            };
+            if !ok {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Activity `i`'s execution decision once every guard its DNF
+    /// mentions has decided.
+    fn exec_decided(&self, i: usize) -> Option<bool> {
+        let t = self.t;
+        let terms = t.exec_off[i] as usize..t.exec_off[i + 1] as usize;
+        let decided = terms
+            .clone()
+            .all(|k| t.terms.row(k).iter().all(|&(g, _)| self.outcome[g as usize] != UNDECIDED));
+        if !decided {
+            return None;
+        }
+        Some(terms.into_iter().any(|k| {
+            t.terms.row(k).iter().all(|&(g, v)| self.outcome[g as usize] == v)
+        }))
+    }
+
+    /// The readiness decision for one agenda visit. Exclusive partners and
+    /// the worker limit are gated by the caller.
+    fn eval(&mut self, i: usize) -> Act {
+        let t = self.t;
+        let f = self.flags[i];
+        if f & DONE != 0 || f & RUNNING != 0 && f & BLOCKED == 0 {
+            return Act::None;
+        }
+        if f & BLOCKED != 0 {
+            return if self.holds(t.finish.row(i)) { Act::Unblock } else { Act::None };
+        }
+        if f & STARTED != 0 || !self.holds(t.start.row(i)) {
+            return Act::None;
+        }
+        match self.exec_decided(i) {
+            None => Act::None,
+            Some(true) => Act::Start,
+            // Skip also waits for finish-side prerequisites (skip events
+            // are ordered after everything the activity would have waited
+            // for).
+            Some(false) if self.holds(t.finish.row(i)) => Act::Skip,
+            Some(false) => Act::None,
+        }
+    }
+
+    fn event(&mut self, i: usize, kind: EventKind, value: Option<&str>) {
+        self.trace.events.push(TraceEvent {
+            time: self.now,
+            seq: self.seq,
+            activity: self.acts[i].to_string(),
+            kind,
+            value: value.map(String::from),
+        });
+        self.seq += 1;
+    }
+
+    fn wake(&mut self, row: &[u32]) {
+        for &j in row {
+            self.dirty.insert(j as usize);
+        }
+    }
+
+    fn start(&mut self, i: usize) {
+        let t = self.t;
+        self.flags[i] |= STARTED | RUNNING;
+        self.running += 1;
+        self.event(i, EventKind::Start, None);
+        self.resolved[3 * i] = true;
+        self.resolved[3 * i + 1] = true;
+        self.finishes
+            .push(Reverse((self.now + self.duration[i], self.seq, i as u32)));
+        self.wake(t.state_wake.row(3 * i));
+        self.wake(t.state_wake.row(3 * i + 1));
+    }
+
+    fn skip(&mut self, i: usize) {
+        let t = self.t;
+        self.flags[i] |= STARTED | DONE;
+        self.done += 1;
+        self.event(i, EventKind::Skip, None);
+        for s in 3 * i..3 * i + 3 {
+            self.resolved[s] = true;
+            self.wake(t.state_wake.row(s));
+        }
+        self.outcome[i] = SKIPPED;
+        self.wake(t.guard_wake.row(i));
+    }
+
+    /// Commits `i`'s finish and re-arms everything it can unblock: the
+    /// finish state's and the guard's watchers, the Exclusive partners,
+    /// and every activity waiting for a worker.
+    fn finish(&mut self, i: usize) {
+        let t = self.t;
+        self.flags[i] = (self.flags[i] & !RUNNING) | DONE;
+        self.running -= 1;
+        self.done += 1;
+        self.event(i, EventKind::Finish, self.text[i]);
+        self.resolved[3 * i + 2] = true;
+        self.outcome[i] = self.produced[i];
+        self.wake(t.state_wake.row(3 * i + 2));
+        self.wake(t.guard_wake.row(i));
+        self.wake(t.excl.row(i));
+        self.dirty.union_with(&self.worker_blocked);
+        self.worker_blocked.clear();
+    }
+}
+
+/// Runs the dataflow scheduler over `cs` — the wavefront engine.
+///
+/// Readiness is tracked by a dependency-counting agenda: each activity
+/// leaves the agenda when an evaluation finds it unable to act, and
+/// re-enters only when a state it watches changes (a prereq producer
+/// resolving, a guard it mentions deciding, an exclusive partner
+/// finishing, or a worker slot freeing). Sweeps commit in activity order,
+/// which makes the trace bit-identical to the rescan baseline — only
+/// `constraint_checks` shrinks.
+///
+/// The one-shot composition: derives the integer kernel and runs once.
+/// Callers replaying one constraint set under many configurations keep a
+/// [`ScheduleTables`] and call [`PreparedSchedule::run`] repeatedly.
+pub fn simulate(cs: &ConstraintSet, exec: &ExecConditions, config: &SimConfig) -> Schedule {
+    let tables = ScheduleTables::derive(cs, exec);
+    PreparedSchedule::with_tables(cs, exec, &tables).run(config)
 }
 
 #[derive(Clone, Debug)]
@@ -187,469 +796,6 @@ fn exec_decided(a: &str, exec: &ExecConditions, outcome: &HashMap<&str, GuardOut
         })
     });
     Some(value)
-}
-
-/// What one agenda visit would do, plus the checks it spent deciding.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Act {
-    /// Cannot act under the evaluated state.
-    None,
-    /// Deferred finish is now satisfiable.
-    Unblock,
-    /// Start prereqs hold and the execution condition is true.
-    Start,
-    /// Execution condition is false and the skip's prereqs hold.
-    Skip,
-}
-
-#[derive(Clone, Copy)]
-struct Eval {
-    act: Act,
-    checks: u64,
-}
-
-/// The pure per-activity readiness decision — exactly the evaluation the
-/// rescan engine performs per visit, against an explicit state snapshot so
-/// batches of it can run on the worker pool. Exclusive partners and the
-/// worker limit are *not* part of this: they read `running`, which mutates
-/// during a sweep, so they are gated sequentially at commit time.
-#[allow(clippy::too_many_arguments)]
-fn eval_activity(
-    a: &str,
-    i: usize,
-    start_prereqs: &[Vec<Prereq>],
-    finish_prereqs: &[Vec<Prereq>],
-    exec: &ExecConditions,
-    resolved: &HashMap<StateRef, (Time, u64)>,
-    outcome: &HashMap<&str, GuardOutcome>,
-    started: &HashSet<&str>,
-    done: &HashSet<&str>,
-    running: &HashSet<&str>,
-    finish_blocked: &HashSet<&str>,
-) -> Eval {
-    let mut checks = 0u64;
-    if done.contains(a) || running.contains(a) && !finish_blocked.contains(a) {
-        return Eval { act: Act::None, checks };
-    }
-    if finish_blocked.contains(a) {
-        let ok = finish_prereqs[i]
-            .iter()
-            .all(|p| prereq_satisfied(p, resolved, outcome, &mut checks));
-        let act = if ok { Act::Unblock } else { Act::None };
-        return Eval { act, checks };
-    }
-    if started.contains(a) {
-        return Eval { act: Act::None, checks };
-    }
-    let starts_ok = start_prereqs[i]
-        .iter()
-        .all(|p| prereq_satisfied(p, resolved, outcome, &mut checks));
-    if !starts_ok {
-        return Eval { act: Act::None, checks };
-    }
-    match exec_decided(a, exec, outcome) {
-        None => Eval { act: Act::None, checks },
-        Some(true) => Eval { act: Act::Start, checks },
-        Some(false) => {
-            // Skip also waits for finish-side prerequisites (skip events
-            // are ordered after everything the activity would have waited
-            // for).
-            let fin_ok = finish_prereqs[i]
-                .iter()
-                .all(|p| prereq_satisfied(p, resolved, outcome, &mut checks));
-            let act = if fin_ok { Act::Skip } else { Act::None };
-            Eval { act, checks }
-        }
-    }
-}
-
-/// Re-arms every dependent in `list`: back on the agenda, and marked
-/// tainted so a precomputed batch eval is not reused for it.
-fn wake_all(list: Option<&Vec<usize>>, dirty: &mut BTreeSet<usize>, tainted: &mut HashSet<usize>) {
-    if let Some(v) = list {
-        for &i in v {
-            dirty.insert(i);
-            tainted.insert(i);
-        }
-    }
-}
-
-/// The owned, lifetime-free compile half of the scheduler: the prereq
-/// buckets, exclusive-partner lists and agenda wake-lists, all keyed by
-/// **activity index** (position in the constraint set's sorted
-/// `activities`) instead of borrowed `&str` keys.
-///
-/// Because nothing here borrows the constraint set, a long-lived registry
-/// (the serve daemon's warm-artifact cache) can store one `ScheduleTables`
-/// per cached process next to its owned `ConstraintSet`/`ExecConditions`
-/// and wrap them in a [`PreparedSchedule`] per request with
-/// [`PreparedSchedule::with_tables`] at zero derivation cost.
-#[derive(Clone, Debug)]
-pub struct ScheduleTables {
-    /// Prereq buckets by activity index, relations-order within a bucket.
-    start_prereqs: Vec<Vec<Prereq>>,
-    finish_prereqs: Vec<Vec<Prereq>>,
-    /// Who watches which state / guard (agenda wake-lists).
-    dep_state: HashMap<StateRef, Vec<usize>>,
-    dep_guard: HashMap<String, Vec<usize>>,
-    /// Exclusive partners by activity index.
-    excl_ix: Vec<Vec<usize>>,
-}
-
-impl ScheduleTables {
-    /// Derives the static indexes (prereq buckets, exclusive partners,
-    /// agenda wake-lists) from `cs`/`exec`. Deterministic: activities are
-    /// walked in sorted order and relations in declaration order.
-    pub fn derive(cs: &ConstraintSet, exec: &ExecConditions) -> Self {
-        let _span = obs::span_with("scheduler.prepare", || {
-            format!("activities={} relations={}", cs.activities.len(), cs.relations.len())
-        });
-        let acts: Vec<&str> = cs.activities.iter().map(String::as_str).collect();
-        let act_ix: HashMap<&str, usize> = acts.iter().enumerate().map(|(i, a)| (*a, i)).collect();
-        // Indexing.
-        let mut start_prereqs: Vec<Vec<Prereq>> = vec![Vec::new(); acts.len()];
-        let mut finish_prereqs: Vec<Vec<Prereq>> = vec![Vec::new(); acts.len()];
-        for r in &cs.relations {
-            if let Relation::HappenBefore { from, to, cond, .. } = r {
-                let Some(&i) = act_ix.get(to.activity.as_str()) else {
-                    continue;
-                };
-                let p = Prereq {
-                    producer: from.clone(),
-                    cond: cond.clone(),
-                };
-                match to.state {
-                    ActivityState::Start | ActivityState::Run => start_prereqs[i].push(p),
-                    ActivityState::Finish => finish_prereqs[i].push(p),
-                }
-            }
-        }
-        // Exclusive partner lists.
-        let mut excl_ix: Vec<Vec<usize>> = vec![Vec::new(); acts.len()];
-        for (x, y) in cs.exclusives() {
-            if let (Some(&i), Some(&j)) = (
-                act_ix.get(x.activity.as_str()),
-                act_ix.get(y.activity.as_str()),
-            ) {
-                excl_ix[i].push(j);
-                excl_ix[j].push(i);
-            }
-        }
-
-        // Agenda bookkeeping: who watches which state / guard.
-        let mut dep_state: HashMap<StateRef, Vec<usize>> = HashMap::new();
-        let mut dep_guard: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, a) in acts.iter().enumerate() {
-            for p in start_prereqs[i].iter().chain(finish_prereqs[i].iter()) {
-                dep_state.entry(p.producer.clone()).or_default().push(i);
-                if let Some(c) = &p.cond {
-                    dep_guard.entry(c.on.clone()).or_default().push(i);
-                }
-            }
-            let dnf = exec.dnf(a);
-            if !dnf.is_always() {
-                for t in dnf.terms() {
-                    for c in t {
-                        dep_guard.entry(c.on.clone()).or_default().push(i);
-                    }
-                }
-            }
-        }
-        ScheduleTables {
-            start_prereqs,
-            finish_prereqs,
-            dep_state,
-            dep_guard,
-            excl_ix,
-        }
-    }
-}
-
-/// The run half of the scheduler: a constraint set with its
-/// [`ScheduleTables`], replayed across runs with different branch
-/// oracles, durations, worker limits and thread counts — the
-/// monitoring-replay workload, where one ASC is simulated many times.
-///
-/// [`simulate`] is exactly `ScheduleTables::derive` +
-/// [`PreparedSchedule::with_tables`] + [`PreparedSchedule::run`], so a
-/// replay over cached tables is bit-identical to the one-shot path by
-/// construction (and pinned by the `prepared_engines_equivalence`
-/// property tests).
-#[derive(Debug)]
-pub struct PreparedSchedule<'a> {
-    cs: &'a ConstraintSet,
-    exec: &'a ExecConditions,
-    tables: &'a ScheduleTables,
-    acts: Vec<&'a str>,
-    act_ix: HashMap<&'a str, usize>,
-}
-
-impl<'a> PreparedSchedule<'a> {
-    /// Wraps `cs`/`exec` and their tables without re-deriving. The tables
-    /// must come from [`ScheduleTables::derive`] on this same `cs`/`exec`
-    /// pair.
-    pub fn with_tables(
-        cs: &'a ConstraintSet,
-        exec: &'a ExecConditions,
-        tables: &'a ScheduleTables,
-    ) -> Self {
-        let acts: Vec<&str> = cs.activities.iter().map(String::as_str).collect();
-        let act_ix: HashMap<&str, usize> = acts.iter().enumerate().map(|(i, a)| (*a, i)).collect();
-        PreparedSchedule {
-            cs,
-            exec,
-            tables,
-            acts,
-            act_ix,
-        }
-    }
-
-    /// One simulation run over the prepared indexes — the wavefront event
-    /// loop of [`simulate`], minus the per-call index derivation.
-    pub fn run(&self, config: &SimConfig) -> Schedule {
-        let _span = obs::span("scheduler.run");
-        let cs = self.cs;
-        let exec = self.exec;
-        let tables = self.tables;
-        let start_prereqs = tables.start_prereqs.as_slice();
-        let finish_prereqs = tables.finish_prereqs.as_slice();
-        let acts = &self.acts;
-        let act_ix = &self.act_ix;
-        let dep_state = &tables.dep_state;
-        let dep_guard = &tables.dep_guard;
-        let excl_ix = &tables.excl_ix;
-        let threads = effective_threads(config.threads, 8);
-
-        // Dynamic state.
-        let mut resolved: HashMap<StateRef, (Time, u64)> = HashMap::new();
-        let mut outcome: HashMap<&str, GuardOutcome> = HashMap::new();
-        let mut started: HashSet<&str> = HashSet::new();
-        let mut done: HashSet<&str> = HashSet::new(); // finished or skipped
-        let mut running: HashSet<&str> = HashSet::new();
-        let mut finish_blocked: HashSet<&str> = HashSet::new();
-        let mut trace = Trace::default();
-        let mut seq: u64 = 0;
-        let mut checks: u64 = 0;
-        let mut now: Time = 0;
-
-        // Scheduled natural finishes: Reverse-ordered min-heap.
-        let mut finish_queue: BinaryHeap<std::cmp::Reverse<(Time, u64, String)>> = BinaryHeap::new();
-
-        // The agenda. `dirty` holds activities whose readiness may have
-        // changed; `worker_blocked` holds activities that were startable but
-        // found no free worker (re-armed by the next finish); `tainted` marks
-        // activities whose watched state changed after the current sweep's
-        // batch evaluation, invalidating their precomputed entry.
-        let mut dirty: BTreeSet<usize> = (0..acts.len()).collect();
-        let mut worker_blocked: BTreeSet<usize> = BTreeSet::new();
-        let mut tainted: HashSet<usize> = HashSet::new();
-
-        let total = cs.activities.len();
-        loop {
-            // Commit phase: sweep the agenda until nothing can act at `now`.
-            loop {
-                if dirty.is_empty() {
-                    break;
-                }
-                tainted.clear();
-                // Pure readiness evaluation of the whole pending sweep, batched
-                // on the worker pool. Advisory: commits below re-evaluate any
-                // entry whose inputs a prior commit of this sweep changed.
-                let batch: Vec<usize> = dirty.iter().copied().collect();
-                let pre: HashMap<usize, Eval> = if threads > 1 && batch.len() >= PAR_EVAL_MIN {
-                    par_map(threads, &batch, &|&i| {
-                        (
-                            i,
-                            eval_activity(
-                                acts[i], i, start_prereqs, finish_prereqs, exec, &resolved,
-                                &outcome, &started, &done, &running, &finish_blocked,
-                            ),
-                        )
-                    })
-                    .into_iter()
-                    .collect()
-                } else {
-                    HashMap::new()
-                };
-                let mut progressed = false;
-                let mut pos = 0usize;
-                // Monotone sweep: agenda insertions behind `pos` wait for the
-                // next sweep, mirroring the rescan engine's pass order.
-                while let Some(i) = dirty.range(pos..).next().copied() {
-                    pos = i + 1;
-                    let a = acts[i];
-                    let ev = match pre.get(&i) {
-                        Some(ev) if !tainted.contains(&i) => *ev,
-                        _ => eval_activity(
-                            a, i, start_prereqs, finish_prereqs, exec, &resolved, &outcome,
-                            &started, &done, &running, &finish_blocked,
-                        ),
-                    };
-                    checks += ev.checks;
-                    match ev.act {
-                        Act::None => {
-                            dirty.remove(&i);
-                        }
-                        Act::Unblock => {
-                            dirty.remove(&i);
-                            finish_blocked.remove(a);
-                            commit_finish(
-                                a, now, &mut seq, cs, config, &mut trace, &mut resolved,
-                                &mut outcome, &mut running, &mut done, value_of_guard,
-                            );
-                            wake_all(dep_state.get(&StateRef::finish(a)), &mut dirty, &mut tainted);
-                            wake_all(dep_guard.get(a), &mut dirty, &mut tainted);
-                            for &j in &excl_ix[i] {
-                                dirty.insert(j);
-                                tainted.insert(j);
-                            }
-                            for j in std::mem::take(&mut worker_blocked) {
-                                dirty.insert(j);
-                                tainted.insert(j);
-                            }
-                            progressed = true;
-                        }
-                        Act::Start => {
-                            // Exclusive: defer while a partner is running; the
-                            // partner's finish re-arms us.
-                            if excl_ix[i].iter().any(|&j| running.contains(acts[j])) {
-                                dirty.remove(&i);
-                                continue;
-                            }
-                            // Worker limit: zero-duration activities (the
-                            // desugaring coordinators) pass through freely.
-                            if let Some(k) = config.workers {
-                                if config.durations.of(a) > 0 && running.len() >= k {
-                                    dirty.remove(&i);
-                                    worker_blocked.insert(i);
-                                    continue;
-                                }
-                            }
-                            dirty.remove(&i);
-                            started.insert(a);
-                            running.insert(a);
-                            trace.events.push(TraceEvent {
-                                time: now,
-                                seq,
-                                activity: a.to_string(),
-                                kind: EventKind::Start,
-                                value: None,
-                            });
-                            resolved.insert(StateRef::start(a), (now, seq));
-                            resolved.insert(StateRef::run(a), (now, seq));
-                            seq += 1;
-                            finish_queue.push(std::cmp::Reverse((
-                                now + config.durations.of(a),
-                                seq,
-                                a.to_string(),
-                            )));
-                            wake_all(dep_state.get(&StateRef::start(a)), &mut dirty, &mut tainted);
-                            wake_all(dep_state.get(&StateRef::run(a)), &mut dirty, &mut tainted);
-                            progressed = true;
-                        }
-                        Act::Skip => {
-                            dirty.remove(&i);
-                            started.insert(a);
-                            done.insert(a);
-                            trace.events.push(TraceEvent {
-                                time: now,
-                                seq,
-                                activity: a.to_string(),
-                                kind: EventKind::Skip,
-                                value: None,
-                            });
-                            for st in ActivityState::ALL {
-                                let sr = StateRef {
-                                    activity: a.to_string(),
-                                    state: st,
-                                };
-                                resolved.insert(sr.clone(), (now, seq));
-                                wake_all(dep_state.get(&sr), &mut dirty, &mut tainted);
-                            }
-                            outcome.insert(a, GuardOutcome::Skipped);
-                            wake_all(dep_guard.get(a), &mut dirty, &mut tainted);
-                            seq += 1;
-                            progressed = true;
-                        }
-                    }
-                }
-                if !progressed {
-                    break;
-                }
-            }
-
-            if done.len() == total {
-                break;
-            }
-            // Advance to the next natural finish.
-            let Some(std::cmp::Reverse((t, _, a))) = finish_queue.pop() else {
-                break; // deadlock: nothing running, nothing ready
-            };
-            now = now.max(t);
-            let a_ref: &str = cs
-                .activities
-                .get(&a)
-                .map(String::as_str)
-                .expect("finish of unknown activity");
-            // Finish-side prerequisites may defer the completion.
-            let ok = finish_prereqs[act_ix[a_ref]]
-                .iter()
-                .all(|p| prereq_satisfied(p, &resolved, &outcome, &mut checks));
-            if ok {
-                commit_finish(
-                    a_ref, now, &mut seq, cs, config, &mut trace, &mut resolved, &mut outcome,
-                    &mut running, &mut done, value_of_guard,
-                );
-                wake_all(dep_state.get(&StateRef::finish(a_ref)), &mut dirty, &mut tainted);
-                wake_all(dep_guard.get(a_ref), &mut dirty, &mut tainted);
-                for &j in &excl_ix[act_ix[a_ref]] {
-                    dirty.insert(j);
-                    tainted.insert(j);
-                }
-                for j in std::mem::take(&mut worker_blocked) {
-                    dirty.insert(j);
-                    tainted.insert(j);
-                }
-            } else {
-                finish_blocked.insert(a_ref);
-            }
-        }
-
-        let stuck: Vec<String> = cs
-            .activities
-            .iter()
-            .filter(|a| !done.contains(a.as_str()))
-            .cloned()
-            .collect();
-        obs::counter_add("scheduler.constraint_checks", checks);
-        obs::counter_add("scheduler.stuck_activities", stuck.len() as u64);
-        obs::gauge_set("scheduler.makespan", trace.makespan() as f64);
-        Schedule {
-            trace,
-            constraint_checks: checks,
-            stuck,
-        }
-    }
-}
-
-/// Runs the dataflow scheduler over `cs` — the wavefront engine.
-///
-/// Readiness is tracked by a dependency-counting agenda: each activity
-/// leaves the agenda when an evaluation finds it unable to act, and
-/// re-enters only when a state it watches changes (a prereq producer
-/// resolving, a guard it mentions deciding, an exclusive partner
-/// finishing, or a worker slot freeing). Each agenda sweep first evaluates
-/// its pending activities as one pure batch on the worker pool
-/// (`config.threads`; `0` = auto), then commits sequentially in activity
-/// order, which makes the trace bit-identical to the rescan baseline and
-/// independent of the thread count — only `constraint_checks` shrinks.
-///
-/// The one-shot composition: derives the static indexes and runs once.
-/// Callers replaying one constraint set under many configurations keep a
-/// [`ScheduleTables`] and call [`PreparedSchedule::run`] repeatedly.
-pub fn simulate(cs: &ConstraintSet, exec: &ExecConditions, config: &SimConfig) -> Schedule {
-    let tables = ScheduleTables::derive(cs, exec);
-    PreparedSchedule::with_tables(cs, exec, &tables).run(config)
 }
 
 /// The original engine: every commit pass linearly rescans all activities.

@@ -135,9 +135,10 @@ impl ProcessEntry {
         })
     }
 
-    /// Simulates the minimal set on the cached scheduler indexes, under a
+    /// Simulates the minimal set on the cached scheduler kernel, under a
     /// branch oracle in **canonical** guard names. Bit-identical to a
-    /// fresh `scheduler::simulate`.
+    /// fresh `scheduler::simulate`. The scheduler runs on the calling
+    /// thread, so `threads` is ignored.
     pub fn simulate(&self, branches: &[(String, String)], threads: usize) -> Schedule {
         let mut sim = SimConfig {
             threads,
@@ -271,8 +272,9 @@ pub struct Registry {
 impl Registry {
     /// A registry evicting beyond `capacity` canonical entries (the raw
     /// memo holds [`RAW_MEMO_PER_ENTRY`]× as many text variants),
-    /// validating and simulating with the given worker-thread count (`0`
-    /// = auto; the weave itself runs on one thread). Back-pressure is off (no in-flight ceiling) and request
+    /// validating with the given worker-thread count (`0` = auto, resolved
+    /// here once so no request asks the OS again; the weave and the
+    /// scheduler run on one thread). Back-pressure is off (no in-flight ceiling) and request
     /// tracing is disabled; the daemon opts in via
     /// [`Registry::with_max_in_flight`] and [`Registry::with_trace_config`].
     pub fn new(capacity: usize, threads: usize) -> Registry {
@@ -280,7 +282,7 @@ impl Registry {
         Registry {
             raw: Mutex::new(LruCache::new(capacity * RAW_MEMO_PER_ENTRY)),
             inner: Mutex::new(LruCache::new(capacity)),
-            threads,
+            threads: dscweaver_graph::effective_threads(threads, 8),
             max_in_flight: 0,
             hits: AtomicU64::new(0),
             canonical_hits: AtomicU64::new(0),
@@ -308,7 +310,7 @@ impl Registry {
         self
     }
 
-    /// The worker-thread knob requests run with.
+    /// The resolved worker-thread count requests run with (never `0`).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -484,6 +486,14 @@ mod tests {
     use super::*;
 
     const PROC: &str = "process P {\n var x;\n sequence { assign a writes x; assign b reads x; }\n}";
+
+    #[test]
+    fn auto_threads_are_resolved_once_at_construction() {
+        let auto = Registry::new(1, 0).threads();
+        assert_eq!(auto, dscweaver_graph::effective_threads(0, 8));
+        assert!((1..=8).contains(&auto), "{auto}");
+        assert_eq!(Registry::new(1, 3).threads(), 3);
+    }
 
     #[test]
     fn lookups_survive_a_panic_that_poisoned_the_caches() {

@@ -39,7 +39,7 @@ pub struct ServeConfig {
     /// Port to bind on 127.0.0.1 (`0` = ephemeral, kernel-assigned).
     pub port: u16,
     /// Worker threads for connection fan-out and pipeline internals
-    /// (`0` = auto).
+    /// (`0` = auto, resolved once when the daemon starts).
     pub threads: usize,
     /// Prepared-artifact cache capacity (canonical entries; LRU beyond
     /// it).
@@ -232,8 +232,9 @@ fn event_loop(
         // Per-connection-readiness admission: fan every live connection
         // onto the workers once; the nonblocking read is the readiness
         // probe, and each worker serves its connection's whole buffered
-        // pipeline before the next fan-out.
-        let threads = threads_for(config.threads, conns.len());
+        // pipeline before the next fan-out. The registry's thread count
+        // is resolved once at start; no idle forks for few connections.
+        let threads = registry.threads().min(conns.len());
         let progress = par_shards(threads, &mut conns, &|_, conn| {
             serve_ready(conn, &registry, &config)
         })
@@ -268,12 +269,6 @@ fn event_loop(
         let _ = conn.stream.write_all(&conn.out);
         obs::histogram("serve.conn.lifetime").observe(conn.opened.elapsed().as_nanos() as u64);
     }
-}
-
-/// Worker count for one readiness fan-out: the configured knob, bounded
-/// by the connection count (no idle forks for few connections).
-fn threads_for(threads: usize, conns: usize) -> usize {
-    dscweaver_graph::effective_threads(threads, 8).min(conns.max(1))
 }
 
 /// One tick of one connection: drain the socket into the reusable

@@ -35,7 +35,7 @@ pub struct VerticalInput<'a> {
     /// Pipeline configuration.
     pub weaver: Weaver,
     /// Simulation configuration for the execution stage. Its `threads`
-    /// knob also drives validation.
+    /// knob drives validation; the scheduler itself runs on one thread.
     pub sim: SimConfig,
 }
 
@@ -180,8 +180,8 @@ pub fn weave(input: &VerticalInput<'_>) -> Result<VerticalOutput, VerticalError>
     };
     let weaver_out =
         timed("weave.optimize", || input.weaver.run(&ds)).map_err(VerticalError::Weaver)?;
-    // The weave runs on one thread; the sim config's thread knob drives
-    // validation's assignment fan-out and the scheduler's guard batches.
+    // The weave and the scheduler run on one thread; the sim config's
+    // thread knob drives validation's assignment fan-out.
     let validation = timed("weave.validate", || {
         validate(
             &weaver_out.minimal,
