@@ -12,7 +12,7 @@ use std::collections::BinaryHeap;
 /// Error returned when an operation requires a DAG but the graph is cyclic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CycleError {
-    /// Some node that lies on a cycle.
+    /// A node that lies on a cycle: it reaches itself.
     pub on_cycle: NodeId,
 }
 
@@ -25,8 +25,8 @@ impl std::fmt::Display for CycleError {
 impl std::error::Error for CycleError {}
 
 /// Kahn topological sort, always taking the smallest ready id next (a
-/// min-heap, so O((V + E) log V)). Fails with a node on a cycle — the
-/// first unsorted node in id order — if the graph is not a DAG.
+/// min-heap, so O((V + E) log V)). Fails with a node that lies on a
+/// cycle if the graph is not a DAG.
 pub fn topo_sort<N, E>(g: &DiGraph<N, E>) -> Result<Vec<NodeId>, CycleError> {
     let mut indeg: Vec<usize> = vec![0; g.node_bound()];
     for n in g.node_ids() {
@@ -48,13 +48,33 @@ pub fn topo_sort<N, E>(g: &DiGraph<N, E>) -> Result<Vec<NodeId>, CycleError> {
         }
     }
     if order.len() != g.node_count() {
-        let on_cycle = g
-            .node_ids()
-            .find(|n| indeg[n.index()] > 0)
-            .expect("missing node must have positive in-degree");
-        return Err(CycleError { on_cycle });
+        return Err(CycleError {
+            on_cycle: cycle_node(g, &indeg),
+        });
     }
     Ok(order)
+}
+
+/// A node on a cycle, from the in-degrees Kahn's sort left behind. The
+/// unsorted nodes are exactly those with positive in-degree, and each has
+/// an unsorted predecessor. So walking back from the first of them (in id
+/// order) through such predecessors must repeat a node, and the first
+/// node to repeat lies on a cycle. The first unsorted node itself may lie
+/// only downstream of one. O(V + E).
+fn cycle_node<N, E>(g: &DiGraph<N, E>, indeg: &[usize]) -> NodeId {
+    let mut seen = vec![false; g.node_bound()];
+    let mut n = g
+        .node_ids()
+        .find(|n| indeg[n.index()] > 0)
+        .expect("missing node must have positive in-degree");
+    while !seen[n.index()] {
+        seen[n.index()] = true;
+        n = g
+            .predecessors(n)
+            .find(|p| indeg[p.index()] > 0)
+            .expect("an unsorted node has an unsorted predecessor");
+    }
+    n
 }
 
 /// Assigns each node its earliest layer: `layer(n) = 1 + max(layer(pred))`,
@@ -124,7 +144,9 @@ mod tests {
     use super::*;
 
     /// The earlier Kahn sort, which re-sorts its whole ready list after
-    /// every pop: the reference the heap order is pinned to.
+    /// every pop: the reference the heap order is pinned to. Its cycle
+    /// report is the first unsorted node in id order, which need not lie
+    /// on the cycle, so only the error/ok outcome is compared.
     fn resort_reference<N, E>(g: &DiGraph<N, E>) -> Result<Vec<NodeId>, CycleError> {
         let mut indeg: Vec<usize> = vec![0; g.node_bound()];
         for n in g.node_ids() {
@@ -198,13 +220,51 @@ mod tests {
             let got = topo_sort(&dag);
             assert!(got.is_ok(), "seed {seed}");
             assert_eq!(got, resort_reference(&dag), "seed {seed}");
-            // Cyclic inputs report the same node on a cycle.
+            // Cyclic inputs fail alike, and the report lies on a cycle.
             let cyclic = seeded(seed, n, 1 + n / 2);
             let got = topo_sort(&cyclic);
-            cycles += usize::from(got.is_err());
-            assert_eq!(got, resort_reference(&cyclic), "seed {seed}");
+            let reference = resort_reference(&cyclic);
+            match got {
+                Ok(order) => assert_eq!(Ok(order), reference, "seed {seed}"),
+                Err(e) => {
+                    cycles += 1;
+                    assert!(reference.is_err(), "seed {seed}");
+                    assert!(reaches_itself(&cyclic, e.on_cycle), "seed {seed}: {e}");
+                }
+            }
         }
         assert!(cycles > 60, "only {cycles} cyclic inputs");
+    }
+
+    /// True when a path of at least one edge leads from `n` back to `n`.
+    fn reaches_itself<N, E>(g: &DiGraph<N, E>, n: NodeId) -> bool {
+        let mut seen = vec![false; g.node_bound()];
+        let mut stack: Vec<NodeId> = g.successors(n).collect();
+        while let Some(m) = stack.pop() {
+            if m == n {
+                return true;
+            }
+            if !std::mem::replace(&mut seen[m.index()], true) {
+                stack.extend(g.successors(m));
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn cycle_report_names_a_node_on_the_cycle_not_downstream() {
+        // c has the smallest id but only hangs off the a ⇄ b cycle.
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let c = g.add_node(());
+        let a = g.add_node(());
+        let b = g.add_node(());
+        g.add_edge(a, b, ());
+        g.add_edge(b, a, ());
+        g.add_edge(a, c, ());
+        let on_cycle = topo_sort(&g).unwrap_err().on_cycle;
+        assert!(on_cycle == a || on_cycle == b, "{on_cycle:?}");
+        assert!(reaches_itself(&g, on_cycle));
+        assert!(!reaches_itself(&g, c));
     }
 
     fn diamond() -> (DiGraph<(), ()>, [NodeId; 4]) {

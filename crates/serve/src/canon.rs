@@ -201,20 +201,27 @@ impl Renaming {
 
     /// The original name behind a canonical identifier, any namespace.
     pub fn original(&self, canonical: &str) -> Option<&str> {
+        self.resolve(canonical).map(|name| self.name(name))
+    }
+
+    /// Decodes a canonical identifier into a [`Name`] of this renaming.
+    /// Whether it decodes depends only on the namespace sizes and the
+    /// label width, which every renaming onto one canonical text shares.
+    pub(crate) fn resolve(&self, canonical: &str) -> Option<Name> {
         let (&prefix, digits) = canonical.as_bytes().split_first()?;
-        let names: &[Box<str>] = match prefix {
-            b'a' => &self.activities,
-            b'v' => &self.variables,
-            b's' => &self.services,
-            b'l' => &self.links,
-            b'c' => &self.labels,
-            b'p' if !self.process.is_empty() => std::slice::from_ref(&self.process),
+        let len = match prefix {
+            b'a' => self.activities.len(),
+            b'v' => self.variables.len(),
+            b's' => self.services.len(),
+            b'l' => self.links.len(),
+            b'c' => self.labels.len(),
+            b'p' => usize::from(!self.process.is_empty()),
             _ => return None,
         };
         // Labels are numbered at one fixed width; every other name is
         // plain decimal, without leading zeros.
         let width_ok = if prefix == b'c' {
-            digits.len() == label_width(names.len())
+            digits.len() == label_width(len)
         } else {
             digits.len() == 1 || digits.first() != Some(&b'0')
         };
@@ -228,7 +235,31 @@ impl Renaming {
             }
             k = k.checked_mul(10)?.checked_add(usize::from(d - b'0'))?;
         }
-        names.get(k).map(|name| &**name)
+        if k >= len {
+            return None;
+        }
+        Some(Name {
+            prefix,
+            k: u32::try_from(k).ok()?,
+        })
+    }
+
+    /// The original behind a name [`Renaming::resolve`] decoded, on this
+    /// or any other renaming onto the same canonical text.
+    ///
+    /// # Panics
+    ///
+    /// If `name` lies outside this renaming's namespaces.
+    pub(crate) fn name(&self, name: Name) -> &str {
+        let k = name.k as usize;
+        match name.prefix {
+            b'a' => &self.activities[k],
+            b'v' => &self.variables[k],
+            b's' => &self.services[k],
+            b'l' => &self.links[k],
+            b'c' => &self.labels[k],
+            _ => &self.process,
+        }
     }
 
     /// Number of identifiers renamed across all namespaces.
@@ -255,10 +286,23 @@ impl Renaming {
     /// text rendered from canonical-named artifacts (minimal-set DSCL,
     /// schedule events, …).
     pub fn render_original(&self, text: &str) -> String {
-        let bytes = text.as_bytes();
         // Original names are usually longer than canonical ones.
         let mut out = String::with_capacity(2 * text.len());
         let mut copied = 0;
+        self.scan(text, |start, end, name| {
+            out.push_str(&text[copied..start]);
+            out.push_str(self.name(name));
+            copied = end;
+        });
+        out.push_str(&text[copied..]);
+        out
+    }
+
+    /// Calls `f(start, end, name)`, in text order, for every maximal
+    /// identifier token `text[start..end]` that is a canonical name of
+    /// this renaming: the tokens [`Renaming::render_original`] replaces.
+    pub(crate) fn scan(&self, text: &str, mut f: impl FnMut(usize, usize, Name)) {
+        let bytes = text.as_bytes();
         let mut i = 0;
         while i < bytes.len() {
             if !(bytes[i].is_ascii_alphabetic() || bytes[i] == b'_') {
@@ -270,15 +314,20 @@ impl Renaming {
             while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
-            if let Some(original) = self.original(&text[start..i]) {
-                out.push_str(&text[copied..start]);
-                out.push_str(original);
-                copied = i;
+            if let Some(name) = self.resolve(&text[start..i]) {
+                f(start, i, name);
             }
         }
-        out.push_str(&text[copied..]);
-        out
     }
+}
+
+/// A canonical name decoded by [`Renaming::resolve`]: its namespace
+/// prefix and number. It indexes any renaming onto the same canonical
+/// text, so a rendering cut at its names serves every such renaming.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Name {
+    prefix: u8,
+    k: u32,
 }
 
 /// The canonical form of one submitted process text.

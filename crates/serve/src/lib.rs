@@ -8,8 +8,10 @@
 //! Each distinct submitted process is compiled once into a
 //! [`registry::ProcessEntry`]: the woven [`dscweaver_core::WeaverOutput`]
 //! and its fingerprint, the Petri-net validation compile half
-//! ([`dscweaver_petri::CompiledValidation`]) and the scheduler's derived
-//! indexes ([`dscweaver_scheduler::ScheduleTables`]). "Distinct" means distinct **canonical form** ([`canon`]):
+//! ([`dscweaver_petri::CompiledValidation`]), the scheduler's derived
+//! indexes ([`dscweaver_scheduler::ScheduleTables`]) and the `/v1/weave`
+//! body, rendered once with slots for the tenant's names. "Distinct"
+//! means distinct **canonical form** ([`canon`]):
 //! submissions are alpha-renamed into first-occurrence order, their
 //! declarations sorted and whitespace/comments stripped before hashing,
 //! so textual variants of one process share a single entry (the raw-text

@@ -16,13 +16,16 @@
 //! cached in run-many form: the woven [`WeaverOutput`] and its
 //! fingerprint, the Petri-net validation compile half
 //! ([`CompiledValidation`]) and the scheduler's derived indexes
-//! ([`ScheduleTables`]) — all in canonical names; responses are rendered
-//! back into each tenant's names through the request's [`Renaming`].
+//! ([`ScheduleTables`]) — all in canonical names — plus the `/v1/weave`
+//! body, rendered once and cut at its canonical names. Responses are
+//! rendered back into each tenant's names through the request's
+//! [`Renaming`]; a weave body is a splice of those names into the cut.
 //! Warm requests skip every compile stage and go straight to the run
 //! halves, which are pinned bit-identical to the fresh-build paths by the
 //! component crates' equivalence tests.
 
 use crate::canon::{canonicalize, CanonicalForm, Renaming};
+use crate::service::WeaveTemplate;
 use crate::trace::{TraceConfig, Tracer};
 use dscweaver_core::{DependencySet, Weaver, WeaverOutput};
 use dscweaver_graph::lru::LruCache;
@@ -72,6 +75,7 @@ pub struct ProcessEntry {
     pub fingerprint: u64,
     compiled: CompiledValidation,
     tables: ScheduleTables,
+    pub(crate) weave: WeaveTemplate,
 }
 
 /// Extracts the data/control dependency set of a process the way every
@@ -98,9 +102,10 @@ impl ProcessEntry {
 
     /// Compiles the full entry from a canonical form: parse the canonical
     /// process tree from its text → dependency extraction → weave →
-    /// validation/scheduler compile halves. Runs under a `serve.compile`
-    /// span. The weave runs on one thread, so `_threads` is ignored; it
-    /// stays for the callers that pass it.
+    /// validation/scheduler compile halves and the weave body template,
+    /// cut with the form's renaming. Runs under a `serve.compile` span.
+    /// The weave runs on one thread, so `_threads` is ignored; it stays
+    /// for the callers that pass it.
     pub fn build_canonical(form: &CanonicalForm, _threads: usize) -> Result<ProcessEntry, String> {
         let hash = form.hash;
         let _span = obs::span_with("serve.compile", || format!("hash={hash:016x}"));
@@ -114,6 +119,7 @@ impl ProcessEntry {
         let fingerprint = output.fingerprint();
         let compiled = CompiledValidation::compile(&output.minimal, &output.exec);
         let tables = ScheduleTables::derive(&output.minimal, &output.exec);
+        let weave = WeaveTemplate::new(hash, fingerprint, &process.name, &output, &form.renaming);
         obs::histogram("serve.compile").observe(t0.elapsed().as_nanos() as u64);
         Ok(ProcessEntry {
             hash,
@@ -123,7 +129,20 @@ impl ProcessEntry {
             fingerprint,
             compiled,
             tables,
+            weave,
         })
+    }
+
+    /// The `/v1/weave` response body in the names of `renaming`, which
+    /// must map onto this entry's canonical text: the entry's body
+    /// template with the tenant's names spliced in. Byte-identical to
+    /// rendering the minimal set's DSCL and the process name back through
+    /// [`Renaming::render_original`] and JSON-escaping them. The `hash`
+    /// field is the **canonical** hash: textual variants of one process
+    /// report the same hash, which is also the `?base=` key `/v1/reweave`
+    /// resolves.
+    pub fn weave_body(&self, renaming: &Renaming) -> String {
+        self.weave.render(renaming)
     }
 
     /// Runs the cached validation compile half. Bit-identical to a fresh

@@ -10,12 +10,13 @@
 //! crates' equivalence tests. Cache status is reported out-of-band (the
 //! `X-Cache` header), never in the body.
 
-use crate::canon::Renaming;
+use crate::canon::{Name, Renaming};
 use crate::http::{HttpError, HttpRequest};
-use crate::registry::{LookupStatus, ProcessEntry, Registry};
-use dscweaver_core::Weaver;
+use crate::registry::{LookupStatus, Registry};
 use crate::trace::{self, RequestTrace};
+use dscweaver_core::{Weaver, WeaverOutput};
 use dscweaver_obs as obs;
+use std::fmt::Write;
 use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -198,20 +199,138 @@ impl Response {
 /// JSON string literal with the escapes the daemon's payloads need.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_str(&mut out, s);
+    out
+}
+
+/// Appends `s` as a JSON string literal.
+fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    push_escaped(out, s);
+    out.push('"');
+}
+
+/// Appends `s` JSON-escaped, without quotes: `"`, `\` and the control
+/// characters are escaped, and each run of bytes between them is copied
+/// whole. Escaped bytes are ASCII, so every cut falls on a character
+/// boundary.
+fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut copied = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[copied..i]);
+        copied = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
         }
     }
-    out.push('"');
-    out
+    out.push_str(&s[copied..]);
+}
+
+/// The `/v1/weave` body of one cached entry, rendered once: the whole body
+/// in canonical names, already JSON-escaped, cut at the canonical names a
+/// renaming maps back. [`WeaveTemplate::render`] copies the literal runs
+/// and splices each tenant name into its slot, so a warm weave neither
+/// re-renders the minimal set's DSCL nor re-lexes or re-escapes it.
+///
+/// The slots are exactly the tokens [`Renaming::render_original`] would
+/// replace. Whether a token is replaced depends only on the namespace
+/// sizes and the label width, which every renaming onto one canonical text
+/// shares, so one template serves every alpha-variant of the entry.
+/// Original names are `[A-Za-z0-9_]` identifier tokens of the process
+/// lexer, so a spliced name needs no escaping.
+pub(crate) struct WeaveTemplate {
+    /// The literal runs, back to back.
+    text: String,
+    /// Per slot, its byte offset in `text` and the name it holds.
+    slots: Vec<(u32, Name)>,
+}
+
+impl WeaveTemplate {
+    /// Renders the body of `output` (woven from the canonical process
+    /// named `process`), finding its slots with `renaming`, any renaming
+    /// onto the entry's canonical text.
+    pub(crate) fn new(
+        hash: u64,
+        fingerprint: u64,
+        process: &str,
+        output: &WeaverOutput,
+        renaming: &Renaming,
+    ) -> WeaveTemplate {
+        let dscl = output.minimal.to_dscl();
+        let mut t = WeaveTemplate {
+            text: String::with_capacity(dscl.len() + 256),
+            slots: Vec::new(),
+        };
+        // Writing to a `String` cannot fail.
+        let _ = write!(t.text, "{{\"hash\":\"{hash:016x}\",\"process\":\"");
+        match renaming.resolve(process) {
+            Some(name) => t.push_slot(name),
+            None => push_escaped(&mut t.text, process),
+        }
+        let _ = write!(
+            t.text,
+            "\",\"dependencies\":{},\"sc\":{},\"asc\":{},\"minimal\":{},\"removed\":{},\"fingerprint\":\"{:016x}\",\"minimal_dscl\":\"",
+            output.dependencies.deps.len(),
+            output.sc.constraint_count(),
+            output.asc.constraint_count(),
+            output.minimal.constraint_count(),
+            output.removed.len(),
+            fingerprint,
+        );
+        t.push_text(&dscl, renaming);
+        t.text.push_str("\"}");
+        t.text.shrink_to_fit();
+        t.slots.shrink_to_fit();
+        t
+    }
+
+    fn push_slot(&mut self, name: Name) {
+        let at = u32::try_from(self.text.len()).expect("weave body under 4 GiB");
+        self.slots.push((at, name));
+    }
+
+    /// Appends `s` JSON-escaped, with a slot for every token
+    /// [`Renaming::render_original`] would replace. The tokens are found in
+    /// `s` itself and the runs between them escaped one by one: in escaped
+    /// text, a `\n` before a name would read as one token with it.
+    fn push_text(&mut self, s: &str, renaming: &Renaming) {
+        let mut copied = 0;
+        renaming.scan(s, |start, end, name| {
+            push_escaped(&mut self.text, &s[copied..start]);
+            self.push_slot(name);
+            copied = end;
+        });
+        push_escaped(&mut self.text, &s[copied..]);
+    }
+
+    /// The body in `renaming`'s names: the literal runs with each slot's
+    /// original spliced in.
+    pub(crate) fn render(&self, renaming: &Renaming) -> String {
+        let spliced: usize = self.slots.iter().map(|&(_, name)| renaming.name(name).len()).sum();
+        let mut out = String::with_capacity(self.text.len() + spliced);
+        let mut copied = 0;
+        for &(at, name) in &self.slots {
+            let at = at as usize;
+            out.push_str(&self.text[copied..at]);
+            out.push_str(renaming.name(name));
+            copied = at;
+        }
+        out.push_str(&self.text[copied..]);
+        out
+    }
 }
 
 /// Maps a parsed HTTP request onto the typed [`Request`].
@@ -288,28 +407,6 @@ pub fn parse(req: &HttpRequest) -> Result<Request, HttpError> {
             message: format!("no such endpoint '{other}'"),
         }),
     }
-}
-
-/// The weave response body, rendered in the submitting tenant's own
-/// names: the cached entry holds canonical artifacts (shared across
-/// textual variants), and the request's [`Renaming`] maps them back. The
-/// `hash` field is the **canonical** hash — textual variants of one
-/// process report the same hash, which is also the `?base=` key
-/// `/v1/reweave` resolves.
-fn weave_body(entry: &ProcessEntry, renaming: &Renaming) -> String {
-    let out = &entry.output;
-    format!(
-        "{{\"hash\":\"{:016x}\",\"process\":{},\"dependencies\":{},\"sc\":{},\"asc\":{},\"minimal\":{},\"removed\":{},\"fingerprint\":\"{:016x}\",\"minimal_dscl\":{}}}",
-        entry.hash,
-        json_str(renaming.original(&entry.process.name).unwrap_or(&entry.process.name)),
-        out.dependencies.deps.len(),
-        out.sc.constraint_count(),
-        out.asc.constraint_count(),
-        out.minimal.constraint_count(),
-        out.removed.len(),
-        entry.fingerprint,
-        json_str(&renaming.render_original(&out.minimal.to_dscl())),
-    )
 }
 
 fn served(status: LookupStatus, body: String) -> Response {
@@ -422,7 +519,7 @@ fn handle_inner(reg: &Registry, req: &Request) -> Response {
     }
     match req {
         Request::Weave { text } => match reg.lookup_or_build(text) {
-            Ok(found) => served(found.status, weave_body(&found.entry, &found.renaming)),
+            Ok(found) => served(found.status, found.entry.weave_body(&found.renaming)),
             Err(e) => Response::error(400, &e),
         },
         Request::Validate { text } => match reg.lookup_or_build(text) {
@@ -458,32 +555,37 @@ fn handle_inner(reg: &Registry, req: &Request) -> Response {
                     })
                     .collect();
                 let schedule = timed_run(|| entry.simulate(&picks, reg.threads()));
-                let original = |name: &str| renaming.original(name).unwrap_or(name).to_string();
-                let events: Vec<String> = schedule
-                    .trace
-                    .events
-                    .iter()
-                    .map(|e| {
-                        format!(
-                            "{{\"t\":{},\"seq\":{},\"kind\":\"{:?}\",\"activity\":{}}}",
-                            e.time,
-                            e.seq,
-                            e.kind,
-                            json_str(&original(&e.activity))
-                        )
-                    })
-                    .collect();
-                let stuck: Vec<String> =
-                    schedule.stuck.iter().map(|s| json_str(&original(s))).collect();
-                let body = format!(
-                    "{{\"hash\":\"{:016x}\",\"makespan\":{},\"constraint_checks\":{},\"completed\":{},\"stuck\":[{}],\"events\":[{}]}}",
+                let events = &schedule.trace.events;
+                let mut body = String::with_capacity(160 + 64 * events.len());
+                // Writing to a `String` cannot fail.
+                let _ = write!(
+                    body,
+                    "{{\"hash\":\"{:016x}\",\"makespan\":{},\"constraint_checks\":{},\"completed\":{},\"stuck\":[",
                     entry.hash,
                     schedule.trace.makespan(),
                     schedule.constraint_checks,
                     schedule.completed(),
-                    stuck.join(","),
-                    events.join(","),
                 );
+                for (i, s) in schedule.stuck.iter().enumerate() {
+                    if i > 0 {
+                        body.push(',');
+                    }
+                    push_json_str(&mut body, renaming.original(s).unwrap_or(s));
+                }
+                body.push_str("],\"events\":[");
+                for (i, e) in events.iter().enumerate() {
+                    if i > 0 {
+                        body.push(',');
+                    }
+                    let _ = write!(
+                        body,
+                        "{{\"t\":{},\"seq\":{},\"kind\":\"{:?}\",\"activity\":",
+                        e.time, e.seq, e.kind
+                    );
+                    push_json_str(&mut body, renaming.original(&e.activity).unwrap_or(&e.activity));
+                    body.push('}');
+                }
+                body.push_str("]}");
                 served(found.status, body)
             }
             Err(e) => Response::error(400, &e),
@@ -719,6 +821,95 @@ mod tests {
     #[test]
     fn json_str_escapes() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    }
+
+    /// The earlier `json_str`, one `char` at a time: the reference the
+    /// byte-run copy is pinned to.
+    fn json_str_reference(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn json_str_matches_the_char_loop_reference() {
+        let pieces = [
+            "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1}", "\u{1b}", "\u{1f}", " ", "\u{7f}",
+            "a", "Z_9", "é", "€", "𝄞", "\u{80}", "{}", ":",
+        ];
+        let mut rng = dscweaver_prng::Rng::seed_from_u64(20);
+        for _ in 0..2000 {
+            let len = rng.random_range(12);
+            let s: String = (0..len)
+                .map(|_| *rng.choose(&pieces).expect("pieces"))
+                .collect();
+            assert_eq!(json_str(&s), json_str_reference(&s), "{s:?}");
+        }
+        for b in 0u8..0x80 {
+            let s = char::from(b).to_string();
+            assert_eq!(json_str(&s), json_str_reference(&s), "{b:#04x}");
+        }
+    }
+
+    #[test]
+    fn template_text_is_cut_before_it_is_escaped() {
+        // `to_dscl` never puts an escaped byte right before a name, so the
+        // weave bodies cannot show this: every escape here is followed by
+        // a canonical name, which must still become a slot.
+        let form = crate::canon::canonicalize(
+            "process Q { var data; service Bank { ports 1 } sequence { invoke first on Bank port 1 writes data; assign second reads data; } }",
+        )
+        .unwrap();
+        let renaming = &form.renaming;
+        let text = "a0\na1\tv0\"s0\\p0\r\u{1}a1 \\na0 na0 \u{7}v0";
+        let mut t = WeaveTemplate {
+            text: String::new(),
+            slots: Vec::new(),
+        };
+        t.push_text(text, renaming);
+        assert_eq!(t.slots.len(), 7);
+        assert_eq!(
+            format!("\"{}\"", t.render(renaming)),
+            json_str(&renaming.render_original(text))
+        );
+        assert_eq!(
+            t.render(renaming),
+            "first\\nsecond\\tdata\\\"Bank\\\\Q\\r\\u0001second \\\\na0 na0 \\u0007data"
+        );
+    }
+
+    #[test]
+    fn spliced_names_are_identifier_tokens_that_need_no_escape() {
+        let texts = [
+            PROC,
+            "process Purchasing { var po, au; service Credit { ports 2 async } sequence { receive rec_po from Client writes po; invoke inv_po on Credit port 1 reads po; flow { assign l_1 writes au; assign r_2 reads po; link L9 from l_1 to r_2 when a1; } switch if_au reads au { case a1 { assign ok writes po; } case T { assign no writes po; } } } }",
+        ];
+        for text in texts {
+            let reg = Registry::new(4, 1);
+            let found = reg.lookup_or_build(text).unwrap();
+            assert!(!found.entry.weave.slots.is_empty());
+            for &(_, name) in &found.entry.weave.slots {
+                let original = found.renaming.name(name);
+                assert!(
+                    !original.is_empty()
+                        && original.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_'),
+                    "{original:?}"
+                );
+                assert_eq!(json_str(original), format!("\"{original}\""));
+            }
+        }
     }
 
     #[test]

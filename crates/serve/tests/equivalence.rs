@@ -4,7 +4,8 @@
 //! counts and LRU eviction.
 
 use dscweaver_serve::client::{self, Client, PipelinedRequest};
-use dscweaver_serve::registry::Registry;
+use dscweaver_serve::registry::{ProcessEntry, Registry};
+use dscweaver_serve::{canonicalize, Renaming};
 use dscweaver_serve::server::{ServeConfig, Server};
 use dscweaver_serve::service::{handle, oneshot, Request};
 
@@ -384,4 +385,150 @@ fn hostile_guard_nesting_is_refused_promptly() {
     assert!(validated.body.contains("\"ok\":false"), "{}", validated.body);
     assert!(validated.body.contains("\"assignments_checked\":0"), "{}", validated.body);
     assert_eq!(woven.status, 200, "{}", woven.body);
+}
+
+/// The earlier `json_str`, one `char` at a time (test-only).
+fn json_reference(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// The weave body as it was rendered before the per-entry template: the
+/// minimal set's DSCL rendered afresh, re-lexed back into `renaming`'s
+/// names and escaped (test-only oracle).
+fn weave_body_reference(entry: &ProcessEntry, renaming: &Renaming) -> String {
+    let out = &entry.output;
+    format!(
+        "{{\"hash\":\"{:016x}\",\"process\":{},\"dependencies\":{},\"sc\":{},\"asc\":{},\"minimal\":{},\"removed\":{},\"fingerprint\":\"{:016x}\",\"minimal_dscl\":{}}}",
+        entry.hash,
+        json_reference(renaming.original(&entry.process.name).unwrap_or(&entry.process.name)),
+        out.dependencies.deps.len(),
+        out.sc.constraint_count(),
+        out.asc.constraint_count(),
+        out.minimal.constraint_count(),
+        out.removed.len(),
+        entry.fingerprint,
+        json_reference(&renaming.render_original(&out.minimal.to_dscl())),
+    )
+}
+
+/// A switch over `n` cases whose labels are shaped like canonical names
+/// (`a0`, `a1`, …), so all of them are renamed into the `c` namespace at
+/// label width 1, 2 or 3.
+fn many_labels(n: usize) -> String {
+    let cases: String = (0..n)
+        .map(|k| format!("   case a{k} {{ assign m{k} writes y; }}\n"))
+        .collect();
+    format!(
+        "process Labels{n} {{\n var x, y;\n sequence {{\n  assign init writes x;\n  switch g reads x {{\n{cases}  }}\n  assign j reads y;\n }}\n}}"
+    )
+}
+
+/// An alpha-variant of a canonical text: every canonical name becomes a
+/// fresh seeded identifier, and every renamed label another label-shaped
+/// one in the same sorted order, so the variant canonicalizes back onto
+/// `canonical`. Some fresh names are themselves canonical-shaped.
+fn alpha_variant(canonical: &str, rng: &mut dscweaver_prng::Rng) -> String {
+    let form = canonicalize(canonical).unwrap();
+    assert_eq!(form.text, canonical, "not a canonical text");
+    let label_prefix = *rng.choose(b"avslpc").unwrap() as char;
+    let mut names: std::collections::HashMap<&str, String> = Default::default();
+    let mut out = String::new();
+    let mut copied = 0;
+    let bytes = canonical.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        if !(bytes[i].is_ascii_alphabetic() || bytes[i] == b'_') {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+            i += 1;
+        }
+        let token = &canonical[start..i];
+        if form.renaming.original(token).is_none() {
+            continue;
+        }
+        out.push_str(&canonical[copied..start]);
+        copied = i;
+        let next = names.len();
+        let name = names.entry(token).or_insert_with(|| {
+            if let Some(digits) = token.strip_prefix('c') {
+                format!("{label_prefix}{digits}")
+            } else if rng.random_bool(0.2) {
+                // Canonical-shaped, but another name than the one it
+                // stands for.
+                format!("{}{}", &token[..1], 1000 + next)
+            } else {
+                let first = *rng.choose(b"QXZ_").unwrap() as char;
+                let len = rng.random_range(8);
+                format!("{first}{}_{next}", rng.ascii_string(b"abcxyzKLM019_", len))
+            }
+        });
+        out.push_str(name);
+    }
+    out.push_str(&canonical[copied..]);
+    out
+}
+
+#[test]
+fn weave_template_bodies_match_the_rerendering_oracle() {
+    let service_proc = "process P {\n var x;\n sequence { assign a writes x; assign b reads x; }\n}";
+    let services_and_links = "process Purchasing {\n var po, au, sh;\n service Credit { ports 2 async }\n service Ship { ports 1 }\n sequence {\n  receive rec_po from Client writes po;\n  invoke inv_po on Credit port 1 reads po;\n  receive rec_au from Credit writes au;\n  flow {\n   invoke ship on Ship port 1 reads po writes sh;\n   assign bill reads au;\n   assign pack reads po;\n   link ship_to_bill from ship to bill when T;\n   link pack_to_ship from pack to ship;\n  }\n  reply rep to Client reads sh;\n }\n}";
+    // Labels shaped like canonical names, mixed with verbatim ones: `c0`
+    // and `p0` read as canonical names, `a01` has a leading zero.
+    let canonical_shaped_labels = "process C0 {\n var x, y;\n sequence {\n  assign a0 writes x;\n  switch s1 reads x {\n   case c0 { assign v0 writes y; }\n   case p0 { assign l0 writes y; }\n   case a01 { assign c1 writes y; }\n   case T { assign p1 writes y; }\n   case xa1 { empty e; }\n  }\n  flow { assign k reads y; assign m reads y; link l1 from k to m when c0; }\n }\n}";
+    let mut bases: Vec<String> = (0..6).map(proc_text).collect();
+    bases.extend(
+        [service_proc, services_and_links, canonical_shaped_labels]
+            .iter()
+            .map(|s| s.to_string()),
+    );
+    bases.extend([3, 12, 105].map(many_labels));
+
+    let mut rng = dscweaver_prng::Rng::seed_from_u64(20);
+    for base in &bases {
+        let form = canonicalize(base).unwrap();
+        let mut texts = vec![base.clone(), form.text.clone()];
+        texts.extend((0..4).map(|_| alpha_variant(&form.text, &mut rng)));
+        let forms: Vec<_> = texts.iter().map(|t| canonicalize(t).unwrap()).collect();
+        for (t, f) in texts.iter().zip(&forms) {
+            assert_eq!(f.text, form.text, "variant left the canonical form:\n{t}");
+        }
+        // A template cut with one variant's renaming, spliced with every
+        // other variant's.
+        for (i, built) in forms.iter().enumerate() {
+            let entry = ProcessEntry::build_canonical(built, 1).unwrap();
+            for (j, used) in forms.iter().enumerate() {
+                assert_eq!(
+                    entry.weave_body(&used.renaming),
+                    weave_body_reference(&entry, &used.renaming),
+                    "template of variant {i}, names of variant {j}:\n{}",
+                    texts[j]
+                );
+            }
+        }
+        // The served path: one compile, every later variant a canonical
+        // hit, every body the oracle's.
+        let reg = Registry::new(4, 1);
+        for text in &texts {
+            let found = reg.lookup_or_build(text).unwrap();
+            let body = handle(&reg, &Request::Weave { text: text.clone() }).body;
+            assert_eq!(body, weave_body_reference(&found.entry, &found.renaming), "{text}");
+        }
+        assert_eq!(reg.stats().misses, 1);
+    }
 }
