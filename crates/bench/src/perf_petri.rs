@@ -1,7 +1,8 @@
-//! Petri validation timings — the wavefront validator sequential and
-//! with the assignment fan-out on the worker pool — rendered as the
-//! machine-readable `BENCH_petri.json` artifact written by
-//! `repro bench-json --suite petri`.
+//! Petri validation timings — the lane kernel (up to 64 branch
+//! assignments per bit-sliced sweep) against the scalar oracle (one
+//! kernel run per assignment) — rendered as the machine-readable
+//! `BENCH_petri.json` artifact written by `repro bench-json --suite
+//! petri`.
 //!
 //! Each case also times the compile half alone (`compile_ms`:
 //! `CompiledValidation::compile`, kernel emit and drop included) against
@@ -12,8 +13,8 @@
 //! guard-independent workloads (per-group additive assignment counts
 //! versus the full multiplicative product, `factor: false`).
 //!
-//! Reports are canonicalized and asserted identical across thread counts
-//! before any timing is taken; the equivalence suites pin them to the
+//! Lane and scalar reports are canonicalized and asserted identical
+//! before any timing is taken; the equivalence suites pin both to the
 //! rescan oracle.
 
 use crate::harness::{black_box, median, percentiles_ms, phases_json, sample, BenchOpts};
@@ -142,7 +143,8 @@ struct CaseReport {
     assignments: usize,
     failures: usize,
     new_seq_ms: f64,
-    new_par_ms: f64,
+    scalar_ms: f64,
+    scalar_fallbacks: u64,
     p50_ms: f64,
     p99_ms: f64,
     kernel_words: usize,
@@ -197,40 +199,34 @@ fn canon(r: &ValidationReport) -> (
 }
 
 /// Runs the validation comparison suite and renders `BENCH_petri.json`
-/// plus the merged trace of the per-case instrumented runs (one parallel
+/// plus the merged trace of the per-case instrumented runs (one
 /// `validate` per case recorded through `dscweaver-obs`; the timed
-/// samples stay untraced so the recorder cannot skew them).
+/// samples stay untraced so the recorder cannot skew them). Validation
+/// runs on the calling thread, so `opts.threads` is not read.
 ///
 /// `opts.smoke` restricts to the small cases with one sample each so the
 /// tier-1 test suite can exercise the full measurement path in seconds;
 /// its timings are not meaningful.
 pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
-    let (smoke, threads) = (opts.smoke, opts.threads);
+    let smoke = opts.smoke;
     let samples_new = if smoke { 1 } else { 5 };
     let samples_compile = if smoke { 1 } else { 21 };
     let mut reports: Vec<CaseReport> = Vec::new();
     let mut suite_trace = obs::TraceSnapshot::default();
     for case in petri_cases(smoke) {
         let (cs, exec) = case.prepare();
-        let seq_opts = ValidateOptions {
-            threads: 1,
-            ..Default::default()
-        };
-        let par_opts = ValidateOptions {
-            threads,
-            ..Default::default()
-        };
+        let seq_opts = ValidateOptions::default();
+        // The oracle enumeration: compile, then one scalar run per
+        // assignment.
+        let scalar = || CompiledValidation::compile(&cs, &exec).run_scalar(&seq_opts);
 
         let r_seq = validate(&cs, &exec, &seq_opts);
-        let r_par = validate(&cs, &exec, &par_opts);
-        assert_eq!(canon(&r_seq), canon(&r_par), "case {}", case.name);
+        assert_eq!(canon(&r_seq), canon(&scalar()), "case {}", case.name);
 
-        let t_seq = median(&sample(samples_new, || {
-            black_box(validate(&cs, &exec, &seq_opts))
-        }));
-        let par_samples = sample(samples_new, || black_box(validate(&cs, &exec, &par_opts)));
-        let t_par = median(&par_samples);
-        let (p50_ms, p99_ms) = percentiles_ms(&par_samples);
+        let seq_samples = sample(samples_new, || black_box(validate(&cs, &exec, &seq_opts)));
+        let t_seq = median(&seq_samples);
+        let (p50_ms, p99_ms) = percentiles_ms(&seq_samples);
+        let t_scalar = median(&sample(samples_new, || black_box(scalar())));
 
         // The compile half alone, against its floor: one pass writing as
         // many `u32`s as the emitted kernel holds.
@@ -242,9 +238,10 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             black_box((0..kernel_words as u32).collect::<Vec<u32>>())
         });
 
-        // One traced run of the parallel validator, outside the timed
-        // samples, for the per-phase breakdown and the suite trace.
-        let (_, case_trace) = obs::record_with(|| black_box(validate(&cs, &exec, &par_opts)));
+        // One traced run of the validator, outside the timed samples, for
+        // the per-phase breakdown, the fallback count and the suite trace.
+        let (_, case_trace) = obs::record_with(|| black_box(validate(&cs, &exec, &seq_opts)));
+        let scalar_fallbacks = case_trace.counters().get("petri.scalar_fallbacks").copied();
 
         reports.push(CaseReport {
             name: case.name,
@@ -252,7 +249,8 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             assignments: r_seq.assignments_checked,
             failures: r_seq.failures.len(),
             new_seq_ms: ms(t_seq),
-            new_par_ms: ms(t_par),
+            scalar_ms: ms(t_scalar),
+            scalar_fallbacks: scalar_fallbacks.expect("validation counts its fallbacks"),
             p50_ms,
             p99_ms,
             kernel_words,
@@ -268,14 +266,10 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         let ds = disjoint_conditional(&case.params);
         let out = Weaver::new().run(&ds).expect("acyclic workload");
         let full_opts = ValidateOptions {
-            threads,
             factor: false,
             ..Default::default()
         };
-        let fact_opts = ValidateOptions {
-            threads,
-            ..Default::default()
-        };
+        let fact_opts = ValidateOptions::default();
         let r_full = validate(&out.minimal, &out.exec, &full_opts);
         let r_fact = validate(&out.minimal, &out.exec, &fact_opts);
         assert_eq!(r_full.ok(), r_fact.ok(), "case {}: verdicts disagree", case.name);
@@ -313,9 +307,8 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"artifact\": \"BENCH_petri\",\n");
-    out.push_str("  \"description\": \"per-assignment validation on the wavefront worklist (seq and with the assignment fan-out on the worker pool), plus the factored enumeration on guard-independent workloads; reports canonicalized and asserted identical across thread counts before timing\",\n");
+    out.push_str("  \"description\": \"branch-assignment validation on the lane kernel (up to 64 assignments per bit-sliced sweep) against the scalar oracle (one kernel run per assignment), plus the factored enumeration on guard-independent workloads; lane and scalar reports canonicalized and asserted identical before timing\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str("  \"cases\": [\n");
     for (i, r) in reports.iter().enumerate() {
         out.push_str("    {\n");
@@ -324,7 +317,8 @@ pub fn bench_petri_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         out.push_str(&format!("      \"assignments\": {},\n", r.assignments));
         out.push_str(&format!("      \"failures\": {},\n", r.failures));
         out.push_str(&format!("      \"new_seq_ms\": {},\n", json_f(r.new_seq_ms)));
-        out.push_str(&format!("      \"new_par_ms\": {},\n", json_f(r.new_par_ms)));
+        out.push_str(&format!("      \"scalar_ms\": {},\n", json_f(r.scalar_ms)));
+        out.push_str(&format!("      \"scalar_fallbacks\": {},\n", r.scalar_fallbacks));
         out.push_str(&format!("      \"p50_ms\": {},\n", json_f(r.p50_ms)));
         out.push_str(&format!("      \"p99_ms\": {},\n", json_f(r.p99_ms)));
         // The compile half is sub-millisecond and its floor

@@ -1,7 +1,8 @@
 //! Tier-1 smoke run of the `repro bench-json --suite petri` measurement
-//! path: prepares the small dense-conditional cases, runs the validator
-//! sequentially and in parallel, asserts the reports agree (done inside
-//! `bench_petri_json`), and checks the rendered artifact is well-formed.
+//! path: prepares the small dense-conditional cases, runs the lane
+//! validator and the scalar oracle, asserts the reports agree (done
+//! inside `bench_petri_json`), and checks the rendered artifact is
+//! well-formed.
 //! Timings in this mode are meaningless (debug build, one sample) and are
 //! not asserted on.
 
@@ -20,6 +21,9 @@ fn bench_petri_json_smoke_runs_and_renders() {
     assert!(json.contains("\"artifact\": \"BENCH_petri\""));
     assert!(json.contains("\"smoke\": true"));
     assert!(json.contains("\"name\": \"dense_g4_l3\""));
+    // The assignment fan-out is gone, and so are its columns.
+    assert!(!json.contains("_par"), "{json}");
+    assert!(!json.contains("\"threads\""), "{json}");
     // Every emitted case has the full field set, exactly once per case.
     let cases = json.matches("\"name\":").count();
     assert!(cases >= 2, "expected at least two smoke cases, got {cases}");
@@ -28,7 +32,8 @@ fn bench_petri_json_smoke_runs_and_renders() {
         "\"assignments\":",
         "\"failures\":",
         "\"new_seq_ms\":",
-        "\"new_par_ms\":",
+        "\"scalar_ms\":",
+        "\"scalar_fallbacks\":",
         "\"kernel_words\":",
         "\"compile_ms\":",
         "\"compile_floor_ms\":",
@@ -48,13 +53,12 @@ fn bench_petri_json_smoke_runs_and_renders() {
     for (c, f) in compile.iter().zip(&floor) {
         assert!(f <= c, "floor {f} ms above compile {c} ms");
     }
+    // Lowered nets are 1-safe: only failing assignments leave the lanes.
+    assert_eq!(values("\"scalar_fallbacks\":"), values("\"failures\":"));
     // The per-phase breakdown covers the validator's span taxonomy, and
     // the suite trace carries the merged instrumented runs.
     assert!(json.contains("\"petri.validate\":"), "{json}");
     assert!(json.contains("\"petri.assignments\":"), "{json}");
-    // threads=2 over ≥16 assignments spawns real workers, so the
-    // per-window worker phase shows up in the breakdown too.
-    assert!(json.contains("\"par.range.window\":"), "{json}");
     assert!(!trace.is_empty());
     assert!(trace.phase_totals_ms().contains_key("petri.lower"));
     // The factored-enumeration section on guard-independent workloads:

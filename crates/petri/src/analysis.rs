@@ -20,11 +20,11 @@
 
 use crate::lower::ModeLimit;
 use crate::net::{render_marking, PlaceId};
-use crate::prepared::{groups, Csr, Names, Scratch, Tables};
+use crate::prepared::{groups, Csr, Lanes, Names, Scratch, Tables};
 use crate::reach::{explore_with, Reachability};
 use dscweaver_core::ExecConditions;
 use dscweaver_dscl::{ConstraintSet, Relation, StateRef, SyncGraph};
-use dscweaver_graph::{effective_threads, find_cycle, par_ranges, FxHashMap};
+use dscweaver_graph::{find_cycle, FxHashMap};
 use dscweaver_obs as obs;
 use std::collections::HashMap;
 
@@ -116,9 +116,26 @@ impl CompiledValidation {
     /// Runs the run half — assignment enumeration and optional
     /// exploration — against the compiled artifacts. Bit-identical to
     /// [`validate`] with the same options.
+    ///
+    /// The assignments run through the lane kernel, up to 64 in one
+    /// bit-sliced sweep in lexicographic index order; the lanes that fail,
+    /// diverge or could put two tokens on one place re-run one by one
+    /// through the scalar kernel, which writes their failures. The report
+    /// is identical to [`run_scalar`](Self::run_scalar)'s.
     pub fn run(&self, opts: &ValidateOptions) -> ValidationReport {
+        self.run_with(opts, true)
+    }
+
+    /// The run half with every assignment on the scalar kernel, one run
+    /// each: the oracle [`run`](Self::run) is pinned to, report for
+    /// report.
+    pub fn run_scalar(&self, opts: &ValidateOptions) -> ValidationReport {
+        self.run_with(opts, false)
+    }
+
+    fn run_with(&self, opts: &ValidateOptions, lanes: bool) -> ValidationReport {
         match &self.net {
-            Some(compiled) => run_compiled(compiled, opts),
+            Some(compiled) => run_compiled(compiled, opts, lanes),
             None => ValidationReport {
                 conflict_cycle: self.conflict_cycle.clone(),
                 mode_limit: self.mode_limit.clone(),
@@ -196,10 +213,11 @@ pub struct ValidateOptions {
     /// Also run bounded interleaving exploration with this many states
     /// (0 = skip).
     pub explore_states: usize,
-    /// Worker threads for the per-assignment fan-out and the layer-chunked
-    /// exploration. `0` picks from available parallelism, `1` forces the
-    /// sequential path; the report is bit-identical either way (failures
-    /// merge in assignment-lexicographic window order).
+    /// Worker threads for the layer-chunked exploration, when
+    /// `explore_states` asks for one. `0` picks from available
+    /// parallelism, `1` forces the sequential path; the report is
+    /// bit-identical either way. The assignment enumeration runs on the
+    /// calling thread.
     pub threads: usize,
     /// Enumerate independent guard groups separately (default `true`; see
     /// [`guard_groups`](crate::guard_groups)): each group's assignment
@@ -304,9 +322,11 @@ pub fn validate(
 }
 
 /// The run half over compiled artifacts: assignment enumeration (layer 2)
-/// and optional interleaving exploration (layer 3).
-fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions) -> ValidationReport {
+/// on the lane kernel (`lanes`) or the scalar one, and optional
+/// interleaving exploration (layer 3).
+fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions, lanes: bool) -> ValidationReport {
     let names = &compiled.names;
+    let tables = &compiled.tables;
 
     // Layer 2: per-assignment simulation.
     let guards = &names.guards;
@@ -331,12 +351,8 @@ fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions) -> ValidationRep
     };
 
     // One branch assignment per (plan, linear index), decoded positionally
-    // over the plan's guards, so any contiguous window of indices is an
-    // independent work unit. Window results concatenate back in
-    // assignment-lexicographic order, making the failure list
-    // bit-identical for any thread count. Each run reuses the caller's
-    // scratch state (one per pool worker).
-    let run_one = |plan: &[usize], i: usize, scratch: &mut Scratch| -> Option<AssignmentFailure> {
+    // over the plan's guards: per guard, its value's index.
+    let values = |plan: &[usize], i: usize| -> Vec<usize> {
         let mut idx = vec![0usize; guards.len()];
         let mut rest = i;
         for &g in plan {
@@ -344,12 +360,17 @@ fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions) -> ValidationRep
             idx[g] = rest % len;
             rest /= len;
         }
+        idx
+    };
+    let activities = names.activities();
+    // One assignment on the scalar kernel, reusing the caller's scratch.
+    let run_one = |idx: &[usize], scratch: &mut Scratch| -> Option<AssignmentFailure> {
         // Each guard's `finish` prefers the mode labeled with its value;
         // guards are sorted like the activities, so their `finish`
         // transitions ascend.
         let prefer: Vec<(u32, usize)> = guards
             .iter()
-            .zip(&idx)
+            .zip(idx)
             .filter_map(|(g, &v)| Some((g.finish?, g.mode(v))))
             .collect();
         let chooser = |t: usize, enabled: &[usize]| {
@@ -359,18 +380,17 @@ fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions) -> ValidationRep
                 _ => enabled[0],
             }
         };
-        let diverged = scratch.run(&compiled.tables, chooser, opts.max_steps);
+        let diverged = scratch.run(tables, chooser, opts.max_steps);
         // Final: every activity done (or skipped) and nothing else marked.
         let done = |a: usize| scratch.place_total(PlaceId(3 * a as u32 + 2));
-        let activities = names.activities();
         let is_final = scratch.total() == activities.len() as u64
             && (0..activities.len()).all(|a| done(a) == 1);
         if diverged || !is_final {
-            let marking = scratch.marking(&compiled.tables);
+            let marking = scratch.marking(tables);
             Some(AssignmentFailure {
                 assignment: guards
                     .iter()
-                    .zip(&idx)
+                    .zip(idx)
                     .map(|(g, &i)| (g.name.clone(), g.domain[i].clone()))
                     .collect(),
                 stuck: (0..activities.len())
@@ -384,10 +404,14 @@ fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions) -> ValidationRep
             None
         }
     };
-    let threads = effective_threads(opts.threads, 8);
     let assignments_span = obs::span_with("petri.assignments", || {
-        format!("plans={} space={space} threads={threads}", plans.len())
+        format!("plans={} space={space} lanes={lanes}", plans.len())
     });
+    let mut scratch = Scratch::default();
+    let mut lane_state = Lanes::default();
+    let mut sweeps = 0u64;
+    // Lanes re-run on the scalar kernel, by cause.
+    let (mut unsafe_lanes, mut failed_lanes, mut diverged_lanes) = (0u64, 0u64, 0u64);
     let mut checked = 0usize;
     let mut truncated = false;
     let mut failures: Vec<AssignmentFailure> = Vec::new();
@@ -402,15 +426,38 @@ fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions) -> ValidationRep
         if plan_to_check < plan_space {
             truncated = true;
         }
-        failures.extend(
-            par_ranges(threads, plan_to_check, &|r| {
-                let mut scratch = Scratch::default();
-                r.filter_map(|i| run_one(plan, i, &mut scratch))
-                    .collect::<Vec<AssignmentFailure>>()
-            })
-            .into_iter()
-            .flatten(),
-        );
+        if lanes {
+            // Chunks of 64 consecutive indices, lane `k` running index
+            // `base + k`; failures come out in index order.
+            for base in (0..plan_to_check).step_by(64) {
+                let width = (plan_to_check - base).min(64);
+                let chunk: Vec<Vec<usize>> = (base..base + width).map(|i| values(plan, i)).collect();
+                lane_state.clear_preferences(tables);
+                for (lane, idx) in chunk.iter().enumerate() {
+                    for (g, &v) in guards.iter().zip(idx) {
+                        if let Some(t) = g.finish {
+                            lane_state.prefer(tables, t as usize, g.mode(v), lane);
+                        }
+                    }
+                }
+                let out = lane_state.run(tables, u64::MAX >> (64 - width), opts.max_steps);
+                sweeps += out.sweeps;
+                let ok = out.quiet & lane_state.final_lanes(tables, activities.len());
+                unsafe_lanes += out.unsafe_.count_ones() as u64;
+                failed_lanes += (out.quiet & !ok).count_ones() as u64;
+                diverged_lanes += out.diverged.count_ones() as u64;
+                for (lane, idx) in chunk.iter().enumerate().filter(|&(lane, _)| ok >> lane & 1 == 0) {
+                    let failure = run_one(idx, &mut scratch);
+                    let safe = out.unsafe_ >> lane & 1 == 0;
+                    debug_assert!(failure.is_some() || !safe, "a failing lane passes its scalar run");
+                    failures.extend(failure);
+                }
+            }
+        } else {
+            for i in 0..plan_to_check {
+                failures.extend(run_one(&values(plan, i), &mut scratch));
+            }
+        }
         checked += plan_to_check;
     }
     drop(assignments_span);
@@ -426,6 +473,11 @@ fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions) -> ValidationRep
 
     let factored = plans.len() > 1;
     obs::counter_add("petri.assignments_checked", checked as u64);
+    obs::counter_add("petri.lane_sweeps", sweeps);
+    obs::counter_add("petri.scalar_fallbacks", unsafe_lanes + failed_lanes + diverged_lanes);
+    obs::counter_add("petri.scalar_fallbacks.unsafe", unsafe_lanes);
+    obs::counter_add("petri.scalar_fallbacks.failed", failed_lanes);
+    obs::counter_add("petri.scalar_fallbacks.diverged", diverged_lanes);
     obs::counter_add("petri.failures", failures.len() as u64);
     if factored {
         obs::counter_add("petri.factored_runs", 1);

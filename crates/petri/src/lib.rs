@@ -12,10 +12,12 @@
 //! from the constraint set (colors as ids in byte order, flat offset
 //! arrays for modes, arcs and consumers) with a compact index of the
 //! names behind its numbers — no string net is built; and
-//! [`CompiledValidation::run`] replays every branch assignment on the
-//! kernel's wavefront worklist with one reusable scratch state per pool
-//! worker, checking finality on the dense token counts and naming places
-//! only for a failing assignment; [`validate`] is the two in a row. An
+//! [`CompiledValidation::run`] replays the branch assignments on the
+//! kernel's wavefront worklist, up to 64 per bit-sliced lane sweep, and
+//! re-runs only the lanes that fail, diverge or could hold two tokens in
+//! one place on the scalar kernel, which names places for a failing
+//! assignment ([`CompiledValidation::run_scalar`] runs every assignment
+//! that way: the oracle); [`validate`] is the two in a row. An
 //! activity whose guard combinations would need more than
 //! [`lower::MAX_MODES`] firing modes stops compilation, as a conflict
 //! cycle does ([`ValidationReport::mode_limit`]). [`guard_groups`]

@@ -23,7 +23,9 @@
 //!
 //! Validation replays the *same* kernel once per branch assignment, so
 //! [`CompiledValidation`](crate::CompiledValidation) owns one emitted
-//! `Tables` with its `Names` and each pool worker one `Scratch`;
+//! `Tables` with its `Names`, runs up to 64 assignments per sweep of the
+//! lane kernel ([`Lanes`], the scalar run bit-sliced) and re-runs the
+//! lanes that fall back on one `Scratch`;
 //! [`run_to_quiescence_wavefront`](crate::run_to_quiescence_wavefront)
 //! derives the tables of a raw net for a single run and converts the
 //! `(transition, mode)` trace and the marking back to the public [`Run`].
@@ -44,6 +46,9 @@ use dscweaver_core::ExecConditions;
 use dscweaver_dscl::{ActivityState, ConstraintSet, Relation};
 use dscweaver_graph::FxHashMap;
 use std::collections::{BTreeMap, HashMap};
+
+mod lanes;
+pub(crate) use lanes::Lanes;
 
 /// Rows of `T` in one flat array: row `i` is `items[at[i]..at[i + 1]]`.
 #[derive(Debug)]
@@ -752,7 +757,7 @@ impl Scratch {
             }
             let mut pos = 0;
             let mut progressed = false;
-            while let Some(t) = self.next_dirty(pos) {
+            while let Some(t) = next_dirty(&self.dirty, pos) {
                 pos = t + 1;
                 let modes = tables.modes(t);
                 self.enabled.clear();
@@ -815,23 +820,8 @@ impl Scratch {
         self.total = tables.initial.items.iter().map(|&(_, n)| n as u64).sum();
         self.decided.clear();
         self.decided.resize(transitions, UNDECIDED);
-        self.dirty.clear();
-        self.dirty.resize(transitions.div_ceil(64), !0);
-        if !transitions.is_multiple_of(64) {
-            self.dirty[transitions / 64] = (1 << (transitions % 64)) - 1;
-        }
+        all_dirty(&mut self.dirty, tables);
         self.trace.clear();
-    }
-
-    /// The first dirty transition at or after `from`.
-    fn next_dirty(&self, from: usize) -> Option<usize> {
-        let mut w = from / 64;
-        let mut bits = *self.dirty.get(w)? & (!0 << (from % 64));
-        while bits == 0 {
-            w += 1;
-            bits = *self.dirty.get(w)?;
-        }
-        Some(w * 64 + bits.trailing_zeros() as usize)
     }
 
     /// Draws the lexicographically first binding of mode `m` — the one
@@ -916,6 +906,27 @@ impl Scratch {
             diverged,
         }
     }
+}
+
+/// Sets every transition of `tables` in the bitset `dirty`.
+fn all_dirty(dirty: &mut Vec<u64>, tables: &Tables) {
+    let transitions = tables.first_mode.len() - 1;
+    dirty.clear();
+    dirty.resize(transitions.div_ceil(64), !0);
+    if !transitions.is_multiple_of(64) {
+        dirty[transitions / 64] = (1 << (transitions % 64)) - 1;
+    }
+}
+
+/// The first transition in the bitset `dirty` at or after `from`.
+fn next_dirty(dirty: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut bits = *dirty.get(w)? & (!0 << (from % 64));
+    while bits == 0 {
+        w += 1;
+        bits = *dirty.get(w)?;
+    }
+    Some(w * 64 + bits.trailing_zeros() as usize)
 }
 
 /// Partitions the guards of `cs` into independence groups by downstream

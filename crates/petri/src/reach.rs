@@ -267,8 +267,9 @@ pub fn run_to_quiescence(
 /// This one-shot call is for caller-supplied nets: it interns `net` into
 /// the kernel and runs once. Validation never builds a net — its
 /// [`CompiledValidation`](crate::CompiledValidation) emits the kernel
-/// straight from the constraint set, keeps it, and runs it with one
-/// scratch state per pool worker and a chooser over mode indices.
+/// straight from the constraint set, keeps it, and runs it up to 64
+/// assignments per bit-sliced lane sweep, with one scalar scratch state
+/// for the lanes that fall back.
 pub fn run_to_quiescence_wavefront(
     net: &Net,
     mut choose_mode: impl FnMut(&Net, TransitionId, &[usize]) -> usize,

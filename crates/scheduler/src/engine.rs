@@ -89,7 +89,10 @@ pub struct SimConfig {
     pub oracle: BTreeMap<String, String>,
     /// Worker limit: at most this many activities run concurrently
     /// (`None` = unbounded). Skips and zero-duration coordinators do not
-    /// occupy a worker.
+    /// wait for a worker. An activity holds its worker from its start to
+    /// its natural finish; a completion deferred past that by a
+    /// finish-side prerequisite frees the worker and keeps only its
+    /// Exclusive hold.
     pub workers: Option<usize>,
     /// Ignored: the scheduler runs on the calling thread. Kept for the
     /// callers that carry one thread knob into validation and scheduling
@@ -459,6 +462,8 @@ struct Run<'r> {
     /// Per activity, ghost included: `UNDECIDED`, `SKIPPED` or a value id.
     outcome: Vec<u32>,
     flags: Vec<u8>,
+    /// Activities holding a worker slot: started, natural finish not yet
+    /// reached.
     running: usize,
     done: usize,
     /// The agenda: activities whose readiness may have changed.
@@ -584,11 +589,16 @@ impl<'r> Run<'r> {
             };
             let i = i as usize;
             self.now = self.now.max(time);
-            // Finish-side prerequisites may defer the completion.
+            // The natural finish frees the worker slot, even when a
+            // finish-side prerequisite defers the completion; the
+            // Exclusive hold (`RUNNING`) lasts until the finish commits.
+            self.running -= 1;
             if self.holds(t.finish.row(i)) {
                 self.finish(i);
             } else {
                 self.flags[i] |= BLOCKED;
+                self.dirty.union_with(&self.worker_blocked);
+                self.worker_blocked.clear();
             }
         }
     }
@@ -704,7 +714,6 @@ impl<'r> Run<'r> {
     fn finish(&mut self, i: usize) {
         let t = self.t;
         self.flags[i] = (self.flags[i] & !RUNNING) | DONE;
-        self.running -= 1;
         self.done += 1;
         self.event(i, EventKind::Finish, self.text[i]);
         self.resolved[3 * i + 2] = true;
@@ -850,7 +859,10 @@ pub fn simulate_rescan_baseline(
     let mut outcome: HashMap<&str, GuardOutcome> = HashMap::new();
     let mut started: HashSet<&str> = HashSet::new();
     let mut done: HashSet<&str> = HashSet::new(); // finished or skipped
+    // Started and not finished: the Exclusive hold.
     let mut running: HashSet<&str> = HashSet::new();
+    // Started, natural finish not yet reached: the worker slots in use.
+    let mut busy = 0usize;
     let mut finish_blocked: HashSet<&str> = HashSet::new();
     let mut trace = Trace::default();
     let mut seq: u64 = 0;
@@ -908,12 +920,13 @@ pub fn simulate_rescan_baseline(
                         // Worker limit: zero-duration activities (the
                         // desugaring coordinators) pass through freely.
                         if let Some(k) = config.workers {
-                            if config.durations.of(a) > 0 && running.len() >= k {
+                            if config.durations.of(a) > 0 && busy >= k {
                                 continue;
                             }
                         }
                         started.insert(a);
                         running.insert(a);
+                        busy += 1;
                         trace.events.push(TraceEvent {
                             time: now,
                             seq,
@@ -975,6 +988,9 @@ pub fn simulate_rescan_baseline(
             break; // deadlock: nothing running, nothing ready
         };
         now = now.max(t);
+        // The natural finish frees the worker slot; a deferred completion
+        // keeps only the Exclusive hold.
+        busy -= 1;
         let a_ref: &str = cs
             .activities
             .get(&a)

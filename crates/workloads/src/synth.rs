@@ -188,8 +188,8 @@ impl Default for DenseConditionalParams {
 /// to `guards` independent binary guards, each guarding a deep slow-path
 /// chain (every chain element control-depends on its guard's `T` branch),
 /// all chains joining into one sink. With the default 9 guards the
-/// validator's per-assignment fan-out has `2^9 = 512` live branch
-/// assignments — the workload behind `BENCH_petri.json`.
+/// validator enumerates `2^9 = 512` live branch assignments — the
+/// workload behind `BENCH_petri.json`.
 pub fn dense_conditional(params: &DenseConditionalParams) -> DependencySet {
     let guards = params.guards.max(1);
     let mut rng = Rng::seed_from_u64(params.seed);

@@ -8,7 +8,7 @@
 use dscweaver_core::ExecConditions;
 use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, StateRef};
 use dscweaver_petri::{
-    assignment_chooser, lower, run_to_quiescence, AssignmentFailure, ValidationReport,
+    assignment_chooser, lower, run_to_quiescence, AssignmentFailure, ModeLimit, ValidationReport,
 };
 use std::collections::HashMap;
 
@@ -46,6 +46,35 @@ impl Reference {
             checked: r.assignments_checked,
             truncated: r.assignments_truncated,
             failures: r.failures.iter().map(canon_failure).collect(),
+        }
+    }
+}
+
+/// Every field of a report but the exploration, failures canonicalized
+/// in report order.
+#[derive(Debug, PartialEq)]
+pub struct FullReport {
+    pub conflict_cycle: Option<Vec<String>>,
+    pub mode_limit: Option<ModeLimit>,
+    pub checked: usize,
+    pub truncated: bool,
+    pub failures: Vec<CanonFailure>,
+    pub guard_groups: usize,
+    pub factored: bool,
+    pub assignment_space: usize,
+}
+
+impl FullReport {
+    pub fn of(r: &ValidationReport) -> FullReport {
+        FullReport {
+            conflict_cycle: r.conflict_cycle.clone(),
+            mode_limit: r.mode_limit.clone(),
+            checked: r.assignments_checked,
+            truncated: r.assignments_truncated,
+            failures: r.failures.iter().map(canon_failure).collect(),
+            guard_groups: r.guard_groups,
+            factored: r.factored,
+            assignment_space: r.assignment_space,
         }
     }
 }

@@ -1,9 +1,11 @@
 //! Property tests pinning the parallel Petri validation paths
 //! bit-identical to their oracles, on seeded workloads:
 //!
-//! * `validate` with `threads ∈ {1, 2, auto}` must produce the same report
-//!   as the test-side reference enumeration over the `run_to_quiescence`
-//!   oracle, with failures in assignment-lexicographic order;
+//! * `validate` (the lane kernel) and `CompiledValidation::run_scalar`
+//!   (one scalar run per assignment) with `threads ∈ {1, 2, auto}` must
+//!   produce the same report as the test-side reference enumeration over
+//!   the `run_to_quiescence` oracle, with failures in
+//!   assignment-lexicographic order;
 //! * `explore_with` must reproduce `explore` exactly (seen-insertion
 //!   order, truncation, terminal markings, fired set, peak tokens);
 //! * `run_to_quiescence_wavefront` must replay `run_to_quiescence`'s
@@ -17,8 +19,8 @@ use dscweaver_core::{ExecConditions, Weaver};
 use dscweaver_dscl::ConstraintSet;
 use dscweaver_petri::{
     assignment_chooser, explore, explore_with, lower, run_to_quiescence,
-    run_to_quiescence_wavefront, validate, ArcIn, ArcOut, Color, ColorFilter, Mode, Net, PlaceId,
-    ValidateOptions,
+    run_to_quiescence_wavefront, validate, ArcIn, ArcOut, Color, ColorFilter, CompiledValidation,
+    Mode, Net, PlaceId, ValidateOptions,
 };
 use dscweaver_prng::Rng;
 use dscweaver_workloads::{dense_conditional, fork_join, DenseConditionalParams};
@@ -47,23 +49,23 @@ fn validate_report_is_thread_invariant_on_clean_workloads() {
         let reference = reference(&cs, &exec, 4096);
         assert!(reference.failures.is_empty(), "seed {seed}: {:?}", reference.failures);
         assert_eq!(reference.checked, 32);
+        let compiled = CompiledValidation::compile(&cs, &exec);
         for threads in [1usize, 2, 0] {
-            let par = validate(
-                &cs,
-                &exec,
-                &ValidateOptions {
-                    threads,
-                    ..Default::default()
-                },
-            );
+            let opts = ValidateOptions {
+                threads,
+                ..Default::default()
+            };
+            let par = validate(&cs, &exec, &opts);
             assert_eq!(Reference::of(&par), reference, "seed {seed} threads {threads}");
+            let scalar = compiled.run_scalar(&opts);
+            assert_eq!(Reference::of(&scalar), reference, "seed {seed} threads {threads} scalar");
         }
     }
 }
 
-/// Three ghost guards make every branch assignment fail — 8 failures
-/// whose merge order across windows must be exactly
-/// assignment-lexicographic for any thread count.
+/// Three ghost guards make every branch assignment fail — 8 failures,
+/// all re-run from the lanes on the scalar kernel, whose order must be
+/// exactly assignment-lexicographic for any thread count.
 #[test]
 fn failure_merge_order_is_lexicographic_and_thread_invariant() {
     let cs = ghost_guards();
@@ -71,19 +73,18 @@ fn failure_merge_order_is_lexicographic_and_thread_invariant() {
     let reference = reference(&cs, &exec, 4096);
     assert_eq!(reference.checked, 8);
     assert_eq!(reference.failures.len(), 8, "every assignment deadlocks");
+    let compiled = CompiledValidation::compile(&cs, &exec);
     for threads in [1usize, 2, 0] {
-        let got = validate(
-            &cs,
-            &exec,
-            &ValidateOptions {
-                threads,
-                // Pin the full 2^3 enumeration: the three ghost guards are
-                // provably independent, so factoring would shrink it.
-                factor: false,
-                ..Default::default()
-            },
-        );
+        let opts = ValidateOptions {
+            threads,
+            // Pin the full 2^3 enumeration: the three ghost guards are
+            // provably independent, so factoring would shrink it.
+            factor: false,
+            ..Default::default()
+        };
+        let got = validate(&cs, &exec, &opts);
         assert_eq!(Reference::of(&got), reference, "threads {threads}");
+        assert_eq!(Reference::of(&compiled.run_scalar(&opts)), reference, "threads {threads} scalar");
     }
 }
 

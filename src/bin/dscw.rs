@@ -23,8 +23,8 @@
 //! every pipeline phase and worker lane to a Chrome trace-event file
 //! (load it in Perfetto / `chrome://tracing`); `--profile` prints a
 //! per-phase wall-time summary to stderr. `--threads <n>` sets the
-//! worker-thread count for validation, execution and the monitor; the
-//! weave itself runs on one thread.
+//! worker-thread count for the monitor's ingest (and the daemon's pool);
+//! the weave, validation and execution run on one thread.
 
 use dscweaver::core::{Dependency, DependencyKind, Endpoint, Weaver};
 use dscweaver::obs;

@@ -180,8 +180,9 @@ pub fn weave(input: &VerticalInput<'_>) -> Result<VerticalOutput, VerticalError>
     };
     let weaver_out =
         timed("weave.optimize", || input.weaver.run(&ds)).map_err(VerticalError::Weaver)?;
-    // The weave and the scheduler run on one thread; the sim config's
-    // thread knob drives validation's assignment fan-out.
+    // The weave, validation's assignment enumeration and the scheduler
+    // run on one thread; the sim config's thread knob would size
+    // validation's optional exploration.
     let validation = timed("weave.validate", || {
         validate(
             &weaver_out.minimal,

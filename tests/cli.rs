@@ -165,8 +165,31 @@ fn run_with_trace_emits_valid_chrome_trace() {
         assert!(begins.iter().any(|n| n == phase), "missing span {phase}: {begins:?}");
     }
 
+    // Counter samples ride along as 'C' events.
+    let counters: Vec<String> = events.iter().filter(|e| ph(e) == "C").map(&name).collect();
+    assert!(
+        counters.iter().any(|c| c == "petri.assignments_checked"),
+        "{counters:?}"
+    );
+
     // Thread-name metadata includes the main lane and at least one worker
-    // lane (threads=2 over two branch assignments spawns real workers).
+    // lane. `run` does all its work on the calling thread, so the worker
+    // lanes come from `monitor`: threads=2 over ≥4096-event ingest
+    // batches spawns real workers.
+    let trace_path = write_tmp("mini3.monitor.trace.json", "");
+    let out = bin()
+        .args(["monitor", proc_path.to_str().unwrap()])
+        .args(["--branch", "gate=T", "--instances", "1000", "--batch", "8192"])
+        .args(["--trace", trace_path.to_str().unwrap(), "--threads", "2"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&trace_path).unwrap();
+    let doc = dscweaver::obs::json::parse(&text).expect("trace must be valid JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(|v| v.as_arr())
+        .expect("traceEvents array");
     let lanes: Vec<String> = events
         .iter()
         .filter(|e| ph(e) == "M")
@@ -174,13 +197,6 @@ fn run_with_trace_emits_valid_chrome_trace() {
         .collect();
     assert!(lanes.iter().any(|l| l == "main"), "{lanes:?}");
     assert!(lanes.iter().any(|l| l.starts_with("worker-")), "{lanes:?}");
-
-    // Counter samples ride along as 'C' events.
-    let counters: Vec<String> = events.iter().filter(|e| ph(e) == "C").map(&name).collect();
-    assert!(
-        counters.iter().any(|c| c == "petri.assignments_checked"),
-        "{counters:?}"
-    );
 }
 
 /// `dscw monitor` fans the executed vertical out into a fleet of live
