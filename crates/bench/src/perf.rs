@@ -148,6 +148,8 @@ struct CaseReport {
     p50_ms: f64,
     p99_ms: f64,
     closure_seq_ms: f64,
+    greedy_ms: f64,
+    unattributed_ms: f64,
     closure_floor_ms: f64,
     pool_dnfs: usize,
     pool_terms: usize,
@@ -227,6 +229,14 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             black_box(minimize_generic_with(&asc, &exec, case.mode, &case.order, &opts).unwrap())
         });
         let closure_seq_ms = phase_ms(&case_trace, "minimize.closure");
+        let greedy_ms = phase_ms(&case_trace, "minimize.greedy");
+        // `minimize.generic` minus its child phases: the time no phase
+        // accounts for.
+        let unattributed_ms = phase_ms(&case_trace, "minimize.generic")
+            - ["minimize.prepare", "minimize.closure", "minimize.greedy", "minimize.output"]
+                .iter()
+                .map(|p| phase_ms(&case_trace, p))
+                .sum::<f64>();
         // The closure layer's floor: plain bitset reachability of the
         // same sync graph, no annotations.
         let sync = SyncGraph::build(&asc);
@@ -252,6 +262,8 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
             p50_ms,
             p99_ms,
             closure_seq_ms,
+            greedy_ms,
+            unattributed_ms,
             closure_floor_ms: ms(t_floor),
             pool_dnfs: res_new.stats.pool_dnfs,
             pool_terms: res_new.stats.pool_terms,
@@ -265,7 +277,7 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"artifact\": \"BENCH_minimize\",\n");
-    out.push_str("  \"description\": \"minimize_generic (interned + bitset-prefiltered, one thread) per case, with its minimal set verified equal to the structural baseline's before timing; closure_seq_ms is the traced closure build and closure_floor_ms plain bitset reachability of the same graph\",\n");
+    out.push_str("  \"description\": \"minimize_generic (interned + bitset-prefiltered, one thread) per case, with its minimal set verified equal to the structural baseline's before timing; closure_seq_ms and greedy_ms are the traced closure build and greedy loop, unattributed_ms is minimize.generic minus its four phases (prepare, closure, greedy, output), and closure_floor_ms is plain bitset reachability of the same graph\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str("  \"cases\": [\n");
@@ -291,6 +303,11 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         out.push_str(&format!(
             "      \"closure_seq_ms\": {},\n",
             json_f(r.closure_seq_ms)
+        ));
+        out.push_str(&format!("      \"greedy_ms\": {},\n", json_f(r.greedy_ms)));
+        out.push_str(&format!(
+            "      \"unattributed_ms\": {},\n",
+            json_f(r.unattributed_ms)
         ));
         out.push_str(&format!(
             "      \"closure_floor_ms\": {},\n",

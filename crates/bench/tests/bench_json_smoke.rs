@@ -27,6 +27,8 @@ fn bench_json_smoke_runs_and_renders() {
         "\"p50_ms\":",
         "\"p99_ms\":",
         "\"closure_seq_ms\":",
+        "\"greedy_ms\":",
+        "\"unattributed_ms\":",
         "\"closure_floor_ms\":",
         "\"constraints_in\":",
         "\"redundancy\":",
@@ -42,6 +44,8 @@ fn bench_json_smoke_runs_and_renders() {
     // the suite trace carries the merged instrumented runs.
     assert!(json.contains("\"minimize.generic\":"), "{json}");
     assert!(json.contains("\"minimize.greedy\":"), "{json}");
+    assert!(json.contains("\"minimize.prepare\":"), "{json}");
+    assert!(json.contains("\"minimize.output\":"), "{json}");
     assert!(!trace.is_empty());
     assert!(trace.phase_totals_ms().contains_key("minimize.closure"));
     // Balanced braces/brackets — cheap well-formedness check without a

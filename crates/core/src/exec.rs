@@ -20,9 +20,11 @@
 //! guards over their declared domains — which subsumes absorption *and*
 //! resolution/branch-completeness without any ad-hoc rewriting.
 
-use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation};
+use crate::number::{Guard, Kind, Numbering};
+use dscweaver_dscl::{Condition, ConstraintSet, Origin};
 use dscweaver_graph::annotated::Dnf;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use dscweaver_graph::FxHashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::LazyLock;
 
 /// Per-activity execution conditions, derived from control dependencies.
@@ -32,7 +34,8 @@ use std::sync::LazyLock;
 /// obligations) without changing the fact of when an activity executes.
 #[derive(Clone, Debug, Default)]
 pub struct ExecConditions {
-    map: HashMap<String, Dnf<Condition>>,
+    /// The conditional activities only; every other name executes always.
+    map: FxHashMap<String, Dnf<Condition>>,
 }
 
 impl ExecConditions {
@@ -43,66 +46,43 @@ impl ExecConditions {
     /// yield *always* — using a weaker assumption can only make the
     /// optimizer keep more constraints, never remove a needed one.
     pub fn derive(cs: &ConstraintSet) -> ExecConditions {
-        // Direct control parents: target activity → [(guard, Some(value))].
-        let mut parents: HashMap<&str, Vec<(&str, Option<&Condition>)>> = HashMap::new();
-        for r in &cs.relations {
-            if let Relation::HappenBefore {
-                from,
-                to,
-                cond,
-                origin: Origin::Control,
-            } = r
-            {
-                parents
-                    .entry(to.activity.as_str())
-                    .or_default()
-                    .push((from.activity.as_str(), cond.as_ref()));
-            }
-        }
+        let num = Numbering::new(cs);
+        ExecConditions::from_ids(&num, &derive_ids(&num))
+    }
 
-        fn compute<'a>(
-            act: &'a str,
-            parents: &HashMap<&'a str, Vec<(&'a str, Option<&'a Condition>)>>,
-            memo: &mut HashMap<&'a str, Dnf<Condition>>,
-            visiting: &mut BTreeSet<&'a str>,
-        ) -> Dnf<Condition> {
-            if let Some(d) = memo.get(act) {
-                return d.clone();
-            }
-            if !visiting.insert(act) {
-                return Dnf::always(); // cycle: conservative
-            }
-            let result = match parents.get(act) {
-                None => Dnf::always(),
-                Some(ps) => {
-                    let mut acc: Dnf<Condition> = Dnf::empty();
-                    for (g, cond) in ps {
-                        let parent_exec = compute(g, parents, memo, visiting);
-                        parent_exec.compose_into(*cond, &mut acc);
-                    }
-                    if acc.is_empty() {
-                        Dnf::always()
-                    } else {
-                        acc
-                    }
-                }
+    /// The string form of [`derive_ids`]' result: one entry per
+    /// conditional name.
+    pub(crate) fn from_ids(num: &Numbering, exec: &[Option<Dnf<Guard>>]) -> ExecConditions {
+        let mut map = FxHashMap::default();
+        for (id, d) in exec.iter().enumerate() {
+            let Some(d) = d.as_ref().filter(|d| !d.is_always()) else {
+                continue;
             };
-            visiting.remove(act);
-            memo.insert(act, result.clone());
-            result
+            let mut out = Dnf::empty();
+            for term in d.terms() {
+                out.insert(term.iter().map(|&c| num.condition(c)).collect());
+            }
+            map.insert(num.name(id as u32).to_string(), out);
         }
+        ExecConditions { map }
+    }
 
-        let mut memo: HashMap<&str, Dnf<Condition>> = HashMap::new();
-        let mut visiting = BTreeSet::new();
-        for a in &cs.activities {
-            compute(a.as_str(), &parents, &mut memo, &mut visiting);
+    /// The execution condition of every conditional activity of `num`,
+    /// on its ids, by activity id (`None`: always). Guards `num` does
+    /// not know yet are numbered.
+    pub(crate) fn to_ids<'a>(&'a self, num: &mut Numbering<'a>) -> Vec<Option<Dnf<Guard>>> {
+        let mut out = vec![None; num.acts()];
+        for (name, d) in &self.map {
+            let Some(id) = num.activity(name) else {
+                continue;
+            };
+            let mut ids = Dnf::empty();
+            for term in d.terms() {
+                ids.insert(term.iter().map(|c| num.guard(c)).collect());
+            }
+            out[id as usize] = Some(ids);
         }
-        ExecConditions {
-            map: memo
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        }
+        out
     }
 
     /// The execution condition of `activity` (*always* if unknown).
@@ -122,6 +102,84 @@ impl ExecConditions {
     }
 }
 
+/// Execution conditions on the ids of `num`, by name id: the DNF of every
+/// activity and of every name their control parents reach (`None` for
+/// the names no derivation visits).
+///
+/// Activities are visited in id order and control parents in relation
+/// order, depth first; a name met again while its own derivation is open
+/// (a control cycle) counts as *always* there.
+pub(crate) fn derive_ids(num: &Numbering) -> Vec<Option<Dnf<Guard>>> {
+    // Control parents per target name, as CSR rows in relation order.
+    let names = num.name_count();
+    let mut start = vec![0u32; names + 1];
+    for r in &num.rels {
+        if r.kind == Kind::Before && r.origin == Origin::Control {
+            start[r.to.0 as usize + 1] += 1;
+        }
+    }
+    for i in 0..names {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut parents = vec![(0u32, None); start[names] as usize];
+    for r in &num.rels {
+        if r.kind == Kind::Before && r.origin == Origin::Control {
+            let slot = &mut fill[r.to.0 as usize];
+            parents[*slot as usize] = (r.from.0, r.cond);
+            *slot += 1;
+        }
+    }
+
+    struct Walk<'p> {
+        start: &'p [u32],
+        parents: &'p [(u32, Option<Guard>)],
+        memo: Vec<Option<Dnf<Guard>>>,
+        visiting: Vec<bool>,
+    }
+    impl Walk<'_> {
+        fn compute(&mut self, act: u32) -> Dnf<Guard> {
+            let a = act as usize;
+            if let Some(d) = &self.memo[a] {
+                return d.clone();
+            }
+            if self.visiting[a] {
+                return Dnf::always(); // cycle: conservative
+            }
+            self.visiting[a] = true;
+            let (lo, hi) = (self.start[a] as usize, self.start[a + 1] as usize);
+            let result = if lo == hi {
+                Dnf::always()
+            } else {
+                let mut acc = Dnf::empty();
+                for i in lo..hi {
+                    let (g, cond) = self.parents[i];
+                    self.compute(g).compose_into(cond.as_ref(), &mut acc);
+                }
+                if acc.is_empty() {
+                    Dnf::always()
+                } else {
+                    acc
+                }
+            };
+            self.visiting[a] = false;
+            self.memo[a] = Some(result.clone());
+            result
+        }
+    }
+
+    let mut walk = Walk {
+        start: &start,
+        parents: &parents,
+        memo: vec![None; names],
+        visiting: vec![false; names],
+    };
+    for a in 0..num.acts() as u32 {
+        walk.compute(a);
+    }
+    walk.memo
+}
+
 /// Conjunction of two DNFs (cross product of terms, minimized).
 pub fn dnf_and(a: &Dnf<Condition>, b: &Dnf<Condition>) -> Dnf<Condition> {
     let mut out = Dnf::empty();
@@ -133,20 +191,6 @@ pub fn dnf_and(a: &Dnf<Condition>, b: &Dnf<Condition>) -> Dnf<Condition> {
         }
     }
     out
-}
-
-/// Evaluates a DNF under a guard assignment, given as a name-sorted slice
-/// (a handful of guards at most, so lookup is a linear scan — no per-step
-/// map allocation on the Definition-4 hot path).
-fn eval(d: &Dnf<Condition>, assignment: &[(&str, &str)]) -> bool {
-    d.terms().iter().any(|term| {
-        term.iter().all(|c| {
-            assignment
-                .iter()
-                .find(|&&(g, _)| g == c.on.as_str())
-                .is_some_and(|&(_, v)| v == c.value.as_str())
-        })
-    })
 }
 
 /// Decides `context ∧ old ⟹ new` semantically, enumerating assignments of
@@ -165,12 +209,50 @@ pub fn implies_under(
     new: &Dnf<Condition>,
     domains: &BTreeMap<String, Vec<String>>,
 ) -> bool {
+    implies_by(
+        [context, old, new],
+        |c| (c.on.as_str(), c.value.as_str()),
+        |g| {
+            domains
+                .get(g)
+                .map(|dom| dom.iter().map(String::as_str).collect())
+        },
+        "\u{1}other",
+    )
+}
+
+/// [`implies_under`] on the ids of a [`Numbering`]: `domains` is indexed
+/// by guard id.
+pub(crate) fn implies_ids(
+    context: &Dnf<Guard>,
+    old: &Dnf<Guard>,
+    new: &Dnf<Guard>,
+    domains: &[Option<Vec<u32>>],
+) -> bool {
+    implies_by(
+        [context, old, new],
+        |&c| c,
+        |g| domains[g as usize].clone(),
+        u32::MAX,
+    )
+}
+
+/// The enumeration behind [`implies_under`]: `split` takes a condition
+/// apart into guard and value, `domain` gives a declared guard's values,
+/// and `other` is a value no condition uses.
+fn implies_by<'d, C: Ord + Clone, K: Ord + Copy, V: Ord + Copy>(
+    [context, old, new]: [&'d Dnf<C>; 3],
+    split: impl Fn(&'d C) -> (K, V),
+    domain: impl Fn(K) -> Option<Vec<V>>,
+    other: V,
+) -> bool {
     // Collect involved guards.
-    let mut guards: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut guards: BTreeMap<K, BTreeSet<V>> = BTreeMap::new();
     for d in [context, old, new] {
         for term in d.terms() {
             for c in term {
-                guards.entry(&c.on).or_default().insert(&c.value);
+                let (g, v) = split(c);
+                guards.entry(g).or_default().insert(v);
             }
         }
     }
@@ -182,18 +264,14 @@ pub fn implies_under(
         return !(c && o) || n;
     }
 
-    const OTHER: &str = "\u{1}other";
-    let guard_values: Vec<(&str, Vec<&str>)> = guards
+    let guard_values: Vec<(K, Vec<V>)> = guards
         .iter()
         .map(|(&g, seen)| {
-            let vals: Vec<&str> = match domains.get(g) {
-                Some(dom) => dom.iter().map(String::as_str).collect(),
-                None => {
-                    let mut v: Vec<&str> = seen.iter().copied().collect();
-                    v.push(OTHER);
-                    v
-                }
-            };
+            let vals = domain(g).unwrap_or_else(|| {
+                let mut v: Vec<V> = seen.iter().copied().collect();
+                v.push(other);
+                v
+            });
             (g, vals)
         })
         .collect();
@@ -207,11 +285,25 @@ pub fn implies_under(
         return false;
     }
 
+    // Evaluates a DNF under the assignment (a handful of guards at most,
+    // so lookup is a linear scan).
+    let eval = |d: &'d Dnf<C>, assignment: &[(K, V)]| {
+        d.terms().iter().any(|term| {
+            term.iter().all(|c| {
+                let (g, v) = split(c);
+                assignment
+                    .iter()
+                    .find(|&&(ag, _)| ag == g)
+                    .is_some_and(|&(_, av)| av == v)
+            })
+        })
+    };
+
     // Odometer enumeration over one in-place assignment vector — each
     // step rewrites only the positions that ticked, instead of
     // re-collecting a fresh map per assignment.
     let mut idx = vec![0usize; guard_values.len()];
-    let mut assignment: Vec<(&str, &str)> = guard_values
+    let mut assignment: Vec<(K, V)> = guard_values
         .iter()
         .map(|(g, vals)| (*g, vals[0]))
         .collect();

@@ -13,6 +13,7 @@ pub mod diff;
 pub mod exec;
 pub mod merge;
 pub mod minimize;
+mod number;
 pub mod pipeline;
 pub mod reweave;
 pub mod translate;

@@ -82,18 +82,19 @@
 //! assert_eq!(out.minimal.constraint_count(), 2);
 //! ```
 
-use crate::exec::{dnf_and, implies_under, ExecConditions};
+use crate::exec::{dnf_and, implies_ids, implies_under, ExecConditions};
+use crate::number::{Guard, IdGraph, Kind, Numbering};
 use dscweaver_dscl::sync_graph::{SyncGraph, SyncNode};
 use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, SyncEdge};
 use dscweaver_graph::annotated::{Dnf, Row};
 use dscweaver_graph::iclosure::{
-    compose_interned_row, interned_closure, AdjEdge, IRow, RowScratch,
+    compose_interned_row, interned_closure_ordered, AdjEdge, IRow, RowScratch,
 };
 use dscweaver_graph::{
-    find_cycle, topo_sort, DiGraph, DnfId, DnfPool, EdgeId, LruCache, NodeId, TermId,
+    find_cycle, topo_sort, DiGraph, DnfId, DnfPool, EdgeId, FxHashMap, LruCache, NodeId, TermId,
 };
 use dscweaver_obs as obs;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// How closures are compared (Definitions 4–5). Ordered from most to
 /// least conservative; all three agree on the paper's Purchasing process
@@ -291,6 +292,30 @@ pub fn minimize_with(
     minimize_generic_with(cs, exec, mode, order, opts)
 }
 
+/// [`minimize`] on a set the weave has already numbered: `exec` holds
+/// the execution condition of the activities of `num` by activity id
+/// (`None`: always).
+pub(crate) fn minimize_numbered(
+    cs: &ConstraintSet,
+    num: &Numbering,
+    exec: &[Option<Dnf<Guard>>],
+    mode: EquivalenceMode,
+    order: &EdgeOrder,
+) -> Result<MinimizeResult, MinimizeError> {
+    let _span = obs::span("minimize");
+    if num
+        .rels
+        .iter()
+        .all(|r| r.kind != Kind::Before || r.cond.is_none())
+    {
+        let _span = obs::span("minimize.reduction");
+        return reduce(cs, num, order);
+    }
+    let _span = generic_span(cs);
+    let prepare = obs::span("minimize.prepare");
+    generic(cs, num, exec, mode, order, &MinimizeOptions::default(), prepare)
+}
+
 /// The generic §4.4 greedy algorithm over condition-annotated closures
 /// (optimized engine, default options).
 pub fn minimize_generic(
@@ -302,13 +327,13 @@ pub fn minimize_generic(
     minimize_generic_with(cs, exec, mode, order, &MinimizeOptions::default())
 }
 
-/// Sorts removal candidates according to `order`.
+/// Puts removal candidates — `(edge, relation index)` pairs in relation
+/// order — into `order`; `origin` gives a relation's origin.
 fn order_candidates(
-    g: &DiGraph<SyncNode, SyncEdge>,
-    sg: &SyncGraph,
+    mut candidates: Vec<(EdgeId, usize)>,
     order: &EdgeOrder,
+    origin: impl Fn(usize) -> Origin,
 ) -> Vec<(EdgeId, usize)> {
-    let mut candidates: Vec<(EdgeId, usize)> = sg.constraint_edges().collect();
     match order {
         EdgeOrder::Given => {}
         EdgeOrder::ReverseGiven => candidates.reverse(),
@@ -316,34 +341,52 @@ fn order_candidates(
             let rank = |o: Origin| -> usize {
                 priority.iter().position(|&p| p == o).unwrap_or(priority.len())
             };
-            candidates.sort_by_key(|&(e, i)| (rank(g.edge_weight(e).origin), i));
+            candidates.sort_by_key(|&(_, i)| (rank(origin(i)), i));
         }
     }
     candidates
 }
 
-/// Interns every node's execution condition (service nodes: always).
-fn intern_exec(
-    g: &DiGraph<SyncNode, SyncEdge>,
-    exec: &ExecConditions,
-    pool: &mut DnfPool<Condition>,
-) -> Vec<DnfId> {
-    let mut exec_ids = vec![DnfPool::<Condition>::ALWAYS; g.node_bound()];
-    for n in g.node_ids() {
-        exec_ids[n.index()] = match g.weight(n) {
-            SyncNode::State(s) => pool.intern(exec.dnf(&s.activity)),
-            SyncNode::Service(_) => DnfPool::<Condition>::ALWAYS,
-        };
+/// The constraint edges of a numbered graph with their relation indices,
+/// in removal-candidate order.
+fn id_candidates(num: &Numbering, graph: &IdGraph, order: &EdgeOrder) -> Vec<(EdgeId, usize)> {
+    let candidates = graph
+        .rel
+        .iter()
+        .enumerate()
+        .map(|(k, &i)| (EdgeId((graph.lifecycle + k) as u32), i as usize))
+        .collect();
+    order_candidates(candidates, order, |i| num.rels[i].origin)
+}
+
+/// The conflict report for a cyclic numbered graph: the labels of one
+/// cycle's nodes.
+fn conflict(num: &Numbering, g: &DiGraph<(), Option<Guard>>) -> MinimizeError {
+    let cycle = find_cycle(g).expect("a graph that does not sort has a cycle");
+    MinimizeError::Conflict {
+        cycle: cycle.iter().map(|n| num.label(n.0)).collect(),
     }
-    exec_ids
+}
+
+/// The minimal set (every relation of `cs` but the removed ones) and the
+/// removed relations, in removal order.
+fn output(cs: &ConstraintSet, removed: &[usize]) -> (ConstraintSet, Vec<Relation>) {
+    let mut gone = vec![false; cs.relations.len()];
+    for &i in removed {
+        gone[i] = true;
+    }
+    let minimal = SyncGraph::subset(cs, &|i| !gone[i]);
+    let removed = removed.iter().map(|&i| cs.relations[i].clone()).collect();
+    (minimal, removed)
 }
 
 /// All mutable state of the optimized greedy loop.
 struct Engine<'a> {
-    g: &'a DiGraph<SyncNode, SyncEdge>,
-    cs: &'a ConstraintSet,
+    g: &'a DiGraph<(), Option<Guard>>,
+    /// Declared domain per guard id.
+    domains: &'a [Option<Vec<u32>>],
     mode: EquivalenceMode,
-    pool: DnfPool<Condition>,
+    pool: DnfPool<Guard>,
     /// Interned annotated-closure rows, by node index.
     irows: Vec<IRow>,
     /// Interned execution condition per node (services: always).
@@ -356,7 +399,10 @@ struct Engine<'a> {
     edge_term: Vec<Option<TermId>>,
     /// Dense per-row accumulator reused across recompositions.
     scratch: RowScratch,
-    removed: HashSet<EdgeId>,
+    /// Out-edge buffer reused across recompositions.
+    adj: Vec<AdjEdge>,
+    /// Removed edges, by edge index.
+    removed: Vec<bool>,
     topo_pos: Vec<usize>,
     /// Memoized `context ∧ old ⟹ new` verdicts, keyed by interned ids
     /// (domains are fixed per run, so the verdict is too). Bounded to
@@ -367,22 +413,22 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
+    /// Builds the initial closure over `topo` (a topological order of
+    /// `g`) into `pool`, which already holds the execution conditions.
     fn new(
-        g: &'a DiGraph<SyncNode, SyncEdge>,
-        cs: &'a ConstraintSet,
-        exec: &ExecConditions,
+        g: &'a DiGraph<(), Option<Guard>>,
+        domains: &'a [Option<Vec<u32>>],
         mode: EquivalenceMode,
+        mut pool: DnfPool<Guard>,
+        exec_ids: Vec<DnfId>,
         pool_cache_limit: usize,
         topo: &[NodeId],
     ) -> Engine<'a> {
-        let mut pool = DnfPool::new();
-        let exec_ids = intern_exec(g, exec, &mut pool);
-
         // The initial annotated closure, built directly in interned form
         // (see `dscweaver_graph::iclosure`).
         let lvl_span = obs::span("minimize.closure.levels");
-        let (irows, cstats) = interned_closure(g, &|_, w: &SyncEdge| w.cond.clone(), &mut pool)
-            .expect("cycle-free graph must close");
+        let (irows, cstats) =
+            interned_closure_ordered(g, topo, &|_, w: &Option<Guard>| *w, &mut pool);
         drop(lvl_span);
         obs::counter_add("minimize.closure.rows_composed", cstats.rows as u64);
         obs::counter_add("minimize.closure.pool_hits", cstats.pool_hits);
@@ -398,18 +444,18 @@ impl<'a> Engine<'a> {
         // Per-edge guard tables for the greedy loop's recompositions
         // (every term/dnf below is already interned, so these are hits).
         let ebound = g.edge_bound();
-        let mut edge_gdnf = vec![DnfPool::<Condition>::ALWAYS; ebound];
+        let mut edge_gdnf = vec![DnfPool::<Guard>::ALWAYS; ebound];
         let mut edge_term = vec![None; ebound];
         for e in g.edge_ids() {
-            if let Some(c) = &g.edge_weight(e).cond {
-                edge_term[e.index()] = Some(pool.intern_term(&vec![c.clone()]));
+            if let Some(c) = g.edge_weight(e) {
+                edge_term[e.index()] = Some(pool.intern_term(&vec![*c]));
                 edge_gdnf[e.index()] = pool.of_guard(Some(c));
             }
         }
 
         Engine {
             g,
-            cs,
+            domains,
             mode,
             pool,
             irows,
@@ -417,7 +463,8 @@ impl<'a> Engine<'a> {
             edge_gdnf,
             edge_term,
             scratch: RowScratch::new(bound),
-            removed: HashSet::new(),
+            adj: Vec::new(),
+            removed: vec![false; ebound],
             topo_pos,
             imp_cache: LruCache::new(pool_cache_limit),
             imp_hits: 0,
@@ -433,29 +480,25 @@ impl<'a> Engine<'a> {
         &mut self,
         n: NodeId,
         skip: Option<EdgeId>,
-        fresh: &HashMap<usize, IRow>,
+        fresh: &FxHashMap<usize, IRow>,
     ) -> IRow {
         let g = self.g;
-        let (pool, scratch, irows, removed) = (
-            &mut self.pool,
-            &mut self.scratch,
-            &self.irows,
-            &self.removed,
+        let mut adj = std::mem::take(&mut self.adj);
+        adj.clear();
+        adj.extend(
+            g.out_edges(n)
+                .filter(|&e| Some(e) != skip && !self.removed[e.index()])
+                .map(|e| {
+                    let (_, m) = g.endpoints(e);
+                    (m.0, self.edge_gdnf[e.index()], self.edge_term[e.index()])
+                }),
         );
-        let (edge_gdnf, edge_term) = (&self.edge_gdnf, &self.edge_term);
-        let adj: Vec<AdjEdge> = g
-            .out_edges(n)
-            .filter(|&e| Some(e) != skip && !removed.contains(&e))
-            .map(|e| {
-                let (_, m) = g.endpoints(e);
-                (m.0, edge_gdnf[e.index()], edge_term[e.index()])
-            })
-            .collect();
-        compose_interned_row(pool, scratch, &adj, |m| {
-            fresh
-                .get(&(m as usize))
-                .unwrap_or(&irows[m as usize])
-        })
+        let irows = &self.irows;
+        let row = compose_interned_row(&mut self.pool, &mut self.scratch, &adj, |m| {
+            fresh.get(&(m as usize)).unwrap_or(&irows[m as usize])
+        });
+        self.adj = adj;
+        row
     }
 
     /// Memoized `ctx ∧ old ⟹ new` over interned formulas. The memo is an
@@ -463,19 +506,18 @@ impl<'a> Engine<'a> {
     /// coldest entries are evicted, so memory stays bounded while the hit
     /// rate degrades gracefully under churn — same answers either way.
     fn implies(&mut self, ctx: DnfId, old: DnfId, new: DnfId) -> bool {
-        if old == new || old == DnfPool::<Condition>::EMPTY || ctx == DnfPool::<Condition>::EMPTY
-        {
+        if old == new || old == DnfPool::<Guard>::EMPTY || ctx == DnfPool::<Guard>::EMPTY {
             return true;
         }
         if let Some(&b) = self.imp_cache.get(&(ctx, old, new)) {
             self.imp_hits += 1;
             return b;
         }
-        let b = implies_under(
+        let b = implies_ids(
             self.pool.dnf(ctx),
             self.pool.dnf(old),
             self.pool.dnf(new),
-            &self.cs.domains,
+            self.domains,
         );
         self.imp_misses += 1;
         self.imp_cache.insert((ctx, old, new), b);
@@ -503,7 +545,7 @@ impl<'a> Engine<'a> {
                 // Only the targets that lost `ALWAYS` or carry a
                 // conditional id can differ; every other `ALWAYS` entry
                 // is kept. Ascending target order, like a full row scan.
-                let always = DnfPool::<Condition>::ALWAYS;
+                let always = DnfPool::<Guard>::ALWAYS;
                 let mut lost = old.uncond().iter_difference(new.uncond()).peekable();
                 let mut maybe_changed: Vec<(u32, DnfId)> = Vec::new();
                 for &(t, old_id) in old.cond() {
@@ -514,7 +556,7 @@ impl<'a> Engine<'a> {
                 }
                 maybe_changed.extend(lost.map(|l| (l as u32, always)));
                 for (t, old_id) in maybe_changed {
-                    let new_id = new.get(t).unwrap_or(DnfPool::<Condition>::EMPTY);
+                    let new_id = new.get(t).unwrap_or(DnfPool::<Guard>::EMPTY);
                     if old_id == new_id {
                         continue;
                     }
@@ -535,21 +577,18 @@ impl<'a> Engine<'a> {
     /// unchanged, so the removal is pure redundancy.
     fn prefilter_accept(&self, cand: EdgeId, u: NodeId, v: NodeId) -> bool {
         let g = self.g;
-        let guard_c = &g.edge_weight(cand).cond;
-        for oe in g.out_edges(u) {
-            if oe == cand || self.removed.contains(&oe) {
-                continue;
+        let guard_c = g.edge_weight(cand);
+        g.out_edges(u).any(|oe| {
+            if oe == cand || self.removed[oe.index()] {
+                return false;
             }
-            let gw = &g.edge_weight(oe).cond;
+            let gw = g.edge_weight(oe);
             if !(gw.is_none() || gw == guard_c) {
-                continue;
+                return false;
             }
             let (_, w) = g.endpoints(oe);
-            if w == v || self.irows[w.index()].uncond().contains(v.index()) {
-                return true;
-            }
-        }
-        false
+            w == v || self.irows[w.index()].uncond().contains(v.index())
+        })
     }
 
     /// Reject prefilter: with no alternate path `u ⇒ v` at all, `v` drops
@@ -559,7 +598,7 @@ impl<'a> Engine<'a> {
     fn has_alternate_path(&self, cand: EdgeId, u: NodeId, v: NodeId) -> bool {
         let g = self.g;
         g.out_edges(u).any(|oe| {
-            oe != cand && !self.removed.contains(&oe) && {
+            oe != cand && !self.removed[oe.index()] && {
                 let (_, w) = g.endpoints(oe);
                 w == v || self.irows[w.index()].reach().contains(v.index())
             }
@@ -577,7 +616,7 @@ impl<'a> Engine<'a> {
         while let Some(x) = stack.pop() {
             affected.push(x);
             for e in g.in_edges(x) {
-                if self.removed.contains(&e) {
+                if self.removed[e.index()] {
                     continue;
                 }
                 let (p, _) = g.endpoints(e);
@@ -600,8 +639,8 @@ impl<'a> Engine<'a> {
         u: NodeId,
         cand: EdgeId,
         new_u: IRow,
-    ) -> HashMap<usize, IRow> {
-        let mut fresh: HashMap<usize, IRow> = HashMap::new();
+    ) -> FxHashMap<usize, IRow> {
+        let mut fresh = FxHashMap::default();
         fresh.insert(u.index(), new_u);
         for &n in affected.iter().filter(|&&n| n != u) {
             let r = self.compose_interned(n, Some(cand), &fresh);
@@ -618,7 +657,7 @@ impl<'a> Engine<'a> {
 
         if self.prefilter_accept(cand, u, v) {
             // Row of u provably unchanged — no closure maintenance needed.
-            self.removed.insert(cand);
+            self.removed[cand.index()] = true;
             return true;
         }
 
@@ -633,7 +672,7 @@ impl<'a> Engine<'a> {
                         .get(v.0)
                         .expect("candidate edge target must be in tail row");
                     let ctx = self.pool.and(self.exec_ids[ui], self.exec_ids[v.index()]);
-                    if !self.implies(ctx, old_v, DnfPool::<Condition>::EMPTY) {
+                    if !self.implies(ctx, old_v, DnfPool::<Guard>::EMPTY) {
                         return false;
                     }
                 }
@@ -641,9 +680,9 @@ impl<'a> Engine<'a> {
         }
 
         // General path: the full recomposed row of u.
-        let new_u = self.compose_interned(u, Some(cand), &HashMap::new());
+        let new_u = self.compose_interned(u, Some(cand), &FxHashMap::default());
         if new_u == self.irows[ui] {
-            self.removed.insert(cand);
+            self.removed[cand.index()] = true;
             return true;
         }
         if !self.covered(ui, &new_u) {
@@ -662,7 +701,7 @@ impl<'a> Engine<'a> {
         }
 
         // Commit: swap the recomputed rows (bitsets included) in.
-        self.removed.insert(cand);
+        self.removed[cand.index()] = true;
         for (ni, row) in fresh {
             self.irows[ni] = row;
         }
@@ -670,10 +709,20 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// The `minimize.generic` span of a run over `cs`.
+fn generic_span(cs: &ConstraintSet) -> obs::Span {
+    obs::span_with("minimize.generic", || format!("relations={}", cs.relations.len()))
+}
+
 /// The generic §4.4 greedy algorithm with explicit [`MinimizeOptions`] —
 /// the optimized engine (interned annotations, bitset prefilters).
 /// Produces edge-for-edge the same minimal set as
 /// [`minimize_generic_baseline`].
+///
+/// The set is numbered on entry (activities, state nodes, guards and
+/// values become `u32` ids; ARCHITECTURE.md has the scheme) and the
+/// engine runs on the ids; strings are touched again only to build the
+/// minimal set and the removed list.
 pub fn minimize_generic_with(
     cs: &ConstraintSet,
     exec: &ExecConditions,
@@ -681,25 +730,51 @@ pub fn minimize_generic_with(
     order: &EdgeOrder,
     opts: &MinimizeOptions,
 ) -> Result<MinimizeResult, MinimizeError> {
-    let _span = obs::span_with("minimize.generic", || {
-        format!("relations={}", cs.relations.len())
-    });
-    let sg = SyncGraph::build(cs);
-    let g = &sg.graph;
+    let _span = generic_span(cs);
+    let prepare = obs::span("minimize.prepare");
+    let mut num = Numbering::new(cs);
+    let exec = exec.to_ids(&mut num);
+    generic(cs, &num, &exec, mode, order, opts, prepare)
+}
+
+/// The engine behind [`minimize_generic_with`], on the numbering `num` of
+/// `cs`. `prepare` is the open `minimize.prepare` span, closed once the
+/// graph, its topological order and the candidate order stand.
+fn generic(
+    cs: &ConstraintSet,
+    num: &Numbering,
+    exec: &[Option<Dnf<Guard>>],
+    mode: EquivalenceMode,
+    order: &EdgeOrder,
+    opts: &MinimizeOptions,
+    prepare: obs::Span,
+) -> Result<MinimizeResult, MinimizeError> {
+    let graph = num.graph();
+    let g = &graph.g;
     // `topo_sort` fails exactly on a cycle; only then is the cycle
     // itself needed, for the conflict report.
     let Ok(topo) = topo_sort(g) else {
-        let cycle = find_cycle(g).expect("a graph that does not sort has a cycle");
-        return Err(MinimizeError::Conflict {
-            cycle: cycle.iter().map(|&n| g.weight(n).label()).collect(),
-        });
+        return Err(conflict(num, g));
     };
-    let candidates = order_candidates(g, &sg, order);
+    let candidates = id_candidates(num, &graph, order);
+    // Execution conditions per node (services: always), interned in
+    // activity order.
+    let mut pool = DnfPool::new();
+    let mut exec_ids = vec![DnfPool::<Guard>::ALWAYS; g.node_bound()];
+    for (a, d) in exec.iter().enumerate().take(num.acts()) {
+        if let Some(d) = d.as_ref().filter(|d| !d.is_always()) {
+            exec_ids[3 * a..3 * a + 3].fill(pool.intern(d));
+        }
+    }
+    drop(prepare);
+
     let closure_span = obs::span("minimize.closure");
-    let mut eng = Engine::new(g, cs, exec, mode, opts.pool_cache_limit, &topo);
+    let limit = opts.pool_cache_limit;
+    let mut eng = Engine::new(g, num.domains(), mode, pool, exec_ids, limit, &topo);
     drop(closure_span);
 
-    let greedy_span = obs::span_with("minimize.greedy", || format!("candidates={}", candidates.len()));
+    let greedy_span =
+        obs::span_with("minimize.greedy", || format!("candidates={}", candidates.len()));
     let mut removed_rels: Vec<usize> = Vec::new();
     for &(cand, rel_idx) in &candidates {
         if eng.try_remove(cand) {
@@ -709,13 +784,11 @@ pub fn minimize_generic_with(
     let checked = candidates.len();
     drop(greedy_span);
 
-    let removed_set: HashSet<usize> = removed_rels.iter().copied().collect();
-    let minimal = SyncGraph::subset(cs, &|i| !removed_set.contains(&i));
-    let removed = removed_rels
-        .iter()
-        .map(|&i| cs.relations[i].clone())
-        .collect();
+    let _output = obs::span("minimize.output");
     let stats = eng.stats();
+    drop(eng);
+    drop(graph);
+    let (minimal, removed) = output(cs, &removed_rels);
     obs::counter_add("minimize.candidates_checked", checked as u64);
     obs::counter_add("minimize.implies_cache_hits", stats.implies_cache_hits);
     obs::counter_add("minimize.implies_cache_misses", stats.implies_cache_misses);
@@ -768,7 +841,8 @@ pub fn minimize_generic_baseline(
         SyncNode::Service(_) => &always,
     };
 
-    let candidates = order_candidates(g, &sg, order);
+    let candidates =
+        order_candidates(sg.constraint_edges().collect(), order, |i| cs.relations[i].origin());
 
     let mut removed_edges: HashSet<EdgeId> = HashSet::new();
     let mut removed_rels: Vec<usize> = Vec::new();
@@ -846,12 +920,7 @@ pub fn minimize_generic_baseline(
         }
     }
 
-    let removed_set: HashSet<usize> = removed_rels.iter().copied().collect();
-    let minimal = SyncGraph::subset(cs, &|i| !removed_set.contains(&i));
-    let removed = removed_rels
-        .iter()
-        .map(|&i| cs.relations[i].clone())
-        .collect();
+    let (minimal, removed) = output(cs, &removed_rels);
     Ok(MinimizeResult {
         minimal,
         removed,
@@ -871,19 +940,26 @@ pub fn minimize_unconditional_fast(
     cs: &ConstraintSet,
     order: &EdgeOrder,
 ) -> Result<MinimizeResult, MinimizeError> {
-    let sg = SyncGraph::build(cs);
-    let g = &sg.graph;
-    if let Some(cycle) = find_cycle(g) {
-        return Err(MinimizeError::Conflict {
-            cycle: cycle.iter().map(|&n| g.weight(n).label()).collect(),
-        });
+    reduce(cs, &Numbering::new(cs), order)
+}
+
+/// [`minimize_unconditional_fast`] on the numbering `num` of `cs`.
+fn reduce(
+    cs: &ConstraintSet,
+    num: &Numbering,
+    order: &EdgeOrder,
+) -> Result<MinimizeResult, MinimizeError> {
+    let graph = num.graph();
+    let g = &graph.g;
+    if find_cycle(g).is_some() {
+        return Err(conflict(num, g));
     }
     let closure = dscweaver_graph::transitive_closure(g);
 
-    let candidates = order_candidates(g, &sg, order);
+    let candidates = id_candidates(num, &graph, order);
 
     // Count live constraint edges per (u, v) pair for duplicate handling.
-    let mut live_per_pair: HashMap<(NodeId, NodeId), usize> = HashMap::new();
+    let mut live_per_pair: FxHashMap<(NodeId, NodeId), usize> = FxHashMap::default();
     for &(e, _) in &candidates {
         *live_per_pair.entry(g.endpoints(e)).or_insert(0) += 1;
     }
@@ -893,18 +969,15 @@ pub fn minimize_unconditional_fast(
     for &(e, rel_idx) in &candidates {
         checked += 1;
         let (u, v) = g.endpoints(e);
-        // Two-or-more-step path: some other successor of u reaches v (or
-        // *is* v via a lifecycle edge — impossible here since lifecycle
-        // targets are states of the same activity and v ≠ u's own state
-        // chain only when the constraint is a self-loop, which the cycle
-        // check excluded).
+        // Two-or-more-step path: some other successor of u reaches v, or
+        // *is* v through a lifecycle edge (never a constraint duplicate —
+        // those are counted below).
         let two_step = g.out_edges(u).any(|oe| {
             if oe == e {
                 return false;
             }
             let (_, w) = g.endpoints(oe);
-            w == v && !matches!(g.edge_weight(oe).kind, dscweaver_dscl::EdgeKind::Constraint(_))
-                || w != v && closure.reaches(w, v)
+            w == v && oe.index() < graph.lifecycle || w != v && closure.reaches(w, v)
         });
         let duplicate_left = live_per_pair[&(u, v)] > 1;
         if two_step || duplicate_left {
@@ -913,13 +986,7 @@ pub fn minimize_unconditional_fast(
         }
     }
 
-    let removed_set: std::collections::HashSet<usize> =
-        removed_rels.iter().copied().collect();
-    let minimal = SyncGraph::subset(cs, &|i| !removed_set.contains(&i));
-    let removed = removed_rels
-        .iter()
-        .map(|&i| cs.relations[i].clone())
-        .collect();
+    let (minimal, removed) = output(cs, &removed_rels);
     Ok(MinimizeResult {
         minimal,
         removed,

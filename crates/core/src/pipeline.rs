@@ -7,10 +7,13 @@
 //! root `dscweaver` facade.
 
 use crate::dependency::DependencySet;
-use crate::exec::ExecConditions;
+use crate::exec::{derive_ids, ExecConditions};
 use crate::merge::merge;
-use crate::minimize::{minimize, EdgeOrder, EquivalenceMode, MinimizeError, MinimizeResult};
-use crate::translate::{translate_services, TranslationReport};
+use crate::minimize::{
+    minimize_numbered, EdgeOrder, EquivalenceMode, MinimizeError, MinimizeResult,
+};
+use crate::number::Numbering;
+use crate::translate::{translate_numbered, TranslationReport};
 use dscweaver_dscl::{ConstraintError, ConstraintSet, Origin, Relation};
 use dscweaver_graph::FxHasher;
 use dscweaver_obs as obs;
@@ -57,8 +60,6 @@ impl std::error::Error for WeaverError {}
 /// Every artifact the pipeline produces.
 #[derive(Clone, Debug)]
 pub struct WeaverOutput {
-    /// The input dependencies (Table 1).
-    pub dependencies: DependencySet,
     /// The merged synchronization constraint set `SC` (Figure 7).
     pub sc: ConstraintSet,
     /// Execution conditions derived from `SC`'s control dependencies —
@@ -91,31 +92,49 @@ impl Weaver {
     }
 
     /// Runs the full specification-and-optimization pipeline.
+    ///
+    /// The merged set is numbered once, and execution conditions,
+    /// translation and minimization run on that numbering; strings are
+    /// built only for the output sets. [`merge`] lowers every dependency
+    /// to a HappenBefore relation, so there is no HappenTogether sugar to
+    /// desugar. A merged set that fails [`ConstraintSet::validate`] is
+    /// reported with validate's error list.
     pub fn run(&self, ds: &DependencySet) -> Result<WeaverOutput, WeaverError> {
         let _span = obs::span("weaver.run");
         let merge_span = obs::span_with("weaver.merge", || {
             format!("dependencies={}", ds.deps.len())
         });
-        let mut sc = merge(ds);
-        let errors = sc.validate();
-        if !errors.is_empty() {
-            return Err(WeaverError::Validation(errors));
+        let sc = merge(ds);
+        let num = Numbering::new(&sc);
+        if num.has_problems() {
+            return Err(WeaverError::Validation(sc.validate()));
         }
-        sc.desugar_happen_together();
         drop(merge_span);
-        let exec = {
+        let (exec, exec_ids) = {
             let _span = obs::span("weaver.exec_conditions");
-            ExecConditions::derive(&sc)
+            let ids = derive_ids(&num);
+            (ExecConditions::from_ids(&num, &ids), ids)
         };
         let (asc, translation) = {
             let _span = obs::span("weaver.translate");
-            translate_services(&sc)
+            translate_numbered(&sc, &num)
+        };
+        // Without services the ASC is the SC, relation for relation, and
+        // shares its numbering; translation drops the services, so a
+        // translated ASC is numbered afresh (activities and guards keep
+        // their ids).
+        let asc_num;
+        let asc_num = if sc.services.is_empty() {
+            &num
+        } else {
+            asc_num = Numbering::new(&asc);
+            &asc_num
         };
         let MinimizeResult {
             minimal, removed, ..
-        } = minimize(&asc, &exec, self.mode, &self.order).map_err(WeaverError::Conflict)?;
+        } = minimize_numbered(&asc, asc_num, &exec_ids, self.mode, &self.order)
+            .map_err(WeaverError::Conflict)?;
         Ok(WeaverOutput {
-            dependencies: ds.clone(),
             sc,
             exec,
             asc,

@@ -22,10 +22,9 @@
 //! affect scheduling inside the process. The result is the *activity
 //! synchronization constraint set* `ASC = {A, P}`.
 
-use dscweaver_dscl::sync_graph::{SyncGraph, SyncNode};
-use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, StateRef};
-use dscweaver_graph::NodeId;
-use std::collections::BTreeSet;
+use crate::number::{Guard, Numbering};
+use dscweaver_dscl::{ConstraintSet, Origin, Relation};
+use dscweaver_graph::{FxHashSet, NodeId};
 
 /// What the translation did, for reporting.
 #[derive(Clone, Debug, Default)]
@@ -46,69 +45,75 @@ pub struct TranslationReport {
 /// constraints added. HappenTogether sugar must be desugared first.
 pub fn translate_services(cs: &ConstraintSet) -> (ConstraintSet, TranslationReport) {
     // No external services ⇒ no service chains to splice, no relations to
-    // drop, no bridges: the ASC is the SC verbatim. Skipping the graph
-    // build here keeps pure-activity processes (the common case for the
-    // synthetic workloads and for incremental re-weaves) from paying for
-    // a translation pass that cannot do anything.
+    // drop, no bridges: the ASC is the SC verbatim, and numbering the set
+    // would buy nothing.
     if cs.services.is_empty() {
         return (cs.clone(), TranslationReport::default());
     }
-    let sg = SyncGraph::build(cs);
-    let mut report = TranslationReport::default();
+    translate_numbered(cs, &Numbering::new(cs))
+}
 
-    let is_external =
-        |n: NodeId| -> bool { matches!(sg.graph.weight(n), SyncNode::Service(_)) };
+/// [`translate_services`] on the numbering `num` of `cs`: the service
+/// chains are walked on node ids, and strings are built only for the
+/// bridges and the report.
+pub(crate) fn translate_numbered(
+    cs: &ConstraintSet,
+    num: &Numbering,
+) -> (ConstraintSet, TranslationReport) {
+    if cs.services.is_empty() {
+        return (cs.clone(), TranslationReport::default());
+    }
+    let g = num.graph().g;
+    let mut report = TranslationReport::default();
+    let is_external = |n: NodeId| !num.is_state(n.0);
+    let services = || (0..g.node_bound() as u32).map(NodeId).filter(|&n| is_external(n));
 
     // For each internal → external edge, walk the external-only chain
     // forward and bridge to every internal node the chain exits into.
-    let mut bridges: BTreeSet<(StateRef, StateRef, Option<Condition>)> = BTreeSet::new();
-    for e in sg.graph.edge_ids() {
-        let (u, first_ext) = sg.graph.endpoints(e);
+    let mut bridges: Vec<(u32, u32, Option<Guard>)> = Vec::new();
+    let mut seen: FxHashSet<NodeId> = FxHashSet::default();
+    for e in g.edge_ids() {
+        let (u, first_ext) = g.endpoints(e);
         if is_external(u) || !is_external(first_ext) {
             continue;
         }
-        let w = sg.graph.edge_weight(e);
-        let cond_in = w.cond.clone();
-        let from_ref = match sg.graph.weight(u) {
-            SyncNode::State(s) => s.clone(),
-            SyncNode::Service(_) => unreachable!("u checked internal"),
-        };
-        // Forward BFS over external nodes only.
+        let cond_in = *g.edge_weight(e);
+        // Forward walk over external nodes only.
+        seen.clear();
+        seen.insert(first_ext);
         let mut frontier = vec![first_ext];
-        let mut seen: BTreeSet<NodeId> = frontier.iter().copied().collect();
         while let Some(x) = frontier.pop() {
-            for oe in sg.graph.out_edges(x) {
-                let (_, t) = sg.graph.endpoints(oe);
-                let ow = sg.graph.edge_weight(oe);
+            for oe in g.out_edges(x) {
+                let (_, t) = g.endpoints(oe);
+                let ow = *g.edge_weight(oe);
                 if is_external(t) {
                     if seen.insert(t) {
                         frontier.push(t);
                     }
-                    if let Some(c) = &ow.cond {
+                    if let Some(c) = ow {
                         report.warnings.push(format!(
-                            "condition '{c}' on external edge inside a service chain is ignored"
+                            "condition '{}' on external edge inside a service chain is ignored",
+                            num.condition(c)
                         ));
                     }
                 } else {
                     // Exits the chain into an internal node: bridge.
-                    let to_ref = match sg.graph.weight(t) {
-                        SyncNode::State(s) => s.clone(),
-                        SyncNode::Service(_) => unreachable!("t checked internal"),
-                    };
-                    let cond = match (&cond_in, &ow.cond) {
-                        (None, c) => c.clone(),
-                        (Some(c), None) => Some(c.clone()),
-                        (Some(c1), Some(c2)) => {
-                            if c1 != c2 {
-                                report.warnings.push(format!(
-                                    "conflicting conditions '{c1}' and '{c2}' on a service \
-                                     chain from {from_ref}; keeping '{c1}'"
-                                ));
-                            }
-                            Some(c1.clone())
+                    let cond = match (cond_in, ow) {
+                        (None, c) => c,
+                        (Some(c1), Some(c2)) if c1 != c2 => {
+                            report.warnings.push(format!(
+                                "conflicting conditions '{}' and '{}' on a service \
+                                 chain from {}; keeping '{}'",
+                                num.condition(c1),
+                                num.condition(c2),
+                                num.label(u.0),
+                                num.condition(c1)
+                            ));
+                            Some(c1)
                         }
+                        (Some(c1), _) => Some(c1),
                     };
-                    bridges.insert((from_ref.clone(), to_ref, cond));
+                    bridges.push((u.0, t.0, cond));
                 }
             }
         }
@@ -118,91 +123,85 @@ pub fn translate_services(cs: &ConstraintSet) -> (ConstraintSet, TranslationRepo
     // invokers, every *other* constraint into s_j transfers to the
     // invokers: closest internal ancestors of the constraint's source must
     // precede the invoking activity's Start.
-    for (_, sj) in sg.service_nodes() {
-        // Internal invokers of s_j: internal nodes with a direct edge to it.
-        let invokers: Vec<(NodeId, String)> = sg
-            .graph
+    for sj in services() {
+        // Internal invokers of s_j (activity ids): internal nodes with a
+        // direct edge to it.
+        let invokers: Vec<u32> = g
             .predecessors(sj)
-            .filter_map(|p| match sg.graph.weight(p) {
-                SyncNode::State(s) => Some((p, s.activity.clone())),
-                SyncNode::Service(_) => None,
-            })
+            .filter(|&p| !is_external(p))
+            .map(|p| p.0 / 3)
             .collect();
         if invokers.is_empty() {
             continue;
         }
-        let invoker_acts: BTreeSet<&str> =
-            invokers.iter().map(|(_, a)| a.as_str()).collect();
-        for e in sg.graph.in_edges(sj).collect::<Vec<_>>() {
-            let (w, _) = sg.graph.endpoints(e);
-            let entering_cond = sg.graph.edge_weight(e).cond.clone();
+        for e in g.in_edges(sj) {
+            let (w, _) = g.endpoints(e);
             // Skip the invoker edges themselves.
-            if let SyncNode::State(s) = sg.graph.weight(w) {
-                if invoker_acts.contains(s.activity.as_str()) {
-                    continue;
-                }
+            if !is_external(w) && invokers.contains(&(w.0 / 3)) {
+                continue;
             }
             // Closest internal ancestors of w (w itself if internal;
             // otherwise backward through external nodes).
-            let mut ancestors: Vec<(StateRef, Option<Condition>)> = Vec::new();
-            match sg.graph.weight(w) {
-                SyncNode::State(s) => ancestors.push((s.clone(), entering_cond.clone())),
-                SyncNode::Service(_) => {
-                    let mut frontier = vec![w];
-                    let mut seen: BTreeSet<NodeId> = frontier.iter().copied().collect();
-                    while let Some(x) = frontier.pop() {
-                        for ie in sg.graph.in_edges(x) {
-                            let (p, _) = sg.graph.endpoints(ie);
-                            match sg.graph.weight(p) {
-                                SyncNode::State(s) => ancestors.push((
-                                    s.clone(),
-                                    sg.graph.edge_weight(ie).cond.clone(),
-                                )),
-                                SyncNode::Service(_) => {
-                                    if seen.insert(p) {
-                                        frontier.push(p);
-                                    }
-                                }
-                            }
+            let mut ancestors: Vec<(u32, Option<Guard>)> = Vec::new();
+            if !is_external(w) {
+                ancestors.push((w.0, *g.edge_weight(e)));
+            } else {
+                seen.clear();
+                seen.insert(w);
+                let mut frontier = vec![w];
+                while let Some(x) = frontier.pop() {
+                    for ie in g.in_edges(x) {
+                        let (p, _) = g.endpoints(ie);
+                        if !is_external(p) {
+                            ancestors.push((p.0, *g.edge_weight(ie)));
+                        } else if seen.insert(p) {
+                            frontier.push(p);
                         }
                     }
                 }
             }
             for (anc, cond) in ancestors {
-                for (_, inv_act) in &invokers {
-                    if *inv_act == anc.activity {
+                for &inv in &invokers {
+                    if inv == anc / 3 {
                         continue; // no self-ordering
                     }
-                    bridges.insert((anc.clone(), StateRef::start(inv_act.clone()), cond.clone()));
+                    bridges.push((anc, 3 * inv, cond));
                 }
             }
         }
     }
 
     // External nodes whose chains never reach an internal node.
-    for (name, n) in sg.service_nodes() {
-        let exits_internally = {
-            let mut frontier = vec![n];
-            let mut seen: BTreeSet<NodeId> = frontier.iter().copied().collect();
-            let mut found = false;
-            while let Some(x) = frontier.pop() {
-                for t in sg.graph.successors(x) {
-                    if is_external(t) {
-                        if seen.insert(t) {
-                            frontier.push(t);
-                        }
-                    } else {
-                        found = true;
-                    }
+    for n in services() {
+        seen.clear();
+        seen.insert(n);
+        let mut frontier = vec![n];
+        let mut found = false;
+        while let Some(x) = frontier.pop() {
+            for t in g.successors(x) {
+                if !is_external(t) {
+                    found = true;
+                } else if seen.insert(t) {
+                    frontier.push(t);
                 }
             }
-            found
-        };
-        if !exits_internally {
-            report.dead_ends.push(name.to_string());
+        }
+        if !found {
+            report.dead_ends.push(num.label(n.0));
         }
     }
     report.dead_ends.sort();
+
+    // Bridges in `(StateRef, StateRef, Option<Condition>)` order: state
+    // node ids already sort like their references (activity ids are in
+    // name order), conditions compare by their names.
+    let cond_key = |c: Option<Guard>| c.map(|c| num.condition_key(c));
+    bridges.sort_by(|a, b| {
+        (a.0, a.1)
+            .cmp(&(b.0, b.1))
+            .then_with(|| cond_key(a.2).cmp(&cond_key(b.2)))
+    });
+    bridges.dedup();
 
     // Assemble the ASC: keep relations not touching service nodes, add the
     // bridges (skipping bridges that duplicate an existing identical
@@ -211,26 +210,26 @@ pub fn translate_services(cs: &ConstraintSet) -> (ConstraintSet, TranslationRepo
     let mut out = ConstraintSet::new(cs.name.clone());
     out.activities = cs.activities.clone();
     out.domains = cs.domains.clone();
-    let mut existing: BTreeSet<(StateRef, StateRef, Option<Condition>)> = BTreeSet::new();
-    for r in &cs.relations {
-        let touches_external = r.activities().iter().any(|a| cs.is_external(a));
-        if touches_external {
+    let mut existing: FxHashSet<(u32, u32, Option<Guard>)> = FxHashSet::default();
+    for (r, ir) in cs.relations.iter().zip(&num.rels) {
+        if num.is_external(ir.from.0) || num.is_external(ir.to.0) {
             report.dropped += 1;
             continue;
         }
-        if let Relation::HappenBefore { from, to, cond, .. } = r {
-            existing.insert((from.clone(), to.clone(), cond.clone()));
+        let ends = (num.node(ir.from), num.node(ir.to));
+        if let (true, (Some(f), Some(t))) = (r.is_happen_before(), ends) {
+            existing.insert((f, t, ir.cond));
         }
         out.push(r.clone());
     }
     for (from, to, cond) in bridges {
-        if existing.contains(&(from.clone(), to.clone(), cond.clone())) {
+        if existing.contains(&(from, to, cond)) {
             continue;
         }
         let rel = Relation::HappenBefore {
-            from,
-            to,
-            cond,
+            from: num.state_ref(from),
+            to: num.state_ref(to),
+            cond: cond.map(|c| num.condition(c)),
             origin: Origin::Translated,
         };
         report.bridges.push(rel.clone());
@@ -242,7 +241,7 @@ pub fn translate_services(cs: &ConstraintSet) -> (ConstraintSet, TranslationRepo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dscweaver_dscl::StateRef;
+    use dscweaver_dscl::{Condition, StateRef};
 
     /// The paper's §4.3 example: a1 → a2 → ws1_1 → ws1_d → a3 → a4
     /// translates to a1 → a2 → a3 → a4.

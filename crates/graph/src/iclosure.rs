@@ -52,7 +52,7 @@
 
 use crate::annotated::GuardFn;
 use crate::bitset::BitSet;
-use crate::digraph::DiGraph;
+use crate::digraph::{DiGraph, NodeId};
 use crate::intern::{DnfId, DnfPool, TermId};
 use crate::topo::{topo_sort, CycleError};
 use dscweaver_obs as obs;
@@ -87,6 +87,17 @@ impl IRow {
         for &(t, d) in &cond {
             assert!(!reach.contains(t as usize), "target {t} is also unconditional");
             assert!(d != DnfId::ALWAYS && d != DnfId::EMPTY, "target {t} is not conditional");
+            reach.insert(t as usize);
+        }
+        IRow { uncond, reach, cond }
+    }
+
+    /// [`IRow::from_parts`] for entries the composer harvested, which
+    /// meet its contract by construction.
+    fn from_harvest(uncond: BitSet, cond: Vec<(u32, DnfId)>) -> IRow {
+        let mut reach = uncond.clone();
+        for &(t, d) in &cond {
+            debug_assert!(!reach.contains(t as usize) && d != DnfId::ALWAYS && d != DnfId::EMPTY);
             reach.insert(t as usize);
         }
         IRow { uncond, reach, cond }
@@ -158,6 +169,12 @@ const NONE: u32 = u32::MAX;
 pub struct RowScratch {
     acc: Vec<u32>,
     touched: Vec<u32>,
+    /// Per guard term met by the current row's conditional edges, the
+    /// targets that already took that edge annotation: their slots
+    /// contain it, so a repeat is absorbed without a union. Only the
+    /// first `terms` entries are live; their words are zero between rows.
+    absorbed: Vec<(TermId, Vec<u64>)>,
+    terms: usize,
 }
 
 impl RowScratch {
@@ -166,22 +183,25 @@ impl RowScratch {
         RowScratch {
             acc: vec![NONE; bound],
             touched: Vec::new(),
+            absorbed: Vec::new(),
+            terms: 0,
         }
     }
 
-    /// `acc[t] ∪= d` with a dense slot per target.
-    #[inline]
-    fn upsert<G>(&mut self, pool: &mut DnfPool<G>, t: u32, d: DnfId)
-    where
-        G: Ord + Clone + std::hash::Hash,
-    {
-        let slot = &mut self.acc[t as usize];
-        if *slot == NONE {
-            *slot = d.0;
-            self.touched.push(t);
-        } else if *slot != d.0 {
-            *slot = pool.union(DnfId(*slot), d).0;
+    /// The index of `term`'s absorbed-target words in this row, opening
+    /// a zeroed entry on first use.
+    fn absorbed_slot(&mut self, term: TermId) -> usize {
+        if let Some(k) = self.absorbed[..self.terms].iter().position(|(t, _)| *t == term) {
+            return k;
         }
+        if self.terms == self.absorbed.len() {
+            self.absorbed
+                .push((term, vec![0; self.acc.len().div_ceil(64)]));
+        } else {
+            self.absorbed[self.terms].0 = term;
+        }
+        self.terms += 1;
+        self.terms - 1
     }
 
     /// Harvests the accumulated entries (sorted by target) and resets the
@@ -197,7 +217,26 @@ impl RowScratch {
             self.acc[t as usize] = NONE;
         }
         self.touched.clear();
+        for (_, words) in &mut self.absorbed[..self.terms] {
+            words.fill(0);
+        }
+        self.terms = 0;
         cond
+    }
+}
+
+/// `acc[t] ∪= d` with a dense slot per target.
+#[inline]
+fn upsert<G>(acc: &mut [u32], touched: &mut Vec<u32>, pool: &mut DnfPool<G>, t: u32, d: DnfId)
+where
+    G: Ord + Clone + std::hash::Hash,
+{
+    let slot = &mut acc[t as usize];
+    if *slot == NONE {
+        *slot = d.0;
+        touched.push(t);
+    } else if *slot != d.0 {
+        *slot = pool.union(DnfId(*slot), d).0;
     }
 }
 
@@ -207,8 +246,17 @@ impl RowScratch {
 /// value.
 pub type AdjEdge = (u32, DnfId, Option<TermId>);
 
-/// Per-node out-edge views.
-type Adj = Vec<Vec<AdjEdge>>;
+/// Per-node out-edge views, as CSR rows.
+struct Adj {
+    start: Vec<u32>,
+    edges: Vec<AdjEdge>,
+}
+
+impl Adj {
+    fn of(&self, n: usize) -> &[AdjEdge] {
+        &self.edges[self.start[n] as usize..self.start[n + 1] as usize]
+    }
+}
 
 /// Pre-interns every edge guard (deterministic node/edge order) and
 /// builds the per-node adjacency view.
@@ -217,22 +265,27 @@ fn build_adj<N, E, G: Ord + Clone + std::hash::Hash>(
     guard_of: &impl GuardFn<E, G>,
     pool: &mut DnfPool<G>,
 ) -> Adj {
-    let mut adj: Adj = vec![Vec::new(); g.node_bound()];
-    for n in g.node_ids() {
-        let out = &mut adj[n.index()];
-        for e in g.out_edges(n) {
-            let (_, m) = g.endpoints(e);
-            match guard_of.guard(e, g.edge_weight(e)) {
-                None => out.push((m.0, DnfPool::<G>::ALWAYS, None)),
-                Some(gv) => {
-                    let t = pool.intern_term(&vec![gv.clone()]);
-                    let d = pool.of_guard(Some(&gv));
-                    out.push((m.0, d, Some(t)));
+    let mut start = Vec::with_capacity(g.node_bound() + 1);
+    let mut edges = Vec::with_capacity(g.edge_count());
+    start.push(0);
+    for i in 0..g.node_bound() {
+        let n = NodeId(i as u32);
+        if g.contains_node(n) {
+            for e in g.out_edges(n) {
+                let (_, m) = g.endpoints(e);
+                match guard_of.guard(e, g.edge_weight(e)) {
+                    None => edges.push((m.0, DnfPool::<G>::ALWAYS, None)),
+                    Some(gv) => {
+                        let t = pool.intern_term(&vec![gv.clone()]);
+                        let d = pool.of_guard(Some(&gv));
+                        edges.push((m.0, d, Some(t)));
+                    }
                 }
             }
         }
+        start.push(edges.len() as u32);
     }
-    adj
+    Adj { start, edges }
 }
 
 /// Composes one interned row from an adjacency view:
@@ -257,7 +310,7 @@ where
     G: Ord + Clone + std::hash::Hash,
     F: Fn(u32) -> &'r IRow,
 {
-    debug_assert!(scratch.touched.is_empty());
+    debug_assert!(scratch.touched.is_empty() && scratch.terms == 0);
     let mut uncond = BitSet::new(scratch.acc.len());
     for &(m, _, t) in adj {
         if t.is_none() {
@@ -267,12 +320,31 @@ where
     }
     for &(m, direct, t) in adj {
         let mrow = row_of(m);
-        if t.is_some() {
-            if !uncond.contains(m as usize) {
-                scratch.upsert(pool, m, direct);
+        if let Some(term) = t {
+            // `{m} ∪ uncond(m)`, outside `uncond` and not yet given this
+            // edge annotation, takes it — in ascending target order.
+            let k = scratch.absorbed_slot(term);
+            let RowScratch {
+                acc,
+                touched,
+                absorbed,
+                ..
+            } = scratch;
+            let seen = &mut absorbed[k].1;
+            let (mw, mb) = (m as usize / 64, 1u64 << (m % 64));
+            if !uncond.contains(m as usize) && seen[mw] & mb == 0 {
+                seen[mw] |= mb;
+                upsert(acc, touched, pool, m, direct);
             }
-            for tt in mrow.uncond.iter_difference(&uncond) {
-                scratch.upsert(pool, tt as u32, direct);
+            let words = mrow.uncond.words().iter().zip(uncond.words()).zip(seen.iter_mut());
+            for (wi, ((&a, &b), c)) in words.enumerate() {
+                let mut w = a & !b & !*c;
+                *c |= w;
+                while w != 0 {
+                    let tt = (wi * 64) as u32 + w.trailing_zeros();
+                    upsert(acc, touched, pool, tt, direct);
+                    w &= w - 1;
+                }
             }
         }
         for &(tt, did) in &mrow.cond {
@@ -281,11 +353,12 @@ where
                     None => did,
                     Some(t) => pool.compose_term(did, t),
                 };
-                scratch.upsert(pool, tt, composed);
+                upsert(&mut scratch.acc, &mut scratch.touched, pool, tt, composed);
             }
         }
     }
-    IRow::from_parts(uncond, scratch.harvest())
+    let cond = scratch.harvest();
+    IRow::from_harvest(uncond, cond)
 }
 
 /// Computes the condition-annotated closure of a **DAG** directly in
@@ -303,6 +376,22 @@ where
     G: Ord + Clone + std::hash::Hash,
 {
     let order = topo_sort(g)?;
+    Ok(interned_closure_ordered(g, &order, guard_of, pool))
+}
+
+/// [`interned_closure`] over a topological order the caller already
+/// holds: `order` must list every live node of `g` exactly once, each
+/// before its successors. Rows, levels and pool numbering do not depend
+/// on which such order is given.
+pub fn interned_closure_ordered<N, E, G>(
+    g: &DiGraph<N, E>,
+    order: &[NodeId],
+    guard_of: &impl GuardFn<E, G>,
+    pool: &mut DnfPool<G>,
+) -> (Vec<IRow>, ClosureStats)
+where
+    G: Ord + Clone + std::hash::Hash,
+{
     let bound = g.node_bound();
     let dnfs_before = pool.dnf_count();
     let hits_before = pool.ops_hits();
@@ -314,7 +403,8 @@ where
     let mut level = vec![0usize; bound];
     let mut max_level = 0usize;
     for &n in order.iter().rev() {
-        let l = adj[n.index()]
+        let l = adj
+            .of(n.index())
             .iter()
             .map(|&(m, _, _)| level[m as usize] + 1)
             .max()
@@ -323,7 +413,7 @@ where
         max_level = max_level.max(l);
     }
     let mut levels: Vec<Vec<u32>> = vec![Vec::new(); max_level + 1];
-    for &n in &order {
+    for &n in order {
         levels[level[n.index()]].push(n.0);
     }
     for nodes in &mut levels {
@@ -338,7 +428,7 @@ where
             format!("level={li} nodes={}", nodes.len())
         });
         for &n in nodes {
-            let row = compose_interned_row(pool, &mut scratch, &adj[n as usize], |m| {
+            let row = compose_interned_row(pool, &mut scratch, adj.of(n as usize), |m| {
                 rows[m as usize].as_ref().expect("successor rows sit on lower levels")
             });
             rows[n as usize] = Some(row);
@@ -356,7 +446,7 @@ where
         .into_iter()
         .map(|r| r.unwrap_or_else(|| IRow::empty(bound)))
         .collect();
-    Ok((rows, stats))
+    (rows, stats)
 }
 
 #[cfg(test)]

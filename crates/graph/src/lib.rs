@@ -54,7 +54,8 @@ pub use annotated::{
 };
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use iclosure::{
-    compose_interned_row, interned_closure, AdjEdge, ClosureStats, IRow, RowScratch,
+    compose_interned_row, interned_closure, interned_closure_ordered, AdjEdge, ClosureStats, IRow,
+    RowScratch,
 };
 pub use intern::{DnfId, DnfPool, TermId};
 pub use lru::LruCache;
@@ -64,7 +65,7 @@ pub use digraph::{DiGraph, EdgeId, NodeId};
 pub use dom::{dominators, Dominators};
 pub use dot::{to_dot, EdgeStyle, NodeStyle};
 pub use matching::{hopcroft_karp, max_antichain};
-pub use par::{effective_threads, par_map, par_ranges, par_shards};
+pub use par::{effective_threads, par_map, par_shards};
 pub use reduction::{redundant_edges, transitive_reduction};
 pub use scc::{condensation, find_cycle, has_cycle, tarjan_scc};
 pub use topo::{critical_path, layers, max_layer_width, topo_sort, CycleError};

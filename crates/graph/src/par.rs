@@ -1,9 +1,7 @@
 //! Shared scoped-thread worker pool.
 //!
-//! Two phases of the pipeline are embarrassingly parallel behind a
-//! deterministic merge: Petri-net validation (one independent
-//! maximal-step run per branch assignment) and the DES scheduler's
-//! per-wavefront readiness evaluation. Both share this
+//! The streaming monitor's batch ingest and the daemon's connection
+//! loop fan out behind a deterministic merge. Both share this
 //! module: chunked fork/join maps over [`std::thread::scope`], with a
 //! `threads: usize` knob following one convention everywhere — `0` picks
 //! the machine's available parallelism, `1` forces the fully sequential
@@ -16,22 +14,17 @@
 //!
 //! When the global `dscweaver-obs` recorder is on, each spawned worker
 //! tags itself with the stable `worker-{slot}` trace lane and wraps its
-//! chunk/window in a span (`par.map.chunk` / `par.range.window`), so a
+//! chunk in a span (`par.map.chunk` / `par.shard.chunk`), so a
 //! Chrome-trace export shows one row per pool slot with the fork/join
 //! structure of every parallel phase. Disabled, this is one relaxed
 //! atomic load per spawned worker.
 //!
 //! ```
-//! use dscweaver_graph::{par_map, par_ranges};
+//! use dscweaver_graph::par_map;
 //!
 //! let xs: Vec<u64> = (0..100).collect();
 //! // Output order matches input order for any thread count.
 //! assert_eq!(par_map(4, &xs, &|x| x * x), par_map(1, &xs, &|x| x * x));
-//!
-//! // Deterministic contiguous windows over 0..n, merged positionally.
-//! let sums = par_ranges(3, 100, &|r| r.map(|i| i as u64).sum::<u64>());
-//! assert_eq!(sums.len(), 3);
-//! assert_eq!(sums.iter().sum::<u64>(), 4950);
 //! ```
 
 use dscweaver_obs as obs;
@@ -78,43 +71,6 @@ pub fn par_map<T: Sync, R: Send>(
                 // Flush inside the closure body: `thread::scope` only
                 // waits for the closure, not for thread teardown, so the
                 // TLS drop-flush could land after the scope returns.
-                obs::flush_thread();
-            });
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("worker filled every slot"))
-        .collect()
-}
-
-/// Splits `0..n` into at most `threads` contiguous windows and maps each
-/// on its own scoped thread, returning the per-window results in window
-/// order. The deterministic window layout (equal-sized, remainder spread
-/// over the leading windows) makes the concatenated result independent of
-/// the thread count, so callers can merge worker outputs positionally —
-/// e.g. branch-assignment validation keeps its failures in
-/// assignment-lexicographic order by construction.
-pub fn par_ranges<R: Send>(
-    threads: usize,
-    n: usize,
-    f: &(impl Fn(std::ops::Range<usize>) -> R + Sync),
-) -> Vec<R> {
-    let windows = windows_of(threads, n);
-    if threads <= 1 || windows.len() <= 1 {
-        return windows.into_iter().map(f).collect();
-    }
-    let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(windows.len()).collect();
-    std::thread::scope(|scope| {
-        for (wslot, (w, slot)) in windows.into_iter().zip(out.iter_mut()).enumerate() {
-            scope.spawn(move || {
-                let _lane = obs::worker_lane(wslot);
-                {
-                    let _span =
-                        obs::span_with("par.range.window", || format!("{}..{}", w.start, w.end));
-                    *slot = Some(f(w));
-                }
-                // See par_map: flush before the scope's join point, not
-                // in thread teardown.
                 obs::flush_thread();
             });
         }
@@ -172,26 +128,6 @@ pub fn par_shards<T: Send, R: Send>(
         .collect()
 }
 
-/// The contiguous window layout used by [`par_ranges`]: `min(threads, n)`
-/// windows covering `0..n`, sizes differing by at most one, remainder on
-/// the leading windows. Empty for `n == 0`.
-pub fn windows_of(threads: usize, n: usize) -> Vec<std::ops::Range<usize>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let k = threads.max(1).min(n);
-    let base = n / k;
-    let rem = n % k;
-    let mut out = Vec::with_capacity(k);
-    let mut start = 0;
-    for i in 0..k {
-        let len = base + usize::from(i < rem);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,42 +162,6 @@ mod tests {
             for (i, s) in shards.iter().enumerate() {
                 assert_eq!(s, &vec![i as u64, i as u64 * 10], "shard {i} mutated once");
             }
-        }
-    }
-
-    #[test]
-    fn windows_cover_exactly_once() {
-        for threads in 1..8 {
-            for n in 0..50 {
-                let ws = windows_of(threads, n);
-                let mut covered = Vec::new();
-                for w in &ws {
-                    covered.extend(w.clone());
-                }
-                assert_eq!(covered, (0..n).collect::<Vec<_>>(), "t={threads} n={n}");
-                if n > 0 {
-                    assert_eq!(ws.len(), threads.min(n));
-                    let sizes: Vec<usize> = ws.iter().map(|w| w.len()).collect();
-                    let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                    assert!(max - min <= 1, "balanced: {sizes:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn par_ranges_concatenation_is_thread_count_independent() {
-        let collect = |threads: usize| -> Vec<usize> {
-            par_ranges(threads, 37, &|r| r.map(|i| i * 3).collect::<Vec<_>>())
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        // NOTE: window *boundaries* differ with the thread count; only the
-        // concatenation is pinned.
-        let expect = collect(1);
-        for threads in [2usize, 3, 5, 64] {
-            assert_eq!(collect(threads), expect, "threads {threads}");
         }
     }
 

@@ -4,7 +4,7 @@
 //! changes the computed results. The sequential interned closure keeps
 //! its per-level spans on the main lane.
 
-use dscweaver_graph::{interned_closure, par_map, par_ranges, DiGraph, DnfPool};
+use dscweaver_graph::{interned_closure, par_map, DiGraph, DnfPool};
 use dscweaver_obs as obs;
 use dscweaver_obs::EventKind;
 
@@ -72,40 +72,6 @@ fn par_map_records_balanced_worker_spans_for_every_thread_count() {
             covered += len;
         }
         assert_eq!(covered, items.len(), "threads {threads}: chunks must tile the input");
-    }
-}
-
-#[test]
-fn par_ranges_windows_tile_the_range_on_stable_worker_lanes() {
-    let _serial = obs::test_lock();
-    let n = 41usize;
-    let expect: Vec<Vec<usize>> = {
-        let seq = par_ranges(1, n, &|r| r.collect::<Vec<usize>>());
-        seq
-    };
-    let flat_expect: Vec<usize> = expect.iter().flatten().copied().collect();
-    for threads in [2usize, 3, 5, 8] {
-        let (got, snap) = obs::record_with(|| par_ranges(threads, n, &|r| r.collect::<Vec<usize>>()));
-        let flat: Vec<usize> = got.iter().flatten().copied().collect();
-        assert_eq!(flat, flat_expect, "threads {threads}: concatenation changed");
-        let spans = balanced_spans(&snap);
-        let mut windows: Vec<(usize, usize)> = spans
-            .iter()
-            .filter(|(_, name, _)| name == "par.range.window")
-            .map(|(lane, _, detail)| {
-                assert!(snap.lane_name(*lane).starts_with("worker-"));
-                let (s, e) = detail.split_once("..").unwrap();
-                (s.parse().unwrap(), e.parse().unwrap())
-            })
-            .collect();
-        windows.sort();
-        // The recorded windows tile 0..n contiguously and disjointly.
-        assert_eq!(windows.len(), threads.min(n));
-        assert_eq!(windows.first().unwrap().0, 0);
-        assert_eq!(windows.last().unwrap().1, n);
-        for w in windows.windows(2) {
-            assert_eq!(w[0].1, w[1].0, "gap or overlap between windows");
-        }
     }
 }
 

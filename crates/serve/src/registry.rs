@@ -119,7 +119,14 @@ impl ProcessEntry {
         let fingerprint = output.fingerprint();
         let compiled = CompiledValidation::compile(&output.minimal, &output.exec);
         let tables = ScheduleTables::derive(&output.minimal, &output.exec);
-        let weave = WeaveTemplate::new(hash, fingerprint, &process.name, &output, &form.renaming);
+        let weave = WeaveTemplate::new(
+            hash,
+            fingerprint,
+            &process.name,
+            dependencies.deps.len(),
+            &output,
+            &form.renaming,
+        );
         obs::histogram("serve.compile").observe(t0.elapsed().as_nanos() as u64);
         Ok(ProcessEntry {
             hash,

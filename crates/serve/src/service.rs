@@ -260,12 +260,14 @@ pub(crate) struct WeaveTemplate {
 
 impl WeaveTemplate {
     /// Renders the body of `output` (woven from the canonical process
-    /// named `process`), finding its slots with `renaming`, any renaming
+    /// named `process`, whose extraction gave `dependencies`
+    /// dependencies), finding its slots with `renaming`, any renaming
     /// onto the entry's canonical text.
     pub(crate) fn new(
         hash: u64,
         fingerprint: u64,
         process: &str,
+        dependencies: usize,
         output: &WeaverOutput,
         renaming: &Renaming,
     ) -> WeaveTemplate {
@@ -283,7 +285,7 @@ impl WeaveTemplate {
         let _ = write!(
             t.text,
             "\",\"dependencies\":{},\"sc\":{},\"asc\":{},\"minimal\":{},\"removed\":{},\"fingerprint\":\"{:016x}\",\"minimal_dscl\":\"",
-            output.dependencies.deps.len(),
+            dependencies,
             output.sc.constraint_count(),
             output.asc.constraint_count(),
             output.minimal.constraint_count(),

@@ -414,7 +414,7 @@ fn weave_body_reference(entry: &ProcessEntry, renaming: &Renaming) -> String {
         "{{\"hash\":\"{:016x}\",\"process\":{},\"dependencies\":{},\"sc\":{},\"asc\":{},\"minimal\":{},\"removed\":{},\"fingerprint\":\"{:016x}\",\"minimal_dscl\":{}}}",
         entry.hash,
         json_reference(renaming.original(&entry.process.name).unwrap_or(&entry.process.name)),
-        out.dependencies.deps.len(),
+        entry.dependencies.deps.len(),
         out.sc.constraint_count(),
         out.asc.constraint_count(),
         out.minimal.constraint_count(),

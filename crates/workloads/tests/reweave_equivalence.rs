@@ -10,9 +10,12 @@ use dscweaver_core::{
 };
 use dscweaver_prng::Rng;
 use dscweaver_workloads::{
-    dense_conditional, edit_burst, fork_join, layered, DenseConditionalParams, EditProfile,
-    LayeredParams,
+    dense_conditional, edit_burst, fork_join, layered, loan_dependencies,
+    purchasing_dependencies, service_mesh, DenseConditionalParams, EditProfile, LayeredParams,
 };
+
+#[path = "../../core/tests/oracle/mod.rs"]
+mod oracle;
 
 fn rendered(out: &WeaverOutput) -> (Vec<String>, Vec<String>) {
     let mut kept: Vec<String> = out
@@ -171,4 +174,86 @@ fn scc_merge_errors_then_recovers() {
         rendered(session.output().unwrap()),
         rendered(&fresh)
     );
+}
+
+/// `Weaver::run` on the numbered set equals the string composition (see
+/// `oracle`) stage by stage — SC, execution conditions, ASC, minimal
+/// set, removed relations in order, fingerprint — in every mode and
+/// order, on seeded layered, dense-conditional and fork-join sets and on
+/// their edited revisions.
+#[test]
+fn weave_matches_string_composition_on_seeded_workloads() {
+    for seed in [5u64, 23] {
+        let mut ds = layered(&LayeredParams {
+            width: 3,
+            depth: 6,
+            density: 0.35,
+            redundant: 15,
+            guards: 2,
+            seed,
+        });
+        oracle::assert_weave_matches_everywhere(&ds);
+        edit_burst(&mut ds, &mut Rng::seed_from_u64(seed), 3, EditProfile::Mixed);
+        oracle::assert_weave_matches_everywhere(&ds);
+    }
+    oracle::assert_weave_matches_everywhere(&dense_conditional(&DenseConditionalParams {
+        guards: 3,
+        chain_len: 3,
+        redundant: 12,
+        seed: 29,
+    }));
+    oracle::assert_weave_matches_everywhere(&fork_join(3, 4, 10, 37));
+}
+
+/// Services (Purchasing, a service mesh) and a three-valued guard
+/// domain (the loan process).
+#[test]
+fn weave_matches_string_composition_with_services_and_wide_domains() {
+    oracle::assert_weave_matches_everywhere(&purchasing_dependencies());
+    oracle::assert_weave_matches_everywhere(&service_mesh(3, 4));
+    oracle::assert_weave_matches_everywhere(&loan_dependencies());
+}
+
+/// Undeclared names, guards and values, a name declared both as an
+/// activity and a service, and cyclic sets fail with the error list and
+/// conflict cycle of the string composition.
+#[test]
+fn weave_errors_match_string_composition() {
+    let base = || {
+        let mut ds = DependencySet::new("bad");
+        for a in ["a", "g", "b"] {
+            ds.add_activity(a);
+        }
+        ds.add_domain("g", vec!["T".into(), "F".into()]);
+        ds.push(Dependency::data("a", "g"));
+        ds.push(Dependency::control("g", "b", "T"));
+        ds
+    };
+    let mut bads = Vec::new();
+    let mut ds = base();
+    ds.push(Dependency::data("a", "ghost"));
+    ds.push(Dependency::data("phantom", "b"));
+    bads.push(ds);
+    let mut ds = base();
+    ds.push(Dependency::control("a", "b", "T")); // a has no domain
+    bads.push(ds);
+    let mut ds = base();
+    ds.push(Dependency::control("g", "b", "MAYBE"));
+    ds.push(Dependency::control("g", "a", "T"));
+    bads.push(ds);
+    let mut ds = base();
+    ds.add_service("b");
+    bads.push(ds);
+    let mut ds = base();
+    ds.push(Dependency::cooperation("b", "a"));
+    bads.push(ds);
+    let mut ds = base();
+    ds.add_service("Svc");
+    ds.push(Dependency::service("b", "Svc"));
+    ds.push(Dependency::service("Svc", "g"));
+    bads.push(ds);
+    for ds in &bads {
+        assert!(Weaver::new().run(ds).is_err());
+        oracle::assert_weave_matches_everywhere(ds);
+    }
 }

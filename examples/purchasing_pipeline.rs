@@ -58,7 +58,7 @@ fn main() {
     .expect("the Purchasing process is sound");
 
     println!("=== Table 1 (extracted) ===");
-    println!("{}", out.weaver.dependencies.render_table1());
+    println!("{}", out.dependencies.render_table1());
 
     println!("=== Figure 7: merged synchronization constraints (SC) ===");
     println!("{}\n", SyncGraph::build(&out.weaver.sc).render());

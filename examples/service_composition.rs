@@ -126,7 +126,7 @@ fn main() {
     .expect("composable");
 
     println!("=== Submitted service dependencies ===");
-    for d in out.weaver.dependencies.of_dimension("service") {
+    for d in out.dependencies.of_dimension("service") {
         println!("  {d}");
     }
 

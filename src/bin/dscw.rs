@@ -407,7 +407,7 @@ fn run() -> Result<(), String> {
 
     match args.command.as_str() {
         "optimize" => {
-            println!("{}", out.weaver.dependencies.render_table1());
+            println!("{}", out.dependencies.render_table1());
             println!("{}", out.weaver.render_table2());
             println!("{}", out.weaver.minimal.to_dscl());
             println!("removal justifications:");

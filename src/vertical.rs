@@ -16,7 +16,7 @@
 //!    is verified against the *full* merged constraint set, which is the
 //!    optimizer's correctness contract; BPEL code is generated.
 
-use dscweaver_core::{Weaver, WeaverError, WeaverOutput};
+use dscweaver_core::{DependencySet, Weaver, WeaverError, WeaverOutput};
 use dscweaver_dscl::ConstraintSet;
 use dscweaver_obs as obs;
 use dscweaver_model::Process;
@@ -41,7 +41,9 @@ pub struct VerticalInput<'a> {
 
 /// Everything the vertical produces.
 pub struct VerticalOutput {
-    /// The optimization stages (Table 1 → Figures 7–9, Table 2).
+    /// The dependency set that was woven (Table 1).
+    pub dependencies: DependencySet,
+    /// The optimization stages (Figures 7–9, Table 2).
     pub weaver: WeaverOutput,
     /// Petri-net validation verdict on the minimal set.
     pub validation: ValidationReport,
@@ -95,7 +97,7 @@ impl VerticalOutput {
         out.push_str(&format!("== DSCWeaver vertical: {} ==\n", w.sc.name));
         out.push_str(&format!(
             "dependencies: {} (Table 1)\n",
-            w.dependencies.deps.len()
+            self.dependencies.deps.len()
         ));
         out.push_str(&format!("merged SC:    {} constraints\n", w.sc.constraint_count()));
         out.push_str(&format!(
@@ -217,6 +219,7 @@ pub fn weave(input: &VerticalInput<'_>) -> Result<VerticalOutput, VerticalError>
         })
     };
     Ok(VerticalOutput {
+        dependencies: ds,
         weaver: weaver_out,
         validation,
         schedule,
@@ -230,7 +233,7 @@ pub fn weave(input: &VerticalInput<'_>) -> Result<VerticalOutput, VerticalError>
 /// (skipping extraction), e.g. the canonical Table 1.
 pub fn weave_dependencies(
     process: &Process,
-    ds: &dscweaver_core::DependencySet,
+    ds: &DependencySet,
     weaver: &Weaver,
     sim: &SimConfig,
 ) -> Result<VerticalOutput, VerticalError> {
@@ -254,6 +257,7 @@ pub fn weave_dependencies(
         dscweaver_bpel::emit_string(process, &weaver_out.minimal)
     };
     Ok(VerticalOutput {
+        dependencies: ds.clone(),
         weaver: weaver_out,
         validation,
         schedule,
