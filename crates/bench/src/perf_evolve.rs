@@ -85,6 +85,7 @@ struct BurstReport {
     reweave_ms: f64,
     reweave_p50_ms: f64,
     reweave_p99_ms: f64,
+    unattributed_ms: f64,
     phases: String,
 }
 
@@ -168,6 +169,12 @@ pub fn bench_evolve_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
                 black_box(s.weave(&rev).expect("re-weave"))
             });
 
+            // `reweave` minus its child phases: mostly dropping the
+            // previous output, which no span covers.
+            let totals = case_trace.phase_totals_ms();
+            let phase = |name: &str| totals.get(name).copied().unwrap_or(0.0);
+            let unattributed_ms = phase("reweave") - phase("weaver.run") - phase("reweave.diff");
+
             let asc_constraints = fresh_out.asc.constraint_count();
             reports.push(BurstReport {
                 case: case.name.clone(),
@@ -179,6 +186,7 @@ pub fn bench_evolve_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
                 reweave_ms: ms(t_reweave),
                 reweave_p50_ms,
                 reweave_p99_ms,
+                unattributed_ms,
                 phases: phases_json(&case_trace, "      "),
             });
             suite_trace.merge(case_trace);
@@ -188,7 +196,7 @@ pub fn bench_evolve_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"artifact\": \"BENCH_evolve\",\n");
-    out.push_str("  \"description\": \"WeaveSession re-weave vs its floor, a fresh Weaver::run of the same revision, per edit-burst size; outputs verified identical before timing\",\n");
+    out.push_str("  \"description\": \"WeaveSession re-weave vs its floor, a fresh Weaver::run of the same revision, per edit-burst size; outputs verified identical before timing; unattributed_ms is the traced reweave minus its weaver.run and reweave.diff phases\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str("  \"cases\": [\n");
@@ -211,6 +219,10 @@ pub fn bench_evolve_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         out.push_str(&format!(
             "      \"reweave_p99_ms\": {},\n",
             json_f(r.reweave_p99_ms)
+        ));
+        out.push_str(&format!(
+            "      \"unattributed_ms\": {},\n",
+            json_f(r.unattributed_ms)
         ));
         out.push_str(&format!("      \"phases\": {}\n", r.phases));
         out.push_str(if i + 1 == reports.len() { "    }\n" } else { "    },\n" });

@@ -16,7 +16,7 @@
 
 use crate::harness::{black_box, median, percentiles_ms, phases_json, sample, BenchOpts};
 use dscweaver_core::{merge, translate_services, ExecConditions};
-use dscweaver_dscl::ConstraintSet;
+use dscweaver_dscl::{ConstraintSet, Name};
 use dscweaver_obs as obs;
 use dscweaver_scheduler::{
     simulate, simulate_rescan_baseline, PreparedSchedule, ScheduleTables, SimConfig,
@@ -192,7 +192,7 @@ pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         // versus a fresh `simulate` — which re-derives the
         // prereq/dependency indexes — per run. Traces are asserted
         // identical before timing.
-        let doms: Vec<(&String, &Vec<String>)> = asc
+        let doms: Vec<(&Name, &Vec<Name>)> = asc
             .domains
             .iter()
             .filter(|(_, dom)| !dom.is_empty())
@@ -203,7 +203,7 @@ pub fn bench_scheduler_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
                 let mut cfg = SimConfig::default();
                 for (k, (g, dom)) in doms.iter().enumerate() {
                     let d = if bits & (1 << k) != 0 { 1 % dom.len() } else { 0 };
-                    cfg.oracle.insert((*g).clone(), dom[d].clone());
+                    cfg.oracle.insert(g.to_string(), dom[d].to_string());
                 }
                 cfg
             })

@@ -32,6 +32,7 @@ fn bench_json_evolve_smoke_runs_and_renders() {
         "\"reweave_ms\":",
         "\"reweave_p50_ms\":",
         "\"reweave_p99_ms\":",
+        "\"unattributed_ms\":",
         "\"phases\":",
     ] {
         assert_eq!(json.matches(field).count(), rows, "field {field}");

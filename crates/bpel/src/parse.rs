@@ -138,11 +138,11 @@ pub fn parse_bpel(src: &str) -> Result<ConstraintSet, BpelError> {
         }
         cs.push(Relation::HappenBefore {
             from: StateRef {
-                activity: sa,
+                activity: sa.into(),
                 state: ss,
             },
             to: StateRef {
-                activity: ta,
+                activity: ta.into(),
                 state: ts,
             },
             cond,

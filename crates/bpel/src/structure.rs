@@ -75,7 +75,7 @@ pub fn recover_structure(cs: &ConstraintSet, process: Option<&Process>) -> Recov
     let mut g: DiGraph<Block, ()> = DiGraph::new();
     let mut node_of: std::collections::HashMap<&str, NodeId> = std::collections::HashMap::new();
     for a in &cs.activities {
-        node_of.insert(a, g.add_node(Block::Leaf(a.clone())));
+        node_of.insert(a, g.add_node(Block::Leaf(a.to_string())));
     }
     let mut links: Vec<Link> = Vec::new();
     let mut link_n = 0;
@@ -94,9 +94,9 @@ pub fn recover_structure(cs: &ConstraintSet, process: Option<&Process>) -> Recov
         } else {
             links.push(Link {
                 name: format!("x{link_n}"),
-                from: from.activity.clone(),
-                to: to.activity.clone(),
-                condition: cond.as_ref().map(|c| c.value.clone()),
+                from: from.activity.to_string(),
+                to: to.activity.to_string(),
+                condition: cond.as_ref().map(|c| c.value.to_string()),
             });
             link_n += 1;
         }

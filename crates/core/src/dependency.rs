@@ -90,7 +90,7 @@ impl Endpoint {
     /// Resolves to a [`StateRef`] using `default` when unpinned.
     pub fn resolve(&self, default: ActivityState) -> StateRef {
         StateRef {
-            activity: self.name.clone(),
+            activity: self.name.as_str().into(),
             state: self.state.unwrap_or(default),
         }
     }

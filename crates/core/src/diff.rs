@@ -4,7 +4,7 @@
 //! effect on the synchronization scheme is *computable*).
 
 use crate::pipeline::WeaverOutput;
-use dscweaver_dscl::{Condition, ConstraintSet, Relation, StateRef};
+use dscweaver_dscl::{Condition, ConstraintSet, Name, Relation, StateRef};
 use dscweaver_graph::FxHashMap;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -166,7 +166,7 @@ fn domain_diff(old: &ConstraintSet, new: &ConstraintSet) -> Vec<String> {
         )
         .filter(|(_, old_vals, new_vals)| old_vals != new_vals)
         .map(|(var, old_vals, new_vals)| {
-            let fmt = |v: Option<&Vec<String>>| v.map(|v| v.join(", ")).unwrap_or_default();
+            let fmt = |v: Option<&Vec<Name>>| v.map(|v| v.join(", ")).unwrap_or_default();
             format!("{var}: [{}] => [{}]", fmt(old_vals), fmt(new_vals))
         })
         .collect()
@@ -305,8 +305,8 @@ fn diff_windowed<'a>(
     ConstraintDiff {
         added,
         removed,
-        added_activities: new.activities.difference(&old.activities).cloned().collect(),
-        removed_activities: old.activities.difference(&new.activities).cloned().collect(),
+        added_activities: new.activities.difference(&old.activities).map(Name::to_string).collect(),
+        removed_activities: old.activities.difference(&new.activities).map(Name::to_string).collect(),
         exclusive_added,
         exclusive_removed,
         annotation_changed,
@@ -381,12 +381,12 @@ fn diff_full(old: &ConstraintSet, new: &ConstraintSet) -> ConstraintDiff {
         added_activities: new
             .activities
             .difference(&old.activities)
-            .cloned()
+            .map(Name::to_string)
             .collect(),
         removed_activities: old
             .activities
             .difference(&new.activities)
-            .cloned()
+            .map(Name::to_string)
             .collect(),
         exclusive_added: new_excl.difference(&old_excl).cloned().collect(),
         exclusive_removed: old_excl.difference(&new_excl).cloned().collect(),

@@ -21,7 +21,7 @@
 //! resolution/branch-completeness without any ad-hoc rewriting.
 
 use crate::number::{Guard, Kind, Numbering};
-use dscweaver_dscl::{Condition, ConstraintSet, Origin};
+use dscweaver_dscl::{Condition, ConstraintSet, Name, Origin};
 use dscweaver_graph::annotated::Dnf;
 use dscweaver_graph::FxHashMap;
 use std::collections::{BTreeMap, BTreeSet};
@@ -35,7 +35,7 @@ use std::sync::LazyLock;
 #[derive(Clone, Debug, Default)]
 pub struct ExecConditions {
     /// The conditional activities only; every other name executes always.
-    map: FxHashMap<String, Dnf<Condition>>,
+    map: FxHashMap<Name, Dnf<Condition>>,
 }
 
 impl ExecConditions {
@@ -62,7 +62,7 @@ impl ExecConditions {
             for term in d.terms() {
                 out.insert(term.iter().map(|&c| num.condition(c)).collect());
             }
-            map.insert(num.name(id as u32).to_string(), out);
+            map.insert(num.name(id as u32).clone(), out);
         }
         ExecConditions { map }
     }
@@ -207,16 +207,12 @@ pub fn implies_under(
     context: &Dnf<Condition>,
     old: &Dnf<Condition>,
     new: &Dnf<Condition>,
-    domains: &BTreeMap<String, Vec<String>>,
+    domains: &BTreeMap<Name, Vec<Name>>,
 ) -> bool {
     implies_by(
         [context, old, new],
         |c| (c.on.as_str(), c.value.as_str()),
-        |g| {
-            domains
-                .get(g)
-                .map(|dom| dom.iter().map(String::as_str).collect())
-        },
+        |g| domains.get(g).map(|dom| dom.iter().map(Name::as_str).collect()),
         "\u{1}other",
     )
 }
@@ -428,8 +424,8 @@ mod tests {
         // old = always, new = {if_au=T}, context = exec(invPurchase_po) =
         // {if_au=T}: implied — the paper's recClient_po → invPurchase_po
         // removal.
-        let domains: BTreeMap<String, Vec<String>> =
-            [("if_au".to_string(), vec!["T".into(), "F".into()])].into();
+        let domains: BTreeMap<Name, Vec<Name>> =
+            [("if_au".into(), vec!["T".into(), "F".into()])].into();
         let ctx = Dnf::term(vec![cond("if_au", "T")]);
         let old = Dnf::always();
         let new = Dnf::term(vec![cond("if_au", "T")]);
@@ -442,14 +438,14 @@ mod tests {
     fn implies_branch_completeness() {
         // old = always; new = {if_au=T} ∨ {if_au=F} with domain {T,F}:
         // implied — the paper's if_au → replyClient_oi removal.
-        let domains: BTreeMap<String, Vec<String>> =
-            [("if_au".to_string(), vec!["T".into(), "F".into()])].into();
+        let domains: BTreeMap<Name, Vec<Name>> =
+            [("if_au".into(), vec!["T".into(), "F".into()])].into();
         let mut new = Dnf::term(vec![cond("if_au", "T")]);
         new.insert(vec![cond("if_au", "F")]);
         assert!(implies_under(&Dnf::always(), &Dnf::always(), &new, &domains));
         // With a three-valued domain {T, F, E} it is not.
-        let domains3: BTreeMap<String, Vec<String>> = [(
-            "if_au".to_string(),
+        let domains3: BTreeMap<Name, Vec<Name>> = [(
+            "if_au".into(),
             vec!["T".into(), "F".into(), "E".into()],
         )]
         .into();
@@ -499,9 +495,9 @@ mod tests {
     #[test]
     fn multi_guard_interaction() {
         // context: {a=T}; old: {b=T}; new: {a=T, b=T} — implied.
-        let domains: BTreeMap<String, Vec<String>> = [
-            ("a".to_string(), vec!["T".into(), "F".into()]),
-            ("b".to_string(), vec!["T".into(), "F".into()]),
+        let domains: BTreeMap<Name, Vec<Name>> = [
+            ("a".into(), vec!["T".into(), "F".into()]),
+            ("b".into(), vec!["T".into(), "F".into()]),
         ]
         .into();
         let ctx = Dnf::term(vec![cond("a", "T")]);

@@ -10,24 +10,53 @@
 //! synchronizes on *Finish* when it is the source and *Start* when it is
 //! the target (`F_i → S_j` for a data dependency, §4.1). Explicit states
 //! (fine-granularity cooperation dependencies) pass through unchanged.
+//!
+//! Names are shared: a merge makes one [`Name`] per distinct string it
+//! meets (declared activity, service, guard, domain value, and any
+//! undeclared endpoint), and every declaration and relation of the merged
+//! set holds that one.
 
 use crate::dependency::{Dependency, DependencyKind, DependencySet};
-use dscweaver_dscl::{ActivityState, Condition, ConstraintSet, Origin, Relation};
+use dscweaver_dscl::{ActivityState, Condition, ConstraintSet, Name, Origin, Relation, StateRef};
+use dscweaver_graph::FxHashMap;
+
+/// The names of one merge, by string.
+#[derive(Default)]
+struct Names<'a>(FxHashMap<&'a str, Name>);
+
+impl<'a> Names<'a> {
+    /// The shared name for `s`, made on first mention.
+    fn get(&mut self, s: &'a str) -> Name {
+        self.0.entry(s).or_insert_with(|| Name::from(s)).clone()
+    }
+}
 
 /// Lowers one dependency to its DSCL relation.
 pub fn lower(dep: &Dependency) -> Relation {
-    let from = dep.from.resolve(ActivityState::Finish);
-    let to = dep.to.resolve(ActivityState::Start);
+    lower_in(dep, &mut Names::default())
+}
+
+/// [`lower`], taking every name from `names`.
+fn lower_in<'a>(dep: &'a Dependency, names: &mut Names<'a>) -> Relation {
+    let from = StateRef {
+        activity: names.get(&dep.from.name),
+        state: dep.from.state.unwrap_or(ActivityState::Finish),
+    };
+    let to = StateRef {
+        activity: names.get(&dep.to.name),
+        state: dep.to.state.unwrap_or(ActivityState::Start),
+    };
     match &dep.kind {
         DependencyKind::Data => Relation::before(from, to, Origin::Data),
         DependencyKind::Cooperation => Relation::before(from, to, Origin::Cooperation),
         DependencyKind::Service => Relation::before(from, to, Origin::Service),
-        DependencyKind::Control { value: Some(v) } => Relation::before_if(
-            from,
-            to,
-            Condition::new(dep.from.name.clone(), v.clone()),
-            Origin::Control,
-        ),
+        DependencyKind::Control { value: Some(v) } => {
+            let cond = Condition {
+                on: from.activity.clone(),
+                value: names.get(v),
+            };
+            Relation::before_if(from, to, cond, Origin::Control)
+        }
         DependencyKind::Control { value: None } => Relation::before(from, to, Origin::Control),
     }
 }
@@ -37,19 +66,23 @@ pub fn lower(dep: &Dependency) -> Relation {
 /// carry over; the relation list preserves the dependency order so Table-1
 /// and Figure-7 reports line up.
 pub fn merge(ds: &DependencySet) -> ConstraintSet {
+    let mut names = Names::default();
+    names
+        .0
+        .reserve(ds.activities.len() + ds.services.len() + 2 * ds.domains.len());
     let mut cs = ConstraintSet::new(ds.name.clone());
-    for a in &ds.activities {
-        cs.add_activity(a.clone());
-    }
-    for s in &ds.services {
-        cs.add_service(s.clone());
-    }
-    for (g, dom) in &ds.domains {
-        cs.add_domain(g.clone(), dom.clone());
-    }
-    for dep in &ds.deps {
-        cs.push(lower(dep));
-    }
+    cs.activities = ds.activities.iter().map(|a| names.get(a)).collect();
+    cs.services = ds.services.iter().map(|s| names.get(s)).collect();
+    cs.domains = ds
+        .domains
+        .iter()
+        .map(|(g, dom)| (names.get(g), dom.iter().map(|v| names.get(v)).collect()))
+        .collect();
+    cs.relations = ds
+        .deps
+        .iter()
+        .map(|dep| lower_in(dep, &mut names))
+        .collect();
     cs
 }
 
@@ -106,5 +139,39 @@ mod tests {
         assert_eq!(cs.relations[1].origin(), Origin::Service);
         assert_eq!(cs.relations[2].origin(), Origin::Control);
         assert_eq!(cs.domains["if_x"], vec!["T", "F"]);
+    }
+
+    #[test]
+    fn merge_shares_one_name_per_string() {
+        let mut ds = DependencySet::new("m");
+        for a in ["a", "b", "if_x"] {
+            ds.add_activity(a);
+        }
+        ds.add_domain("if_x", vec!["T".into(), "F".into()]);
+        ds.push(Dependency::data("a", "b"));
+        ds.push(Dependency::control("if_x", "b", "T"));
+        ds.push(Dependency::data("b", "ghost"));
+        ds.push(Dependency::data("ghost", "a"));
+        let cs = merge(&ds);
+        let declared = |s: &str| cs.activities.get(s).unwrap();
+        let ends: Vec<&StateRef> = cs
+            .relations
+            .iter()
+            .flat_map(|r| match r {
+                Relation::HappenBefore { from, to, .. } => [from, to],
+                _ => unreachable!("merge emits HappenBefore only"),
+            })
+            .collect();
+        for end in &ends[..4] {
+            assert!(Name::ptr_eq(&end.activity, declared(&end.activity)));
+        }
+        // An undeclared name is one allocation within the merge.
+        assert!(Name::ptr_eq(&ends[5].activity, &ends[6].activity));
+        let Relation::HappenBefore { cond: Some(c), .. } = &cs.relations[1] else {
+            panic!("conditional");
+        };
+        let (guard, dom) = cs.domains.get_key_value("if_x").unwrap();
+        assert!(Name::ptr_eq(&c.on, guard) && Name::ptr_eq(&c.on, declared("if_x")));
+        assert!(Name::ptr_eq(&c.value, &dom[0]));
     }
 }

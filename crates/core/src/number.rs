@@ -1,8 +1,8 @@
 //! The integer numbering a weave runs on.
 //!
-//! A [`ConstraintSet`] names everything by string. The weave numbers it
+//! A [`ConstraintSet`] names everything by [`Name`]. The weave numbers it
 //! once and runs execution conditions, translation and minimization on
-//! the ids; strings are built again only for the output sets.
+//! the ids; the output sets clone the set's shared [`Name`]s back.
 //!
 //! * **Names** — activities in declaration order (the set's sorted
 //!   order, so id order is name byte order), then services, then, only
@@ -20,7 +20,7 @@
 //! as an activity and as a service — sets [`Numbering::has_problems`], and
 //! the caller that needs the error list asks `validate` for it.
 
-use dscweaver_dscl::{ActivityState, Condition, ConstraintSet, Origin, Relation, StateRef};
+use dscweaver_dscl::{ActivityState, Condition, ConstraintSet, Name, Origin, Relation, StateRef};
 use dscweaver_graph::{DiGraph, FxHashMap, NodeId};
 use std::collections::hash_map::Entry;
 
@@ -51,16 +51,16 @@ pub(crate) struct IdRel {
 
 /// A constraint set numbered once (see the module docs).
 pub(crate) struct Numbering<'a> {
-    names: Vec<&'a str>,
+    names: Vec<&'a Name>,
     acts: u32,
     services: u32,
     ids: FxHashMap<&'a str, u32>,
     /// Activities that are also declared as services.
     ambiguous: Vec<u32>,
-    guards: Vec<&'a str>,
+    guards: Vec<&'a Name>,
     guard_ids: FxHashMap<&'a str, u32>,
     /// Per guard, its value names by value id.
-    values: Vec<Vec<&'a str>>,
+    values: Vec<Vec<&'a Name>>,
     /// Per guard, its declared domain as value ids (`None`: undeclared).
     domains: Vec<Option<Vec<u32>>>,
     /// Every relation of the set, in relation order.
@@ -71,7 +71,7 @@ pub(crate) struct Numbering<'a> {
 impl<'a> Numbering<'a> {
     /// Numbers `cs` in one pass over its declarations and relations.
     pub fn new(cs: &'a ConstraintSet) -> Numbering<'a> {
-        let mut names: Vec<&'a str> = Vec::with_capacity(cs.activities.len() + cs.services.len());
+        let mut names: Vec<&'a Name> = Vec::with_capacity(cs.activities.len() + cs.services.len());
         let mut ids = FxHashMap::default();
         ids.reserve(cs.activities.len() + cs.services.len());
         for a in &cs.activities {
@@ -103,12 +103,12 @@ impl<'a> Numbering<'a> {
             rels: Vec::with_capacity(cs.relations.len()),
         };
         for (g, dom) in &cs.domains {
-            num.guard_ids.insert(g, num.guards.len() as u32);
+            num.guard_ids.insert(g.as_str(), num.guards.len() as u32);
             num.guards.push(g);
-            let mut vals: Vec<&'a str> = Vec::with_capacity(dom.len());
+            let mut vals: Vec<&'a Name> = Vec::with_capacity(dom.len());
             let dom_ids = dom
                 .iter()
-                .map(|v| match vals.iter().position(|&x| x == v.as_str()) {
+                .map(|v| match vals.iter().position(|&x| x == v) {
                     Some(i) => i as u32,
                     None => {
                         vals.push(v);
@@ -156,14 +156,14 @@ impl<'a> Numbering<'a> {
     }
 
     /// The id of `name`, numbering it as undeclared on first mention.
-    fn name_id(&mut self, name: &'a str) -> u32 {
-        if let Some(&id) = self.ids.get(name) {
+    fn name_id(&mut self, name: &'a Name) -> u32 {
+        if let Some(&id) = self.ids.get(name.as_str()) {
             return id;
         }
         self.problems = true;
         let id = self.names.len() as u32;
         self.names.push(name);
-        self.ids.insert(name, id);
+        self.ids.insert(name.as_str(), id);
         id
     }
 
@@ -174,7 +174,7 @@ impl<'a> Numbering<'a> {
             Some(&g) => g,
             None => {
                 let g = self.guards.len() as u32;
-                self.guard_ids.insert(&c.on, g);
+                self.guard_ids.insert(c.on.as_str(), g);
                 self.guards.push(&c.on);
                 self.values.push(Vec::new());
                 self.domains.push(None);
@@ -182,7 +182,7 @@ impl<'a> Numbering<'a> {
             }
         };
         let vals = &mut self.values[g as usize];
-        let v = match vals.iter().position(|&x| x == c.value.as_str()) {
+        let v = match vals.iter().position(|&x| *x == c.value) {
             Some(v) => v as u32,
             None => {
                 vals.push(&c.value);
@@ -223,7 +223,7 @@ impl<'a> Numbering<'a> {
     }
 
     /// The name behind a name id.
-    pub fn name(&self, id: u32) -> &'a str {
+    pub fn name(&self, id: u32) -> &'a Name {
         self.names[id as usize]
     }
 
@@ -257,7 +257,7 @@ impl<'a> Numbering<'a> {
     /// The state reference of an activity's state node.
     pub fn state_ref(&self, node: u32) -> StateRef {
         StateRef {
-            activity: self.names[(node / 3) as usize].to_string(),
+            activity: self.names[(node / 3) as usize].clone(),
             state: ActivityState::ALL[(node % 3) as usize],
         }
     }
@@ -273,12 +273,18 @@ impl<'a> Numbering<'a> {
 
     /// The condition behind a guard.
     pub fn condition(&self, (g, v): Guard) -> Condition {
-        Condition::new(self.guards[g as usize], self.values[g as usize][v as usize])
+        Condition {
+            on: self.guards[g as usize].clone(),
+            value: self.values[g as usize][v as usize].clone(),
+        }
     }
 
     /// The guard and value names behind a guard, for ordering by bytes.
     pub fn condition_key(&self, (g, v): Guard) -> (&'a str, &'a str) {
-        (self.guards[g as usize], self.values[g as usize][v as usize])
+        (
+            self.guards[g as usize].as_str(),
+            self.values[g as usize][v as usize].as_str(),
+        )
     }
 
     /// The synchronization graph on this numbering: the same nodes and

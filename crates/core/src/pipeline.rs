@@ -18,6 +18,7 @@ use dscweaver_dscl::{ConstraintError, ConstraintSet, Origin, Relation};
 use dscweaver_graph::FxHasher;
 use dscweaver_obs as obs;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Pipeline configuration.
 #[derive(Clone, Debug, Default)]
@@ -61,14 +62,15 @@ impl std::error::Error for WeaverError {}
 #[derive(Clone, Debug)]
 pub struct WeaverOutput {
     /// The merged synchronization constraint set `SC` (Figure 7).
-    pub sc: ConstraintSet,
+    pub sc: Arc<ConstraintSet>,
     /// Execution conditions derived from `SC`'s control dependencies —
     /// needed by the scheduler (dead-path elimination) and the Petri-net
     /// lowering, and carried unchanged through optimization.
     pub exec: ExecConditions,
     /// The activity synchronization constraint set `ASC` after service
-    /// translation (Figure 8).
-    pub asc: ConstraintSet,
+    /// translation (Figure 8). Without services it is the SC itself: the
+    /// two fields share one set.
+    pub asc: Arc<ConstraintSet>,
     /// What translation did (bridges = Figure 8's bold edges).
     pub translation: TranslationReport,
     /// The minimal constraint set `P*` (Figure 9).
@@ -94,8 +96,8 @@ impl Weaver {
     /// Runs the full specification-and-optimization pipeline.
     ///
     /// The merged set is numbered once, and execution conditions,
-    /// translation and minimization run on that numbering; strings are
-    /// built only for the output sets. [`merge`] lowers every dependency
+    /// translation and minimization run on that numbering; the output
+    /// sets share the merged set's names. [`merge`] lowers every dependency
     /// to a HappenBefore relation, so there is no HappenTogether sugar to
     /// desugar. A merged set that fails [`ConstraintSet::validate`] is
     /// reported with validate's error list.
@@ -115,25 +117,32 @@ impl Weaver {
             let ids = derive_ids(&num);
             (ExecConditions::from_ids(&num, &ids), ids)
         };
+        // Without services the ASC is the SC itself and shares its
+        // numbering; translation drops the services, so a translated ASC
+        // is numbered afresh (activities and guards keep their ids).
         let (asc, translation) = {
             let _span = obs::span("weaver.translate");
-            translate_numbered(&sc, &num)
+            if sc.services.is_empty() {
+                (None, TranslationReport::default())
+            } else {
+                let (asc, report) = translate_numbered(&sc, &num);
+                (Some(asc), report)
+            }
         };
-        // Without services the ASC is the SC, relation for relation, and
-        // shares its numbering; translation drops the services, so a
-        // translated ASC is numbered afresh (activities and guards keep
-        // their ids).
-        let asc_num;
-        let asc_num = if sc.services.is_empty() {
-            &num
-        } else {
-            asc_num = Numbering::new(&asc);
-            &asc_num
-        };
+        let asc_num = asc.as_ref().map(Numbering::new);
         let MinimizeResult {
             minimal, removed, ..
-        } = minimize_numbered(&asc, asc_num, &exec_ids, self.mode, &self.order)
-            .map_err(WeaverError::Conflict)?;
+        } = minimize_numbered(
+            asc.as_ref().unwrap_or(&sc),
+            asc_num.as_ref().unwrap_or(&num),
+            &exec_ids,
+            self.mode,
+            &self.order,
+        )
+        .map_err(WeaverError::Conflict)?;
+        drop((asc_num, num)); // they borrow `sc`, which moves next
+        let sc = Arc::new(sc);
+        let asc = asc.map_or_else(|| Arc::clone(&sc), Arc::new);
         Ok(WeaverOutput {
             sc,
             exec,

@@ -54,15 +54,11 @@ pub fn translate_services(cs: &ConstraintSet) -> (ConstraintSet, TranslationRepo
 }
 
 /// [`translate_services`] on the numbering `num` of `cs`: the service
-/// chains are walked on node ids, and strings are built only for the
-/// bridges and the report.
+/// chains are walked on node ids, and the bridges share `cs`'s names.
 pub(crate) fn translate_numbered(
     cs: &ConstraintSet,
     num: &Numbering,
 ) -> (ConstraintSet, TranslationReport) {
-    if cs.services.is_empty() {
-        return (cs.clone(), TranslationReport::default());
-    }
     let g = num.graph().g;
     let mut report = TranslationReport::default();
     let is_external = |n: NodeId| !num.is_state(n.0);

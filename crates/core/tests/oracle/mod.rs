@@ -16,10 +16,11 @@ use dscweaver_core::{
     WeaverError,
 };
 use dscweaver_dscl::sync_graph::{SyncGraph, SyncNode};
-use dscweaver_dscl::{Condition, ConstraintError, ConstraintSet, Origin, Relation, StateRef};
+use dscweaver_dscl::{Condition, ConstraintError, ConstraintSet, Name, Origin, Relation, StateRef};
 use dscweaver_graph::{Dnf, FxHasher, NodeId};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Every equivalence mode.
 pub const MODES: [EquivalenceMode; 3] = [
@@ -157,7 +158,7 @@ pub fn translate(cs: &ConstraintSet) -> (ConstraintSet, TranslationReport) {
 
     // Rule 2: invoker pull-back.
     for (_, sj) in sg.service_nodes() {
-        let invokers: Vec<String> = sg
+        let invokers: Vec<Name> = sg
             .graph
             .predecessors(sj)
             .filter_map(|p| match sg.graph.weight(p) {
@@ -315,8 +316,8 @@ pub fn weave(
 /// declared activity and service, every relation endpoint, and a name
 /// nothing declares.
 fn probe_names(cs: &ConstraintSet) -> BTreeSet<String> {
-    let mut names: BTreeSet<String> = cs.activities.iter().cloned().collect();
-    names.extend(cs.services.iter().cloned());
+    let mut names: BTreeSet<String> = cs.activities.iter().map(Name::to_string).collect();
+    names.extend(cs.services.iter().map(Name::to_string));
     for r in &cs.relations {
         names.extend(r.activities().iter().map(|a| a.to_string()));
     }
@@ -392,13 +393,16 @@ pub fn assert_weave_matches(ds: &DependencySet, mode: EquivalenceMode, order: &E
     };
     match (weaver.run(ds), weave(ds, mode, order)) {
         (Ok(got), Ok(want)) => {
-            assert_eq!(got.sc, want.sc, "{what}: SC");
+            assert_eq!(*got.sc, want.sc, "{what}: SC");
             assert_exec_matches(&want.sc, &got.exec, &what);
             for name in probe_names(&want.sc) {
                 let expect = want.exec.get(&name).cloned().unwrap_or_else(Dnf::always);
                 assert_eq!(got.exec.dnf(&name), &expect, "{what}: woven exec({name})");
             }
-            assert_eq!(got.asc, want.asc, "{what}: ASC");
+            assert_eq!(*got.asc, want.asc, "{what}: ASC");
+            if want.sc.services.is_empty() {
+                assert!(Arc::ptr_eq(&got.sc, &got.asc), "{what}: ASC shares the SC");
+            }
             assert_eq!(got.translation.bridges, want.translation.bridges, "{what}");
             assert_eq!(got.translation.dropped, want.translation.dropped, "{what}");
             assert_eq!(

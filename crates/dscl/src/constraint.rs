@@ -2,6 +2,7 @@
 //! `SC = {A, S, P}` with internal activities `A`, external services `S` and
 //! (conditional) HappenBefore constraints `P`.
 
+use crate::name::Name;
 use crate::relation::{Origin, Relation};
 use crate::state::{ActivityState, StateRef};
 use std::collections::{BTreeMap, BTreeSet};
@@ -14,17 +15,17 @@ pub struct ConstraintSet {
     /// A label for reports (usually the process name).
     pub name: String,
     /// `A`: internal activities.
-    pub activities: BTreeSet<String>,
+    pub activities: BTreeSet<Name>,
     /// `S`: external service nodes, already split per port / dummy callback
     /// port in the paper's §3.3 naming (`Purchase_1`, `Purchase_d`, ...).
-    pub services: BTreeSet<String>,
+    pub services: BTreeSet<Name>,
     /// `P` (plus not-yet-desugared sugar and runtime-checked exclusives).
     pub relations: Vec<Relation>,
     /// Branch-value domains: guard activity → every case label it can
     /// produce. Needed for branch-complete reasoning during optimization
     /// (a `T` path plus an `F` path jointly cover an unconditional
     /// constraint when `{T, F}` is the full domain).
-    pub domains: BTreeMap<String, Vec<String>>,
+    pub domains: BTreeMap<Name, Vec<Name>>,
 }
 
 /// Problems found by [`ConstraintSet::validate`].
@@ -86,17 +87,17 @@ impl ConstraintSet {
     }
 
     /// Declares an internal activity.
-    pub fn add_activity(&mut self, name: impl Into<String>) {
+    pub fn add_activity(&mut self, name: impl Into<Name>) {
         self.activities.insert(name.into());
     }
 
     /// Declares an external service node.
-    pub fn add_service(&mut self, name: impl Into<String>) {
+    pub fn add_service(&mut self, name: impl Into<Name>) {
         self.services.insert(name.into());
     }
 
     /// Declares a guard's branch-value domain.
-    pub fn add_domain(&mut self, guard: impl Into<String>, values: Vec<String>) {
+    pub fn add_domain(&mut self, guard: impl Into<Name>, values: Vec<Name>) {
         self.domains.insert(guard.into(), values);
     }
 
@@ -147,7 +148,7 @@ impl ConstraintSet {
         let mut errors = Vec::new();
         for a in &self.activities {
             if self.services.contains(a) {
-                errors.push(ConstraintError::AmbiguousNode(a.clone()));
+                errors.push(ConstraintError::AmbiguousNode(a.to_string()));
             }
         }
         for r in &self.relations {
@@ -168,13 +169,13 @@ impl ConstraintSet {
             if let Some(c) = cond {
                 match self.domains.get(&c.on) {
                     None => errors.push(ConstraintError::UnknownGuard {
-                        guard: c.on.clone(),
+                        guard: c.on.to_string(),
                         relation: r.to_string(),
                     }),
                     Some(dom) if !dom.contains(&c.value) => {
                         errors.push(ConstraintError::BadConditionValue {
-                            guard: c.on.clone(),
-                            value: c.value.clone(),
+                            guard: c.on.to_string(),
+                            value: c.value.to_string(),
                         })
                     }
                     _ => {}
@@ -209,7 +210,7 @@ impl ConstraintSet {
                 unreachable!("position matched HappenTogether");
             };
             count += 1;
-            let k = format!("__sync{count}_{}_{}", a.activity, b.activity);
+            let k = Name::from(format!("__sync{count}_{}_{}", a.activity, b.activity));
             self.add_activity(k.clone());
             for end in [&a, &b] {
                 match end.state {
@@ -259,11 +260,11 @@ impl ConstraintSet {
         let mut out = String::new();
         out.push_str(&format!("constraints {} {{\n", self.name));
         if !self.activities.is_empty() {
-            let list: Vec<&str> = self.activities.iter().map(String::as_str).collect();
+            let list: Vec<&str> = self.activities.iter().map(Name::as_str).collect();
             out.push_str(&format!("  activities {};\n", list.join(", ")));
         }
         if !self.services.is_empty() {
-            let list: Vec<&str> = self.services.iter().map(String::as_str).collect();
+            let list: Vec<&str> = self.services.iter().map(Name::as_str).collect();
             out.push_str(&format!("  services {};\n", list.join(", ")));
         }
         for (guard, values) in &self.domains {

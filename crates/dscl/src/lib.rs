@@ -17,11 +17,13 @@
 //! [`SyncGraph`] materializes it as a graph over activity states and
 //! service nodes for the optimizer. A text syntax with parser
 //! ([`parse_constraints`]) and printer ([`ConstraintSet::to_dscl`]) rounds
-//! the language out.
+//! the language out. Every activity, service, guard and value the set
+//! mentions is a shared [`Name`].
 
 #![warn(missing_docs)]
 
 pub mod constraint;
+pub mod name;
 pub mod parser;
 pub mod patterns;
 pub mod relation;
@@ -29,6 +31,7 @@ pub mod state;
 pub mod sync_graph;
 
 pub use constraint::{ConstraintError, ConstraintSet};
+pub use name::Name;
 pub use parser::{parse_constraints, DsclParseError};
 pub use relation::{Origin, Relation};
 pub use state::{ActivityState, Condition, StateRef};

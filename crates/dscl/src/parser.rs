@@ -22,6 +22,7 @@
 
 use crate::constraint::ConstraintSet;
 use crate::relation::{Origin, Relation};
+use crate::name::Name;
 use crate::state::{ActivityState, Condition, StateRef};
 
 /// Parse error with a 1-based line number.
@@ -137,7 +138,10 @@ impl<'a> P<'a> {
         self.expect("(")?;
         let activity = self.ident()?;
         self.expect(")")?;
-        Ok(StateRef { activity, state })
+        Ok(StateRef {
+            activity: activity.into(),
+            state,
+        })
     }
 
     /// `[guard=value]`.
@@ -146,7 +150,7 @@ impl<'a> P<'a> {
         self.expect("=")?;
         let value = self.ident()?;
         self.expect("]")?;
-        Ok(Condition { on, value })
+        Ok(Condition::new(on, value))
     }
 }
 
@@ -211,7 +215,7 @@ pub fn parse_constraints(src: &str) -> Result<ConstraintSet, DsclParseError> {
                 p.expect("{")?;
                 let values = p.ident_list()?;
                 p.expect("}")?;
-                cs.add_domain(guard, values);
+                cs.add_domain(guard, values.into_iter().map(Name::from).collect());
                 continue;
             }
             _ => {}

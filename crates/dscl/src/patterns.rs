@@ -52,7 +52,7 @@ pub fn synchronization(cs: &mut ConstraintSet, branches: &[&str], join: &str) {
 pub fn exclusive_choice(cs: &mut ConstraintSet, g: &str, cases: &[(&str, &str)]) {
     cs.add_domain(
         g,
-        cases.iter().map(|(label, _)| label.to_string()).collect(),
+        cases.iter().map(|&(label, _)| label.into()).collect(),
     );
     for (label, target) in cases {
         cs.push(Relation::before_if(

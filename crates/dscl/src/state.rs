@@ -7,6 +7,8 @@
 //! overlapping-lifetime constraints such as
 //! `S(collectSurvey) → F(closeOrder)` (§3.2).
 
+use crate::name::Name;
+
 /// One of the three life-cycle states of an activity.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum ActivityState {
@@ -56,14 +58,14 @@ impl std::fmt::Display for ActivityState {
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct StateRef {
     /// The activity name.
-    pub activity: String,
+    pub activity: Name,
     /// Which life-cycle state.
     pub state: ActivityState,
 }
 
 impl StateRef {
     /// `S(activity)`.
-    pub fn start(activity: impl Into<String>) -> Self {
+    pub fn start(activity: impl Into<Name>) -> Self {
         StateRef {
             activity: activity.into(),
             state: ActivityState::Start,
@@ -71,7 +73,7 @@ impl StateRef {
     }
 
     /// `R(activity)`.
-    pub fn run(activity: impl Into<String>) -> Self {
+    pub fn run(activity: impl Into<Name>) -> Self {
         StateRef {
             activity: activity.into(),
             state: ActivityState::Run,
@@ -79,7 +81,7 @@ impl StateRef {
     }
 
     /// `F(activity)`.
-    pub fn finish(activity: impl Into<String>) -> Self {
+    pub fn finish(activity: impl Into<Name>) -> Self {
         StateRef {
             activity: activity.into(),
             state: ActivityState::Finish,
@@ -98,14 +100,14 @@ impl std::fmt::Display for StateRef {
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Condition {
     /// The guard (branch-evaluating) activity.
-    pub on: String,
+    pub on: Name,
     /// The required branch value (case label: `"T"`, `"F"`, ...).
-    pub value: String,
+    pub value: Name,
 }
 
 impl Condition {
     /// `on = value`.
-    pub fn new(on: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn new(on: impl Into<Name>, value: impl Into<Name>) -> Self {
         Condition {
             on: on.into(),
             value: value.into(),

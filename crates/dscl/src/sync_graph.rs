@@ -10,6 +10,7 @@
 //! port has no observable life cycle from the process's point of view.
 
 use crate::constraint::ConstraintSet;
+use crate::name::Name;
 use crate::relation::{Origin, Relation};
 use crate::state::{ActivityState, Condition, StateRef};
 use dscweaver_graph::{DiGraph, EdgeId, FxHashMap, NodeId};
@@ -20,7 +21,7 @@ pub enum SyncNode {
     /// One life-cycle state of an internal activity.
     State(StateRef),
     /// An external service node.
-    Service(String),
+    Service(Name),
 }
 
 impl SyncNode {
@@ -28,7 +29,7 @@ impl SyncNode {
     pub fn label(&self) -> String {
         match self {
             SyncNode::State(s) => s.to_string(),
-            SyncNode::Service(s) => s.clone(),
+            SyncNode::Service(s) => s.to_string(),
         }
     }
 
@@ -78,8 +79,8 @@ pub struct SyncGraph {
     // `StateRef` is a single borrowed-`&str` hash lookup plus an index,
     // with no per-lookup allocation (`build` resolves two endpoints per
     // relation, so this is on the hot path of every pipeline run).
-    state_idx: FxHashMap<String, [NodeId; 3]>,
-    service_idx: FxHashMap<String, NodeId>,
+    state_idx: FxHashMap<Name, [NodeId; 3]>,
+    service_idx: FxHashMap<Name, NodeId>,
 }
 
 impl SyncGraph {
@@ -193,7 +194,7 @@ impl SyncGraph {
 
     /// Projects constraint edges to activity granularity:
     /// `(from_activity_or_service, to_activity_or_service, cond, origin)`.
-    pub fn activity_edges(&self) -> Vec<(String, String, Option<Condition>, Origin)> {
+    pub fn activity_edges(&self) -> Vec<(Name, Name, Option<Condition>, Origin)> {
         let mut out = Vec::new();
         for (e, _) in self.constraint_edges() {
             let (f, t) = self.graph.endpoints(e);

@@ -391,11 +391,11 @@ fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions, lanes: bool) -> 
                 assignment: guards
                     .iter()
                     .zip(idx)
-                    .map(|(g, &i)| (g.name.clone(), g.domain[i].clone()))
+                    .map(|(g, &i)| (g.name.to_string(), g.domain[i].to_string()))
                     .collect(),
                 stuck: (0..activities.len())
                     .filter(|&a| done(a) == 0)
-                    .map(|a| activities[a].clone())
+                    .map(|a| activities[a].to_string())
                     .collect(),
                 marking: render_marking(&marking, |p| names.place_name(p)),
                 diverged,

@@ -40,7 +40,7 @@
 
 use crate::net::{ArcIn, ArcOut, Color, ColorFilter, Mode, Net, PlaceId, TransitionId};
 use dscweaver_core::ExecConditions;
-use dscweaver_dscl::{ActivityState, ConstraintSet, Relation};
+use dscweaver_dscl::{ActivityState, ConstraintSet, Name, Relation};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Where the pieces of a lowered activity live.
@@ -199,7 +199,7 @@ pub fn try_lower(cs: &ConstraintSet, exec: &ExecConditions) -> Result<LoweredNet
             .fold(1usize, usize::saturating_mul);
         if modes > MAX_MODES {
             return Err(ModeLimit {
-                activity: b.clone(),
+                activity: b.to_string(),
                 modes,
             });
         }
@@ -222,7 +222,8 @@ pub fn try_lower(cs: &ConstraintSet, exec: &ExecConditions) -> Result<LoweredNet
         let guard_domains: Vec<(String, Vec<String>)> = listens
             .iter()
             .map(|(g, _)| {
-                let mut dom = cs.domains.get(g).cloned().unwrap_or_default();
+                let mut dom: Vec<String> =
+                    cs.domains.get(g.as_str()).into_iter().flatten().map(Name::to_string).collect();
                 dom.push(SKIP.to_string());
                 (g.clone(), dom)
             })
@@ -302,11 +303,10 @@ pub fn try_lower(cs: &ConstraintSet, exec: &ExecConditions) -> Result<LoweredNet
         let start = net.add_transition(format!("start({a})"), start_modes);
 
         // finish(a): one mode per branch value for guards, else one mode.
-        let finish_values: Vec<String> = cs
-            .domains
-            .get(a)
-            .cloned()
-            .unwrap_or_else(|| vec!["done".to_string()]);
+        let finish_values: Vec<String> = cs.domains.get(a).map_or_else(
+            || vec!["done".to_string()],
+            |d| d.iter().map(Name::to_string).collect(),
+        );
         let finish_modes: Vec<Mode> = finish_values
             .iter()
             .map(|v| Mode {
@@ -381,7 +381,7 @@ pub fn try_lower(cs: &ConstraintSet, exec: &ExecConditions) -> Result<LoweredNet
         };
 
         activities.insert(
-            a.clone(),
+            a.to_string(),
             ActivityNodes {
                 todo,
                 run,

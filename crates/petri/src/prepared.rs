@@ -43,7 +43,7 @@ use crate::lower::{ModeLimit, MAX_MODES, SKIP};
 use crate::net::{ArcIn, ArcOut, Color, ColorFilter, Marking, Mode, Net, PlaceId, TransitionId};
 use crate::reach::Run;
 use dscweaver_core::ExecConditions;
-use dscweaver_dscl::{ActivityState, ConstraintSet, Relation};
+use dscweaver_dscl::{ActivityState, ConstraintSet, Name, Relation};
 use dscweaver_graph::FxHashMap;
 use std::collections::{BTreeMap, HashMap};
 
@@ -255,7 +255,7 @@ impl Tables {
         cs: &'a ConstraintSet,
         exec: &'a ExecConditions,
     ) -> Result<(Tables, Names), ModeLimit> {
-        let acts: Vec<&str> = cs.activities.iter().map(String::as_str).collect();
+        let acts: Vec<&str> = cs.activities.iter().map(Name::as_str).collect();
         let index: FxHashMap<&str, u32> = acts.iter().zip(0..).map(|(&a, i)| (a, i)).collect();
         let index = |name: &str| index.get(name).copied();
         let n = acts.len() as u32;
@@ -297,11 +297,11 @@ impl Tables {
         // Activity `b` listens on controls `listeners[b]..listeners[b + 1]`.
         let mut listeners: Vec<usize> = vec![0];
         // Per control place, its guard and the guard's domain.
-        let mut listened: Vec<(&str, &[String])> = Vec::new();
-        let mut gs: Vec<&str> = Vec::new();
+        let mut listened: Vec<(&str, &[Name])> = Vec::new();
+        let mut gs: Vec<&Name> = Vec::new();
         for (b, a) in acts.iter().enumerate() {
             gs.clear();
-            gs.extend(exec.dnf(a).terms().iter().flatten().map(|c| c.on.as_str()));
+            gs.extend(exec.dnf(a).terms().iter().flatten().map(|c| &c.on));
             gs.sort_unstable();
             gs.dedup();
             let modes = gs
@@ -563,9 +563,9 @@ impl Tables {
 #[derive(Debug)]
 pub(crate) struct Guard {
     /// The guard's name.
-    pub(crate) name: String,
+    pub(crate) name: Name,
     /// Its branch values, in declaration order.
-    pub(crate) domain: Vec<String>,
+    pub(crate) domain: Vec<Name>,
     /// Its `finish` transition, when the guard is an activity.
     pub(crate) finish: Option<u32>,
 }
@@ -585,10 +585,10 @@ pub(crate) struct Names {
     /// `cs.activities`, sorted: activity `i` owns places `3i` (`todo`),
     /// `3i + 1` (`run`) and `3i + 2` (`done`). Name ids below
     /// `activities.len()` are activity indices.
-    activities: Vec<String>,
+    activities: Vec<Name>,
     /// Names of buffer endpoints and listened guards that are not
     /// activities; name id `activities.len() + k` is `others[k]`.
-    others: Vec<String>,
+    others: Vec<Name>,
     /// Per constraint buffer, its relation's endpoints.
     buffers: Vec<[(u32, ActivityState); 2]>,
     /// Per control place, its guard's name id and listening activity.
@@ -599,14 +599,14 @@ pub(crate) struct Names {
 
 impl Names {
     /// The name id of `name`, whose activity index is `activity`.
-    fn id(&mut self, name: &str, activity: Option<u32>) -> u32 {
+    fn id(&mut self, name: &Name, activity: Option<u32>) -> u32 {
         if let Some(i) = activity {
             return i;
         }
         let k = match self.others.iter().position(|o| o == name) {
             Some(k) => k,
             None => {
-                self.others.push(name.to_string());
+                self.others.push(name.clone());
                 self.others.len() - 1
             }
         };
@@ -622,7 +622,7 @@ impl Names {
     }
 
     /// The activities, sorted; activity `i`'s `done` place is `3i + 2`.
-    pub(crate) fn activities(&self) -> &[String] {
+    pub(crate) fn activities(&self) -> &[Name] {
         &self.activities
     }
 
@@ -683,7 +683,7 @@ impl Names {
                     };
                     let label = match kind {
                         "start" if !listens => "start".to_string(),
-                        "finish" => domain.map_or("done".to_string(), |d| d[mi].clone()),
+                        "finish" => domain.map_or("done".to_string(), |d| d[mi].to_string()),
                         _ => format!("{kind}[{}]", assignment()),
                     };
                     let outputs = tables.outs.row(m).iter().map(|&(p, c)| ArcOut {
@@ -954,7 +954,7 @@ fn next_dirty(dirty: &[u64], from: usize) -> Option<usize> {
 pub fn guard_groups(cs: &ConstraintSet, exec: &ExecConditions) -> Vec<Vec<String>> {
     let (tables, names) = Tables::emit(cs, exec)
         .unwrap_or_else(|l| panic!("{} needs {} modes", l.activity, l.modes));
-    let name = |i: usize| names.guards[i].name.clone();
+    let name = |i: usize| names.guards[i].name.to_string();
     let groups = groups(&tables, &names.guards);
     groups.into_iter().map(|g| g.into_iter().map(name).collect()).collect()
 }
@@ -1061,7 +1061,7 @@ pub(crate) mod tests {
         let rebuilt = names.to_net(&emitted);
         assert_eq!(format!("{rebuilt:?}"), format!("{:?}", lowered.net), "{what}: names differ");
         for g in &names.guards {
-            let finish = lowered.activities.get(&g.name).map(|a| a.finish.0);
+            let finish = lowered.activities.get(g.name.as_str()).map(|a| a.finish.0);
             assert_eq!(g.finish, finish, "{what}: finish of {}", g.name);
         }
     }
@@ -1305,7 +1305,7 @@ pub(crate) mod tests {
             let tables = Tables::derive(&net);
             let guards: Vec<Guard> = (0..5)
                 .map(|g| Guard {
-                    name: format!("g{g}"),
+                    name: format!("g{g}").into(),
                     domain: vec!["T".into()],
                     finish: (next(5) > 0).then(|| next(10)),
                 })

@@ -9,7 +9,7 @@
 //! optimized minimal set gives an apples-to-apples concurrency/makespan
 //! comparison (experiment Ext-D).
 
-use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, StateRef};
+use dscweaver_dscl::{Condition, ConstraintSet, Name, Origin, Relation, StateRef};
 use dscweaver_model::{Construct, Process};
 
 /// Error for constructs the static conversion cannot express.
@@ -47,7 +47,7 @@ pub fn structural_constraints(process: &Process) -> Result<ConstraintSet, Struct
         cs.add_activity(a.name.clone());
     }
     for (guard, dom) in dscweaver_pdg::guard_domains(process) {
-        cs.add_domain(guard, dom);
+        cs.add_domain(guard, dom.into_iter().map(Name::from).collect());
     }
     // Region control constraints for every activity of every case.
     for d in dscweaver_pdg::control_dependencies(process) {

@@ -26,7 +26,7 @@
 
 use crate::trace::{EventKind, Time, Trace, TraceEvent};
 use dscweaver_core::ExecConditions;
-use dscweaver_dscl::{ActivityState, Condition, ConstraintSet, Relation, StateRef};
+use dscweaver_dscl::{ActivityState, Condition, ConstraintSet, Name, Relation, StateRef};
 use dscweaver_graph::BitSet;
 use dscweaver_obs as obs;
 use std::cmp::Reverse;
@@ -228,7 +228,7 @@ pub struct ScheduleTables {
     exec_off: Vec<u32>,
     terms: Csr<(u32, u32)>,
     /// The interned condition values, sorted; a value's id is its index.
-    values: Vec<String>,
+    values: Vec<Name>,
     /// The value id each activity produces when no oracle overrides it:
     /// its domain's first value, or `"done"` (a domain-less activity, or
     /// an empty domain).
@@ -248,7 +248,7 @@ impl ScheduleTables {
         let _span = obs::span_with("scheduler.prepare", || {
             format!("activities={} relations={}", cs.activities.len(), cs.relations.len())
         });
-        let acts: Vec<&str> = cs.activities.iter().map(String::as_str).collect();
+        let acts: Vec<&str> = cs.activities.iter().map(Name::as_str).collect();
         let n = acts.len();
         // State ids `3i + s`, ghost included, stay below the sentinels.
         assert!(3 * (n + 1) < UNMATCHED as usize, "too many activities for u32 state ids");
@@ -256,18 +256,22 @@ impl ScheduleTables {
         let ix = |a: &str| act_ix.get(a).map_or(n as u32, |&i| i);
         let dnfs: Vec<_> = acts.iter().map(|a| exec.dnf(a).terms()).collect();
 
-        let mut values: Vec<&str> = Vec::new();
+        let mut values: Vec<&Name> = Vec::new();
         for r in &cs.relations {
             if let Relation::HappenBefore { cond: Some(c), .. } = r {
                 values.push(&c.value);
             }
         }
         for dnf in &dnfs {
-            values.extend(dnf.iter().flatten().map(|c| c.value.as_str()));
+            values.extend(dnf.iter().flatten().map(|c| &c.value));
         }
         values.sort_unstable();
         values.dedup();
-        let value_id = |v: &str| values.binary_search(&v).map_or(UNMATCHED, |k| k as u32);
+        let value_id = |v: &str| {
+            values
+                .binary_search_by(|x| x.as_str().cmp(v))
+                .map_or(UNMATCHED, |k| k as u32)
+        };
         let cond = |c: &Condition| (ix(&c.on), value_id(&c.value));
 
         let mut start: Vec<(u32, Pre)> = Vec::new();
@@ -355,7 +359,7 @@ impl ScheduleTables {
             excl: Csr::from_sorted(n, &excl),
             exec_off,
             terms,
-            values: values.into_iter().map(String::from).collect(),
+            values: values.into_iter().cloned().collect(),
             produced,
             domain_ix,
             coordinators,
@@ -385,7 +389,7 @@ impl ScheduleTables {
 pub struct PreparedSchedule<'a> {
     cs: &'a ConstraintSet,
     tables: &'a ScheduleTables,
-    acts: Vec<&'a str>,
+    acts: Vec<&'a Name>,
 }
 
 impl<'a> PreparedSchedule<'a> {
@@ -397,7 +401,7 @@ impl<'a> PreparedSchedule<'a> {
         _exec: &'a ExecConditions,
         tables: &'a ScheduleTables,
     ) -> Self {
-        let acts: Vec<&str> = cs.activities.iter().map(String::as_str).collect();
+        let acts: Vec<&Name> = cs.activities.iter().collect();
         assert!(
             tables.produced.len() == acts.len() && tables.domain_ix.len() == cs.domains.len(),
             "schedule tables derived from another constraint set"
@@ -452,10 +456,10 @@ enum Act {
 /// resolve and its outcome never decides.
 struct Run<'r> {
     t: &'r ScheduleTables,
-    acts: &'r [&'r str],
+    acts: &'r [&'r Name],
     /// Per activity: produced value id and its trace text (guards only).
     produced: Vec<u32>,
-    text: Vec<Option<&'r str>>,
+    text: Vec<Option<Name>>,
     duration: Vec<Time>,
     /// Per state `3i + s`, ghost included.
     resolved: Vec<bool>,
@@ -485,19 +489,20 @@ impl<'r> Run<'r> {
         let t = p.tables;
         let acts = p.acts.as_slice();
         let n = acts.len();
-        let find = |a: &str| acts.binary_search(&a).ok();
+        let find = |a: &str| acts.binary_search_by(|x| x.as_str().cmp(a)).ok();
 
         let mut produced = t.produced.clone();
-        let mut text: Vec<Option<&str>> = vec![None; n];
+        let mut text: Vec<Option<Name>> = vec![None; n];
         for ((_, dom), &i) in p.cs.domains.iter().zip(&t.domain_ix) {
             if (i as usize) < n {
-                text[i as usize] = Some(dom.first().map_or("done", String::as_str));
+                text[i as usize] = Some(dom.first().cloned().unwrap_or_else(|| "done".into()));
             }
         }
         for (g, v) in &config.oracle {
             if let Some(i) = find(g).filter(|&i| text[i].is_some()) {
-                text[i] = Some(v);
-                produced[i] = t.value_id(v);
+                let id = t.value_id(v);
+                text[i] = Some(t.values.get(id as usize).cloned().unwrap_or_else(|| v.into()));
+                produced[i] = id;
             }
         }
 
@@ -665,13 +670,13 @@ impl<'r> Run<'r> {
         }
     }
 
-    fn event(&mut self, i: usize, kind: EventKind, value: Option<&str>) {
+    fn event(&mut self, i: usize, kind: EventKind, value: Option<Name>) {
         self.trace.events.push(TraceEvent {
             time: self.now,
             seq: self.seq,
-            activity: self.acts[i].to_string(),
+            activity: self.acts[i].clone(),
             kind,
-            value: value.map(String::from),
+            value,
         });
         self.seq += 1;
     }
@@ -715,7 +720,7 @@ impl<'r> Run<'r> {
         let t = self.t;
         self.flags[i] = (self.flags[i] & !RUNNING) | DONE;
         self.done += 1;
-        self.event(i, EventKind::Finish, self.text[i]);
+        self.event(i, EventKind::Finish, self.text[i].clone());
         self.resolved[3 * i + 2] = true;
         self.outcome[i] = self.produced[i];
         self.wake(t.state_wake.row(3 * i + 2));
@@ -760,8 +765,8 @@ fn value_of_guard(g: &str, config: &SimConfig, cs: &ConstraintSet) -> String {
     config.oracle.get(g).cloned().unwrap_or_else(|| {
         cs.domains
             .get(g)
-            .and_then(|d| d.first().cloned())
-            .unwrap_or_else(|| "done".to_string())
+            .and_then(|d| d.first())
+            .map_or_else(|| "done".to_string(), Name::to_string)
     })
 }
 
@@ -930,7 +935,7 @@ pub fn simulate_rescan_baseline(
                         trace.events.push(TraceEvent {
                             time: now,
                             seq,
-                            activity: a.to_string(),
+                            activity: a.into(),
                             kind: EventKind::Start,
                             value: None,
                         });
@@ -959,14 +964,14 @@ pub fn simulate_rescan_baseline(
                         trace.events.push(TraceEvent {
                             time: now,
                             seq,
-                            activity: a.to_string(),
+                            activity: a.into(),
                             kind: EventKind::Skip,
                             value: None,
                         });
                         for st in ActivityState::ALL {
                             resolved.insert(
                                 StateRef {
-                                    activity: a.to_string(),
+                                    activity: a.into(),
                                     state: st,
                                 },
                                 (now, seq),
@@ -993,8 +998,8 @@ pub fn simulate_rescan_baseline(
         busy -= 1;
         let a_ref: &str = cs
             .activities
-            .get(&a)
-            .map(String::as_str)
+            .get(a.as_str())
+            .map(Name::as_str)
             .expect("finish of unknown activity");
         // Finish-side prerequisites may defer the completion.
         let ok = finish_prereqs[a_ref]
@@ -1014,7 +1019,7 @@ pub fn simulate_rescan_baseline(
         .activities
         .iter()
         .filter(|a| !done.contains(a.as_str()))
-        .cloned()
+        .map(Name::to_string)
         .collect();
     Schedule {
         trace,
@@ -1047,9 +1052,9 @@ fn commit_finish<'a>(
     trace.events.push(TraceEvent {
         time: now,
         seq: *seq,
-        activity: a.to_string(),
+        activity: a.into(),
         kind: EventKind::Finish,
-        value: value.clone(),
+        value: value.as_deref().map(Name::from),
     });
     resolved.insert(StateRef::finish(a), (now, *seq));
     *seq += 1;

@@ -48,7 +48,7 @@
 
 use crate::conformance::{check_all_conformance, occurrence_point};
 use crate::trace::{EventKind, Trace, TraceEvent};
-use dscweaver_dscl::{ActivityState, ConstraintSet, Relation};
+use dscweaver_dscl::{ActivityState, ConstraintSet, Name, Relation};
 use dscweaver_graph::{effective_threads, par_shards, FxHashMap};
 use dscweaver_obs as obs;
 use dscweaver_wscl::{Conversation, ServiceBinding};
@@ -191,7 +191,7 @@ impl MonitorProgram {
         conversations: &[(Conversation, ServiceBinding)],
     ) -> Result<MonitorProgram, MonitorError> {
         let _span = obs::span_with("monitor.compile", || cs.name.clone());
-        let acts: Vec<String> = cs.activities.iter().cloned().collect();
+        let acts: Vec<String> = cs.activities.iter().map(Name::to_string).collect();
         if acts.len() > u16::MAX as usize + 1 {
             return Err(MonitorError::TooManyActivities(acts.len()));
         }
@@ -219,7 +219,7 @@ impl MonitorProgram {
                 continue;
             }
             let (Some(&fa), Some(&ta)) =
-                (act_ix.get(&from.activity), act_ix.get(&to.activity))
+                (act_ix.get(from.activity.as_str()), act_ix.get(to.activity.as_str()))
             else {
                 continue;
             };
@@ -262,7 +262,7 @@ impl MonitorProgram {
             std::collections::BTreeMap::new();
         for (a, b) in cs.exclusives() {
             let (Some(&aa), Some(&ba)) =
-                (act_ix.get(&a.activity), act_ix.get(&b.activity))
+                (act_ix.get(a.activity.as_str()), act_ix.get(b.activity.as_str()))
             else {
                 continue;
             };
@@ -871,7 +871,7 @@ pub fn oracle_verdicts(
             trace.events.push(TraceEvent {
                 time: k,
                 seq: k,
-                activity: program.activity_name(ev.act).to_string(),
+                activity: program.activity_name(ev.act).into(),
                 kind: match ev.phase {
                     MonitorPhase::Start => EventKind::Start,
                     MonitorPhase::Finish => EventKind::Finish,

@@ -6,7 +6,7 @@
 //! any trace, does every HappenBefore relation of a (possibly much larger)
 //! constraint set hold?
 
-use dscweaver_dscl::{ActivityState, ConstraintSet, Relation, StateRef};
+use dscweaver_dscl::{ActivityState, ConstraintSet, Name, Relation, StateRef};
 
 /// Virtual time.
 pub type Time = u64;
@@ -30,12 +30,12 @@ pub struct TraceEvent {
     pub time: Time,
     /// Commit order within equal times.
     pub seq: u64,
-    /// The activity.
-    pub activity: String,
+    /// The activity (shared with the simulated set's declaration).
+    pub activity: Name,
     /// What happened.
     pub kind: EventKind,
     /// Branch value produced (guards only, on Finish).
-    pub value: Option<String>,
+    pub value: Option<Name>,
 }
 
 /// A completed run.
@@ -225,7 +225,7 @@ mod tests {
             seq,
             activity: activity.into(),
             kind,
-            value: value.map(String::from),
+            value: value.map(Name::from),
         }
     }
 

@@ -419,9 +419,9 @@ mod tests {
             .happen_befores()
             .map(|r| match r {
                 dscweaver_dscl::Relation::HappenBefore { from, to, cond, .. } => (
-                    from.activity.clone(),
-                    to.activity.clone(),
-                    cond.as_ref().map(|c| c.value.clone()),
+                    from.activity.to_string(),
+                    to.activity.to_string(),
+                    cond.as_ref().map(|c| c.value.to_string()),
                 ),
                 _ => unreachable!(),
             })

@@ -6,7 +6,7 @@
 #![allow(dead_code)]
 
 use dscweaver_core::ExecConditions;
-use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, StateRef};
+use dscweaver_dscl::{Condition, ConstraintSet, Name, Origin, Relation, StateRef};
 use dscweaver_petri::{
     assignment_chooser, lower, run_to_quiescence, AssignmentFailure, ModeLimit, ValidationReport,
 };
@@ -86,7 +86,7 @@ impl FullReport {
 /// of them, recording the same failure fields.
 pub fn reference(cs: &ConstraintSet, exec: &ExecConditions, max_assignments: usize) -> Reference {
     let lowered = lower(cs, exec);
-    let guards: Vec<(&String, &Vec<String>)> = cs.domains.iter().collect();
+    let guards: Vec<(&Name, &Vec<Name>)> = cs.domains.iter().collect();
     let space: usize = guards.iter().map(|(_, d)| d.len()).product();
     let checked = space.min(max_assignments);
     let mut failures = Vec::new();
@@ -95,9 +95,9 @@ pub fn reference(cs: &ConstraintSet, exec: &ExecConditions, max_assignments: usi
         let values: Vec<(String, String)> = guards
             .iter()
             .map(|(g, dom)| {
-                let v = dom[rest % dom.len()].clone();
+                let v = dom[rest % dom.len()].to_string();
                 rest /= dom.len();
-                ((*g).clone(), v)
+                (g.to_string(), v)
             })
             .collect();
         let assignment: HashMap<String, String> = values

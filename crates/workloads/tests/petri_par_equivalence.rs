@@ -16,7 +16,7 @@ mod common;
 
 use common::{ghost_guards, reference, Reference};
 use dscweaver_core::{ExecConditions, Weaver};
-use dscweaver_dscl::ConstraintSet;
+use dscweaver_dscl::{ConstraintSet, Name};
 use dscweaver_petri::{
     assignment_chooser, explore, explore_with, lower, run_to_quiescence,
     run_to_quiescence_wavefront, validate, ArcIn, ArcOut, Color, ColorFilter, CompiledValidation,
@@ -163,7 +163,7 @@ fn wavefront_quiescence_replays_rescan_firing_sequence() {
         .chain([("ghosts".to_string(), ghosts, ghost_exec)]);
     for (what, cs, exec) in nets {
         let net = lower(&cs, &exec).net;
-        let guards: Vec<&String> = cs.domains.keys().collect();
+        let guards: Vec<&Name> = cs.domains.keys().collect();
         for bits in 0u32..1 << guards.len() {
             let assignment: HashMap<String, String> = guards
                 .iter()

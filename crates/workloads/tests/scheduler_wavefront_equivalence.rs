@@ -167,7 +167,7 @@ mod kernel_edges {
     fn state(rng: &mut Rng, a: &str) -> StateRef {
         let st = [ActivityState::Start, ActivityState::Run, ActivityState::Finish];
         StateRef {
-            activity: a.to_string(),
+            activity: a.into(),
             state: st[rng.random_range(3)],
         }
     }

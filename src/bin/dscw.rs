@@ -450,11 +450,11 @@ fn run() -> Result<(), String> {
         "dot" => {
             let cs = match args.stage.as_str() {
                 "sc" => {
-                    let mut sc = out.weaver.sc.clone();
+                    let mut sc = (*out.weaver.sc).clone();
                     sc.desugar_happen_together();
                     sc
                 }
-                "asc" => out.weaver.asc.clone(),
+                "asc" => (*out.weaver.asc).clone(),
                 "minimal" => out.weaver.minimal.clone(),
                 other => return Err(format!("unknown stage '{other}'")),
             };

@@ -374,7 +374,7 @@ pub fn monitor_replay(
     // dropped, and the compiler's tolerance then skips every relation,
     // exclusive or conversation interaction touching them (the same
     // vacuousness the post-hoc checkers apply).
-    let mut cs = out.weaver.asc.clone();
+    let mut cs = ConstraintSet::clone(&out.weaver.asc);
     cs.activities = out
         .schedule
         .trace

@@ -75,7 +75,7 @@ fn minimal_schedule_satisfies_full_asc() {
         let mut sim = SimConfig::default();
         for g in out.asc.domains.keys() {
             sim.oracle
-                .insert(g.clone(), if flip { "T".into() } else { "F".into() });
+                .insert(g.to_string(), if flip { "T".into() } else { "F".into() });
         }
         let sched = simulate(&out.minimal, &out.exec, &sim);
         assert!(sched.completed(), "case {case}: stuck: {:?}", sched.stuck);
@@ -140,7 +140,7 @@ fn translation_preserves_internal_reachability() {
         // Internal-to-internal reachability of SC ⊆ ASC (the translation
         // may only realize, never lose, orderings between internal
         // activities).
-        let mut sc = out.sc.clone();
+        let mut sc = (*out.sc).clone();
         sc.desugar_happen_together();
         let g_sc = SyncGraph::build(&sc);
         let g_asc = SyncGraph::build(&out.asc);
@@ -196,7 +196,7 @@ fn dscl_round_trip_all_stages() {
     for case in 0..32 {
         let ds = random_layered(&mut rng);
         let out = Weaver::new().run(&ds).unwrap();
-        let mut sc = out.sc.clone();
+        let mut sc = (*out.sc).clone();
         sc.desugar_happen_together();
         for cs in [&sc, &out.asc, &out.minimal] {
             let text = cs.to_dscl();

@@ -157,7 +157,7 @@ fn minimal_set_monitoring_cost_vs_unoptimized() {
 fn petri_validation_of_all_stages() {
     let ds = purchasing_dependencies();
     let out = Weaver::new().run(&ds).unwrap();
-    for (name, cs) in [("ASC", &out.asc), ("minimal", &out.minimal)] {
+    for (name, cs) in [("ASC", &*out.asc), ("minimal", &out.minimal)] {
         let report = dscweaver::petri::validate_default(cs, &out.exec);
         assert!(report.ok(), "{name}: {report:#?}");
         assert_eq!(report.assignments_checked, 2, "{name}: T and F");
@@ -257,7 +257,7 @@ fn figure_renderings_cover_all_edges() {
     let ds = purchasing_dependencies();
     let out = Weaver::new().run(&ds).unwrap();
     // Figure 7 (merged SC).
-    let mut sc = out.sc.clone();
+    let mut sc = (*out.sc).clone();
     sc.desugar_happen_together();
     let fig7 = SyncGraph::build(&sc).render();
     assert_eq!(fig7.lines().count(), 40);
