@@ -37,7 +37,7 @@ pub struct ConstraintDiff {
     pub annotation_changed: Vec<String>,
     /// Guard variables whose declared domain differs (rendered
     /// `var: [old] => [new]`). Domains never alter the closure rows, but
-    /// they change branch-completeness verdicts during screening.
+    /// they change the minimizer's branch-completeness verdicts.
     pub domain_changed: Vec<String>,
 }
 
@@ -61,13 +61,6 @@ impl ConstraintDiff {
             || !self.removed.is_empty()
             || !self.added_activities.is_empty()
             || !self.removed_activities.is_empty()
-    }
-
-    /// True if the edit leaves the closure untouched but still changes
-    /// what screening or dynamic checking sees: Exclusive pairs or guard
-    /// domains.
-    pub fn screen_only(&self) -> bool {
-        !self.is_empty() && !self.closure_relevant()
     }
 }
 
@@ -476,7 +469,6 @@ mod tests {
         b.domains.insert("g".into(), vec!["T".into(), "F".into(), "U".into()]);
         let d = diff_constraint_sets(&a, &b);
         assert!(!d.is_empty());
-        assert!(d.screen_only());
         assert!(!d.closure_relevant());
         assert_eq!(d.exclusive_added, vec!["S(x) >< S(y)"]);
         assert_eq!(d.domain_changed, vec!["g: [T, F] => [T, F, U]"]);
@@ -512,7 +504,6 @@ mod tests {
         assert_eq!(d.annotation_changed.len(), 1, "{d:?}");
         assert!(d.annotation_changed[0].contains("F(g) -> S(b)"), "{d:?}");
         assert!(d.closure_relevant());
-        assert!(!d.screen_only());
     }
 
     #[test]

@@ -138,33 +138,33 @@ pub(crate) fn derive_ids(num: &Numbering) -> Vec<Option<Dnf<Guard>>> {
         visiting: Vec<bool>,
     }
     impl Walk<'_> {
-        fn compute(&mut self, act: u32) -> Dnf<Guard> {
-            let a = act as usize;
-            if let Some(d) = &self.memo[a] {
-                return d.clone();
-            }
-            if self.visiting[a] {
-                return Dnf::always(); // cycle: conservative
+        /// Fills `memo[a]`, composing each parent's DNF in place from its
+        /// memo slot; a parent whose derivation is still open counts as
+        /// *always*.
+        fn compute(&mut self, a: usize) {
+            if self.memo[a].is_some() {
+                return;
             }
             self.visiting[a] = true;
-            let (lo, hi) = (self.start[a] as usize, self.start[a + 1] as usize);
-            let result = if lo == hi {
-                Dnf::always()
-            } else {
-                let mut acc = Dnf::empty();
-                for i in lo..hi {
-                    let (g, cond) = self.parents[i];
-                    self.compute(g).compose_into(cond.as_ref(), &mut acc);
+            let mut acc = Dnf::empty();
+            for i in self.start[a] as usize..self.start[a + 1] as usize {
+                let (g, cond) = self.parents[i];
+                let g = g as usize;
+                if !self.visiting[g] {
+                    self.compute(g);
                 }
-                if acc.is_empty() {
-                    Dnf::always()
-                } else {
-                    acc
+                match &self.memo[g] {
+                    Some(d) => {
+                        d.compose_into(cond.as_ref(), &mut acc);
+                    }
+                    // An open parent (a control cycle): conservative.
+                    None => {
+                        acc.insert(cond.into_iter().collect());
+                    }
                 }
-            };
+            }
             self.visiting[a] = false;
-            self.memo[a] = Some(result.clone());
-            result
+            self.memo[a] = Some(if acc.is_empty() { Dnf::always() } else { acc });
         }
     }
 
@@ -174,7 +174,7 @@ pub(crate) fn derive_ids(num: &Numbering) -> Vec<Option<Dnf<Guard>>> {
         memo: vec![None; names],
         visiting: vec![false; names],
     };
-    for a in 0..num.acts() as u32 {
+    for a in 0..num.acts() {
         walk.compute(a);
     }
     walk.memo

@@ -951,10 +951,7 @@ fn reduce(
 ) -> Result<MinimizeResult, MinimizeError> {
     let graph = num.graph();
     let g = &graph.g;
-    if find_cycle(g).is_some() {
-        return Err(conflict(num, g));
-    }
-    let closure = dscweaver_graph::transitive_closure(g);
+    let closure = dscweaver_graph::transitive_closure(g).map_err(|_| conflict(num, g))?;
 
     let candidates = id_candidates(num, &graph, order);
 
@@ -1467,6 +1464,53 @@ mod tests {
         }
         let res2 = minimize_unconditional_fast(&cs2, &EdgeOrder::default()).unwrap();
         assert_eq!(res2.kept(), 1);
+    }
+
+    #[test]
+    fn fast_path_reports_the_generic_engines_conflict() {
+        // a ⇄ b, a lifecycle cycle (F(c) → S(c)) and a cycle with a DAG
+        // tail hanging off it: the closure's cycle error becomes the same
+        // Conflict, cycle for cycle, as the generic engine's.
+        let two = cs_with(
+            &["a", "b"],
+            vec![
+                before("a", "b", Origin::Data),
+                before("b", "a", Origin::Cooperation),
+            ],
+        );
+        let lifecycle = cs_with(&["c"], vec![before("c", "c", Origin::Data)]);
+        let tail = cs_with(
+            &["t", "x", "y", "z"],
+            vec![
+                before("x", "t", Origin::Data),
+                before("x", "y", Origin::Data),
+                before("y", "z", Origin::Data),
+                before("z", "x", Origin::Cooperation),
+            ],
+        );
+        let mut cycles = Vec::new();
+        for cs in [two, lifecycle, tail] {
+            let exec = ExecConditions::derive(&cs);
+            let MinimizeError::Conflict { cycle } =
+                minimize_unconditional_fast(&cs, &EdgeOrder::default()).unwrap_err();
+            let generic =
+                minimize(&cs, &exec, EquivalenceMode::Strict, &EdgeOrder::default()).unwrap_err();
+            assert_eq!(
+                generic,
+                MinimizeError::Conflict {
+                    cycle: cycle.clone()
+                }
+            );
+            cycles.push(cycle.join(" -> "));
+        }
+        assert_eq!(
+            cycles,
+            [
+                "F(b) -> S(a) -> R(a) -> F(a) -> S(b) -> R(b) -> F(b)",
+                "F(c) -> S(c) -> R(c) -> F(c)",
+                "F(z) -> S(x) -> R(x) -> F(x) -> S(y) -> R(y) -> F(y) -> S(z) -> R(z) -> F(z)",
+            ]
+        );
     }
 
     #[test]

@@ -288,8 +288,9 @@ impl<'a> Numbering<'a> {
     }
 
     /// The synchronization graph on this numbering: the same nodes and
-    /// edges, in the same order, as [`SyncGraph::build`]
-    /// (`dscweaver_dscl::SyncGraph`), with no strings.
+    /// edges, in the same order, as
+    /// [`SyncGraph::build`](dscweaver_dscl::SyncGraph::build), with no
+    /// strings.
     pub fn graph(&self) -> IdGraph {
         let acts = self.acts as usize;
         let mut g = DiGraph::with_capacity(self.node_count(), 2 * acts + self.rels.len());

@@ -271,48 +271,6 @@ pub fn annotated_closure<N, E, G: Ord + Clone>(
     Ok(AnnotatedClosure { rows })
 }
 
-/// [`annotated_closure`] with a cyclic fallback instead of a `CycleError`:
-/// the graph is condensed through the shared [`crate::closure::condense`]
-/// entry point and each cyclic component is solved by a least fixpoint
-/// (iterate [`compose_row`] until no row grows — coverage is monotone over
-/// the finite lattice of minimal guard-set antichains, so this
-/// terminates). Acyclic inputs take exactly the one-pass DAG path.
-///
-/// Members of a cyclic component reach themselves, mirroring the strict
-/// unconditional closure's self-reachability-on-cycles convention.
-pub fn annotated_closure_condensed<N, E, G: Ord + Clone>(
-    g: &DiGraph<N, E>,
-    guard_of: &impl GuardFn<E, G>,
-) -> AnnotatedClosure<G> {
-    if let Ok(c) = annotated_closure(g, guard_of) {
-        return c;
-    }
-    let cond = crate::closure::condense(g);
-    let mut rows: Vec<Row<G>> = vec![Row::new(); g.node_bound()];
-    for (c, members) in cond.comps.iter().enumerate() {
-        if !cond.cyclic[c] {
-            let n = members[0];
-            let row = compose_row(g, n, guard_of, |m| rows[m.index()].clone());
-            rows[n.index()] = row;
-            continue;
-        }
-        loop {
-            let mut changed = false;
-            for &n in members {
-                let row = compose_row(g, n, guard_of, |m| rows[m.index()].clone());
-                if row != rows[n.index()] {
-                    rows[n.index()] = row;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-    AnnotatedClosure { rows }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

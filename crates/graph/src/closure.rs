@@ -1,18 +1,17 @@
-//! Plain (unconditional) transitive closure and reachability matrices.
+//! Plain (unconditional) transitive closure of a DAG.
 //!
 //! The paper's Definition 3 needs *condition-annotated* closures (see
-//! [`crate::annotated`]); this module provides the unconditional variant used
-//! by the transitive-reduction fast path and by set-cover checks on
-//! constraint sets without conditional edges.
+//! [`crate::annotated`]); this module provides the unconditional variant
+//! behind the minimizer's transitive-reduction fast path and the maximum
+//! antichain. Both need a DAG, so a cycle is an error here, as in every
+//! other closure builder.
 
 use crate::bitset::BitSet;
 use crate::digraph::{DiGraph, NodeId};
-use crate::scc::tarjan_scc;
-use crate::topo::topo_sort;
+use crate::topo::{topo_sort, CycleError};
 
-/// Dense reachability matrix: `row(n)` is the set of nodes strictly
-/// reachable from `n` (the paper's `n+`; `n` itself is included only if it
-/// lies on a cycle through itself).
+/// Dense reachability matrix of a DAG: `row(n)` is the set of nodes
+/// strictly reachable from `n` (the paper's `n+`, never `n` itself).
 #[derive(Clone, Debug)]
 pub struct Closure {
     rows: Vec<BitSet>,
@@ -41,116 +40,29 @@ impl Closure {
     }
 }
 
-/// The SCC condensation view shared by every closure builder's cyclic
-/// fallback — one entry point, so a cyclic input can never produce a
-/// `CycleError` on one closure path and a condensed answer on another.
-#[derive(Clone, Debug)]
-pub struct Condensation {
-    /// Component index per node index (`usize::MAX` for tombstones).
-    pub comp_of: Vec<usize>,
-    /// Members per component, in reverse topological order of the
-    /// condensation: every successor component precedes its predecessors,
-    /// so one forward sweep over `comps` sees finished successors.
-    pub comps: Vec<Vec<NodeId>>,
-    /// True when the component is cyclic — more than one member, or a
-    /// single member with a self-loop. Exactly these components admit
-    /// self-reachability in the strict closure.
-    pub cyclic: Vec<bool>,
-}
-
-/// Condenses `g` into its strongly connected components (see
-/// [`Condensation`] for the invariants downstream sweeps rely on).
-pub fn condense<N, E>(g: &DiGraph<N, E>) -> Condensation {
-    let comps = tarjan_scc(g);
-    let mut comp_of = vec![usize::MAX; g.node_bound()];
-    for (c, members) in comps.iter().enumerate() {
-        for &n in members {
-            comp_of[n.index()] = c;
-        }
-    }
-    let cyclic = comps
-        .iter()
-        .map(|members| {
-            members.len() > 1
-                || members
-                    .iter()
-                    .any(|&n| g.successors(n).any(|m| m == n))
-        })
-        .collect();
-    Condensation {
-        comp_of,
-        comps,
-        cyclic,
-    }
-}
-
-/// Computes the strict transitive closure.
-///
-/// For DAGs a single reverse-topological pass suffices; cyclic graphs fall
-/// back to SCC condensation and a single reverse-topological pass over the
-/// component DAG (needed because the optimizer computes closures while
-/// *diagnosing* conflicting, possibly cyclic, constraint sets).
-pub fn transitive_closure<N, E>(g: &DiGraph<N, E>) -> Closure {
+/// Computes the strict transitive closure of a DAG in one
+/// reverse-topological pass, or fails with a node on a cycle.
+pub fn transitive_closure<N, E>(g: &DiGraph<N, E>) -> Result<Closure, CycleError> {
+    let order = topo_sort(g)?;
     let bound = g.node_bound();
     let mut rows: Vec<BitSet> = (0..bound).map(|_| BitSet::new(bound)).collect();
-
-    match topo_sort(g) {
-        Ok(order) => {
-            // Reverse topological: successors' rows are complete when used.
-            for &n in order.iter().rev() {
-                // Two-phase to appease the borrow checker: collect successor
-                // indices first, then fold their rows in.
-                let succ: Vec<NodeId> = g.successors(n).collect();
-                for m in succ {
-                    if m == n {
-                        rows[n.index()].insert(n.index());
-                        continue;
-                    }
-                    let (a, b) = split_two(&mut rows, n.index(), m.index());
-                    a.union_with(b);
-                    a.insert(m.index());
-                }
-            }
-        }
-        Err(_) => {
-            // Cyclic graphs: condense via the shared entry point and make
-            // a single pass over the components. `comps` arrive in reverse
-            // topological order of the condensation (every successor
-            // component is finished first), so one sweep suffices — no
-            // whole-graph fixpoint iteration.
-            let cond = condense(g);
-            let mut comp_rows: Vec<BitSet> = Vec::with_capacity(cond.comps.len());
-            for (c, members) in cond.comps.iter().enumerate() {
-                let mut acc = BitSet::new(bound);
-                for &n in members {
-                    for m in g.successors(n) {
-                        if cond.comp_of[m.index()] != c {
-                            acc.insert(m.index());
-                            acc.union_with(&comp_rows[cond.comp_of[m.index()]]);
-                        }
-                    }
-                }
-                // A nontrivial component (or a self-loop) reaches all of
-                // its own members, itself included — the strict closure
-                // admits self-reachability exactly on cycles.
-                if cond.cyclic[c] {
-                    for &n in members {
-                        acc.insert(n.index());
-                    }
-                }
-                for &n in members {
-                    rows[n.index()] = acc.clone();
-                }
-                comp_rows.push(acc);
-            }
+    // Reverse topological: successors' rows are complete when used.
+    for &n in order.iter().rev() {
+        // Two-phase to appease the borrow checker: collect successor
+        // indices first, then fold their rows in.
+        let succ: Vec<NodeId> = g.successors(n).collect();
+        for m in succ {
+            let (a, b) = split_two(&mut rows, n.index(), m.index());
+            a.union_with(b);
+            a.insert(m.index());
         }
     }
-    Closure { rows, bound }
+    Ok(Closure { rows, bound })
 }
 
 /// Mutably borrows two distinct rows at once.
 fn split_two(rows: &mut [BitSet], i: usize, j: usize) -> (&mut BitSet, &BitSet) {
-    assert_ne!(i, j, "self-loop rows must be handled by the caller");
+    assert_ne!(i, j, "a DAG has no self-loop");
     if i < j {
         let (lo, hi) = rows.split_at_mut(j);
         (&mut lo[i], &hi[0])
@@ -163,6 +75,7 @@ fn split_two(rows: &mut [BitSet], i: usize, j: usize) -> (&mut BitSet, &BitSet) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topo::tests::reaches_itself;
 
     #[test]
     fn chain_closure() {
@@ -171,7 +84,7 @@ mod tests {
         for w in ids.windows(2) {
             g.add_edge(w[0], w[1], ());
         }
-        let c = transitive_closure(&g);
+        let c = transitive_closure(&g).unwrap();
         assert!(c.reaches(ids[0], ids[3]));
         assert!(c.reaches(ids[1], ids[2]));
         assert!(!c.reaches(ids[3], ids[0]));
@@ -190,24 +103,25 @@ mod tests {
         g.add_edge(a, c, ());
         g.add_edge(b, d, ());
         g.add_edge(c, d, ());
-        let cl = transitive_closure(&g);
+        let cl = transitive_closure(&g).unwrap();
         assert_eq!(cl.row(a).count(), 3);
         assert!(cl.reaches(a, d));
         assert!(!cl.reaches(b, c));
     }
 
     #[test]
-    fn cyclic_closure_includes_self() {
+    fn cyclic_graph_fails_with_a_node_on_the_cycle() {
+        // c has the smallest id but only hangs off the a ⇄ b cycle.
         let mut g = DiGraph::new();
+        let c = g.add_node(());
         let a = g.add_node(());
         let b = g.add_node(());
         g.add_edge(a, b, ());
         g.add_edge(b, a, ());
-        let c = transitive_closure(&g);
-        assert!(c.reaches(a, a));
-        assert!(c.reaches(b, b));
-        assert!(c.reaches(a, b));
-        assert!(c.reaches(b, a));
+        g.add_edge(a, c, ());
+        let on_cycle = transitive_closure(&g).unwrap_err().on_cycle;
+        assert!(on_cycle == a || on_cycle == b, "{on_cycle:?}");
+        assert!(reaches_itself(&g, on_cycle));
     }
 
     #[test]
@@ -217,10 +131,9 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, a, ());
         g.add_edge(a, b, ());
-        let c = transitive_closure(&g);
-        assert!(c.reaches(a, a));
-        assert!(c.reaches(a, b));
-        assert!(!c.reaches(b, b));
+        let on_cycle = transitive_closure(&g).unwrap_err().on_cycle;
+        assert_eq!(on_cycle, a);
+        assert!(reaches_itself(&g, on_cycle));
     }
 
     #[test]
@@ -230,7 +143,7 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, b, ());
         g.add_edge(a, b, ());
-        let c = transitive_closure(&g);
+        let c = transitive_closure(&g).unwrap();
         assert!(c.reaches(a, b));
         assert_eq!(c.pair_count(), 1);
     }
@@ -245,7 +158,7 @@ mod tests {
         g.add_edge(b, c, ());
         g.remove_node(b);
         g.add_edge(a, c, ());
-        let cl = transitive_closure(&g);
+        let cl = transitive_closure(&g).unwrap();
         assert!(cl.reaches(a, c));
         assert_eq!(cl.pair_count(), 1);
     }

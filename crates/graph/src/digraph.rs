@@ -132,11 +132,6 @@ impl<N, E> DiGraph<N, E> {
         self.nodes.get(n.index()).is_some_and(Option::is_some)
     }
 
-    /// True if `e` refers to a live edge.
-    pub fn contains_edge_id(&self, e: EdgeId) -> bool {
-        self.edges.get(e.index()).is_some_and(Option::is_some)
-    }
-
     fn node(&self, n: NodeId) -> &NodeSlot<N> {
         self.nodes[n.index()].as_ref().expect("node was removed")
     }
@@ -154,19 +149,9 @@ impl<N, E> DiGraph<N, E> {
         &self.node(n).weight
     }
 
-    /// Mutable node weight. Panics on a removed/invalid id.
-    pub fn weight_mut(&mut self, n: NodeId) -> &mut N {
-        &mut self.node_mut(n).weight
-    }
-
     /// Edge weight. Panics on a removed/invalid id.
     pub fn edge_weight(&self, e: EdgeId) -> &E {
         &self.edge(e).weight
-    }
-
-    /// Mutable edge weight. Panics on a removed/invalid id.
-    pub fn edge_weight_mut(&mut self, e: EdgeId) -> &mut E {
-        &mut self.edges[e.index()].as_mut().expect("edge was removed").weight
     }
 
     /// The `(from, to)` endpoints of edge `e`.

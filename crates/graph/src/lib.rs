@@ -13,13 +13,12 @@
 //! * [`DiGraph`] — a directed multigraph with stable indices and tombstone
 //!   removal (service-dependency translation removes external nodes in
 //!   place).
-//! * [`closure`] — plain transitive closure (bitset rows).
+//! * [`closure`] — plain transitive closure of a DAG (bitset rows).
 //! * [`annotated`] — the paper's Definition 3: **condition-annotated**
 //!   transitive closure, where activities reached through conditional
 //!   constraints carry their guard annotations.
-//! * [`reduction`] — transitive reduction, the fast path for minimal
-//!   constraint sets on unconditional DAGs (Definition 6).
-//! * [`scc`] / [`topo`] — conflict (cycle) detection and DAG orderings.
+//! * [`scc`] / [`topo`] — conflict (cycle) detection and topological
+//!   order.
 //! * [`dom`] — dominators/post-dominators for control-dependence extraction.
 //! * [`matching`] — Hopcroft–Karp and exact maximum antichains (peak
 //!   concurrency of a schedule).
@@ -44,14 +43,11 @@ pub mod intern;
 pub mod lru;
 pub mod matching;
 pub mod par;
-pub mod reduction;
 pub mod scc;
 pub mod topo;
 pub mod visit;
 
-pub use annotated::{
-    annotated_closure, annotated_closure_condensed, AnnotatedClosure, Dnf, GuardSet, Row,
-};
+pub use annotated::{annotated_closure, AnnotatedClosure, Dnf, GuardSet, Row};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use iclosure::{
     compose_interned_row, interned_closure, interned_closure_ordered, AdjEdge, ClosureStats, IRow,
@@ -60,13 +56,12 @@ pub use iclosure::{
 pub use intern::{DnfId, DnfPool, TermId};
 pub use lru::LruCache;
 pub use bitset::BitSet;
-pub use closure::{condense, transitive_closure, Closure, Condensation};
+pub use closure::{transitive_closure, Closure};
 pub use digraph::{DiGraph, EdgeId, NodeId};
 pub use dom::{dominators, Dominators};
 pub use dot::{to_dot, EdgeStyle, NodeStyle};
 pub use matching::{hopcroft_karp, max_antichain};
 pub use par::{effective_threads, par_map, par_shards};
-pub use reduction::{redundant_edges, transitive_reduction};
-pub use scc::{condensation, find_cycle, has_cycle, tarjan_scc};
-pub use topo::{critical_path, layers, max_layer_width, topo_sort, CycleError};
-pub use visit::{bfs_order, dfs_postorder, reachable_from, reaching_to, shortest_path};
+pub use scc::{find_cycle, has_cycle, tarjan_scc};
+pub use topo::{topo_sort, CycleError};
+pub use visit::{dfs_postorder, reachable_from, shortest_path};

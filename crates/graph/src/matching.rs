@@ -2,15 +2,14 @@
 //! DAG via Dilworth's theorem.
 //!
 //! The maximum antichain of a dependency DAG is the exact peak concurrency a
-//! scheduler with unlimited workers can exploit; the benches report it next
-//! to the cheaper layer-width estimate when comparing the optimized and
-//! construct-based schedules (experiment Ext-D).
+//! scheduler with unlimited workers can exploit; the benches report it when
+//! comparing the optimized and construct-based schedules (experiment
+//! Ext-D).
 
 use crate::bitset::BitSet;
 use crate::closure::transitive_closure;
 use crate::digraph::{DiGraph, NodeId};
 use crate::topo::CycleError;
-use crate::topo::topo_sort;
 use std::collections::VecDeque;
 
 /// A maximum-cardinality matching in a bipartite graph given as adjacency
@@ -95,14 +94,13 @@ pub fn hopcroft_karp(n_left: usize, n_right: usize, adj: &[Vec<usize>]) -> Vec<O
 /// Also returns one concrete antichain (a maximum independent set of the
 /// comparability relation, recovered via König's theorem).
 pub fn max_antichain<N, E>(g: &DiGraph<N, E>) -> Result<(usize, Vec<NodeId>), CycleError> {
-    topo_sort(g)?;
+    let closure = transitive_closure(g)?;
     let nodes: Vec<NodeId> = g.node_ids().collect();
     let n = nodes.len();
     let mut pos: Vec<usize> = vec![usize::MAX; g.node_bound()];
     for (i, &nd) in nodes.iter().enumerate() {
         pos[nd.index()] = i;
     }
-    let closure = transitive_closure(g);
     // Left copy i connects to right copy j iff i strictly reaches j.
     let adj: Vec<Vec<usize>> = nodes
         .iter()
@@ -249,7 +247,7 @@ mod tests {
         for &x in &ac {
             for &y in &ac {
                 if x != y {
-                    let cl = transitive_closure(&g);
+                    let cl = transitive_closure(&g).unwrap();
                     assert!(!cl.reaches(x, y) && !cl.reaches(y, x));
                 }
             }
@@ -278,7 +276,7 @@ mod tests {
         }
         let (w, ac) = max_antichain(&g).unwrap();
         assert_eq!(w, ac.len());
-        let cl = transitive_closure(&g);
+        let cl = transitive_closure(&g).unwrap();
         for &a in &ac {
             for &b in &ac {
                 if a != b {

@@ -129,34 +129,6 @@ pub fn find_cycle<N, E>(g: &DiGraph<N, E>) -> Option<Vec<NodeId>> {
     }
 }
 
-/// Condensation: the DAG of strongly connected components.
-///
-/// Node weights are the member lists; edge weights count the original edges
-/// between the two components.
-pub fn condensation<N, E>(g: &DiGraph<N, E>) -> DiGraph<Vec<NodeId>, usize> {
-    let sccs = tarjan_scc(g);
-    let mut comp_of: Vec<usize> = vec![usize::MAX; g.node_bound()];
-    for (ci, comp) in sccs.iter().enumerate() {
-        for &n in comp {
-            comp_of[n.index()] = ci;
-        }
-    }
-    let mut out: DiGraph<Vec<NodeId>, usize> = DiGraph::new();
-    let ids: Vec<_> = sccs.iter().map(|c| out.add_node(c.clone())).collect();
-    let mut counts: std::collections::HashMap<(usize, usize), usize> =
-        std::collections::HashMap::new();
-    for (_, a, b, _) in g.edges() {
-        let (ca, cb) = (comp_of[a.index()], comp_of[b.index()]);
-        if ca != cb {
-            *counts.entry((ca, cb)).or_default() += 1;
-        }
-    }
-    for ((ca, cb), k) in counts {
-        out.add_edge(ids[ca], ids[cb], k);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,24 +189,6 @@ mod tests {
         let sccs = tarjan_scc(&g);
         assert_eq!(sccs[0], vec![c]);
         assert_eq!(sccs[2], vec![a]);
-    }
-
-    #[test]
-    fn condensation_collapses_cycles() {
-        let mut g = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        g.add_edge(a, b, ());
-        g.add_edge(b, a, ());
-        g.add_edge(b, c, ());
-        g.add_edge(a, c, ());
-        let cond = condensation(&g);
-        assert_eq!(cond.node_count(), 2);
-        assert_eq!(cond.edge_count(), 1);
-        let (_, _, _, w) = cond.edges().next().unwrap();
-        assert_eq!(*w, 2, "both cross edges collapse into one counted edge");
-        assert!(!has_cycle(&cond));
     }
 
     #[test]

@@ -1,9 +1,4 @@
-//! Topological ordering, layering and DAG metrics (critical path, width).
-//!
-//! The scheduler uses layers and the critical path to report the concurrency
-//! profile of a synchronization scheme; the benches use them to show that
-//! the minimal constraint set preserves the critical path while shrinking
-//! the monitored edge count.
+//! Topological ordering, and the cycle report of a graph that has none.
 
 use crate::digraph::{DiGraph, NodeId};
 use std::cmp::Reverse;
@@ -77,70 +72,8 @@ fn cycle_node<N, E>(g: &DiGraph<N, E>, indeg: &[usize]) -> NodeId {
     n
 }
 
-/// Assigns each node its earliest layer: `layer(n) = 1 + max(layer(pred))`,
-/// sources at layer 0. Fails on cyclic graphs.
-pub fn layers<N, E>(g: &DiGraph<N, E>) -> Result<Vec<usize>, CycleError> {
-    let order = topo_sort(g)?;
-    let mut layer = vec![0usize; g.node_bound()];
-    for &n in &order {
-        for m in g.successors(n) {
-            layer[m.index()] = layer[m.index()].max(layer[n.index()] + 1);
-        }
-    }
-    Ok(layer)
-}
-
-/// The number of nodes on the most populous layer — a cheap lower-ish bound
-/// on exploitable concurrency (the exact maximum antichain lives in
-/// [`crate::matching::max_antichain`]).
-pub fn max_layer_width<N, E>(g: &DiGraph<N, E>) -> Result<usize, CycleError> {
-    let layer = layers(g)?;
-    let mut counts: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    for n in g.node_ids() {
-        *counts.entry(layer[n.index()]).or_default() += 1;
-    }
-    Ok(counts.values().copied().max().unwrap_or(0))
-}
-
-/// Longest weighted path through the DAG, where each node contributes
-/// `weight(n)`. Returns `(total, path)`; the empty graph yields `(0, [])`.
-///
-/// This is the makespan lower bound of a schedule with unlimited workers.
-pub fn critical_path<N, E>(
-    g: &DiGraph<N, E>,
-    mut weight: impl FnMut(NodeId) -> u64,
-) -> Result<(u64, Vec<NodeId>), CycleError> {
-    let order = topo_sort(g)?;
-    let mut best: Vec<u64> = vec![0; g.node_bound()];
-    let mut prev: Vec<Option<NodeId>> = vec![None; g.node_bound()];
-    for &n in &order {
-        let wn = weight(n);
-        if best[n.index()] == 0 {
-            best[n.index()] = wn;
-        }
-        for m in g.successors(n) {
-            let cand = best[n.index()] + weight(m);
-            if cand > best[m.index()] {
-                best[m.index()] = cand;
-                prev[m.index()] = Some(n);
-            }
-        }
-    }
-    let Some(end) = g.node_ids().max_by_key(|n| best[n.index()]) else {
-        return Ok((0, Vec::new()));
-    };
-    let mut path = vec![end];
-    let mut cur = end;
-    while let Some(p) = prev[cur.index()] {
-        path.push(p);
-        cur = p;
-    }
-    path.reverse();
-    Ok((best[end.index()], path))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// The earlier Kahn sort, which re-sorts its whole ready list after
@@ -237,7 +170,7 @@ mod tests {
     }
 
     /// True when a path of at least one edge leads from `n` back to `n`.
-    fn reaches_itself<N, E>(g: &DiGraph<N, E>, n: NodeId) -> bool {
+    pub(crate) fn reaches_itself<N, E>(g: &DiGraph<N, E>, n: NodeId) -> bool {
         let mut seen = vec![false; g.node_bound()];
         let mut stack: Vec<NodeId> = g.successors(n).collect();
         while let Some(m) = stack.pop() {
@@ -308,42 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn layers_and_width() {
-        let (g, [a, b, c, d]) = diamond();
-        let l = layers(&g).unwrap();
-        assert_eq!(l[a.index()], 0);
-        assert_eq!(l[b.index()], 1);
-        assert_eq!(l[c.index()], 1);
-        assert_eq!(l[d.index()], 2);
-        assert_eq!(max_layer_width(&g).unwrap(), 2);
-    }
-
-    #[test]
-    fn critical_path_unit_weights() {
-        let (g, [a, _, _, d]) = diamond();
-        let (len, path) = critical_path(&g, |_| 1).unwrap();
-        assert_eq!(len, 3);
-        assert_eq!(path.len(), 3);
-        assert_eq!(path[0], a);
-        assert_eq!(*path.last().unwrap(), d);
-    }
-
-    #[test]
-    fn critical_path_weighted_prefers_heavy_branch() {
-        let (g, [a, b, c, d]) = diamond();
-        // Make branch through c heavy.
-        let (len, path) = critical_path(&g, |n| if n == c { 10 } else { 1 }).unwrap();
-        assert_eq!(len, 12);
-        assert_eq!(path, vec![a, c, d]);
-        let _ = b;
-    }
-
-    #[test]
     fn empty_graph_metrics() {
         let g: DiGraph<(), ()> = DiGraph::new();
         assert!(topo_sort(&g).unwrap().is_empty());
-        assert_eq!(max_layer_width(&g).unwrap(), 0);
-        assert_eq!(critical_path(&g, |_| 1).unwrap().0, 0);
     }
 
     #[test]
@@ -352,6 +252,5 @@ mod tests {
         g.remove_node(b);
         let order = topo_sort(&g).unwrap();
         assert_eq!(order.len(), 3);
-        assert_eq!(max_layer_width(&g).unwrap(), 1);
     }
 }

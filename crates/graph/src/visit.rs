@@ -1,4 +1,4 @@
-//! Breadth-first and depth-first traversal helpers.
+//! Forward reachability, depth-first postorder and shortest paths.
 
 use crate::bitset::BitSet;
 use crate::digraph::{DiGraph, NodeId};
@@ -7,50 +7,11 @@ use std::collections::VecDeque;
 /// Nodes reachable from `start` by following edges forward (including
 /// `start`), as a [`BitSet`] over node indices.
 pub fn reachable_from<N, E>(g: &DiGraph<N, E>, start: NodeId) -> BitSet {
-    bfs_set(g, start, Dir::Forward)
-}
-
-/// Nodes that can reach `start` by following edges forward — i.e. reachable
-/// from `start` by walking edges backward (including `start`).
-pub fn reaching_to<N, E>(g: &DiGraph<N, E>, start: NodeId) -> BitSet {
-    bfs_set(g, start, Dir::Backward)
-}
-
-#[derive(Clone, Copy)]
-enum Dir {
-    Forward,
-    Backward,
-}
-
-fn bfs_set<N, E>(g: &DiGraph<N, E>, start: NodeId, dir: Dir) -> BitSet {
     let mut seen = BitSet::new(g.node_bound());
     let mut queue = VecDeque::new();
     seen.insert(start.index());
     queue.push_back(start);
     while let Some(n) = queue.pop_front() {
-        let next: Box<dyn Iterator<Item = NodeId>> = match dir {
-            Dir::Forward => Box::new(g.successors(n)),
-            Dir::Backward => Box::new(g.predecessors(n)),
-        };
-        for m in next {
-            if !seen.contains(m.index()) {
-                seen.insert(m.index());
-                queue.push_back(m);
-            }
-        }
-    }
-    seen
-}
-
-/// Breadth-first order of nodes reachable from `start` (including `start`).
-pub fn bfs_order<N, E>(g: &DiGraph<N, E>, start: NodeId) -> Vec<NodeId> {
-    let mut seen = BitSet::new(g.node_bound());
-    let mut queue = VecDeque::new();
-    let mut order = Vec::new();
-    seen.insert(start.index());
-    queue.push_back(start);
-    while let Some(n) = queue.pop_front() {
-        order.push(n);
         for m in g.successors(n) {
             if !seen.contains(m.index()) {
                 seen.insert(m.index());
@@ -58,7 +19,7 @@ pub fn bfs_order<N, E>(g: &DiGraph<N, E>, start: NodeId) -> Vec<NodeId> {
             }
         }
     }
-    order
+    seen
 }
 
 /// Depth-first postorder of nodes reachable from `start`.
@@ -132,26 +93,10 @@ mod tests {
     }
 
     #[test]
-    fn reachability_forward_and_backward() {
+    fn reachability_follows_edges_forward() {
         let (g, ids) = chain(5);
         let fwd = reachable_from(&g, ids[2]);
         assert_eq!(fwd.iter().collect::<Vec<_>>(), vec![2, 3, 4]);
-        let bwd = reaching_to(&g, ids[2]);
-        assert_eq!(bwd.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn bfs_order_visits_level_by_level() {
-        let mut g = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        let d = g.add_node(());
-        g.add_edge(a, b, ());
-        g.add_edge(a, c, ());
-        g.add_edge(b, d, ());
-        g.add_edge(c, d, ());
-        assert_eq!(bfs_order(&g, a), vec![a, b, c, d]);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Equivalence of the interned closure engine (`iclosure`) against the
 //! structural `annotated_closure` reference: row-for-row identical
 //! results across DAG shapes (layered, fork-join, dense-conditional) and
-//! the `ALWAYS`-as-bits row invariant. Cyclic
-//! inputs are refused by the interned engine and solved by the structural
-//! SCC condensation.
+//! the `ALWAYS`-as-bits row invariant. Every closure builder refuses
+//! cyclic inputs.
 
 use dscweaver_graph::annotated::Dnf;
 use dscweaver_graph::{
-    annotated_closure, annotated_closure_condensed, interned_closure, transitive_closure,
-    AnnotatedClosure, DiGraph, DnfId, DnfPool, IRow, NodeId,
+    annotated_closure, interned_closure, transitive_closure, AnnotatedClosure, DiGraph, DnfId,
+    DnfPool, IRow, NodeId,
 };
 use dscweaver_prng::Rng;
 
@@ -83,7 +82,7 @@ fn dense_conditional(rng: &mut Rng, n: usize, guards: u8) -> G {
 }
 
 /// Arbitrary digraph guaranteed cyclic (the first two nodes always form
-/// a 2-cycle) — exercises the SCC-condensation fallback.
+/// a 2-cycle).
 fn cyclic(rng: &mut Rng, n: usize, guards: u8) -> G {
     let mut g = DiGraph::new();
     let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
@@ -137,66 +136,29 @@ fn interned_rows_match_structural_reference_on_every_shape() {
     }
 }
 
-/// Cyclic inputs: both DAG-only builders report the cycle, and the
-/// structural condensed fallback reaches exactly what plain reachability
-/// (the bitset `transitive_closure`, which shares the condensation)
-/// reaches.
+/// Cyclic inputs: every closure builder reports the cycle, the bitset
+/// `transitive_closure` with a node that reaches itself.
 #[test]
-fn cyclic_inputs_agree_through_the_shared_condensation() {
+fn cyclic_inputs_are_refused_by_every_closure_builder() {
     for seed in [7u64, 19, 0xC1C] {
         let mut rng = Rng::seed_from_u64(seed);
         let g = cyclic(&mut rng, 12, 3);
         assert!(annotated_closure(&g, &|_, w: &Option<u8>| *w).is_err());
-        {
-            let mut pool: DnfPool<u8> = DnfPool::new();
-            assert!(interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool).is_err());
+        let mut pool: DnfPool<u8> = DnfPool::new();
+        assert!(interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool).is_err());
+        let on_cycle = transitive_closure(&g).unwrap_err().on_cycle;
+        let mut seen = vec![false; g.node_bound()];
+        let mut stack: Vec<NodeId> = g.successors(on_cycle).collect();
+        while let Some(n) = stack.pop() {
+            if !std::mem::replace(&mut seen[n.index()], true) {
+                stack.extend(g.successors(n));
+            }
         }
-        let ann = annotated_closure_condensed(&g, &|_, w: &Option<u8>| *w);
-        let plain = transitive_closure(&g);
-        for n in g.node_ids() {
-            let got: Vec<usize> = ann.row(n).iter().map(|(t, _)| t.index()).collect();
-            let want: Vec<usize> = plain.row(n).iter().collect();
-            assert_eq!(got, want, "cyclic/{seed}: node {n:?}");
-        }
+        assert!(
+            seen[on_cycle.index()],
+            "cyclic/{seed}: {on_cycle:?} is on no cycle"
+        );
     }
-}
-
-/// Regression for the shared-condensation bugfix: a graph mixing a cyclic
-/// component with a guarded DAG tail closes correctly through the
-/// condensed builder — reachability into and out of the cycle included.
-#[test]
-fn mixed_cycle_and_dag_tail_close_identically() {
-    let mut g: G = DiGraph::new();
-    let a = g.add_node(());
-    let b = g.add_node(());
-    let c = g.add_node(());
-    let d = g.add_node(());
-    let e = g.add_node(());
-    g.add_edge(a, b, None);
-    g.add_edge(b, a, None); // a ⇄ b: the cyclic component
-    g.add_edge(b, c, Some(1)); // guarded bridge into the DAG tail
-    g.add_edge(c, d, None);
-    g.add_edge(c, e, Some(2));
-    g.add_edge(d, e, None);
-
-    let ann = annotated_closure_condensed(&g, &|_, w: &Option<u8>| *w);
-
-    // Members of the cycle reach themselves unconditionally...
-    for n in [a, b] {
-        let (row, _) = (ann.row(n), n);
-        let self_dnf = row.iter().find(|(t, _)| *t == n).map(|(_, d)| d.clone());
-        assert_eq!(self_dnf, Some(Dnf::always()), "self-reach of {n:?}");
-    }
-    // ...and reach the tail only under the bridge guard.
-    let a_to_e = ann
-        .row(a)
-        .iter()
-        .find(|(t, _)| *t == e)
-        .map(|(_, d)| d.clone())
-        .expect("a reaches e");
-    let mut want = Dnf::empty();
-    want.insert(vec![1u8]);
-    assert_eq!(a_to_e, want, "a → e must require the bridge guard");
 }
 
 /// The row invariant: a target's `uncond` bit is set iff its structural

@@ -3,8 +3,7 @@
 
 use dscweaver_graph::annotated::Dnf;
 use dscweaver_graph::{
-    annotated_closure, max_antichain, max_layer_width, topo_sort, transitive_closure,
-    transitive_reduction, DiGraph, DnfPool, NodeId,
+    annotated_closure, max_antichain, topo_sort, transitive_closure, DiGraph, DnfPool, NodeId,
 };
 use dscweaver_prng::Rng;
 
@@ -39,41 +38,6 @@ fn random_digraph(rng: &mut Rng, max_n: usize) -> DiGraph<(), ()> {
     g
 }
 
-/// Transitive reduction never changes the closure.
-#[test]
-fn reduction_preserves_closure() {
-    let mut rng = Rng::seed_from_u64(0xB001);
-    for case in 0..64 {
-        let g = random_dag(&mut rng, 14, 0.5);
-        let before = transitive_closure(&g);
-        let mut h = g.clone();
-        transitive_reduction(&mut h).unwrap();
-        let after = transitive_closure(&h);
-        for n in g.node_ids() {
-            assert_eq!(before.row(n), after.row(n), "case {case} node {n:?}");
-        }
-    }
-}
-
-/// After reduction, every remaining edge is load-bearing.
-#[test]
-fn reduction_is_minimal() {
-    let mut rng = Rng::seed_from_u64(0xB002);
-    for case in 0..48 {
-        let g = random_dag(&mut rng, 10, 0.5);
-        let mut h = g.clone();
-        transitive_reduction(&mut h).unwrap();
-        let base = transitive_closure(&h);
-        for e in h.edge_ids().collect::<Vec<_>>() {
-            let mut h2 = h.clone();
-            h2.remove_edge(e);
-            let c2 = transitive_closure(&h2);
-            let same = h.node_ids().all(|n| c2.row(n) == base.row(n));
-            assert!(!same, "case {case}: edge {e:?} still removable");
-        }
-    }
-}
-
 /// Topological order respects every edge.
 #[test]
 fn topo_respects_edges() {
@@ -91,14 +55,13 @@ fn topo_respects_edges() {
     }
 }
 
-/// The closure relation is transitive and contains every edge — on
-/// arbitrary digraphs, including cyclic ones (the SCC-condensation path).
+/// The closure relation is transitive and contains every edge.
 #[test]
 fn closure_transitivity() {
     let mut rng = Rng::seed_from_u64(0xB004);
     for case in 0..64 {
-        let g = random_digraph(&mut rng, 10);
-        let c = transitive_closure(&g);
+        let g = random_dag(&mut rng, 10, 0.3);
+        let c = transitive_closure(&g).unwrap();
         let n: Vec<NodeId> = g.node_ids().collect();
         for &a in &n {
             for &b in &n {
@@ -116,35 +79,72 @@ fn closure_transitivity() {
     }
 }
 
-/// The cyclic-fallback closure (SCC condensation) agrees with a brute
-/// force per-node DFS reachability oracle.
+/// Nodes strictly reachable from `src` (`src` itself only when a cycle
+/// leads back to it), by a brute-force DFS over out-edges.
+fn dfs_reach(g: &DiGraph<(), ()>, src: NodeId) -> Vec<bool> {
+    let mut reach = vec![false; g.node_bound()];
+    let mut stack: Vec<NodeId> = g.successors(src).collect();
+    while let Some(x) = stack.pop() {
+        if reach[x.index()] {
+            continue;
+        }
+        reach[x.index()] = true;
+        stack.extend(g.successors(x));
+    }
+    reach
+}
+
+/// On a DAG the closure agrees with a brute-force per-node DFS
+/// reachability oracle; on a cyclic graph it fails with a node that
+/// reaches itself.
 #[test]
-fn cyclic_closure_matches_dfs_oracle() {
+fn closure_matches_dfs_oracle_and_rejects_cycles() {
     let mut rng = Rng::seed_from_u64(0xB005);
-    for case in 0..64 {
-        let g = random_digraph(&mut rng, 12);
-        let c = transitive_closure(&g);
-        for src in g.node_ids() {
-            // DFS from src over out-edges; strict reachability (src only
-            // counted when revisited through a cycle).
-            let mut reach = vec![false; g.node_bound()];
-            let mut stack: Vec<NodeId> = g.successors(src).collect();
-            while let Some(x) = stack.pop() {
-                if reach[x.index()] {
-                    continue;
+    let (mut dags, mut cyclic) = (0, 0);
+    for case in 0..96 {
+        let g = if case % 2 == 0 {
+            random_dag(&mut rng, 12, 0.3)
+        } else {
+            random_digraph(&mut rng, 12)
+        };
+        match transitive_closure(&g) {
+            Ok(c) => {
+                dags += 1;
+                for src in g.node_ids() {
+                    let reach = dfs_reach(&g, src);
+                    for t in g.node_ids() {
+                        let want = reach[t.index()];
+                        assert_eq!(c.reaches(src, t), want, "case {case}: {src:?} -> {t:?}");
+                    }
                 }
-                reach[x.index()] = true;
-                stack.extend(g.successors(x));
             }
-            for t in g.node_ids() {
-                assert_eq!(
-                    c.reaches(src, t),
-                    reach[t.index()],
-                    "case {case}: {src:?} -> {t:?}"
+            Err(e) => {
+                cyclic += 1;
+                assert!(
+                    dfs_reach(&g, e.on_cycle)[e.on_cycle.index()],
+                    "case {case}: {e}"
                 );
             }
         }
     }
+    assert!(
+        dags >= 48 && cyclic > 24,
+        "{dags} DAGs, {cyclic} cyclic graphs"
+    );
+}
+
+/// The node count of the most populous layer, each node on the layer
+/// `1 + max(layer of its predecessors)` (sources on layer 0).
+fn max_layer_width(g: &DiGraph<(), ()>) -> usize {
+    let mut layer = vec![0usize; g.node_bound()];
+    let mut width = vec![0usize; g.node_bound() + 1];
+    for n in topo_sort(g).unwrap() {
+        for m in g.successors(n) {
+            layer[m.index()] = layer[m.index()].max(layer[n.index()] + 1);
+        }
+        width[layer[n.index()]] += 1;
+    }
+    width.into_iter().max().unwrap_or(0)
 }
 
 /// Max antichain is at least the layer width and at most n.
@@ -154,11 +154,11 @@ fn antichain_bounds() {
     for case in 0..48 {
         let g = random_dag(&mut rng, 10, 0.5);
         let (w, ac) = max_antichain(&g).unwrap();
-        let lw = max_layer_width(&g).unwrap();
+        let lw = max_layer_width(&g);
         assert!(w >= lw, "case {case}: antichain {w} < layer width {lw}");
         assert!(w <= g.node_count());
         assert_eq!(ac.len(), w);
-        let c = transitive_closure(&g);
+        let c = transitive_closure(&g).unwrap();
         for &a in &ac {
             for &b in &ac {
                 if a != b {
@@ -175,7 +175,7 @@ fn annotated_matches_plain_when_unconditional() {
     let mut rng = Rng::seed_from_u64(0xB007);
     for case in 0..48 {
         let g = random_dag(&mut rng, 12, 0.5);
-        let plain = transitive_closure(&g);
+        let plain = transitive_closure(&g).unwrap();
         let ann = annotated_closure::<_, _, u32>(&g, &|_, _: &()| None).unwrap();
         for n in g.node_ids() {
             let plain_targets: Vec<usize> = plain.row(n).iter().collect();

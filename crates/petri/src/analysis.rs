@@ -14,14 +14,10 @@
 //!    place has one consumer), so a single maximal-step run per assignment
 //!    is complete for deadlock/termination — this is what makes validation
 //!    scale past the interleaving explosion.
-//! 3. **Bounded interleaving exploration** (optional, small nets) — full
-//!    reachability up to a state limit, checking safety (1-boundedness)
-//!    and that every terminal marking is final.
 
 use crate::lower::ModeLimit;
 use crate::net::{render_marking, PlaceId};
 use crate::prepared::{groups, Csr, Lanes, Names, Scratch, Tables};
-use crate::reach::{explore_with, Reachability};
 use dscweaver_core::ExecConditions;
 use dscweaver_dscl::{ConstraintSet, Relation, StateRef, SyncGraph};
 use dscweaver_graph::{find_cycle, FxHashMap};
@@ -113,8 +109,8 @@ impl CompiledValidation {
         self.net.as_ref().map_or(0, |c| c.tables.words())
     }
 
-    /// Runs the run half — assignment enumeration and optional
-    /// exploration — against the compiled artifacts. Bit-identical to
+    /// Runs the run half — assignment enumeration — against the
+    /// compiled artifacts. Bit-identical to
     /// [`validate`] with the same options.
     ///
     /// The assignments run through the lane kernel, up to 64 in one
@@ -142,7 +138,6 @@ impl CompiledValidation {
                 assignments_checked: 0,
                 assignments_truncated: false,
                 failures: Vec::new(),
-                exploration: None,
                 guard_groups: 0,
                 factored: false,
                 assignment_space: 0,
@@ -210,14 +205,8 @@ pub struct ValidateOptions {
     pub max_assignments: usize,
     /// Step budget per simulation run.
     pub max_steps: usize,
-    /// Also run bounded interleaving exploration with this many states
-    /// (0 = skip).
-    pub explore_states: usize,
-    /// Worker threads for the layer-chunked exploration, when
-    /// `explore_states` asks for one. `0` picks from available
-    /// parallelism, `1` forces the sequential path; the report is
-    /// bit-identical either way. The assignment enumeration runs on the
-    /// calling thread.
+    /// Ignored: validation runs on the calling thread, and the report is
+    /// the same for every value.
     pub threads: usize,
     /// Enumerate independent guard groups separately (default `true`; see
     /// [`guard_groups`](crate::guard_groups)): each group's assignment
@@ -238,7 +227,6 @@ impl Default for ValidateOptions {
         ValidateOptions {
             max_assignments: 4096,
             max_steps: 1_000_000,
-            explore_states: 0,
             threads: 0,
             factor: true,
         }
@@ -274,8 +262,6 @@ pub struct ValidationReport {
     pub assignments_truncated: bool,
     /// Failures found.
     pub failures: Vec<AssignmentFailure>,
-    /// Interleaving exploration results, when requested.
-    pub exploration: Option<Reachability>,
     /// Independence groups the enumeration was split into: `1` for the
     /// unfactored path (or no guards), the number of disjoint-footprint
     /// groups when [`ValidateOptions::factor`] allowed factoring, `0`
@@ -294,14 +280,7 @@ pub struct ValidationReport {
 impl ValidationReport {
     /// Overall verdict.
     pub fn ok(&self) -> bool {
-        self.conflict_cycle.is_none()
-            && self.mode_limit.is_none()
-            && self.failures.is_empty()
-            && self
-                .exploration
-                .as_ref()
-                .map(|r| !r.truncated)
-                .unwrap_or(true)
+        self.conflict_cycle.is_none() && self.mode_limit.is_none() && self.failures.is_empty()
     }
 }
 
@@ -322,8 +301,7 @@ pub fn validate(
 }
 
 /// The run half over compiled artifacts: assignment enumeration (layer 2)
-/// on the lane kernel (`lanes`) or the scalar one, and optional
-/// interleaving exploration (layer 3).
+/// on the lane kernel (`lanes`) or the scalar one.
 fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions, lanes: bool) -> ValidationReport {
     let names = &compiled.names;
     let tables = &compiled.tables;
@@ -462,15 +440,6 @@ fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions, lanes: bool) -> 
     }
     drop(assignments_span);
 
-    // Layer 3: optional interleaving exploration.
-    let exploration = if opts.explore_states > 0 {
-        let _span = obs::span("petri.explore");
-        let net = names.to_net(&compiled.tables);
-        Some(explore_with(&net, opts.explore_states, opts.threads))
-    } else {
-        None
-    };
-
     let factored = plans.len() > 1;
     obs::counter_add("petri.assignments_checked", checked as u64);
     obs::counter_add("petri.lane_sweeps", sweeps);
@@ -490,7 +459,6 @@ fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions, lanes: bool) -> 
         assignments_checked: checked,
         assignments_truncated: truncated,
         failures,
-        exploration,
         guard_groups: plans.len(),
         factored,
         assignment_space: space,
@@ -578,7 +546,6 @@ mod tests {
             ValidateOptions::default(),
             ValidateOptions {
                 factor: false,
-                explore_states: 5_000,
                 ..Default::default()
             },
         ] {
@@ -591,17 +558,6 @@ mod tests {
                 assert_eq!(cached.factored, fresh.factored);
                 assert_eq!(cached.assignment_space, fresh.assignment_space);
                 assert!(cached.failures.is_empty());
-                match (&cached.exploration, &fresh.exploration) {
-                    (None, None) => {}
-                    (Some(c), Some(f)) => {
-                        assert_eq!(c.states, f.states);
-                        assert_eq!(c.truncated, f.truncated);
-                        assert_eq!(c.terminal, f.terminal);
-                        assert_eq!(c.fired, f.fired);
-                        assert_eq!(c.max_place_tokens, f.max_place_tokens);
-                    }
-                    _ => panic!("exploration presence must match"),
-                }
             }
         }
     }
@@ -752,31 +708,5 @@ mod tests {
             .failures
             .iter()
             .all(|f| f.stuck.contains(&"b".to_string())));
-    }
-
-    #[test]
-    fn exploration_layer_runs_when_requested() {
-        let mut cs = ConstraintSet::new("tiny");
-        cs.add_activity("a");
-        cs.add_activity("b");
-        cs.push(Relation::before(
-            StateRef::finish("a"),
-            StateRef::start("b"),
-            Origin::Data,
-        ));
-        let exec = exec_of(&cs);
-        let report = validate(
-            &cs,
-            &exec,
-            &ValidateOptions {
-                explore_states: 10_000,
-                ..Default::default()
-            },
-        );
-        assert!(report.ok());
-        let r = report.exploration.unwrap();
-        assert!(!r.truncated);
-        assert_eq!(r.terminal.len(), 1);
-        assert_eq!(r.max_place_tokens, 1, "lowered nets are safe");
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Colored Petri nets and the DSCL → net lowering the paper uses for
 //! design-time validation (§4.1, refs \[13\] Murata, \[10\] Jensen's colored
-//! nets for multi-valued branch outcomes). Includes bounded reachability,
-//! a deterministic maximal-step simulator, dead-path-elimination lowering
-//! and the layered validation pipeline (structural conflicts →
-//! per-assignment simulation → optional interleaving exploration).
+//! nets for multi-valued branch outcomes). Includes a deterministic
+//! maximal-step simulator, dead-path-elimination lowering and the layered
+//! validation pipeline (structural conflicts → per-assignment
+//! simulation).
 //!
 //! Validation has one compile → run path: [`CompiledValidation::compile`]
 //! checks conflicts and emits the lowered net's integer kernel straight
@@ -26,11 +26,10 @@
 //! [`ValidateOptions::factor`]).
 //!
 //! The string lowering ([`lower()`], [`LoweredNet`]) stays as the oracle
-//! and as the source of DOT renderings, invariants and statistics: the
-//! emitted kernel is pinned field for field to the kernel interned from
-//! `lower`'s net, and the simple full-rescan simulator
-//! ([`run_to_quiescence`]) and sequential exploration ([`explore`]) are
-//! the oracles the property tests pin the production engines to.
+//! and as the source of DOT renderings and statistics: the emitted kernel
+//! is pinned field for field to the kernel interned from `lower`'s net,
+//! and the simple full-rescan simulator ([`run_to_quiescence`]) is the
+//! oracle the property tests pin the production engines to.
 //!
 //! ```
 //! use dscweaver_core::ExecConditions;
@@ -63,7 +62,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod invariants;
 pub mod lower;
 pub mod net;
 mod prepared;
@@ -73,11 +71,7 @@ pub use analysis::{
     validate, validate_default, AssignmentFailure, CompiledValidation, ValidateOptions,
     ValidationReport,
 };
-pub use invariants::{check_invariants, place_invariants, PlaceInvariant};
 pub use lower::{lower, try_lower, ActivityNodes, LoweredNet, ModeLimit, MAX_MODES, SKIP};
 pub use net::{ArcIn, ArcOut, Color, ColorFilter, Marking, Mode, Net, PlaceId, TransitionId};
 pub use prepared::guard_groups;
-pub use reach::{
-    assignment_chooser, explore, explore_with, run_to_quiescence, run_to_quiescence_wavefront,
-    Reachability, Run,
-};
+pub use reach::{assignment_chooser, run_to_quiescence, run_to_quiescence_wavefront, Run};

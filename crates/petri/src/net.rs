@@ -120,8 +120,8 @@ pub struct Net {
     pub initial: Marking,
 }
 
-/// A marking: per place, a multiset of colors. Canonical (sorted) so it
-/// can key hash sets during reachability.
+/// A marking: per place, a multiset of colors. Canonical (sorted), so
+/// equal markings compare equal.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Marking {
     tokens: BTreeMap<PlaceId, BTreeMap<Color, u32>>,

@@ -1,165 +1,15 @@
-//! Reachability analysis: bounded interleaving exploration for small nets,
-//! and a deterministic maximal-step simulator for the conflict-free nets
+//! The deterministic maximal-step simulator for the conflict-free nets
 //! the DSCL lowering produces.
 //!
-//! Both analyses come in two flavors sharing one result type: the simple
-//! full-rescan/FIFO implementations ([`run_to_quiescence`], [`explore`]),
-//! kept as the oracles, and the production ones
-//! ([`run_to_quiescence_wavefront`], [`explore_with`]) — a
-//! dirty-transition worklist over an integer kernel of the net that
-//! skips the `O(T)` sweep rescans, and a
-//! frontier-layered BFS whose per-marking expansion fans out on the shared
-//! [`dscweaver_graph::par`] pool. Each pair is pinned bit-identical (trace
-//! for trace, marking for marking) by the `par_equivalence` property
-//! tests.
+//! It comes in two flavors sharing one result type: the simple
+//! full-rescan loop ([`run_to_quiescence`]), kept as the oracle, and the
+//! production one ([`run_to_quiescence_wavefront`]) — a dirty-transition
+//! worklist over an integer kernel of the net that skips the `O(T)` sweep
+//! rescans. The pair is pinned bit-identical (trace for trace, marking
+//! for marking) by the `par_equivalence` property tests.
 
 use crate::net::{Marking, Net, TransitionId};
-use dscweaver_graph::par_map;
-use std::collections::{HashMap, HashSet, VecDeque};
-
-/// Result of bounded reachability exploration.
-#[derive(Clone, Debug)]
-pub struct Reachability {
-    /// Distinct markings visited.
-    pub states: usize,
-    /// True if the exploration hit the state limit before exhausting the
-    /// space (analyses are then lower bounds).
-    pub truncated: bool,
-    /// Markings with no enabled transition.
-    pub terminal: Vec<Marking>,
-    /// Transitions that fired at least once somewhere.
-    pub fired: HashSet<TransitionId>,
-    /// Largest token count observed in any single place (boundedness
-    /// witness).
-    pub max_place_tokens: u32,
-}
-
-/// Explores the reachability graph breadth-first up to `max_states`
-/// distinct markings.
-///
-/// The sequential oracle for [`explore_with`], which validation runs.
-pub fn explore(net: &Net, max_states: usize) -> Reachability {
-    let mut seen: HashSet<Marking> = HashSet::new();
-    let mut queue: VecDeque<Marking> = VecDeque::new();
-    let mut terminal = Vec::new();
-    let mut fired = HashSet::new();
-    let mut truncated = false;
-    let mut max_place_tokens = 0;
-
-    seen.insert(net.initial.clone());
-    queue.push_back(net.initial.clone());
-
-    while let Some(m) = queue.pop_front() {
-        for p in m.marked_places() {
-            max_place_tokens = max_place_tokens.max(m.total(p));
-        }
-        let mut any = false;
-        for t in net.transition_ids() {
-            for mode in 0..net.transitions[t.0 as usize].modes.len() {
-                for binding in net.enabled_bindings(&m, t, mode) {
-                    any = true;
-                    fired.insert(t);
-                    let next = net.fire(&m, t, mode, &binding);
-                    if !seen.contains(&next) {
-                        if seen.len() >= max_states {
-                            truncated = true;
-                            continue;
-                        }
-                        seen.insert(next.clone());
-                        queue.push_back(next);
-                    }
-                }
-            }
-        }
-        if !any {
-            terminal.push(m);
-        }
-    }
-    Reachability {
-        states: seen.len(),
-        truncated,
-        terminal,
-        fired,
-        max_place_tokens,
-    }
-}
-
-/// What expanding one marking yields — computed purely, so a whole BFS
-/// layer can expand on worker threads.
-struct Expansion {
-    /// Largest single-place token count in the expanded marking.
-    peak: u32,
-    /// Successor markings with the firing transition, in the exact
-    /// deterministic order the sequential loop generates them (transition
-    /// id, then mode, then binding order).
-    succs: Vec<(TransitionId, Marking)>,
-}
-
-fn expand(net: &Net, m: &Marking) -> Expansion {
-    let mut peak = 0;
-    for p in m.marked_places() {
-        peak = peak.max(m.total(p));
-    }
-    let mut succs = Vec::new();
-    for t in net.transition_ids() {
-        for mode in 0..net.transitions[t.0 as usize].modes.len() {
-            for binding in net.enabled_bindings(m, t, mode) {
-                succs.push((t, net.fire(m, t, mode, &binding)));
-            }
-        }
-    }
-    Expansion { peak, succs }
-}
-
-/// [`explore`] with the per-marking expansion of each BFS frontier layer
-/// fanned out over `threads` scoped workers (`0` = auto, `1` =
-/// sequential). A FIFO queue visits markings in layer order, so expanding
-/// a whole layer concurrently and merging the expansions *in frontier
-/// order* replays the sequential seen-set insertion order exactly — the
-/// result (including the `truncated` flag and terminal-marking order) is
-/// bit-identical for any thread count.
-pub fn explore_with(net: &Net, max_states: usize, threads: usize) -> Reachability {
-    let threads = dscweaver_graph::effective_threads(threads, 8);
-    let mut seen: HashSet<Marking> = HashSet::new();
-    let mut terminal = Vec::new();
-    let mut fired = HashSet::new();
-    let mut truncated = false;
-    let mut max_place_tokens = 0;
-
-    seen.insert(net.initial.clone());
-    let mut frontier: Vec<Marking> = vec![net.initial.clone()];
-
-    while !frontier.is_empty() {
-        let expansions = par_map(threads, &frontier, &|m: &Marking| expand(net, m));
-        let mut next_frontier = Vec::new();
-        for (m, exp) in frontier.iter().zip(expansions) {
-            max_place_tokens = max_place_tokens.max(exp.peak);
-            if exp.succs.is_empty() {
-                terminal.push(m.clone());
-                continue;
-            }
-            for (t, next) in exp.succs {
-                fired.insert(t);
-                if !seen.contains(&next) {
-                    if seen.len() >= max_states {
-                        truncated = true;
-                        continue;
-                    }
-                    seen.insert(next.clone());
-                    next_frontier.push(next);
-                }
-            }
-        }
-        frontier = next_frontier;
-    }
-    Reachability {
-        states: seen.len(),
-        truncated,
-        terminal,
-        fired,
-        max_place_tokens,
-    }
-}
+use std::collections::HashMap;
 
 /// Outcome of a deterministic maximal-step run.
 #[derive(Clone, Debug)]
@@ -328,27 +178,18 @@ mod tests {
     }
 
     #[test]
-    fn chain_reachability() {
-        let net = chain(5);
-        let r = explore(&net, 1000);
-        assert_eq!(r.states, 6);
-        assert!(!r.truncated);
-        assert_eq!(r.terminal.len(), 1);
-        assert_eq!(r.fired.len(), 5);
-        assert_eq!(r.max_place_tokens, 1);
-    }
-
-    #[test]
-    fn truncation_reported() {
-        let net = chain(50);
-        let r = explore(&net, 10);
-        assert!(r.truncated);
-        assert!(r.states <= 10);
+    fn quiescent_run_on_chain() {
+        let net = chain(4);
+        let run = run_to_quiescence(&net, |_, _, e| e[0], 1000);
+        assert!(!run.diverged);
+        assert_eq!(run.trace.len(), 4);
+        assert_eq!(run.final_marking.grand_total(), 1);
     }
 
     #[test]
     fn deadlock_found() {
-        // A transition that needs a color that never arrives.
+        // A transition that needs a color that never arrives: the run
+        // quiesces at once, the token stranded where it started.
         let mut net = Net::default();
         let p = net.add_place("p");
         let q = net.add_place("q");
@@ -367,22 +208,10 @@ mod tests {
             }],
         );
         net.initial.add(p, Color::of("F"));
-        let r = explore(&net, 100);
-        assert_eq!(r.terminal.len(), 1);
-        assert!(r.fired.is_empty(), "the transition is dead");
-        assert_eq!(r.terminal[0].count(PlaceOf(0), &Color::of("F")), 1);
-        #[allow(non_snake_case)]
-        fn PlaceOf(i: u32) -> crate::net::PlaceId {
-            crate::net::PlaceId(i)
-        }
-    }
-
-    #[test]
-    fn quiescent_run_on_chain() {
-        let net = chain(4);
-        let run = run_to_quiescence(&net, |_, _, e| e[0], 1000);
+        let run = run_to_quiescence(&net, |_, _, e| e[0], 100);
         assert!(!run.diverged);
-        assert_eq!(run.trace.len(), 4);
+        assert!(run.trace.is_empty(), "the transition is dead");
+        assert_eq!(run.final_marking.count(p, &Color::of("F")), 1);
         assert_eq!(run.final_marking.grand_total(), 1);
     }
 

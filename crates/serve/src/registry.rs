@@ -153,12 +153,10 @@ impl ProcessEntry {
     }
 
     /// Runs the cached validation compile half. Bit-identical to a fresh
-    /// `petri::validate` on the minimal set.
-    pub fn validate(&self, threads: usize) -> ValidationReport {
-        self.compiled.run(&ValidateOptions {
-            threads,
-            ..Default::default()
-        })
+    /// `petri::validate` on the minimal set. Validation runs on the
+    /// calling thread, so `threads` is ignored.
+    pub fn validate(&self, _threads: usize) -> ValidationReport {
+        self.compiled.run(&ValidateOptions::default())
     }
 
     /// Simulates the minimal set on the cached scheduler kernel, under a

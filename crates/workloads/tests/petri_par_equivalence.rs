@@ -6,8 +6,6 @@
 //!   produce the same report as the test-side reference enumeration over
 //!   the `run_to_quiescence` oracle, with failures in
 //!   assignment-lexicographic order;
-//! * `explore_with` must reproduce `explore` exactly (seen-insertion
-//!   order, truncation, terminal markings, fired set, peak tokens);
 //! * `run_to_quiescence_wavefront` must replay `run_to_quiescence`'s
 //!   firing sequence exactly, on lowered nets and on seeded raw colored
 //!   nets.
@@ -18,12 +16,11 @@ use common::{ghost_guards, reference, Reference};
 use dscweaver_core::{ExecConditions, Weaver};
 use dscweaver_dscl::{ConstraintSet, Name};
 use dscweaver_petri::{
-    assignment_chooser, explore, explore_with, lower, run_to_quiescence,
-    run_to_quiescence_wavefront, validate, ArcIn, ArcOut, Color, ColorFilter, CompiledValidation,
-    Mode, Net, PlaceId, ValidateOptions,
+    assignment_chooser, lower, run_to_quiescence, run_to_quiescence_wavefront, validate, ArcIn,
+    ArcOut, Color, ColorFilter, CompiledValidation, Mode, Net, PlaceId, ValidateOptions,
 };
 use dscweaver_prng::Rng;
-use dscweaver_workloads::{dense_conditional, fork_join, DenseConditionalParams};
+use dscweaver_workloads::{dense_conditional, DenseConditionalParams};
 use std::collections::HashMap;
 
 /// The three 5-guard `dense_conditional` nets the report-level tests use.
@@ -85,39 +82,6 @@ fn failure_merge_order_is_lexicographic_and_thread_invariant() {
         let got = validate(&cs, &exec, &opts);
         assert_eq!(Reference::of(&got), reference, "threads {threads}");
         assert_eq!(Reference::of(&compiled.run_scalar(&opts)), reference, "threads {threads} scalar");
-    }
-}
-
-#[test]
-fn explore_with_matches_sequential_explore() {
-    let ds = dense_conditional(&DenseConditionalParams {
-        guards: 3,
-        chain_len: 2,
-        redundant: 6,
-        seed: 5,
-    });
-    let out = Weaver::new().run(&ds).unwrap();
-    let fj = fork_join(3, 3, 4, 9);
-    let fj_out = Weaver::new().run(&fj).unwrap();
-    for (cs, exec) in [(&out.minimal, &out.exec), (&fj_out.minimal, &fj_out.exec)] {
-        let net = lower(cs, exec).net;
-        // One truncated budget and one generous budget: the layered merge
-        // must reproduce both the cut and the full frontier identically.
-        for max_states in [40usize, 20_000] {
-            let seq = explore(&net, max_states);
-            for threads in [1usize, 2, 0] {
-                let par = explore_with(&net, max_states, threads);
-                assert_eq!(par.states, seq.states, "states (budget {max_states})");
-                assert_eq!(par.truncated, seq.truncated);
-                assert_eq!(par.terminal, seq.terminal, "terminal markings in order");
-                assert_eq!(par.max_place_tokens, seq.max_place_tokens);
-                let mut pf: Vec<_> = par.fired.iter().copied().collect();
-                let mut sf: Vec<_> = seq.fired.iter().copied().collect();
-                pf.sort();
-                sf.sort();
-                assert_eq!(pf, sf);
-            }
-        }
     }
 }
 

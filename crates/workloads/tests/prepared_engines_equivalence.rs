@@ -18,7 +18,7 @@ mod common;
 use common::{reference, FullReport, Reference};
 use dscweaver_core::{merge, translate_services, ExecConditions, Weaver};
 use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, StateRef};
-use dscweaver_petri::{explore, guard_groups, lower, validate, CompiledValidation, ValidateOptions};
+use dscweaver_petri::{guard_groups, validate, CompiledValidation, ValidateOptions};
 use dscweaver_scheduler::{simulate, PreparedSchedule, Schedule, ScheduleTables, SimConfig};
 use dscweaver_workloads::{
     dense_conditional, disjoint_conditional, layered, DenseConditionalParams,
@@ -316,38 +316,6 @@ fn failure_names_match_the_reference_in_every_place_kind() {
         assert_eq!(stuck, &["x".to_string(), "y".to_string()]);
         for place in ["todo(x)[", "run(y)[", "done(g)[", "c(F(g)->S(x))[", "ctl(g->x)["] {
             assert!(marking.contains(place), "{place} missing from {marking}");
-        }
-    }
-}
-
-/// `explore_states > 0` explores the net the compiled name index rebuilds,
-/// with the same result as exploring the lowered net.
-#[test]
-fn compiled_exploration_matches_explore_on_the_lowered_net() {
-    let ds = dense_conditional(&DenseConditionalParams {
-        guards: 3,
-        chain_len: 2,
-        redundant: 6,
-        seed: 5,
-    });
-    let out = Weaver::new().run(&ds).unwrap();
-    let stuck = stuck_everywhere();
-    let stuck_exec = ExecConditions::derive(&stuck);
-    for (cs, exec) in [(&out.minimal, &out.exec), (&stuck, &stuck_exec)] {
-        let net = lower(cs, exec).net;
-        for max_states in [40usize, 20_000] {
-            let opts = ValidateOptions { explore_states: max_states, ..Default::default() };
-            let got = validate(cs, exec, &opts).exploration.unwrap();
-            let want = explore(&net, max_states);
-            assert_eq!(got.states, want.states, "states (budget {max_states})");
-            assert_eq!(got.truncated, want.truncated);
-            assert_eq!(got.terminal, want.terminal, "terminal markings in order");
-            assert_eq!(got.max_place_tokens, want.max_place_tokens);
-            let mut gf: Vec<_> = got.fired.iter().copied().collect();
-            let mut wf: Vec<_> = want.fired.iter().copied().collect();
-            gf.sort();
-            wf.sort();
-            assert_eq!(gf, wf);
         }
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! | Module (re-export) | Crate | Role |
 //! |---|---|---|
-//! | [`graph`] | `dscweaver-graph` | graphs, condition-annotated closures (Def. 3), reduction |
+//! | [`graph`] | `dscweaver-graph` | graphs, condition-annotated closures (Def. 3), cycle detection |
 //! | [`xml`] | `dscweaver-xml` | minimal XML reader/writer |
 //! | [`model`] | `dscweaver-model` | process AST, DSL, CFG, renderings |
 //! | [`pdg`] | `dscweaver-pdg` | data/control dependency extraction (§3.1) |

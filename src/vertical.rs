@@ -34,8 +34,8 @@ pub struct VerticalInput<'a> {
     pub cooperation: &'a [dscweaver_core::Dependency],
     /// Pipeline configuration.
     pub weaver: Weaver,
-    /// Simulation configuration for the execution stage. Its `threads`
-    /// knob drives validation; the scheduler itself runs on one thread.
+    /// Simulation configuration for the execution stage. Validation and
+    /// the scheduler run on one thread, so its `threads` knob is ignored.
     pub sim: SimConfig,
 }
 
@@ -183,16 +183,12 @@ pub fn weave(input: &VerticalInput<'_>) -> Result<VerticalOutput, VerticalError>
     let weaver_out =
         timed("weave.optimize", || input.weaver.run(&ds)).map_err(VerticalError::Weaver)?;
     // The weave, validation's assignment enumeration and the scheduler
-    // run on one thread; the sim config's thread knob would size
-    // validation's optional exploration.
+    // run on one thread.
     let validation = timed("weave.validate", || {
         validate(
             &weaver_out.minimal,
             &weaver_out.exec,
-            &ValidateOptions {
-                threads: input.sim.threads,
-                ..Default::default()
-            },
+            &ValidateOptions::default(),
         )
     });
     let schedule = timed("weave.schedule", || {
@@ -242,10 +238,7 @@ pub fn weave_dependencies(
     let validation = validate(
         &weaver_out.minimal,
         &weaver_out.exec,
-        &ValidateOptions {
-            threads: sim.threads,
-            ..Default::default()
-        },
+        &ValidateOptions::default(),
     );
     let schedule = simulate(&weaver_out.minimal, &weaver_out.exec, sim);
     let violations = {

@@ -12,7 +12,7 @@
 //! validated and scheduled through the compiled engines, then re-woven
 //! after one level-stable edit.
 
-use dscweaver::core::{DependencySet, WeaveSession, Weaver};
+use dscweaver::core::{DependencySet, ExecConditions, WeaveSession, Weaver};
 use dscweaver::dscl::{Name, Relation};
 use dscweaver::petri::{CompiledValidation, ValidateOptions};
 use dscweaver::scheduler::{PreparedSchedule, ScheduleTables, SimConfig};
@@ -112,6 +112,11 @@ fn job(ds: &DependencySet, edited: &DependencySet) {
 /// weave shared its names, 8,269 after.
 const WEAVE_CEILING: u64 = 9_096;
 
+/// `ExecConditions::derive` on the merged n = 403 set: 1,454 allocations
+/// while the derivation cloned a DNF per memo hit and per stored result,
+/// 763 after.
+const EXEC_CEILING: u64 = 839;
+
 /// The whole job: 38,802 allocations before, 16,722 after.
 const JOB_CEILING: u64 = 18_394;
 
@@ -126,6 +131,19 @@ fn weave_stays_under_its_allocation_ceiling() {
     assert!(
         n <= WEAVE_CEILING,
         "Weaver::run made {n} allocations (ceiling {WEAVE_CEILING})"
+    );
+}
+
+#[test]
+fn exec_derive_stays_under_its_allocation_ceiling() {
+    let out = weaver().run(&process(31)).expect("weaves");
+    drop(ExecConditions::derive(&out.sc));
+    let (exec, n) = count(|| ExecConditions::derive(&out.sc));
+    drop(exec);
+    eprintln!("ExecConditions::derive allocations: {n}");
+    assert!(
+        n <= EXEC_CEILING,
+        "ExecConditions::derive made {n} allocations (ceiling {EXEC_CEILING})"
     );
 }
 

@@ -1,6 +1,7 @@
 //! Tier-1 documentation gate: `cargo doc` must be warning-free across the
-//! workspace and every runnable crate-doc example must pass, fully
-//! offline.
+//! workspace, private items included (so an intra-doc link to a deleted
+//! item fails wherever it is written), and every runnable crate-doc
+//! example must pass, fully offline.
 //!
 //! The nested cargo invocations use their own `target/docs-gate` build
 //! directory: the outer `cargo test` holds the lock on `target/` for its
@@ -27,7 +28,13 @@ fn rustdoc_is_warning_free_and_doc_tests_pass() {
     let doc = {
         let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
         Command::new(env!("CARGO"))
-            .args(["doc", "--no-deps", "--workspace", "--offline"])
+            .args([
+                "doc",
+                "--no-deps",
+                "--workspace",
+                "--document-private-items",
+                "--offline",
+            ])
             .current_dir(repo)
             .env("CARGO_TARGET_DIR", repo.join("target").join("docs-gate"))
             .env("RUSTDOCFLAGS", "-D warnings")
@@ -36,7 +43,7 @@ fn rustdoc_is_warning_free_and_doc_tests_pass() {
     };
     assert!(
         doc.status.success(),
-        "cargo doc --no-deps --workspace failed:\n{}",
+        "cargo doc --no-deps --workspace --document-private-items failed:\n{}",
         String::from_utf8_lossy(&doc.stderr)
     );
 

@@ -50,8 +50,8 @@ fn minimal_set_invariants() {
         // but independently computed here as an oracle).
         let g_full = SyncGraph::build(&out.asc);
         let g_min = SyncGraph::build(&out.minimal);
-        let c_full = transitive_closure(&g_full.graph);
-        let c_min = transitive_closure(&g_min.graph);
+        let c_full = transitive_closure(&g_full.graph).unwrap();
+        let c_min = transitive_closure(&g_min.graph).unwrap();
         // Node ids coincide: both graphs are built from the same activity
         // set in the same order.
         assert_eq!(g_full.graph.node_count(), g_min.graph.node_count());
@@ -144,8 +144,8 @@ fn translation_preserves_internal_reachability() {
         sc.desugar_happen_together();
         let g_sc = SyncGraph::build(&sc);
         let g_asc = SyncGraph::build(&out.asc);
-        let c_sc = transitive_closure(&g_sc.graph);
-        let c_asc = transitive_closure(&g_asc.graph);
+        let c_sc = transitive_closure(&g_sc.graph).unwrap();
+        let c_asc = transitive_closure(&g_asc.graph).unwrap();
         use dscweaver::dscl::ActivityState;
         for a in &out.asc.activities {
             for b in &out.asc.activities {
