@@ -52,16 +52,6 @@ impl ConstraintDiff {
             && self.exclusive_removed.is_empty()
             && self.domain_changed.is_empty()
     }
-
-    /// True if the edit changes the synchronization graph itself —
-    /// HappenBefore edges (including pure guard edits) or the activity
-    /// set — and therefore the condition-annotated closure.
-    pub fn closure_relevant(&self) -> bool {
-        !self.added.is_empty()
-            || !self.removed.is_empty()
-            || !self.added_activities.is_empty()
-            || !self.removed_activities.is_empty()
-    }
 }
 
 impl std::fmt::Display for ConstraintDiff {
@@ -469,7 +459,9 @@ mod tests {
         b.domains.insert("g".into(), vec!["T".into(), "F".into(), "U".into()]);
         let d = diff_constraint_sets(&a, &b);
         assert!(!d.is_empty());
-        assert!(!d.closure_relevant());
+        // No HappenBefore edge and no activity changed.
+        assert!(d.added.is_empty() && d.removed.is_empty());
+        assert!(d.added_activities.is_empty() && d.removed_activities.is_empty());
         assert_eq!(d.exclusive_added, vec!["S(x) >< S(y)"]);
         assert_eq!(d.domain_changed, vec!["g: [T, F] => [T, F, U]"]);
         assert!(d.to_string().contains("+ S(x) >< S(y)"), "{d}");
@@ -503,7 +495,7 @@ mod tests {
         assert_eq!(d.removed.len(), 1);
         assert_eq!(d.annotation_changed.len(), 1, "{d:?}");
         assert!(d.annotation_changed[0].contains("F(g) -> S(b)"), "{d:?}");
-        assert!(d.closure_relevant());
+        assert!(d.added_activities.is_empty() && d.removed_activities.is_empty());
     }
 
     #[test]

@@ -40,13 +40,14 @@
 //! [`minimize_generic_with`] is an optimized engine built on two ideas:
 //!
 //! 1. **Bitset rows, interned annotations** — a closure row
-//!    ([`IRow`]) keeps its `ALWAYS` targets as an unconditional
-//!    reachability bitset and every reached target as a second bitset;
-//!    only the few conditional annotations are hash-consed into a
-//!    [`DnfPool`] as `(target, id)` pairs. Row equality is bitset plus
-//!    id-vector equality, `ALWAYS` entries compare as bitset differences,
-//!    and unions/compositions/implications are memoized by id pair.
-//! 2. **Bitset prefilters** — the rows' own bitsets answer reachability
+//!    ([`IRow`](dscweaver_graph::IRow)) keeps its `ALWAYS` targets as an
+//!    unconditional reachability bitset; only the few conditional
+//!    annotations are hash-consed into a [`DnfPool`] as sorted
+//!    `(target, id)` pairs. All rows live in one flat
+//!    [`IRows`] table. Row equality is word plus id-slice equality,
+//!    `ALWAYS` entries compare as bitset differences, and
+//!    unions/compositions/implications are memoized by id pair.
+//! 2. **Bitset prefilters** — the rows answer reachability
 //!    over the live edges (all edges, or unconditional edges only). A
 //!    candidate with no alternate 2+-step path is rejected without
 //!    touching annotations; a candidate with a same-guard (or unguarded)
@@ -57,7 +58,8 @@
 //!
 //! Candidates the prefilters leave undecided recompose their tail row
 //! and, only if that row weakened, every live ancestor's row, in
-//! reverse-topological order on one thread. The result is pinned
+//! reverse-topological order on one thread, into reused staging buffers;
+//! an accepted removal commits the staged rows in place. The result is pinned
 //! edge-for-edge equal to the structural reference implementation, kept
 //! as [`minimize_generic_baseline`].
 //!
@@ -88,7 +90,7 @@ use dscweaver_dscl::sync_graph::{SyncGraph, SyncNode};
 use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, SyncEdge};
 use dscweaver_graph::annotated::{Dnf, Row};
 use dscweaver_graph::iclosure::{
-    compose_interned_row, interned_closure_ordered, AdjEdge, IRow, RowScratch,
+    compose_interned_row, interned_closure_ordered, AdjEdge, IRows, RowScratch,
 };
 use dscweaver_graph::{
     find_cycle, topo_sort, DiGraph, DnfId, DnfPool, EdgeId, FxHashMap, LruCache, NodeId, TermId,
@@ -380,6 +382,9 @@ fn output(cs: &ConstraintSet, removed: &[usize]) -> (ConstraintSet, Vec<Relation
     (minimal, removed)
 }
 
+/// [`Engine::fresh_of`] for a node with no staged row.
+const UNSTAGED: u32 = u32::MAX;
+
 /// All mutable state of the optimized greedy loop.
 struct Engine<'a> {
     g: &'a DiGraph<(), Option<Guard>>,
@@ -388,7 +393,13 @@ struct Engine<'a> {
     mode: EquivalenceMode,
     pool: DnfPool<Guard>,
     /// Interned annotated-closure rows, by node index.
-    irows: Vec<IRow>,
+    rows: IRows,
+    /// Rows recomputed for the current candidate, not yet committed.
+    fresh: IRows,
+    /// Per node index, its row's index in `fresh`, or [`UNSTAGED`].
+    fresh_of: Vec<u32>,
+    /// The node of each `fresh` row.
+    staged: Vec<NodeId>,
     /// Interned execution condition per node (services: always).
     exec_ids: Vec<DnfId>,
     /// Direct-edge annotation id per edge index (`ALWAYS` when
@@ -397,10 +408,22 @@ struct Engine<'a> {
     edge_gdnf: Vec<DnfId>,
     /// Singleton guard term per edge index (`None` when unconditional).
     edge_term: Vec<Option<TermId>>,
+    /// Out-edges of node `n` as `(edge, head)` pairs in out-list order:
+    /// `out[out_start[n]..out_start[n + 1]]`. The greedy loop scans these
+    /// once per candidate, so they sit side by side.
+    out_start: Vec<u32>,
+    out: Vec<(EdgeId, NodeId)>,
     /// Dense per-row accumulator reused across recompositions.
     scratch: RowScratch,
     /// Out-edge buffer reused across recompositions.
     adj: Vec<AdjEdge>,
+    /// Ancestor walk buffers: visited marks (all false between walks),
+    /// the DFS stack and the ancestors found.
+    seen: Vec<bool>,
+    stack: Vec<NodeId>,
+    affected: Vec<NodeId>,
+    /// `(target, old id)` entries a coverage check must compare.
+    changed: Vec<(u32, DnfId)>,
     /// Removed edges, by edge index.
     removed: Vec<bool>,
     topo_pos: Vec<usize>,
@@ -427,7 +450,7 @@ impl<'a> Engine<'a> {
         // The initial annotated closure, built directly in interned form
         // (see `dscweaver_graph::iclosure`).
         let lvl_span = obs::span("minimize.closure.levels");
-        let (irows, cstats) =
+        let (rows, cstats) =
             interned_closure_ordered(g, topo, &|_, w: &Option<Guard>| *w, &mut pool);
         drop(lvl_span);
         obs::counter_add("minimize.closure.rows_composed", cstats.rows as u64);
@@ -444,11 +467,18 @@ impl<'a> Engine<'a> {
         // Per-edge guard tables for the greedy loop's recompositions
         // (every term/dnf below is already interned, so these are hits).
         let ebound = g.edge_bound();
+        let mut out_start = Vec::with_capacity(bound + 1);
+        let mut out = Vec::with_capacity(g.edge_count());
+        out_start.push(0);
+        for i in 0..bound {
+            out.extend(g.out_edges(NodeId(i as u32)).map(|e| (e, g.endpoints(e).1)));
+            out_start.push(out.len() as u32);
+        }
         let mut edge_gdnf = vec![DnfPool::<Guard>::ALWAYS; ebound];
         let mut edge_term = vec![None; ebound];
         for e in g.edge_ids() {
             if let Some(c) = g.edge_weight(e) {
-                edge_term[e.index()] = Some(pool.intern_term(&vec![*c]));
+                edge_term[e.index()] = Some(pool.intern_term(std::slice::from_ref(c)));
                 edge_gdnf[e.index()] = pool.of_guard(Some(c));
             }
         }
@@ -458,12 +488,21 @@ impl<'a> Engine<'a> {
             domains,
             mode,
             pool,
-            irows,
+            rows,
+            fresh: IRows::new(bound, 0),
+            fresh_of: vec![UNSTAGED; bound],
+            staged: Vec::new(),
             exec_ids,
             edge_gdnf,
             edge_term,
+            out_start,
+            out,
             scratch: RowScratch::new(bound),
             adj: Vec::new(),
+            seen: vec![false; bound],
+            stack: Vec::new(),
+            affected: Vec::new(),
+            changed: Vec::new(),
             removed: vec![false; ebound],
             topo_pos,
             imp_cache: LruCache::new(pool_cache_limit),
@@ -472,33 +511,49 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Recomputes the interned row of `n`, excluding `skip` and all
-    /// removed edges. Successor rows come from `fresh` when present.
-    /// Runs on the shared dense-scratch composer with the pre-interned
-    /// per-edge guard tables — no maps, no guard hashing in the loop.
-    fn compose_interned(
-        &mut self,
-        n: NodeId,
-        skip: Option<EdgeId>,
-        fresh: &FxHashMap<usize, IRow>,
-    ) -> IRow {
-        let g = self.g;
+    /// Recomputes the interned row of `n` without `skip` and the removed
+    /// edges, and stages it in `fresh`; successor rows come from `fresh`
+    /// when staged there. Runs on the shared dense-scratch composer with
+    /// the pre-interned per-edge guard tables — no maps, no guard
+    /// hashing in the loop.
+    fn stage(&mut self, n: NodeId, skip: EdgeId) {
         let mut adj = std::mem::take(&mut self.adj);
         adj.clear();
         adj.extend(
-            g.out_edges(n)
-                .filter(|&e| Some(e) != skip && !self.removed[e.index()])
-                .map(|e| {
-                    let (_, m) = g.endpoints(e);
-                    (m.0, self.edge_gdnf[e.index()], self.edge_term[e.index()])
-                }),
+            self.out_of(n)
+                .iter()
+                .filter(|&&(e, _)| e != skip && !self.removed[e.index()])
+                .map(|&(e, m)| (m.0, self.edge_gdnf[e.index()], self.edge_term[e.index()])),
         );
-        let irows = &self.irows;
+        let (rows, fresh, fresh_of) = (&self.rows, &self.fresh, &self.fresh_of);
         let row = compose_interned_row(&mut self.pool, &mut self.scratch, &adj, |m| {
-            fresh.get(&(m as usize)).unwrap_or(&irows[m as usize])
+            match fresh_of[m as usize] {
+                UNSTAGED => rows.row(m as usize),
+                k => fresh.row(k as usize),
+            }
         });
+        let k = self.fresh.push(row);
+        self.fresh_of[n.index()] = k as u32;
+        self.staged.push(n);
         self.adj = adj;
-        row
+    }
+
+    /// The `(edge, head)` out-edges of `n`.
+    fn out_of(&self, n: NodeId) -> &[(EdgeId, NodeId)] {
+        &self.out[self.out_start[n.index()] as usize..self.out_start[n.index() + 1] as usize]
+    }
+
+    /// Drops every staged row.
+    fn unstage(&mut self) {
+        for n in self.staged.drain(..) {
+            self.fresh_of[n.index()] = UNSTAGED;
+        }
+        self.fresh.clear();
+    }
+
+    /// True if node `ni`'s staged row differs from its current one.
+    fn changed(&self, ni: usize) -> bool {
+        self.fresh.row(self.fresh_of[ni] as usize) != self.rows.row(ni)
     }
 
     /// Memoized `ctx ∧ old ⟹ new` over interned formulas. The memo is an
@@ -535,28 +590,32 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Definition 4/5: is node `ni`'s current row covered by `new`?
-    fn covered(&mut self, ni: usize, new: &IRow) -> bool {
-        let old = &self.irows[ni];
+    /// Definition 4/5: is node `ni`'s current row covered by its staged
+    /// row?
+    fn covered(&mut self, ni: usize) -> bool {
+        let k = self.fresh_of[ni] as usize;
+        let (old, new) = (self.rows.row(ni), self.fresh.row(k));
         match self.mode {
             EquivalenceMode::Strict => old == new,
-            EquivalenceMode::Reachability => old.reach().is_subset(new.reach()),
+            EquivalenceMode::Reachability => old.iter().all(|(t, _)| new.reaches(t as usize)),
             EquivalenceMode::ExecutionAware => {
                 // Only the targets that lost `ALWAYS` or carry a
                 // conditional id can differ; every other `ALWAYS` entry
                 // is kept. Ascending target order, like a full row scan.
                 let always = DnfPool::<Guard>::ALWAYS;
-                let mut lost = old.uncond().iter_difference(new.uncond()).peekable();
-                let mut maybe_changed: Vec<(u32, DnfId)> = Vec::new();
+                let mut lost = old.always_not_in(new).peekable();
+                let changed = &mut self.changed;
+                changed.clear();
                 for &(t, old_id) in old.cond() {
-                    while let Some(l) = lost.next_if(|&l| l < t as usize) {
-                        maybe_changed.push((l as u32, always));
+                    while let Some(l) = lost.next_if(|&l| l < t) {
+                        changed.push((l, always));
                     }
-                    maybe_changed.push((t, old_id));
+                    changed.push((t, old_id));
                 }
-                maybe_changed.extend(lost.map(|l| (l as u32, always)));
-                for (t, old_id) in maybe_changed {
-                    let new_id = new.get(t).unwrap_or(DnfPool::<Guard>::EMPTY);
+                changed.extend(lost.map(|l| (l, always)));
+                for i in 0..self.changed.len() {
+                    let (t, old_id) = self.changed[i];
+                    let new_id = self.fresh.row(k).get(t).unwrap_or(DnfPool::<Guard>::EMPTY);
                     if old_id == new_id {
                         continue;
                     }
@@ -576,18 +635,17 @@ impl<'a> Engine<'a> {
     /// contributed — the row of `u` (hence the whole closure) is provably
     /// unchanged, so the removal is pure redundancy.
     fn prefilter_accept(&self, cand: EdgeId, u: NodeId, v: NodeId) -> bool {
-        let g = self.g;
-        let guard_c = g.edge_weight(cand);
-        g.out_edges(u).any(|oe| {
+        // Equal guards intern to equal ids, and no guard to `ALWAYS`.
+        let guard_c = self.edge_gdnf[cand.index()];
+        self.out_of(u).iter().any(|&(oe, w)| {
             if oe == cand || self.removed[oe.index()] {
                 return false;
             }
-            let gw = g.edge_weight(oe);
-            if !(gw.is_none() || gw == guard_c) {
+            let gw = self.edge_gdnf[oe.index()];
+            if !(gw == DnfPool::<Guard>::ALWAYS || gw == guard_c) {
                 return false;
             }
-            let (_, w) = g.endpoints(oe);
-            w == v || self.irows[w.index()].uncond().contains(v.index())
+            w == v || self.rows.row(w.index()).is_always(v.index())
         })
     }
 
@@ -596,22 +654,21 @@ impl<'a> Engine<'a> {
     /// can route back through the candidate edge, so the closure queried
     /// *with* the candidate still answers this exactly.)
     fn has_alternate_path(&self, cand: EdgeId, u: NodeId, v: NodeId) -> bool {
-        let g = self.g;
-        g.out_edges(u).any(|oe| {
-            oe != cand && !self.removed[oe.index()] && {
-                let (_, w) = g.endpoints(oe);
-                w == v || self.irows[w.index()].reach().contains(v.index())
-            }
+        self.out_of(u).iter().any(|&(oe, w)| {
+            oe != cand
+                && !self.removed[oe.index()]
+                && (w == v || self.rows.row(w.index()).reaches(v.index()))
         })
     }
 
-    /// Live-edge ancestors of `u` (inclusive), sorted so successors come
-    /// before predecessors (descending topological position).
-    fn affected_ancestors(&self, u: NodeId) -> Vec<NodeId> {
+    /// Collects the live-edge ancestors of `u` (inclusive) into
+    /// `affected`, sorted so successors come before predecessors
+    /// (descending topological position).
+    fn affected_ancestors(&mut self, u: NodeId) {
         let g = self.g;
-        let mut seen = vec![false; g.node_bound()];
-        let mut stack = vec![u];
-        let mut affected = Vec::new();
+        let (seen, stack, affected) = (&mut self.seen, &mut self.stack, &mut self.affected);
+        affected.clear();
+        stack.push(u);
         seen[u.index()] = true;
         while let Some(x) = stack.pop() {
             affected.push(x);
@@ -626,27 +683,11 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        affected.sort_by_key(|n| std::cmp::Reverse(self.topo_pos[n.index()]));
-        affected
-    }
-
-    /// Recomputes the rows of every affected ancestor with `cand` gone,
-    /// successors first. `new_u` is the already-computed row of the
-    /// candidate's tail.
-    fn recompute_rows(
-        &mut self,
-        affected: &[NodeId],
-        u: NodeId,
-        cand: EdgeId,
-        new_u: IRow,
-    ) -> FxHashMap<usize, IRow> {
-        let mut fresh = FxHashMap::default();
-        fresh.insert(u.index(), new_u);
-        for &n in affected.iter().filter(|&&n| n != u) {
-            let r = self.compose_interned(n, Some(cand), &fresh);
-            fresh.insert(n.index(), r);
+        for n in affected.iter() {
+            seen[n.index()] = false;
         }
-        fresh
+        let topo_pos = &self.topo_pos;
+        affected.sort_by_key(|n| std::cmp::Reverse(topo_pos[n.index()]));
     }
 
     /// One greedy step: decide `cand` and mutate state on acceptance.
@@ -668,9 +709,8 @@ impl<'a> Engine<'a> {
                     // v is lost from u's row entirely; salvageable only if
                     // the annotation was vacuous under the execution
                     // context (e.g. a dead branch combination).
-                    let old_v = self.irows[ui]
-                        .get(v.0)
-                        .expect("candidate edge target must be in tail row");
+                    let row = self.rows.row(ui);
+                    let old_v = row.get(v.0).expect("candidate edge target must be in tail row");
                     let ctx = self.pool.and(self.exec_ids[ui], self.exec_ids[v.index()]);
                     if !self.implies(ctx, old_v, DnfPool::<Guard>::EMPTY) {
                         return false;
@@ -680,32 +720,45 @@ impl<'a> Engine<'a> {
         }
 
         // General path: the full recomposed row of u.
-        let new_u = self.compose_interned(u, Some(cand), &FxHashMap::default());
-        if new_u == self.irows[ui] {
+        self.stage(u, cand);
+        let verdict = self.decide(u, cand);
+        self.unstage();
+        if verdict {
             self.removed[cand.index()] = true;
+        }
+        verdict
+    }
+
+    /// Decides `cand` once the tail `u`'s row is staged, committing the
+    /// rows it changes on acceptance.
+    fn decide(&mut self, u: NodeId, cand: EdgeId) -> bool {
+        let ui = u.index();
+        if !self.changed(ui) {
             return true;
         }
-        if !self.covered(ui, &new_u) {
+        if !self.covered(ui) {
             return false;
         }
 
         // Slow path (rare): u's row weakened but stays covered — every
-        // live ancestor's row must be recomputed and rechecked.
-        let affected = self.affected_ancestors(u);
-        let fresh = self.recompute_rows(&affected, u, cand, new_u);
-        for &n in &affected {
-            let ni = n.index();
-            if fresh[&ni] != self.irows[ni] && !self.covered(ni, &fresh[&ni]) {
-                return false;
+        // live ancestor's row must be recomputed and rechecked, then
+        // committed in place.
+        self.affected_ancestors(u);
+        let affected = std::mem::take(&mut self.affected);
+        for &n in affected.iter().filter(|&&n| n != u) {
+            self.stage(n, cand);
+        }
+        let ok = affected
+            .iter()
+            .all(|&n| !self.changed(n.index()) || self.covered(n.index()));
+        if ok {
+            for &n in &affected {
+                let k = self.fresh_of[n.index()] as usize;
+                self.rows.set(n.index(), self.fresh.row(k));
             }
         }
-
-        // Commit: swap the recomputed rows (bitsets included) in.
-        self.removed[cand.index()] = true;
-        for (ni, row) in fresh {
-            self.irows[ni] = row;
-        }
-        true
+        self.affected = affected;
+        ok
     }
 }
 

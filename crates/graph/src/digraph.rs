@@ -8,6 +8,12 @@
 //! (removed slots become tombstones). Algorithms that want a dense index
 //! space can call [`DiGraph::compact`] to obtain a tombstone-free copy plus
 //! the index remapping.
+//!
+//! Adjacency is stored flat, in one vector of node links and one of edge
+//! links: every node's out and in lists are singly linked through the
+//! edge links (`next_out`, `next_in`), appended at the tail, so they
+//! iterate in insertion order and removing an edge unlinks it in place.
+//! A graph of any size costs a few allocations to build and drop.
 
 use std::fmt;
 
@@ -45,27 +51,67 @@ impl fmt::Debug for EdgeId {
     }
 }
 
-#[derive(Clone, Debug)]
-struct NodeSlot<N> {
-    weight: N,
-    out: Vec<EdgeId>,
-    inc: Vec<EdgeId>,
+/// End of an adjacency list; in [`EdgeLinks::from`], a removed edge.
+const NIL: u32 = u32::MAX;
+
+/// A node's two adjacency lists, each a singly linked list of edge ids
+/// threaded through [`EdgeLinks`] and kept in insertion order (appended
+/// at the tail), with their lengths.
+#[derive(Clone, Copy, Debug)]
+struct NodeLinks {
+    out_head: u32,
+    out_tail: u32,
+    in_head: u32,
+    in_tail: u32,
+    out_deg: u32,
+    in_deg: u32,
 }
 
-#[derive(Clone, Debug)]
-struct EdgeSlot<E> {
-    from: NodeId,
-    to: NodeId,
-    weight: E,
+/// An edge's endpoints and the next edge in its source's out list and in
+/// its target's in list. `from` is [`NIL`] once the edge is removed.
+#[derive(Clone, Copy, Debug)]
+struct EdgeLinks {
+    from: u32,
+    to: u32,
+    next_out: u32,
+    next_in: u32,
 }
 
 /// A directed multigraph with node weights `N` and edge weights `E`.
+///
+/// Links and weights sit in separate vectors, so a walk over adjacency
+/// lists reads 16 bytes per edge whatever the weights are.
 #[derive(Clone)]
 pub struct DiGraph<N, E> {
-    nodes: Vec<Option<NodeSlot<N>>>,
-    edges: Vec<Option<EdgeSlot<E>>>,
+    nodes: Vec<NodeLinks>,
+    /// `None` on removed nodes.
+    node_weights: Vec<Option<N>>,
+    edges: Vec<EdgeLinks>,
+    /// `None` on removed edges.
+    edge_weights: Vec<Option<E>>,
     node_count: usize,
     edge_count: usize,
+}
+
+/// Edge ids along one adjacency list: the out list if `OUT`, else the in
+/// list.
+struct Links<'a, const OUT: bool> {
+    edges: &'a [EdgeLinks],
+    at: u32,
+}
+
+impl<const OUT: bool> Iterator for Links<'_, OUT> {
+    type Item = EdgeId;
+
+    fn next(&mut self) -> Option<EdgeId> {
+        if self.at == NIL {
+            return None;
+        }
+        let e = self.at;
+        let l = &self.edges[e as usize];
+        self.at = if OUT { l.next_out } else { l.next_in };
+        Some(EdgeId(e))
+    }
 }
 
 impl<N, E> Default for DiGraph<N, E> {
@@ -77,19 +123,16 @@ impl<N, E> Default for DiGraph<N, E> {
 impl<N, E> DiGraph<N, E> {
     /// Creates an empty graph.
     pub fn new() -> Self {
-        DiGraph {
-            nodes: Vec::new(),
-            edges: Vec::new(),
-            node_count: 0,
-            edge_count: 0,
-        }
+        Self::with_capacity(0, 0)
     }
 
     /// Creates an empty graph with reserved capacity.
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         DiGraph {
             nodes: Vec::with_capacity(nodes),
+            node_weights: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
+            edge_weights: Vec::with_capacity(edges),
             node_count: 0,
             edge_count: 0,
         }
@@ -118,46 +161,51 @@ impl<N, E> DiGraph<N, E> {
     /// Adds a node, returning its stable id.
     pub fn add_node(&mut self, weight: N) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Some(NodeSlot {
-            weight,
-            out: Vec::new(),
-            inc: Vec::new(),
-        }));
+        self.nodes.push(NodeLinks {
+            out_head: NIL,
+            out_tail: NIL,
+            in_head: NIL,
+            in_tail: NIL,
+            out_deg: 0,
+            in_deg: 0,
+        });
+        self.node_weights.push(Some(weight));
         self.node_count += 1;
         id
     }
 
     /// True if `n` refers to a live node.
     pub fn contains_node(&self, n: NodeId) -> bool {
-        self.nodes.get(n.index()).is_some_and(Option::is_some)
+        self.node_weights.get(n.index()).is_some_and(Option::is_some)
     }
 
-    fn node(&self, n: NodeId) -> &NodeSlot<N> {
-        self.nodes[n.index()].as_ref().expect("node was removed")
+    /// The links of live node `n`.
+    fn node(&self, n: NodeId) -> &NodeLinks {
+        assert!(self.contains_node(n), "node was removed");
+        &self.nodes[n.index()]
     }
 
-    fn node_mut(&mut self, n: NodeId) -> &mut NodeSlot<N> {
-        self.nodes[n.index()].as_mut().expect("node was removed")
-    }
-
-    fn edge(&self, e: EdgeId) -> &EdgeSlot<E> {
-        self.edges[e.index()].as_ref().expect("edge was removed")
+    /// The links of live edge `e`.
+    fn edge(&self, e: EdgeId) -> &EdgeLinks {
+        let l = &self.edges[e.index()];
+        assert!(l.from != NIL, "edge was removed");
+        l
     }
 
     /// Node weight. Panics on a removed/invalid id.
     pub fn weight(&self, n: NodeId) -> &N {
-        &self.node(n).weight
+        self.node_weights[n.index()].as_ref().expect("node was removed")
     }
 
     /// Edge weight. Panics on a removed/invalid id.
     pub fn edge_weight(&self, e: EdgeId) -> &E {
-        &self.edge(e).weight
+        self.edge_weights[e.index()].as_ref().expect("edge was removed")
     }
 
     /// The `(from, to)` endpoints of edge `e`.
     pub fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
-        let s = self.edge(e);
-        (s.from, s.to)
+        let l = self.edge(e);
+        (NodeId(l.from), NodeId(l.to))
     }
 
     /// Adds an edge `from -> to`, returning its stable id. Parallel edges
@@ -166,49 +214,94 @@ impl<N, E> DiGraph<N, E> {
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, weight: E) -> EdgeId {
         assert!(self.contains_node(from), "edge source was removed");
         assert!(self.contains_node(to), "edge target was removed");
-        let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Some(EdgeSlot { from, to, weight }));
-        self.node_mut(from).out.push(id);
-        self.node_mut(to).inc.push(id);
+        let id = self.edges.len() as u32;
+        self.edges.push(EdgeLinks {
+            from: from.0,
+            to: to.0,
+            next_out: NIL,
+            next_in: NIL,
+        });
+        self.edge_weights.push(Some(weight));
+        let src = &mut self.nodes[from.index()];
+        let tail = std::mem::replace(&mut src.out_tail, id);
+        src.out_deg += 1;
+        if tail == NIL {
+            src.out_head = id;
+        } else {
+            self.edges[tail as usize].next_out = id;
+        }
+        let dst = &mut self.nodes[to.index()];
+        let tail = std::mem::replace(&mut dst.in_tail, id);
+        dst.in_deg += 1;
+        if tail == NIL {
+            dst.in_head = id;
+        } else {
+            self.edges[tail as usize].next_in = id;
+        }
         self.edge_count += 1;
-        id
+        EdgeId(id)
     }
 
     /// Removes an edge, returning its weight. Panics on invalid id.
     pub fn remove_edge(&mut self, e: EdgeId) -> E {
-        let slot = self.edges[e.index()].take().expect("edge already removed");
-        self.node_mut(slot.from).out.retain(|&x| x != e);
-        self.node_mut(slot.to).inc.retain(|&x| x != e);
+        let EdgeLinks {
+            from,
+            to,
+            next_out,
+            next_in,
+        } = *self.edge(e);
+        // Unlink from the source's out list, then the target's in list.
+        let (mut prev, mut at) = (NIL, self.nodes[from as usize].out_head);
+        while at != e.0 {
+            (prev, at) = (at, self.edges[at as usize].next_out);
+        }
+        let src = &mut self.nodes[from as usize];
+        if prev == NIL {
+            src.out_head = next_out;
+        } else {
+            self.edges[prev as usize].next_out = next_out;
+        }
+        if src.out_tail == e.0 {
+            src.out_tail = prev;
+        }
+        src.out_deg -= 1;
+        let (mut prev, mut at) = (NIL, self.nodes[to as usize].in_head);
+        while at != e.0 {
+            (prev, at) = (at, self.edges[at as usize].next_in);
+        }
+        let dst = &mut self.nodes[to as usize];
+        if prev == NIL {
+            dst.in_head = next_in;
+        } else {
+            self.edges[prev as usize].next_in = next_in;
+        }
+        if dst.in_tail == e.0 {
+            dst.in_tail = prev;
+        }
+        dst.in_deg -= 1;
+        self.edges[e.index()].from = NIL;
         self.edge_count -= 1;
-        slot.weight
+        self.edge_weights[e.index()].take().expect("edge already removed")
     }
 
     /// Removes a node and all incident edges, returning its weight.
     pub fn remove_node(&mut self, n: NodeId) -> N {
-        let slot = self.nodes[n.index()].take().expect("node already removed");
-        for e in slot.out.iter().chain(&slot.inc) {
-            if let Some(edge) = self.edges[e.index()].take() {
-                self.edge_count -= 1;
-                // Detach from the opposite endpoint (skip self-loops whose
-                // both endpoints are the removed node).
-                let other_lists = if edge.from == n { edge.to } else { edge.from };
-                if other_lists != n {
-                    let other = self.node_mut(other_lists);
-                    other.out.retain(|&x| x != *e);
-                    other.inc.retain(|&x| x != *e);
-                }
-            }
+        while self.node(n).out_head != NIL {
+            self.remove_edge(EdgeId(self.nodes[n.index()].out_head));
+        }
+        while self.nodes[n.index()].in_head != NIL {
+            self.remove_edge(EdgeId(self.nodes[n.index()].in_head));
         }
         self.node_count -= 1;
-        slot.weight
+        self.node_weights[n.index()].take().expect("node already removed")
     }
 
     /// Iterates over live node ids in ascending order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
+        self.node_weights
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| NodeId(i as u32)))
+            .filter_map(|(i, w)| w.as_ref().map(|_| NodeId(i as u32)))
     }
 
     /// Iterates over live edge ids in ascending order.
@@ -216,54 +309,58 @@ impl<N, E> DiGraph<N, E> {
         self.edges
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| EdgeId(i as u32)))
+            .filter(|(_, l)| l.from != NIL)
+            .map(|(i, _)| EdgeId(i as u32))
     }
 
     /// Iterates `(edge, from, to, weight)` over live edges.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, NodeId, NodeId, &E)> + '_ {
-        self.edges.iter().enumerate().filter_map(|(i, s)| {
-            s.as_ref()
-                .map(|e| (EdgeId(i as u32), e.from, e.to, &e.weight))
+        let live = self.edges.iter().zip(&self.edge_weights).enumerate();
+        live.filter_map(|(i, (l, w))| {
+            w.as_ref()
+                .map(|w| (EdgeId(i as u32), NodeId(l.from), NodeId(l.to), w))
         })
     }
 
-    /// Outgoing edge ids of `n`.
+    /// Outgoing edge ids of `n`, in insertion order.
     pub fn out_edges(&self, n: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.node(n).out.iter().copied()
+        Links::<true> {
+            edges: &self.edges,
+            at: self.node(n).out_head,
+        }
     }
 
-    /// Incoming edge ids of `n`.
+    /// Incoming edge ids of `n`, in insertion order.
     pub fn in_edges(&self, n: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.node(n).inc.iter().copied()
+        Links::<false> {
+            edges: &self.edges,
+            at: self.node(n).in_head,
+        }
     }
 
     /// Successor nodes of `n` (with duplicates if parallel edges exist).
     pub fn successors(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.node(n).out.iter().map(|&e| self.edge(e).to)
+        self.out_edges(n).map(|e| NodeId(self.edges[e.index()].to))
     }
 
     /// Predecessor nodes of `n` (with duplicates if parallel edges exist).
     pub fn predecessors(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.node(n).inc.iter().map(|&e| self.edge(e).from)
+        self.in_edges(n).map(|e| NodeId(self.edges[e.index()].from))
     }
 
     /// Out-degree of `n`.
     pub fn out_degree(&self, n: NodeId) -> usize {
-        self.node(n).out.len()
+        self.node(n).out_deg as usize
     }
 
     /// In-degree of `n`.
     pub fn in_degree(&self, n: NodeId) -> usize {
-        self.node(n).inc.len()
+        self.node(n).in_deg as usize
     }
 
     /// First live edge `from -> to`, if any.
     pub fn find_edge(&self, from: NodeId, to: NodeId) -> Option<EdgeId> {
-        self.node(from)
-            .out
-            .iter()
-            .copied()
-            .find(|&e| self.edge(e).to == to)
+        self.out_edges(from).find(|&e| self.edges[e.index()].to == to.0)
     }
 
     /// True if at least one live edge `from -> to` exists.
@@ -280,15 +377,15 @@ impl<N, E> DiGraph<N, E> {
     {
         let mut g = DiGraph::with_capacity(self.node_count, self.edge_count);
         let mut map: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
-        for (i, slot) in self.nodes.iter().enumerate() {
-            if let Some(s) = slot {
-                map[i] = Some(g.add_node(s.weight.clone()));
+        for (i, w) in self.node_weights.iter().enumerate() {
+            if let Some(w) = w {
+                map[i] = Some(g.add_node(w.clone()));
             }
         }
-        for slot in self.edges.iter().flatten() {
-            let from = map[slot.from.index()].expect("live edge with dead source");
-            let to = map[slot.to.index()].expect("live edge with dead target");
-            g.add_edge(from, to, slot.weight.clone());
+        for (_, from, to, w) in self.edges() {
+            let from = map[from.index()].expect("live edge with dead source");
+            let to = map[to.index()].expect("live edge with dead target");
+            g.add_edge(from, to, w.clone());
         }
         (g, map)
     }
@@ -300,30 +397,16 @@ impl<N, E> DiGraph<N, E> {
         mut fnode: impl FnMut(NodeId, &N) -> N2,
         mut fedge: impl FnMut(EdgeId, &E) -> E2,
     ) -> DiGraph<N2, E2> {
+        let node_weights = self.node_weights.iter().enumerate();
+        let edge_weights = self.edge_weights.iter().enumerate();
         DiGraph {
-            nodes: self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    s.as_ref().map(|s| NodeSlot {
-                        weight: fnode(NodeId(i as u32), &s.weight),
-                        out: s.out.clone(),
-                        inc: s.inc.clone(),
-                    })
-                })
+            nodes: self.nodes.clone(),
+            node_weights: node_weights
+                .map(|(i, w)| w.as_ref().map(|w| fnode(NodeId(i as u32), w)))
                 .collect(),
-            edges: self
-                .edges
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    s.as_ref().map(|s| EdgeSlot {
-                        from: s.from,
-                        to: s.to,
-                        weight: fedge(EdgeId(i as u32), &s.weight),
-                    })
-                })
+            edges: self.edges.clone(),
+            edge_weights: edge_weights
+                .map(|(i, w)| w.as_ref().map(|w| fedge(EdgeId(i as u32), w)))
                 .collect(),
             node_count: self.node_count,
             edge_count: self.edge_count,

@@ -13,12 +13,15 @@
 //! complementary guards). So an [`IRow`] keeps those targets as a bitset
 //! (`uncond`), built by word-wise unions over the unconditional
 //! out-edges, and interns only the remaining conditional annotations as
-//! a sorted `(target, DnfId)` list (`cond`). The sweep composes
-//! annotations only for targets outside `uncond`; the per-row
-//! accumulator is a dense scratch array instead of an ordered map. The
-//! DAG is swept level by level (longest path to a sink), ascending node
-//! index within a level: a node's row only reads rows of strictly smaller
-//! levels, and the fixed order fixes the pool's id numbering.
+//! a sorted `(target, DnfId)` list (`cond`). All rows live in one
+//! [`IRows`] table: one vector of `uncond` words and one arena of `cond`
+//! entries, so a closure costs a few allocations, not several per row.
+//! The sweep composes annotations only for targets outside `uncond`; the
+//! per-row accumulator is a dense scratch array instead of an ordered
+//! map. The DAG is swept level by level (longest path to a sink),
+//! ascending node index within a level: a node's row only reads rows of
+//! strictly smaller levels, and the fixed order fixes the pool's id
+//! numbering.
 //!
 //! Cyclic inputs: [`interned_closure`] mirrors `annotated_closure` and
 //! returns the [`CycleError`] untouched — the optimizer treats cycles as
@@ -41,9 +44,9 @@
 //! let (rows, stats) = interned_closure(&g, &|_, w: &Option<(u32, bool)>| *w, &mut pool)
 //!     .expect("acyclic");
 //! // a1+ = {a2, a3(T@a2), a4(T@a2)}: a2 unconditionally, the rest guarded.
-//! let row = &rows[a1.index()];
-//! assert_eq!(row.reach().count(), 3);
-//! assert!(row.uncond().contains(a2.index()));
+//! let row = rows.row(a1.index());
+//! assert_eq!(row.iter().count(), 3);
+//! assert!(row.is_always(a2.index()));
 //! assert_eq!(row.get(a2.0), Some(DnfId::ALWAYS));
 //! let a4_id = row.get(a4.0).unwrap();
 //! assert_eq!(pool.dnf(a4_id).terms(), &[vec![(a2.0, true)]]);
@@ -51,77 +54,49 @@
 //! ```
 
 use crate::annotated::GuardFn;
-use crate::bitset::BitSet;
 use crate::digraph::{DiGraph, NodeId};
 use crate::intern::{DnfId, DnfPool, TermId};
 use crate::topo::{topo_sort, CycleError};
 use dscweaver_obs as obs;
 
-/// An interned closure row: the targets reached with annotation
-/// `ALWAYS` (through at least one all-unconditional path) as a bitset,
-/// and every other target with its interned annotation id. With all rows
-/// drawn from one pool, row equality is bitwise.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct IRow {
-    uncond: BitSet,
-    /// `uncond` plus the targets of `cond`.
-    reach: BitSet,
+/// One interned closure row, borrowed from an [`IRows`] table or a
+/// [`RowScratch`]: the targets reached with annotation `ALWAYS` (through
+/// at least one all-unconditional path) as bitset words, and every other
+/// target with its interned annotation id. With all rows drawn from one
+/// pool, row equality is bitwise.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct IRow<'a> {
+    uncond: &'a [u64],
     /// Sorted by target, disjoint from `uncond`, never `ALWAYS`/`EMPTY`.
-    cond: Vec<(u32, DnfId)>,
+    cond: &'a [(u32, DnfId)],
 }
 
-impl IRow {
-    /// The row reaching nothing, for node indices `< bound`.
-    pub fn empty(bound: usize) -> IRow {
-        IRow::from_parts(BitSet::new(bound), Vec::new())
+impl<'a> IRow<'a> {
+    /// True if `t` is reached with annotation `ALWAYS`.
+    pub fn is_always(&self, t: usize) -> bool {
+        self.uncond[t / 64] & (1 << (t % 64)) != 0
     }
 
-    /// A row from its `ALWAYS` targets and its conditional entries, which
-    /// must be sorted by target, lie outside `uncond`, and carry neither
-    /// the `ALWAYS` nor the `EMPTY` id.
-    pub fn from_parts(uncond: BitSet, cond: Vec<(u32, DnfId)>) -> IRow {
-        let mut reach = uncond.clone();
-        for w in cond.windows(2) {
-            assert!(w[0].0 < w[1].0, "conditional entries must be sorted");
-        }
-        for &(t, d) in &cond {
-            assert!(!reach.contains(t as usize), "target {t} is also unconditional");
-            assert!(d != DnfId::ALWAYS && d != DnfId::EMPTY, "target {t} is not conditional");
-            reach.insert(t as usize);
-        }
-        IRow { uncond, reach, cond }
+    /// True if `t` is reached under any annotation.
+    pub fn reaches(&self, t: usize) -> bool {
+        self.is_always(t) || self.cond.binary_search_by_key(&(t as u32), |&(k, _)| k).is_ok()
     }
 
-    /// [`IRow::from_parts`] for entries the composer harvested, which
-    /// meet its contract by construction.
-    fn from_harvest(uncond: BitSet, cond: Vec<(u32, DnfId)>) -> IRow {
-        let mut reach = uncond.clone();
-        for &(t, d) in &cond {
-            debug_assert!(!reach.contains(t as usize) && d != DnfId::ALWAYS && d != DnfId::EMPTY);
-            reach.insert(t as usize);
-        }
-        IRow { uncond, reach, cond }
-    }
-
-    /// The targets reached with annotation `ALWAYS`.
-    pub fn uncond(&self) -> &BitSet {
-        &self.uncond
-    }
-
-    /// Every reached target, under any annotation.
-    pub fn reach(&self) -> &BitSet {
-        &self.reach
+    /// The `ALWAYS` targets of this row that are not `ALWAYS` in `other`
+    /// (a row of the same table width), ascending.
+    pub fn always_not_in(&self, other: IRow<'a>) -> impl Iterator<Item = u32> + 'a {
+        set_bits(self.uncond.iter().zip(other.uncond).map(|(&a, &b)| a & !b))
     }
 
     /// The conditionally reached targets with their annotation ids,
     /// sorted by target.
-    pub fn cond(&self) -> &[(u32, DnfId)] {
-        &self.cond
+    pub fn cond(&self) -> &'a [(u32, DnfId)] {
+        self.cond
     }
 
     /// The annotation with which `t` is reached, if reachable.
     pub fn get(&self, t: u32) -> Option<DnfId> {
-        if self.uncond.contains(t as usize) {
+        if self.is_always(t as usize) {
             return Some(DnfId::ALWAYS);
         }
         self.cond
@@ -132,17 +107,123 @@ impl IRow {
 
     /// Every `(target, annotation id)` entry in ascending target order,
     /// `ALWAYS` entries included.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, DnfId)> + '_ {
-        let mut cond = self.cond.iter();
-        self.reach.iter().map(move |t| {
-            if self.uncond.contains(t) {
-                (t as u32, DnfId::ALWAYS)
-            } else {
-                *cond.next().expect("reach is uncond plus the cond targets")
-            }
+    pub fn iter(&self) -> impl Iterator<Item = (u32, DnfId)> + 'a {
+        let mut uncond = set_bits(self.uncond.iter().copied()).peekable();
+        let mut cond = self.cond.iter().copied().peekable();
+        std::iter::from_fn(move || match (uncond.peek(), cond.peek()) {
+            (Some(&u), Some(&(c, _))) if u > c => cond.next(),
+            (Some(_), _) => uncond.next().map(|u| (u, DnfId::ALWAYS)),
+            (None, _) => cond.next(),
         })
     }
 }
+
+/// Set bit indices of a word sequence, ascending.
+fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = u32> {
+    words.enumerate().flat_map(|(wi, mut w)| {
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let t = (wi * 64) as u32 + w.trailing_zeros();
+                w &= w - 1;
+                t
+            })
+        })
+    })
+}
+
+/// A table of interned closure rows for node indices `< bound`: every
+/// row's `uncond` words side by side in one vector, every row's `cond`
+/// entries in one arena with a per-row range. Building or dropping a
+/// table costs a few allocations however many rows it holds.
+#[derive(Clone, Debug)]
+pub struct IRows {
+    /// `u64` words per row.
+    width: usize,
+    words: Vec<u64>,
+    cond: Vec<(u32, DnfId)>,
+    /// Per row, its `cond` entries' range in the arena.
+    spans: Vec<(u32, u32)>,
+}
+
+impl IRows {
+    /// `rows` rows reaching nothing, over targets `< bound`.
+    pub fn new(bound: usize, rows: usize) -> IRows {
+        let width = bound.div_ceil(64);
+        IRows {
+            width,
+            words: vec![0; width * rows],
+            cond: Vec::new(),
+            spans: vec![(0, 0); rows],
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// True if the table holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> IRow<'_> {
+        let (a, b) = self.spans[i];
+        IRow {
+            uncond: &self.words[i * self.width..(i + 1) * self.width],
+            cond: &self.cond[a as usize..b as usize],
+        }
+    }
+
+    /// Every row, in index order.
+    pub fn iter(&self) -> impl Iterator<Item = IRow<'_>> {
+        (0..self.len()).map(|i| self.row(i))
+    }
+
+    /// Overwrites row `i` with `row` (of the same width). The `cond`
+    /// entries reuse the row's arena range when they fit in it and move
+    /// to the arena's end otherwise.
+    pub fn set(&mut self, i: usize, row: IRow<'_>) {
+        self.words[i * self.width..(i + 1) * self.width].copy_from_slice(row.uncond);
+        let (a, b) = self.spans[i];
+        let n = row.cond.len() as u32;
+        let a = if n <= b - a {
+            self.cond[a as usize..(a + n) as usize].copy_from_slice(row.cond);
+            a
+        } else {
+            let end = self.cond.len() as u32;
+            self.cond.extend_from_slice(row.cond);
+            end
+        };
+        self.spans[i] = (a, a + n);
+    }
+
+    /// Appends `row` (of the same width), returning its index.
+    pub fn push(&mut self, row: IRow<'_>) -> usize {
+        self.words.extend_from_slice(row.uncond);
+        let a = self.cond.len() as u32;
+        self.cond.extend_from_slice(row.cond);
+        self.spans.push((a, self.cond.len() as u32));
+        self.spans.len() - 1
+    }
+
+    /// Drops every row, keeping the width and the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.cond.clear();
+        self.spans.clear();
+    }
+}
+
+impl PartialEq for IRows {
+    /// Row-wise: arena slots a row no longer uses do not count.
+    fn eq(&self, other: &IRows) -> bool {
+        self.width == other.width && self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for IRows {}
 
 /// Build telemetry returned by the interned closure engines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -164,8 +245,9 @@ const NONE: u32 = u32::MAX;
 
 /// Reusable dense accumulator for composing one row: `acc[t]` holds the
 /// running annotation id of target `t` (or an internal sentinel), and
-/// `touched` remembers which slots to harvest and reset. Allocate once,
-/// reuse for every row.
+/// `touched` remembers which slots to harvest and reset. The composed
+/// row itself lands in `uncond` and `cond`. Allocate once, reuse for
+/// every row.
 pub struct RowScratch {
     acc: Vec<u32>,
     touched: Vec<u32>,
@@ -175,6 +257,10 @@ pub struct RowScratch {
     /// first `terms` entries are live; their words are zero between rows.
     absorbed: Vec<(TermId, Vec<u64>)>,
     terms: usize,
+    /// The last composed row's `ALWAYS` words.
+    uncond: Vec<u64>,
+    /// The last composed row's conditional entries, sorted by target.
+    cond: Vec<(u32, DnfId)>,
 }
 
 impl RowScratch {
@@ -185,6 +271,8 @@ impl RowScratch {
             touched: Vec::new(),
             absorbed: Vec::new(),
             terms: 0,
+            uncond: vec![0; bound.div_ceil(64)],
+            cond: Vec::new(),
         }
     }
 
@@ -204,16 +292,13 @@ impl RowScratch {
         self.terms - 1
     }
 
-    /// Harvests the accumulated entries (sorted by target) and resets the
-    /// touched slots for reuse.
-    fn harvest(&mut self) -> Vec<(u32, DnfId)> {
+    /// Harvests the accumulated entries into `cond` (sorted by target)
+    /// and resets the touched slots for reuse.
+    fn harvest(&mut self) {
         self.touched.sort_unstable();
-        let cond: Vec<(u32, DnfId)> = self
-            .touched
-            .iter()
-            .map(|&t| (t, DnfId(self.acc[t as usize])))
-            .collect();
+        self.cond.clear();
         for &t in &self.touched {
+            self.cond.push((t, DnfId(self.acc[t as usize])));
             self.acc[t as usize] = NONE;
         }
         self.touched.clear();
@@ -221,7 +306,6 @@ impl RowScratch {
             words.fill(0);
         }
         self.terms = 0;
-        cond
     }
 }
 
@@ -276,7 +360,7 @@ fn build_adj<N, E, G: Ord + Clone + std::hash::Hash>(
                 match guard_of.guard(e, g.edge_weight(e)) {
                     None => edges.push((m.0, DnfPool::<G>::ALWAYS, None)),
                     Some(gv) => {
-                        let t = pool.intern_term(&vec![gv.clone()]);
+                        let t = pool.intern_term(std::slice::from_ref(&gv));
                         let d = pool.of_guard(Some(&gv));
                         edges.push((m.0, d, Some(t)));
                     }
@@ -289,9 +373,9 @@ fn build_adj<N, E, G: Ord + Clone + std::hash::Hash>(
 }
 
 /// Composes one interned row from an adjacency view:
-/// `row(n) = ⋃_{n →g m} ({m: g} ∪ g ⊗ row_of(m))`. Shared with the
-/// minimizer's greedy recomputation, which feeds it a filtered adjacency
-/// and an overlay `row_of`.
+/// `row(n) = ⋃_{n →g m} ({m: g} ∪ g ⊗ row_of(m))`, into `scratch`'s
+/// row buffers. Shared with the minimizer's greedy recomputation, which
+/// feeds it a filtered adjacency and an overlay `row_of`.
 ///
 /// The unconditional part is pure bitset work: `uncond(n)` is the union
 /// of `{m} ∪ uncond(m)` over the unconditional edges. Annotations are
@@ -300,22 +384,25 @@ fn build_adj<N, E, G: Ord + Clone + std::hash::Hash>(
 /// reaches (`compose(ALWAYS, g)` is the edge's own `{{g}}` id).
 ///
 /// `row_of(m)` must already be the finished row of `m`.
-pub fn compose_interned_row<'r, G, F>(
+pub fn compose_interned_row<'s, 'r, G, F>(
     pool: &mut DnfPool<G>,
-    scratch: &mut RowScratch,
+    scratch: &'s mut RowScratch,
     adj: &[AdjEdge],
     row_of: F,
-) -> IRow
+) -> IRow<'s>
 where
     G: Ord + Clone + std::hash::Hash,
-    F: Fn(u32) -> &'r IRow,
+    F: Fn(u32) -> IRow<'r>,
 {
     debug_assert!(scratch.touched.is_empty() && scratch.terms == 0);
-    let mut uncond = BitSet::new(scratch.acc.len());
+    let mut uncond = std::mem::take(&mut scratch.uncond);
+    uncond.fill(0);
     for &(m, _, t) in adj {
         if t.is_none() {
-            uncond.insert(m as usize);
-            uncond.union_with(&row_of(m).uncond);
+            uncond[m as usize / 64] |= 1 << (m % 64);
+            for (a, &b) in uncond.iter_mut().zip(row_of(m).uncond) {
+                *a |= b;
+            }
         }
     }
     for &(m, direct, t) in adj {
@@ -332,11 +419,11 @@ where
             } = scratch;
             let seen = &mut absorbed[k].1;
             let (mw, mb) = (m as usize / 64, 1u64 << (m % 64));
-            if !uncond.contains(m as usize) && seen[mw] & mb == 0 {
+            if uncond[mw] & mb == 0 && seen[mw] & mb == 0 {
                 seen[mw] |= mb;
                 upsert(acc, touched, pool, m, direct);
             }
-            let words = mrow.uncond.words().iter().zip(uncond.words()).zip(seen.iter_mut());
+            let words = mrow.uncond.iter().zip(&uncond).zip(seen.iter_mut());
             for (wi, ((&a, &b), c)) in words.enumerate() {
                 let mut w = a & !b & !*c;
                 *c |= w;
@@ -347,8 +434,8 @@ where
                 }
             }
         }
-        for &(tt, did) in &mrow.cond {
-            if !uncond.contains(tt as usize) {
+        for &(tt, did) in mrow.cond {
+            if uncond[tt as usize / 64] & (1 << (tt % 64)) == 0 {
                 let composed = match t {
                     None => did,
                     Some(t) => pool.compose_term(did, t),
@@ -357,8 +444,12 @@ where
             }
         }
     }
-    let cond = scratch.harvest();
-    IRow::from_harvest(uncond, cond)
+    scratch.uncond = uncond;
+    scratch.harvest();
+    IRow {
+        uncond: &scratch.uncond,
+        cond: &scratch.cond,
+    }
 }
 
 /// Computes the condition-annotated closure of a **DAG** directly in
@@ -371,7 +462,7 @@ pub fn interned_closure<N, E, G>(
     g: &DiGraph<N, E>,
     guard_of: &impl GuardFn<E, G>,
     pool: &mut DnfPool<G>,
-) -> Result<(Vec<IRow>, ClosureStats), CycleError>
+) -> Result<(IRows, ClosureStats), CycleError>
 where
     G: Ord + Clone + std::hash::Hash,
 {
@@ -388,7 +479,7 @@ pub fn interned_closure_ordered<N, E, G>(
     order: &[NodeId],
     guard_of: &impl GuardFn<E, G>,
     pool: &mut DnfPool<G>,
-) -> (Vec<IRow>, ClosureStats)
+) -> (IRows, ClosureStats)
 where
     G: Ord + Clone + std::hash::Hash,
 {
@@ -398,10 +489,11 @@ where
     let misses_before = pool.ops_misses();
     let adj = build_adj(g, guard_of, pool);
 
-    // Longest-path-to-sink levels: successors always sit on strictly
-    // smaller levels, so a level only reads finished rows.
-    let mut level = vec![0usize; bound];
-    let mut max_level = 0usize;
+    // Longest-path-to-sink levels (`NONE` on tombstones): successors
+    // always sit on strictly smaller levels, so a level only reads
+    // finished rows.
+    let mut level = vec![NONE; bound];
+    let mut max_level = 0;
     for &n in order.iter().rev() {
         let l = adj
             .of(n.index())
@@ -412,40 +504,45 @@ where
         level[n.index()] = l;
         max_level = max_level.max(l);
     }
-    let mut levels: Vec<Vec<u32>> = vec![Vec::new(); max_level + 1];
-    for &n in order {
-        levels[level[n.index()]].push(n.0);
+    // The sweep order, bucketed by level with a counting sort: level `l`
+    // is `sweep[start[l]..start[l + 1]]`, in ascending node index.
+    let mut start = vec![0u32; max_level as usize + 2];
+    for &l in level.iter().filter(|&&l| l != NONE) {
+        start[l as usize + 1] += 1;
     }
-    for nodes in &mut levels {
-        nodes.sort_unstable();
+    for l in 1..start.len() {
+        start[l] += start[l - 1];
     }
+    let mut fill = start.clone();
+    let mut sweep = vec![0u32; order.len()];
+    for (n, &l) in level.iter().enumerate().filter(|(_, &l)| l != NONE) {
+        sweep[fill[l as usize] as usize] = n as u32;
+        fill[l as usize] += 1;
+    }
+    let levels = start.windows(2).map(|w| &sweep[w[0] as usize..w[1] as usize]);
 
-    // Unset until composed; only tombstone slots stay unset.
-    let mut rows: Vec<Option<IRow>> = vec![None; bound];
+    // Empty until composed; only tombstone slots stay empty.
+    let mut rows = IRows::new(bound, bound);
     let mut scratch = RowScratch::new(bound);
-    for (li, nodes) in levels.iter().enumerate() {
+    for (li, nodes) in levels.enumerate() {
         let _span = obs::span_with("closure.level", || {
             format!("level={li} nodes={}", nodes.len())
         });
         for &n in nodes {
             let row = compose_interned_row(pool, &mut scratch, adj.of(n as usize), |m| {
-                rows[m as usize].as_ref().expect("successor rows sit on lower levels")
+                rows.row(m as usize)
             });
-            rows[n as usize] = Some(row);
+            rows.set(n as usize, row);
         }
     }
 
     let stats = ClosureStats {
         rows: order.len(),
-        levels: levels.len(),
+        levels: max_level as usize + 1,
         minted: pool.dnf_count() - dnfs_before,
         pool_hits: pool.ops_hits() - hits_before,
         pool_misses: pool.ops_misses() - misses_before,
     };
-    let rows = rows
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|| IRow::empty(bound)))
-        .collect();
     (rows, stats)
 }
 
@@ -483,7 +580,8 @@ mod tests {
         for (ni, srow) in structural.rows().iter().enumerate() {
             let expect: Vec<(u32, Dnf<G>)> =
                 srow.iter().map(|(t, d)| (t.0, d.clone())).collect();
-            let got: Vec<(u32, Dnf<G>)> = rows[ni]
+            let got: Vec<(u32, Dnf<G>)> = rows
+                .row(ni)
                 .iter()
                 .map(|(t, d)| (t, pool.dnf(d).clone()))
                 .collect();

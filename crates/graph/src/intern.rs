@@ -99,13 +99,13 @@ impl<G: Ord + Clone + std::hash::Hash> DnfPool<G> {
 
     /// Interns one guard-set. The slice must already be in the canonical
     /// sorted/deduplicated form [`Dnf`] maintains.
-    pub fn intern_term(&mut self, gs: &GuardSet<G>) -> TermId {
+    pub fn intern_term(&mut self, gs: &[G]) -> TermId {
         if let Some(&id) = self.term_ids.get(gs) {
             return id;
         }
         let id = TermId(self.terms.len() as u32);
-        self.terms.push(gs.clone());
-        self.term_ids.insert(gs.clone(), id);
+        self.terms.push(gs.to_vec());
+        self.term_ids.insert(gs.to_vec(), id);
         id
     }
 
@@ -159,7 +159,7 @@ impl<G: Ord + Clone + std::hash::Hash> DnfPool<G> {
         match g {
             None => Self::ALWAYS,
             Some(g) => {
-                let t = self.intern_term(&vec![g.clone()]);
+                let t = self.intern_term(std::slice::from_ref(g));
                 if let Some(&id) = self.guard_dnf_memo.get(&t) {
                     return id;
                 }
@@ -231,7 +231,7 @@ impl<G: Ord + Clone + std::hash::Hash> DnfPool<G> {
         if a == Self::EMPTY {
             return Self::EMPTY;
         }
-        let t = self.intern_term(&vec![g.clone()]);
+        let t = self.intern_term(std::slice::from_ref(g));
         self.compose_term(a, t)
     }
 

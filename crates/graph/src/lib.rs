@@ -51,7 +51,7 @@ pub use annotated::{annotated_closure, AnnotatedClosure, Dnf, GuardSet, Row};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use iclosure::{
     compose_interned_row, interned_closure, interned_closure_ordered, AdjEdge, ClosureStats, IRow,
-    RowScratch,
+    IRows, RowScratch,
 };
 pub use intern::{DnfId, DnfPool, TermId};
 pub use lru::LruCache;

@@ -7,7 +7,7 @@
 use dscweaver_graph::annotated::Dnf;
 use dscweaver_graph::{
     annotated_closure, interned_closure, transitive_closure, AnnotatedClosure, DiGraph, DnfId,
-    DnfPool, IRow, NodeId,
+    DnfPool, IRows, NodeId,
 };
 use dscweaver_prng::Rng;
 
@@ -108,11 +108,12 @@ fn dag_shapes(seed: u64) -> Vec<(&'static str, G)> {
 
 /// Asserts the interned rows, resolved back to structural DNFs, match the
 /// reference closure entry-for-entry on every live node.
-fn assert_rows_match(g: &G, rows: &[IRow], pool: &DnfPool<u8>, ann: &AnnotatedClosure<u8>, ctx: &str) {
+fn assert_rows_match(g: &G, rows: &IRows, pool: &DnfPool<u8>, ann: &AnnotatedClosure<u8>, ctx: &str) {
     for n in g.node_ids() {
         let want: Vec<(usize, Dnf<u8>)> =
             ann.row(n).iter().map(|(t, d)| (t.index(), d.clone())).collect();
-        let got: Vec<(usize, Dnf<u8>)> = rows[n.index()]
+        let got: Vec<(usize, Dnf<u8>)> = rows
+            .row(n.index())
             .iter()
             .map(|(t, id)| (t as usize, pool.dnf(id).clone()))
             .collect();
@@ -162,8 +163,9 @@ fn cyclic_inputs_are_refused_by_every_closure_builder() {
 }
 
 /// The row invariant: a target's `uncond` bit is set iff its structural
-/// annotation is `ALWAYS`, `cond` never holds the `ALWAYS` or `EMPTY` id,
-/// and `reach` is exactly `uncond` plus the `cond` targets.
+/// annotation is `ALWAYS`, `cond` never holds the `ALWAYS` or `EMPTY` id
+/// nor an `uncond` target, and `reaches` answers exactly the structural
+/// row's targets.
 #[test]
 fn rows_keep_always_as_bits_and_only_conditional_ids_interned() {
     for seed in [5u64, 31, 0xA11] {
@@ -173,21 +175,17 @@ fn rows_keep_always_as_bits_and_only_conditional_ids_interned() {
             let mut pool: DnfPool<u8> = DnfPool::new();
             let (rows, _) = interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool).unwrap();
             for n in g.node_ids() {
-                let row = &rows[n.index()];
+                let row = rows.row(n.index());
                 for t in g.node_ids() {
-                    let always = ann.row(n).get(t).is_some_and(Dnf::is_always);
-                    let bit = row.uncond().contains(t.index());
-                    assert_eq!(bit, always, "{ctx}: {n:?} → {t:?}");
+                    let want = ann.row(n).get(t);
+                    let always = want.is_some_and(Dnf::is_always);
+                    assert_eq!(row.is_always(t.index()), always, "{ctx}: {n:?} → {t:?}");
+                    assert_eq!(row.reaches(t.index()), want.is_some(), "{ctx}: {n:?} → {t:?}");
                 }
-                for &(_, id) in row.cond() {
+                for &(t, id) in row.cond() {
                     assert!(id != DnfId::ALWAYS && id != DnfId::EMPTY, "{ctx}: {n:?}");
+                    assert!(!row.is_always(t as usize), "{ctx}: {n:?} lists {t} twice");
                 }
-                let mut reach = row.uncond().clone();
-                for &(t, _) in row.cond() {
-                    assert!(!row.uncond().contains(t as usize), "{ctx}: {n:?} lists {t} twice");
-                    reach.insert(t as usize);
-                }
-                assert_eq!(&reach, row.reach(), "{ctx}: {n:?}");
             }
         }
     }

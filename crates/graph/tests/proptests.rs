@@ -3,7 +3,8 @@
 
 use dscweaver_graph::annotated::Dnf;
 use dscweaver_graph::{
-    annotated_closure, max_antichain, topo_sort, transitive_closure, DiGraph, DnfPool, NodeId,
+    annotated_closure, max_antichain, topo_sort, transitive_closure, DiGraph, DnfPool, EdgeId,
+    NodeId,
 };
 use dscweaver_prng::Rng;
 
@@ -258,5 +259,194 @@ fn dnf_antichain_invariant() {
                 }
             }
         }
+    }
+}
+
+/// An independent adjacency-list model of [`DiGraph`]: per live node its
+/// weight and out/in edge lists in insertion order, per live edge its
+/// endpoints and weight.
+#[derive(Default)]
+struct Model {
+    nodes: Vec<Option<u32>>,
+    out: Vec<Vec<EdgeId>>,
+    inc: Vec<Vec<EdgeId>>,
+    edges: Vec<Option<(NodeId, NodeId, u32)>>,
+}
+
+impl Model {
+    fn add_node(&mut self, w: u32) -> NodeId {
+        self.nodes.push(Some(w));
+        self.out.push(Vec::new());
+        self.inc.push(Vec::new());
+        NodeId(self.nodes.len() as u32 - 1)
+    }
+
+    fn add_edge(&mut self, a: NodeId, b: NodeId, w: u32) -> EdgeId {
+        let e = EdgeId(self.edges.len() as u32);
+        self.edges.push(Some((a, b, w)));
+        self.out[a.index()].push(e);
+        self.inc[b.index()].push(e);
+        e
+    }
+
+    fn remove_edge(&mut self, e: EdgeId) -> u32 {
+        let (a, b, w) = self.edges[e.index()].take().unwrap();
+        self.out[a.index()].retain(|&x| x != e);
+        self.inc[b.index()].retain(|&x| x != e);
+        w
+    }
+
+    fn remove_node(&mut self, n: NodeId) -> u32 {
+        let incident: Vec<EdgeId> =
+            self.out[n.index()].iter().chain(&self.inc[n.index()]).copied().collect();
+        for e in incident {
+            if self.edges[e.index()].is_some() {
+                self.remove_edge(e);
+            }
+        }
+        self.nodes[n.index()].take().unwrap()
+    }
+
+    fn live_nodes(&self) -> Vec<NodeId> {
+        (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].is_some())
+            .map(|i| NodeId(i as u32))
+            .collect()
+    }
+
+    fn live_edges(&self) -> Vec<EdgeId> {
+        (0..self.edges.len())
+            .filter(|&i| self.edges[i].is_some())
+            .map(|i| EdgeId(i as u32))
+            .collect()
+    }
+
+    /// The tombstone-free copy `DiGraph::compact` promises: live nodes
+    /// renumbered in id order, live edges re-added in id order.
+    fn compact(&self) -> Model {
+        let mut m = Model::default();
+        let mut map = vec![None; self.nodes.len()];
+        for n in self.live_nodes() {
+            map[n.index()] = Some(m.add_node(self.nodes[n.index()].unwrap()));
+        }
+        for e in self.live_edges() {
+            let (a, b, w) = self.edges[e.index()].unwrap();
+            m.add_edge(map[a.index()].unwrap(), map[b.index()].unwrap(), w);
+        }
+        m
+    }
+}
+
+/// Asserts `g` and `m` agree on every query of the public API.
+fn assert_graph_matches(g: &DiGraph<u32, u32>, m: &Model, ctx: &str) {
+    let live = m.live_nodes();
+    assert_eq!(g.node_bound(), m.nodes.len(), "{ctx}");
+    assert_eq!(g.edge_bound(), m.edges.len(), "{ctx}");
+    assert_eq!(g.node_count(), live.len(), "{ctx}");
+    assert_eq!(g.edge_count(), m.live_edges().len(), "{ctx}");
+    assert_eq!(g.node_ids().collect::<Vec<_>>(), live, "{ctx}");
+    assert_eq!(g.edge_ids().collect::<Vec<_>>(), m.live_edges(), "{ctx}");
+    let edges: Vec<(EdgeId, NodeId, NodeId, u32)> =
+        g.edges().map(|(e, a, b, &w)| (e, a, b, w)).collect();
+    let want: Vec<(EdgeId, NodeId, NodeId, u32)> = m
+        .live_edges()
+        .into_iter()
+        .map(|e| {
+            let (a, b, w) = m.edges[e.index()].unwrap();
+            (e, a, b, w)
+        })
+        .collect();
+    assert_eq!(edges, want, "{ctx}");
+    for i in 0..m.nodes.len() {
+        assert_eq!(g.contains_node(NodeId(i as u32)), m.nodes[i].is_some(), "{ctx}");
+    }
+    for &n in &live {
+        let (out, inc) = (&m.out[n.index()], &m.inc[n.index()]);
+        assert_eq!(*g.weight(n), m.nodes[n.index()].unwrap(), "{ctx}: {n:?}");
+        assert_eq!(&g.out_edges(n).collect::<Vec<_>>(), out, "{ctx}: out {n:?}");
+        assert_eq!(&g.in_edges(n).collect::<Vec<_>>(), inc, "{ctx}: in {n:?}");
+        let succ: Vec<NodeId> = out.iter().map(|e| m.edges[e.index()].unwrap().1).collect();
+        let pred: Vec<NodeId> = inc.iter().map(|e| m.edges[e.index()].unwrap().0).collect();
+        assert_eq!(g.successors(n).collect::<Vec<_>>(), succ, "{ctx}: {n:?}");
+        assert_eq!(g.predecessors(n).collect::<Vec<_>>(), pred, "{ctx}: {n:?}");
+        assert_eq!(g.out_degree(n), out.len(), "{ctx}: {n:?}");
+        assert_eq!(g.in_degree(n), inc.len(), "{ctx}: {n:?}");
+        for &t in &live {
+            let first = out.iter().copied().find(|e| m.edges[e.index()].unwrap().1 == t);
+            assert_eq!(g.find_edge(n, t), first, "{ctx}: {n:?} -> {t:?}");
+            assert_eq!(g.has_edge(n, t), first.is_some(), "{ctx}: {n:?} -> {t:?}");
+        }
+    }
+    for e in m.live_edges() {
+        let (a, b, w) = m.edges[e.index()].unwrap();
+        assert_eq!(g.endpoints(e), (a, b), "{ctx}: {e:?}");
+        assert_eq!(*g.edge_weight(e), w, "{ctx}: {e:?}");
+    }
+}
+
+/// Random sequences of node/edge insertions (parallel edges and
+/// self-loops included) and removals keep `DiGraph` equal to the
+/// adjacency-list model after every step, and its `compact` and `map`
+/// copies equal the model's.
+#[test]
+fn digraph_matches_adjacency_list_model() {
+    let mut rng = Rng::seed_from_u64(0xD16A);
+    for case in 0..96 {
+        let mut g: DiGraph<u32, u32> = DiGraph::new();
+        let mut m = Model::default();
+        let mut weight = 0u32;
+        for step in 0..rng.random_range(120) {
+            weight += 1;
+            let ctx = format!("case {case} step {step}");
+            let live = m.live_nodes();
+            let edges = m.live_edges();
+            match rng.random_range(10) {
+                0..=1 => assert_eq!(g.add_node(weight), m.add_node(weight), "{ctx}"),
+                2..=5 if !live.is_empty() => {
+                    let a = *rng.choose(&live).unwrap();
+                    let b = match rng.random_range(4) {
+                        // A self-loop, or a parallel copy of an out-edge.
+                        0 => a,
+                        1 => m.out[a.index()]
+                            .first()
+                            .map_or(a, |e| m.edges[e.index()].unwrap().1),
+                        _ => *rng.choose(&live).unwrap(),
+                    };
+                    assert_eq!(g.add_edge(a, b, weight), m.add_edge(a, b, weight), "{ctx}");
+                }
+                6..=7 if !edges.is_empty() => {
+                    let e = *rng.choose(&edges).unwrap();
+                    assert_eq!(g.remove_edge(e), m.remove_edge(e), "{ctx}");
+                }
+                8 if !live.is_empty() => {
+                    let n = *rng.choose(&live).unwrap();
+                    assert_eq!(g.remove_node(n), m.remove_node(n), "{ctx}");
+                }
+                _ => {}
+            }
+            assert_graph_matches(&g, &m, &ctx);
+        }
+        let ctx = format!("case {case}");
+        let (c, map) = g.compact();
+        assert_graph_matches(&c, &m.compact(), &format!("{ctx}: compact"));
+        let mut next = 0u32;
+        for (i, slot) in m.nodes.iter().enumerate() {
+            let want = slot.map(|_| {
+                next += 1;
+                NodeId(next - 1)
+            });
+            assert_eq!(map[i], want, "{ctx}: compact map");
+        }
+        let mapped = g.map(
+            |n, &w| {
+                assert_eq!(m.nodes[n.index()], Some(w), "{ctx}: map node");
+                w
+            },
+            |e, &w| {
+                assert_eq!(m.edges[e.index()].unwrap().2, w, "{ctx}: map edge");
+                w
+            },
+        );
+        assert_graph_matches(&mapped, &m, &format!("{ctx}: map"));
     }
 }

@@ -269,12 +269,6 @@ impl Net {
         out
     }
 
-    /// True if any mode of `t` is enabled.
-    pub fn is_enabled(&self, marking: &Marking, t: TransitionId) -> bool {
-        (0..self.transitions[t.0 as usize].modes.len())
-            .any(|m| !self.enabled_bindings(marking, t, m).is_empty())
-    }
-
     /// Fires `t` in `mode_idx` with the given binding, returning the new
     /// marking. The binding must come from [`Net::enabled_bindings`].
     pub fn fire(
@@ -337,6 +331,12 @@ pub(crate) fn render_marking(m: &Marking, name: impl Fn(PlaceId) -> String) -> S
 mod tests {
     use super::*;
 
+    /// True if some mode of `t` has a binding under `marking`.
+    fn enabled(net: &Net, marking: &Marking, t: TransitionId) -> bool {
+        (0..net.transitions[t.0 as usize].modes.len())
+            .any(|m| !net.enabled_bindings(marking, t, m).is_empty())
+    }
+
     /// p1 --t--> p2 with unit tokens.
     fn simple() -> (Net, PlaceId, PlaceId, TransitionId) {
         let mut net = Net::default();
@@ -363,13 +363,13 @@ mod tests {
     #[test]
     fn fire_moves_token() {
         let (net, p1, p2, t) = simple();
-        assert!(net.is_enabled(&net.initial, t));
+        assert!(enabled(&net, &net.initial, t));
         let bindings = net.enabled_bindings(&net.initial, t, 0);
         assert_eq!(bindings.len(), 1);
         let m2 = net.fire(&net.initial, t, 0, &bindings[0]);
         assert_eq!(m2.total(p1), 0);
         assert_eq!(m2.total(p2), 1);
-        assert!(!net.is_enabled(&m2, t));
+        assert!(!enabled(&net, &m2, t));
     }
 
     #[test]
@@ -392,9 +392,9 @@ mod tests {
             }],
         );
         net.initial.add(p, Color::of("F"));
-        assert!(!net.is_enabled(&net.initial, t));
+        assert!(!enabled(&net, &net.initial, t));
         net.initial.add(p, Color::of("T"));
-        assert!(net.is_enabled(&net.initial, t));
+        assert!(enabled(&net, &net.initial, t));
         let b = net.enabled_bindings(&net.initial, t, 0);
         assert_eq!(b, vec![vec![Color::of("T")]]);
     }
@@ -425,9 +425,9 @@ mod tests {
             }],
         );
         net.initial.add(p, Color::unit());
-        assert!(!net.is_enabled(&net.initial, t), "one token, two arcs");
+        assert!(!enabled(&net, &net.initial, t), "one token, two arcs");
         net.initial.add(p, Color::unit());
-        assert!(net.is_enabled(&net.initial, t));
+        assert!(enabled(&net, &net.initial, t));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! validated and scheduled through the compiled engines, then re-woven
 //! after one level-stable edit.
 
+use dscweaver::core::minimize::{minimize, EdgeOrder, EquivalenceMode};
 use dscweaver::core::{DependencySet, ExecConditions, WeaveSession, Weaver};
 use dscweaver::dscl::{Name, Relation};
 use dscweaver::petri::{CompiledValidation, ValidateOptions};
@@ -109,16 +110,26 @@ fn job(ds: &DependencySet, edited: &DependencySet) {
 }
 
 /// `Weaver::run` on the n = 403 process: 18,521 allocations before the
-/// weave shared its names, 8,269 after.
-const WEAVE_CEILING: u64 = 9_096;
+/// weave shared its names, 8,269 after, 7,578 once execution conditions
+/// stopped cloning, 1,632 once graphs, closure rows and the closure
+/// sweep's levels were stored flat.
+const WEAVE_CEILING: u64 = 1_795;
+
+/// The public `minimize` on the woven n = 403 ASC (numbering and
+/// execution-condition ids included): 6,569 allocations while every
+/// graph node held two edge lists and every closure row its own bitsets,
+/// 623 after.
+const MINIMIZE_CEILING: u64 = 685;
 
 /// `ExecConditions::derive` on the merged n = 403 set: 1,454 allocations
 /// while the derivation cloned a DNF per memo hit and per stored result,
 /// 763 after.
 const EXEC_CEILING: u64 = 839;
 
-/// The whole job: 38,802 allocations before, 16,722 after.
-const JOB_CEILING: u64 = 18_394;
+/// The whole job: 38,802 allocations before the names were shared,
+/// 16,722 after, 15,340 with execution conditions uncloned, 3,502 with
+/// flat graphs and closure rows.
+const JOB_CEILING: u64 = 3_852;
 
 #[test]
 fn weave_stays_under_its_allocation_ceiling() {
@@ -144,6 +155,29 @@ fn exec_derive_stays_under_its_allocation_ceiling() {
     assert!(
         n <= EXEC_CEILING,
         "ExecConditions::derive made {n} allocations (ceiling {EXEC_CEILING})"
+    );
+}
+
+#[test]
+fn minimize_stays_under_its_allocation_ceiling() {
+    let out = weaver().run(&process(31)).expect("weaves");
+    let run = || {
+        minimize(
+            &out.asc,
+            &out.exec,
+            EquivalenceMode::ExecutionAware,
+            &EdgeOrder::default(),
+        )
+        .expect("minimizes")
+    };
+    drop(run());
+    let (min, n) = count(run);
+    assert_eq!(min.kept(), out.minimal.constraint_count());
+    drop(min);
+    eprintln!("minimize allocations: {n}");
+    assert!(
+        n <= MINIMIZE_CEILING,
+        "minimize made {n} allocations (ceiling {MINIMIZE_CEILING})"
     );
 }
 
