@@ -5,6 +5,7 @@
 use dscweaver_core::{EdgeOrder, EquivalenceMode, Weaver};
 use dscweaver_dscl::SyncGraph;
 use dscweaver_model::{parse_process, render_constructs, render_flowchart};
+use dscweaver_petri::ValidateOptions;
 use dscweaver_scheduler::{simulate, structural_constraints, DurationModel, SimConfig};
 use dscweaver_workloads::{
     fork_join, layered, purchasing_dependencies, purchasing_process, service_mesh,
@@ -224,33 +225,6 @@ pub fn ext_b() -> String {
             }
         }
     }
-
-    // Fast path vs generic greedy on an unconditional workload.
-    out.push_str("\nUnconditional fast path (transitive reduction) vs generic greedy:\n");
-    let ds = fork_join(8, 8, 60, 17);
-    let sc = dscweaver_core::merge(&ds);
-    let exec = dscweaver_core::ExecConditions::derive(&sc);
-    let (asc, _) = dscweaver_core::translate_services(&sc);
-    let t0 = Instant::now();
-    let fast = dscweaver_core::minimize_unconditional_fast(&asc, &EdgeOrder::default()).unwrap();
-    let fast_us = t0.elapsed().as_secs_f64() * 1e6;
-    let t0 = Instant::now();
-    let generic = dscweaver_core::minimize_generic(
-        &asc,
-        &exec,
-        EquivalenceMode::Strict,
-        &EdgeOrder::default(),
-    )
-    .unwrap();
-    let generic_us = t0.elapsed().as_secs_f64() * 1e6;
-    assert_eq!(fast.kept(), generic.kept(), "fast path parity");
-    out.push_str(&format!(
-        "  fork-join 8x8 +60 redundant ({} deps): fast {:.0}us, generic {:.0}us ({:.1}x)\n",
-        asc.constraint_count(),
-        fast_us,
-        generic_us,
-        generic_us / fast_us.max(1.0)
-    ));
     out
 }
 
@@ -281,7 +255,7 @@ pub fn ext_c() -> String {
     for (name, ds) in &cases {
         let res = Weaver::new().run(ds).expect("sound");
         let t0 = Instant::now();
-        let report = dscweaver_petri::validate_default(&res.minimal, &res.exec);
+        let report = dscweaver_petri::validate(&res.minimal, &res.exec, &ValidateOptions::default());
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         out.push_str(&format!(
             "{:<22}{:>8}{:>12}{:>10}{:>10}{:>12.1}\n",

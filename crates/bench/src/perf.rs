@@ -1,7 +1,7 @@
 //! Minimizer timing: shared case definitions and the machine-readable
 //! `BENCH_minimize.json` artifact written by `repro bench-json`.
 //!
-//! Each case times [`dscweaver_core::minimize_generic_with`] (interned
+//! Each case times [`dscweaver_core::minimize_with`] (interned
 //! annotations, bitset prefilters — this repo's optimized engine) after
 //! checking once that its minimal set equals the one
 //! [`dscweaver_core::minimize_generic_baseline`] (the structural
@@ -9,7 +9,7 @@
 
 use crate::harness::{black_box, median, percentiles_ms, phases_json, sample, BenchOpts};
 use dscweaver_core::{
-    merge, minimize_generic_baseline, minimize_generic_with, translate_services, EdgeOrder,
+    merge, minimize_generic_baseline, minimize_with, translate_services, EdgeOrder,
     EquivalenceMode, ExecConditions, MinimizeOptions,
 };
 use dscweaver_dscl::sync_graph::SyncGraph;
@@ -201,8 +201,7 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         // not timed (one sample takes ~90 s at n=2003).
         let res_base =
             minimize_generic_baseline(&asc, &exec, case.mode, &case.order).expect("acyclic");
-        let res_new =
-            minimize_generic_with(&asc, &exec, case.mode, &case.order, &opts).expect("acyclic");
+        let res_new = minimize_with(&asc, &exec, case.mode, &case.order, &opts).expect("acyclic");
         let kept = |r: &dscweaver_core::MinimizeResult| {
             let mut v: Vec<String> = r.minimal.happen_befores().map(|x| x.to_string()).collect();
             v.sort();
@@ -216,9 +215,7 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         );
 
         let seq_samples = sample(samples, || {
-            black_box(
-                minimize_generic_with(&asc, &exec, case.mode, &case.order, &opts).unwrap(),
-            )
+            black_box(minimize_with(&asc, &exec, case.mode, &case.order, &opts).unwrap())
         });
         let t_seq = median(&seq_samples);
         let (p50_ms, p99_ms) = percentiles_ms(&seq_samples);
@@ -226,7 +223,7 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
         // One traced run outside the timed samples backs the closure
         // time, the per-case phase breakdown and the suite trace.
         let (_, case_trace) = obs::record_with(|| {
-            black_box(minimize_generic_with(&asc, &exec, case.mode, &case.order, &opts).unwrap())
+            black_box(minimize_with(&asc, &exec, case.mode, &case.order, &opts).unwrap())
         });
         let closure_seq_ms = phase_ms(&case_trace, "minimize.closure");
         let greedy_ms = phase_ms(&case_trace, "minimize.greedy");
@@ -278,7 +275,7 @@ pub fn bench_minimize_json(opts: &BenchOpts) -> (String, obs::TraceSnapshot) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"artifact\": \"BENCH_minimize\",\n");
-    out.push_str("  \"description\": \"minimize_generic (interned + bitset-prefiltered, one thread) per case, with its minimal set verified equal to the structural baseline's before timing; closure_seq_ms and greedy_ms are the traced closure build and greedy loop, unattributed_ms is minimize.generic minus its four phases (prepare, closure, greedy, output), and closure_floor_ms is plain bitset reachability of the same graph\",\n");
+    out.push_str("  \"description\": \"minimize_with (interned + bitset-prefiltered, one thread) per case, with its minimal set verified equal to the structural baseline's before timing; closure_seq_ms and greedy_ms are the traced closure build and greedy loop, unattributed_ms is minimize.generic minus its four phases (prepare, closure, greedy, output), and closure_floor_ms is plain bitset reachability of the same graph\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str("  \"cases\": [\n");

@@ -24,9 +24,8 @@ pub use diff::{diff_constraint_sets, diff_outputs, ConstraintDiff};
 pub use exec::ExecConditions;
 pub use merge::{lower, merge};
 pub use minimize::{
-    minimize, minimize_generic, minimize_generic_baseline, minimize_generic_with,
-    minimize_unconditional_fast, minimize_with, EdgeOrder, EquivalenceMode, MinimizeError,
-    MinimizeOptions, MinimizeResult, MinimizeStats,
+    minimize, minimize_generic_baseline, minimize_with, EdgeOrder, EquivalenceMode,
+    MinimizeError, MinimizeOptions, MinimizeResult, MinimizeStats,
 };
 pub use pipeline::{Weaver, WeaverError, WeaverOutput};
 pub use reweave::{ReweavePath, ReweaveReport, WeaveSession};

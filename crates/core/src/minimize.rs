@@ -37,7 +37,7 @@
 //!
 //! ## Implementation
 //!
-//! [`minimize_generic_with`] is an optimized engine built on two ideas:
+//! [`minimize_with`] runs one engine on every set, built on two ideas:
 //!
 //! 1. **Bitset rows, interned annotations** — a closure row
 //!    ([`IRow`](dscweaver_graph::IRow)) keeps its `ALWAYS` targets as an
@@ -53,8 +53,8 @@
 //!    touching annotations; a candidate with a same-guard (or unguarded)
 //!    alternate that reaches its head unconditionally is accepted
 //!    likewise. On fully unconditional inputs every candidate is decided
-//!    here, so the generic engine matches [`minimize_unconditional_fast`]
-//!    within a small constant.
+//!    here, so such a set costs one reachability closure and one bitset
+//!    probe per candidate.
 //!
 //! Candidates the prefilters leave undecided recompose their tail row
 //! and, only if that row weakened, every live ancestor's row, in
@@ -85,7 +85,7 @@
 //! ```
 
 use crate::exec::{dnf_and, implies_ids, implies_under, ExecConditions};
-use crate::number::{Guard, IdGraph, Kind, Numbering};
+use crate::number::{Guard, IdGraph, Numbering};
 use dscweaver_dscl::sync_graph::{SyncGraph, SyncNode};
 use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, SyncEdge};
 use dscweaver_graph::annotated::{Dnf, Row};
@@ -93,7 +93,7 @@ use dscweaver_graph::iclosure::{
     compose_interned_row, interned_closure_ordered, AdjEdge, IRows, RowScratch,
 };
 use dscweaver_graph::{
-    find_cycle, topo_sort, DiGraph, DnfId, DnfPool, EdgeId, FxHashMap, LruCache, NodeId, TermId,
+    find_cycle, topo_sort, DiGraph, DnfId, DnfPool, EdgeId, LruCache, NodeId, TermId,
 };
 use dscweaver_obs as obs;
 use std::collections::HashSet;
@@ -150,36 +150,22 @@ impl Default for EdgeOrder {
     }
 }
 
-/// Tuning knobs for the optimized minimizer.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// Options of [`minimize_with`].
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MinimizeOptions {
     /// Ignored: the minimizer runs on one thread. Kept only so existing
     /// struct literals that set it still compile.
     pub threads: usize,
-    /// Capacity of the `implies` memo: at most this many verdicts stay
-    /// cached, with least-recently-used eviction past the bound
-    /// ([`dscweaver_graph::LruCache`]). Verdicts are pure, so the result
-    /// is identical for any limit; the bound only caps memory on
-    /// adversarial inputs whose branch combinations mint exponentially
-    /// many distinct annotations, and eviction degrades the hit rate
-    /// gracefully instead of cutting caching off entirely. `0` means
-    /// unbounded.
-    pub pool_cache_limit: usize,
 }
 
-impl Default for MinimizeOptions {
-    fn default() -> Self {
-        MinimizeOptions {
-            threads: 0,
-            pool_cache_limit: DEFAULT_POOL_CACHE_LIMIT,
-        }
-    }
-}
-
-/// Default [`MinimizeOptions::pool_cache_limit`]: ~1M memoized verdicts.
-/// Far beyond anything the paper-scale workloads produce, so eviction is
-/// effectively off unless a caller dials it down.
-pub const DEFAULT_POOL_CACHE_LIMIT: usize = 1 << 20;
+/// Capacity of the `implies` memo: at most this many verdicts (~1M) stay
+/// cached, with least-recently-used eviction past the bound
+/// ([`LruCache`]). Verdicts are pure, so the result is identical for any
+/// bound; it only caps memory on adversarial inputs whose branch
+/// combinations mint exponentially many distinct annotations, and
+/// eviction degrades the hit rate instead of cutting caching off. Far
+/// beyond anything the paper-scale workloads produce.
+const IMPLIES_MEMO_LIMIT: usize = 1 << 20;
 
 /// Why minimization refused to run.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -205,9 +191,9 @@ impl std::fmt::Display for MinimizeError {
 
 impl std::error::Error for MinimizeError {}
 
-/// Interning and memo-cache counters from one optimized-engine run.
-/// All-zero for the baseline and unconditional fast paths, which use
-/// neither a pool nor an `implies` cache.
+/// Interning and memo-cache counters from one engine run. All-zero for
+/// [`minimize_generic_baseline`], which uses neither a pool nor an
+/// `implies` cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MinimizeStats {
     /// Distinct DNFs interned in the [`DnfPool`] at the end of the run.
@@ -219,7 +205,7 @@ pub struct MinimizeStats {
     /// `implies` queries computed structurally and then memoized.
     pub implies_cache_misses: u64,
     /// Memoized verdicts evicted (least-recently-used first) because the
-    /// memo reached [`MinimizeOptions::pool_cache_limit`].
+    /// memo reached its bound of 2^20 verdicts.
     pub implies_evictions: u64,
 }
 
@@ -245,7 +231,7 @@ pub struct MinimizeResult {
     pub removed: Vec<Relation>,
     /// How many removal candidates were examined.
     pub candidates_checked: usize,
-    /// Interning/memoization telemetry (optimized engine only).
+    /// Interning/memoization telemetry (zero from the baseline).
     pub stats: MinimizeStats,
 }
 
@@ -270,28 +256,26 @@ pub fn minimize(
     minimize_with(cs, exec, mode, order, &MinimizeOptions::default())
 }
 
-/// [`minimize`] with explicit [`MinimizeOptions`].
+/// [`minimize`] with explicit [`MinimizeOptions`]. Produces edge for
+/// edge the same minimal set as [`minimize_generic_baseline`].
+///
+/// The set is numbered on entry (activities, state nodes, guards and
+/// values become `u32` ids; ARCHITECTURE.md has the scheme) and the
+/// engine runs on the ids; strings are touched again only to build the
+/// minimal set and the removed list.
 pub fn minimize_with(
     cs: &ConstraintSet,
     exec: &ExecConditions,
     mode: EquivalenceMode,
     order: &EdgeOrder,
-    opts: &MinimizeOptions,
+    _opts: &MinimizeOptions,
 ) -> Result<MinimizeResult, MinimizeError> {
     let _span = obs::span("minimize");
-    // Fast path: with no conditional constraints, annotated closures
-    // degenerate to plain reachability in every mode, and the minimal set
-    // is the (unique) transitive reduction of the constraint DAG — no DNF
-    // machinery needed. The property tests pin this against the generic
-    // greedy algorithm.
-    if cs
-        .happen_befores()
-        .all(|r| matches!(r, Relation::HappenBefore { cond: None, .. }))
-    {
-        let _span = obs::span("minimize.reduction");
-        return minimize_unconditional_fast(cs, order);
-    }
-    minimize_generic_with(cs, exec, mode, order, opts)
+    let _generic = generic_span(cs);
+    let prepare = obs::span("minimize.prepare");
+    let mut num = Numbering::new(cs);
+    let exec = exec.to_ids(&mut num);
+    generic(cs, &num, &exec, mode, order, IMPLIES_MEMO_LIMIT, prepare)
 }
 
 /// [`minimize`] on a set the weave has already numbered: `exec` holds
@@ -305,28 +289,9 @@ pub(crate) fn minimize_numbered(
     order: &EdgeOrder,
 ) -> Result<MinimizeResult, MinimizeError> {
     let _span = obs::span("minimize");
-    if num
-        .rels
-        .iter()
-        .all(|r| r.kind != Kind::Before || r.cond.is_none())
-    {
-        let _span = obs::span("minimize.reduction");
-        return reduce(cs, num, order);
-    }
-    let _span = generic_span(cs);
+    let _generic = generic_span(cs);
     let prepare = obs::span("minimize.prepare");
-    generic(cs, num, exec, mode, order, &MinimizeOptions::default(), prepare)
-}
-
-/// The generic §4.4 greedy algorithm over condition-annotated closures
-/// (optimized engine, default options).
-pub fn minimize_generic(
-    cs: &ConstraintSet,
-    exec: &ExecConditions,
-    mode: EquivalenceMode,
-    order: &EdgeOrder,
-) -> Result<MinimizeResult, MinimizeError> {
-    minimize_generic_with(cs, exec, mode, order, &MinimizeOptions::default())
+    generic(cs, num, exec, mode, order, IMPLIES_MEMO_LIMIT, prepare)
 }
 
 /// Puts removal candidates — `(edge, relation index)` pairs in relation
@@ -385,7 +350,7 @@ fn output(cs: &ConstraintSet, removed: &[usize]) -> (ConstraintSet, Vec<Relation
 /// [`Engine::fresh_of`] for a node with no staged row.
 const UNSTAGED: u32 = u32::MAX;
 
-/// All mutable state of the optimized greedy loop.
+/// All mutable state of the greedy loop.
 struct Engine<'a> {
     g: &'a DiGraph<(), Option<Guard>>,
     /// Declared domain per guard id.
@@ -428,8 +393,8 @@ struct Engine<'a> {
     removed: Vec<bool>,
     topo_pos: Vec<usize>,
     /// Memoized `context ∧ old ⟹ new` verdicts, keyed by interned ids
-    /// (domains are fixed per run, so the verdict is too). Bounded to
-    /// [`MinimizeOptions::pool_cache_limit`] entries with LRU eviction.
+    /// (domains are fixed per run, so the verdict is too). Bounded, with
+    /// LRU eviction (see [`IMPLIES_MEMO_LIMIT`]).
     imp_cache: LruCache<(DnfId, DnfId, DnfId), bool>,
     imp_hits: u64,
     imp_misses: u64,
@@ -444,7 +409,7 @@ impl<'a> Engine<'a> {
         mode: EquivalenceMode,
         mut pool: DnfPool<Guard>,
         exec_ids: Vec<DnfId>,
-        pool_cache_limit: usize,
+        memo_limit: usize,
         topo: &[NodeId],
     ) -> Engine<'a> {
         // The initial annotated closure, built directly in interned form
@@ -505,7 +470,7 @@ impl<'a> Engine<'a> {
             changed: Vec::new(),
             removed: vec![false; ebound],
             topo_pos,
-            imp_cache: LruCache::new(pool_cache_limit),
+            imp_cache: LruCache::new(memo_limit),
             imp_hits: 0,
             imp_misses: 0,
         }
@@ -557,7 +522,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Memoized `ctx ∧ old ⟹ new` over interned formulas. The memo is an
-    /// LRU bounded to `pool_cache_limit` verdicts: past the bound the
+    /// LRU bounded to `memo_limit` verdicts: past the bound the
     /// coldest entries are evicted, so memory stays bounded while the hit
     /// rate degrades gracefully under churn — same answers either way.
     fn implies(&mut self, ctx: DnfId, old: DnfId, new: DnfId) -> bool {
@@ -767,39 +732,17 @@ fn generic_span(cs: &ConstraintSet) -> obs::Span {
     obs::span_with("minimize.generic", || format!("relations={}", cs.relations.len()))
 }
 
-/// The generic §4.4 greedy algorithm with explicit [`MinimizeOptions`] —
-/// the optimized engine (interned annotations, bitset prefilters).
-/// Produces edge-for-edge the same minimal set as
-/// [`minimize_generic_baseline`].
-///
-/// The set is numbered on entry (activities, state nodes, guards and
-/// values become `u32` ids; ARCHITECTURE.md has the scheme) and the
-/// engine runs on the ids; strings are touched again only to build the
-/// minimal set and the removed list.
-pub fn minimize_generic_with(
-    cs: &ConstraintSet,
-    exec: &ExecConditions,
-    mode: EquivalenceMode,
-    order: &EdgeOrder,
-    opts: &MinimizeOptions,
-) -> Result<MinimizeResult, MinimizeError> {
-    let _span = generic_span(cs);
-    let prepare = obs::span("minimize.prepare");
-    let mut num = Numbering::new(cs);
-    let exec = exec.to_ids(&mut num);
-    generic(cs, &num, &exec, mode, order, opts, prepare)
-}
-
-/// The engine behind [`minimize_generic_with`], on the numbering `num` of
-/// `cs`. `prepare` is the open `minimize.prepare` span, closed once the
-/// graph, its topological order and the candidate order stand.
+/// The engine, on the numbering `num` of `cs`, with an `implies` memo of
+/// at most `memo_limit` verdicts. `prepare` is the open
+/// `minimize.prepare` span, closed once the graph, its topological order
+/// and the candidate order stand.
 fn generic(
     cs: &ConstraintSet,
     num: &Numbering,
     exec: &[Option<Dnf<Guard>>],
     mode: EquivalenceMode,
     order: &EdgeOrder,
-    opts: &MinimizeOptions,
+    memo_limit: usize,
     prepare: obs::Span,
 ) -> Result<MinimizeResult, MinimizeError> {
     let graph = num.graph();
@@ -822,8 +765,7 @@ fn generic(
     drop(prepare);
 
     let closure_span = obs::span("minimize.closure");
-    let limit = opts.pool_cache_limit;
-    let mut eng = Engine::new(g, num.domains(), mode, pool, exec_ids, limit, &topo);
+    let mut eng = Engine::new(g, num.domains(), mode, pool, exec_ids, memo_limit, &topo);
     drop(closure_span);
 
     let greedy_span =
@@ -860,7 +802,7 @@ fn generic(
 /// The sequential reference implementation of the §4.4 greedy algorithm —
 /// structural rows, no interning, no prefilters. Kept for the
 /// equivalence property tests and as the before-side of the `ext_a`
-/// benchmarks; [`minimize_generic_with`] must match it edge for edge.
+/// benchmarks; [`minimize_with`] must match it edge for edge.
 pub fn minimize_generic_baseline(
     cs: &ConstraintSet,
     exec: &ExecConditions,
@@ -970,69 +912,6 @@ pub fn minimize_generic_baseline(
             for (n, row) in new_rows {
                 rows[n.index()] = row;
             }
-        }
-    }
-
-    let (minimal, removed) = output(cs, &removed_rels);
-    Ok(MinimizeResult {
-        minimal,
-        removed,
-        candidates_checked: checked,
-        stats: MinimizeStats::default(),
-    })
-}
-
-/// Transitive-reduction fast path for unconditional constraint sets.
-///
-/// An edge `u → v` is removable iff a two-or-more-step path `u ⇒ v`
-/// exists (reduction criterion — removals never change the closure, so
-/// the criterion evaluated on the original closure stays valid), or iff a
-/// parallel duplicate of it survives. `order` decides which duplicate of
-/// a bundle is kept, exactly as in the greedy algorithm.
-pub fn minimize_unconditional_fast(
-    cs: &ConstraintSet,
-    order: &EdgeOrder,
-) -> Result<MinimizeResult, MinimizeError> {
-    reduce(cs, &Numbering::new(cs), order)
-}
-
-/// [`minimize_unconditional_fast`] on the numbering `num` of `cs`.
-fn reduce(
-    cs: &ConstraintSet,
-    num: &Numbering,
-    order: &EdgeOrder,
-) -> Result<MinimizeResult, MinimizeError> {
-    let graph = num.graph();
-    let g = &graph.g;
-    let closure = dscweaver_graph::transitive_closure(g).map_err(|_| conflict(num, g))?;
-
-    let candidates = id_candidates(num, &graph, order);
-
-    // Count live constraint edges per (u, v) pair for duplicate handling.
-    let mut live_per_pair: FxHashMap<(NodeId, NodeId), usize> = FxHashMap::default();
-    for &(e, _) in &candidates {
-        *live_per_pair.entry(g.endpoints(e)).or_insert(0) += 1;
-    }
-
-    let mut removed_rels: Vec<usize> = Vec::new();
-    let mut checked = 0usize;
-    for &(e, rel_idx) in &candidates {
-        checked += 1;
-        let (u, v) = g.endpoints(e);
-        // Two-or-more-step path: some other successor of u reaches v, or
-        // *is* v through a lifecycle edge (never a constraint duplicate —
-        // those are counted below).
-        let two_step = g.out_edges(u).any(|oe| {
-            if oe == e {
-                return false;
-            }
-            let (_, w) = g.endpoints(oe);
-            w == v && oe.index() < graph.lifecycle || w != v && closure.reaches(w, v)
-        });
-        let duplicate_left = live_per_pair[&(u, v)] > 1;
-        if two_step || duplicate_left {
-            removed_rels.push(rel_idx);
-            *live_per_pair.get_mut(&(u, v)).expect("counted") -= 1;
         }
     }
 
@@ -1369,11 +1248,26 @@ mod tests {
         assert_eq!(res.minimal.relations[0].origin(), Origin::Data);
     }
 
+    const MODES: [EquivalenceMode; 3] = [
+        EquivalenceMode::Strict,
+        EquivalenceMode::ExecutionAware,
+        EquivalenceMode::Reachability,
+    ];
+
+    fn orders() -> [EdgeOrder; 3] {
+        [EdgeOrder::Given, EdgeOrder::ReverseGiven, EdgeOrder::default()]
+    }
+
+    /// Removed relations rendered, in removal order.
+    fn removed_list(r: &MinimizeResult) -> Vec<String> {
+        r.removed.iter().map(|x| format!("{x} ({})", x.origin())).collect()
+    }
+
     #[test]
-    fn fast_path_agrees_with_generic_on_unconditional_sets() {
-        // Deterministic pseudo-random unconditional DAGs: the dispatch
-        // (fast path), the optimized generic engine, and the sequential
-        // baseline must keep exactly the same relations.
+    fn engine_agrees_with_baseline_on_unconditional_sets() {
+        // Deterministic pseudo-random unconditional DAGs: the engine and
+        // the sequential baseline remove the same relations in the same
+        // order, in every mode and order.
         let mut x: u64 = 0xD1B54A32D192ED03;
         let mut rnd = || {
             x ^= x << 13;
@@ -1405,23 +1299,15 @@ mod tests {
                 }
             }
             let exec = ExecConditions::derive(&cs);
-            for order in [EdgeOrder::Given, EdgeOrder::ReverseGiven, EdgeOrder::default()] {
-                let fast = minimize_unconditional_fast(&cs, &order).unwrap();
-                let generic =
-                    minimize_generic(&cs, &exec, EquivalenceMode::Strict, &order).unwrap();
-                let baseline =
-                    minimize_generic_baseline(&cs, &exec, EquivalenceMode::Strict, &order)
-                        .unwrap();
-                assert_eq!(
-                    kept_set(&fast),
-                    kept_set(&generic),
-                    "case {case}, order {order:?}"
-                );
-                assert_eq!(
-                    kept_set(&generic),
-                    kept_set(&baseline),
-                    "case {case}, order {order:?} (baseline)"
-                );
+            for mode in MODES {
+                for order in orders() {
+                    let engine = minimize(&cs, &exec, mode, &order).unwrap();
+                    let baseline = minimize_generic_baseline(&cs, &exec, mode, &order).unwrap();
+                    let at = format!("case {case}, mode {mode:?}, order {order:?}");
+                    assert_eq!(removed_list(&engine), removed_list(&baseline), "{at}");
+                    assert_eq!(kept_set(&engine), kept_set(&baseline), "{at}");
+                    assert_eq!(engine.candidates_checked, baseline.candidates_checked, "{at}");
+                }
             }
         }
     }
@@ -1466,21 +1352,12 @@ mod tests {
         );
         cs.add_domain("g", vec!["T".into(), "F".into()]);
         let exec = ExecConditions::derive(&cs);
-        for mode in [
-            EquivalenceMode::Strict,
-            EquivalenceMode::ExecutionAware,
-            EquivalenceMode::Reachability,
-        ] {
-            for order in [EdgeOrder::Given, EdgeOrder::ReverseGiven, EdgeOrder::default()] {
+        for mode in MODES {
+            for order in orders() {
                 for threads in [1usize, 8] {
-                    let opts = MinimizeOptions {
-                        threads,
-                        ..Default::default()
-                    };
-                    let engine =
-                        minimize_generic_with(&cs, &exec, mode, &order, &opts).unwrap();
-                    let baseline =
-                        minimize_generic_baseline(&cs, &exec, mode, &order).unwrap();
+                    let opts = MinimizeOptions { threads };
+                    let engine = minimize_with(&cs, &exec, mode, &order, &opts).unwrap();
+                    let baseline = minimize_generic_baseline(&cs, &exec, mode, &order).unwrap();
                     assert_eq!(
                         kept_set(&engine),
                         kept_set(&baseline),
@@ -1493,7 +1370,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_handles_lifecycle_shortcuts_and_duplicates() {
+    fn unconditional_lifecycle_shortcuts_and_duplicates_removed() {
         // Constraint S(a) → F(a) is covered by a's own lifecycle.
         let mut cs = ConstraintSet::new("lc");
         cs.add_activity("a");
@@ -1502,7 +1379,7 @@ mod tests {
             StateRef::finish("a"),
             Origin::Cooperation,
         ));
-        let res = minimize_unconditional_fast(&cs, &EdgeOrder::default()).unwrap();
+        let res = run(&cs, EquivalenceMode::Strict);
         assert_eq!(res.kept(), 0, "lifecycle covers it");
         // Triplicate edges: exactly one survives.
         let mut cs2 = ConstraintSet::new("dup");
@@ -1515,15 +1392,15 @@ mod tests {
                 Origin::Data,
             ));
         }
-        let res2 = minimize_unconditional_fast(&cs2, &EdgeOrder::default()).unwrap();
+        let res2 = run(&cs2, EquivalenceMode::Strict);
         assert_eq!(res2.kept(), 1);
     }
 
     #[test]
-    fn fast_path_reports_the_generic_engines_conflict() {
+    fn unconditional_cycles_reported_as_pinned_conflicts() {
         // a ⇄ b, a lifecycle cycle (F(c) → S(c)) and a cycle with a DAG
-        // tail hanging off it: the closure's cycle error becomes the same
-        // Conflict, cycle for cycle, as the generic engine's.
+        // tail hanging off it: each is reported as the same Conflict in
+        // every mode, naming the pinned cycle.
         let two = cs_with(
             &["a", "b"],
             vec![
@@ -1545,15 +1422,16 @@ mod tests {
         for cs in [two, lifecycle, tail] {
             let exec = ExecConditions::derive(&cs);
             let MinimizeError::Conflict { cycle } =
-                minimize_unconditional_fast(&cs, &EdgeOrder::default()).unwrap_err();
-            let generic =
                 minimize(&cs, &exec, EquivalenceMode::Strict, &EdgeOrder::default()).unwrap_err();
-            assert_eq!(
-                generic,
-                MinimizeError::Conflict {
-                    cycle: cycle.clone()
-                }
-            );
+            for mode in MODES {
+                let again = minimize(&cs, &exec, mode, &EdgeOrder::default()).unwrap_err();
+                assert_eq!(
+                    again,
+                    MinimizeError::Conflict {
+                        cycle: cycle.clone()
+                    }
+                );
+            }
             cycles.push(cycle.join(" -> "));
         }
         assert_eq!(
@@ -1608,26 +1486,12 @@ mod tests {
         );
         cs.add_domain("g", vec!["T".into(), "F".into()]);
         let exec = ExecConditions::derive(&cs);
-        let order = EdgeOrder::default();
-        let cached = minimize_generic_with(
-            &cs,
-            &exec,
-            EquivalenceMode::ExecutionAware,
-            &order,
-            &MinimizeOptions::default(),
-        )
-        .unwrap();
-        let evicting = minimize_generic_with(
-            &cs,
-            &exec,
-            EquivalenceMode::ExecutionAware,
-            &order,
-            &MinimizeOptions {
-                pool_cache_limit: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (mode, order) = (EquivalenceMode::ExecutionAware, EdgeOrder::default());
+        let cached = minimize(&cs, &exec, mode, &order).unwrap();
+        let mut num = Numbering::new(&cs);
+        let exec_ids = exec.to_ids(&mut num);
+        let prepare = obs::span("minimize.prepare");
+        let evicting = generic(&cs, &num, &exec_ids, mode, &order, 1, prepare).unwrap();
         assert_eq!(kept_set(&cached), kept_set(&evicting));
         assert!(cached.stats.pool_dnfs > 1);
         assert_eq!(cached.stats.implies_evictions, 0);

@@ -2,9 +2,8 @@
 //!
 //! The paper's Definition 3 needs *condition-annotated* closures (see
 //! [`crate::annotated`]); this module provides the unconditional variant
-//! behind the minimizer's transitive-reduction fast path and the maximum
-//! antichain. Both need a DAG, so a cycle is an error here, as in every
-//! other closure builder.
+//! behind the maximum antichain. It needs a DAG, so a cycle is an error
+//! here, as in every other closure builder.
 
 use crate::bitset::BitSet;
 use crate::digraph::{DiGraph, NodeId};

@@ -23,12 +23,14 @@
 //! strictly smaller levels, and the fixed order fixes the pool's id
 //! numbering.
 //!
-//! Cyclic inputs: [`interned_closure`] mirrors `annotated_closure` and
-//! returns the [`CycleError`] untouched — the optimizer treats cycles as
+//! Cyclic inputs: [`interned_closure_ordered`] takes the topological
+//! order from its caller, so a cycle surfaces as
+//! [`topo_sort`](crate::topo_sort)'s [`CycleError`](crate::CycleError)
+//! before the closure is built — the optimizer treats cycles as
 //! specification conflicts, so they never reach the closure.
 //!
 //! ```
-//! use dscweaver_graph::{interned_closure, DiGraph, DnfId, DnfPool};
+//! use dscweaver_graph::{interned_closure_ordered, topo_sort, DiGraph, DnfId, DnfPool};
 //!
 //! // The paper's running example: a1 → a2 →_T a3 → a4.
 //! let mut g: DiGraph<(), Option<(u32, bool)>> = DiGraph::new();
@@ -41,8 +43,9 @@
 //! g.add_edge(a3, a4, None);
 //!
 //! let mut pool = DnfPool::new();
-//! let (rows, stats) = interned_closure(&g, &|_, w: &Option<(u32, bool)>| *w, &mut pool)
-//!     .expect("acyclic");
+//! let order = topo_sort(&g).expect("acyclic");
+//! let (rows, stats) =
+//!     interned_closure_ordered(&g, &order, &|_, w: &Option<(u32, bool)>| *w, &mut pool);
 //! // a1+ = {a2, a3(T@a2), a4(T@a2)}: a2 unconditionally, the rest guarded.
 //! let row = rows.row(a1.index());
 //! assert_eq!(row.iter().count(), 3);
@@ -56,7 +59,6 @@
 use crate::annotated::GuardFn;
 use crate::digraph::{DiGraph, NodeId};
 use crate::intern::{DnfId, DnfPool, TermId};
-use crate::topo::{topo_sort, CycleError};
 use dscweaver_obs as obs;
 
 /// One interned closure row, borrowed from an [`IRows`] table or a
@@ -453,27 +455,12 @@ where
 }
 
 /// Computes the condition-annotated closure of a **DAG** directly in
-/// interned form. Rows are indexed by node index (tombstone slots hold
-/// empty rows).
-///
-/// Returns the cycle error untouched for cyclic inputs, mirroring
-/// [`crate::annotated::annotated_closure`].
-pub fn interned_closure<N, E, G>(
-    g: &DiGraph<N, E>,
-    guard_of: &impl GuardFn<E, G>,
-    pool: &mut DnfPool<G>,
-) -> Result<(IRows, ClosureStats), CycleError>
-where
-    G: Ord + Clone + std::hash::Hash,
-{
-    let order = topo_sort(g)?;
-    Ok(interned_closure_ordered(g, &order, guard_of, pool))
-}
-
-/// [`interned_closure`] over a topological order the caller already
-/// holds: `order` must list every live node of `g` exactly once, each
-/// before its successors. Rows, levels and pool numbering do not depend
-/// on which such order is given.
+/// interned form, over a topological order the caller already holds
+/// (from [`topo_sort`](crate::topo_sort), which reports a cycle):
+/// `order` must list every live node of `g` exactly once, each before
+/// its successors. Rows are indexed by node index (tombstone slots hold
+/// empty rows). Rows, levels and pool numbering do not depend on which
+/// such order is given.
 pub fn interned_closure_ordered<N, E, G>(
     g: &DiGraph<N, E>,
     order: &[NodeId],
@@ -551,6 +538,7 @@ mod tests {
     use super::*;
     use crate::annotated::{annotated_closure, Dnf};
     use crate::digraph::EdgeId;
+    use crate::topo::topo_sort;
 
     type G = (u32, bool);
 
@@ -575,7 +563,8 @@ mod tests {
     fn matches_structural_closure() {
         let g = diamond();
         let mut pool = DnfPool::new();
-        let (rows, stats) = interned_closure(&g, &guard_of(), &mut pool).unwrap();
+        let order = topo_sort(&g).unwrap();
+        let (rows, stats) = interned_closure_ordered(&g, &order, &guard_of(), &mut pool);
         let structural = annotated_closure(&g, &guard_of()).unwrap();
         for (ni, srow) in structural.rows().iter().enumerate() {
             let expect: Vec<(u32, Dnf<G>)> =
@@ -598,7 +587,9 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, b, None);
         g.add_edge(b, a, None);
-        let mut pool = DnfPool::new();
-        assert!(interned_closure(&g, &guard_of(), &mut pool).is_err());
+        // The order the closure needs is refused, as the structural
+        // closure refuses the graph.
+        assert!(topo_sort(&g).is_err());
+        assert!(annotated_closure(&g, &guard_of()).is_err());
     }
 }

@@ -50,8 +50,7 @@ pub mod visit;
 pub use annotated::{annotated_closure, AnnotatedClosure, Dnf, GuardSet, Row};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use iclosure::{
-    compose_interned_row, interned_closure, interned_closure_ordered, AdjEdge, ClosureStats, IRow,
-    IRows, RowScratch,
+    compose_interned_row, interned_closure_ordered, AdjEdge, ClosureStats, IRow, IRows, RowScratch,
 };
 pub use intern::{DnfId, DnfPool, TermId};
 pub use lru::LruCache;

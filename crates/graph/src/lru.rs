@@ -1,8 +1,8 @@
 //! A bounded LRU map used to cap memoization tables.
 //!
-//! The minimizer's `implies` memo previously stopped caching entirely
-//! once the interning pool crossed `pool_cache_limit` — a hit-rate
-//! cliff. [`LruCache`] replaces that with graceful degradation: the memo
+//! The minimizer's `implies` memo is bounded, but stopping caching once
+//! the bound is reached would be a hit-rate cliff. [`LruCache`] degrades
+//! gracefully instead: the memo
 //! keeps its `capacity` most-recently-used entries and evicts the
 //! coldest, so sustained churn degrades the hit rate smoothly instead of
 //! to zero. The recency list is intrusive (u32 prev/next indices into a

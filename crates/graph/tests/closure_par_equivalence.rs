@@ -6,8 +6,8 @@
 
 use dscweaver_graph::annotated::Dnf;
 use dscweaver_graph::{
-    annotated_closure, interned_closure, transitive_closure, AnnotatedClosure, DiGraph, DnfId,
-    DnfPool, IRows, NodeId,
+    annotated_closure, interned_closure_ordered, topo_sort, transitive_closure, AnnotatedClosure,
+    DiGraph, DnfId, DnfPool, IRows, NodeId,
 };
 use dscweaver_prng::Rng;
 
@@ -129,7 +129,9 @@ fn interned_rows_match_structural_reference_on_every_shape() {
         for (shape, g) in dag_shapes(seed) {
             let ann = annotated_closure(&g, &|_, w: &Option<u8>| *w).unwrap();
             let mut pool: DnfPool<u8> = DnfPool::new();
-            let (rows, stats) = interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool).unwrap();
+            let order = topo_sort(&g).unwrap();
+            let (rows, stats) =
+                interned_closure_ordered(&g, &order, &|_, w: &Option<u8>| *w, &mut pool);
             assert_rows_match(&g, &rows, &pool, &ann, &format!("{shape}/{seed}"));
             assert_eq!(stats.rows, g.node_count(), "{shape}/{seed}");
             assert!(stats.levels > 0, "{shape}/{seed}");
@@ -137,7 +139,8 @@ fn interned_rows_match_structural_reference_on_every_shape() {
     }
 }
 
-/// Cyclic inputs: every closure builder reports the cycle, the bitset
+/// Cyclic inputs: every closure builder reports the cycle (the interned
+/// one through `topo_sort`, whose order it takes), the bitset
 /// `transitive_closure` with a node that reaches itself.
 #[test]
 fn cyclic_inputs_are_refused_by_every_closure_builder() {
@@ -145,8 +148,7 @@ fn cyclic_inputs_are_refused_by_every_closure_builder() {
         let mut rng = Rng::seed_from_u64(seed);
         let g = cyclic(&mut rng, 12, 3);
         assert!(annotated_closure(&g, &|_, w: &Option<u8>| *w).is_err());
-        let mut pool: DnfPool<u8> = DnfPool::new();
-        assert!(interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool).is_err());
+        assert!(topo_sort(&g).is_err());
         let on_cycle = transitive_closure(&g).unwrap_err().on_cycle;
         let mut seen = vec![false; g.node_bound()];
         let mut stack: Vec<NodeId> = g.successors(on_cycle).collect();
@@ -173,7 +175,9 @@ fn rows_keep_always_as_bits_and_only_conditional_ids_interned() {
             let ann = annotated_closure(&g, &|_, w: &Option<u8>| *w).unwrap();
             let ctx = format!("{shape}/{seed}");
             let mut pool: DnfPool<u8> = DnfPool::new();
-            let (rows, _) = interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool).unwrap();
+            let order = topo_sort(&g).unwrap();
+            let (rows, _) =
+                interned_closure_ordered(&g, &order, &|_, w: &Option<u8>| *w, &mut pool);
             for n in g.node_ids() {
                 let row = rows.row(n.index());
                 for t in g.node_ids() {

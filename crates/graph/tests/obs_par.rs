@@ -4,7 +4,7 @@
 //! changes the computed results. The sequential interned closure keeps
 //! its per-level spans on the main lane.
 
-use dscweaver_graph::{interned_closure, par_map, DiGraph, DnfPool};
+use dscweaver_graph::{interned_closure_ordered, par_map, topo_sort, DiGraph, DnfPool};
 use dscweaver_obs as obs;
 use dscweaver_obs::EventKind;
 
@@ -95,12 +95,13 @@ fn interned_closure_records_one_level_span_per_level_on_main() {
             }
         }
     }
-    let mut plain_pool: DnfPool<u8> = DnfPool::new();
-    let (plain_rows, _) = interned_closure(&g, &|_, w: &Option<u8>| *w, &mut plain_pool).unwrap();
+    let order = topo_sort(&g).unwrap();
+    let closure = |pool: &mut DnfPool<u8>| {
+        interned_closure_ordered(&g, &order, &|_, w: &Option<u8>| *w, pool)
+    };
+    let (plain_rows, _) = closure(&mut DnfPool::new());
 
-    let mut pool: DnfPool<u8> = DnfPool::new();
-    let ((rows, _), snap) =
-        obs::record_with(|| interned_closure(&g, &|_, w: &Option<u8>| *w, &mut pool).unwrap());
+    let ((rows, _), snap) = obs::record_with(|| closure(&mut DnfPool::new()));
     assert_eq!(rows, plain_rows, "recording changed the rows");
 
     let spans = balanced_spans(&snap);

@@ -465,11 +465,6 @@ fn run_compiled(compiled: &CompiledNet, opts: &ValidateOptions, lanes: bool) -> 
     }
 }
 
-/// Convenience: lower + validate with defaults.
-pub fn validate_default(cs: &ConstraintSet, exec: &ExecConditions) -> ValidationReport {
-    validate(cs, exec, &ValidateOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,7 +505,7 @@ mod tests {
             Origin::Data,
         ));
         let exec = exec_of(&cs);
-        let report = validate_default(&cs, &exec);
+        let report = validate(&cs, &exec, &ValidateOptions::default());
         assert!(report.ok(), "{report:#?}");
         assert_eq!(report.assignments_checked, 2);
     }
@@ -567,9 +562,9 @@ mod tests {
         // d listens on every guard: 3^7 = 2187 modes lower, 3^8 = 6561
         // exceed MAX_MODES and stop compilation before enumerating them.
         let ok = nested_guards(7);
-        assert!(validate_default(&ok, &exec_of(&ok)).ok());
+        assert!(validate(&ok, &exec_of(&ok), &ValidateOptions::default()).ok());
         let deep = nested_guards(8);
-        let report = validate_default(&deep, &exec_of(&deep));
+        let report = validate(&deep, &exec_of(&deep), &ValidateOptions::default());
         assert!(!report.ok());
         let limit = report.mode_limit.expect("the mode limit stops compilation");
         assert_eq!((limit.activity.as_str(), limit.modes), ("d", 6561));
@@ -582,7 +577,9 @@ mod tests {
         assert_eq!(replayed.assignments_checked, 0);
         // Far past the limit the count saturates instead of overflowing.
         let hostile = nested_guards(64);
-        let limit = validate_default(&hostile, &exec_of(&hostile)).mode_limit.unwrap();
+        let limit = validate(&hostile, &exec_of(&hostile), &ValidateOptions::default())
+            .mode_limit
+            .unwrap();
         assert_eq!(limit.modes, usize::MAX);
     }
 
@@ -641,7 +638,7 @@ mod tests {
             Origin::Cooperation,
         ));
         let exec = exec_of(&cs);
-        let report = validate_default(&cs, &exec);
+        let report = validate(&cs, &exec, &ValidateOptions::default());
         assert!(!report.ok());
         assert!(report.conflict_cycle.is_some());
     }
@@ -678,7 +675,7 @@ mod tests {
         // ^ also a self-cycle; validation reports the structural conflict
         // first.
         let exec = exec_of(&cs);
-        let report = validate_default(&cs, &exec);
+        let report = validate(&cs, &exec, &ValidateOptions::default());
         assert!(!report.ok());
     }
 
@@ -702,7 +699,7 @@ mod tests {
             Origin::Control,
         ));
         let exec = exec_of(&cs);
-        let report = validate_default(&cs, &exec);
+        let report = validate(&cs, &exec, &ValidateOptions::default());
         assert!(!report.ok());
         assert!(report
             .failures

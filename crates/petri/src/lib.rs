@@ -68,8 +68,7 @@ mod prepared;
 pub mod reach;
 
 pub use analysis::{
-    validate, validate_default, AssignmentFailure, CompiledValidation, ValidateOptions,
-    ValidationReport,
+    validate, AssignmentFailure, CompiledValidation, ValidateOptions, ValidationReport,
 };
 pub use lower::{lower, try_lower, ActivityNodes, LoweredNet, ModeLimit, MAX_MODES, SKIP};
 pub use net::{ArcIn, ArcOut, Color, ColorFilter, Marking, Mode, Net, PlaceId, TransitionId};

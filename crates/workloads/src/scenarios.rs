@@ -170,7 +170,11 @@ mod tests {
         let out = Weaver::new().run(&ds).unwrap();
         assert!(out.minimal.validate().is_empty());
         // Petri validation enumerates all three branch values.
-        let report = dscweaver_petri::validate_default(&out.minimal, &out.exec);
+        let report = dscweaver_petri::validate(
+            &out.minimal,
+            &out.exec,
+            &dscweaver_petri::ValidateOptions::default(),
+        );
         assert!(report.ok(), "{report:#?}");
         assert_eq!(report.assignments_checked, 3);
         for branch in ["APPROVE", "REVIEW", "REJECT"] {

@@ -435,7 +435,11 @@ mod tests {
         });
         let out = Weaver::new().run(&ds).unwrap();
         assert!(out.total_removed() >= 12, "removed {}", out.total_removed());
-        let report = dscweaver_petri::validate_default(&out.minimal, &out.exec);
+        let report = dscweaver_petri::validate(
+            &out.minimal,
+            &out.exec,
+            &dscweaver_petri::ValidateOptions::default(),
+        );
         assert!(report.ok(), "failures: {:?}", report.failures);
         assert_eq!(report.assignments_checked, 16);
     }

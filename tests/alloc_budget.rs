@@ -10,7 +10,8 @@
 //! The workload is the `weave_offline` job of the benchmark: a seeded
 //! `layered` process with n = 403 activities, woven in a session,
 //! validated and scheduled through the compiled engines, then re-woven
-//! after one level-stable edit.
+//! after one level-stable edit. One more budget weaves the same shape
+//! without guards, so every constraint is unconditional.
 
 use dscweaver::core::minimize::{minimize, EdgeOrder, EquivalenceMode};
 use dscweaver::core::{DependencySet, ExecConditions, WeaveSession, Weaver};
@@ -68,14 +69,20 @@ fn count<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (r, ALLOCS.with(Cell::get) - before)
 }
 
-/// The benchmark's n = 403 process.
+/// The benchmark's n = 403 process, with three guards.
 fn process(seed: u64) -> DependencySet {
+    process_with_guards(3, seed)
+}
+
+/// The benchmark's n = 403 process shape with `guards` guards (none:
+/// every constraint is unconditional).
+fn process_with_guards(guards: usize, seed: u64) -> DependencySet {
     layered(&LayeredParams {
         width: 8,
         depth: 50,
         density: 0.25,
         redundant: 400,
-        guards: 3,
+        guards,
         seed,
     })
 }
@@ -115,6 +122,11 @@ fn job(ds: &DependencySet, edited: &DependencySet) {
 /// sweep's levels were stored flat.
 const WEAVE_CEILING: u64 = 1_795;
 
+/// `Weaver::run` on the n = 403 process without guards: 3,381
+/// allocations while unconditional sets took a transitive-reduction path
+/// (one closure bitset per node), 951 on the one engine.
+const UNCONDITIONAL_WEAVE_CEILING: u64 = 1_046;
+
 /// The public `minimize` on the woven n = 403 ASC (numbering and
 /// execution-condition ids included): 6,569 allocations while every
 /// graph node held two edge lists and every closure row its own bitsets,
@@ -142,6 +154,23 @@ fn weave_stays_under_its_allocation_ceiling() {
     assert!(
         n <= WEAVE_CEILING,
         "Weaver::run made {n} allocations (ceiling {WEAVE_CEILING})"
+    );
+}
+
+#[test]
+fn unconditional_weave_stays_under_its_allocation_ceiling() {
+    let ds = process_with_guards(0, 31);
+    let w = weaver();
+    let out = w.run(&ds).expect("weaves");
+    let unconditional = |r: &Relation| matches!(r, Relation::HappenBefore { cond: None, .. });
+    assert!(out.asc.happen_befores().all(unconditional));
+    drop(out);
+    let (out, n) = count(|| w.run(&ds).expect("weaves"));
+    drop(out);
+    eprintln!("unconditional Weaver::run allocations: {n}");
+    assert!(
+        n <= UNCONDITIONAL_WEAVE_CEILING,
+        "Weaver::run made {n} allocations (ceiling {UNCONDITIONAL_WEAVE_CEILING})"
     );
 }
 

@@ -5,6 +5,7 @@
 use dscweaver::core::{ExecConditions, Weaver};
 use dscweaver::dscl::{patterns, ConstraintSet};
 use dscweaver::model::{parse_process, unroll_whiles};
+use dscweaver::petri::{validate, ValidateOptions};
 use dscweaver::scheduler::{simulate, SimConfig};
 use dscweaver::workloads::{purchasing_dependencies, purchasing_process};
 
@@ -56,7 +57,7 @@ fn unrolled_loop_through_full_vertical() {
 
     // Petri validation explores every retry depth (2^4 condition
     // assignments over the four unrolled guard evaluations).
-    let report = dscweaver::petri::validate_default(&out.minimal, &out.exec);
+    let report = validate(&out.minimal, &out.exec, &ValidateOptions::default());
     assert!(report.ok(), "{report:#?}");
     assert_eq!(report.assignments_checked, 16);
 
@@ -138,7 +139,7 @@ fn workflow_patterns_compose_and_execute() {
     assert!(cs.validate().is_empty(), "{:?}", cs.validate());
 
     let exec = ExecConditions::derive(&cs);
-    let report = dscweaver::petri::validate_default(&cs, &exec);
+    let report = validate(&cs, &exec, &ValidateOptions::default());
     assert!(report.ok(), "{report:#?}");
 
     for value in ["FAST", "SLOW"] {

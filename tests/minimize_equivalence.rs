@@ -1,14 +1,15 @@
 //! The optimized minimizer (interned annotations + bitset prefilters)
 //! must be **edge-for-edge identical** to the structural reference
 //! implementation — same removals, in the same order — for every
-//! equivalence mode and removal order, on arbitrary layered / fork-join
-//! workloads with conditional constraints. The minimizer runs on one
+//! equivalence mode and removal order, on arbitrary layered workloads
+//! with conditional constraints and unconditional fork-join ones. The
+//! minimizer runs on one
 //! thread; the suites still sweep the ignored `threads` option over
 //! {1, 8} to pin that it cannot change the result.
 
 use dscweaver::core::{
-    merge, minimize_generic_baseline, minimize_generic_with, minimize_unconditional_fast,
-    translate_services, EdgeOrder, EquivalenceMode, ExecConditions, MinimizeOptions,
+    merge, minimize_generic_baseline, minimize_with, translate_services, EdgeOrder,
+    EquivalenceMode, ExecConditions, MinimizeOptions,
 };
 use dscweaver::dscl::{Condition, ConstraintSet, Origin, Relation, StateRef};
 use dscweaver::workloads::{
@@ -61,11 +62,8 @@ fn engine_matches_baseline_on_conditional_layered() {
             for order in orders() {
                 let base = minimize_generic_baseline(&asc, &exec, mode, &order).unwrap();
                 for threads in [1usize, 8] {
-                    let opts = MinimizeOptions {
-                        threads,
-                        ..Default::default()
-                    };
-                    let eng = minimize_generic_with(&asc, &exec, mode, &order, &opts).unwrap();
+                    let opts = MinimizeOptions { threads };
+                    let eng = minimize_with(&asc, &exec, mode, &order, &opts).unwrap();
                     assert_eq!(
                         removed_list(&eng),
                         removed_list(&base),
@@ -85,37 +83,27 @@ fn engine_matches_baseline_on_conditional_layered() {
 
 /// Engine ≡ baseline on fork-join skeletons with injected redundancy
 /// (unconditional inputs — the prefilters must decide every candidate and
-/// still agree with the structural reference AND the transitive-reduction
-/// fast path).
+/// still agree with the structural reference), across every mode × order.
 #[test]
-fn engine_matches_baseline_and_fast_path_on_fork_join() {
+fn engine_matches_baseline_on_fork_join() {
     let mut rng = Rng::seed_from_u64(0xE002);
     for case in 0..16 {
         let width = 1 + rng.random_range(5);
         let chain = 1 + rng.random_range(5);
         let ds = fork_join(width, chain, rng.random_range(20), rng.next_u64());
         let (asc, exec) = prepared(&ds);
-        for order in orders() {
-            let base =
-                minimize_generic_baseline(&asc, &exec, EquivalenceMode::Strict, &order).unwrap();
-            let eng = minimize_generic_with(
-                &asc,
-                &exec,
-                EquivalenceMode::Strict,
-                &order,
-                &MinimizeOptions::default(),
-            )
-            .unwrap();
-            assert_eq!(removed_list(&eng), removed_list(&base), "case {case}");
-            // Same minimal set as the dedicated transitive-reduction path.
-            let fast = minimize_unconditional_fast(&asc, &order).unwrap();
-            let kept = |r: &dscweaver::core::MinimizeResult| {
-                let mut v: Vec<String> =
-                    r.minimal.happen_befores().map(|x| x.to_string()).collect();
-                v.sort();
-                v
-            };
-            assert_eq!(kept(&eng), kept(&fast), "case {case} vs fast path");
+        let unconditional = |r: &Relation| matches!(r, Relation::HappenBefore { cond: None, .. });
+        assert!(asc.happen_befores().all(unconditional), "case {case}");
+        for mode in MODES {
+            for order in orders() {
+                let base = minimize_generic_baseline(&asc, &exec, mode, &order).unwrap();
+                let opts = MinimizeOptions::default();
+                let eng = minimize_with(&asc, &exec, mode, &order, &opts).unwrap();
+                let at = format!("case {case} (mode {mode:?}, order {order:?})");
+                assert_eq!(removed_list(&eng), removed_list(&base), "{at}");
+                assert_eq!(eng.kept(), base.kept(), "{at}");
+                assert_eq!(eng.candidates_checked, base.candidates_checked, "{at}");
+            }
         }
     }
 }
@@ -134,28 +122,22 @@ fn thread_count_is_invisible_across_repeats() {
     });
     let (asc, exec) = prepared(&ds);
     let order = EdgeOrder::default();
-    let reference = minimize_generic_with(
+    let reference = minimize_with(
         &asc,
         &exec,
         EquivalenceMode::ExecutionAware,
         &order,
-        &MinimizeOptions {
-            threads: 1,
-            ..Default::default()
-        },
+        &MinimizeOptions { threads: 1 },
     )
     .unwrap();
     for _ in 0..5 {
         for threads in [1usize, 8] {
-            let run = minimize_generic_with(
+            let run = minimize_with(
                 &asc,
                 &exec,
                 EquivalenceMode::ExecutionAware,
                 &order,
-                &MinimizeOptions {
-                    threads,
-                    ..Default::default()
-                },
+                &MinimizeOptions { threads },
             )
             .unwrap();
             assert_eq!(removed_list(&run), removed_list(&reference), "threads {threads}");

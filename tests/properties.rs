@@ -7,6 +7,7 @@
 use dscweaver::core::{minimize, EdgeOrder, EquivalenceMode, Weaver};
 use dscweaver::dscl::SyncGraph;
 use dscweaver::graph::transitive_closure;
+use dscweaver::petri::{validate, ValidateOptions};
 use dscweaver::scheduler::{simulate, SimConfig};
 use dscweaver::workloads::{fork_join, layered, service_mesh, LayeredParams};
 use dscweaver_prng::Rng;
@@ -96,7 +97,7 @@ fn petri_agrees_with_scheduler() {
     for case in 0..32 {
         let ds = random_layered(&mut rng);
         let out = Weaver::new().run(&ds).unwrap();
-        let report = dscweaver::petri::validate_default(&out.minimal, &out.exec);
+        let report = validate(&out.minimal, &out.exec, &ValidateOptions::default());
         assert!(report.ok(), "case {case}: {report:#?}");
     }
 }

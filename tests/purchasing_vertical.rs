@@ -3,6 +3,7 @@
 //! number the paper reports.
 
 use dscweaver::core::{EdgeOrder, EquivalenceMode, Weaver};
+use dscweaver::petri::{validate, ValidateOptions};
 use dscweaver::scheduler::{DurationModel, SimConfig};
 use dscweaver::vertical::{baseline_schedule, weave, weave_dependencies, VerticalInput};
 use dscweaver::workloads::purchasing::{EXPECTED_MINIMAL, PURCHASING_DSL};
@@ -158,7 +159,7 @@ fn petri_validation_of_all_stages() {
     let ds = purchasing_dependencies();
     let out = Weaver::new().run(&ds).unwrap();
     for (name, cs) in [("ASC", &*out.asc), ("minimal", &out.minimal)] {
-        let report = dscweaver::petri::validate_default(cs, &out.exec);
+        let report = validate(cs, &out.exec, &ValidateOptions::default());
         assert!(report.ok(), "{name}: {report:#?}");
         assert_eq!(report.assignments_checked, 2, "{name}: T and F");
     }
