@@ -2,11 +2,21 @@
 //! paper's adaptability claim (§1: with dependencies as first-class
 //! citizens, adding or deleting a constraint is a set edit, and its global
 //! effect on the synchronization scheme is *computable*).
+//!
+//! The diff runs on ids. Both sets are numbered the way the weave
+//! numbers a set; old activity ids map to new ones by a
+//! merge-walk of the two sorted activity tables, other names, guards and
+//! values by name, and every relation becomes an integer key. An edit
+//! leaves the relation lists positionally identical outside a small
+//! window, so the common prefix and suffix are trimmed and only the
+//! window's keys are looked up in the other set. Strings are rendered
+//! only for the entries that end up in the diff. A re-weave session keeps
+//! its last ASC numbering, so it numbers only the new set.
 
+use crate::number::{End, Guard, Kind, Numbering};
 use crate::pipeline::WeaverOutput;
-use dscweaver_dscl::{Condition, ConstraintSet, Name, Relation, StateRef};
+use dscweaver_dscl::ConstraintSet;
 use dscweaver_graph::FxHashMap;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// The difference between two constraint sets: HappenBefore relations
 /// compared structurally (endpoints, condition; provenance ignored), plus
@@ -84,86 +94,152 @@ impl std::fmt::Display for ConstraintDiff {
     }
 }
 
-/// Structural key of a HappenBefore relation, ignoring provenance —
-/// borrowed, so building the comparison sets allocates nothing. Rendering
-/// happens only for keys that end up in the diff.
-type HbKey<'a> = (&'a StateRef, &'a StateRef, Option<&'a Condition>);
+/// A relation's structural key on ids, ignoring provenance.
+type Key = (Kind, End, End, Option<Guard>);
 
-fn render_hb((from, to, cond): &HbKey<'_>) -> String {
+/// Ids past every id of the new set, for what only the old set names.
+const FRESH: u32 = u32::MAX / 2;
+
+/// The ids of the old numbering on the new one's: equal names, guards
+/// and values get the new ids, the rest fresh ones that match nothing.
+struct IdMap {
+    names: Vec<u32>,
+    guards: Vec<u32>,
+    /// Guard `g`'s values by old value id.
+    values: Vec<Vec<u32>>,
+    /// Activities only in the old set, and only in the new one, as ids
+    /// of their own numbering, ascending.
+    removed_acts: Vec<u32>,
+    added_acts: Vec<u32>,
+}
+
+impl IdMap {
+    fn new(old: &Numbering, new: &Numbering) -> IdMap {
+        let mut names = vec![u32::MAX; old.name_count()];
+        let (mut removed_acts, mut added_acts) = (Vec::new(), Vec::new());
+        let (oa, na) = (old.acts() as u32, new.acts() as u32);
+        let (mut i, mut j) = (0, 0);
+        while i < oa || j < na {
+            let ord = match (i < oa, j < na) {
+                (true, true) => old.name(i).cmp(new.name(j)),
+                (true, false) => std::cmp::Ordering::Less,
+                _ => std::cmp::Ordering::Greater,
+            };
+            match ord {
+                std::cmp::Ordering::Equal => {
+                    names[i as usize] = j;
+                    i += 1;
+                    j += 1;
+                }
+                std::cmp::Ordering::Less => {
+                    removed_acts.push(i);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    added_acts.push(j);
+                    j += 1;
+                }
+            }
+        }
+        // Names the walk left: a removed activity, a service or an
+        // undeclared name, looked up among the new set's other names.
+        let mut others: Option<FxHashMap<&str, u32>> = None;
+        for id in 0..old.name_count() as u32 {
+            if names[id as usize] != u32::MAX {
+                continue;
+            }
+            let name = old.name(id).as_str();
+            let activity = (id >= oa)
+                .then(|| new.names()[..na as usize].binary_search_by(|n| n.as_str().cmp(name)).ok())
+                .flatten();
+            let found = activity.map(|j| j as u32).or_else(|| {
+                let others = others.get_or_insert_with(|| {
+                    (na..new.name_count() as u32)
+                        .map(|k| (new.name(k).as_str(), k))
+                        .collect()
+                });
+                others.get(name).copied()
+            });
+            names[id as usize] = found.unwrap_or(FRESH + id);
+        }
+        let mut guards = Vec::with_capacity(old.guard_count());
+        let mut values = Vec::with_capacity(old.guard_count());
+        for g in 0..old.guard_count() as u32 {
+            let name = old.guard_name(g);
+            let ng = (0..new.guard_count() as u32).find(|&k| new.guard_name(k) == name);
+            guards.push(ng.unwrap_or(FRESH + g));
+            values.push(
+                old.values(g)
+                    .iter()
+                    .enumerate()
+                    .map(|(v, value)| {
+                        let found = ng.and_then(|ng| new.values(ng).iter().position(|x| x == value));
+                        found.map_or(FRESH + v as u32, |k| k as u32)
+                    })
+                    .collect(),
+            );
+        }
+        IdMap {
+            names,
+            guards,
+            values,
+            removed_acts,
+            added_acts,
+        }
+    }
+
+    fn end(&self, (id, state): End) -> End {
+        (self.names[id as usize], state)
+    }
+
+    fn cond(&self, (g, v): Guard) -> Guard {
+        (self.guards[g as usize], self.values[g as usize][v as usize])
+    }
+}
+
+/// Renders a HappenBefore relation of `num`.
+fn render_hb(num: &Numbering, from: End, to: End, cond: Option<Guard>) -> String {
+    let (from, to) = (num.end_ref(from), num.end_ref(to));
     match cond {
-        Some(c) => format!("{from} ->[{c}] {to}"),
+        Some(c) => format!("{from} ->[{}] {to}", num.condition(c)),
         None => format!("{from} -> {to}"),
     }
 }
 
-/// Structural key of an Exclusive relation, order- and
-/// provenance-insensitive.
-fn exclusive_key(r: &Relation) -> Option<String> {
-    match r {
-        Relation::Exclusive { a, b, .. } => {
-            let (a, b) = (a.to_string(), b.to_string());
-            Some(if a <= b {
-                format!("{a} >< {b}")
-            } else {
-                format!("{b} >< {a}")
-            })
-        }
-        _ => None,
+/// Renders an Exclusive pair of `num`, its endpoints in string order.
+fn render_exclusive(num: &Numbering, a: End, b: End) -> String {
+    let (a, b) = (num.end_ref(a).to_string(), num.end_ref(b).to_string());
+    if a <= b {
+        format!("{a} >< {b}")
+    } else {
+        format!("{b} >< {a}")
     }
 }
 
-/// Renders one annotation-changed entry (`from -> to: [old] => [new]`,
-/// condition lists string-sorted, `""` = unconditional).
-fn render_annotation(
-    pair: (&StateRef, &StateRef),
-    old_conds: &[Option<&Condition>],
-    new_conds: &[Option<&Condition>],
-) -> String {
-    let fmt = |conds: &[Option<&Condition>]| {
-        let mut v: Vec<String> = conds
-            .iter()
-            .map(|c| c.map(|c| c.to_string()).unwrap_or_default())
-            .collect();
-        v.sort();
-        v.join(", ")
-    };
-    format!(
-        "{} -> {}: [{}] => [{}]",
-        pair.0,
-        pair.1,
-        fmt(old_conds),
-        fmt(new_conds)
-    )
-}
-
-/// Guard-domain edits, rendered `var: [old] => [new]`.
-fn domain_diff(old: &ConstraintSet, new: &ConstraintSet) -> Vec<String> {
-    old.domains
-        .iter()
-        .map(|(var, vals)| (var, Some(vals), new.domains.get(var)))
-        .chain(
-            new.domains
-                .iter()
-                .filter(|(var, _)| !old.domains.contains_key(*var))
-                .map(|(var, vals)| (var, None, Some(vals))),
-        )
-        .filter(|(_, old_vals, new_vals)| old_vals != new_vals)
-        .map(|(var, old_vals, new_vals)| {
-            let fmt = |v: Option<&Vec<Name>>| v.map(|v| v.join(", ")).unwrap_or_default();
-            format!("{var}: [{}] => [{}]", fmt(old_vals), fmt(new_vals))
-        })
-        .collect()
+/// A relation condition as the annotation view prints it (`""`:
+/// unconditional).
+fn render_cond(num: &Numbering, cond: Option<Guard>) -> String {
+    cond.map(|c| num.condition(c).to_string()).unwrap_or_default()
 }
 
 /// Computes the diff `old → new`.
 pub fn diff_constraint_sets(old: &ConstraintSet, new: &ConstraintSet) -> ConstraintDiff {
-    // Fast path for a session re-weave: an edit burst leaves
-    // the relation lists positionally identical outside a small window, so
-    // trim the common prefix and suffix (plain `PartialEq`, no ordering
-    // structure) and diff only the window against the full sets. Falls
-    // back to the symmetric full diff when the window is large — e.g. the
-    // sets come from unrelated processes or everything was reordered.
-    let (o, n) = (&old.relations, &new.relations);
+    diff_numbered(&Numbering::new(old), &Numbering::new(new))
+}
+
+/// [`diff_constraint_sets`] on the numberings of the two sets.
+pub(crate) fn diff_numbered(old: &Numbering, new: &Numbering) -> ConstraintDiff {
+    let map = IdMap::new(old, new);
+    let key = |r: &crate::number::IdRel| -> Key { (r.kind, r.from, r.to, r.cond) };
+    let old_keys: Vec<Key> = old
+        .rels
+        .iter()
+        .map(|r| (r.kind, map.end(r.from), map.end(r.to), r.cond.map(|c| map.cond(c))))
+        .collect();
+    let new_keys: Vec<Key> = new.rels.iter().map(key).collect();
+
+    // The changed window: everything outside it matches positionally.
+    let (o, n) = (&old_keys, &new_keys);
     let mut lo = 0;
     while lo < o.len().min(n.len()) && o[lo] == n[lo] {
         lo += 1;
@@ -173,208 +249,204 @@ pub fn diff_constraint_sets(old: &ConstraintSet, new: &ConstraintSet) -> Constra
         oe -= 1;
         ne -= 1;
     }
-    if (oe - lo) + (ne - lo) <= 64 {
-        return diff_windowed(old, new, &o[lo..oe], &n[lo..ne]);
-    }
-    diff_full(old, new)
-}
-
-/// HappenBefore keys of a changed window's relations.
-fn window_keys(mid: &[Relation]) -> BTreeSet<HbKey<'_>> {
-    mid.iter()
-        .filter_map(|r| match r {
-            Relation::HappenBefore { from, to, cond, .. } => Some((from, to, cond.as_ref())),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Drops every candidate key that appears anywhere in `other` (a window
-/// key can have a positional twin elsewhere in the set).
-fn subtract_present<'a>(cands: &mut BTreeSet<HbKey<'a>>, other: &'a ConstraintSet) {
-    for r in &other.relations {
-        if cands.is_empty() {
-            break;
+    let hb = |k: &Key| k.0 == Kind::Before;
+    // The HappenBefore keys only one side holds, as a relation index
+    // carrying each, and the endpoint pairs whose condition multiset may
+    // differ. A small window holds every difference; a large one
+    // (scattered edits, unrelated sets, a reordering) counts every key
+    // in one hash pass.
+    let small = (oe - lo) + (ne - lo) <= 64;
+    let (old_win, new_win) = if small {
+        (lo..oe, lo..ne)
+    } else {
+        (0..o.len(), 0..n.len())
+    };
+    let (added_at, removed_at, mut touched) = if small {
+        // Window keys the other side lacks anywhere.
+        let missing = |keys: &[Key], win: std::ops::Range<usize>, other: &[Key]| {
+            let mut cands: Vec<(Key, usize)> = win.filter(|&i| hb(&keys[i])).map(|i| (keys[i], i)).collect();
+            cands.sort_unstable();
+            cands.dedup_by_key(|c| c.0);
+            let mut present = vec![false; cands.len()];
+            for k in other.iter().filter(|k| hb(k)) {
+                if let Ok(p) = cands.binary_search_by(|c| c.0.cmp(k)) {
+                    present[p] = true;
+                }
+            }
+            let absent = cands.into_iter().zip(present).filter_map(|(c, p)| (!p).then_some(c.1));
+            absent.collect::<Vec<usize>>()
+        };
+        let touched: Vec<(End, End)> = old_win
+            .clone()
+            .filter(|&i| hb(&o[i]))
+            .map(|i| (o[i].1, o[i].2))
+            .chain(new_win.clone().filter(|&i| hb(&n[i])).map(|i| (n[i].1, n[i].2)))
+            .collect();
+        (missing(n, new_win.clone(), o), missing(o, old_win.clone(), n), touched)
+    } else {
+        // Per key: `(count in old, count in new, an old index, a new index)`.
+        let mut counts: FxHashMap<Key, (u32, u32, usize, usize)> = FxHashMap::default();
+        counts.reserve(o.len());
+        for (i, k) in o.iter().enumerate().filter(|(_, k)| hb(k)) {
+            counts.entry(*k).or_insert((0, 0, i, 0)).0 += 1;
         }
-        if let Relation::HappenBefore { from, to, cond, .. } = r {
-            cands.remove(&(from, to, cond.as_ref()));
+        for (i, k) in n.iter().enumerate().filter(|(_, k)| hb(k)) {
+            let c = counts.entry(*k).or_insert((0, 0, 0, i));
+            if c.1 == 0 {
+                c.3 = i;
+            }
+            c.1 += 1;
         }
-    }
-}
-
-/// Condition multisets of `cs` for the given endpoint pairs only.
-#[allow(clippy::type_complexity)]
-fn collect_conds<'a>(
-    cs: &'a ConstraintSet,
-    touched: &BTreeSet<(&'a StateRef, &'a StateRef)>,
-) -> BTreeMap<(&'a StateRef, &'a StateRef), Vec<Option<&'a Condition>>> {
-    let mut map: BTreeMap<(&StateRef, &StateRef), Vec<Option<&Condition>>> =
-        touched.iter().map(|&p| (p, Vec::new())).collect();
-    for r in &cs.relations {
-        if let Relation::HappenBefore { from, to, cond, .. } = r {
-            if let Some(v) = map.get_mut(&(from, to)) {
-                v.push(cond.as_ref());
+        let (mut added, mut removed, mut touched) = (Vec::new(), Vec::new(), Vec::new());
+        // A changed condition multiset shows as a changed count of one of
+        // its pair's keys.
+        for (k, &(oc, nc, oi, ni)) in &counts {
+            if oc != nc {
+                touched.push((k.1, k.2));
+                if oc == 0 {
+                    added.push(ni);
+                }
+                if nc == 0 {
+                    removed.push(oi);
+                }
             }
         }
-    }
-    for v in map.values_mut() {
-        v.sort();
-    }
-    map
-}
-
-/// Diff restricted to a small changed window: every difference involves a
-/// relation in `mid_old`/`mid_new`, so candidates come from the windows
-/// and only membership checks touch the full sets (single linear scans).
-fn diff_windowed<'a>(
-    old: &'a ConstraintSet,
-    new: &'a ConstraintSet,
-    mid_old: &'a [Relation],
-    mid_new: &'a [Relation],
-) -> ConstraintDiff {
-    let mut added_keys = window_keys(mid_new);
-    subtract_present(&mut added_keys, old);
-    let mut removed_keys = window_keys(mid_old);
-    subtract_present(&mut removed_keys, new);
-    let mut added: Vec<String> = added_keys.iter().map(render_hb).collect();
-    let mut removed: Vec<String> = removed_keys.iter().map(render_hb).collect();
+        (added, removed, touched)
+    };
+    let mut added: Vec<String> = added_at
+        .into_iter()
+        .map(|i| {
+            let r = &new.rels[i];
+            render_hb(new, r.from, r.to, r.cond)
+        })
+        .collect();
+    let mut removed: Vec<String> = removed_at
+        .into_iter()
+        .map(|i| {
+            let r = &old.rels[i];
+            render_hb(old, r.from, r.to, r.cond)
+        })
+        .collect();
     added.sort();
     removed.sort();
 
-    // Exclusive pairs never appear in the synthetic edit bursts and are
-    // rare in general; when the window touches one, compare the (small)
-    // full Exclusive sets the way the full diff does.
-    let window_has_excl = mid_old
-        .iter()
-        .chain(mid_new)
-        .any(|r| matches!(r, Relation::Exclusive { .. }));
-    let (exclusive_added, exclusive_removed) = if window_has_excl {
-        let old_excl: BTreeSet<String> = old.relations.iter().filter_map(exclusive_key).collect();
-        let new_excl: BTreeSet<String> = new.relations.iter().filter_map(exclusive_key).collect();
-        (
-            new_excl.difference(&old_excl).cloned().collect(),
-            old_excl.difference(&new_excl).cloned().collect(),
-        )
+    // Exclusive pairs: compared only when the window holds one (outside
+    // it they match positionally), as unordered endpoint pairs.
+    let has_excl = old_win.clone().any(|i| o[i].0 == Kind::Exclusive)
+        || new_win.clone().any(|i| n[i].0 == Kind::Exclusive);
+    let (exclusive_added, exclusive_removed) = if has_excl {
+        let pairs = |keys: &[Key]| {
+            let mut v: Vec<((End, End), usize)> = keys
+                .iter()
+                .enumerate()
+                .filter(|(_, k)| k.0 == Kind::Exclusive)
+                .map(|(i, k)| ((k.1.min(k.2), k.1.max(k.2)), i))
+                .collect();
+            v.sort_unstable();
+            v.dedup_by_key(|p| p.0);
+            v
+        };
+        let (op, np) = (pairs(o), pairs(n));
+        let only = |a: &[((End, End), usize)], b: &[((End, End), usize)], num: &Numbering, rels: &[crate::number::IdRel]| {
+            let mut out: Vec<String> = a
+                .iter()
+                .filter(|p| b.binary_search_by(|q| q.0.cmp(&p.0)).is_err())
+                .map(|&(_, i)| render_exclusive(num, rels[i].from, rels[i].to))
+                .collect();
+            out.sort();
+            out
+        };
+        (only(&np, &op, new, &new.rels), only(&op, &np, old, &old.rels))
     } else {
         (Vec::new(), Vec::new())
     };
 
-    // Annotation view: only endpoint pairs named in the window can have a
-    // changed condition multiset; collect their conditions from both full
-    // sets in one scan each.
-    let touched: BTreeSet<(&StateRef, &StateRef)> = mid_old
-        .iter()
-        .chain(mid_new)
-        .filter_map(|r| match r {
-            Relation::HappenBefore { from, to, .. } => Some((from, to)),
-            _ => None,
-        })
-        .collect();
-    let old_pairs = collect_conds(old, &touched);
-    let new_pairs = collect_conds(new, &touched);
-    let mut annotation_changed: Vec<String> = touched
-        .iter()
-        .filter_map(|pair| {
-            let old_conds = &old_pairs[pair];
-            let new_conds = &new_pairs[pair];
-            // Present in both sets (the full diff only reports pairs that
-            // survive the edit) and with differing condition multisets.
-            (!old_conds.is_empty() && !new_conds.is_empty() && old_conds != new_conds)
-                .then(|| render_annotation(*pair, old_conds, new_conds))
-        })
-        .collect();
+    // Annotation view: the touched endpoint pairs, with the condition
+    // multisets both sides hold on them.
+    touched.sort_unstable();
+    touched.dedup();
+    let conds = |keys: &[Key]| {
+        let mut v: Vec<(usize, Option<Guard>, usize)> = keys
+            .iter()
+            .enumerate()
+            .filter(|(_, k)| hb(k))
+            .filter_map(|(i, k)| Some((touched.binary_search(&(k.1, k.2)).ok()?, k.3, i)))
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    let (oc, nc) = (conds(o), conds(n));
+    fn group(v: &[(usize, Option<Guard>, usize)], p: usize) -> &[(usize, Option<Guard>, usize)] {
+        let lo = v.partition_point(|c| c.0 < p);
+        let hi = v.partition_point(|c| c.0 <= p);
+        &v[lo..hi]
+    }
+    let mut annotation_changed: Vec<String> = Vec::new();
+    for (p, &(from, to)) in touched.iter().enumerate() {
+        let (oc, nc) = (group(&oc, p), group(&nc, p));
+        // Present in both sets and with differing condition multisets.
+        if oc.is_empty() || nc.is_empty() || oc.iter().map(|c| c.1).eq(nc.iter().map(|c| c.1)) {
+            continue;
+        }
+        let fmt = |side: &[(usize, Option<Guard>, usize)], num: &Numbering| {
+            let mut v: Vec<String> = side.iter().map(|c| render_cond(num, num.rels[c.2].cond)).collect();
+            v.sort();
+            v.join(", ")
+        };
+        annotation_changed.push(format!(
+            "{} -> {}: [{}] => [{}]",
+            new.end_ref(from),
+            new.end_ref(to),
+            fmt(oc, old),
+            fmt(nc, new)
+        ));
+    }
     annotation_changed.sort();
+
+    // Guard-domain edits: the old set's domains in key order, then the
+    // domains only the new set declares.
+    let mut domain_changed = Vec::new();
+    let render_dom = |num: &Numbering, g: Option<u32>| {
+        g.and_then(|g| Some((g, num.domains()[g as usize].as_ref()?)))
+            .map(|(g, dom)| {
+                let vals: Vec<&str> = dom.iter().map(|&v| num.values(g)[v as usize].as_str()).collect();
+                vals.join(", ")
+            })
+            .unwrap_or_default()
+    };
+    let declared_new = |g: u32| (g < new.declared_guards() as u32).then_some(g);
+    let mut matched = vec![false; new.declared_guards()];
+    for g in 0..old.declared_guards() as u32 {
+        let ng = declared_new(map.guards[g as usize]);
+        let old_dom = old.domains()[g as usize].as_deref().unwrap_or_default();
+        let same = ng.is_some_and(|ng| {
+            matched[ng as usize] = true;
+            let new_dom = new.domains()[ng as usize].as_deref().unwrap_or_default();
+            old_dom.len() == new_dom.len()
+                && old_dom.iter().zip(new_dom).all(|(&v, &w)| map.values[g as usize][v as usize] == w)
+        });
+        if !same {
+            domain_changed.push(format!(
+                "{}: [{}] => [{}]",
+                old.guard_name(g),
+                render_dom(old, Some(g)),
+                render_dom(new, ng)
+            ));
+        }
+    }
+    for g in (0..new.declared_guards() as u32).filter(|&g| !matched[g as usize]) {
+        domain_changed.push(format!("{}: [] => [{}]", new.guard_name(g), render_dom(new, Some(g))));
+    }
 
     ConstraintDiff {
         added,
         removed,
-        added_activities: new.activities.difference(&old.activities).map(Name::to_string).collect(),
-        removed_activities: old.activities.difference(&new.activities).map(Name::to_string).collect(),
+        added_activities: map.added_acts.iter().map(|&a| new.name(a).to_string()).collect(),
+        removed_activities: map.removed_acts.iter().map(|&a| old.name(a).to_string()).collect(),
         exclusive_added,
         exclusive_removed,
         annotation_changed,
-        domain_changed: domain_diff(old, new),
-    }
-}
-
-/// The symmetric full diff: one hash-counting pass per set (borrowed
-/// keys, no ordering structure), strings rendered only for entries that
-/// differ. Linear in the set sizes regardless of how the edit is shaped,
-/// so scattered multi-site bursts cost the same as a single insertion.
-fn diff_full(old: &ConstraintSet, new: &ConstraintSet) -> ConstraintDiff {
-    // Per-key multiset counts `(in old, in new)`.
-    let mut counts: FxHashMap<HbKey<'_>, (u32, u32)> = FxHashMap::default();
-    for r in &old.relations {
-        if let Relation::HappenBefore { from, to, cond, .. } = r {
-            counts.entry((from, to, cond.as_ref())).or_default().0 += 1;
-        }
-    }
-    for r in &new.relations {
-        if let Relation::HappenBefore { from, to, cond, .. } = r {
-            counts.entry((from, to, cond.as_ref())).or_default().1 += 1;
-        }
-    }
-    let mut added: Vec<String> = Vec::new();
-    let mut removed: Vec<String> = Vec::new();
-    // A changed pair condition-multiset always shows as a changed count on
-    // one of its keys, so the touched pairs fall out of the same pass.
-    let mut touched: BTreeSet<(&StateRef, &StateRef)> = BTreeSet::new();
-    for (key, &(o, n)) in &counts {
-        if o == n {
-            continue;
-        }
-        touched.insert((key.0, key.1));
-        if o == 0 {
-            added.push(render_hb(key));
-        }
-        if n == 0 {
-            removed.push(render_hb(key));
-        }
-    }
-    added.sort();
-    removed.sort();
-    let has_excl = old
-        .relations
-        .iter()
-        .chain(&new.relations)
-        .any(|r| matches!(r, Relation::Exclusive { .. }));
-    let (old_excl, new_excl): (BTreeSet<String>, BTreeSet<String>) = if has_excl {
-        (
-            old.relations.iter().filter_map(exclusive_key).collect(),
-            new.relations.iter().filter_map(exclusive_key).collect(),
-        )
-    } else {
-        Default::default()
-    };
-    let old_pairs = collect_conds(old, &touched);
-    let new_pairs = collect_conds(new, &touched);
-    let mut annotation_changed: Vec<String> = touched
-        .iter()
-        .filter_map(|pair| {
-            let old_conds = &old_pairs[pair];
-            let new_conds = &new_pairs[pair];
-            (!old_conds.is_empty() && !new_conds.is_empty() && old_conds != new_conds)
-                .then(|| render_annotation(*pair, old_conds, new_conds))
-        })
-        .collect();
-    annotation_changed.sort();
-    ConstraintDiff {
-        added,
-        removed,
-        added_activities: new
-            .activities
-            .difference(&old.activities)
-            .map(Name::to_string)
-            .collect(),
-        removed_activities: old
-            .activities
-            .difference(&new.activities)
-            .map(Name::to_string)
-            .collect(),
-        exclusive_added: new_excl.difference(&old_excl).cloned().collect(),
-        exclusive_removed: old_excl.difference(&new_excl).cloned().collect(),
-        annotation_changed,
-        domain_changed: domain_diff(old, new),
+        domain_changed,
     }
 }
 

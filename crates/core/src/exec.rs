@@ -20,22 +20,84 @@
 //! guards over their declared domains — which subsumes absorption *and*
 //! resolution/branch-completeness without any ad-hoc rewriting.
 
-use crate::number::{Guard, Kind, Numbering};
+use crate::number::{Guard, Kind, Numberer, Numbering};
 use dscweaver_dscl::{Condition, ConstraintSet, Name, Origin};
 use dscweaver_graph::annotated::Dnf;
 use dscweaver_graph::FxHashMap;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::LazyLock;
 
 /// Per-activity execution conditions, derived from control dependencies.
 ///
 /// Derived **before** optimization and carried alongside the constraint set
 /// from then on: the optimizer may remove control *constraints* (monitoring
 /// obligations) without changing the fact of when an activity executes.
+///
+/// Stored on ids, flat: the conditional activities (sorted), each one's
+/// DNF as a row of `(guard, value)` id terms — activities with the same
+/// condition share one row — and the guard and value names behind those
+/// ids. Every activity not listed executes always.
+/// [`resolve`](crate::resolve::resolve) translates the rows onto the ids
+/// of the set a consumer runs; [`ExecConditions::of`] builds one DNF on
+/// names on demand.
 #[derive(Clone, Debug, Default)]
 pub struct ExecConditions {
-    /// The conditional activities only; every other name executes always.
-    map: FxHashMap<Name, Dnf<Condition>>,
+    /// The conditional activities (and the undeclared names a derivation
+    /// visits), sorted.
+    acts: Vec<Name>,
+    /// Per conditional activity, its row.
+    row_of: Vec<u32>,
+    /// The rows: row `k`'s terms are `terms[rows[k]..rows[k + 1]]`, term
+    /// `t`'s conditions `conds[terms[t]..terms[t + 1]]`.
+    rows: Rows,
+    /// Guard names by guard id.
+    guards: Vec<Name>,
+    /// Guard `g`'s values are `values[value_at[g]..value_at[g + 1]]`.
+    value_at: Vec<u32>,
+    values: Vec<Name>,
+}
+
+/// DNFs of `(guard, value)` id terms, stored flat: row `k`'s terms are
+/// `at[k]..at[k + 1]`, term `t`'s conditions `conds[terms[t]..terms[t + 1]]`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Rows {
+    at: Vec<u32>,
+    terms: Vec<u32>,
+    conds: Vec<Guard>,
+}
+
+impl Rows {
+    /// Appends a row; `terms` yields each term's conditions.
+    fn push<'t>(&mut self, terms: impl Iterator<Item = &'t [Guard]>) {
+        if self.at.is_empty() {
+            self.at.push(0);
+            self.terms.push(0);
+        }
+        for term in terms {
+            self.conds.extend_from_slice(term);
+            self.terms.push(self.conds.len() as u32);
+        }
+        self.at.push(self.terms.len() as u32 - 1);
+    }
+
+    /// Rows so far.
+    fn len(&self) -> usize {
+        self.at.len().saturating_sub(1)
+    }
+
+    /// Row `k`'s terms.
+    fn row(&self, k: u32) -> impl Iterator<Item = &[Guard]> {
+        (self.at[k as usize] as usize..self.at[k as usize + 1] as usize)
+            .map(|t| &self.conds[self.terms[t] as usize..self.terms[t + 1] as usize])
+    }
+
+    /// Row `k` as a DNF.
+    fn dnf(&self, k: u32) -> Dnf<Guard> {
+        let mut d = Dnf::empty();
+        for t in self.row(k) {
+            d.insert(t.to_vec());
+        }
+        d
+    }
 }
 
 impl ExecConditions {
@@ -47,69 +109,188 @@ impl ExecConditions {
     /// optimizer keep more constraints, never remove a needed one.
     pub fn derive(cs: &ConstraintSet) -> ExecConditions {
         let num = Numbering::new(cs);
-        ExecConditions::from_ids(&num, &derive_ids(&num))
+        ExecConditions::pack(&num, &derive_ids(&num))
     }
 
-    /// The string form of [`derive_ids`]' result: one entry per
-    /// conditional name.
-    pub(crate) fn from_ids(num: &Numbering, exec: &[Option<Dnf<Guard>>]) -> ExecConditions {
-        let mut map = FxHashMap::default();
-        for (id, d) in exec.iter().enumerate() {
-            let Some(d) = d.as_ref().filter(|d| !d.is_always()) else {
-                continue;
-            };
-            let mut out = Dnf::empty();
-            for term in d.terms() {
-                out.insert(term.iter().map(|&c| num.condition(c)).collect());
-            }
-            map.insert(num.name(id as u32).clone(), out);
+    /// Packs [`derive_ids`]' result on `num`'s ids: one entry per
+    /// conditional name, in name order, and one row per DNF they use.
+    pub(crate) fn pack(num: &Numbering, exec: &ExecDnfs) -> ExecConditions {
+        let mut out = ExecConditions::default();
+        let conditional = |id: u32| !matches!(exec.of[id as usize], NONE | ALWAYS);
+        let mut names: Vec<u32> = (0..exec.of.len() as u32).filter(|&id| conditional(id)).collect();
+        if names.is_empty() {
+            return out;
         }
-        ExecConditions { map }
-    }
-
-    /// The execution condition of every conditional activity of `num`,
-    /// on its ids, by activity id (`None`: always). Guards `num` does
-    /// not know yet are numbered.
-    pub(crate) fn to_ids<'a>(&'a self, num: &mut Numbering<'a>) -> Vec<Option<Dnf<Guard>>> {
-        let mut out = vec![None; num.acts()];
-        for (name, d) in &self.map {
-            let Some(id) = num.activity(name) else {
-                continue;
-            };
-            let mut ids = Dnf::empty();
-            for term in d.terms() {
-                ids.insert(term.iter().map(|c| num.guard(c)).collect());
+        // Activity ids already ascend with names; undeclared names a
+        // derivation visits follow in mention order.
+        if names.last().is_some_and(|&id| id as usize >= num.acts()) {
+            names.sort_by(|&x, &y| num.name(x).cmp(num.name(y)));
+        }
+        let mut row = vec![NONE; exec.dnfs.len()];
+        for id in names {
+            let k = exec.of[id as usize] as usize;
+            if row[k] == NONE {
+                row[k] = out.rows.len() as u32;
+                out.rows.push(exec.dnfs[k].terms().iter().map(Vec::as_slice));
             }
-            out[id as usize] = Some(ids);
+            out.acts.push(num.name(id).clone());
+            out.row_of.push(row[k]);
+        }
+        out.value_at.push(0);
+        for g in 0..num.guard_count() as u32 {
+            out.guards.push(num.guard_name(g).clone());
+            out.values.extend_from_slice(num.values(g));
+            out.value_at.push(out.values.len() as u32);
         }
         out
     }
 
     /// The execution condition of `activity` (*always* if unknown).
     pub fn of(&self, activity: &str) -> Dnf<Condition> {
-        self.dnf(activity).clone()
-    }
-
-    /// [`ExecConditions::of`], borrowed instead of cloned.
-    pub fn dnf(&self, activity: &str) -> &Dnf<Condition> {
-        static ALWAYS: LazyLock<Dnf<Condition>> = LazyLock::new(Dnf::always);
-        self.map.get(activity).unwrap_or(&ALWAYS)
+        let Some(k) = self.position(activity) else {
+            return Dnf::always();
+        };
+        let mut out = Dnf::empty();
+        for term in self.rows.row(self.row_of[k]) {
+            out.insert(term.iter().map(|&c| self.condition(c)).collect());
+        }
+        out
     }
 
     /// True if `activity` executes unconditionally.
     pub fn is_unconditional(&self, activity: &str) -> bool {
-        self.dnf(activity).is_always()
+        self.position(activity).is_none()
+    }
+
+    /// The entry of a conditional activity.
+    fn position(&self, activity: &str) -> Option<usize> {
+        self.acts.binary_search_by(|a| a.as_str().cmp(activity)).ok()
+    }
+
+    /// The condition behind one of this table's guards.
+    fn condition(&self, (g, v): Guard) -> Condition {
+        Condition {
+            on: self.guards[g as usize].clone(),
+            value: self.values[(self.value_at[g as usize] + v) as usize].clone(),
+        }
+    }
+
+    /// Translates the rows onto the ids of `b`, numbering the guards and
+    /// values `b` does not know yet. Only the rows of activities `b`
+    /// declares are translated, in activity order; a conditional activity
+    /// the set does not declare is dropped.
+    pub(crate) fn translate<'a>(&'a self, b: &mut Numberer<'a>) -> ExecIds {
+        let acts = b.numbering().acts();
+        let mut out = ExecIds {
+            of: vec![NONE; acts],
+            rows: Rows::default(),
+        };
+        let mut row = vec![NONE; self.rows.len()];
+        let mut guard_map = vec![NONE; self.guards.len()];
+        let mut value_map = vec![NONE; self.values.len()];
+        let mut conds: Vec<Guard> = Vec::new();
+        let mut terms: Vec<u32> = Vec::new();
+        for (a, &k) in self.acts.iter().zip(&self.row_of) {
+            let Some(id) = b.activity_id(a) else {
+                continue;
+            };
+            if row[k as usize] == NONE {
+                conds.clear();
+                terms.clear();
+                for term in self.rows.row(k) {
+                    for &(g, v) in term {
+                        let flat = (self.value_at[g as usize] + v) as usize;
+                        if value_map[flat] == NONE {
+                            let guard = &self.guards[g as usize];
+                            let value = &self.values[flat];
+                            let ((cg, cv), _) = b.condition(guard, || guard.clone(), value, || value.clone());
+                            guard_map[g as usize] = cg;
+                            value_map[flat] = cv;
+                        }
+                        conds.push((guard_map[g as usize], value_map[flat]));
+                    }
+                    terms.push(conds.len() as u32);
+                }
+                row[k as usize] = out.rows.len() as u32;
+                let mut from = 0;
+                out.rows.push(terms.iter().map(|&to| {
+                    let t = &conds[from as usize..to as usize];
+                    from = to;
+                    t
+                }));
+            }
+            out.of[id as usize] = row[k as usize];
+        }
+        out
+    }
+}
+
+/// No row: the name executes always (or was never visited).
+const NONE: u32 = u32::MAX;
+
+/// The row of *always* in [`ExecDnfs::dnfs`].
+const ALWAYS: u32 = 0;
+
+/// Execution conditions on a numbering's ids, as [`derive_ids`] computes
+/// them: per name id, the index of its DNF in `dnfs` (`dnfs[0]` is
+/// *always*; `NONE` for a name no derivation visits).
+#[derive(Debug)]
+pub(crate) struct ExecDnfs {
+    pub of: Vec<u32>,
+    pub dnfs: Vec<Dnf<Guard>>,
+}
+
+impl ExecDnfs {
+    /// The DNF of name `id`, `None` for *always*.
+    pub fn get(&self, id: usize) -> Option<&Dnf<Guard>> {
+        match self.of.get(id).copied() {
+            None | Some(NONE | ALWAYS) => None,
+            Some(k) => Some(&self.dnfs[k as usize]),
+        }
+    }
+}
+
+/// Execution conditions translated onto a set's ids
+/// ([`ExecConditions::translate`]): per activity id, its row (`NONE`:
+/// always).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ExecIds {
+    of: Vec<u32>,
+    rows: Rows,
+}
+
+impl ExecIds {
+    /// Activity `a`'s terms (none: always).
+    pub fn of(&self, a: usize) -> impl Iterator<Item = &[Guard]> {
+        let k = self.of[a];
+        let rows = (k != NONE).then_some(k).map(|k| self.rows.row(k));
+        rows.into_iter().flatten()
+    }
+
+    /// True if activity `a` executes always.
+    pub fn is_always(&self, a: usize) -> bool {
+        self.of[a] == NONE
+    }
+
+    /// The DNFs by activity id, each row built once.
+    pub fn dnfs(&self) -> ExecDnfs {
+        let mut dnfs = vec![Dnf::always()];
+        dnfs.extend((0..self.rows.len() as u32).map(|k| self.rows.dnf(k)));
+        let of = self.of.iter().map(|&k| if k == NONE { ALWAYS } else { k + 1 }).collect();
+        ExecDnfs { of, dnfs }
     }
 }
 
 /// Execution conditions on the ids of `num`, by name id: the DNF of every
-/// activity and of every name their control parents reach (`None` for
-/// the names no derivation visits).
+/// activity and of every name their control parents reach (see
+/// [`ExecDnfs`]).
 ///
 /// Activities are visited in id order and control parents in relation
 /// order, depth first; a name met again while its own derivation is open
-/// (a control cycle) counts as *always* there.
-pub(crate) fn derive_ids(num: &Numbering) -> Vec<Option<Dnf<Guard>>> {
+/// (a control cycle) counts as *always* there. A name whose one control
+/// parent's condition and guard repeat another's takes that name's DNF
+/// without composing it again.
+pub(crate) fn derive_ids(num: &Numbering) -> ExecDnfs {
     // Control parents per target name, as CSR rows in relation order.
     let names = num.name_count();
     let mut start = vec![0u32; names + 1];
@@ -134,50 +315,83 @@ pub(crate) fn derive_ids(num: &Numbering) -> Vec<Option<Dnf<Guard>>> {
     struct Walk<'p> {
         start: &'p [u32],
         parents: &'p [(u32, Option<Guard>)],
-        memo: Vec<Option<Dnf<Guard>>>,
+        memo: Vec<u32>,
         visiting: Vec<bool>,
+        dnfs: Vec<Dnf<Guard>>,
+        /// `(parent's DNF, condition)` → DNF, for names with one control
+        /// parent (`NONE`: the parent's derivation was open).
+        step: FxHashMap<(u32, Option<Guard>), u32>,
     }
     impl Walk<'_> {
-        /// Fills `memo[a]`, composing each parent's DNF in place from its
-        /// memo slot; a parent whose derivation is still open counts as
-        /// *always*.
+        /// Fills `memo[a]`, after every parent's; a parent whose
+        /// derivation is still open counts as *always*.
         fn compute(&mut self, a: usize) {
-            if self.memo[a].is_some() {
+            if self.memo[a] != NONE {
                 return;
             }
             self.visiting[a] = true;
-            let mut acc = Dnf::empty();
-            for i in self.start[a] as usize..self.start[a + 1] as usize {
-                let (g, cond) = self.parents[i];
-                let g = g as usize;
+            let ps = self.start[a] as usize..self.start[a + 1] as usize;
+            for i in ps.clone() {
+                let g = self.parents[i].0 as usize;
                 if !self.visiting[g] {
                     self.compute(g);
                 }
-                match &self.memo[g] {
-                    Some(d) => {
-                        d.compose_into(cond.as_ref(), &mut acc);
-                    }
-                    // An open parent (a control cycle): conservative.
-                    None => {
-                        acc.insert(cond.into_iter().collect());
-                    }
-                }
             }
+            // An open parent (a control cycle) has no memo yet.
+            let memo = |walk: &Self, g: u32| if walk.visiting[g as usize] { NONE } else { walk.memo[g as usize] };
+            let key = (ps.len() == 1).then(|| {
+                let (g, cond) = self.parents[ps.start];
+                (memo(self, g), cond)
+            });
+            let known = key.and_then(|key| self.step.get(&key).copied());
+            let k = match (ps.is_empty(), known) {
+                (true, _) => ALWAYS,
+                (false, Some(k)) => k,
+                (false, None) => {
+                    let mut acc = Dnf::empty();
+                    for i in ps {
+                        let (g, cond) = self.parents[i];
+                        match memo(self, g) {
+                            NONE => {
+                                acc.insert(cond.into_iter().collect());
+                            }
+                            k => {
+                                self.dnfs[k as usize].compose_into(cond.as_ref(), &mut acc);
+                            }
+                        }
+                    }
+                    let k = if acc.is_always() {
+                        ALWAYS
+                    } else {
+                        self.dnfs.push(acc);
+                        self.dnfs.len() as u32 - 1
+                    };
+                    if let Some(key) = key {
+                        self.step.insert(key, k);
+                    }
+                    k
+                }
+            };
             self.visiting[a] = false;
-            self.memo[a] = Some(if acc.is_empty() { Dnf::always() } else { acc });
+            self.memo[a] = k;
         }
     }
 
     let mut walk = Walk {
         start: &start,
         parents: &parents,
-        memo: vec![None; names],
+        memo: vec![NONE; names],
         visiting: vec![false; names],
+        dnfs: vec![Dnf::always()],
+        step: FxHashMap::default(),
     };
     for a in 0..num.acts() {
         walk.compute(a);
     }
-    walk.memo
+    ExecDnfs {
+        of: walk.memo,
+        dnfs: walk.dnfs,
+    }
 }
 
 /// Conjunction of two DNFs (cross product of terms, minimized).

@@ -15,6 +15,7 @@ pub mod merge;
 pub mod minimize;
 mod number;
 pub mod pipeline;
+pub mod resolve;
 pub mod reweave;
 pub mod translate;
 pub mod witness;
@@ -28,6 +29,7 @@ pub use minimize::{
     MinimizeError, MinimizeOptions, MinimizeResult, MinimizeStats,
 };
 pub use pipeline::{Weaver, WeaverError, WeaverOutput};
+pub use resolve::{resolve, Resolved};
 pub use reweave::{ReweavePath, ReweaveReport, WeaveSession};
 pub use translate::{translate_services, TranslationReport};
 pub use witness::{explain_removals, RemovalWitness};

@@ -17,47 +17,48 @@
 //! set holds that one.
 
 use crate::dependency::{Dependency, DependencyKind, DependencySet};
+use crate::number::{IdRel, Kind, Numberer, Numbering};
 use dscweaver_dscl::{ActivityState, Condition, ConstraintSet, Name, Origin, Relation, StateRef};
-use dscweaver_graph::FxHashMap;
 
-/// The names of one merge, by string.
-#[derive(Default)]
-struct Names<'a>(FxHashMap<&'a str, Name>);
-
-impl<'a> Names<'a> {
-    /// The shared name for `s`, made on first mention.
-    fn get(&mut self, s: &'a str) -> Name {
-        self.0.entry(s).or_insert_with(|| Name::from(s)).clone()
+/// The relation kind and origin a dependency lowers to, and the branch
+/// value of a conditional control dependency.
+fn shape(dep: &Dependency) -> (Origin, Option<&str>) {
+    match &dep.kind {
+        DependencyKind::Data => (Origin::Data, None),
+        DependencyKind::Cooperation => (Origin::Cooperation, None),
+        DependencyKind::Service => (Origin::Service, None),
+        DependencyKind::Control { value } => (Origin::Control, value.as_deref()),
     }
+}
+
+/// The default states of a dependency's endpoints.
+fn states(dep: &Dependency) -> (ActivityState, ActivityState) {
+    (
+        dep.from.state.unwrap_or(ActivityState::Finish),
+        dep.to.state.unwrap_or(ActivityState::Start),
+    )
 }
 
 /// Lowers one dependency to its DSCL relation.
 pub fn lower(dep: &Dependency) -> Relation {
-    lower_in(dep, &mut Names::default())
-}
-
-/// [`lower`], taking every name from `names`.
-fn lower_in<'a>(dep: &'a Dependency, names: &mut Names<'a>) -> Relation {
+    let (fs, ts) = states(dep);
     let from = StateRef {
-        activity: names.get(&dep.from.name),
-        state: dep.from.state.unwrap_or(ActivityState::Finish),
+        activity: Name::from(&dep.from.name),
+        state: fs,
     };
     let to = StateRef {
-        activity: names.get(&dep.to.name),
-        state: dep.to.state.unwrap_or(ActivityState::Start),
+        activity: Name::from(&dep.to.name),
+        state: ts,
     };
-    match &dep.kind {
-        DependencyKind::Data => Relation::before(from, to, Origin::Data),
-        DependencyKind::Cooperation => Relation::before(from, to, Origin::Cooperation),
-        DependencyKind::Service => Relation::before(from, to, Origin::Service),
-        DependencyKind::Control { value: Some(v) } => {
+    match shape(dep) {
+        (Origin::Control, Some(v)) => {
             let cond = Condition {
                 on: from.activity.clone(),
-                value: names.get(v),
+                value: Name::from(v),
             };
             Relation::before_if(from, to, cond, Origin::Control)
         }
-        DependencyKind::Control { value: None } => Relation::before(from, to, Origin::Control),
+        (origin, _) => Relation::before(from, to, origin),
     }
 }
 
@@ -66,24 +67,77 @@ fn lower_in<'a>(dep: &'a Dependency, names: &mut Names<'a>) -> Relation {
 /// carry over; the relation list preserves the dependency order so Table-1
 /// and Figure-7 reports line up.
 pub fn merge(ds: &DependencySet) -> ConstraintSet {
-    let mut names = Names::default();
-    names
-        .0
-        .reserve(ds.activities.len() + ds.services.len() + 2 * ds.domains.len());
+    merge_numbered(ds).0
+}
+
+/// [`merge`] and the [`Numbering`] of the merged set, in one pass: each
+/// name is made once, together with its id.
+pub(crate) fn merge_numbered(ds: &DependencySet) -> (ConstraintSet, Numbering) {
+    let mut b = Numberer::with_capacity(ds.activities.len() + ds.services.len(), ds.deps.len());
     let mut cs = ConstraintSet::new(ds.name.clone());
-    cs.activities = ds.activities.iter().map(|a| names.get(a)).collect();
-    cs.services = ds.services.iter().map(|s| names.get(s)).collect();
+    cs.activities = ds
+        .activities
+        .iter()
+        .map(|a| b.activity(a, || Name::from(a)).clone())
+        .collect();
+    cs.services = ds
+        .services
+        .iter()
+        .map(|s| b.service(s, || Name::from(s)).clone())
+        .collect();
     cs.domains = ds
         .domains
         .iter()
-        .map(|(g, dom)| (names.get(g), dom.iter().map(|v| names.get(v)).collect()))
+        .map(|(g, dom)| {
+            let (id, guard) = b.domain(g, || Name::from(g));
+            let guard = guard.clone();
+            let vals = dom
+                .iter()
+                .map(|v| b.domain_value(id, v, || Name::from(v)).clone())
+                .collect();
+            (guard, vals)
+        })
         .collect();
-    cs.relations = ds
-        .deps
-        .iter()
-        .map(|dep| lower_in(dep, &mut names))
-        .collect();
-    cs
+    cs.relations = Vec::with_capacity(ds.deps.len());
+    for dep in &ds.deps {
+        let (fs, ts) = states(dep);
+        let (f, fname) = b.endpoint(&dep.from.name, || Name::from(&dep.from.name));
+        let from = StateRef {
+            activity: fname.clone(),
+            state: fs,
+        };
+        let (t, tname) = b.endpoint(&dep.to.name, || Name::from(&dep.to.name));
+        let to = StateRef {
+            activity: tname.clone(),
+            state: ts,
+        };
+        let (origin, value) = shape(dep);
+        let (rel, cond) = match value {
+            Some(v) => {
+                let on = &from.activity;
+                let (id, known) = b.condition(&dep.from.name, || on.clone(), v, || Name::from(v));
+                if !known {
+                    b.problem();
+                }
+                let (on, value) = b.condition_names(id);
+                let cond = Condition {
+                    on: on.clone(),
+                    value: value.clone(),
+                };
+                (Relation::before_if(from, to, cond, origin), Some(id))
+            }
+            None => (Relation::before(from, to, origin), None),
+        };
+        b.push(IdRel {
+            kind: Kind::Before,
+            from: (f, fs),
+            to: (t, ts),
+            cond,
+            origin,
+        });
+        cs.relations.push(rel);
+    }
+    (cs, b.finish())
 }
 
 #[cfg(test)]

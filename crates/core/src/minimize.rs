@@ -84,8 +84,8 @@
 //! assert_eq!(out.minimal.constraint_count(), 2);
 //! ```
 
-use crate::exec::{dnf_and, implies_ids, implies_under, ExecConditions};
-use crate::number::{Guard, IdGraph, Numbering};
+use crate::exec::{dnf_and, implies_ids, implies_under, ExecConditions, ExecDnfs};
+use crate::number::{Guard, IdGraph, Numberer, Numbering};
 use dscweaver_dscl::sync_graph::{SyncGraph, SyncNode};
 use dscweaver_dscl::{Condition, ConstraintSet, Origin, Relation, SyncEdge};
 use dscweaver_graph::annotated::{Dnf, Row};
@@ -273,18 +273,17 @@ pub fn minimize_with(
     let _span = obs::span("minimize");
     let _generic = generic_span(cs);
     let prepare = obs::span("minimize.prepare");
-    let mut num = Numbering::new(cs);
-    let exec = exec.to_ids(&mut num);
-    generic(cs, &num, &exec, mode, order, IMPLIES_MEMO_LIMIT, prepare)
+    let mut b = Numberer::of_set(cs);
+    let exec = exec.translate(&mut b).dnfs();
+    generic(cs, &b.finish(), &exec, mode, order, IMPLIES_MEMO_LIMIT, prepare)
 }
 
 /// [`minimize`] on a set the weave has already numbered: `exec` holds
-/// the execution condition of the activities of `num` by activity id
-/// (`None`: always).
+/// the execution conditions of the activities of `num` by activity id.
 pub(crate) fn minimize_numbered(
     cs: &ConstraintSet,
     num: &Numbering,
-    exec: &[Option<Dnf<Guard>>],
+    exec: &ExecDnfs,
     mode: EquivalenceMode,
     order: &EdgeOrder,
 ) -> Result<MinimizeResult, MinimizeError> {
@@ -308,7 +307,23 @@ fn order_candidates(
             let rank = |o: Origin| -> usize {
                 priority.iter().position(|&p| p == o).unwrap_or(priority.len())
             };
-            candidates.sort_by_key(|&(_, i)| (rank(origin(i)), i));
+            // Ordered by `(rank, relation index)`: candidates come in
+            // relation order, so a stable counting sort on the rank.
+            debug_assert!(candidates.windows(2).all(|w| w[0].1 < w[1].1));
+            let ranks: Vec<usize> = candidates.iter().map(|&(_, i)| rank(origin(i))).collect();
+            let mut next = vec![0; priority.len() + 2];
+            for &r in &ranks {
+                next[r + 1] += 1;
+            }
+            for r in 1..next.len() {
+                next[r] += next[r - 1];
+            }
+            let mut sorted = candidates.clone();
+            for (&c, &r) in candidates.iter().zip(&ranks) {
+                sorted[next[r]] = c;
+                next[r] += 1;
+            }
+            candidates = sorted;
         }
     }
     candidates
@@ -677,7 +692,11 @@ impl<'a> Engine<'a> {
                     let row = self.rows.row(ui);
                     let old_v = row.get(v.0).expect("candidate edge target must be in tail row");
                     let ctx = self.pool.and(self.exec_ids[ui], self.exec_ids[v.index()]);
-                    if !self.implies(ctx, old_v, DnfPool::<Guard>::EMPTY) {
+                    // `ALWAYS ⟹ EMPTY` never holds: no memo lookup.
+                    let always = DnfPool::<Guard>::ALWAYS;
+                    if (ctx == always && old_v == always)
+                        || !self.implies(ctx, old_v, DnfPool::<Guard>::EMPTY)
+                    {
                         return false;
                     }
                 }
@@ -739,7 +758,7 @@ fn generic_span(cs: &ConstraintSet) -> obs::Span {
 fn generic(
     cs: &ConstraintSet,
     num: &Numbering,
-    exec: &[Option<Dnf<Guard>>],
+    exec: &ExecDnfs,
     mode: EquivalenceMode,
     order: &EdgeOrder,
     memo_limit: usize,
@@ -757,9 +776,13 @@ fn generic(
     // activity order.
     let mut pool = DnfPool::new();
     let mut exec_ids = vec![DnfPool::<Guard>::ALWAYS; g.node_bound()];
-    for (a, d) in exec.iter().enumerate().take(num.acts()) {
-        if let Some(d) = d.as_ref().filter(|d| !d.is_always()) {
-            exec_ids[3 * a..3 * a + 3].fill(pool.intern(d));
+    // Each DNF is interned once, in activity order.
+    let mut interned = vec![None; exec.dnfs.len()];
+    for a in 0..num.acts() {
+        if let Some(d) = exec.get(a) {
+            let k = exec.of[a] as usize;
+            let id = *interned[k].get_or_insert_with(|| pool.intern(d));
+            exec_ids[3 * a..3 * a + 3].fill(id);
         }
     }
     drop(prepare);
@@ -830,11 +853,14 @@ pub fn minimize_generic_baseline(
             .into_rows();
 
     // Execution condition of a node (service nodes: always).
-    let always = Dnf::always();
-    let exec_of = |n: NodeId| match g.weight(n) {
-        SyncNode::State(s) => exec.dnf(&s.activity),
-        SyncNode::Service(_) => &always,
-    };
+    let execs: Vec<Dnf<Condition>> = g
+        .node_ids()
+        .map(|n| match g.weight(n) {
+            SyncNode::State(s) => exec.of(&s.activity),
+            SyncNode::Service(_) => Dnf::always(),
+        })
+        .collect();
+    let exec_of = |n: NodeId| &execs[n.index()];
 
     let candidates =
         order_candidates(sg.constraint_edges().collect(), order, |i| cs.relations[i].origin());
@@ -1488,10 +1514,10 @@ mod tests {
         let exec = ExecConditions::derive(&cs);
         let (mode, order) = (EquivalenceMode::ExecutionAware, EdgeOrder::default());
         let cached = minimize(&cs, &exec, mode, &order).unwrap();
-        let mut num = Numbering::new(&cs);
-        let exec_ids = exec.to_ids(&mut num);
+        let mut b = Numberer::of_set(&cs);
+        let exec_ids = exec.translate(&mut b).dnfs();
         let prepare = obs::span("minimize.prepare");
-        let evicting = generic(&cs, &num, &exec_ids, mode, &order, 1, prepare).unwrap();
+        let evicting = generic(&cs, &b.finish(), &exec_ids, mode, &order, 1, prepare).unwrap();
         assert_eq!(kept_set(&cached), kept_set(&evicting));
         assert!(cached.stats.pool_dnfs > 1);
         assert_eq!(cached.stats.implies_evictions, 0);

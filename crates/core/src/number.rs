@@ -1,8 +1,11 @@
 //! The integer numbering a weave runs on.
 //!
 //! A [`ConstraintSet`] names everything by [`Name`]. The weave numbers it
-//! once and runs execution conditions, translation and minimization on
-//! the ids; the output sets clone the set's shared [`Name`]s back.
+//! once — [`merge`](crate::merge::merge()) hands out each id together with the
+//! name it makes — and runs execution conditions, translation and
+//! minimization on the ids; the output sets clone the set's shared
+//! [`Name`]s back. A [`Numbering`] owns its tables as `Name` clones, so a
+//! re-weave session keeps its last ASC numbering for the next diff.
 //!
 //! * **Names** — activities in declaration order (the set's sorted
 //!   order, so id order is name byte order), then services, then, only
@@ -19,10 +22,13 @@
 //! report — an undeclared name, guard or value, or a name declared both
 //! as an activity and as a service — sets [`Numbering::has_problems`], and
 //! the caller that needs the error list asks `validate` for it.
+//!
+//! [`Numberer`] is the one transient name map behind every numbering:
+//! the merge, [`Numbering::new`] and [`resolve`](crate::resolve::resolve)
+//! all number through it, so the id rules live in one place.
 
 use dscweaver_dscl::{ActivityState, Condition, ConstraintSet, Name, Origin, Relation, StateRef};
 use dscweaver_graph::{DiGraph, FxHashMap, NodeId};
-use std::collections::hash_map::Entry;
 
 /// A branch condition on ids: `(guard id, value id)`.
 pub(crate) type Guard = (u32, u32);
@@ -31,10 +37,13 @@ pub(crate) type Guard = (u32, u32);
 pub(crate) type End = (u32, ActivityState);
 
 /// The three DSCL relation kinds.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Kind {
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum Kind {
+    /// `HappenBefore`.
     Before,
+    /// `HappenTogether` (sugar, desugared before the executors run).
     Together,
+    /// `Exclusive`.
     Exclusive,
 }
 
@@ -49,78 +58,236 @@ pub(crate) struct IdRel {
     pub origin: Origin,
 }
 
+/// No id yet.
+const NONE: u32 = u32::MAX;
+
 /// A constraint set numbered once (see the module docs).
-pub(crate) struct Numbering<'a> {
-    names: Vec<&'a Name>,
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Numbering {
+    names: Vec<Name>,
     acts: u32,
     services: u32,
-    ids: FxHashMap<&'a str, u32>,
     /// Activities that are also declared as services.
     ambiguous: Vec<u32>,
-    guards: Vec<&'a Name>,
-    guard_ids: FxHashMap<&'a str, u32>,
+    guards: Vec<Name>,
+    /// Per guard, its activity id ([`NONE`]: the guard is no activity).
+    guard_act: Vec<u32>,
     /// Per guard, its value names by value id.
-    values: Vec<Vec<&'a Name>>,
+    values: Vec<Vec<Name>>,
     /// Per guard, its declared domain as value ids (`None`: undeclared).
     domains: Vec<Option<Vec<u32>>>,
+    /// Guards with a declared domain: ids `0..declared`.
+    declared: u32,
     /// Every relation of the set, in relation order.
     pub rels: Vec<IdRel>,
     problems: bool,
 }
 
-impl<'a> Numbering<'a> {
-    /// Numbers `cs` in one pass over its declarations and relations.
-    pub fn new(cs: &'a ConstraintSet) -> Numbering<'a> {
-        let mut names: Vec<&'a Name> = Vec::with_capacity(cs.activities.len() + cs.services.len());
-        let mut ids = FxHashMap::default();
-        ids.reserve(cs.activities.len() + cs.services.len());
-        for a in &cs.activities {
-            ids.insert(a.as_str(), names.len() as u32);
-            names.push(a);
+/// What the transient map knows of one string: its name id and its guard
+/// id, either [`NONE`].
+#[derive(Clone, Copy)]
+struct Slot {
+    id: u32,
+    guard: u32,
+}
+
+/// A [`Numbering`] under construction, with the one transient map from
+/// string to ids that builds it. Declarations come first — activities in
+/// sorted order, then services, then domains in key order — and
+/// relations after; each call makes a name only on first mention.
+pub(crate) struct Numberer<'a> {
+    map: FxHashMap<&'a str, Slot>,
+    num: Numbering,
+}
+
+impl<'a> Numberer<'a> {
+    /// An empty numbering sized for `names` strings and `rels` relations.
+    pub fn with_capacity(names: usize, rels: usize) -> Numberer<'a> {
+        let mut map = FxHashMap::default();
+        map.reserve(names);
+        Numberer {
+            map,
+            num: Numbering {
+                names: Vec::with_capacity(names),
+                rels: Vec::with_capacity(rels),
+                ..Numbering::default()
+            },
         }
-        let mut ambiguous = Vec::new();
-        for s in &cs.services {
-            let id = names.len() as u32;
-            names.push(s);
-            match ids.entry(s.as_str()) {
-                Entry::Vacant(v) => {
-                    v.insert(id);
-                }
-                Entry::Occupied(o) => ambiguous.push(*o.get()),
+    }
+
+    fn slot(&mut self, s: &'a str) -> &mut Slot {
+        self.map.entry(s).or_insert(Slot {
+            id: NONE,
+            guard: NONE,
+        })
+    }
+
+    /// Declares the next activity (in sorted order, before any service).
+    pub fn activity(&mut self, s: &'a str, name: impl FnOnce() -> Name) -> &Name {
+        let id = self.num.names.len() as u32;
+        self.slot(s).id = id;
+        self.num.acts += 1;
+        self.num.names.push(name());
+        &self.num.names[id as usize]
+    }
+
+    /// Declares the next service. A service named like an activity gets
+    /// its own id, while the name keeps resolving to the activity.
+    pub fn service(&mut self, s: &'a str, name: impl FnOnce() -> Name) -> &Name {
+        let id = self.num.names.len() as u32;
+        let slot = self.slot(s);
+        if slot.id == NONE {
+            slot.id = id;
+        } else {
+            let act = slot.id;
+            self.num.ambiguous.push(act);
+            self.num.problems = true;
+        }
+        self.num.services += 1;
+        self.num.names.push(name());
+        &self.num.names[id as usize]
+    }
+
+    /// A new guard named `s` (declared or not); an activity's guard
+    /// shares the activity's name.
+    fn new_guard(
+        &mut self,
+        s: &'a str,
+        name: impl FnOnce() -> Name,
+        domain: Option<Vec<u32>>,
+    ) -> u32 {
+        let g = self.num.guards.len() as u32;
+        let slot = self.slot(s);
+        slot.guard = g;
+        let id = slot.id;
+        let act = if id < self.num.acts { id } else { NONE };
+        let name = match act {
+            NONE => name(),
+            a => self.num.names[a as usize].clone(),
+        };
+        self.num.guards.push(name);
+        self.num.guard_act.push(act);
+        self.num.values.push(Vec::new());
+        self.num.domains.push(domain);
+        g
+    }
+
+    /// Declares the next guard domain (in key order, before any
+    /// relation); its values follow through [`Numberer::domain_value`].
+    pub fn domain(&mut self, s: &'a str, name: impl FnOnce() -> Name) -> (u32, &Name) {
+        let g = self.new_guard(s, name, Some(Vec::new()));
+        self.num.declared += 1;
+        (g, &self.num.guards[g as usize])
+    }
+
+    /// The value id of `v` in guard `g`, numbering it on first mention.
+    fn value(&mut self, g: u32, v: &str, name: impl FnOnce() -> Name) -> u32 {
+        let vals = &mut self.num.values[g as usize];
+        match vals.iter().position(|x| x.as_str() == v) {
+            Some(i) => i as u32,
+            None => {
+                vals.push(name());
+                vals.len() as u32 - 1
             }
         }
-        let mut num = Numbering {
-            acts: cs.activities.len() as u32,
-            services: cs.services.len() as u32,
-            problems: !ambiguous.is_empty(),
-            names,
-            ids,
-            ambiguous,
-            guards: Vec::with_capacity(cs.domains.len()),
-            guard_ids: FxHashMap::default(),
-            values: Vec::with_capacity(cs.domains.len()),
-            domains: Vec::with_capacity(cs.domains.len()),
-            rels: Vec::with_capacity(cs.relations.len()),
+    }
+
+    /// Appends `v` to guard `g`'s declared domain.
+    pub fn domain_value(&mut self, g: u32, v: &str, name: impl FnOnce() -> Name) -> &Name {
+        let id = self.value(g, v, name);
+        self.num.domains[g as usize]
+            .as_mut()
+            .expect("a declared domain")
+            .push(id);
+        &self.num.values[g as usize][id as usize]
+    }
+
+    /// The id of endpoint name `s`, numbering it as undeclared on first
+    /// mention.
+    pub fn endpoint(&mut self, s: &'a str, name: impl FnOnce() -> Name) -> (u32, &Name) {
+        let next = self.num.names.len() as u32;
+        let slot = self.slot(s);
+        let id = if slot.id == NONE {
+            slot.id = next;
+            self.num.names.push(name());
+            self.num.problems = true;
+            next
+        } else {
+            slot.id
         };
+        (id, &self.num.names[id as usize])
+    }
+
+    /// The ids of the condition `on = v`, numbering an undeclared guard
+    /// or value on first mention. The flag is false when `validate` would
+    /// reject the condition.
+    pub fn condition(
+        &mut self,
+        on: &'a str,
+        on_name: impl FnOnce() -> Name,
+        v: &str,
+        v_name: impl FnOnce() -> Name,
+    ) -> (Guard, bool) {
+        let g = match self.map.get(on).map_or(NONE, |slot| slot.guard) {
+            NONE => self.new_guard(on, on_name, None),
+            g => g,
+        };
+        let v = self.value(g, v, v_name);
+        let known = self.num.domains[g as usize]
+            .as_ref()
+            .is_some_and(|dom| dom.contains(&v));
+        ((g, v), known)
+    }
+
+    /// Records the next relation.
+    pub fn push(&mut self, rel: IdRel) {
+        self.num.rels.push(rel);
+    }
+
+    /// Flags a condition `validate` would reject.
+    pub fn problem(&mut self) {
+        self.num.problems = true;
+    }
+
+    /// The guard and value names behind a guard.
+    pub fn condition_names(&self, (g, v): Guard) -> (&Name, &Name) {
+        (
+            &self.num.guards[g as usize],
+            &self.num.values[g as usize][v as usize],
+        )
+    }
+
+    /// The activity id of `s`, if it names a declared activity.
+    pub fn activity_id(&self, s: &str) -> Option<u32> {
+        self.map
+            .get(s)
+            .map(|slot| slot.id)
+            .filter(|&id| id < self.num.acts)
+    }
+
+    /// The numbering so far.
+    pub fn numbering(&self) -> &Numbering {
+        &self.num
+    }
+
+    /// Numbers every declaration and relation of `cs`.
+    pub fn of_set(cs: &'a ConstraintSet) -> Numberer<'a> {
+        let mut b =
+            Numberer::with_capacity(cs.activities.len() + cs.services.len(), cs.relations.len());
+        for a in &cs.activities {
+            b.activity(a, || a.clone());
+        }
+        for s in &cs.services {
+            b.service(s, || s.clone());
+        }
         for (g, dom) in &cs.domains {
-            num.guard_ids.insert(g.as_str(), num.guards.len() as u32);
-            num.guards.push(g);
-            let mut vals: Vec<&'a Name> = Vec::with_capacity(dom.len());
-            let dom_ids = dom
-                .iter()
-                .map(|v| match vals.iter().position(|&x| x == v) {
-                    Some(i) => i as u32,
-                    None => {
-                        vals.push(v);
-                        vals.len() as u32 - 1
-                    }
-                })
-                .collect();
-            num.values.push(vals);
-            num.domains.push(Some(dom_ids));
+            let (g, _) = b.domain(g, || g.clone());
+            for v in dom {
+                b.domain_value(g, v, || v.clone());
+            }
         }
         for r in &cs.relations {
-            let (kind, a, b, cond, origin) = match r {
+            let (kind, a, b_, cond, origin) = match r {
                 Relation::HappenBefore {
                     from,
                     to,
@@ -132,14 +299,16 @@ impl<'a> Numbering<'a> {
                 }
                 Relation::Exclusive { a, b, origin } => (Kind::Exclusive, a, b, None, *origin),
             };
-            let from = (num.name_id(&a.activity), a.state);
-            let to = (num.name_id(&b.activity), b.state);
+            let from = (b.endpoint(&a.activity, || a.activity.clone()).0, a.state);
+            let to = (b.endpoint(&b_.activity, || b_.activity.clone()).0, b_.state);
             let cond = cond.map(|c| {
-                let (g, v, known) = num.guard_id(c);
-                num.problems |= !known;
-                (g, v)
+                let (g, known) = b.condition(&c.on, || c.on.clone(), &c.value, || c.value.clone());
+                if !known {
+                    b.problem();
+                }
+                g
             });
-            num.rels.push(IdRel {
+            b.push(IdRel {
                 kind,
                 from,
                 to,
@@ -147,58 +316,24 @@ impl<'a> Numbering<'a> {
                 origin,
             });
         }
-        num
+        b
+    }
+
+    /// The finished numbering; the map is dropped.
+    pub fn finish(self) -> Numbering {
+        self.num
+    }
+}
+
+impl Numbering {
+    /// Numbers `cs` in one pass over its declarations and relations.
+    pub fn new(cs: &ConstraintSet) -> Numbering {
+        Numberer::of_set(cs).finish()
     }
 
     /// True if [`ConstraintSet::validate`] reports anything for the set.
     pub fn has_problems(&self) -> bool {
         self.problems
-    }
-
-    /// The id of `name`, numbering it as undeclared on first mention.
-    fn name_id(&mut self, name: &'a Name) -> u32 {
-        if let Some(&id) = self.ids.get(name.as_str()) {
-            return id;
-        }
-        self.problems = true;
-        let id = self.names.len() as u32;
-        self.names.push(name);
-        self.ids.insert(name.as_str(), id);
-        id
-    }
-
-    /// The ids of `c`, numbering an undeclared guard or value on first
-    /// mention. The flag is false when `validate` would reject `c`.
-    fn guard_id(&mut self, c: &'a Condition) -> (u32, u32, bool) {
-        let g = match self.guard_ids.get(c.on.as_str()) {
-            Some(&g) => g,
-            None => {
-                let g = self.guards.len() as u32;
-                self.guard_ids.insert(c.on.as_str(), g);
-                self.guards.push(&c.on);
-                self.values.push(Vec::new());
-                self.domains.push(None);
-                g
-            }
-        };
-        let vals = &mut self.values[g as usize];
-        let v = match vals.iter().position(|&x| *x == c.value) {
-            Some(v) => v as u32,
-            None => {
-                vals.push(&c.value);
-                vals.len() as u32 - 1
-            }
-        };
-        let known = self.domains[g as usize]
-            .as_ref()
-            .is_some_and(|dom| dom.contains(&v));
-        (g, v, known)
-    }
-
-    /// `c` on this numbering's ids, numbering what it does not know yet.
-    pub fn guard(&mut self, c: &'a Condition) -> Guard {
-        let (g, v, _) = self.guard_id(c);
-        (g, v)
     }
 
     /// Declared activities.
@@ -217,19 +352,50 @@ impl<'a> Numbering<'a> {
         &self.domains
     }
 
+    /// Guards with a declared domain: ids `0..declared_guards()`, in
+    /// domain key order.
+    pub fn declared_guards(&self) -> usize {
+        self.declared as usize
+    }
+
+    /// Guards numbered (declared and undeclared).
+    pub fn guard_count(&self) -> usize {
+        self.guards.len()
+    }
+
+    /// A guard's name.
+    pub fn guard_name(&self, g: u32) -> &Name {
+        &self.guards[g as usize]
+    }
+
+    /// A guard's activity id, when the guard is a declared activity.
+    pub fn guard_activity(&self, g: u32) -> Option<u32> {
+        Some(self.guard_act[g as usize]).filter(|&a| a != NONE)
+    }
+
+    /// Guard `g`'s value names by value id.
+    pub fn values(&self, g: u32) -> &[Name] {
+        &self.values[g as usize]
+    }
+
     /// Names numbered so far (declared and undeclared).
     pub fn name_count(&self) -> usize {
         self.names.len()
     }
 
-    /// The name behind a name id.
-    pub fn name(&self, id: u32) -> &'a Name {
-        self.names[id as usize]
+    /// Every name by id.
+    pub fn names(&self) -> &[Name] {
+        &self.names
     }
 
-    /// The activity id of `name`, if it is a declared activity.
-    pub fn activity(&self, name: &str) -> Option<u32> {
-        self.ids.get(name).copied().filter(|&id| id < self.acts)
+    /// The name table, moved out.
+    pub fn into_names(self) -> Vec<Name> {
+        self.names
+    }
+
+    /// The name behind a name id.
+    pub fn name(&self, id: u32) -> &Name {
+        &self.names[id as usize]
     }
 
     /// True if the name is a declared service
@@ -256,9 +422,14 @@ impl<'a> Numbering<'a> {
 
     /// The state reference of an activity's state node.
     pub fn state_ref(&self, node: u32) -> StateRef {
+        self.end_ref((node / 3, ActivityState::ALL[(node % 3) as usize]))
+    }
+
+    /// The state reference of an endpoint.
+    pub fn end_ref(&self, (id, state): End) -> StateRef {
         StateRef {
-            activity: self.names[(node / 3) as usize].clone(),
-            state: ActivityState::ALL[(node % 3) as usize],
+            activity: self.names[id as usize].clone(),
+            state,
         }
     }
 
@@ -280,7 +451,7 @@ impl<'a> Numbering<'a> {
     }
 
     /// The guard and value names behind a guard, for ordering by bytes.
-    pub fn condition_key(&self, (g, v): Guard) -> (&'a str, &'a str) {
+    pub fn condition_key(&self, (g, v): Guard) -> (&str, &str) {
         (
             self.guards[g as usize].as_str(),
             self.values[g as usize][v as usize].as_str(),
@@ -383,6 +554,7 @@ mod tests {
         assert_eq!(num.domains()[0], Some(vec![0, 1, 0]));
         assert_eq!(num.rels[1].cond, Some((0, 1)));
         assert_eq!(num.condition((0, 1)), Condition::new("if_x", "F"));
+        assert_eq!(num.guard_activity(0), Some(2));
     }
 
     #[test]
@@ -405,8 +577,10 @@ mod tests {
         assert!(Numbering::new(&cs).has_problems());
         let mut cs = sample();
         cs.add_service("a");
-        let num = Numbering::new(&cs);
+        let b = Numberer::of_set(&cs);
+        let a = b.activity_id("a").unwrap();
+        let num = b.finish();
         assert!(num.has_problems());
-        assert!(num.is_external(num.activity("a").unwrap()));
+        assert!(num.is_external(a));
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::dependency::DependencySet;
 use crate::exec::{derive_ids, ExecConditions};
-use crate::merge::merge;
+use crate::merge::merge_numbered;
 use crate::minimize::{
     minimize_numbered, EdgeOrder, EquivalenceMode, MinimizeError, MinimizeResult,
 };
@@ -95,27 +95,36 @@ impl Weaver {
 
     /// Runs the full specification-and-optimization pipeline.
     ///
-    /// The merged set is numbered once, and execution conditions,
-    /// translation and minimization run on that numbering; the output
-    /// sets share the merged set's names. [`merge`] lowers every dependency
+    /// The merge numbers the set as it builds it, and execution
+    /// conditions, translation and minimization run on that numbering;
+    /// the output sets share the merged set's names. The execution
+    /// conditions keep the numbering's ids. [`merge`](crate::merge::merge)
+    /// lowers every dependency
     /// to a HappenBefore relation, so there is no HappenTogether sugar to
     /// desugar. A merged set that fails [`ConstraintSet::validate`] is
     /// reported with validate's error list.
     pub fn run(&self, ds: &DependencySet) -> Result<WeaverOutput, WeaverError> {
+        self.run_numbered(ds).map(|(out, _)| out)
+    }
+
+    /// [`Weaver::run`], also returning the numbering of the output's ASC.
+    pub(crate) fn run_numbered(
+        &self,
+        ds: &DependencySet,
+    ) -> Result<(WeaverOutput, Numbering), WeaverError> {
         let _span = obs::span("weaver.run");
         let merge_span = obs::span_with("weaver.merge", || {
             format!("dependencies={}", ds.deps.len())
         });
-        let sc = merge(ds);
-        let num = Numbering::new(&sc);
+        let (sc, num) = merge_numbered(ds);
         if num.has_problems() {
             return Err(WeaverError::Validation(sc.validate()));
         }
         drop(merge_span);
-        let (exec, exec_ids) = {
+        let (exec, exec_dnfs) = {
             let _span = obs::span("weaver.exec_conditions");
-            let ids = derive_ids(&num);
-            (ExecConditions::from_ids(&num, &ids), ids)
+            let dnfs = derive_ids(&num);
+            (ExecConditions::pack(&num, &dnfs), dnfs)
         };
         // Without services the ASC is the SC itself and shares its
         // numbering; translation drops the services, so a translated ASC
@@ -129,28 +138,31 @@ impl Weaver {
                 (Some(asc), report)
             }
         };
-        let asc_num = asc.as_ref().map(Numbering::new);
+        let asc_num = match &asc {
+            Some(asc) => Numbering::new(asc),
+            None => num,
+        };
         let MinimizeResult {
             minimal, removed, ..
         } = minimize_numbered(
             asc.as_ref().unwrap_or(&sc),
-            asc_num.as_ref().unwrap_or(&num),
-            &exec_ids,
+            &asc_num,
+            &exec_dnfs,
             self.mode,
             &self.order,
         )
         .map_err(WeaverError::Conflict)?;
-        drop((asc_num, num)); // they borrow `sc`, which moves next
         let sc = Arc::new(sc);
         let asc = asc.map_or_else(|| Arc::clone(&sc), Arc::new);
-        Ok(WeaverOutput {
+        let out = WeaverOutput {
             sc,
             exec,
             asc,
             translation,
             minimal,
             removed,
-        })
+        };
+        Ok((out, asc_num))
     }
 }
 

@@ -2,13 +2,14 @@
 //! edit, then a re-weave).
 //!
 //! A [`WeaveSession`] is a [`Weaver`] plus the output of its last
-//! successful weave. Every [`WeaveSession::weave`] call runs
-//! [`Weaver::run`] on the revision and diffs the new ASC against the
-//! previous one ([`crate::diff`]), so the session's results are those of a
-//! fresh weave by construction.
+//! successful weave and that weave's ASC numbering. Every
+//! [`WeaveSession::weave`] call runs [`Weaver::run`] on the revision and
+//! diffs the new ASC against the previous one on ids ([`crate::diff`]),
+//! so the session's results are those of a fresh weave by construction.
 
 use crate::dependency::DependencySet;
-use crate::diff::{diff_constraint_sets, ConstraintDiff};
+use crate::diff::{diff_numbered, ConstraintDiff};
+use crate::number::Numbering;
 use crate::pipeline::{Weaver, WeaverError, WeaverOutput};
 use dscweaver_obs as obs;
 
@@ -18,6 +19,8 @@ use dscweaver_obs as obs;
 pub struct WeaveSession {
     weaver: Weaver,
     output: Option<WeaverOutput>,
+    /// The numbering of `output`'s ASC.
+    asc: Numbering,
 }
 
 /// How one [`WeaveSession::weave`] call relates to the session's history.
@@ -47,6 +50,7 @@ impl WeaveSession {
         WeaveSession {
             weaver,
             output: None,
+            asc: Numbering::default(),
         }
     }
 
@@ -66,16 +70,17 @@ impl WeaveSession {
     /// [`Weaver::run`] and keeps the previous output.
     pub fn weave(&mut self, ds: &DependencySet) -> Result<ReweaveReport, WeaverError> {
         let _span = obs::span_with("reweave", || ds.name.clone());
-        let output = self.weaver.run(ds)?;
+        let (output, asc) = self.weaver.run_numbered(ds)?;
         let (path, diff) = match &self.output {
             None => (ReweavePath::Initial, ConstraintDiff::default()),
-            Some(prev) => {
+            Some(_) => {
                 let _span = obs::span("reweave.diff");
-                (ReweavePath::Delta, diff_constraint_sets(&prev.asc, &output.asc))
+                (ReweavePath::Delta, diff_numbered(&self.asc, &asc))
             }
         };
         let fingerprint = output.fingerprint();
         self.output = Some(output);
+        self.asc = asc;
         Ok(ReweaveReport {
             path,
             diff,

@@ -75,7 +75,7 @@ pub fn explain_removals(
             }
             let labels: Vec<String> =
                 path.iter().map(|&n| sg.graph.weight(n).label()).collect();
-            let target_dnf = exec.dnf(&to.activity);
+            let target_dnf = exec.of(&to.activity);
             let target_exec = (!target_dnf.is_always() && !conditions.is_empty()).then(|| {
                 target_dnf
                     .terms()

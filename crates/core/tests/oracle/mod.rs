@@ -1,6 +1,7 @@
 //! String oracles for the integer weave (test-only): the execution
-//! conditions, the §4.3 translation and the `Weaver::run` composition as
-//! they ran on strings, name by name, before the weave was numbered.
+//! conditions, the §4.3 translation, the `Weaver::run` composition and
+//! the constraint-set diff as they ran on strings, name by name, before
+//! the weave was numbered.
 //! The minimal set comes from `minimize_generic_baseline`, the
 //! structural string reference.
 //!
@@ -330,7 +331,7 @@ pub fn assert_exec_matches(cs: &ConstraintSet, exec: &ExecConditions, what: &str
     let want = exec_conditions(cs);
     for name in probe_names(cs) {
         let expect = want.get(&name).cloned().unwrap_or_else(Dnf::always);
-        assert_eq!(exec.dnf(&name), &expect, "{what}: exec({name})");
+        assert_eq!(exec.of(&name), expect, "{what}: exec({name})");
     }
 }
 
@@ -397,7 +398,7 @@ pub fn assert_weave_matches(ds: &DependencySet, mode: EquivalenceMode, order: &E
             assert_exec_matches(&want.sc, &got.exec, &what);
             for name in probe_names(&want.sc) {
                 let expect = want.exec.get(&name).cloned().unwrap_or_else(Dnf::always);
-                assert_eq!(got.exec.dnf(&name), &expect, "{what}: woven exec({name})");
+                assert_eq!(got.exec.of(&name), expect, "{what}: woven exec({name})");
             }
             assert_eq!(*got.asc, want.asc, "{what}: ASC");
             if want.sc.services.is_empty() {
@@ -436,6 +437,309 @@ pub fn assert_weave_matches_everywhere(ds: &DependencySet) {
     for mode in MODES {
         for order in orders() {
             assert_weave_matches(ds, mode, &order);
+        }
+    }
+}
+
+/// The constraint-set diff as it ran on strings before it was numbered:
+/// the pin of `dscweaver_core::diff_constraint_sets`, field for field.
+pub mod diff {
+    use dscweaver_core::ConstraintDiff;
+    use dscweaver_dscl::{Condition, ConstraintSet, Name, Relation, StateRef};
+    use dscweaver_graph::FxHashMap;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Structural key of a HappenBefore relation, ignoring provenance —
+    /// borrowed, so building the comparison sets allocates nothing. Rendering
+    /// happens only for keys that end up in the diff.
+    type HbKey<'a> = (&'a StateRef, &'a StateRef, Option<&'a Condition>);
+
+    fn render_hb((from, to, cond): &HbKey<'_>) -> String {
+        match cond {
+            Some(c) => format!("{from} ->[{c}] {to}"),
+            None => format!("{from} -> {to}"),
+        }
+    }
+
+    /// Structural key of an Exclusive relation, order- and
+    /// provenance-insensitive.
+    fn exclusive_key(r: &Relation) -> Option<String> {
+        match r {
+            Relation::Exclusive { a, b, .. } => {
+                let (a, b) = (a.to_string(), b.to_string());
+                Some(if a <= b {
+                    format!("{a} >< {b}")
+                } else {
+                    format!("{b} >< {a}")
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// Renders one annotation-changed entry (`from -> to: [old] => [new]`,
+    /// condition lists string-sorted, `""` = unconditional).
+    fn render_annotation(
+        pair: (&StateRef, &StateRef),
+        old_conds: &[Option<&Condition>],
+        new_conds: &[Option<&Condition>],
+    ) -> String {
+        let fmt = |conds: &[Option<&Condition>]| {
+            let mut v: Vec<String> = conds
+                .iter()
+                .map(|c| c.map(|c| c.to_string()).unwrap_or_default())
+                .collect();
+            v.sort();
+            v.join(", ")
+        };
+        format!(
+            "{} -> {}: [{}] => [{}]",
+            pair.0,
+            pair.1,
+            fmt(old_conds),
+            fmt(new_conds)
+        )
+    }
+
+    /// Guard-domain edits, rendered `var: [old] => [new]`.
+    fn domain_diff(old: &ConstraintSet, new: &ConstraintSet) -> Vec<String> {
+        old.domains
+            .iter()
+            .map(|(var, vals)| (var, Some(vals), new.domains.get(var)))
+            .chain(
+                new.domains
+                    .iter()
+                    .filter(|(var, _)| !old.domains.contains_key(*var))
+                    .map(|(var, vals)| (var, None, Some(vals))),
+            )
+            .filter(|(_, old_vals, new_vals)| old_vals != new_vals)
+            .map(|(var, old_vals, new_vals)| {
+                let fmt = |v: Option<&Vec<Name>>| v.map(|v| v.join(", ")).unwrap_or_default();
+                format!("{var}: [{}] => [{}]", fmt(old_vals), fmt(new_vals))
+            })
+            .collect()
+    }
+
+    /// The diff `old → new`, on strings.
+    pub fn diff(old: &ConstraintSet, new: &ConstraintSet) -> ConstraintDiff {
+        // Fast path for a session re-weave: an edit burst leaves
+        // the relation lists positionally identical outside a small window, so
+        // trim the common prefix and suffix (plain `PartialEq`, no ordering
+        // structure) and diff only the window against the full sets. Falls
+        // back to the symmetric full diff when the window is large — e.g. the
+        // sets come from unrelated processes or everything was reordered.
+        let (o, n) = (&old.relations, &new.relations);
+        let mut lo = 0;
+        while lo < o.len().min(n.len()) && o[lo] == n[lo] {
+            lo += 1;
+        }
+        let (mut oe, mut ne) = (o.len(), n.len());
+        while oe > lo && ne > lo && o[oe - 1] == n[ne - 1] {
+            oe -= 1;
+            ne -= 1;
+        }
+        if (oe - lo) + (ne - lo) <= 64 {
+            return diff_windowed(old, new, &o[lo..oe], &n[lo..ne]);
+        }
+        diff_full(old, new)
+    }
+
+    /// HappenBefore keys of a changed window's relations.
+    fn window_keys(mid: &[Relation]) -> BTreeSet<HbKey<'_>> {
+        mid.iter()
+            .filter_map(|r| match r {
+                Relation::HappenBefore { from, to, cond, .. } => Some((from, to, cond.as_ref())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Drops every candidate key that appears anywhere in `other` (a window
+    /// key can have a positional twin elsewhere in the set).
+    fn subtract_present<'a>(cands: &mut BTreeSet<HbKey<'a>>, other: &'a ConstraintSet) {
+        for r in &other.relations {
+            if cands.is_empty() {
+                break;
+            }
+            if let Relation::HappenBefore { from, to, cond, .. } = r {
+                cands.remove(&(from, to, cond.as_ref()));
+            }
+        }
+    }
+
+    /// Condition multisets of `cs` for the given endpoint pairs only.
+    #[allow(clippy::type_complexity)]
+    fn collect_conds<'a>(
+        cs: &'a ConstraintSet,
+        touched: &BTreeSet<(&'a StateRef, &'a StateRef)>,
+    ) -> BTreeMap<(&'a StateRef, &'a StateRef), Vec<Option<&'a Condition>>> {
+        let mut map: BTreeMap<(&StateRef, &StateRef), Vec<Option<&Condition>>> =
+            touched.iter().map(|&p| (p, Vec::new())).collect();
+        for r in &cs.relations {
+            if let Relation::HappenBefore { from, to, cond, .. } = r {
+                if let Some(v) = map.get_mut(&(from, to)) {
+                    v.push(cond.as_ref());
+                }
+            }
+        }
+        for v in map.values_mut() {
+            v.sort();
+        }
+        map
+    }
+
+    /// Diff restricted to a small changed window: every difference involves a
+    /// relation in `mid_old`/`mid_new`, so candidates come from the windows
+    /// and only membership checks touch the full sets (single linear scans).
+    fn diff_windowed<'a>(
+        old: &'a ConstraintSet,
+        new: &'a ConstraintSet,
+        mid_old: &'a [Relation],
+        mid_new: &'a [Relation],
+    ) -> ConstraintDiff {
+        let mut added_keys = window_keys(mid_new);
+        subtract_present(&mut added_keys, old);
+        let mut removed_keys = window_keys(mid_old);
+        subtract_present(&mut removed_keys, new);
+        let mut added: Vec<String> = added_keys.iter().map(render_hb).collect();
+        let mut removed: Vec<String> = removed_keys.iter().map(render_hb).collect();
+        added.sort();
+        removed.sort();
+
+        // Exclusive pairs never appear in the synthetic edit bursts and are
+        // rare in general; when the window touches one, compare the (small)
+        // full Exclusive sets the way the full diff does.
+        let window_has_excl = mid_old
+            .iter()
+            .chain(mid_new)
+            .any(|r| matches!(r, Relation::Exclusive { .. }));
+        let (exclusive_added, exclusive_removed) = if window_has_excl {
+            let old_excl: BTreeSet<String> = old.relations.iter().filter_map(exclusive_key).collect();
+            let new_excl: BTreeSet<String> = new.relations.iter().filter_map(exclusive_key).collect();
+            (
+                new_excl.difference(&old_excl).cloned().collect(),
+                old_excl.difference(&new_excl).cloned().collect(),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+
+        // Annotation view: only endpoint pairs named in the window can have a
+        // changed condition multiset; collect their conditions from both full
+        // sets in one scan each.
+        let touched: BTreeSet<(&StateRef, &StateRef)> = mid_old
+            .iter()
+            .chain(mid_new)
+            .filter_map(|r| match r {
+                Relation::HappenBefore { from, to, .. } => Some((from, to)),
+                _ => None,
+            })
+            .collect();
+        let old_pairs = collect_conds(old, &touched);
+        let new_pairs = collect_conds(new, &touched);
+        let mut annotation_changed: Vec<String> = touched
+            .iter()
+            .filter_map(|pair| {
+                let old_conds = &old_pairs[pair];
+                let new_conds = &new_pairs[pair];
+                // Present in both sets (the full diff only reports pairs that
+                // survive the edit) and with differing condition multisets.
+                (!old_conds.is_empty() && !new_conds.is_empty() && old_conds != new_conds)
+                    .then(|| render_annotation(*pair, old_conds, new_conds))
+            })
+            .collect();
+        annotation_changed.sort();
+
+        ConstraintDiff {
+            added,
+            removed,
+            added_activities: new.activities.difference(&old.activities).map(Name::to_string).collect(),
+            removed_activities: old.activities.difference(&new.activities).map(Name::to_string).collect(),
+            exclusive_added,
+            exclusive_removed,
+            annotation_changed,
+            domain_changed: domain_diff(old, new),
+        }
+    }
+
+    /// The symmetric full diff: one hash-counting pass per set (borrowed
+    /// keys, no ordering structure), strings rendered only for entries that
+    /// differ. Linear in the set sizes regardless of how the edit is shaped,
+    /// so scattered multi-site bursts cost the same as a single insertion.
+    fn diff_full(old: &ConstraintSet, new: &ConstraintSet) -> ConstraintDiff {
+        // Per-key multiset counts `(in old, in new)`.
+        let mut counts: FxHashMap<HbKey<'_>, (u32, u32)> = FxHashMap::default();
+        for r in &old.relations {
+            if let Relation::HappenBefore { from, to, cond, .. } = r {
+                counts.entry((from, to, cond.as_ref())).or_default().0 += 1;
+            }
+        }
+        for r in &new.relations {
+            if let Relation::HappenBefore { from, to, cond, .. } = r {
+                counts.entry((from, to, cond.as_ref())).or_default().1 += 1;
+            }
+        }
+        let mut added: Vec<String> = Vec::new();
+        let mut removed: Vec<String> = Vec::new();
+        // A changed pair condition-multiset always shows as a changed count on
+        // one of its keys, so the touched pairs fall out of the same pass.
+        let mut touched: BTreeSet<(&StateRef, &StateRef)> = BTreeSet::new();
+        for (key, &(o, n)) in &counts {
+            if o == n {
+                continue;
+            }
+            touched.insert((key.0, key.1));
+            if o == 0 {
+                added.push(render_hb(key));
+            }
+            if n == 0 {
+                removed.push(render_hb(key));
+            }
+        }
+        added.sort();
+        removed.sort();
+        let has_excl = old
+            .relations
+            .iter()
+            .chain(&new.relations)
+            .any(|r| matches!(r, Relation::Exclusive { .. }));
+        let (old_excl, new_excl): (BTreeSet<String>, BTreeSet<String>) = if has_excl {
+            (
+                old.relations.iter().filter_map(exclusive_key).collect(),
+                new.relations.iter().filter_map(exclusive_key).collect(),
+            )
+        } else {
+            Default::default()
+        };
+        let old_pairs = collect_conds(old, &touched);
+        let new_pairs = collect_conds(new, &touched);
+        let mut annotation_changed: Vec<String> = touched
+            .iter()
+            .filter_map(|pair| {
+                let old_conds = &old_pairs[pair];
+                let new_conds = &new_pairs[pair];
+                (!old_conds.is_empty() && !new_conds.is_empty() && old_conds != new_conds)
+                    .then(|| render_annotation(*pair, old_conds, new_conds))
+            })
+            .collect();
+        annotation_changed.sort();
+        ConstraintDiff {
+            added,
+            removed,
+            added_activities: new
+                .activities
+                .difference(&old.activities)
+                .map(Name::to_string)
+                .collect(),
+            removed_activities: old
+                .activities
+                .difference(&new.activities)
+                .map(Name::to_string)
+                .collect(),
+            exclusive_added: new_excl.difference(&old_excl).cloned().collect(),
+            exclusive_removed: old_excl.difference(&new_excl).cloned().collect(),
+            annotation_changed,
+            domain_changed: domain_diff(old, new),
         }
     }
 }

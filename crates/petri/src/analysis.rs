@@ -18,9 +18,10 @@
 use crate::lower::ModeLimit;
 use crate::net::{render_marking, PlaceId};
 use crate::prepared::{groups, Csr, Lanes, Names, Scratch, Tables};
-use dscweaver_core::ExecConditions;
-use dscweaver_dscl::{ConstraintSet, Relation, StateRef, SyncGraph};
-use dscweaver_graph::{find_cycle, FxHashMap};
+use dscweaver_core::resolve::Kind;
+use dscweaver_core::{resolve, ExecConditions, Resolved};
+use dscweaver_dscl::{ConstraintSet, SyncGraph};
+use dscweaver_graph::find_cycle;
 use dscweaver_obs as obs;
 use std::collections::HashMap;
 
@@ -63,7 +64,8 @@ impl CompiledValidation {
             mode_limit,
             net: None,
         };
-        if !acyclic(cs) {
+        let ids = resolve(cs, exec);
+        if !acyclic(&ids) {
             let sg = SyncGraph::build(cs);
             if let Some(cycle) = find_cycle(&sg.graph) {
                 obs::instant("petri.conflict_cycle");
@@ -72,7 +74,7 @@ impl CompiledValidation {
             }
         }
         let lower_span = obs::span("petri.lower");
-        let emitted = Tables::emit(cs, exec);
+        let emitted = Tables::emit(ids);
         drop(lower_span);
         let (tables, names) = match emitted {
             Ok(emitted) => emitted,
@@ -146,47 +148,36 @@ impl CompiledValidation {
     }
 }
 
-/// Whether [`SyncGraph::build`]`(cs)` is acyclic, decided on integer ids
-/// without building it: activity `i`'s states are nodes `3i..3i + 3`
-/// chained by lifecycle edges, each service one node after them, and
-/// every `HappenBefore` between declared endpoints an edge. Kahn's
-/// algorithm drains the graph iff it has no cycle (self-loops included),
-/// so only a conflicting set pays for the labeled graph that names the
-/// cycle.
-fn acyclic(cs: &ConstraintSet) -> bool {
-    let names = cs.activities.iter().map(|a| (a.as_str(), 3));
-    let names = names.chain(cs.services.iter().map(|s| (s.as_str(), 1)));
-    let mut node: FxHashMap<&str, (u32, bool)> = FxHashMap::default();
-    let mut nodes = 0;
-    for (name, states) in names {
-        // An activity shadows a service of the same name, as in `resolve`.
-        node.entry(name).or_insert((nodes, states == 3));
-        nodes += states;
-    }
-    let mut edges: Vec<(u32, u32)> = (0..cs.activities.len() as u32)
-        .flat_map(|i| [(3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2)])
-        .collect();
-    let resolve = |s: &StateRef| {
-        let &(first, activity) = node.get(s.activity.as_str())?;
-        Some(if activity { first + s.state as u32 } else { first })
-    };
-    for r in &cs.relations {
-        if let Relation::HappenBefore { from, to, .. } = r {
-            if let (Some(f), Some(t)) = (resolve(from), resolve(to)) {
-                edges.push((f, t));
-            }
+/// Whether [`SyncGraph::build`]`(cs)` is acyclic, decided on the
+/// resolved set's ids without building it: activity `i`'s states are
+/// nodes `3i..3i + 3` chained by lifecycle edges, each service one node
+/// after them, and every `HappenBefore` between declared endpoints an
+/// edge. Kahn's algorithm drains the graph iff it has no cycle
+/// (self-loops included), so only a conflicting set pays for the labeled
+/// graph that names the cycle.
+fn acyclic(ids: &Resolved) -> bool {
+    let (nodes, states) = (ids.node_count(), 3 * ids.activities());
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(ids.relations().len());
+    for (kind, from, to, _) in ids.relations() {
+        if let (Kind::Before, Some(f), Some(t)) = (kind, ids.node(from), ids.node(to)) {
+            edges.push((f, t));
         }
     }
-    let succ = Csr::grouped(nodes as usize, &edges);
-    let mut indegree = vec![0u32; nodes as usize];
+    // The lifecycle edges `3i → 3i + 1 → 3i + 2` stay implicit.
+    let succ = Csr::grouped(nodes, &edges);
+    let mut indegree = vec![0u32; nodes];
+    for v in (0..states).filter(|v| v % 3 != 0) {
+        indegree[v] = 1;
+    }
     for &(_, t) in &edges {
         indegree[t as usize] += 1;
     }
-    let mut ready: Vec<u32> = (0..nodes).filter(|&v| indegree[v as usize] == 0).collect();
+    let mut ready: Vec<u32> = (0..nodes as u32).filter(|&v| indegree[v as usize] == 0).collect();
     let mut drained = 0;
     while let Some(v) = ready.pop() {
         drained += 1;
-        for &w in succ.row(v as usize) {
+        let next = (v as usize) < states && v % 3 != 2;
+        for &w in succ.row(v as usize).iter().chain(next.then_some(&(v + 1))) {
             indegree[w as usize] -= 1;
             if indegree[w as usize] == 0 {
                 ready.push(w);
@@ -612,7 +603,8 @@ mod tests {
                 cs.relations.push(Relation::before(from, to, Origin::Data));
             }
             let want = find_cycle(&SyncGraph::build(&cs).graph).is_none();
-            assert_eq!(acyclic(&cs), want, "{:?}", cs.relations);
+            let ids = resolve(&cs, &ExecConditions::default());
+            assert_eq!(acyclic(&ids), want, "{:?}", cs.relations);
             if want {
                 acyclic_sets += 1;
             } else {

@@ -186,7 +186,7 @@ pub fn try_lower(cs: &ConstraintSet, exec: &ExecConditions) -> Result<LoweredNet
     // Pass 3: control broadcast places. guards(b) = guard activities in
     // exec(b)'s terms; b's modes are counted before pass 4 enumerates them.
     for (b, wb) in cs.activities.iter().zip(0..) {
-        let dnf = exec.dnf(b);
+        let dnf = exec.of(b);
         let mut gs: BTreeSet<&str> = BTreeSet::new();
         for term in dnf.terms() {
             for c in term {
@@ -241,7 +241,7 @@ pub fn try_lower(cs: &ConstraintSet, exec: &ExecConditions) -> Result<LoweredNet
                 })
                 .collect::<Vec<_>>();
         }
-        let exec_dnf = exec.dnf(a);
+        let exec_dnf = exec.of(a);
         let satisfied = |assign: &[String]| -> bool {
             exec_dnf.terms().iter().any(|term| {
                 term.iter().all(|c| {

@@ -6,13 +6,15 @@
 //! are `Any | Eq(id) | OneOf(ids)`, and modes, arcs and the place →
 //! consuming-transitions index are flat offset (CSR) arrays. It comes
 //! from one of two compilers. [`Tables::emit`] writes the kernel of a
-//! constraint set's lowering straight from `cs.activities`,
-//! `cs.relations` and the listened guards' domains — the numbering of
-//! [`try_lower`](crate::try_lower) without its string net — and returns
-//! [`Names`], the compact index that names activities and places on the
-//! rare path that prints them. [`Tables::derive`] interns a
-//! caller-supplied [`Net`]; `emit` is pinned to `derive` over the lowered
-//! net field for field.
+//! constraint set's lowering from the set and its execution conditions
+//! [`resolve`](dscweaver_core::resolve())d onto ids — activities,
+//! relations, listened guards and their values are ids, guard order and
+//! color ids come from the resolver's byte-order ranks, and no string is
+//! hashed — in the numbering of [`try_lower`](crate::try_lower) without
+//! its string net, and returns [`Names`], the compact index that names
+//! activities and places on the rare path that prints them.
+//! [`Tables::derive`] interns a caller-supplied [`Net`]; `emit` is pinned
+//! to `derive` over the lowered net field for field.
 //!
 //! [`Scratch`] is one worker's reusable run state: a per-place
 //! `(color id, count)` marking reset from the compiled initial marking,
@@ -42,9 +44,9 @@
 use crate::lower::{ModeLimit, MAX_MODES, SKIP};
 use crate::net::{Color, ColorFilter, Marking, Net, PlaceId, TransitionId};
 use crate::reach::Run;
-use dscweaver_core::ExecConditions;
-use dscweaver_dscl::{ActivityState, ConstraintSet, Name, Relation};
-use dscweaver_graph::FxHashMap;
+use dscweaver_core::resolve::Kind;
+use dscweaver_core::{resolve, ExecConditions, Resolved};
+use dscweaver_dscl::{ActivityState, ConstraintSet, Name};
 use std::collections::{BTreeMap, HashMap};
 
 mod lanes;
@@ -150,23 +152,6 @@ const OUT_START: u32 = 2;
 const OUT_FINISH: u32 = 3;
 const BROADCAST: u32 = 4;
 
-/// Provisional color ids in first-use order, over borrowed names.
-#[derive(Default)]
-struct Palette<'a> {
-    names: Vec<&'a str>,
-    ids: FxHashMap<&'a str, u32>,
-}
-
-impl<'a> Palette<'a> {
-    fn id(&mut self, name: &'a str) -> u32 {
-        let next = self.names.len() as u32;
-        *self.ids.entry(name).or_insert_with(|| {
-            self.names.push(name);
-            next
-        })
-    }
-}
-
 impl Tables {
     fn empty() -> Self {
         Tables {
@@ -237,6 +222,7 @@ impl Tables {
     }
 
     /// Emits the kernel `Tables::derive(&lower(cs, exec).net)` compiles,
+    /// from the set and execution conditions [`resolve`](resolve())d onto ids,
     /// without building the string net, plus the [`Names`] behind its
     /// numbers — or the first activity past [`MAX_MODES`], counted before
     /// any mode is enumerated, exactly as [`try_lower`](crate::try_lower)
@@ -245,126 +231,156 @@ impl Tables {
     /// The numbering is `try_lower`'s: activity `i`'s `todo`, `run` and
     /// `done` are places `3i`, `3i + 1`, `3i + 2`; the constraint buffers
     /// follow in relation order, then the `ctl(g→b)` places listener by
-    /// listener, guards sorted. Each activity's transitions are `start`,
-    /// `finish` and, when it listens on a guard, `skip`; `start` and
-    /// `skip` modes walk the listened guards' `domain + [skip]` values
-    /// with the first guard slowest. Colors get provisional ids on first
-    /// lookup and their final ids by byte-order rank among the colors an
-    /// arc or the initial marking actually uses.
-    pub(crate) fn emit<'a>(
-        cs: &'a ConstraintSet,
-        exec: &'a ExecConditions,
-    ) -> Result<(Tables, Names), ModeLimit> {
-        let acts: Vec<&str> = cs.activities.iter().map(Name::as_str).collect();
-        let index: FxHashMap<&str, u32> = acts.iter().zip(0..).map(|(&a, i)| (a, i)).collect();
-        let index = |name: &str| index.get(name).copied();
-        let n = acts.len() as u32;
+    /// listener, guards in name order. Each activity's transitions are
+    /// `start`, `finish` and, when it listens on a guard, `skip`; `start`
+    /// and `skip` modes walk the listened guards' `domain + [skip]`
+    /// values with the first guard slowest. A color's provisional id is
+    /// its position among the value names and `•`, `done` and `skip` in
+    /// byte order, and its final id its rank among the colors an arc or
+    /// the initial marking actually uses.
+    pub(crate) fn emit(ids: Resolved) -> Result<(Tables, Names), ModeLimit> {
+        let n = ids.activities() as u32;
         let mut names = Names {
-            activities: cs.activities.iter().cloned().collect(),
+            acts: n as usize,
             ..Names::default()
         };
         // `(5 · activity + attachment, place)` per wire.
         let mut wires: Vec<(u32, u32)> = Vec::new();
         let mut place = 3 * n;
+        let activity = |id: u32| (id < n).then_some(id);
 
         // Constraint buffers, in relation order.
         let end = |s| matches!(s, ActivityState::Finish) as u32;
-        for r in &cs.relations {
-            match r {
-                Relation::HappenBefore { from, to, .. } => {
-                    let (f, t) = (index(&from.activity), index(&to.activity));
-                    if let Some(i) = f {
-                        wires.push((5 * i + OUT_START + end(from.state), place));
+        for (kind, from, to, _) in ids.relations() {
+            match kind {
+                Kind::Before => {
+                    if let Some(i) = activity(from.0) {
+                        wires.push((5 * i + OUT_START + end(from.1), place));
                     }
-                    if let Some(i) = t {
-                        wires.push((5 * i + IN_START + end(to.state), place));
+                    if let Some(i) = activity(to.0) {
+                        wires.push((5 * i + IN_START + end(to.1), place));
                     }
-                    let ends = [
-                        (names.id(&from.activity, f), from.state),
-                        (names.id(&to.activity, t), to.state),
-                    ];
-                    names.buffers.push(ends);
+                    names.buffers.push([from, to]);
                     place += 1;
                 }
-                Relation::HappenTogether { .. } => debug_assert!(false, "desugar before lowering"),
-                Relation::Exclusive { .. } => {}
+                Kind::Together => debug_assert!(false, "desugar before lowering"),
+                Kind::Exclusive => {}
             }
         }
 
         // Control places, listener by listener. Every mode count is
         // checked here, before any mode is enumerated.
         let ctl0 = place;
+        let dom_len = |g: u32| ids.domain(g).map_or(0, <[u32]>::len);
         // Activity `b` listens on controls `listeners[b]..listeners[b + 1]`.
         let mut listeners: Vec<usize> = vec![0];
-        // Per control place, its guard and the guard's domain.
-        let mut listened: Vec<(&str, &[Name])> = Vec::new();
-        let mut gs: Vec<&Name> = Vec::new();
-        for (b, a) in acts.iter().enumerate() {
+        // Per control place, its guard.
+        let mut listened: Vec<u32> = Vec::new();
+        let mut gs: Vec<u32> = Vec::new();
+        for b in 0..n {
             gs.clear();
-            gs.extend(exec.dnf(a).terms().iter().flatten().map(|c| &c.on));
-            gs.sort_unstable();
+            gs.extend(ids.exec_terms(b).flatten().map(|&(g, _)| g));
+            gs.sort_unstable_by_key(|&g| ids.guard_rank(g));
             gs.dedup();
-            let modes = gs
-                .iter()
-                .map(|g| cs.domains.get(*g).map_or(0, Vec::len) + 1)
-                .fold(1usize, usize::saturating_mul);
+            let modes = gs.iter().map(|&g| dom_len(g) + 1).fold(1usize, usize::saturating_mul);
             if modes > MAX_MODES {
                 return Err(ModeLimit {
-                    activity: a.to_string(),
+                    activity: ids.names()[b as usize].to_string(),
                     modes,
                 });
             }
             for &g in &gs {
-                let i = index(g);
-                if let Some(i) = i {
+                if let Some(i) = ids.guard_activity(g) {
                     wires.push((5 * i + BROADCAST, place));
                 }
-                let guard = names.id(g, i);
-                names.controls.push((guard, b as u32));
-                listened.push((g, cs.domains.get(g).map_or(&[], Vec::as_slice)));
+                names.controls.push((g, b));
+                listened.push(g);
                 place += 1;
             }
             listeners.push(listened.len());
         }
 
         // Row `5i + k` holds activity `i`'s `k` places, ascending.
-        let wiring = Csr::grouped(5 * acts.len(), &wires);
+        let wiring = Csr::grouped(5 * n as usize, &wires);
+
+        // Each activity's own declared guard, if it is one.
+        let mut own: Vec<Option<u32>> = vec![None; n as usize];
+        for g in 0..ids.declared_guards() as u32 {
+            if let Some(i) = ids.guard_activity(g) {
+                own[i as usize] = Some(g);
+            }
+        }
+
+        // Colors: the value names and the lowering's own colors in byte
+        // order, numbered by rank among the colors an arc or the initial
+        // marking uses — known before any mode is written. Every activity
+        // marks `•` and writes `done` on finishing; every assignment of a
+        // listener's guards is a `start` or a `skip` mode, so each value of
+        // a listened guard, `skip` included, meets an `Eq` arc; a guard's
+        // own values leave its `finish` only through a wire.
+        let mut palette: Vec<&str> = ids.ranked_values().iter().map(Name::as_str).collect();
+        palette.extend([UNIT, "done", SKIP]);
+        palette.sort_unstable();
+        palette.dedup();
+        let color = |c: &str| palette.binary_search(&c).expect("a palette color");
+        let value_color: Vec<usize> = ids.ranked_values().iter().map(|v| color(v)).collect();
+        let color_of = |g: u32, v: u32| value_color[ids.value_rank(g, v) as usize];
+        let mut used = vec![false; palette.len()];
+        if n > 0 {
+            used[color(UNIT)] = true;
+            used[color("done")] = true;
+        }
+        used[color(SKIP)] |= !listened.is_empty();
+        let mut mark = |g: u32| {
+            for &v in ids.domain(g).into_iter().flatten() {
+                used[color_of(g, v)] = true;
+            }
+        };
+        listened.iter().for_each(|&g| mark(g));
+        for (i, g) in own.iter().enumerate() {
+            let wired = |k: u32| !wiring.row(5 * i + k as usize).is_empty();
+            if let (Some(g), true) = (g, wired(OUT_FINISH) || wired(BROADCAST)) {
+                mark(*g);
+            }
+        }
+        let mut rank = vec![u32::MAX; palette.len()];
+        let mut colors = Vec::new();
+        for (c, _) in used.iter().enumerate().filter(|(_, &u)| u) {
+            rank[c] = colors.len() as u32;
+            colors.push(Color::of(palette[c]));
+        }
+        let value = |g: u32, v: u32| rank[color_of(g, v)];
+        let (unit, done, skip) = (rank[color(UNIT)], rank[color("done")], rank[color(SKIP)]);
 
         // Transitions, activity by activity.
-        let mut pal = Palette::default();
-        let (unit, done, skip) = (pal.id(UNIT), pal.id("done"), pal.id(SKIP));
         let mut t = Tables::empty();
-        let mut finish_of: Vec<u32> = Vec::with_capacity(acts.len());
+        let mut finish_of: Vec<u32> = Vec::with_capacity(n as usize);
         // Per listened guard, `(offset, len)` of its value ids in `values`.
         let (mut radix, mut values) = (Vec::new(), Vec::new());
         // The execution condition's terms as `conds[term_at[k]..term_at[k + 1]]`,
         // each condition a `(listened guard, value id)` pair.
         let (mut term_at, mut conds) = (Vec::new(), Vec::new());
         let (mut digits, mut sat, mut fin) = (Vec::new(), Vec::new(), Vec::new());
-        // Guards in name order, walked alongside the activities.
-        let mut own_domains = cs.domains.iter().peekable();
-        for (i, a) in acts.iter().enumerate() {
+        for i in 0..n as usize {
             let (todo, run, done_p) = (3 * i as u32, 3 * i as u32 + 1, 3 * i as u32 + 2);
             let wired = |k: u32| wiring.row(5 * i + k as usize).iter().copied();
-            while own_domains.next_if(|(g, _)| g.as_str() < *a).is_some() {}
-            let own_domain = own_domains.next_if(|(g, _)| g == a).map(|(_, d)| d);
             let ls = listeners[i]..listeners[i + 1];
             let guards = &listened[ls.clone()];
             radix.clear();
             values.clear();
-            for &(_, dom) in guards {
-                radix.push((values.len(), dom.len() + 1));
-                values.extend(dom.iter().map(|v| pal.id(v)));
+            for &g in guards {
+                radix.push((values.len(), dom_len(g) + 1));
+                values.extend(ids.domain(g).into_iter().flatten().map(|&v| value(g, v)));
                 values.push(skip);
             }
             term_at.clear();
             conds.clear();
             if !guards.is_empty() {
                 term_at.push(0);
-                for term in exec.dnf(a).terms() {
-                    for c in term {
-                        let j = guards.partition_point(|&(g, _)| g < c.on.as_str());
-                        conds.push((j, pal.id(&c.value)));
+                for term in ids.exec_terms(i as u32) {
+                    for &(g, v) in term {
+                        let j = guards.iter().position(|&x| x == g).expect("a listened guard");
+                        conds.push((j, value(g, v)));
                     }
                     term_at.push(conds.len());
                 }
@@ -418,8 +434,8 @@ impl Tables {
             // finish(a): one mode per branch value for guards, else one.
             finish_of.push(t.first_mode.len() as u32 - 1);
             fin.clear();
-            match own_domain {
-                Some(dom) => fin.extend(dom.iter().map(|v| pal.id(v))),
+            match own[i] {
+                Some(g) => fin.extend(ids.domain(g).into_iter().flatten().map(|&v| value(g, v))),
                 None => fin.push(done),
             }
             for &v in &fin {
@@ -473,35 +489,22 @@ impl Tables {
             t.initial.end_row();
         }
 
-        // Rank the used colors in byte order.
-        let mut used = vec![false; pal.names.len()];
-        let eq = t.ins.items.iter().filter_map(|&(_, f)| match f {
-            Filter::Eq(c) => Some(c),
-            _ => None,
-        });
-        let produced = t.outs.items.iter().map(|&(_, c)| c);
-        for c in eq.chain(produced).chain(t.initial.items.iter().map(|&(c, _)| c)) {
-            used[c as usize] = true;
-        }
-        let mut order: Vec<u32> = (0..pal.names.len() as u32).filter(|&c| used[c as usize]).collect();
-        order.sort_unstable_by_key(|&c| pal.names[c as usize]);
-        let mut rank = vec![0; pal.names.len()];
-        for (r, &c) in order.iter().enumerate() {
-            rank[c as usize] = r as u32;
-        }
-        t.renumber(&rank);
-        t.colors = order.iter().map(|&c| Color::of(pal.names[c as usize])).collect();
+        debug_assert!(
+            t.outs.items.iter().all(|&(_, c)| (c as usize) < colors.len()),
+            "an arc writes a color counted unused"
+        );
+        t.colors = colors;
         t.shrink_to_fit();
 
-        names.guards = cs
-            .domains
-            .iter()
-            .map(|(g, d)| Guard {
-                name: g.clone(),
-                domain: d.clone(),
-                finish: index(g).map(|i| finish_of[i as usize]),
+        names.guards = (0..ids.declared_guards() as u32)
+            .map(|g| Guard {
+                name: ids.guard_name(g).clone(),
+                domain: ids.domain(g).into_iter().flatten().map(|&v| ids.value_name(g, v).clone()).collect(),
+                finish: ids.guard_activity(g).map(|i| finish_of[i as usize]),
             })
             .collect();
+        names.guard_names = (0..ids.guards() as u32).map(|g| ids.guard_name(g).clone()).collect();
+        names.names = ids.into_names();
         Ok((t, names))
     }
 
@@ -581,63 +584,42 @@ impl Guard {
 /// rare path: a failing run's stuck list and rendered marking.
 #[derive(Debug, Default)]
 pub(crate) struct Names {
-    /// `cs.activities`, sorted: activity `i` owns places `3i` (`todo`),
-    /// `3i + 1` (`run`) and `3i + 2` (`done`). Name ids below
-    /// `activities.len()` are activity indices.
-    activities: Vec<Name>,
-    /// Names of buffer endpoints and listened guards that are not
-    /// activities; name id `activities.len() + k` is `others[k]`.
-    others: Vec<Name>,
+    /// The resolved set's names by id: `cs.activities`, sorted, first —
+    /// activity `i` owns places `3i` (`todo`), `3i + 1` (`run`) and
+    /// `3i + 2` (`done`) — then services and undeclared names.
+    names: Vec<Name>,
+    /// Activities: name ids `0..acts`.
+    acts: usize,
+    /// The resolved set's guard names by guard id.
+    guard_names: Vec<Name>,
     /// Per constraint buffer, its relation's endpoints.
     buffers: Vec<[(u32, ActivityState); 2]>,
-    /// Per control place, its guard's name id and listening activity.
+    /// Per control place, its guard id and listening activity.
     controls: Vec<(u32, u32)>,
     /// The guards, in `cs.domains` (sorted) order.
     pub(crate) guards: Vec<Guard>,
 }
 
 impl Names {
-    /// The name id of `name`, whose activity index is `activity`.
-    fn id(&mut self, name: &Name, activity: Option<u32>) -> u32 {
-        if let Some(i) = activity {
-            return i;
-        }
-        let k = match self.others.iter().position(|o| o == name) {
-            Some(k) => k,
-            None => {
-                self.others.push(name.clone());
-                self.others.len() - 1
-            }
-        };
-        (self.activities.len() + k) as u32
-    }
-
-    fn name(&self, id: u32) -> &str {
-        let id = id as usize;
-        match self.activities.get(id) {
-            Some(a) => a,
-            None => &self.others[id - self.activities.len()],
-        }
-    }
-
     /// The activities, sorted; activity `i`'s `done` place is `3i + 2`.
     pub(crate) fn activities(&self) -> &[Name] {
-        &self.activities
+        &self.names[..self.acts]
     }
 
     /// Place `p`'s name in the lowered net.
     pub(crate) fn place_name(&self, p: PlaceId) -> String {
         let p = p.0 as usize;
-        let n = self.activities.len();
+        let n = self.acts;
         if p < 3 * n {
             let kind = ["todo", "run", "done"][p % 3];
-            return format!("{kind}({})", self.activities[p / 3]);
+            return format!("{kind}({})", self.names[p / 3]);
         }
+        let name = |id: u32| &self.names[id as usize];
         match self.buffers.get(p - 3 * n) {
-            Some(&[(f, fs), (t, ts)]) => format!("c({fs}({})->{ts}({}))", self.name(f), self.name(t)),
+            Some(&[(f, fs), (t, ts)]) => format!("c({fs}({})->{ts}({}))", name(f), name(t)),
             None => {
                 let (g, b) = self.controls[p - 3 * n - self.buffers.len()];
-                format!("ctl({}->{})", self.name(g), self.activities[b as usize])
+                format!("ctl({}->{})", self.guard_names[g as usize], name(b))
             }
         }
     }
@@ -884,7 +866,7 @@ fn next_dirty(dirty: &[u64], from: usize) -> Option<usize> {
 /// Panics, like [`lower`](crate::lower()), on an activity past
 /// [`MAX_MODES`].
 pub fn guard_groups(cs: &ConstraintSet, exec: &ExecConditions) -> Vec<Vec<String>> {
-    let (tables, names) = Tables::emit(cs, exec)
+    let (tables, names) = Tables::emit(resolve(cs, exec))
         .unwrap_or_else(|l| panic!("{} needs {} modes", l.activity, l.modes));
     let name = |i: usize| names.guards[i].name.to_string();
     let groups = groups(&tables, &names.guards);
@@ -909,9 +891,15 @@ pub(crate) fn groups(tables: &Tables, guards: &[Guard]) -> Vec<Vec<usize>> {
         i
     }
     let mut owner = vec![usize::MAX; tables.places()];
+    // The guard whose search last produced each transition: producing it
+    // again in the same search finds every output claimed already.
+    let mut produced = vec![usize::MAX; tables.first_mode.len() - 1];
     let mut todo: Vec<u32> = Vec::new();
     for (i, g) in guards.iter().enumerate() {
         let mut produce = |t: usize, todo: &mut Vec<u32>| {
+            if std::mem::replace(&mut produced[t], i) == i {
+                return;
+            }
             for m in tables.modes(t) {
                 for &(p, _) in tables.outs.row(m) {
                     match owner[p as usize] {
@@ -959,7 +947,7 @@ pub(crate) mod tests {
     use crate::net::{ArcIn, ArcOut, Mode};
     use crate::reach::{assignment_chooser, run_to_quiescence};
     use dscweaver_core::Weaver;
-    use dscweaver_dscl::{Condition, Origin, StateRef};
+    use dscweaver_dscl::{Condition, Origin, Relation, StateRef};
     use dscweaver_workloads::{
         dense_conditional, disjoint_conditional, layered, purchasing_dependencies,
         DenseConditionalParams, DisjointConditionalParams, LayeredParams,
@@ -990,7 +978,7 @@ pub(crate) mod tests {
     /// activity names.
     fn assert_emits_the_oracle(cs: &ConstraintSet, exec: &ExecConditions, what: &str) {
         let lowered = lower(cs, exec);
-        let (emitted, names) = Tables::emit(cs, exec).unwrap();
+        let (emitted, names) = Tables::emit(resolve(cs, exec)).unwrap();
         assert!(emitted == Tables::derive(&lowered.net), "{what}: kernel differs");
         for (p, place) in lowered.net.places.iter().enumerate() {
             assert_eq!(
@@ -1074,14 +1062,14 @@ pub(crate) mod tests {
         });
         let exec = ExecConditions::derive(&cs);
         assert_emits_the_oracle(&cs, &exec, "edge cases");
-        let (tables, _) = Tables::emit(&cs, &exec).unwrap();
+        let (tables, _) = Tables::emit(resolve(&cs, &exec)).unwrap();
         assert!(!tables.colors.contains(&Color::of("never1")));
         assert!(tables.colors.contains(&Color::of("on")));
 
         let nested = nested_guards(7);
         let exec = ExecConditions::derive(&nested);
         assert_emits_the_oracle(&nested, &exec, "nested_guards(7)");
-        let (tables, _) = Tables::emit(&nested, &exec).unwrap();
+        let (tables, _) = Tables::emit(resolve(&nested, &exec)).unwrap();
         assert_eq!(tables.modes(0).len() + tables.modes(2).len(), 2187, "start(d) + skip(d)");
     }
 
@@ -1091,7 +1079,7 @@ pub(crate) mod tests {
             let cs = nested_guards(k);
             let exec = ExecConditions::derive(&cs);
             let want = try_lower(&cs, &exec).unwrap_err();
-            assert_eq!(Tables::emit(&cs, &exec).unwrap_err(), want, "nested_guards({k})");
+            assert_eq!(Tables::emit(resolve(&cs, &exec)).unwrap_err(), want, "nested_guards({k})");
         }
     }
 

@@ -8,8 +8,10 @@
 //! Two engines produce identical traces:
 //!
 //! * [`simulate`] — the wavefront engine, on an integer kernel.
-//!   [`ScheduleTables::derive`] numbers activities by their sorted
-//!   position and states as `3i + s`, and interns every condition value;
+//!   [`ScheduleTables::derive`] reads the set and its execution
+//!   conditions [`resolve`](dscweaver_core::resolve())d onto ids:
+//!   activities by their sorted position, states as `3i + s`, condition
+//!   values by their byte-order rank;
 //!   [`PreparedSchedule::run`] keeps its state in `Vec`s and bitsets and
 //!   drives readiness with a dependency-counting agenda (only activities
 //!   whose watched states or guards changed are re-evaluated). The run is
@@ -25,9 +27,11 @@
 //! satisfaction checks on sparse processes.
 
 use crate::trace::{EventKind, Time, Trace, TraceEvent};
-use dscweaver_core::ExecConditions;
+use dscweaver_core::resolve::Kind;
+use dscweaver_core::{resolve, ExecConditions};
 use dscweaver_dscl::{ActivityState, Condition, ConstraintSet, Name, Relation, StateRef};
-use dscweaver_graph::BitSet;
+use dscweaver_graph::Dnf;
+use dscweaver_graph::{BitSet, FxHashMap};
 use dscweaver_obs as obs;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
@@ -160,9 +164,9 @@ struct Csr<T> {
 }
 
 impl<T: Copy> Csr<T> {
-    /// Builds `rows` rows from `(row, item)` pairs already sorted by row;
+    /// Builds `rows` rows from `(row, item)` pairs — a counting sort, so
     /// items keep their order within a row.
-    fn from_sorted(rows: usize, pairs: &[(u32, T)]) -> Csr<T> {
+    fn grouped(rows: usize, pairs: &[(u32, T)]) -> Csr<T> {
         assert!(u32::try_from(pairs.len()).is_ok(), "row table past u32 offsets");
         let mut off = vec![0u32; rows + 1];
         for &(r, _) in pairs {
@@ -171,10 +175,13 @@ impl<T: Copy> Csr<T> {
         for r in 0..rows {
             off[r + 1] += off[r];
         }
-        Csr {
-            off,
-            items: pairs.iter().map(|&(_, x)| x).collect(),
+        let mut items: Vec<T> = pairs.iter().map(|&(_, x)| x).collect();
+        let mut next = off.clone();
+        for &(r, x) in pairs {
+            items[next[r as usize] as usize] = x;
+            next[r as usize] += 1;
         }
+        Csr { off, items }
     }
 
     fn row(&self, r: usize) -> &[T] {
@@ -186,7 +193,7 @@ impl<T: Copy> Csr<T> {
 fn wake_rows(rows: usize, mut pairs: Vec<(u32, u32)>) -> Csr<u32> {
     pairs.sort_unstable();
     pairs.dedup();
-    Csr::from_sorted(rows, &pairs)
+    Csr::grouped(rows, &pairs)
 }
 
 fn state_index(s: ActivityState) -> u32 {
@@ -241,80 +248,81 @@ pub struct ScheduleTables {
 }
 
 impl ScheduleTables {
-    /// Derives the integer kernel from `cs`/`exec`. Deterministic:
-    /// activities are walked in sorted order and relations in declaration
-    /// order.
+    /// Derives the integer kernel from `cs`/`exec`, resolved onto ids
+    /// once. Deterministic: activities are walked in sorted order and
+    /// relations in declaration order.
     pub fn derive(cs: &ConstraintSet, exec: &ExecConditions) -> Self {
         let _span = obs::span_with("scheduler.prepare", || {
             format!("activities={} relations={}", cs.activities.len(), cs.relations.len())
         });
-        let acts: Vec<&str> = cs.activities.iter().map(Name::as_str).collect();
-        let n = acts.len();
+        let ids = resolve(cs, exec);
+        let n = ids.activities();
         // State ids `3i + s`, ghost included, stay below the sentinels.
         assert!(3 * (n + 1) < UNMATCHED as usize, "too many activities for u32 state ids");
-        let act_ix: HashMap<&str, u32> = (0..).zip(&acts).map(|(i, a)| (*a, i)).collect();
-        let ix = |a: &str| act_ix.get(a).map_or(n as u32, |&i| i);
-        let dnfs: Vec<_> = acts.iter().map(|a| exec.dnf(a).terms()).collect();
+        // An endpoint or guard that is no activity is the ghost `n`.
+        let ix = |id: u32| if (id as usize) < n { id } else { n as u32 };
+        let guard = |g: u32| ids.guard_activity(g).unwrap_or(n as u32);
 
-        let mut values: Vec<&Name> = Vec::new();
-        for r in &cs.relations {
-            if let Relation::HappenBefore { cond: Some(c), .. } = r {
-                values.push(&c.value);
+        // Condition values by rank, then renumbered densely.
+        let mut used: Vec<u32> = Vec::new();
+        for (kind, _, _, c) in ids.relations() {
+            if let (Kind::Before, Some((g, v))) = (kind, c) {
+                used.push(ids.value_rank(g, v));
             }
         }
-        for dnf in &dnfs {
-            values.extend(dnf.iter().flatten().map(|c| &c.value));
+        for a in 0..n as u32 {
+            used.extend(ids.exec_terms(a).flatten().map(|&(g, v)| ids.value_rank(g, v)));
         }
-        values.sort_unstable();
-        values.dedup();
-        let value_id = |v: &str| {
-            values
-                .binary_search_by(|x| x.as_str().cmp(v))
-                .map_or(UNMATCHED, |k| k as u32)
-        };
-        let cond = |c: &Condition| (ix(&c.on), value_id(&c.value));
+        used.sort_unstable();
+        used.dedup();
+        let local = |rank: u32| used.binary_search(&rank).map_or(UNMATCHED, |k| k as u32);
+        let cond = |(g, v): (u32, u32)| (guard(g), local(ids.value_rank(g, v)));
 
         let mut start: Vec<(u32, Pre)> = Vec::new();
         let mut finish: Vec<(u32, Pre)> = Vec::new();
-        for r in &cs.relations {
-            if let Relation::HappenBefore { from, to, cond: c, .. } = r {
-                let i = ix(&to.activity);
-                if i as usize == n {
-                    continue;
-                }
-                let p = Pre {
-                    state: 3 * ix(&from.activity) + state_index(from.state),
-                    cond: c.as_ref().map(cond),
-                };
-                match to.state {
-                    ActivityState::Start | ActivityState::Run => start.push((i, p)),
-                    ActivityState::Finish => finish.push((i, p)),
-                }
-            }
-        }
-        start.sort_by_key(|&(i, _)| i);
-        finish.sort_by_key(|&(i, _)| i);
-
         let mut excl: Vec<(u32, u32)> = Vec::new();
-        for (x, y) in cs.exclusives() {
-            let (i, j) = (ix(&x.activity), ix(&y.activity));
-            if (i as usize) < n && (j as usize) < n {
-                excl.push((i, j));
-                excl.push((j, i));
+        for (kind, from, to, c) in ids.relations() {
+            match kind {
+                Kind::Before => {
+                    let i = ix(to.0);
+                    if i as usize == n {
+                        continue;
+                    }
+                    let p = Pre {
+                        state: 3 * ix(from.0) + state_index(from.1),
+                        cond: c.map(cond),
+                    };
+                    match to.1 {
+                        ActivityState::Start | ActivityState::Run => start.push((i, p)),
+                        ActivityState::Finish => finish.push((i, p)),
+                    }
+                }
+                Kind::Exclusive => {
+                    let (i, j) = (ix(from.0), ix(to.0));
+                    if (i as usize) < n && (j as usize) < n {
+                        excl.push((i, j));
+                        excl.push((j, i));
+                    }
+                }
+                Kind::Together => {}
             }
         }
-        excl.sort_by_key(|&(i, _)| i);
 
+        // *Always* is one empty term.
         let mut exec_off: Vec<u32> = vec![0];
         let mut terms: Vec<(u32, (u32, u32))> = Vec::new();
-        for dnf in &dnfs {
-            let first = exec_off[exec_off.len() - 1];
-            for (k, term) in (first..).zip(*dnf) {
-                terms.extend(term.iter().map(|c| (k, cond(c))));
+        let mut k = 0;
+        for a in 0..n as u32 {
+            if ids.is_unconditional(a) {
+                k += 1;
             }
-            exec_off.push(first + dnf.len() as u32);
+            for term in ids.exec_terms(a) {
+                terms.extend(term.iter().map(|&c| (k, cond(c))));
+                k += 1;
+            }
+            exec_off.push(k);
         }
-        let terms = Csr::from_sorted(exec_off[n] as usize, &terms);
+        let terms = Csr::grouped(k as usize, &terms);
 
         let mut state_wake: Vec<(u32, u32)> = Vec::new();
         let mut guard_wake: Vec<(u32, u32)> = Vec::new();
@@ -339,27 +347,32 @@ impl ScheduleTables {
             }
         }
 
-        let done = value_id("done");
+        let values: Vec<Name> = used.iter().map(|&r| ids.ranked_values()[r as usize].clone()).collect();
+        let done = values
+            .binary_search_by(|x| x.as_str().cmp("done"))
+            .map_or(UNMATCHED, |k| k as u32);
         let mut produced = vec![done; n];
-        let mut domain_ix = Vec::with_capacity(cs.domains.len());
-        for (g, dom) in &cs.domains {
-            let i = ix(g);
+        let mut domain_ix = Vec::with_capacity(ids.declared_guards());
+        for g in 0..ids.declared_guards() as u32 {
+            let i = guard(g);
             if (i as usize) < n {
-                produced[i as usize] = dom.first().map_or(done, |v| value_id(v));
+                let first = ids.domain(g).and_then(|d| d.first());
+                produced[i as usize] = first.map_or(done, |&v| local(ids.value_rank(g, v)));
             }
             domain_ix.push(i);
         }
-        let coordinators = (0..n as u32).filter(|&i| is_coordinator(acts[i as usize])).collect();
+        let names = ids.names();
+        let coordinators = (0..n as u32).filter(|&i| is_coordinator(&names[i as usize])).collect();
 
         ScheduleTables {
-            start: Csr::from_sorted(n, &start),
-            finish: Csr::from_sorted(n, &finish),
+            start: Csr::grouped(n, &start),
+            finish: Csr::grouped(n, &finish),
             state_wake: wake_rows(3 * n, state_wake),
             guard_wake: wake_rows(n, guard_wake),
-            excl: Csr::from_sorted(n, &excl),
+            excl: Csr::grouped(n, &excl),
             exec_off,
             terms,
-            values: values.into_iter().cloned().collect(),
+            values,
             produced,
             domain_ix,
             coordinators,
@@ -790,8 +803,7 @@ fn prereq_satisfied(
 }
 
 /// Exec decision: Some(true/false) once all mentioned guards resolved.
-fn exec_decided(a: &str, exec: &ExecConditions, outcome: &HashMap<&str, GuardOutcome>) -> Option<bool> {
-    let dnf = exec.dnf(a);
+fn exec_decided(dnf: &Dnf<Condition>, outcome: &HashMap<&str, GuardOutcome>) -> Option<bool> {
     if dnf.is_always() {
         return Some(true);
     }
@@ -846,6 +858,8 @@ pub fn simulate_rescan_baseline(
             }
         }
     }
+    let execs: FxHashMap<&str, Dnf<Condition>> =
+        cs.activities.iter().map(|a| (a.as_str(), exec.of(a))).collect();
     // Exclusive partner sets.
     let mut exclusive: HashMap<&str, Vec<&str>> = HashMap::new();
     for (x, y) in cs.exclusives() {
@@ -912,7 +926,7 @@ pub fn simulate_rescan_baseline(
                 if !starts_ok {
                     continue;
                 }
-                match exec_decided(a, exec, &outcome) {
+                match exec_decided(&execs[a], &outcome) {
                     None => continue,
                     Some(true) => {
                         // Exclusive: defer while a partner is running.

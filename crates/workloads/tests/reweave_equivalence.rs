@@ -6,8 +6,9 @@
 //! at 1 and 8, and its fingerprints must not depend on that field.
 
 use dscweaver_core::{
-    Dependency, DependencySet, ReweavePath, Weaver, WeaverOutput,
+    diff_constraint_sets, Dependency, DependencySet, ReweavePath, Weaver, WeaverOutput,
 };
+use dscweaver_dscl::ConstraintSet;
 use dscweaver_prng::Rng;
 use dscweaver_workloads::{
     dense_conditional, edit_burst, fork_join, layered, loan_dependencies,
@@ -255,5 +256,168 @@ fn weave_errors_match_string_composition() {
     for ds in &bads {
         assert!(Weaver::new().run(ds).is_err());
         oracle::assert_weave_matches_everywhere(ds);
+    }
+}
+
+/// `diff_constraint_sets` (on ids) against the string diff of `oracle`,
+/// every field in order, both directions.
+fn assert_diff_matches(old: &ConstraintSet, new: &ConstraintSet, what: &str) {
+    for (a, b, dir) in [(old, new, "forward"), (new, old, "backward")] {
+        assert_eq!(
+            diff_constraint_sets(a, b),
+            oracle::diff::diff(a, b),
+            "{what} ({dir})"
+        );
+    }
+}
+
+/// Seeded edit bursts under every profile: each revision's SC and ASC
+/// diffed against the previous revision's, and every session report's
+/// diff against the string diff of the two ASCs.
+#[test]
+fn id_diff_matches_string_diff_on_seeded_bursts() {
+    let shapes = [
+        (
+            "layered",
+            layered(&LayeredParams {
+                width: 4,
+                depth: 8,
+                density: 0.3,
+                redundant: 30,
+                guards: 3,
+                seed: 17,
+            }),
+        ),
+        ("dense_conditional", dense_conditional(&DenseConditionalParams::default())),
+        ("service_mesh", service_mesh(3, 4)),
+        ("purchasing", purchasing_dependencies()),
+        ("fork_join", fork_join(4, 6, 20, 31)),
+    ];
+    for (shape, base) in shapes {
+        for profile in [EditProfile::LevelStable, EditProfile::Mixed] {
+            let mut rng = Rng::seed_from_u64(0x5eed ^ shape.len() as u64);
+            let mut ds = base.clone();
+            let mut session = Weaver::new().session();
+            let mut prev: Option<WeaverOutput> = None;
+            for (i, size) in [0usize, 1, 2, 4, 1, 16, 3].into_iter().enumerate() {
+                edit_burst(&mut ds, &mut rng, size, profile);
+                let what = format!("{shape} {profile:?} rev {i}");
+                let Ok(rep) = session.weave(&ds) else {
+                    continue;
+                };
+                let out = session.output().expect("woven").clone();
+                if let Some(prev) = &prev {
+                    assert_eq!(rep.diff, oracle::diff::diff(&prev.asc, &out.asc), "{what}: session");
+                    assert_diff_matches(&prev.asc, &out.asc, &format!("{what}: ASC"));
+                    assert_diff_matches(&prev.sc, &out.sc, &format!("{what}: SC"));
+                    assert_diff_matches(&prev.minimal, &out.minimal, &format!("{what}: minimal"));
+                }
+                prev = Some(out);
+            }
+        }
+    }
+}
+
+/// Hand-made edits: an activity added and removed (still named by a
+/// relation, so undeclared), a guard flip, a domain edit, an exclusive
+/// edit, a duplicated relation, services, and unrelated sets.
+#[test]
+fn id_diff_matches_string_diff_on_hand_cases() {
+    use dscweaver_dscl::{Condition, Origin, Relation, StateRef};
+    let base = || {
+        let mut cs = ConstraintSet::new("hand");
+        for a in ["a", "g", "x", "y", "z"] {
+            cs.add_activity(a);
+        }
+        cs.add_domain("g", vec!["T".into(), "F".into()]);
+        cs.push(Relation::before(StateRef::finish("a"), StateRef::start("g"), Origin::Data));
+        cs.push(Relation::before_if(
+            StateRef::finish("g"),
+            StateRef::start("x"),
+            Condition::new("g", "T"),
+            Origin::Control,
+        ));
+        cs.push(Relation::before_if(
+            StateRef::finish("g"),
+            StateRef::start("y"),
+            Condition::new("g", "F"),
+            Origin::Control,
+        ));
+        cs.push(Relation::before(StateRef::finish("x"), StateRef::start("z"), Origin::Data));
+        cs.push(Relation::before(StateRef::finish("y"), StateRef::start("z"), Origin::Data));
+        cs
+    };
+    let mut cases: Vec<(&str, ConstraintSet)> = Vec::new();
+    let mut cs = base();
+    cs.add_activity("w");
+    cs.push(Relation::before(StateRef::finish("z"), StateRef::start("w"), Origin::Cooperation));
+    cases.push(("activity added", cs));
+    let mut cs = base();
+    cs.activities.remove("z");
+    cases.push(("activity removed, still named", cs));
+    let mut cs = base();
+    if let Relation::HappenBefore { cond, .. } = &mut cs.relations[2] {
+        *cond = Some(Condition::new("g", "T"));
+    }
+    cases.push(("guard flip", cs));
+    let mut cs = base();
+    cs.domains.insert("g".into(), vec!["T".into(), "F".into(), "M".into()]);
+    cs.domains.insert("k".into(), vec!["on".into()]);
+    cases.push(("domain edit", cs));
+    let mut cs = base();
+    cs.domains.clear();
+    cases.push(("domain dropped", cs));
+    let mut cs = base();
+    cs.push(Relation::Exclusive {
+        a: StateRef::run("y"),
+        b: StateRef::run("x"),
+        origin: Origin::Other,
+    });
+    cases.push(("exclusive added", cs));
+    let mut cs = base();
+    cs.push(Relation::before(StateRef::finish("x"), StateRef::start("z"), Origin::Cooperation));
+    cases.push(("duplicate relation", cs));
+    let mut cs = base();
+    cs.relations.reverse();
+    cases.push(("reordered", cs));
+    let mut cs = base();
+    cs.add_service("Svc");
+    cs.add_service("x");
+    cs.push(Relation::before(StateRef::finish("a"), StateRef::start("Svc"), Origin::Service));
+    cs.push(Relation::before_if(
+        StateRef::finish("ghost"),
+        StateRef::start("Svc"),
+        Condition::new("ghost", "on"),
+        Origin::Control,
+    ));
+    cases.push(("services and undeclared names", cs));
+    let mut cs = ConstraintSet::new("other");
+    for a in ["p", "q", "g"] {
+        cs.add_activity(a);
+    }
+    cs.push(Relation::before(StateRef::finish("p"), StateRef::start("q"), Origin::Data));
+    cases.push(("unrelated", cs));
+    // Large windows take the full comparison.
+    let mut cs = base();
+    for k in 0..40 {
+        cs.relations.insert(0, Relation::before(StateRef::start("a"), StateRef::finish(&*format!("n{k}")), Origin::Data));
+    }
+    cases.push(("large window", cs));
+
+    let mut excl = base();
+    excl.push(Relation::Exclusive {
+        a: StateRef::run("x"),
+        b: StateRef::run("y"),
+        origin: Origin::Other,
+    });
+    assert_diff_matches(&base(), &base(), "identity");
+    for (what, cs) in &cases {
+        assert_diff_matches(&base(), cs, what);
+        assert_diff_matches(&excl, cs, &format!("{what} vs exclusive"));
+    }
+    for (i, (w1, a)) in cases.iter().enumerate() {
+        for (w2, b) in &cases[i + 1..] {
+            assert_diff_matches(a, b, &format!("{w1} vs {w2}"));
+        }
     }
 }

@@ -119,13 +119,15 @@ fn job(ds: &DependencySet, edited: &DependencySet) {
 /// `Weaver::run` on the n = 403 process: 18,521 allocations before the
 /// weave shared its names, 8,269 after, 7,578 once execution conditions
 /// stopped cloning, 1,632 once graphs, closure rows and the closure
-/// sweep's levels were stored flat.
-const WEAVE_CEILING: u64 = 1_795;
+/// sweep's levels were stored flat, 1,133 once the merge numbered the set
+/// and execution conditions were kept as shared id rows.
+const WEAVE_CEILING: u64 = 1_246;
 
 /// `Weaver::run` on the n = 403 process without guards: 3,381
 /// allocations while unconditional sets took a transitive-reduction path
-/// (one closure bitset per node), 951 on the one engine.
-const UNCONDITIONAL_WEAVE_CEILING: u64 = 1_046;
+/// (one closure bitset per node), 951 on the one engine, 553 once an
+/// activity without control parents stopped allocating its *always*.
+const UNCONDITIONAL_WEAVE_CEILING: u64 = 608;
 
 /// The public `minimize` on the woven n = 403 ASC (numbering and
 /// execution-condition ids included): 6,569 allocations while every
@@ -135,13 +137,21 @@ const MINIMIZE_CEILING: u64 = 685;
 
 /// `ExecConditions::derive` on the merged n = 403 set: 1,454 allocations
 /// while the derivation cloned a DNF per memo hit and per stored result,
-/// 763 after.
-const EXEC_CEILING: u64 = 839;
+/// 763 while it kept a string-keyed DNF per conditional activity, 258 with
+/// one id row per distinct condition.
+const EXEC_CEILING: u64 = 283;
 
 /// The whole job: 38,802 allocations before the names were shared,
 /// 16,722 after, 15,340 with execution conditions uncloned, 3,502 with
-/// flat graphs and closure rows.
-const JOB_CEILING: u64 = 3_852;
+/// flat graphs and closure rows, 2,589 with one numbering from the merge
+/// to the executors and the re-weave diff.
+const JOB_CEILING: u64 = 2_847;
+
+/// `CompiledValidation::compile` plus `ScheduleTables::derive` on the
+/// woven n = 403 minimal set: 264 allocations while each keyed its own
+/// string map, 347 once each resolves the set onto ids (the numbering's
+/// tables, the translated execution rows and the name ranks).
+const COMPILE_CEILING: u64 = 381;
 
 #[test]
 fn weave_stays_under_its_allocation_ceiling() {
@@ -225,6 +235,25 @@ fn job_stays_under_its_allocation_ceiling() {
     assert!(
         n <= JOB_CEILING,
         "the job made {n} allocations (ceiling {JOB_CEILING})"
+    );
+}
+
+#[test]
+fn compile_and_derive_stay_under_their_allocation_ceiling() {
+    let out = weaver().run(&process(31)).expect("weaves");
+    let compile = || {
+        (
+            CompiledValidation::compile(&out.minimal, &out.exec),
+            ScheduleTables::derive(&out.minimal, &out.exec),
+        )
+    };
+    drop(compile());
+    let (tables, n) = count(compile);
+    drop(tables);
+    eprintln!("compile + derive allocations: {n}");
+    assert!(
+        n <= COMPILE_CEILING,
+        "compile + derive made {n} allocations (ceiling {COMPILE_CEILING})"
     );
 }
 
